@@ -2,7 +2,7 @@
 //! C-Reduce-style test-case minimizer.
 
 use crate::backend::DbmsConnector;
-use crate::oracle::{Oracle, OracleVerdict};
+use crate::oracle::{truth_matches, Oracle, OracleVerdict};
 use serde::Serialize;
 use tqs_engine::FaultKind;
 use tqs_schema::GroundTruthEvaluator;
@@ -224,7 +224,7 @@ pub fn minimize_query(
             Err(_) => return false,
         };
         match conn.execute_with_hints(candidate, hints) {
-            Ok(out) => !truth.matches(&out.result),
+            Ok(out) => !truth_matches(&truth, &out.result),
             Err(_) => false,
         }
     };

@@ -35,7 +35,7 @@ use tqs_storage::{Catalog, ResultSet, Row};
 use crate::backend::DbmsConnector;
 use crate::bugs::{BugReport, OracleKind};
 use crate::dsg::DsgDatabase;
-use crate::oracle::OracleVerdict;
+use crate::oracle::{same_bag, OracleVerdict};
 
 /// The rows of one table with their stable identities: `(row id, values)`.
 pub type IdentityRows = Vec<(u64, Vec<Value>)>;
@@ -694,7 +694,7 @@ impl DmlOracle {
                     fired.push(*f);
                 }
             }
-            if !expected.same_bag(&out.result) {
+            if !same_bag(&expected, &out.result) {
                 reports.push(mutation_report(
                     &info.name,
                     program,

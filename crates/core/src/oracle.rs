@@ -28,7 +28,7 @@ use crate::hintgen::hint_sets_for;
 use std::sync::Arc;
 use tqs_engine::{FaultKind, FaultSet};
 use tqs_optimizer::PlanSpace;
-use tqs_schema::GroundTruthEvaluator;
+use tqs_schema::{GroundTruth, GroundTruthEvaluator};
 use tqs_sql::ast::{BinOp, Expr, SelectItem, SelectStmt};
 use tqs_sql::hints::{Hint, HintSet};
 use tqs_sql::value::Value;
@@ -79,6 +79,31 @@ pub trait Oracle {
     fn plans_enumerated(&self) -> usize {
         0
     }
+}
+
+/// One result judgement made for an oracle, on the books: its duration goes
+/// to the `core.oracle.judge.ns` histogram and the rows on both sides to the
+/// `core.oracle.judge.rows` counter. The clock is read only while telemetry
+/// is on.
+pub(crate) fn judged(a: &ResultSet, b: &ResultSet, judge: impl FnOnce() -> bool) -> bool {
+    if !tqs_telemetry::enabled() {
+        return judge();
+    }
+    let t0 = std::time::Instant::now();
+    let verdict = judge();
+    tqs_telemetry::histogram!("core.oracle.judge.ns").record(t0.elapsed().as_nanos() as u64);
+    tqs_telemetry::counter!("core.oracle.judge.rows").add((a.row_count() + b.row_count()) as u64);
+    verdict
+}
+
+/// [`GroundTruth::matches`] as a [`judged`] call.
+pub(crate) fn truth_matches(truth: &GroundTruth, observed: &ResultSet) -> bool {
+    judged(&truth.result, observed, || truth.matches(observed))
+}
+
+/// [`ResultSet::same_bag`] as a [`judged`] call.
+pub(crate) fn same_bag(a: &ResultSet, b: &ResultSet) -> bool {
+    judged(a, b, || a.same_bag(b))
 }
 
 /// The TQS oracle (Algorithm 1 lines 11-15): transform the query into every
@@ -132,7 +157,7 @@ impl Oracle for TqsOracle {
                 Err(_) => continue,
             };
             executed = true;
-            if !truth.matches(&out.result) {
+            if !truth_matches(&truth, &out.result) {
                 let minimized = if self.minimize {
                     Some(minimize_query(stmt, &hs, conn, &gt))
                 } else {
@@ -203,7 +228,7 @@ impl Oracle for PlanDiffOracle {
         let (_, base) = &outcomes[0];
         let mut reports = Vec::new();
         for (hs, out) in &outcomes[1..] {
-            if !base.result.same_bag(&out.result) {
+            if !same_bag(&base.result, &out.result) {
                 reports.push(make_report(
                     &info.name,
                     OracleKind::Differential,
@@ -325,7 +350,7 @@ impl Oracle for PqsOracle {
             columns: vec![],
             rows: expected_rows,
         };
-        if !expected.subset_of(&out.result) {
+        if !judged(&expected, &out.result, || expected.subset_of(&out.result)) {
             OracleVerdict::Bugs(vec![make_report(
                 &conn.info().name,
                 OracleKind::PivotMissing,
@@ -428,7 +453,7 @@ impl Oracle for NorecOracle {
             Ok(o) => o,
             Err(_) => return OracleVerdict::Skip,
         };
-        if !optimized.result.same_bag(&reference.result) {
+        if !same_bag(&optimized.result, &reference.result) {
             let mut fired = optimized.fired.clone();
             fired.extend(reference.fired.clone());
             OracleVerdict::Bugs(vec![make_report(
@@ -546,7 +571,7 @@ impl Oracle for PlanSpaceOracle {
             return OracleVerdict::Skip;
         };
         let mut reports = Vec::new();
-        if !truth.matches(&baseline.result) {
+        if !truth_matches(&truth, &baseline.result) {
             reports.push(make_report(
                 &info.name,
                 OracleKind::PlanSpace,
@@ -564,7 +589,7 @@ impl Oracle for PlanSpaceOracle {
                 continue;
             };
             self.plans += 1;
-            if !truth.matches(&out.result) {
+            if !truth_matches(&truth, &out.result) {
                 let mut fired = out.fired.clone();
                 fired.extend(space.rewrite_fired.iter().copied());
                 fired.extend(plan.fired.iter().copied());
@@ -703,20 +728,22 @@ impl Oracle for DifferentialOracle {
             }
             executed = true;
             // The expected answer is the result the largest group of
-            // references agrees on (ties break toward the earlier one).
-            let majority = refs
-                .iter()
-                .map(|cand| {
-                    refs.iter()
-                        .filter(|o| o.result.same_bag(&cand.result))
-                        .count()
-                })
-                .collect::<Vec<_>>();
+            // references agrees on (ties break toward the earlier one). A
+            // result agrees with itself, and each pair is judged once.
+            let mut majority = vec![1usize; refs.len()];
+            for i in 0..refs.len() {
+                for j in i + 1..refs.len() {
+                    if same_bag(&refs[i].result, &refs[j].result) {
+                        majority[i] += 1;
+                        majority[j] += 1;
+                    }
+                }
+            }
             let best = (0..refs.len())
                 .max_by_key(|&i| (majority[i], std::cmp::Reverse(i)))
                 .expect("non-empty panel");
             let expected = &refs[best];
-            if !expected.result.same_bag(&out.result) {
+            if !same_bag(&expected.result, &out.result) {
                 let mut fired = out.fired.clone();
                 for r in &refs {
                     fired.extend(r.fired.clone());

@@ -14,7 +14,7 @@ use std::time::Instant;
 use tqs_sql::ast::{BinOp, ColumnRef, Expr, JoinType};
 use tqs_sql::eval::{eval_predicate, ColumnResolver, NoSubqueries, SliceRow};
 use tqs_sql::hints::SemiJoinStrategy;
-use tqs_sql::value::{sql_compare, KeyBuf, SqlCmp, Value};
+use tqs_sql::value::{sql_compare, ColClass, KeyBuf, SqlCmp, Value};
 use tqs_storage::Table;
 use tqs_telemetry::QueryProfile;
 
@@ -750,60 +750,24 @@ struct MatchSideEffects {
 /// (tqs_sql::value::hash_key)) guaranteed to agree with [`sql_compare`]
 /// equality on every cross-side pair of these key columns?
 ///
-/// Proven only for two data shapes, checked against the actual column
-/// values:
-///
-/// * **all strings** — `collate_cmp` equality and the folded hash key apply
-///   the same lowercase + trailing-space-trim equivalence;
-/// * **all exact small integers** (`as_i128_exact` within ±2⁵³) —
-///   `sql_compare` takes the exact i128 path and `hash_key` maps the same
-///   i128.
-///
-/// Everything else bails to the compare loop: a string meeting a number
-/// coerces under SQL but not under the hash key; fractional decimals compare
-/// exactly under SQL but hash through a lossy f64; integers beyond 2⁵³ can
-/// equal a double under lossy comparison while hashing differently. Each
-/// key column pair must be string-vs-string or int-vs-int (an all-NULL /
-/// empty column matches anything — NULL keys never match rows anyway).
+/// Proven only for the two data shapes [`ColClass::hash_exact`] names,
+/// checked against the actual values of each key column pair: all strings,
+/// or all exact small integers (an all-NULL / empty column matches anything
+/// — NULL keys never match rows anyway). Everything else bails to the
+/// compare loop: a string meeting a number coerces under SQL but not under
+/// the hash key; fractional decimals compare exactly under SQL but hash
+/// through a lossy f64; integers beyond 2⁵³ can equal a double under lossy
+/// comparison while hashing differently.
 fn hash_equivalent_keys(left: &Rel, right: &Rel, keys: &EquiKeys) -> bool {
-    #[derive(PartialEq, Clone, Copy)]
-    enum ColClass {
-        Empty,
-        Str,
-        SmallInt,
-    }
-    const EXACT_F64_INT: u128 = 1 << 53;
-    let classify = |rows: &[Vec<Value>], idx: usize| -> Option<ColClass> {
-        let mut class = ColClass::Empty;
-        for row in rows {
-            let v = &row[idx];
-            if v.is_null() {
-                continue;
-            }
-            let this = if v.as_str().is_some() {
-                ColClass::Str
-            } else if matches!(v.as_i128_exact(), Some(i) if i.unsigned_abs() <= EXACT_F64_INT) {
-                ColClass::SmallInt
-            } else {
-                return None; // floats, fractional decimals, huge integers
-            };
-            if class == ColClass::Empty {
-                class = this;
-            } else if class != this {
-                return None; // mixed strings and numbers within one column
-            }
-        }
-        Some(class)
-    };
+    let class = |rows: &[Vec<Value>], idx: usize| ColClass::of_all(rows.iter().map(|r| &r[idx]));
     keys.left_idx
         .iter()
         .zip(keys.right_idx.iter())
-        .all(
-            |(&li, &ri)| match (classify(&left.rows, li), classify(&right.rows, ri)) {
-                (Some(a), Some(b)) => a == b || a == ColClass::Empty || b == ColClass::Empty,
-                _ => false,
-            },
-        )
+        .all(|(&li, &ri)| {
+            class(&left.rows, li)
+                .join(class(&right.rows, ri))
+                .hash_exact()
+        })
 }
 
 /// The nested-loop algorithms with an equi key: identical match decisions to

@@ -303,9 +303,15 @@ pub fn total_f64(a: f64, b: f64) -> Ordering {
     }
 }
 
-/// A key usable for hashing/grouping with the same equivalence classes as
-/// [`sql_compare`] equality (restricted to same-family types, which is what
-/// grouping and hash joins need after coercion).
+/// A key usable for hashing/grouping. Its equivalence classes are those of
+/// [`sql_compare`] equality only on the column shapes [`ColClass::hash_exact`]
+/// names — all strings, or all exact integers within ±2⁵³. Elsewhere the two
+/// part ways: a string never keys like the number it coerces to, an integer
+/// beyond 2⁵³ can equal a double it does not key like, and a `Decimal` with
+/// a fractional part compares exactly ([`Decimal::cmp_exact`]) but keys
+/// through the lossy [`Decimal::to_f64`], so two different decimals can
+/// share a key. Callers that must agree with `sql_compare` classify their
+/// columns first (the engine's `hash_equivalent_keys` does).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HashKey {
     Null,
@@ -365,6 +371,78 @@ pub fn canon_f64_bits(f: f64) -> u64 {
     }
 }
 
+/// What the non-NULL values of one column (or of several columns that meet
+/// in a comparison) have in common — as much as decides which hashable key
+/// is faithful to [`sql_compare`] equality on them. Ordered by how little is
+/// known: [`join`](Self::join) only ever moves down this list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColClass {
+    /// No non-NULL value.
+    Empty,
+    /// Only strings: equality is [`collate_cmp`], which the folded,
+    /// right-trimmed string reproduces exactly.
+    Str,
+    /// Only exact integers within ±2⁵³: equality is exact, and both
+    /// [`hash_key`] and the conversion to double are injective on them.
+    SmallInt,
+    /// Anything else whose [`Value::as_f64_lossy`] is equal whenever
+    /// `sql_compare` says equal: floats, large integers, decimals, and
+    /// strings meeting numbers (two equal strings share a numeric prefix).
+    /// The converse fails, so the double is a bucket key, not a verdict.
+    Num,
+    /// Holds a fractional `Decimal` too wide for [`Decimal::to_f64`] to be
+    /// the correctly rounded value (mantissa beyond 2⁵³ or scale beyond 15):
+    /// `1.50` and `1.5` at that width may convert differently while
+    /// comparing equal, so no key at all is known to be faithful.
+    Opaque,
+}
+
+impl ColClass {
+    const EXACT_F64_INT: u128 = 1 << 53;
+
+    /// The class of a single value.
+    pub fn of(v: &Value) -> ColClass {
+        match v {
+            Value::Null => ColClass::Empty,
+            Value::Varchar(_) | Value::Text(_) => ColClass::Str,
+            Value::Decimal(d)
+                if d.scale > 0
+                    && (d.mantissa.unsigned_abs() > Self::EXACT_F64_INT || d.scale > 15) =>
+            {
+                ColClass::Opaque
+            }
+            _ => match v.as_i128_exact() {
+                Some(i) if i.unsigned_abs() <= Self::EXACT_F64_INT => ColClass::SmallInt,
+                _ => ColClass::Num,
+            },
+        }
+    }
+
+    /// The class of the union of two groups of values.
+    pub fn join(self, other: ColClass) -> ColClass {
+        use ColClass::*;
+        match (self, other) {
+            (a, b) if a == b => a,
+            (Empty, x) | (x, Empty) => x,
+            (Opaque, _) | (_, Opaque) => Opaque,
+            _ => Num,
+        }
+    }
+
+    /// The class of all the values of a column.
+    pub fn of_all<'a>(values: impl IntoIterator<Item = &'a Value>) -> ColClass {
+        values
+            .into_iter()
+            .fold(ColClass::Empty, |c, v| c.join(ColClass::of(v)))
+    }
+
+    /// Does [`hash_key`] equality coincide with `sql_compare` equality on
+    /// values of this class?
+    pub fn hash_exact(self) -> bool {
+        matches!(self, ColClass::Empty | ColClass::Str | ColClass::SmallInt)
+    }
+}
+
 /// A compact, reusable binary key buffer for hashing, grouping and
 /// deduplication — the allocation-free replacement for the string-concat
 /// keys the executors used to build per row.
@@ -376,7 +454,7 @@ pub fn canon_f64_bits(f: f64) -> u64 {
 /// encoding could collide when a value contained the separator; the binary
 /// form cannot.)
 ///
-/// Two encoding families share the buffer:
+/// Three encoding families share the buffer:
 ///
 /// * [`push_canonical`](Self::push_canonical) — the [`hash_key`] equivalence
 ///   (join keys): `0 == -0`, `1 == 1.0`, strings case-folded and
@@ -384,6 +462,8 @@ pub fn canon_f64_bits(f: f64) -> u64 {
 /// * [`push_group`](Self::push_group) — the `(type_tag, Display)`
 ///   equivalence used by GROUP BY and DISTINCT, where `Int(1)` and
 ///   `Double(1.0)` stay distinct.
+/// * [`push_coarse`](Self::push_coarse) — the result judge's bucket key: a
+///   coarsening of [`result_value_eq`] per [`ColClass`].
 ///
 /// The executor's fault interception composes its own segments out of the
 /// low-level pushers (`push_f64_bits`, `push_str_folded`, `push_str_raw`),
@@ -495,6 +575,28 @@ impl KeyBuf {
                 }
                 HashKey::Str(_) => unreachable!("strings handled above"),
             },
+        }
+    }
+
+    /// Result-cell segment for a column of class `class` (the join over
+    /// every value that meets in the column): a *coarsening* of
+    /// [`result_value_eq`] — two cells that compare equal push equal
+    /// segments, so rows can be bucketed by it and only bucket-mates need
+    /// the real comparison. Neither other family will do: `push_group` is
+    /// finer than the comparison (`1.50`/`1.5`, `'Tom'`/`'tom '`,
+    /// `0.0`/`-0.0` part ways) and `push_canonical` is unfaithful outside
+    /// [`ColClass::hash_exact`] columns.
+    pub fn push_coarse(&mut self, v: &Value, class: ColClass) {
+        match (v, class) {
+            (Value::Null, _) => self.push_null(),
+            (_, ColClass::Opaque) => {}
+            (Value::Varchar(s) | Value::Text(s), ColClass::Str) => self.push_str_folded(s),
+            _ => {
+                let f = v.as_f64_lossy().expect("only NULL has no numeric reading");
+                self.bytes.push(Self::TAG_DOUBLE);
+                self.bytes
+                    .extend_from_slice(&canon_f64_bits(f).to_le_bytes());
+            }
         }
     }
 
@@ -639,6 +741,68 @@ mod tests {
         assert_eq!(a.to_string(), "15.00");
         assert_eq!(Decimal::new(-105, 1).to_string(), "-10.5");
         assert_eq!(hash_key(&Value::Decimal(a)), hash_key(&Value::Int(15)));
+    }
+
+    #[test]
+    fn fractional_decimals_can_differ_and_share_a_hash_key() {
+        // 0.1 and 0.1 + 1e-21: different under the exact comparison, the
+        // same double, hence the same hash key.
+        let a = Value::Decimal(Decimal::new(1, 1));
+        let b = Value::Decimal(Decimal::new(100_000_000_000_000_000_001, 21));
+        assert_eq!(sql_compare(&a, &b).is_eq(), Some(false));
+        assert_eq!(hash_key(&a), hash_key(&b));
+        assert!(!ColClass::of(&b).hash_exact());
+    }
+
+    #[test]
+    fn column_classes_join_toward_less_knowledge() {
+        use ColClass::*;
+        assert_eq!(ColClass::of_all([]), Empty);
+        assert_eq!(ColClass::of_all([&Value::Null, &Value::str("a")]), Str);
+        assert_eq!(
+            ColClass::of_all([&Value::Int(1), &Value::UInt(2)]),
+            SmallInt
+        );
+        assert_eq!(ColClass::of_all([&Value::Int(1), &Value::str("1")]), Num);
+        assert_eq!(ColClass::of(&Value::Int(i64::MAX)), Num);
+        assert_eq!(ColClass::of(&Value::Decimal(Decimal::new(150, 2))), Num);
+        let wide = Value::Decimal(Decimal::new(1 << 60, 1));
+        assert_eq!(ColClass::of_all([&Value::str("a"), &wide]), Opaque);
+        assert_eq!(Opaque.join(Num), Opaque);
+    }
+
+    #[test]
+    fn coarse_segments_agree_wherever_result_cells_do() {
+        let key = |v: &Value, class| {
+            let mut k = KeyBuf::new();
+            k.push_coarse(v, class);
+            k
+        };
+        let pairs = [
+            (Value::str("Tom"), Value::text("tom ")),
+            (Value::str("12abc"), Value::Int(12)),
+            (Value::Double(0.0), Value::Double(-0.0)),
+            (Value::Double(f64::NAN), Value::Float(f32::NAN)),
+            (Value::Int(7), Value::UInt(7)),
+            (
+                Value::Decimal(Decimal::new(150, 2)),
+                Value::Decimal(Decimal::new(15, 1)),
+            ),
+            (
+                Value::Int(9_007_199_254_740_993),
+                Value::Double(9.007199254740992e15),
+            ),
+            (Value::Null, Value::Null),
+        ];
+        for (a, b) in &pairs {
+            assert!(result_value_eq(a, b), "{a} vs {b}");
+            let class = ColClass::of(a).join(ColClass::of(b));
+            assert_eq!(key(a, class), key(b, class), "{a} vs {b}");
+        }
+        // NULL never shares a segment with the empty string, in any class.
+        for class in [ColClass::Str, ColClass::Num] {
+            assert_ne!(key(&Value::Null, class), key(&Value::str(""), class));
+        }
     }
 
     #[test]

@@ -1,0 +1,85 @@
+//! The oracles' judge phase is on the books: every result judgement lands in
+//! `core.oracle.judge.ns` / `core.oracle.judge.rows`, and the three-way panel
+//! makes exactly two per hint set (reference against reference, majority
+//! against the build under test) instead of the five it used to.
+//!
+//! One test, so nothing else in this process sees the telemetry switch move.
+
+use tqs_core::backend::{DbmsConnector, EngineConnector};
+use tqs_core::dsg::{DsgConfig, DsgDatabase, QueryGenerator, UniformScorer, WideSource};
+use tqs_core::hintgen::hint_sets_for;
+use tqs_core::oracle::{DifferentialOracle, Oracle, OracleVerdict, TqsOracle};
+use tqs_engine::ProfileId;
+use tqs_storage::widegen::ShoppingConfig;
+
+/// `(judgements, rows judged)` since the last reset.
+fn judge_metrics() -> (u64, u64) {
+    let snapshot = tqs_telemetry::snapshot_metrics();
+    (
+        snapshot
+            .histograms
+            .get("core.oracle.judge.ns")
+            .map_or(0, |h| h.count),
+        snapshot
+            .counters
+            .get("core.oracle.judge.rows")
+            .copied()
+            .unwrap_or(0),
+    )
+}
+
+#[test]
+fn every_judgement_is_counted_and_the_panel_makes_two_per_hint_set() {
+    let d = DsgDatabase::build(&DsgConfig {
+        source: WideSource::Shopping(ShoppingConfig {
+            n_rows: 120,
+            ..Default::default()
+        }),
+        fd: Default::default(),
+        noise: None,
+    });
+    let mut gen = QueryGenerator::new(Default::default());
+    let stmts: Vec<_> = (0..20)
+        .map(|_| gen.generate(&d, None, &UniformScorer))
+        .collect();
+    let mut disk = EngineConnector::connect_disk_pristine(ProfileId::MysqlLike, &d);
+    let mut tqs = TqsOracle::new(&d);
+    let mut panel = DifferentialOracle::panel(vec![
+        Box::new(EngineConnector::connect_pristine(ProfileId::MysqlLike, &d))
+            as Box<dyn DbmsConnector>,
+        Box::new(EngineConnector::connect_columnar_pristine(
+            ProfileId::MysqlLike,
+            &d,
+        )),
+    ]);
+
+    // Off: the oracles judge, the books stay empty.
+    tqs_telemetry::reset_metrics();
+    for stmt in &stmts {
+        tqs.check(stmt, &mut disk);
+    }
+    assert_eq!(judge_metrics(), (0, 0));
+
+    tqs_telemetry::set_enabled(true);
+    let mut hint_sets = 0;
+    for stmt in &stmts {
+        if matches!(tqs.check(stmt, &mut disk), OracleVerdict::Pass) {
+            hint_sets += hint_sets_for(ProfileId::MysqlLike, stmt).len() as u64;
+        }
+    }
+    let (judgements, rows) = judge_metrics();
+    assert!(hint_sets > 0, "no statement passed the ground-truth oracle");
+    assert_eq!(judgements, hint_sets, "one judgement per executed hint set");
+    assert!(rows > 0);
+
+    tqs_telemetry::reset_metrics();
+    let mut hint_sets = 0;
+    for stmt in &stmts {
+        if matches!(panel.check(stmt, &mut disk), OracleVerdict::Pass) {
+            hint_sets += hint_sets_for(ProfileId::MysqlLike, stmt).len() as u64;
+        }
+    }
+    tqs_telemetry::set_enabled(false);
+    assert!(hint_sets > 0, "no statement passed the panel");
+    assert_eq!(judge_metrics().0, 2 * hint_sets);
+}
