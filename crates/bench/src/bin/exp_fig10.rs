@@ -1,37 +1,50 @@
-//! Figure 10: effect of parallel search — number of queries processed within
-//! a fixed wall-clock budget as the number of clients grows from 1 to 5.
+//! Figure 10: effect of parallel search — the standard hunt campaign's cell
+//! grid drained by 1 to 5 workers on the campaign's work-stealing fleet.
+//!
+//! Cells are budget-bound and seeded by `(campaign seed, cell id)`, so every
+//! point does the same work and finds the same bug classes; what the worker
+//! count moves is the wall clock. Sized by the `TQS_CAMPAIGN_*` knobs of
+//! [`standard_campaign_config`] (`TQS_CAMPAIGN_WORKERS` is overridden per
+//! point); each point hunts in its own sub-directory of `TQS_CAMPAIGN_DIR`.
 
-use std::sync::Arc;
-use std::time::Duration;
-use tqs_bench::standard_dsg;
-use tqs_core::backend::EngineConnector;
-use tqs_core::dsg::DsgDatabase;
-use tqs_core::parallel::parallel_explore;
-use tqs_engine::ProfileId;
+use tqs_bench::standard_campaign_config;
+use tqs_campaign::{Campaign, CampaignConfig};
 
 fn main() {
-    let millis: u64 = std::env::var("TQS_WALL_MS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000);
-    let dsg = Arc::new(DsgDatabase::build(&standard_dsg(250, 55)));
-    println!("Figure 10 — parallel search on MySQL-like ({millis} ms budget per point)");
+    let base = standard_campaign_config();
     println!(
-        "{:<8} {:>10} {:>10} {:>10}",
-        "clients", "queries", "bugs", "diversity"
+        "Figure 10 — parallel search: {} shards × {} profiles × {} oracles × {} engines, \
+         {} queries/cell, {} hardware threads",
+        base.shards,
+        base.profiles.len(),
+        base.oracles.len(),
+        base.engines.len(),
+        base.queries_per_cell,
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
-    for clients in 1..=5 {
-        let stats = parallel_explore(
-            &dsg,
-            clients,
-            Duration::from_millis(millis),
-            9_000 + clients as u64,
-            |_| EngineConnector::faulty(ProfileId::MysqlLike),
-        )
-        .expect("engine workers load the catalog");
+    println!(
+        "{:<8} {:>10} {:>10} {:>10} {:>10} {:>12}",
+        "workers", "queries", "classes", "diversity", "wall (s)", "queries/s"
+    );
+    for workers in 1..=5 {
+        let dir = base.dir.join(format!("fig10-workers-{workers}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut campaign = Campaign::new(CampaignConfig {
+            dir,
+            workers,
+            ..base.clone()
+        })
+        .expect("fresh campaign directory");
+        let stats = campaign.run().expect("campaign run");
+        assert!(campaign.is_complete());
         println!(
-            "{:<8} {:>10} {:>10} {:>10}",
-            stats.clients, stats.queries_processed, stats.bugs_found, stats.diversity
+            "{:<8} {:>10} {:>10} {:>10} {:>10.2} {:>12.1}",
+            workers,
+            stats.queries,
+            stats.bug_classes,
+            stats.diversity,
+            stats.elapsed.as_secs_f64(),
+            stats.queries_per_sec()
         );
     }
 }

@@ -1,5 +1,5 @@
 //! Observability experiment: what does full telemetry cost, and what does
-//! it see? Runs the `exp_throughput` workload mix twice — telemetry off,
+//! it see? Runs the `tqs_bench::WORKLOADS` statement mix twice — telemetry off,
 //! then on (spans + metrics + per-query profiles) — over the row and
 //! columnar engines, reports the overhead per workload and overall, dumps
 //! the metrics snapshot into `BENCH_obs.json`, and exports a Chrome-trace

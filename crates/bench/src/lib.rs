@@ -1,5 +1,5 @@
-//! Shared helpers for the criterion benches and the `exp_*` experiment
-//! binaries that regenerate every table and figure of the paper's evaluation
+//! Shared helpers for the `exp_*` experiment binaries that regenerate every
+//! table and figure of the paper's evaluation
 //! (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
 //! recorded results).
 
@@ -13,9 +13,8 @@ use tqs_pager::EnvFaultPolicy;
 use tqs_schema::NoiseConfig;
 use tqs_storage::widegen::ShoppingConfig;
 
-/// The hot-path workload mix shared by `exp_throughput` (raw statements/sec)
-/// and `exp_obs` (telemetry overhead on the same loops): one statement per
-/// hot execution path over the standard shopping schema.
+/// The hot-path workload mix `exp_obs` measures telemetry overhead on: one
+/// statement per hot execution path over the standard shopping schema.
 pub const WORKLOADS: &[(&str, &str)] = &[
     (
         "hash_join",

@@ -44,9 +44,9 @@ use tqs_core::mutation::{DmlGenConfig, DmlGenerator, DmlOracle};
 use tqs_core::oracle::{DifferentialOracle, Oracle, OracleVerdict, PlanSpaceOracle, TqsOracle};
 use tqs_engine::cancel::CancelToken;
 use tqs_engine::ProfileId;
-use tqs_graph::embedding::embed_graph;
 use tqs_graph::plangraph::{graph_fingerprint, query_graph_with_subqueries};
-use tqs_graph::GraphIndex;
+use tqs_graph::{GraphIndex, LabeledGraph};
+use tqs_sql::ast::{DmlStmt, SelectStmt};
 use tqs_sql::render::render_stmt;
 
 /// Engine-level statement executions in a recorded trace slice.
@@ -869,12 +869,7 @@ impl Campaign {
         Ok(stats)
     }
 
-    /// Drain one cell: deterministic query stream, per-cell adaptive KQE
-    /// scorer, campaign-wide triage, witness-trace persistence. `attempt` is
-    /// the supervisor's 1-based attempt counter — everything the cell does is
-    /// attempt-independent except the chaos panic decision, so a retried
-    /// cell re-admits its findings as duplicates and the corpus stays
-    /// deterministic.
+    /// Drain one cell with the [`CellWorkload`] its `workload` axis names.
     fn run_cell(
         &self,
         cell: &CampaignCell,
@@ -883,6 +878,49 @@ impl Campaign {
         diversity: &Mutex<GraphIndex>,
         live: &LiveStats,
         io_lock: &Mutex<()>,
+    ) -> io::Result<CellRecord> {
+        let shard = &self.shards[cell.shard];
+        let seed = self.cfg.seed ^ ((cell.id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        match cell.workload {
+            Workload::Select => {
+                self.drain_cell(cell, attempt, triage, live, io_lock, || SelectHunt {
+                    oracle: cell.build_oracle(shard),
+                    kqe: Kqe::new(shard.schema_desc.clone(), KqeConfig::default()),
+                    generator: QueryGenerator::new(QueryGenConfig {
+                        seed,
+                        ..Default::default()
+                    }),
+                    diversity,
+                    live,
+                })
+            }
+            Workload::Dml => self.drain_cell(cell, attempt, triage, live, io_lock, || DmlHunt {
+                oracle: DmlOracle::new(&shard.db.catalog),
+                generator: DmlGenerator::new(DmlGenConfig {
+                    seed,
+                    ..Default::default()
+                }),
+            }),
+        }
+    }
+
+    /// The cell loop: a deterministic stream of `queries_per_cell` units of
+    /// the cell's workload, campaign-wide triage, witness-trace persistence,
+    /// then the checkpoint record. `attempt` is the supervisor's 1-based
+    /// attempt counter — everything the cell does is attempt-independent
+    /// except the chaos panic decision, so a retried cell re-admits its
+    /// findings as duplicates and the corpus stays deterministic. The
+    /// workload is built by `make_hunt` once the cell's clock and span are
+    /// running, so they cover the oracle's set-up (reference replicas load
+    /// whole catalogs).
+    fn drain_cell<W: CellWorkload>(
+        &self,
+        cell: &CampaignCell,
+        attempt: u32,
+        triage: &Mutex<BugTriage>,
+        live: &LiveStats,
+        io_lock: &Mutex<()>,
+        make_hunt: impl FnOnce() -> W,
     ) -> io::Result<CellRecord> {
         let started = Instant::now();
         let mut cell_span = tqs_telemetry::span_with("campaign", || format!("cell-{}", cell.id));
@@ -895,18 +933,7 @@ impl Campaign {
         let mut conn = RecordingConnector::new(cell.engine.faulty(cell.profile));
         conn.load_catalog(&shard.db.catalog)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if cell.workload == Workload::Dml {
-            return self.run_dml_cell(cell, attempt, shard, conn, triage, live, io_lock, started);
-        }
-        let mut oracle = cell.build_oracle(shard);
-        // Per-cell KQE state: the adaptive walk stays deterministic for the
-        // cell regardless of what the rest of the fleet is doing — the
-        // property the resume guarantee rests on.
-        let mut kqe = Kqe::new(shard.schema_desc.clone(), KqeConfig::default());
-        let mut generator = QueryGenerator::new(QueryGenConfig {
-            seed: self.cfg.seed ^ ((cell.id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            ..Default::default()
-        });
+        let mut hunt = make_hunt();
 
         let sup = &self.cfg.supervisor;
         let cell_deadline = sup.cell_deadline.map(|d| started + d);
@@ -915,33 +942,26 @@ impl Campaign {
         let mut raw_reports = 0usize;
         let mut new_classes = 0usize;
         for _ in 0..self.cfg.queries_per_cell {
-            // The cell deadline is checked between statements (and folded
-            // into each statement's cancel token below), so a timed-out cell
-            // overruns its budget by at most one statement.
+            // The cell deadline is checked between units (and folded into
+            // each cancellable unit's token below), so a timed-out cell
+            // overruns its budget by at most one unit.
             if cell_deadline.is_some_and(|d| Instant::now() >= d) {
                 timed_out = true;
                 break;
             }
-            let stmt = {
-                let scorer = KqeScorer { kqe: &kqe };
-                generator.generate(shard, None, &scorer)
-            };
-            let qg = query_graph_with_subqueries(&stmt, &shard.schema_desc);
-            kqe.record(&qg);
-            {
-                let mut idx = diversity.lock();
-                let e = embed_graph(&qg, 2);
-                idx.insert(&qg, e);
-                live.set_diversity(idx.isomorphic_set_count());
-            }
-            // Drain (and count) the previous statement's engine events.
+            let unit = hunt.generate(shard);
+            // Drain (and count) the previous unit's engine events.
             live.add_statements(count_statements(&conn.take_trace()));
             // Statement budget: the engines poll the installed token at
             // operator boundaries; a cancelled statement errors out and the
             // oracle skips it — a timeout can never be misread as a bug.
-            let _cancel = statement_deadline(sup, cell_deadline)
-                .map(|d| CancelToken::with_deadline(d).install());
-            let reports = match oracle.check(&stmt, &mut conn) {
+            let _cancel = if W::CANCELLABLE {
+                statement_deadline(sup, cell_deadline)
+                    .map(|d| CancelToken::with_deadline(d).install())
+            } else {
+                None
+            };
+            let reports = match hunt.judge(&unit, &mut conn) {
                 OracleVerdict::Skip => {
                     tqs_telemetry::counter!("campaign.oracle.skip").incr();
                     continue;
@@ -961,20 +981,19 @@ impl Campaign {
             };
             raw_reports += reports.len();
             live.add_raw_reports(reports.len());
-            let fp = graph_fingerprint(&qg);
+            let graph_fp = hunt.graph_fingerprint(&unit);
             // Materialized lazily: almost every report is a duplicate
             // sighting at fleet throughput, and copying full recorded result
             // sets for those would dominate the hot path. Must be captured
             // before the first minimization pollutes the trace.
             let mut witness: Option<Vec<StoredStatement>> = None;
             for report in reports {
-                // Plan-space reports arrive pre-stamped with the plan
-                // fingerprint; fold the query-graph fingerprint in so the
-                // class key separates (structure, plan) pairs. Single-plan
-                // reports carry no fingerprint yet — legacy class keys are
-                // byte-identical.
-                let combined = report.fingerprint.map(|pf| pf ^ fp).unwrap_or(fp);
-                let mut report = report.with_fingerprint(combined);
+                // Single-plan reports carry no fingerprint until here, so
+                // legacy class keys are byte-identical.
+                let mut report = match graph_fp {
+                    Some(fp) => report.keyed_on_graph(fp),
+                    None => report,
+                };
                 let admitted = triage.lock().admit(report.clone(), cell.id);
                 let Some(class_idx) = admitted else {
                     continue; // duplicate sighting of a known class
@@ -988,10 +1007,10 @@ impl Campaign {
                         .collect()
                 });
                 if self.cfg.minimize {
-                    let minimized =
-                        render_stmt(&minimize_with_oracle(&stmt, oracle.as_mut(), &mut conn));
-                    triage.lock().set_minimized(class_idx, minimized.clone());
-                    report.minimized_sql = Some(minimized);
+                    if let Some(minimized) = hunt.minimize(&unit, &mut conn) {
+                        triage.lock().set_minimized(class_idx, minimized.clone());
+                        report.minimized_sql = Some(minimized);
+                    }
                 }
                 let entry = CorpusEntry {
                     cell_id: cell.id,
@@ -1008,7 +1027,7 @@ impl Campaign {
         }
 
         live.add_statements(count_statements(&conn.take_trace()));
-        live.add_plans(oracle.plans_enumerated());
+        live.add_plans(hunt.plans_enumerated());
 
         if timed_out {
             live.add_deadline_cell();
@@ -1017,123 +1036,6 @@ impl Campaign {
         // Chaos hook: fires between the hunting loop and the checkpoint
         // append, so a panicking attempt leaves its ordinary bug classes in
         // the corpus (admitted as duplicates on retry) but never checkpoints.
-        self.maybe_chaos_panic(cell, attempt);
-
-        let record = CellRecord {
-            cell_id: cell.id,
-            queries,
-            raw_reports,
-            new_classes,
-            elapsed_ms: started.elapsed().as_millis() as u64,
-            timeout: timed_out,
-        };
-        let _io = io_lock.lock();
-        retry_append(sup, &self.append_opts(), |opts| {
-            self.checkpoint.append_cell_with(&record, opts)
-        })?;
-        Ok(record)
-    }
-
-    /// Drain one mutation-workload cell: deterministic DML + transaction
-    /// programs judged by the delta-maintained mutation ground truth. One
-    /// "query" of the cell's budget is one whole program (the oracle reloads
-    /// the pristine catalog per program, so programs are independent and the
-    /// cell stays deterministic). Mutation reports have no single-statement
-    /// reducer, so representatives are persisted unminimized; dedup runs
-    /// through the same campaign-wide triage as every other cell.
-    #[allow(clippy::too_many_arguments)]
-    fn run_dml_cell(
-        &self,
-        cell: &CampaignCell,
-        attempt: u32,
-        shard: &Arc<DsgDatabase>,
-        mut conn: RecordingConnector<EngineConnector>,
-        triage: &Mutex<BugTriage>,
-        live: &LiveStats,
-        io_lock: &Mutex<()>,
-        started: Instant,
-    ) -> io::Result<CellRecord> {
-        let oracle = DmlOracle::new(&shard.db.catalog);
-        let mut generator = DmlGenerator::new(DmlGenConfig {
-            seed: self.cfg.seed ^ ((cell.id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            ..Default::default()
-        });
-
-        let sup = &self.cfg.supervisor;
-        let cell_deadline = sup.cell_deadline.map(|d| started + d);
-        let mut timed_out = false;
-        let mut queries = 0usize;
-        let mut raw_reports = 0usize;
-        let mut new_classes = 0usize;
-        for _ in 0..self.cfg.queries_per_cell {
-            if cell_deadline.is_some_and(|d| Instant::now() >= d) {
-                timed_out = true;
-                break;
-            }
-            let program = generator.generate_program(shard);
-            // Drain (and count) the previous program's engine events.
-            live.add_statements(count_statements(&conn.take_trace()));
-            // No per-statement cancel token here, deliberately: the mutation
-            // oracle compares two *stateful* executions statement by
-            // statement, and cancelling one side mid-program would read as
-            // semantic divergence — a deadline misreported as a bug. DML
-            // cells are bounded by the cell deadline between programs.
-            let reports = match oracle.check_program(&program, &mut conn) {
-                OracleVerdict::Skip => {
-                    tqs_telemetry::counter!("campaign.oracle.skip").incr();
-                    continue;
-                }
-                OracleVerdict::Pass => {
-                    tqs_telemetry::counter!("campaign.oracle.pass").incr();
-                    queries += 1;
-                    live.add_queries(1);
-                    continue;
-                }
-                OracleVerdict::Bugs(reports) => {
-                    tqs_telemetry::counter!("campaign.oracle.bugs").incr();
-                    queries += 1;
-                    live.add_queries(1);
-                    reports
-                }
-            };
-            raw_reports += reports.len();
-            live.add_raw_reports(reports.len());
-            // Same lazy witness capture as the select path: duplicates of a
-            // known class never pay for copying the recorded result sets.
-            let mut witness: Option<Vec<StoredStatement>> = None;
-            for report in reports {
-                let admitted = triage.lock().admit(report.clone(), cell.id);
-                if admitted.is_none() {
-                    continue; // duplicate sighting of a known class
-                }
-                new_classes += 1;
-                live.add_new_class();
-                let witness = witness.get_or_insert_with(|| {
-                    conn.trace()
-                        .iter()
-                        .filter_map(StoredStatement::from_event)
-                        .collect()
-                });
-                let entry = CorpusEntry {
-                    cell_id: cell.id,
-                    class_key: report.class_key().to_string(),
-                    connector: conn.info(),
-                    report,
-                    trace: witness.clone(),
-                };
-                let _io = io_lock.lock();
-                retry_append(sup, &self.append_opts(), |opts| {
-                    self.corpus.append_with(&entry, opts)
-                })?;
-            }
-        }
-
-        live.add_statements(count_statements(&conn.take_trace()));
-
-        if timed_out {
-            live.add_deadline_cell();
-            tqs_telemetry::counter!("campaign.supervisor.deadline_cells").incr();
-        }
         self.maybe_chaos_panic(cell, attempt);
 
         let record = CellRecord {
@@ -1205,6 +1107,107 @@ impl Campaign {
             self.corpus.append_with(&entry, opts)
         })?;
         Ok(())
+    }
+}
+
+/// What genuinely differs between a SELECT cell and a DML cell: the
+/// generator, the judge, whether a statement may carry a [`CancelToken`], and
+/// whether a query graph (to record, and to key reports on), a reducer and
+/// plan enumeration exist. Everything else about a cell happens once, in
+/// [`Campaign::drain_cell`].
+trait CellWorkload {
+    /// One unit of the cell's query budget.
+    type Unit;
+    /// May a unit run under a statement [`CancelToken`]?
+    const CANCELLABLE: bool;
+    fn generate(&mut self, shard: &DsgDatabase) -> Self::Unit;
+    fn judge(&mut self, unit: &Self::Unit, conn: &mut dyn DbmsConnector) -> OracleVerdict;
+    /// The query-graph fingerprint `unit`'s reports are keyed on
+    /// ([`BugReport::keyed_on_graph`]).
+    fn graph_fingerprint(&self, _unit: &Self::Unit) -> Option<u64> {
+        None
+    }
+    /// A minimized reproducer of the failing `unit`.
+    fn minimize(&mut self, _unit: &Self::Unit, _conn: &mut dyn DbmsConnector) -> Option<String> {
+        None
+    }
+    fn plans_enumerated(&self) -> usize {
+        0
+    }
+}
+
+/// Generated join queries through the cell's oracle.
+struct SelectHunt<'a> {
+    oracle: Box<dyn Oracle>,
+    /// Per-cell KQE state: the adaptive walk stays deterministic for the
+    /// cell regardless of what the rest of the fleet is doing — the
+    /// property the resume guarantee rests on.
+    kqe: Kqe,
+    generator: QueryGenerator,
+    /// The fleet-wide diversity index (reporting only).
+    diversity: &'a Mutex<GraphIndex>,
+    live: &'a LiveStats,
+}
+
+impl CellWorkload for SelectHunt<'_> {
+    /// A join query and its query graph.
+    type Unit = (SelectStmt, LabeledGraph);
+    const CANCELLABLE: bool = true;
+
+    fn generate(&mut self, shard: &DsgDatabase) -> Self::Unit {
+        let scorer = KqeScorer { kqe: &self.kqe };
+        let stmt = self.generator.generate(shard, None, &scorer);
+        let qg = query_graph_with_subqueries(&stmt, &shard.schema_desc);
+        let embedding = self.kqe.record(&qg);
+        let mut idx = self.diversity.lock();
+        idx.insert(&qg, embedding);
+        self.live.set_diversity(idx.isomorphic_set_count());
+        (stmt, qg)
+    }
+
+    fn judge(&mut self, (stmt, _): &Self::Unit, conn: &mut dyn DbmsConnector) -> OracleVerdict {
+        self.oracle.check(stmt, conn)
+    }
+
+    fn graph_fingerprint(&self, (_, qg): &Self::Unit) -> Option<u64> {
+        Some(graph_fingerprint(qg))
+    }
+
+    fn minimize(&mut self, (stmt, _): &Self::Unit, conn: &mut dyn DbmsConnector) -> Option<String> {
+        let minimized = minimize_with_oracle(stmt, self.oracle.as_mut(), conn);
+        Some(render_stmt(&minimized))
+    }
+
+    fn plans_enumerated(&self) -> usize {
+        self.oracle.plans_enumerated()
+    }
+}
+
+/// Generated DML + transaction programs judged by the delta-maintained
+/// mutation ground truth. The oracle reloads the pristine catalog per
+/// program, so programs are independent and the cell stays deterministic.
+/// Mutation reports have no query graph and no single-statement reducer:
+/// they keep the oracle's own key and are persisted unminimized.
+struct DmlHunt {
+    oracle: DmlOracle,
+    generator: DmlGenerator,
+}
+
+impl CellWorkload for DmlHunt {
+    /// One whole program.
+    type Unit = Vec<DmlStmt>;
+    /// The mutation oracle compares two *stateful* executions statement by
+    /// statement, and cancelling one side mid-program would read as semantic
+    /// divergence — a deadline misreported as a bug. DML cells are bounded by
+    /// the cell deadline between programs.
+    const CANCELLABLE: bool = false;
+
+    fn generate(&mut self, shard: &DsgDatabase) -> Self::Unit {
+        self.generator.generate_program(shard)
+    }
+
+    fn judge(&mut self, program: &Self::Unit, conn: &mut dyn DbmsConnector) -> OracleVerdict {
+        self.oracle.check_program(program, conn)
     }
 }
 

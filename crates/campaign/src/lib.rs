@@ -1,10 +1,10 @@
 //! # tqs-campaign
 //!
 //! Long-running, sharded, resumable bug-hunt campaigns on top of the TQS
-//! harness. Where `tqs_core::parallel` answers "how fast can a fleet explore
-//! for N seconds", this crate answers the production question: "keep hunting
-//! this system for days, across partitions and engine builds, survive
-//! restarts, and don't drown me in duplicate reports."
+//! harness. Where a `tqs_core::tqs::TqsSession` answers "what does one
+//! client find in N queries", this crate answers the production question:
+//! "keep hunting this system for days, across partitions and engine builds,
+//! survive restarts, and don't drown me in duplicate reports."
 //!
 //! * [`campaign`] — the orchestrator: the (shard × profile × oracle ×
 //!   engine × plan mode × workload) cell grid, the worker fleet,

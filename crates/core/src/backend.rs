@@ -4,7 +4,7 @@
 //! The paper's claim is that TQS is DBMS-agnostic — the same harness found
 //! logic bugs in MySQL, MariaDB, TiDB and X-DB. [`DbmsConnector`] is that
 //! boundary in this reproduction: it captures everything the orchestrator,
-//! the baselines, the parallel explorer and the bug minimizer need from a
+//! the baselines, the campaign fleet and the bug minimizer need from a
 //! database — statement execution (plain, hinted, or raw SQL), `EXPLAIN`,
 //! hint-dialect metadata, catalog loading, and fault-fired introspection.
 //!

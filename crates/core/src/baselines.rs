@@ -3,23 +3,21 @@
 //! are random, no ground truth, no knowledge-guided exploration.
 //!
 //! The checking logic itself lives in [`crate::oracle`] ([`PqsOracle`],
-//! [`TlpOracle`], [`NorecOracle`]); this module is the *runner*: it supplies
-//! each baseline's query distribution (PQS restricts itself to pivot-style
-//! point queries) and drives the oracle through the shared metric loop. All
-//! three baselines talk to the DBMS exclusively through [`DbmsConnector`],
-//! so they run unchanged against any backend.
+//! [`TlpOracle`], [`NorecOracle`]) and the loop is the session's
+//! (Algorithm 1 in [`crate::tqs`]); this module only picks each baseline's
+//! [`StatementSource`] (PQS restricts itself to pivot-style point queries)
+//! and oracle. All three baselines talk to the DBMS exclusively through
+//! [`DbmsConnector`], so they run unchanged against any backend.
 
 use crate::backend::{DbmsConnector, EngineConnector};
 use crate::bugs::BugLog;
-use crate::dsg::{DsgDatabase, QueryGenConfig, QueryGenerator, UniformScorer};
-use crate::oracle::{NorecOracle, Oracle, OracleVerdict, PqsOracle, TlpOracle};
-use crate::tqs::{RunStats, TimelinePoint};
+use crate::dsg::{DsgDatabase, QueryGenConfig, QueryGenerator};
+use crate::kqe::{Kqe, KqeConfig};
+use crate::oracle::{NorecOracle, Oracle, PqsOracle, TlpOracle};
+use crate::tqs::{Driver, RunStats, StatementSource};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use tqs_engine::ProfileId;
-use tqs_graph::plangraph::query_graph_with_subqueries;
-use tqs_graph::{embed_graph, GraphIndex};
-use tqs_sql::ast::{Expr, SelectItem, SelectStmt};
 
 /// Which baseline to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,12 +91,13 @@ pub fn run_baseline_on(
     run_oracle_on(oracle.as_mut(), Some(baseline), conn, dsg, cfg)
 }
 
-/// Drive *any* oracle through the baseline metric loop: generate queries,
-/// track structural diversity, count de-duplicated bugs. `baseline` only
-/// selects the query distribution (PQS uses pivot queries); pass `None` for
-/// the generic random-walk distribution — this is how a custom oracle (e.g.
-/// a cross-engine [`crate::oracle::DifferentialOracle`]) is benchmarked on
-/// the same footing as the shipped ones.
+/// Drive *any* oracle through Algorithm 1 on a baseline's footing: no KQE
+/// guidance, structural diversity tracked, bugs de-duplicated by the
+/// session's keying rule. `baseline` only selects the statement source (PQS
+/// uses pivot queries); pass `None` for the uniform random walk — this is how
+/// a custom oracle (e.g. a cross-engine
+/// [`crate::oracle::DifferentialOracle`]) is benchmarked on the same footing
+/// as the shipped ones.
 pub fn run_oracle_on(
     oracle: &mut dyn Oracle,
     baseline: Option<Baseline>,
@@ -106,103 +105,24 @@ pub fn run_oracle_on(
     dsg: &DsgDatabase,
     cfg: &BaselineConfig,
 ) -> RunStats {
-    let dbms_name = conn.info().name;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut generator = QueryGenerator::new(QueryGenConfig {
-        seed: cfg.seed,
-        // baselines do not bias towards joins as aggressively
-        subquery_probability: 0.15,
-        ..Default::default()
-    });
-    let mut index = GraphIndex::new();
-    let mut bugs = BugLog::new();
-    let mut stats = RunStats {
-        dbms: dbms_name.clone(),
-        tool: oracle.name().to_string(),
-        queries_generated: 0,
-        queries_executed: 0,
-        queries_skipped: 0,
-        diversity: 0,
-        bug_count: 0,
-        bug_type_count: 0,
-        diversity_timeline: Vec::new(),
-        bug_timeline: Vec::new(),
-        bug_type_timeline: Vec::new(),
+    let mut source = match baseline {
+        Some(Baseline::Pqs) => StatementSource::Pivot(StdRng::seed_from_u64(cfg.seed)),
+        _ => StatementSource::UniformWalk(QueryGenerator::new(QueryGenConfig {
+            seed: cfg.seed,
+            // baselines do not bias towards joins as aggressively
+            subquery_probability: 0.15,
+            ..Default::default()
+        })),
     };
-    for i in 0..cfg.iterations {
-        // Baselines draw from the same query space but without KQE guidance;
-        // PQS additionally restricts itself to pivot-style point queries,
-        // which is why its structural diversity stays low.
-        let stmt = match baseline {
-            Some(Baseline::Pqs) => pivot_query(dsg, &mut rng),
-            _ => generator.generate(dsg, None, &UniformScorer),
-        };
-        stats.queries_generated += 1;
-        let qg = query_graph_with_subqueries(&stmt, &dsg.schema_desc);
-        index.insert(&qg, embed_graph(&qg, 2));
-        match oracle.check(&stmt, conn) {
-            OracleVerdict::Skip => stats.queries_skipped += 1,
-            OracleVerdict::Pass => stats.queries_executed += 1,
-            OracleVerdict::Bugs(reports) => {
-                stats.queries_executed += 1;
-                for r in reports {
-                    bugs.push(r);
-                }
-            }
-        }
-        if (i + 1) % cfg.queries_per_hour == 0 || i + 1 == cfg.iterations {
-            let hour = (i + 1).div_ceil(cfg.queries_per_hour);
-            stats.diversity_timeline.push(TimelinePoint {
-                hour,
-                value: index.isomorphic_set_count(),
-            });
-            stats.bug_timeline.push(TimelinePoint {
-                hour,
-                value: bugs.bug_count(),
-            });
-            stats.bug_type_timeline.push(TimelinePoint {
-                hour,
-                value: bugs.bug_type_count(),
-            });
-        }
+    Driver {
+        dsg,
+        conn,
+        oracle,
+        source: &mut source,
+        kqe: &mut Kqe::new(dsg.schema_desc.clone(), KqeConfig::default()),
+        bugs: &mut BugLog::new(),
     }
-    stats.diversity = index.isomorphic_set_count();
-    stats.bug_count = bugs.bug_count();
-    stats.bug_type_count = bugs.bug_type_count();
-    stats
-}
-
-/// PQS pivot query: select a pivot row from the base table and build a query
-/// that must return it.
-fn pivot_query(dsg: &DsgDatabase, rng: &mut StdRng) -> SelectStmt {
-    let base = dsg
-        .db
-        .metas
-        .iter()
-        .find(|m| m.is_base)
-        .map(|m| m.name.clone())
-        .unwrap_or_else(|| dsg.db.metas[0].name.clone());
-    let table = dsg.db.catalog.table(&base).expect("base table");
-    let row = rng.gen_range(0..table.row_count().max(1));
-    let meta = dsg.db.meta(&base).unwrap();
-    let mut stmt = SelectStmt::new(tqs_sql::ast::FromClause::single(base.clone()));
-    stmt.items = meta
-        .columns
-        .iter()
-        .take(2)
-        .map(|c| SelectItem::column(&base, c))
-        .collect();
-    // pivot predicate: equality on every non-null key column of the pivot row
-    let mut preds = Vec::new();
-    for c in &meta.implicit_pk {
-        if let Some(v) = table.cell(row, c) {
-            if !v.is_null() {
-                preds.push(Expr::eq(Expr::col(&base, c), Expr::lit(v.clone())));
-            }
-        }
-    }
-    stmt.where_clause = Expr::conjunction(preds);
-    stmt
+    .run(cfg.iterations, cfg.queries_per_hour)
 }
 
 #[cfg(test)]

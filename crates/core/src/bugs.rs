@@ -61,10 +61,11 @@ pub struct BugReport {
     /// Minimized reproducer, if the reducer was run.
     pub minimized_sql: Option<String>,
     /// Canonical plan-graph fingerprint of the failing query
-    /// ([`tqs_graph::plangraph::plan_fingerprint`]), stamped by whoever holds
-    /// the schema description (the session, the campaign worker). `None`
-    /// when no fingerprint was computed — de-duplication then falls back to
-    /// the coarse [`signature`](Self::signature).
+    /// ([`tqs_graph::plangraph::plan_fingerprint`]), stamped through
+    /// [`keyed_on_graph`](Self::keyed_on_graph) by whoever holds the query
+    /// graph (the session loop, the campaign cell loop). `None` when no
+    /// fingerprint was computed — de-duplication then falls back to the
+    /// coarse [`signature`](Self::signature).
     ///
     /// Key-relevant fields (`dbms`, `fired`, `hint_label`, this one) feed the
     /// memoized dedup keys; code that mutates them after a key was read must
@@ -93,6 +94,17 @@ impl BugReport {
     pub fn with_fingerprint(mut self, fingerprint: u64) -> Self {
         self.set_fingerprint(Some(fingerprint));
         self
+    }
+
+    /// The one bug-keying rule, shared by the session loop and the campaign
+    /// cell loop: key the report on `graph_fp`, the
+    /// [`graph_fingerprint`](tqs_graph::plangraph::graph_fingerprint) of the
+    /// failing statement's query graph. A report that arrives pre-stamped
+    /// (the plan-space oracle stamps the plan's fingerprint) keeps it folded
+    /// in, so the class key separates (structure, plan) pairs.
+    pub fn keyed_on_graph(self, graph_fp: u64) -> Self {
+        let combined = self.fingerprint.map(|pf| pf ^ graph_fp).unwrap_or(graph_fp);
+        self.with_fingerprint(combined)
     }
 
     /// Set (or clear) the fingerprint in place, dropping the memoized keys it

@@ -5,8 +5,8 @@
 //!
 //! * [`backend`] — the [`backend::DbmsConnector`] boundary between the
 //!   harness and the DBMS it drives, with the in-process engine connector
-//!   (row or columnar executor), a recording proxy and a replay-from-log
-//!   backend.
+//!   (row, columnar or disk executor), a recording proxy and a
+//!   replay-from-log backend.
 //! * [`oracle`] — the pluggable [`oracle::Oracle`] layer: ground truth,
 //!   plan-differential, the PQS/TLP/NoRec baselines and cross-engine
 //!   differential testing as uniform, composable checkers.
@@ -17,12 +17,13 @@
 //! * [`kqe`] — Knowledge-guided Query space Exploration: the graph index over
 //!   explored query graphs and the coverage-based adaptive walk weighting.
 //! * [`hintgen`] — hint-set generation (transformed queries per DBMS profile).
-//! * [`tqs`] — the orchestrator (Algorithm 1) with the Table 5 ablation
-//!   switches, built through [`tqs::TqsSession::builder`].
+//! * [`tqs`] — the orchestrator: the one Algorithm 1 loop, its statement
+//!   sources and the Table 5 ablation switches, built through
+//!   [`tqs::TqsSession::builder`].
 //! * [`bugs`] — bug reports, the deduplicating bug log and the test-case
 //!   minimizer.
-//! * [`baselines`] — PQS / TLP / NoRec adapted to multi-table queries.
-//! * [`parallel`] — the shared-index parallel exploration of Figure 10.
+//! * [`baselines`] — PQS / TLP / NoRec adapted to multi-table queries, run
+//!   through the same loop.
 //!
 //! ## Quick start
 //!
@@ -50,8 +51,8 @@
 //! Any backend goes where `EngineConnector` stands: implement
 //! [`backend::DbmsConnector`] (see the README's "Writing a new connector"),
 //! validate it with [`conformance::assert_connector_conformance`], and every
-//! entry point — the orchestrator, the three baselines, the parallel
-//! explorer and the bug minimizer — drives it unchanged.
+//! entry point — the orchestrator, the three baselines, the campaign fleet
+//! of `tqs-campaign` and the bug minimizer — drives it unchanged.
 
 pub mod backend;
 pub mod baselines;
@@ -62,7 +63,6 @@ pub mod hintgen;
 pub mod kqe;
 pub mod mutation;
 pub mod oracle;
-pub mod parallel;
 pub mod tqs;
 
 pub use backend::{
@@ -80,7 +80,4 @@ pub use oracle::{
     DifferentialOracle, NorecOracle, Oracle, OracleVerdict, PlanDiffOracle, PlanSpaceOracle,
     PqsOracle, TlpOracle, TqsOracle, PLAN_BASELINE_LABEL,
 };
-pub use parallel::{
-    parallel_explore, parallel_explore_sharded, parallel_explore_with, ParallelStats,
-};
-pub use tqs::{RunStats, TimelinePoint, TqsConfig, TqsSession, TqsSessionBuilder};
+pub use tqs::{RunStats, StatementSource, TimelinePoint, TqsConfig, TqsSession, TqsSessionBuilder};

@@ -3,7 +3,7 @@
 //! Every way of deciding "is this result wrong?" is an [`Oracle`]: a named
 //! checker that takes one statement and one backend and returns a
 //! [`OracleVerdict`]. The orchestrator ([`crate::tqs::TqsSession`]), the
-//! baseline runner ([`crate::baselines`]), the parallel explorer and the
+//! baseline runner ([`crate::baselines`]), the campaign fleet and the
 //! oracle-driven minimizer ([`crate::bugs::minimize_with_oracle`]) all drive
 //! `&mut dyn Oracle`, so oracles compose, swap and compare uniformly:
 //!

@@ -13,11 +13,13 @@ use crate::bugs::BugLog;
 use crate::dsg::{DsgConfig, DsgDatabase, QueryGenConfig, QueryGenerator, UniformScorer};
 use crate::kqe::{Kqe, KqeConfig, KqeScorer};
 use crate::oracle::{Oracle, OracleVerdict, PlanDiffOracle, TqsOracle};
+use rand::rngs::StdRng;
+use rand::Rng;
 use serde::Serialize;
 use std::sync::Arc;
 use tqs_engine::ProfileId;
-use tqs_graph::plangraph::query_graph_with_subqueries;
-use tqs_sql::ast::SelectStmt;
+use tqs_graph::plangraph::{graph_fingerprint, query_graph_with_subqueries};
+use tqs_sql::ast::{Expr, FromClause, SelectItem, SelectStmt};
 
 /// Orchestrator configuration, including the ablation switches of Table 5.
 #[derive(Debug, Clone)]
@@ -74,6 +76,131 @@ pub struct RunStats {
     pub bug_type_timeline: Vec<TimelinePoint>,
 }
 
+/// Where Algorithm 1 draws its next statement from (line 4). A source owns
+/// its random stream, so a seed yields the same statements whichever entry
+/// point — a [`TqsSession`] or a [baseline](crate::baselines) runner — drives
+/// it.
+pub enum StatementSource {
+    /// The adaptive random walk, weighted by the run's own explored-graph
+    /// index (KQE, Equation 3).
+    KqeWalk(QueryGenerator),
+    /// The same walk with uniform weights: `TQS!KQE`, TLP and NoRec.
+    UniformWalk(QueryGenerator),
+    /// PQS pivot-style point queries, which is why its structural diversity
+    /// stays low.
+    Pivot(StdRng),
+}
+
+impl StatementSource {
+    fn next(&mut self, dsg: &DsgDatabase, kqe: &Kqe) -> SelectStmt {
+        match self {
+            StatementSource::KqeWalk(g) => g.generate(dsg, None, &KqeScorer { kqe }),
+            StatementSource::UniformWalk(g) => g.generate(dsg, None, &UniformScorer),
+            StatementSource::Pivot(rng) => pivot_query(dsg, rng),
+        }
+    }
+}
+
+/// PQS pivot query: select a pivot row from the base table and build a query
+/// that must return it.
+fn pivot_query(dsg: &DsgDatabase, rng: &mut StdRng) -> SelectStmt {
+    let base = dsg
+        .db
+        .metas
+        .iter()
+        .find(|m| m.is_base)
+        .map(|m| m.name.clone())
+        .unwrap_or_else(|| dsg.db.metas[0].name.clone());
+    let table = dsg.db.catalog.table(&base).expect("base table");
+    let row = rng.gen_range(0..table.row_count().max(1));
+    let meta = dsg.db.meta(&base).unwrap();
+    let mut stmt = SelectStmt::new(FromClause::single(base.clone()));
+    stmt.items = meta
+        .columns
+        .iter()
+        .take(2)
+        .map(|c| SelectItem::column(&base, c))
+        .collect();
+    // pivot predicate: equality on every non-null key column of the pivot row
+    let mut preds = Vec::new();
+    for c in &meta.implicit_pk {
+        if let Some(v) = table.cell(row, c) {
+            if !v.is_null() {
+                preds.push(Expr::eq(Expr::col(&base, c), Expr::lit(v.clone())));
+            }
+        }
+    }
+    stmt.where_clause = Expr::conjunction(preds);
+    stmt
+}
+
+/// Algorithm 1, once: generate → record in `GI` → transform, execute and
+/// verify (the oracle) → log. The state is borrowed from whoever owns it — a
+/// [`TqsSession`] lends its fields, the baseline runners lend locals — so
+/// every tool is measured by the same loop: one diversity index, one timeline
+/// construction, one bug-keying rule.
+pub(crate) struct Driver<'a> {
+    pub dsg: &'a DsgDatabase,
+    pub conn: &'a mut dyn DbmsConnector,
+    pub oracle: &'a mut dyn Oracle,
+    pub source: &'a mut StatementSource,
+    pub kqe: &'a mut Kqe,
+    pub bugs: &'a mut BugLog,
+}
+
+impl Driver<'_> {
+    pub(crate) fn run(self, iterations: usize, queries_per_hour: usize) -> RunStats {
+        let mut stats = RunStats {
+            dbms: self.conn.info().name,
+            tool: self.oracle.name().to_string(),
+            queries_generated: 0,
+            queries_executed: 0,
+            queries_skipped: 0,
+            diversity: 0,
+            bug_count: 0,
+            bug_type_count: 0,
+            diversity_timeline: Vec::new(),
+            bug_timeline: Vec::new(),
+            bug_type_timeline: Vec::new(),
+        };
+        for i in 0..iterations {
+            let stmt = self.source.next(self.dsg, self.kqe);
+            stats.queries_generated += 1;
+            // record in GI (the diversity metric is tracked for every source)
+            let qg = query_graph_with_subqueries(&stmt, &self.dsg.schema_desc);
+            self.kqe.record(&qg);
+            match self.oracle.check(&stmt, self.conn) {
+                OracleVerdict::Skip => stats.queries_skipped += 1,
+                OracleVerdict::Pass => stats.queries_executed += 1,
+                OracleVerdict::Bugs(reports) => {
+                    stats.queries_executed += 1;
+                    // Every report is keyed on the statement's query-graph
+                    // fingerprint before entering the log, so the log
+                    // deduplicates at bug-class granularity (see
+                    // [`crate::bugs::BugReport::class_key`]).
+                    let fp = graph_fingerprint(&qg);
+                    for r in reports {
+                        self.bugs.push(r.keyed_on_graph(fp));
+                    }
+                }
+            }
+            if (i + 1) % queries_per_hour == 0 || i + 1 == iterations {
+                let hour = (i + 1).div_ceil(queries_per_hour);
+                let point = |value| TimelinePoint { hour, value };
+                stats.diversity_timeline.push(point(self.kqe.diversity()));
+                stats.bug_timeline.push(point(self.bugs.bug_count()));
+                stats
+                    .bug_type_timeline
+                    .push(point(self.bugs.bug_type_count()));
+            }
+        }
+        stats.diversity = self.kqe.diversity();
+        stats.bug_count = self.bugs.bug_count();
+        stats.bug_type_count = self.bugs.bug_type_count();
+        stats
+    }
+}
+
 /// One TQS testing session against one DBMS backend.
 ///
 /// Built with [`TqsSession::builder`]; the backend is anything implementing
@@ -88,7 +215,9 @@ pub struct TqsSession {
     /// builder's [`oracle`](TqsSessionBuilder::oracle) supplied.
     pub oracle: Box<dyn Oracle>,
     pub kqe: Kqe,
-    pub generator: QueryGenerator,
+    /// The KQE-weighted walk, or the uniform walk when `use_kqe` is off
+    /// (chosen when the session is built).
+    pub source: StatementSource,
     pub cfg: TqsConfig,
     pub bugs: BugLog,
     dbms_name: String,
@@ -208,12 +337,17 @@ impl TqsSessionBuilder {
         };
         let kqe = Kqe::new(dsg.schema_desc.clone(), self.cfg.kqe.clone());
         let generator = QueryGenerator::new(self.cfg.query_gen.clone());
+        let source = if self.cfg.use_kqe {
+            StatementSource::KqeWalk(generator)
+        } else {
+            StatementSource::UniformWalk(generator)
+        };
         Ok(TqsSession {
             dsg,
             connector,
             oracle,
             kqe,
-            generator,
+            source,
             cfg: self.cfg,
             bugs: BugLog::new(),
             dbms_name: info.name,
@@ -239,79 +373,15 @@ impl TqsSession {
 
     /// Run Algorithm 1 for the configured number of iterations.
     pub fn run(&mut self) -> RunStats {
-        let mut stats = RunStats {
-            dbms: self.dbms_name.clone(),
-            tool: self.oracle.name().to_string(),
-            queries_generated: 0,
-            queries_executed: 0,
-            queries_skipped: 0,
-            diversity: 0,
-            bug_count: 0,
-            bug_type_count: 0,
-            diversity_timeline: Vec::new(),
-            bug_timeline: Vec::new(),
-            bug_type_timeline: Vec::new(),
-        };
-        for i in 0..self.cfg.iterations {
-            let stmt = self.generate_query();
-            stats.queries_generated += 1;
-            // record in GI (the diversity metric is tracked for all variants)
-            let qg = query_graph_with_subqueries(&stmt, &self.dsg.schema_desc);
-            self.kqe.record(&qg);
-            if self.test_one(&stmt) {
-                stats.queries_executed += 1;
-            } else {
-                stats.queries_skipped += 1;
-            }
-            if (i + 1) % self.cfg.queries_per_hour == 0 || i + 1 == self.cfg.iterations {
-                let hour = (i + 1).div_ceil(self.cfg.queries_per_hour);
-                stats.diversity_timeline.push(TimelinePoint {
-                    hour,
-                    value: self.kqe.diversity(),
-                });
-                stats.bug_timeline.push(TimelinePoint {
-                    hour,
-                    value: self.bugs.bug_count(),
-                });
-                stats.bug_type_timeline.push(TimelinePoint {
-                    hour,
-                    value: self.bugs.bug_type_count(),
-                });
-            }
+        Driver {
+            dsg: &self.dsg,
+            conn: self.connector.as_mut(),
+            oracle: self.oracle.as_mut(),
+            source: &mut self.source,
+            kqe: &mut self.kqe,
+            bugs: &mut self.bugs,
         }
-        stats.diversity = self.kqe.diversity();
-        stats.bug_count = self.bugs.bug_count();
-        stats.bug_type_count = self.bugs.bug_type_count();
-        stats
-    }
-
-    /// Generate the next query, with or without KQE weighting.
-    pub fn generate_query(&mut self) -> SelectStmt {
-        if self.cfg.use_kqe {
-            let scorer = KqeScorer { kqe: &self.kqe };
-            self.generator.generate(&self.dsg, None, &scorer)
-        } else {
-            self.generator.generate(&self.dsg, None, &UniformScorer)
-        }
-    }
-
-    /// Run one query through the session's oracle. Returns false when the
-    /// oracle skipped the statement (unsupported shape, execution failure).
-    /// Every report is stamped with the statement's canonical plan-graph
-    /// fingerprint before entering the log, so the log deduplicates at
-    /// bug-class granularity (see [`crate::bugs::BugReport::class_key`]).
-    pub fn test_one(&mut self, stmt: &SelectStmt) -> bool {
-        match self.oracle.check(stmt, self.connector.as_mut()) {
-            OracleVerdict::Skip => false,
-            OracleVerdict::Pass => true,
-            OracleVerdict::Bugs(reports) => {
-                let fp = tqs_graph::plangraph::plan_fingerprint(stmt, &self.dsg.schema_desc);
-                for r in reports {
-                    self.bugs.push(r.with_fingerprint(fp));
-                }
-                true
-            }
-        }
+        .run(self.cfg.iterations, self.cfg.queries_per_hour)
     }
 }
 
@@ -499,5 +569,104 @@ mod tests {
             .unwrap();
         assert_eq!(session.dbms_name(), "MySQL-like");
         assert_eq!(session.connector.info().dialect, ProfileId::MysqlLike);
+    }
+
+    #[test]
+    fn session_and_baseline_entry_points_report_the_same_run() {
+        // Same (source, oracle, seed) through both doors of the one loop: a
+        // Figure 8 comparison is only meaningful if both sides count alike.
+        use crate::baselines::{run_oracle_on, BaselineConfig};
+        let dsg = DsgDatabase::build(&dsg_cfg(true));
+        let (iterations, queries_per_hour, seed) = (80, 10, 17);
+        let mut session = TqsSession::builder()
+            .profile(ProfileId::TidbLike)
+            .dsg(dsg.clone())
+            .config(TqsConfig {
+                iterations,
+                queries_per_hour,
+                use_kqe: false,
+                query_gen: QueryGenConfig {
+                    seed,
+                    subquery_probability: 0.15,
+                    ..Default::default()
+                },
+                ..Default::default()
+            })
+            .build()
+            .unwrap();
+        let via_session = session.run();
+        let via_baseline = run_oracle_on(
+            &mut TqsOracle::new(&dsg),
+            None,
+            &mut EngineConnector::connect(ProfileId::TidbLike, &dsg),
+            &dsg,
+            &BaselineConfig {
+                iterations,
+                queries_per_hour,
+                seed,
+            },
+        );
+        assert!(via_session.bug_count > 0, "the comparison needs bugs");
+        let counts = |s: &RunStats| (s.bug_count, s.bug_type_count, s.diversity);
+        assert_eq!(counts(&via_session), counts(&via_baseline));
+        let timelines = |s: &RunStats| -> Vec<(usize, usize)> {
+            [&s.diversity_timeline, &s.bug_timeline, &s.bug_type_timeline]
+                .into_iter()
+                .flatten()
+                .map(|p| (p.hour, p.value))
+                .collect()
+        };
+        assert_eq!(timelines(&via_session), timelines(&via_baseline));
+    }
+
+    #[test]
+    fn a_pre_stamped_report_keeps_its_plan_fingerprint() {
+        // Two plans of one statement failing are two (structure, plan)
+        // classes, as in the campaign — not one class per statement.
+        struct TwoPlansFail;
+        impl Oracle for TwoPlansFail {
+            fn name(&self) -> &str {
+                "two-plans"
+            }
+            fn check(&mut self, _: &SelectStmt, _: &mut dyn DbmsConnector) -> OracleVerdict {
+                let report = |plan_fp| {
+                    crate::bugs::BugReport {
+                        dbms: "stub".into(),
+                        oracle: crate::bugs::OracleKind::PlanSpace,
+                        sql: String::new(),
+                        transformed_sql: String::new(),
+                        hint_label: "plan".into(),
+                        expected_rows: 1,
+                        observed_rows: 0,
+                        fired: Vec::new(),
+                        minimized_sql: None,
+                        fingerprint: None,
+                        keys: Default::default(),
+                    }
+                    .with_fingerprint(plan_fp)
+                };
+                OracleVerdict::Bugs(vec![report(0xA), report(0xB)])
+            }
+        }
+        let mut session = TqsSession::builder()
+            .connector(EngineConnector::pristine(ProfileId::MysqlLike))
+            .dsg_config(&dsg_cfg(false))
+            .config(TqsConfig {
+                iterations: 1,
+                ..small_cfg()
+            })
+            .oracle(TwoPlansFail)
+            .build()
+            .unwrap();
+        assert_eq!(session.run().bug_count, 2);
+        // Both carry the same graph fingerprint folded in: it cancels out.
+        let stamped: Vec<u64> = session
+            .bugs
+            .reports
+            .iter()
+            .map(|r| r.fingerprint.unwrap())
+            .collect();
+        assert_eq!(stamped[0] ^ stamped[1], 0xA ^ 0xB);
+        assert_ne!(stamped, [0xA, 0xB], "the graph fingerprint was folded in");
     }
 }

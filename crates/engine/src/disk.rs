@@ -142,9 +142,12 @@ impl DiskDatabase {
     }
 
     /// Wipe the page store and load `catalog` into it, one B+tree per table,
-    /// committed every [`COMMIT_BATCH_ROWS`] rows.
+    /// committed every [`COMMIT_BATCH_ROWS`] rows. A store nothing was ever
+    /// written to (a connector's first load) is already wiped.
     pub fn load_catalog(&mut self, catalog: Catalog) -> Result<(), EngineError> {
-        self.store = DiskStore::create(&self.dir, DEFAULT_POOL_FRAMES).map_err(storage_err)?;
+        if !self.store.is_fresh() {
+            self.store = DiskStore::create(&self.dir, DEFAULT_POOL_FRAMES).map_err(storage_err)?;
+        }
         self.store.set_crash_point(self.pending_crash.take());
         // A fresh load resets the whole DML history with the store.
         self.base = catalog.clone();
@@ -152,6 +155,10 @@ impl DiskDatabase {
         self.inner.catalog = catalog;
         self.inner.clear_txn();
         self.last_recovery = None;
+        if self.base.is_empty() {
+            // Nothing to make durable: no tables, no DML log, no commit.
+            return Ok(());
+        }
         for name in self.base.table_names() {
             self.store.create_table(&name).map_err(storage_err)?;
         }

@@ -215,6 +215,12 @@ impl DiskStore {
         &self.dir
     }
 
+    /// Is the store still exactly as [`DiskStore::create`] left it — no table
+    /// or page allocated, no commit attempted?
+    pub fn is_fresh(&self) -> bool {
+        self.batch_seq == 0 && self.tables.is_empty() && self.page_count == 1
+    }
+
     pub fn tables(&self) -> &[TableMeta] {
         &self.tables
     }

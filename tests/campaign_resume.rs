@@ -3,8 +3,13 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use tqs_campaign::{Campaign, CampaignConfig, Corpus, EngineKind, OracleSpec, PlanMode, Workload};
+use std::time::Duration;
+use tqs_campaign::{
+    Campaign, CampaignConfig, Corpus, CorpusEntry, EngineKind, OracleSpec, PlanMode,
+    SupervisorConfig, Workload,
+};
 use tqs_core::backend::DbmsConnector;
+use tqs_core::bugs::OracleKind;
 use tqs_core::dsg::{DsgConfig, WideSource};
 use tqs_engine::ProfileId;
 use tqs_schema::NoiseConfig;
@@ -244,4 +249,82 @@ fn corpus_witnesses_replay_without_the_engine() {
         assert_eq!(entry.report.class_key(), entry.class_key);
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn worker_count_does_not_change_what_the_fleet_finds() {
+    // Figure 10 as an assertion: the same grid drained by 1, 2 and 4 workers
+    // does the same work and finds the same classes — what makes the
+    // campaign fleet a valid scaling experiment (only the wall clock may
+    // move). The reducer is off: it runs in whichever cell sights a class
+    // first, so its statement bill moves between cells with thread timing.
+    let outcome = |workers: usize| {
+        let dir = test_dir(&format!("workers-{workers}"));
+        let mut campaign = Campaign::new(CampaignConfig {
+            workers,
+            oracles: vec![OracleSpec::GroundTruth, OracleSpec::CrossEngine],
+            engines: vec![EngineKind::Row, EngineKind::Columnar],
+            minimize: false,
+            ..cfg(dir.clone(), 2, 25)
+        })
+        .unwrap();
+        assert_eq!(campaign.cells_total(), 8);
+        let stats = campaign.run().unwrap();
+        assert!(campaign.is_complete());
+        std::fs::remove_dir_all(&dir).unwrap();
+        (
+            campaign.class_keys(),
+            (stats.queries, stats.statements, stats.raw_reports),
+        )
+    };
+    let one = outcome(1);
+    assert!(!one.0.is_empty(), "seeded faults should surface");
+    assert_eq!(outcome(2), one);
+    assert_eq!(outcome(4), one);
+}
+
+#[test]
+fn a_mixed_grid_keeps_each_workloads_behaviour() {
+    // One cell loop, two workloads: SELECT cells minimize their witnesses and
+    // run under the statement budget; DML cells report mutation classes only,
+    // have no reducer, and never carry a cancel token.
+    // Returns the corpus split into (DML cells' entries, SELECT cells').
+    let hunt = |tag: &str, stmt_deadline| -> (Vec<CorpusEntry>, Vec<CorpusEntry>) {
+        let dir = test_dir(tag);
+        let mut campaign = Campaign::new(CampaignConfig {
+            workloads: vec![Workload::Select, Workload::Dml],
+            supervisor: SupervisorConfig {
+                stmt_deadline,
+                ..Default::default()
+            },
+            ..cfg(dir.clone(), 1, 30)
+        })
+        .unwrap();
+        campaign.run().unwrap();
+        assert!(campaign.is_complete());
+        let entries = Corpus::in_dir(&dir).load().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        entries
+            .into_iter()
+            .partition(|e| campaign.cells()[e.cell_id].workload == Workload::Dml)
+    };
+
+    let (dml, select) = hunt("mixed", None);
+    assert!(!dml.is_empty() && !select.is_empty());
+    for e in &dml {
+        assert_eq!(e.report.oracle, OracleKind::Mutation);
+        assert_eq!(e.report.minimized_sql, None, "DML has no reducer");
+    }
+    for e in &select {
+        assert_ne!(e.report.oracle, OracleKind::Mutation);
+        assert!(e.report.minimized_sql.is_some());
+    }
+
+    // A zero statement budget cancels every query, and no DML program.
+    let (dml_under_budget, select_under_budget) = hunt("mixed-budget", Some(Duration::ZERO));
+    assert!(select_under_budget.is_empty());
+    let keys = |entries: &[CorpusEntry]| -> BTreeSet<String> {
+        entries.iter().map(|e| e.class_key.clone()).collect()
+    };
+    assert_eq!(keys(&dml_under_budget), keys(&dml));
 }

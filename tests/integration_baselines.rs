@@ -1,6 +1,6 @@
 //! Baselines vs TQS on the same faulty engine and the same query budget:
-//! TQS must find at least as many bug types, and its structural diversity
-//! must dominate PQS (the Figure 8 shape).
+//! TQS must find at least as many bugs and bug types, and its structural
+//! diversity must dominate PQS (the Figure 8 shape).
 
 use tqs_core::baselines::{run_baseline, Baseline, BaselineConfig};
 use tqs_core::dsg::{DsgConfig, DsgDatabase, WideSource};
@@ -44,6 +44,7 @@ fn tqs_dominates_baselines_on_mysql_like() {
     };
     let pqs = run_baseline(Baseline::Pqs, ProfileId::MysqlLike, &d, &base_cfg);
     let tlp = run_baseline(Baseline::Tlp, ProfileId::MysqlLike, &d, &base_cfg);
+    let norec = run_baseline(Baseline::NoRec, ProfileId::MysqlLike, &d, &base_cfg);
 
     assert!(
         tqs_stats.diversity > pqs.diversity,
@@ -64,6 +65,17 @@ fn tqs_dominates_baselines_on_mysql_like() {
         tlp.bug_type_count
     );
     assert!(tqs_stats.bug_count > 0);
+    // Figure 8(e–h): more bugs too — comparable because every tool's bugs are
+    // keyed by the one loop's rule.
+    for baseline in [&pqs, &tlp, &norec] {
+        assert!(
+            tqs_stats.bug_count >= baseline.bug_count,
+            "TQS bugs {} < {} bugs {}",
+            tqs_stats.bug_count,
+            baseline.tool,
+            baseline.bug_count
+        );
+    }
 }
 
 #[test]
