@@ -9,9 +9,11 @@ use crate::profiles::DbmsProfile;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use tqs_sql::ast::{AggFunc, BinOp, ColumnRef, DmlStmt, Expr, JoinType, SelectItem, SelectStmt};
+#[cfg(test)]
+use tqs_sql::eval::in_membership;
 use tqs_sql::eval::{
     eval_expr, eval_predicate, ChainedResolver, ColumnResolver, EvalError, SubqueryHandler,
-    SubqueryMemo,
+    SubqueryMemo, SubquerySource,
 };
 use tqs_sql::hints::{Hint, HintSet, SemiJoinStrategy, SessionSwitch, SwitchName};
 use tqs_sql::parser::{parse_dml, parse_stmt, ParseError};
@@ -616,16 +618,20 @@ impl Database {
 
         // WHERE filtering (with subquery strategies and the constant-cache
         // fault applied).
+        // The predicate the constant-cache fault rewrote, if it did, is held
+        // here so that it outlives `sub`, whose memo keys on node addresses.
+        let rewritten = stmt
+            .where_clause
+            .as_ref()
+            .and_then(|pred| self.apply_constant_cache_fault(pred, &rel, &mut ctx));
         let sub = EngineSubqueries::new(self, plan.subquery_plan, ctx.materialization);
-        if let Some(pred) = &stmt.where_clause {
+        if let Some(pred) = rewritten.as_ref().or(stmt.where_clause.as_ref()) {
             let op_t0 = ctx.op_start();
             let rows_in = rel.rows.len() as u64;
-            let pred = self.apply_constant_cache_fault(pred, &rel, &mut ctx);
             let mut kept = Vec::new();
-            for row in &rel.rows {
-                let resolver = rel.resolver(row);
-                if eval_predicate(&pred, &resolver, &sub)? == Some(true) {
-                    kept.push(row.clone());
+            for row in std::mem::take(&mut rel.rows) {
+                if eval_predicate(pred, &rel.resolver(&row), &sub)? == Some(true) {
+                    kept.push(row);
                 }
             }
             rel.rows = kept;
@@ -676,14 +682,21 @@ impl Database {
     /// Fault #6: `<=>` comparisons against a literal reuse a constant that
     /// was type-converted against the first row; if that first value was
     /// NULL, the cached constant degrades to NULL.
-    fn apply_constant_cache_fault(&self, pred: &Expr, rel: &Rel, ctx: &mut ExecContext) -> Expr {
+    ///
+    /// Returns the rewritten predicate, `None` when it stands as written.
+    fn apply_constant_cache_fault(
+        &self,
+        pred: &Expr,
+        rel: &Rel,
+        ctx: &mut ExecContext,
+    ) -> Option<Expr> {
         if !self
             .profile
             .faults
             .contains(FaultKind::ConstantCacheNullSafeEq)
             || rel.rows.is_empty()
         {
-            return pred.clone();
+            return None;
         }
         let first = &rel.rows[0];
         let mut fired = false;
@@ -699,7 +712,7 @@ impl Database {
         if fired {
             ctx.fire(FaultKind::ConstantCacheNullSafeEq);
         }
-        rewritten
+        fired.then_some(rewritten)
     }
 
     pub(crate) fn project(
@@ -925,9 +938,10 @@ pub(crate) struct EngineSubqueries<'a> {
     materialization: bool,
     faults: FaultSet,
     fired: RefCell<Vec<FaultKind>>,
-    /// Memo for *uncorrelated* subqueries (shared semantics with the
-    /// ground-truth evaluator — see [`SubqueryMemo`]): recomputing a
-    /// row-invariant subquery per outer row dominated the filter phase.
+    /// One evaluation per distinct (subquery, outer binding, probe) instead
+    /// of one per outer row — shared semantics with the ground-truth
+    /// evaluator, see [`SubqueryMemo`]. Faults fire on the miss path only;
+    /// `fire` is an idempotent insert, so `fired` comes out the same.
     memo: SubqueryMemo,
 }
 
@@ -943,7 +957,14 @@ impl<'a> EngineSubqueries<'a> {
         }
     }
 
+    /// End of the statement: book the memo's counters, hand back the faults
+    /// that fired.
     pub(crate) fn into_fired(self) -> Vec<FaultKind> {
+        if tqs_telemetry::enabled() {
+            let (evaluations, memo_hits) = self.memo.counts();
+            tqs_telemetry::counter!("engine.subquery.evaluations").add(evaluations);
+            tqs_telemetry::counter!("engine.subquery.memo_hits").add(memo_hits);
+        }
         self.fired.into_inner()
     }
 
@@ -955,50 +976,63 @@ impl<'a> EngineSubqueries<'a> {
     }
 }
 
-impl EngineSubqueries<'_> {
-    fn eval_subquery_inner(
+impl SubquerySource for EngineSubqueries<'_> {
+    fn has_own_column(&self, stmt: &SelectStmt, column: &str) -> bool {
+        self.db
+            .catalog
+            .table(&stmt.from.base.table)
+            .is_some_and(|t| t.column_index(column).is_some())
+    }
+
+    /// Execute the (single-table) subquery with correlation support. `stmt`
+    /// is only ever borrowed: nested subqueries are memoized by node
+    /// address, so no node may be evaluated through a temporary copy.
+    fn subquery_values(
         &self,
         stmt: &SelectStmt,
         outer: &dyn ColumnResolver,
     ) -> Result<Vec<Value>, EvalError> {
-        let mut sub = stmt.clone();
-        // Fault #1: under semi-join materialization, equality conditions in
-        // the subquery's WHERE are neither pushed down nor evaluated.
+        let table = self
+            .db
+            .catalog
+            .table(&stmt.from.base.table)
+            .ok_or_else(|| {
+                EvalError::Unsupported(format!("unknown table {}", stmt.from.base.table))
+            })?;
+        if !stmt.from.joins.is_empty() {
+            return Err(EvalError::Unsupported("joins inside subquery".into()));
+        }
+        let Some(SelectItem::Expr { expr, .. }) = stmt.items.first() else {
+            return Err(EvalError::Unsupported(
+                "subquery must project one expression".into(),
+            ));
+        };
+        // The WHERE as a conjunction (all must hold; every conjunct is
+        // evaluated, as `AND` does). Fault #1: under semi-join
+        // materialization, equality conditions in the subquery's WHERE are
+        // neither pushed down nor evaluated.
+        let mut conjuncts: Vec<&Expr> = stmt.where_clause.iter().collect();
         let drops_equalities = matches!(
             self.plan,
             SubqueryPlan::SemiJoinTransform(SemiJoinStrategy::Materialization)
         ) && self.faults.contains(FaultKind::SemiJoinWrongResults);
-        if drops_equalities {
-            if let Some(w) = &sub.where_clause {
-                let (kept, dropped) = strip_equality_conjuncts(w);
-                if dropped {
-                    self.fire(FaultKind::SemiJoinWrongResults);
-                    sub.where_clause = kept;
-                }
+        if let (true, Some(w)) = (drops_equalities, &stmt.where_clause) {
+            let mut flat = Vec::new();
+            flatten_and(w, &mut flat);
+            let all = flat.len();
+            flat.retain(|c| !matches!(c, Expr::Binary { op: BinOp::Eq, .. }));
+            if flat.len() < all {
+                self.fire(FaultKind::SemiJoinWrongResults);
+                conjuncts = flat;
             }
         }
-        // Execute the (single-table) subquery with correlation support.
-        let table = self.db.catalog.table(&sub.from.base.table).ok_or_else(|| {
-            EvalError::Unsupported(format!("unknown table {}", sub.from.base.table))
-        })?;
-        if !sub.from.joins.is_empty() {
-            return Err(EvalError::Unsupported("joins inside subquery".into()));
-        }
-        let binding = sub.from.base.binding().to_string();
-        let expr = match sub.items.first() {
-            Some(SelectItem::Expr { expr, .. }) => expr.clone(),
-            _ => {
-                return Err(EvalError::Unsupported(
-                    "subquery must project one expression".into(),
-                ))
-            }
-        };
+        let binding = stmt.from.base.binding();
         let mut out = Vec::new();
         for row in &table.rows {
             // Borrow the stored row directly — no per-call table clone, no
             // per-row scope materialization.
             let inner = TableRow {
-                binding: &binding,
+                binding,
                 table,
                 row: &row.values,
             };
@@ -1006,12 +1040,13 @@ impl EngineSubqueries<'_> {
                 inner: &inner,
                 outer,
             };
-            if let Some(pred) = &sub.where_clause {
-                if eval_predicate(pred, &resolver, self)? != Some(true) {
-                    continue;
-                }
+            let mut keep = true;
+            for pred in &conjuncts {
+                keep &= eval_predicate(pred, &resolver, self)? == Some(true);
             }
-            out.push(eval_expr(&expr, &resolver, self)?);
+            if keep {
+                out.push(eval_expr(expr, &resolver, self)?);
+            }
         }
         // Fault #5: the materialized probe set silently drops NULLs, turning
         // NOT IN's UNKNOWN into FALSE.
@@ -1033,23 +1068,49 @@ impl EngineSubqueries<'_> {
 }
 
 impl SubqueryHandler for EngineSubqueries<'_> {
-    fn eval_subquery(
+    fn in_subquery(
         &self,
+        probe: &Value,
         stmt: &SelectStmt,
         outer: &dyn ColumnResolver,
-    ) -> Result<Vec<Value>, EvalError> {
-        let cacheable = self
-            .db
-            .catalog
-            .table(&stmt.from.base.table)
-            .map(|t| {
-                stmt.is_uncorrelated_single_table(&|name| {
-                    t.columns.iter().any(|c| c.name.eq_ignore_ascii_case(name))
-                })
-            })
-            .unwrap_or(false);
-        self.memo
-            .get_or_eval(stmt, cacheable, || self.eval_subquery_inner(stmt, outer))
+    ) -> Result<Option<bool>, EvalError> {
+        #[cfg(test)]
+        if per_row_reference::on() {
+            return Ok(in_membership(probe, &self.subquery_values(stmt, outer)?));
+        }
+        self.memo.in_subquery(self, probe, stmt, outer)
+    }
+
+    fn exists(&self, stmt: &SelectStmt, outer: &dyn ColumnResolver) -> Result<bool, EvalError> {
+        #[cfg(test)]
+        if per_row_reference::on() {
+            return Ok(!self.subquery_values(stmt, outer)?.is_empty());
+        }
+        self.memo.exists(self, stmt, outer)
+    }
+}
+
+/// Test-only switch back to one subquery evaluation per outer row, the
+/// reference the memoized path is compared against.
+#[cfg(test)]
+pub(crate) mod per_row_reference {
+    use std::cell::Cell;
+
+    thread_local! {
+        static ON: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn on() -> bool {
+        ON.with(Cell::get)
+    }
+
+    /// Run `f` with every subquery predicate on this thread evaluated
+    /// directly.
+    pub(crate) fn with<T>(f: impl FnOnce() -> T) -> T {
+        ON.with(|on| on.set(true));
+        let out = f();
+        ON.with(|on| on.set(false));
+        out
     }
 }
 
@@ -1075,19 +1136,6 @@ impl ColumnResolver for TableRow<'_> {
             .position(|c| c.name.eq_ignore_ascii_case(&col.column))
             .map(|i| self.row[i].clone())
     }
-}
-
-/// Split equality conjuncts out of a predicate; returns (remaining, dropped?).
-fn strip_equality_conjuncts(e: &Expr) -> (Option<Expr>, bool) {
-    let mut conjuncts = Vec::new();
-    flatten_and(e, &mut conjuncts);
-    let kept: Vec<Expr> = conjuncts
-        .iter()
-        .filter(|c| !matches!(c, Expr::Binary { op: BinOp::Eq, .. }))
-        .map(|c| (*c).clone())
-        .collect();
-    let dropped = kept.len() != conjuncts.len();
-    (Expr::conjunction(kept), dropped)
 }
 
 pub(crate) fn distinct(rs: ResultSet) -> ResultSet {

@@ -42,6 +42,9 @@ pub use plan::{JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
 pub use profiles::{DbmsProfile, ProfileId, ProfileInfo};
 
 #[cfg(test)]
+mod subquery_equivalence;
+
+#[cfg(test)]
 mod proptests {
     use crate::engine::Database;
     use crate::profiles::{DbmsProfile, ProfileId};

@@ -606,7 +606,8 @@ fn subquery_variants(stmt: &SelectStmt, catalog: &Catalog) -> Vec<&'static str> 
                 .map(|t| t.column_index(col).is_some())
                 .unwrap_or(false)
         };
-        sq.is_uncorrelated_single_table(&own)
+        sq.outer_column_refs(&own)
+            .is_some_and(|outer| outer.is_empty())
     });
     if uncorrelated {
         variants.extend(SUBQ_UNCORRELATED);

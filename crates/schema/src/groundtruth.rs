@@ -10,9 +10,11 @@
 use crate::normalize::NormalizedDb;
 use std::collections::HashMap;
 use tqs_sql::ast::{AggFunc, Expr, JoinType, SelectItem, SelectStmt};
+#[cfg(test)]
+use tqs_sql::eval::in_membership;
 use tqs_sql::eval::{
     eval_expr, eval_predicate, ChainedResolver, ColumnResolver, EvalError, ScopedRow,
-    SubqueryHandler, SubqueryMemo,
+    SubqueryHandler, SubqueryMemo, SubquerySource,
 };
 use tqs_sql::value::{sql_compare, KeyBuf, SqlCmp, Value};
 use tqs_storage::{ResultSet, Row};
@@ -234,6 +236,7 @@ impl<'a> GroundTruthEvaluator<'a> {
         } else {
             result
         };
+        sub.record_counts();
         Ok(GroundTruth {
             result,
             subset_mode,
@@ -454,14 +457,31 @@ impl<'a> GroundTruthEvaluator<'a> {
 /// correlated references.
 struct GtSubqueries<'a> {
     db: &'a NormalizedDb,
-    /// Memo for *uncorrelated* subqueries (shared semantics with the engine
-    /// — see [`SubqueryMemo`]): for a row-invariant subquery the walk over
-    /// the wide table was pure repeated work per outer row.
+    /// One walk over the wide table per distinct (subquery, outer binding,
+    /// probe) instead of one per outer row — shared semantics with the
+    /// engines, see [`SubqueryMemo`].
     memo: SubqueryMemo,
 }
 
 impl GtSubqueries<'_> {
-    fn eval_subquery_inner(
+    /// End of the statement: book the memo's counters.
+    fn record_counts(&self) {
+        if tqs_telemetry::enabled() {
+            let (evaluations, memo_hits) = self.memo.counts();
+            tqs_telemetry::counter!("schema.groundtruth.subquery.evaluations").add(evaluations);
+            tqs_telemetry::counter!("schema.groundtruth.subquery.memo_hits").add(memo_hits);
+        }
+    }
+}
+
+impl SubquerySource for GtSubqueries<'_> {
+    fn has_own_column(&self, stmt: &SelectStmt, column: &str) -> bool {
+        self.db
+            .meta(&stmt.from.base.table)
+            .is_some_and(|meta| meta.columns.iter().any(|c| c.eq_ignore_ascii_case(column)))
+    }
+
+    fn subquery_values(
         &self,
         stmt: &SelectStmt,
         outer: &dyn ColumnResolver,
@@ -471,27 +491,21 @@ impl GtSubqueries<'_> {
                 "ground-truth subqueries must be single-table".into(),
             ));
         }
-        let table = match self.db.meta(&stmt.from.base.table) {
-            Some(m) => m.clone(),
-            None => {
-                return Err(EvalError::Unsupported(format!(
-                    "unknown subquery table {}",
-                    stmt.from.base.table
-                )))
-            }
+        let Some(table) = self.db.meta(&stmt.from.base.table) else {
+            return Err(EvalError::Unsupported(format!(
+                "unknown subquery table {}",
+                stmt.from.base.table
+            )));
         };
-        let binding = stmt.from.base.binding().to_string();
+        let binding = stmt.from.base.binding();
         let bm = match self.db.bitmap.bitmap(&table.name) {
             Some(b) => b,
             None => return Ok(Vec::new()),
         };
-        let expr = match stmt.items.first() {
-            Some(SelectItem::Expr { expr, .. }) => expr.clone(),
-            _ => {
-                return Err(EvalError::Unsupported(
-                    "subquery must project a single expression".into(),
-                ))
-            }
+        let Some(SelectItem::Expr { expr, .. }) = stmt.items.first() else {
+            return Err(EvalError::Unsupported(
+                "subquery must project a single expression".into(),
+            ));
         };
         let mut out = Vec::new();
         let mut seen = std::collections::HashSet::new();
@@ -504,7 +518,7 @@ impl GtSubqueries<'_> {
                     .cell(wide_row as u64, col)
                     .cloned()
                     .unwrap_or(Value::Null);
-                scope.push((binding.clone(), col.clone(), v));
+                scope.push((binding.to_string(), col.clone(), v));
             }
             let fp = scope_fingerprint(&scope);
             if !seen.insert(fp) {
@@ -520,29 +534,56 @@ impl GtSubqueries<'_> {
                     continue;
                 }
             }
-            out.push(eval_expr(&expr, &resolver, self)?);
+            out.push(eval_expr(expr, &resolver, self)?);
         }
         Ok(out)
     }
 }
 
 impl SubqueryHandler for GtSubqueries<'_> {
-    fn eval_subquery(
+    fn in_subquery(
         &self,
+        probe: &Value,
         stmt: &SelectStmt,
         outer: &dyn ColumnResolver,
-    ) -> Result<Vec<Value>, EvalError> {
-        let cacheable = self
-            .db
-            .meta(&stmt.from.base.table)
-            .map(|meta| {
-                stmt.is_uncorrelated_single_table(&|name| {
-                    meta.columns.iter().any(|c| c.eq_ignore_ascii_case(name))
-                })
-            })
-            .unwrap_or(false);
-        self.memo
-            .get_or_eval(stmt, cacheable, || self.eval_subquery_inner(stmt, outer))
+    ) -> Result<Option<bool>, EvalError> {
+        #[cfg(test)]
+        if per_row_reference::on() {
+            return Ok(in_membership(probe, &self.subquery_values(stmt, outer)?));
+        }
+        self.memo.in_subquery(self, probe, stmt, outer)
+    }
+
+    fn exists(&self, stmt: &SelectStmt, outer: &dyn ColumnResolver) -> Result<bool, EvalError> {
+        #[cfg(test)]
+        if per_row_reference::on() {
+            return Ok(!self.subquery_values(stmt, outer)?.is_empty());
+        }
+        self.memo.exists(self, stmt, outer)
+    }
+}
+
+/// Test-only switch back to one subquery evaluation per outer row, the
+/// reference the memoized path is compared against.
+#[cfg(test)]
+mod per_row_reference {
+    use std::cell::Cell;
+
+    thread_local! {
+        static ON: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn on() -> bool {
+        ON.with(Cell::get)
+    }
+
+    /// Run `f` with every subquery predicate on this thread evaluated
+    /// directly.
+    pub(super) fn with<T>(f: impl FnOnce() -> T) -> T {
+        ON.with(|on| on.set(true));
+        let out = f();
+        ON.with(|on| on.set(false));
+        out
     }
 }
 
@@ -752,5 +793,106 @@ mod tests {
             })
             .count();
         assert_eq!(gt.result.row_count(), expected);
+    }
+
+    /// The noisy database the equivalence property runs on: NULLs and
+    /// out-of-domain keys in the fact table's foreign keys and in the
+    /// dimension tables, so bindings repeat, go NULL and miss.
+    fn noisy_db() -> &'static NormalizedDb {
+        static DB: std::sync::OnceLock<NormalizedDb> = std::sync::OnceLock::new();
+        DB.get_or_init(|| {
+            let mut d = db();
+            let noise = crate::noise::inject_noise(
+                &mut d,
+                &crate::noise::NoiseConfig {
+                    epsilon: 0.08,
+                    seed: 11,
+                    max_injections: 40,
+                },
+            );
+            assert!(!noise.is_empty());
+            d
+        })
+    }
+
+    /// One statement over the shopping schema, a pure function of `picks`:
+    /// the fact table alone, under a cross join, or joined to the table the
+    /// subqueries select from; one or two `[NOT] IN` / `[NOT] EXISTS`
+    /// predicates, uncorrelated, correlated (qualified and bare), probing a
+    /// string column with a number and back, and nested.
+    fn subquery_statement(d: &NormalizedDb, picks: &[usize]) -> SelectStmt {
+        let (g, n) = goods_and_names(d);
+        let u = d.table_with_pk("userId").unwrap().name.clone();
+        let predicates = [
+            format!("T1.goodsId IN (SELECT {g}.goodsId FROM {g})"),
+            format!(
+                "T1.goodsId NOT IN (SELECT {g}.goodsId FROM {g} WHERE {g}.goodsName <> 'book')"
+            ),
+            format!("EXISTS (SELECT {g}.goodsName FROM {g} WHERE {g}.goodsId = T1.goodsId)"),
+            format!("NOT EXISTS (SELECT {u}.userId FROM {u} WHERE {u}.userId = T1.userId)"),
+            format!("T1.userId NOT IN (SELECT {u}.userId FROM {u} WHERE {u}.userName <> 'x')"),
+            format!(
+                "T1.quantity IN (SELECT {g}.goodsId - 1110 FROM {g} WHERE {g}.goodsId <= T1.quantity + 1112)"
+            ),
+            format!("T1.goodsId IN (SELECT {u}.userId FROM {u})"),
+            format!(
+                "T1.userId NOT IN (SELECT {g}.goodsId FROM {g} WHERE {g}.goodsId = T1.quantity + 1110)"
+            ),
+            format!("EXISTS (SELECT goodsName FROM {g} WHERE goodsId = quantity + 1112)"),
+            format!(
+                "EXISTS (SELECT {g}.goodsId FROM {g} WHERE {g}.goodsId = T1.goodsId AND \
+                 {g}.goodsId > T1.quantity + 1115)"
+            ),
+            format!(
+                "T1.goodsId IN (SELECT {g}.goodsId FROM {g} WHERE {g}.goodsName IN \
+                 (SELECT {n}.goodsName FROM {n}))"
+            ),
+            format!(
+                "NOT EXISTS (SELECT {g}.goodsId FROM {g} WHERE {g}.goodsId = T1.goodsId AND \
+                 {g}.goodsName IN (SELECT {n}.goodsName FROM {n} WHERE {n}.price > T1.quantity * 4))"
+            ),
+        ];
+        let mut picks = picks.iter().copied();
+        let mut pick = |n: usize| picks.next().unwrap_or(0) % n;
+        let from = [
+            "T1".to_string(),
+            format!("{u} CROSS JOIN T1"),
+            format!("T1 INNER JOIN {g} ON T1.goodsId = {g}.goodsId"),
+        ][pick(3)]
+        .clone();
+        let (a, b) = (&predicates[pick(12)], &predicates[pick(12)]);
+        let filter = match pick(4) {
+            0 => a.clone(),
+            1 => format!("{a} AND {b}"),
+            2 => format!("{a} OR {b}"),
+            _ => format!("NOT ({a})"),
+        };
+        parse_stmt(&format!(
+            "SELECT T1.orderId, T1.goodsId FROM {from} WHERE {filter}"
+        ))
+        .unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The memoized ground truth against the reference it replaced, one
+        /// subquery evaluation per outer row.
+        #[test]
+        fn memoized_and_per_row_subqueries_give_the_same_ground_truth(
+            picks in proptest::collection::vec(0usize..1000, 4),
+        ) {
+            let d = noisy_db();
+            let stmt = subquery_statement(d, &picks);
+            let truth = |stmt: &SelectStmt| {
+                GroundTruthEvaluator::new(d)
+                    .evaluate(stmt)
+                    .map(|gt| (gt.result.columns, gt.result.rows, gt.subset_mode))
+            };
+            let memoized = truth(&stmt);
+            let reference = per_row_reference::with(|| truth(&stmt));
+            proptest::prop_assert!(memoized.is_ok(), "{:?}", memoized);
+            proptest::prop_assert_eq!(memoized, reference);
+        }
     }
 }

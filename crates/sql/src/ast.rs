@@ -526,30 +526,56 @@ impl SelectStmt {
         self.from.joins.iter().map(|j| j.join_type).collect()
     }
 
-    /// For a *single-table* subquery: can any expression in it reference the
-    /// outer row? Returns `true` when every column reference is either
-    /// qualified with the subquery's own binding or bare and satisfied by
-    /// `has_own_column` — the precondition for evaluating the subquery once
-    /// instead of once per outer row. Conservative: any nested subquery
-    /// (whose references this check cannot see) returns `false`.
-    pub fn is_uncorrelated_single_table(&self, has_own_column: &dyn Fn(&str) -> bool) -> bool {
-        if self.has_subquery() {
-            return false;
-        }
+    /// For a *single-table* subquery: the columns of the enclosing row its
+    /// select items and WHERE read, each once, in first-occurrence order —
+    /// empty when the subquery is uncorrelated. A reference is the
+    /// subquery's own (the inner scope shadows the outer one) when it is
+    /// bare or qualified with the subquery's binding *and* `has_own_column`
+    /// knows the column; anything else resolves in the outer row. Together
+    /// with the node itself these values decide everything the subquery
+    /// returns, which is what lets an evaluator run it once per distinct
+    /// binding instead of once per outer row. `None` when an expression
+    /// carries a nested subquery, whose references this walk cannot see.
+    pub fn outer_column_refs(
+        &self,
+        has_own_column: &dyn Fn(&str) -> bool,
+    ) -> Option<Vec<&ColumnRef>> {
         let binding = self.from.base.binding();
-        let own = |c: &ColumnRef| match &c.table {
-            Some(q) => q.eq_ignore_ascii_case(binding),
-            None => has_own_column(&c.column),
+        let own = |c: &ColumnRef| {
+            c.table
+                .as_ref()
+                .map_or(true, |q| q.eq_ignore_ascii_case(binding))
+                && has_own_column(&c.column)
         };
-        // `has_subquery` (above) only inspects WHERE/ON/HAVING, and the
-        // shallow `column_refs` cannot see into a nested subquery — so any
-        // expression carrying one is rejected outright.
-        let expr_ok = |e: &Expr| !e.has_subquery() && e.column_refs().iter().all(|c| own(c));
-        self.items.iter().all(|item| match item {
-            SelectItem::Wildcard => true,
-            SelectItem::Expr { expr, .. } => expr_ok(expr),
-            SelectItem::Aggregate { arg, .. } => arg.as_ref().map(&expr_ok).unwrap_or(true),
-        }) && self.where_clause.as_ref().map(&expr_ok).unwrap_or(true)
+        let exprs = self
+            .items
+            .iter()
+            .filter_map(|item| match item {
+                SelectItem::Wildcard => None,
+                SelectItem::Expr { expr, .. } => Some(expr),
+                SelectItem::Aggregate { arg, .. } => arg.as_ref(),
+            })
+            .chain(&self.where_clause);
+        let mut outer: Vec<&ColumnRef> = Vec::new();
+        for e in exprs {
+            if e.has_subquery() {
+                return None;
+            }
+            for c in e.column_refs() {
+                let seen = |o: &&ColumnRef| {
+                    o.column.eq_ignore_ascii_case(&c.column)
+                        && match (&o.table, &c.table) {
+                            (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
+                            (None, None) => true,
+                            _ => false,
+                        }
+                };
+                if !own(c) && !outer.iter().any(seen) {
+                    outer.push(c);
+                }
+            }
+        }
+        Some(outer)
     }
 
     /// Every column reference reachable from this statement — select items,
@@ -740,6 +766,78 @@ mod tests {
         let mut q = sample_query();
         q.where_clause = Some(e);
         assert!(q.has_subquery());
+    }
+
+    /// The subquery of `SELECT … WHERE <column> IN (<subquery>)`, classified
+    /// against a table with columns `id` and `name`.
+    fn outer_refs_of(subquery: &str) -> Option<Vec<String>> {
+        let stmt =
+            crate::parser::parse_stmt(&format!("SELECT t1.id FROM t1 WHERE t1.id IN ({subquery})"))
+                .unwrap();
+        let Some(Expr::InSubquery { subquery, .. }) = &stmt.where_clause else {
+            panic!("not an IN predicate");
+        };
+        let own = |c: &str| ["id", "name"].iter().any(|o| o.eq_ignore_ascii_case(c));
+        subquery.outer_column_refs(&own).map(|refs| {
+            refs.iter()
+                .map(|c| match &c.table {
+                    Some(t) => format!("{t}.{}", c.column),
+                    None => c.column.clone(),
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn outer_column_refs_tell_own_columns_from_the_enclosing_row() {
+        let none: Option<Vec<String>> = Some(Vec::new());
+        // Qualified with the subquery's binding (table name or alias), or
+        // bare and a column of its table: the subquery's own.
+        assert_eq!(
+            outer_refs_of("SELECT t2.id FROM t2 WHERE T2.name = 'a'"),
+            none
+        );
+        assert_eq!(
+            outer_refs_of("SELECT x.id FROM t2 AS x WHERE X.name = 'a'"),
+            none
+        );
+        assert_eq!(outer_refs_of("SELECT id FROM t2 WHERE NAME = 'a'"), none);
+        // The enclosing statement also reads t2: the inner scope shadows it.
+        let stmt =
+            crate::parser::parse_stmt("SELECT t2.id FROM t2 WHERE t2.id IN (SELECT t2.id FROM t2)")
+                .unwrap();
+        let Some(Expr::InSubquery { subquery, .. }) = &stmt.where_clause else {
+            panic!("not an IN predicate");
+        };
+        assert_eq!(subquery.outer_column_refs(&|c| c == "id"), Some(vec![]));
+        // A bare column the table lacks, another binding, and the subquery's
+        // binding on a column it lacks all resolve in the outer row; each is
+        // listed once, in first-occurrence order, select item first.
+        assert_eq!(
+            outer_refs_of(
+                "SELECT price FROM t2 WHERE t2.id = t1.id AND T1.ID > t2.price AND price = 1"
+            ),
+            Some(vec!["price".to_string(), "t1.id".into(), "t2.price".into()])
+        );
+        // An aliased table no longer answers to its own name.
+        assert_eq!(
+            outer_refs_of("SELECT x.id FROM t2 AS x WHERE t2.id = 1"),
+            Some(vec!["t2.id".to_string()])
+        );
+        // A wildcard item names no column.
+        assert_eq!(
+            outer_refs_of("SELECT * FROM t2 WHERE t2.id = t1.id"),
+            Some(vec!["t1.id".to_string()])
+        );
+        // A nested subquery hides its references: not classified.
+        assert_eq!(
+            outer_refs_of("SELECT t2.id FROM t2 WHERE t2.id IN (SELECT t3.id FROM t3)"),
+            None
+        );
+        assert_eq!(
+            outer_refs_of("SELECT t2.id FROM t2 WHERE NOT EXISTS (SELECT t3.id FROM t3)"),
+            None
+        );
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! that injected optimizer bugs only affect specific physical plans.
 
 use crate::ast::{BinOp, ColumnRef, Expr, SelectStmt, UnOp};
-use crate::value::{null_safe_eq, sql_compare, SqlCmp, Value};
+use crate::value::{null_safe_eq, sql_compare, KeyBuf, SqlCmp, Value};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// Errors surfaced during expression evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,28 +109,99 @@ impl ColumnResolver for ChainedResolver<'_> {
     }
 }
 
-/// Evaluates subqueries encountered inside expressions.
+/// Answers the subquery predicates met inside expressions. The interface is
+/// verdict-shaped: `eval_expr` asks "is `probe` IN this subquery, for this
+/// row" or "does this subquery return a row, for this row" and never sees
+/// the subquery's value list, so an implementation can answer from a
+/// [`SubqueryMemo`] without building or copying a list per outer row.
 pub trait SubqueryHandler {
-    /// Evaluate `stmt` in the context of `outer` (for correlated references)
-    /// and return the values of its single projected column.
-    fn eval_subquery(
+    /// `probe IN (stmt)` under three-valued logic ([`in_membership`]), with
+    /// `outer` as the enclosing row scope for correlated references.
+    fn in_subquery(
+        &self,
+        probe: &Value,
+        stmt: &SelectStmt,
+        outer: &dyn ColumnResolver,
+    ) -> Result<Option<bool>, EvalError>;
+
+    /// `EXISTS (stmt)` in the scope of `outer`.
+    fn exists(&self, stmt: &SelectStmt, outer: &dyn ColumnResolver) -> Result<bool, EvalError>;
+}
+
+/// What a memoizing [`SubqueryHandler`] supplies to its [`SubqueryMemo`]:
+/// how to tell a subquery's own columns from outer ones, and the evaluation
+/// itself — the miss path, where fault interception (if any) lives.
+pub trait SubquerySource {
+    /// Is `column` a column of the table `stmt` selects from?
+    fn has_own_column(&self, stmt: &SelectStmt, column: &str) -> bool;
+
+    /// Evaluate `stmt` for the row `outer`: the values of its single
+    /// projected column.
+    fn subquery_values(
         &self,
         stmt: &SelectStmt,
         outer: &dyn ColumnResolver,
     ) -> Result<Vec<Value>, EvalError>;
 }
 
-/// Per-statement memo for *uncorrelated* subquery results, keyed by the
-/// subquery's AST node address (stable for the duration of one statement
-/// evaluation — the memo must not outlive the statement it was built for).
-/// `IN (SELECT …)` evaluates its subquery once per outer row; when nothing
-/// in it references the outer scope the result is row-invariant, and both
-/// the engine and the ground-truth evaluator share this one implementation
-/// of "evaluate once, replay for every other row" so they cannot drift
-/// apart on which subqueries are cached.
+/// Per-statement memo of subquery *verdicts*, shared by the engines'
+/// `EngineSubqueries` and the ground truth's `GtSubqueries` so the two
+/// cannot drift apart on what is evaluated once.
+///
+/// **Key.** A single-table subquery without a nested subquery is a function
+/// of three things: the subquery node, the values of the outer columns it
+/// reads ([`SelectStmt::outer_column_refs`]; none when uncorrelated) and —
+/// for `IN` — the probe value. The memo classifies each node once, then
+/// keys on the exact, type-tagged encoding of those values
+/// ([`KeyBuf::push_group`]: `1`, `1.0` and `'1'` are three keys, so the
+/// coercing comparison on the miss path is never second-guessed). A cross
+/// join repeats every correlation value once per row of the other side, and
+/// each repeat is a lookup instead of a scan of the inner table.
+///
+/// **Verdicts, not lists.** What is kept per key is the answer — `EXISTS`
+/// → `bool`, `IN` → `Option<bool>` — because that is all `eval_expr`
+/// consumes and it makes a hit free of any scan. A value list is kept only
+/// for an uncorrelated subquery, where one list serves every probe; it is
+/// evaluated once and shared, never cloned per row. A subquery carrying a
+/// nested subquery, or whose outer reference does not resolve in the row at
+/// hand, goes to the source unmemoized (a nested node is memoized on its
+/// own), so errors surface exactly where they did.
+///
+/// **Address stability.** Nodes are identified by address. Every
+/// `SelectStmt` handed to one memo must stay alive and in place until the
+/// memo is dropped: evaluate through a borrow of the statement under
+/// execution, never through a temporary clone whose address the next clone
+/// may reuse. The memo itself must not outlive the statement execution it
+/// was built for.
 #[derive(Default)]
 pub struct SubqueryMemo {
-    map: std::cell::RefCell<std::collections::HashMap<usize, Vec<Value>>>,
+    nodes: RefCell<HashMap<usize, Rc<Node>>>,
+    evaluations: Cell<u64>,
+    memo_hits: Cell<u64>,
+}
+
+/// What the memo knows about one subquery node.
+struct Node {
+    /// Outer columns the subquery reads (empty: uncorrelated); `None` when
+    /// it carries a nested subquery and is not memoized.
+    outer: Option<Vec<ColumnRef>>,
+    /// The value list of an uncorrelated `IN` subquery.
+    list: OnceCell<Vec<Value>>,
+    /// Verdict per encoded (outer binding, probe); `EXISTS` has no probe
+    /// and stores `Some(bool)`.
+    verdicts: RefCell<HashMap<KeyBuf, Option<bool>>>,
+}
+
+impl Node {
+    /// The encoded values of the node's outer columns in `outer`; `None`
+    /// when the node is not memoized or a reference does not resolve.
+    fn binding_key(&self, outer: &dyn ColumnResolver) -> Option<KeyBuf> {
+        let mut key = KeyBuf::new();
+        for c in self.outer.as_ref()? {
+            key.push_group(&outer.resolve(c)?);
+        }
+        Some(key)
+    }
 }
 
 impl SubqueryMemo {
@@ -135,25 +209,103 @@ impl SubqueryMemo {
         SubqueryMemo::default()
     }
 
-    /// Return the memoized result for `stmt`, or evaluate and (when
-    /// `cacheable` — see [`SelectStmt::is_uncorrelated_single_table`]
-    /// (crate::ast::SelectStmt::is_uncorrelated_single_table)) store it.
-    pub fn get_or_eval(
+    /// `(evaluations, memo_hits)` so far: how many predicates ran the
+    /// subquery through the source, and how many were answered without.
+    pub fn counts(&self) -> (u64, u64) {
+        (self.evaluations.get(), self.memo_hits.get())
+    }
+
+    /// `probe IN (stmt)` for the row `outer`, evaluated through `src` at
+    /// most once per distinct (outer binding, probe).
+    pub fn in_subquery(
         &self,
+        src: &dyn SubquerySource,
+        probe: &Value,
         stmt: &SelectStmt,
-        cacheable: bool,
-        eval: impl FnOnce() -> Result<Vec<Value>, EvalError>,
+        outer: &dyn ColumnResolver,
+    ) -> Result<Option<bool>, EvalError> {
+        let node = self.node(src, stmt);
+        let Some(mut key) = node.binding_key(outer) else {
+            return Ok(in_membership(probe, &self.evaluate(src, stmt, outer)?));
+        };
+        key.push_group(probe);
+        if let Some(verdict) = self.cached(&node, &key) {
+            return Ok(verdict);
+        }
+        let correlated = node.outer.as_ref().is_some_and(|o| !o.is_empty());
+        let verdict = if correlated {
+            in_membership(probe, &self.evaluate(src, stmt, outer)?)
+        } else {
+            let list = match node.list.get() {
+                Some(list) => {
+                    self.memo_hits.set(self.memo_hits.get() + 1);
+                    list
+                }
+                None => {
+                    let list = self.evaluate(src, stmt, outer)?;
+                    node.list.get_or_init(|| list)
+                }
+            };
+            in_membership(probe, list)
+        };
+        node.verdicts.borrow_mut().insert(key, verdict);
+        Ok(verdict)
+    }
+
+    /// `EXISTS (stmt)` for the row `outer`, evaluated through `src` at most
+    /// once per distinct outer binding.
+    pub fn exists(
+        &self,
+        src: &dyn SubquerySource,
+        stmt: &SelectStmt,
+        outer: &dyn ColumnResolver,
+    ) -> Result<bool, EvalError> {
+        let node = self.node(src, stmt);
+        let Some(key) = node.binding_key(outer) else {
+            return Ok(!self.evaluate(src, stmt, outer)?.is_empty());
+        };
+        if let Some(verdict) = self.cached(&node, &key) {
+            return Ok(verdict == Some(true));
+        }
+        let found = !self.evaluate(src, stmt, outer)?.is_empty();
+        node.verdicts.borrow_mut().insert(key, Some(found));
+        Ok(found)
+    }
+
+    /// The node's record, classifying it on first sight.
+    fn node(&self, src: &dyn SubquerySource, stmt: &SelectStmt) -> Rc<Node> {
+        let addr = stmt as *const SelectStmt as usize;
+        if let Some(node) = self.nodes.borrow().get(&addr) {
+            return node.clone();
+        }
+        let outer = stmt
+            .outer_column_refs(&|column| src.has_own_column(stmt, column))
+            .map(|refs| refs.into_iter().cloned().collect());
+        let node = Rc::new(Node {
+            outer,
+            list: OnceCell::new(),
+            verdicts: RefCell::default(),
+        });
+        self.nodes.borrow_mut().insert(addr, node.clone());
+        node
+    }
+
+    fn cached(&self, node: &Node, key: &KeyBuf) -> Option<Option<bool>> {
+        let verdict = node.verdicts.borrow().get(key).copied();
+        if verdict.is_some() {
+            self.memo_hits.set(self.memo_hits.get() + 1);
+        }
+        verdict
+    }
+
+    fn evaluate(
+        &self,
+        src: &dyn SubquerySource,
+        stmt: &SelectStmt,
+        outer: &dyn ColumnResolver,
     ) -> Result<Vec<Value>, EvalError> {
-        if !cacheable {
-            return eval();
-        }
-        let key = stmt as *const SelectStmt as usize;
-        if let Some(cached) = self.map.borrow().get(&key) {
-            return Ok(cached.clone());
-        }
-        let out = eval()?;
-        self.map.borrow_mut().insert(key, out.clone());
-        Ok(out)
+        self.evaluations.set(self.evaluations.get() + 1);
+        src.subquery_values(stmt, outer)
     }
 }
 
@@ -162,11 +314,16 @@ impl SubqueryMemo {
 pub struct NoSubqueries;
 
 impl SubqueryHandler for NoSubqueries {
-    fn eval_subquery(
+    fn in_subquery(
         &self,
+        _probe: &Value,
         _stmt: &SelectStmt,
         _outer: &dyn ColumnResolver,
-    ) -> Result<Vec<Value>, EvalError> {
+    ) -> Result<Option<bool>, EvalError> {
+        Err(EvalError::Unsupported("subquery in scalar context".into()))
+    }
+
+    fn exists(&self, _stmt: &SelectStmt, _outer: &dyn ColumnResolver) -> Result<bool, EvalError> {
         Err(EvalError::Unsupported("subquery in scalar context".into()))
     }
 }
@@ -238,13 +395,11 @@ pub fn eval_expr(
             negated,
         } => {
             let v = eval_expr(expr, row, sub)?;
-            let vals = sub.eval_subquery(subquery, row)?;
-            let tv = in_membership(&v, &vals);
+            let tv = sub.in_subquery(&v, subquery, row)?;
             Ok(tv_to_value(if *negated { tv_not(tv) } else { tv }))
         }
         Expr::Exists { subquery, negated } => {
-            let vals = sub.eval_subquery(subquery, row)?;
-            let b = !vals.is_empty();
+            let b = sub.exists(subquery, row)?;
             Ok(Value::Bool(b != *negated))
         }
         Expr::Cast { expr, ty } => {
@@ -540,6 +695,202 @@ mod tests {
                 .as_i128_exact(),
             Some(12)
         );
+    }
+
+    /// A memoizing handler over one in-memory table `t2(k, v)`, shaped like
+    /// the engines' and the ground truth's.
+    struct Tables {
+        t2: Vec<[Value; 2]>,
+        memo: SubqueryMemo,
+    }
+
+    impl SubquerySource for Tables {
+        fn has_own_column(&self, _stmt: &SelectStmt, column: &str) -> bool {
+            matches!(column, "k" | "v")
+        }
+
+        fn subquery_values(
+            &self,
+            stmt: &SelectStmt,
+            outer: &dyn ColumnResolver,
+        ) -> Result<Vec<Value>, EvalError> {
+            let Some(crate::ast::SelectItem::Expr { expr, .. }) = stmt.items.first() else {
+                return Err(EvalError::Unsupported("one expression".into()));
+            };
+            let mut out = Vec::new();
+            for [k, v] in &self.t2 {
+                let scope = [
+                    ("t2".to_string(), "k".to_string(), k.clone()),
+                    ("t2".to_string(), "v".to_string(), v.clone()),
+                ];
+                let resolver = ChainedResolver {
+                    inner: &ScopedRow::new(&scope),
+                    outer,
+                };
+                let keep = match &stmt.where_clause {
+                    Some(pred) => eval_predicate(pred, &resolver, self)? == Some(true),
+                    None => true,
+                };
+                if keep {
+                    out.push(eval_expr(expr, &resolver, self)?);
+                }
+            }
+            Ok(out)
+        }
+    }
+
+    impl SubqueryHandler for Tables {
+        fn in_subquery(
+            &self,
+            probe: &Value,
+            stmt: &SelectStmt,
+            outer: &dyn ColumnResolver,
+        ) -> Result<Option<bool>, EvalError> {
+            self.memo.in_subquery(self, probe, stmt, outer)
+        }
+
+        fn exists(&self, stmt: &SelectStmt, outer: &dyn ColumnResolver) -> Result<bool, EvalError> {
+            self.memo.exists(self, stmt, outer)
+        }
+    }
+
+    type Verdict = Result<Option<bool>, EvalError>;
+
+    /// Evaluate the WHERE of `SELECT 1 FROM t1 WHERE <pred>` once per value
+    /// of `t1.a`, all through one memo; the verdicts and the memo's
+    /// `(evaluations, memo_hits)`.
+    fn filter(pred: &str, outer: &[Value]) -> (Vec<Verdict>, (u64, u64)) {
+        let stmt = crate::parser::parse_stmt(&format!("SELECT t1.a FROM t1 WHERE {pred}")).unwrap();
+        let tables = Tables {
+            t2: vec![
+                [Value::Int(1), Value::str("x")],
+                [Value::Int(1), Value::str("y")],
+                [Value::Int(2), Value::Null],
+                [Value::Null, Value::str("2")],
+            ],
+            memo: SubqueryMemo::new(),
+        };
+        let verdicts = outer
+            .iter()
+            .map(|a| {
+                let scope = [("t1".to_string(), "a".to_string(), a.clone())];
+                eval_predicate(
+                    stmt.where_clause.as_ref().unwrap(),
+                    &ScopedRow::new(&scope),
+                    &tables,
+                )
+            })
+            .collect();
+        (verdicts, tables.memo.counts())
+    }
+
+    #[test]
+    fn a_correlated_subquery_is_evaluated_once_per_distinct_binding() {
+        let outer = [
+            Value::Int(1),
+            Value::Int(3),
+            Value::Null,
+            Value::Int(1),
+            Value::Null,
+            Value::str("1"),
+            Value::Int(3),
+        ];
+        let (verdicts, counts) = filter("EXISTS (SELECT t2.v FROM t2 WHERE t2.k = t1.a)", &outer);
+        let t = Ok(Some(true));
+        let f = Ok(Some(false));
+        assert_eq!(
+            verdicts,
+            [t.clone(), f.clone(), f.clone(), t.clone(), f.clone(), t, f]
+        );
+        // 1, 3, NULL and '1' are four bindings: the key is the exact value,
+        // whatever the comparison inside coerces.
+        assert_eq!(counts, (4, 3));
+
+        // IN: the probe is part of the key. NULL in the list makes a miss
+        // UNKNOWN; a string column probed with a number coerces.
+        let (verdicts, counts) = filter(
+            "t1.a IN (SELECT t2.v FROM t2 WHERE t2.k = t1.a OR t2.k IS NULL)",
+            &[Value::Int(2), Value::Int(2), Value::Int(1), Value::Int(1)],
+        );
+        assert_eq!(
+            verdicts,
+            [
+                Ok(Some(true)),
+                Ok(Some(true)),
+                Ok(Some(false)),
+                Ok(Some(false))
+            ]
+        );
+        assert_eq!(counts, (2, 2));
+        let (verdicts, counts) = filter(
+            "t1.a NOT IN (SELECT t2.v FROM t2 WHERE t2.k = t1.a)",
+            &[
+                Value::Int(2),
+                Value::Int(2),
+                Value::Null,
+                Value::Int(7),
+                Value::Null,
+            ],
+        );
+        assert_eq!(
+            verdicts,
+            [
+                Ok(None),
+                Ok(None),
+                Ok(Some(true)),
+                Ok(Some(true)),
+                Ok(Some(true))
+            ]
+        );
+        assert_eq!(counts, (3, 2));
+    }
+
+    #[test]
+    fn an_uncorrelated_subquery_is_evaluated_once_and_its_list_serves_every_probe() {
+        let (verdicts, counts) = filter(
+            "t1.a IN (SELECT t2.k FROM t2)",
+            &[
+                Value::Int(1),
+                Value::Int(5),
+                Value::Int(1),
+                Value::Null,
+                Value::str("2"),
+            ],
+        );
+        assert_eq!(
+            verdicts,
+            [
+                Ok(Some(true)),
+                Ok(None),
+                Ok(Some(true)),
+                Ok(None),
+                Ok(Some(true))
+            ]
+        );
+        assert_eq!(counts, (1, 4));
+    }
+
+    #[test]
+    fn nested_subqueries_and_unresolvable_references_bypass_the_memo() {
+        // The outer subquery carries a nested one: evaluated per row. The
+        // nested node is uncorrelated and memoized on its own.
+        let (verdicts, counts) = filter(
+            "t1.a IN (SELECT t2.k FROM t2 WHERE t2.k IN (SELECT t2.k FROM t2))",
+            &[Value::Int(1), Value::Int(1), Value::Int(9)],
+        );
+        assert_eq!(verdicts, [Ok(Some(true)), Ok(Some(true)), Ok(Some(false))]);
+        // 3 outer evaluations + 1 nested; 4 rows × 3 − 1 nested hits.
+        assert_eq!(counts, (4, 11));
+
+        // `t9.z` resolves nowhere: no key can be built, the subquery is
+        // evaluated directly every time and fails the way it always did.
+        let (verdicts, counts) = filter(
+            "EXISTS (SELECT t2.k FROM t2 WHERE t2.k = t9.z)",
+            &[Value::Int(1), Value::Int(1)],
+        );
+        let unknown = || Err(EvalError::UnknownColumn("Some(\"t9\").z".into()));
+        assert_eq!(verdicts, [unknown(), unknown()]);
+        assert_eq!(counts, (2, 0));
     }
 
     #[test]
