@@ -21,11 +21,11 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 use tqs_bench::{env_usize, standard_dsg};
 use tqs_campaign::Json;
-use tqs_core::backend::{DbmsConnector, EngineConnector};
+use tqs_core::backend::{DbmsConnector, EngineKind};
 use tqs_core::dsg::DsgDatabase;
 use tqs_core::mutation::{DmlGenConfig, DmlGenerator, DmlOracle};
 use tqs_core::oracle::OracleVerdict;
-use tqs_engine::{ColumnarDatabase, Database, DbmsProfile, DiskDatabase, ProfileId};
+use tqs_engine::{ColumnarDatabase, Database, DbmsProfile, DiskDatabase, Engine, ProfileId};
 use tqs_sql::ast::DmlStmt;
 
 /// Apply every program to one long-lived engine, timing the statements.
@@ -132,18 +132,9 @@ fn main() {
     }));
 
     println!("\nDML hunt — {programs} programs per faulty build\n");
-    for (label, mut conn) in [
-        ("row", EngineConnector::connect(ProfileId::MysqlLike, &dsg)),
-        (
-            "columnar",
-            EngineConnector::connect_columnar(ProfileId::MysqlLike, &dsg),
-        ),
-        (
-            "disk",
-            EngineConnector::connect_disk(ProfileId::MysqlLike, &dsg),
-        ),
-    ] {
-        members.extend(hunt(label, &dsg, &mut conn, programs, 909));
+    for kind in EngineKind::ALL {
+        let mut conn = kind.faulty(ProfileId::MysqlLike).loaded(&dsg);
+        members.extend(hunt(kind.label(), &dsg, &mut conn, programs, 909));
     }
     members.push(("programs".to_string(), Json::count(programs)));
 

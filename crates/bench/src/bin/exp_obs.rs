@@ -21,11 +21,11 @@ use std::time::Instant;
 use tqs_bench::{env_usize, standard_dsg, WORKLOADS};
 use tqs_campaign::Json;
 use tqs_core::dsg::DsgDatabase;
-use tqs_engine::{ColumnarDatabase, Database, DbmsProfile, ProfileId};
+use tqs_engine::{ColumnarDatabase, Database, DbmsProfile, Engine, ProfileId};
 
 /// One timed pass over every workload; returns (total seconds, per-workload
 /// seconds in `WORKLOADS` order).
-fn pass(row_db: &Database, col_db: &ColumnarDatabase, iters: usize) -> (f64, Vec<f64>) {
+fn pass(row_db: &mut Database, col_db: &mut ColumnarDatabase, iters: usize) -> (f64, Vec<f64>) {
     let mut per_workload = Vec::with_capacity(WORKLOADS.len());
     let mut total = 0f64;
     for (name, sql) in WORKLOADS {
@@ -61,8 +61,8 @@ fn main() {
 
     let shards = DsgDatabase::build_sharded(&standard_dsg(240, 77), 2);
     let catalog = shards[0].db.catalog.clone();
-    let row_db = Database::new(catalog.clone(), DbmsProfile::build(ProfileId::MysqlLike));
-    let col_db = ColumnarDatabase::new(catalog, DbmsProfile::columnar(ProfileId::MysqlLike));
+    let mut row_db = Database::new(catalog.clone(), DbmsProfile::build(ProfileId::MysqlLike));
+    let mut col_db = ColumnarDatabase::new(catalog, DbmsProfile::columnar(ProfileId::MysqlLike));
 
     println!(
         "Telemetry overhead — {iters} iterations per workload per pass, \
@@ -72,13 +72,13 @@ fn main() {
     // Warm both paths (page in the data, settle the allocator) before
     // anything is timed.
     tqs_telemetry::set_enabled(false);
-    pass(&row_db, &col_db, iters.div_ceil(10));
+    pass(&mut row_db, &mut col_db, iters.div_ceil(10));
 
-    let (off_total, off_per) = pass(&row_db, &col_db, iters);
+    let (off_total, off_per) = pass(&mut row_db, &mut col_db, iters);
 
     tqs_telemetry::set_enabled(true);
     tqs_telemetry::reset_metrics();
-    let (on_total, on_per) = pass(&row_db, &col_db, iters);
+    let (on_total, on_per) = pass(&mut row_db, &mut col_db, iters);
     let snapshot = tqs_telemetry::snapshot_metrics();
     let events = tqs_telemetry::take_events();
     tqs_telemetry::set_enabled(false);

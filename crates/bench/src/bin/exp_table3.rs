@@ -3,7 +3,7 @@
 //! `Oracle` trait.
 
 use tqs_bench::standard_dsg;
-use tqs_core::backend::EngineConnector;
+use tqs_core::backend::{BuildSpec, EngineConnector, EngineKind};
 use tqs_core::dsg::DsgDatabase;
 use tqs_core::oracle::{
     DifferentialOracle, NorecOracle, Oracle, PlanDiffOracle, PqsOracle, TlpOracle, TqsOracle,
@@ -45,7 +45,12 @@ fn main() {
         Box::new(TlpOracle),
         Box::new(NorecOracle),
         Box::new(DifferentialOracle::new(
-            EngineConnector::connect_columnar_pristine(ProfileId::MysqlLike, &dsg),
+            EngineConnector::open(
+                EngineKind::Columnar,
+                BuildSpec::Pristine,
+                ProfileId::MysqlLike,
+            )
+            .loaded(&dsg),
         )),
     ];
     let names: Vec<&str> = oracles.iter().map(|o| o.name()).collect();

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 use tqs_campaign::{CampaignConfig, EngineKind, OracleSpec, PlanMode, SupervisorConfig, Workload};
-use tqs_core::backend::EngineConnector;
+use tqs_core::backend::{BuildSpec, EngineConnector};
 use tqs_core::dsg::{DsgConfig, DsgDatabase, WideSource};
 use tqs_core::tqs::{TqsConfig, TqsSession};
 use tqs_engine::ProfileId;
@@ -72,7 +72,11 @@ pub fn standard_dsg(n_rows: usize, seed: u64) -> DsgConfig {
 /// Build a TQS session against the *faulty* build of `profile`.
 pub fn standard_session(profile: ProfileId, iterations: usize, seed: u64) -> TqsSession {
     TqsSession::builder()
-        .connector(EngineConnector::faulty(profile))
+        .connector(EngineConnector::open(
+            EngineKind::Row,
+            BuildSpec::Faulty,
+            profile,
+        ))
         .dsg(DsgDatabase::build(&standard_dsg(250, seed)))
         .config(TqsConfig {
             iterations,

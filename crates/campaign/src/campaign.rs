@@ -36,7 +36,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tqs_core::backend::{DbmsConnector, EngineConnector, RecordingConnector};
+use tqs_core::backend::{DbmsConnector, EngineKind, RecordingConnector};
 use tqs_core::bugs::{minimize_with_oracle, BugReport, KeyCache, OracleKind};
 use tqs_core::dsg::{DsgConfig, DsgDatabase, QueryGenConfig, QueryGenerator};
 use tqs_core::kqe::{Kqe, KqeConfig, KqeScorer};
@@ -55,69 +55,6 @@ fn count_statements(events: &[tqs_core::backend::TraceEvent]) -> usize {
         .iter()
         .filter(|e| matches!(e, tqs_core::backend::TraceEvent::Statement { .. }))
         .count()
-}
-
-/// Which executor a cell's build-under-test runs on. A second grid axis
-/// next to [`OracleSpec`]: the same fault profile hunts once per engine, and
-/// each engine carries its own fault complement (row faults, columnar
-/// faults, disk/storage faults), so the engine axis decides *which* latent
-/// bugs are reachable in the cell at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The row-at-a-time in-memory executor (the paper's model).
-    Row,
-    /// The columnar batch executor sharing the optimizer.
-    Columnar,
-    /// The disk-backed executor over the `tqs-pager` page store (buffer
-    /// pool, WAL, B+trees) with the storage-layer fault complement.
-    Disk,
-}
-
-impl EngineKind {
-    pub const ALL: [EngineKind; 3] = [EngineKind::Row, EngineKind::Columnar, EngineKind::Disk];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Row => "row",
-            EngineKind::Columnar => "columnar",
-            EngineKind::Disk => "disk",
-        }
-    }
-
-    pub fn from_label(label: &str) -> Result<EngineKind, String> {
-        Self::ALL
-            .into_iter()
-            .find(|e| e.label() == label)
-            .ok_or_else(|| format!("unknown engine kind `{label}`"))
-    }
-
-    /// The seeded-fault build of this engine, catalog not yet loaded (so a
-    /// recording wrapper can journal the load).
-    pub fn faulty(self, profile: ProfileId) -> EngineConnector {
-        match self {
-            EngineKind::Row => EngineConnector::faulty(profile),
-            EngineKind::Columnar => EngineConnector::columnar(profile),
-            EngineKind::Disk => EngineConnector::disk(profile),
-        }
-    }
-
-    /// The seeded-fault build of this engine, catalog loaded from `shard`.
-    pub fn connect_faulty(self, profile: ProfileId, shard: &Arc<DsgDatabase>) -> EngineConnector {
-        match self {
-            EngineKind::Row => EngineConnector::connect(profile, shard),
-            EngineKind::Columnar => EngineConnector::connect_columnar(profile, shard),
-            EngineKind::Disk => EngineConnector::connect_disk(profile, shard),
-        }
-    }
-
-    /// The fault-free build of this engine, catalog loaded from `shard`.
-    pub fn connect_pristine(self, profile: ProfileId, shard: &Arc<DsgDatabase>) -> EngineConnector {
-        match self {
-            EngineKind::Row => EngineConnector::connect_pristine(profile, shard),
-            EngineKind::Columnar => EngineConnector::connect_columnar_pristine(profile, shard),
-            EngineKind::Disk => EngineConnector::connect_disk_pristine(profile, shard),
-        }
-    }
 }
 
 /// How many physical plans a cell hunts per statement — the plan-space grid

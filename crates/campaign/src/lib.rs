@@ -91,17 +91,19 @@ pub mod supervisor;
 pub mod triage;
 
 pub use campaign::{
-    Campaign, CampaignCell, CampaignConfig, CampaignStopHandle, EngineKind, OracleSpec, PlanMode,
-    Workload,
+    Campaign, CampaignCell, CampaignConfig, CampaignStopHandle, OracleSpec, PlanMode, Workload,
 };
 pub use checkpoint::{CellRecord, Checkpoint, CheckpointHeader, CheckpointLoad, RunRecord};
 pub use corpus::{CompactionStats, Corpus, CorpusEntry, StoredStatement};
 pub use json::Json;
 pub use reverify::{
-    BuildSpec, ClassVerdict, ReverifyCampaign, ReverifyConfig, ReverifyReport, ReverifyStatus,
+    ClassVerdict, ReverifyCampaign, ReverifyConfig, ReverifyReport, ReverifyStatus,
 };
 pub use scheduler::WorkQueues;
 pub use stats::{CampaignStats, LiveStats, ReverifyStats, RunTotals};
 pub use status::{CampaignStatusServer, StatusBoard};
 pub use supervisor::{AppendOptions, Quarantine, QuarantineEntry, SupervisorConfig};
+/// The grid's engine axis and the re-verification build axis are the two
+/// arguments of [`tqs_core::backend::EngineConnector::open`]; they live there.
+pub use tqs_core::backend::{BuildSpec, EngineKind};
 pub use triage::{BugTriage, TriageClass};

@@ -43,7 +43,7 @@
 //! report is assembled in deterministic (entry, build) order regardless of
 //! which worker drained which pair.
 
-use crate::campaign::{Campaign, CampaignCell, CampaignConfig, EngineKind};
+use crate::campaign::{Campaign, CampaignCell, CampaignConfig};
 use crate::corpus::CorpusEntry;
 use crate::json::Json;
 use crate::scheduler::WorkQueues;
@@ -53,59 +53,12 @@ use std::collections::BTreeSet;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
-use tqs_core::backend::EngineConnector;
+use tqs_core::backend::{BuildSpec, EngineConnector};
 use tqs_core::bugs::{BugReport, OracleKind};
 use tqs_core::dsg::DsgDatabase;
 use tqs_core::mutation::DmlOracle;
-use tqs_engine::ProfileId;
 use tqs_sql::parser::{parse_program, parse_stmt};
 use tqs_sql::render::render_dml;
-
-/// Which engine build a class is re-executed against. Builds apply to the
-/// *entry's own profile* (the cell that discovered it), so one re-verification
-/// covers a mixed-profile corpus uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildSpec {
-    /// The seeded-fault build that produced the corpus — the "nothing was
-    /// fixed yet" baseline; every sound class re-verifies `StillFailing`.
-    Faulty,
-    /// The fault-free build of the same profile — models "every root cause
-    /// fixed"; every sound class re-verifies `Fixed`.
-    Pristine,
-}
-
-impl BuildSpec {
-    pub const ALL: [BuildSpec; 2] = [BuildSpec::Faulty, BuildSpec::Pristine];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            BuildSpec::Faulty => "faulty",
-            BuildSpec::Pristine => "pristine",
-        }
-    }
-
-    pub fn from_label(label: &str) -> Result<BuildSpec, String> {
-        Self::ALL
-            .into_iter()
-            .find(|b| b.label() == label)
-            .ok_or_else(|| format!("unknown build spec `{label}`"))
-    }
-
-    /// A live connector for this build of `profile` on `engine` (the
-    /// discovering cell's executor — a disk-found class re-executes on the
-    /// disk engine), catalog loaded.
-    fn connect(
-        self,
-        engine: EngineKind,
-        profile: ProfileId,
-        shard: &Arc<DsgDatabase>,
-    ) -> EngineConnector {
-        match self {
-            BuildSpec::Faulty => engine.connect_faulty(profile, shard),
-            BuildSpec::Pristine => engine.connect_pristine(profile, shard),
-        }
-    }
-}
 
 /// Verdict for one (class, build) pair. Declared in ascending severity so
 /// [`ReverifyReport::class_status`] can aggregate across builds with `max`.
@@ -470,7 +423,7 @@ impl ReverifyCampaign {
         let replay_reproduced = matches_class(&entry.report, replay_verdict.into_bugs());
 
         // Live leg: a fresh end-to-end execution on the build under test.
-        let mut conn = build.connect(cell.engine, cell.profile, shard);
+        let mut conn = EngineConnector::open(cell.engine, build, cell.profile).loaded(shard);
         let live_verdict = cell.build_oracle(shard).check(&stmt, &mut conn);
         if !live_verdict.executed() {
             return stale(
@@ -558,7 +511,7 @@ impl ReverifyCampaign {
         let replay_reproduced = matches_class(&entry.report, replay_verdict.into_bugs());
 
         // Live leg: a fresh end-to-end execution on the build under test.
-        let mut conn = build.connect(cell.engine, cell.profile, shard);
+        let mut conn = EngineConnector::open(cell.engine, build, cell.profile).loaded(shard);
         let live_verdict = oracle.check_program(&program, &mut conn);
         if !live_verdict.executed() {
             return stale(format!(
@@ -605,7 +558,9 @@ fn matches_class(recorded: &BugReport, candidates: Vec<BugReport>) -> bool {
 mod tests {
     use super::*;
     use crate::campaign::{OracleSpec, PlanMode, Workload};
+    use tqs_core::backend::EngineKind;
     use tqs_core::dsg::{DsgConfig, WideSource};
+    use tqs_engine::ProfileId;
     use tqs_schema::NoiseConfig;
     use tqs_storage::widegen::ShoppingConfig;
 

@@ -10,11 +10,13 @@
 //!
 //! Three implementations ship here:
 //!
-//! * [`EngineConnector`] — the in-process simulated DBMS in one of its four
-//!   profile builds, executed row-at-a-time ([`tqs_engine::Database`]),
-//!   batch-at-a-time over column vectors ([`tqs_engine::ColumnarDatabase`],
-//!   see [`EngineConnector::columnar`]), or out of a disk-backed page store
-//!   ([`tqs_engine::DiskDatabase`], see [`EngineConnector::disk`]). The three
+//! * [`EngineConnector`] — the in-process simulated DBMS, opened in exactly
+//!   one way: [`EngineConnector::open`]`(`[`EngineKind`]`, `[`BuildSpec`]`,
+//!   ProfileId)`, then [`EngineConnector::loaded`] for a catalog. The kind
+//!   picks the executor — row-at-a-time ([`tqs_engine::Database`]),
+//!   batch-at-a-time over column vectors ([`tqs_engine::ColumnarDatabase`]) or
+//!   out of a disk-backed page store ([`tqs_engine::DiskDatabase`]) — and the
+//!   connector holds it behind the one [`tqs_engine::Engine`] front. The three
 //!   executors carry pairwise-disjoint fault complements, which is what makes
 //!   cross-engine differential testing
 //!   ([`crate::oracle::DifferentialOracle`]) meaningful.
@@ -32,7 +34,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use tqs_engine::{ColumnarDatabase, Database, DbmsProfile, DiskDatabase, FaultKind, ProfileId};
+use tqs_engine::{
+    ColumnarDatabase, Database, DbmsProfile, DiskDatabase, Engine, FaultKind, ProfileId,
+};
 use tqs_sql::ast::{DmlStmt, SelectStmt};
 use tqs_sql::hints::HintSet;
 use tqs_sql::parser::{parse_dml, parse_stmt};
@@ -169,142 +173,121 @@ fn dml_sql_outcome(out: &tqs_engine::DmlOutcome) -> SqlOutcome {
     }
 }
 
-/// The three executors an [`EngineConnector`] can host.
-enum EngineBackend {
-    Row(Database),
-    Columnar(ColumnarDatabase),
-    // Boxed: the disk backend carries a buffer pool and is ~2x the size of
-    // the other variants; keep the enum at in-memory-engine size.
-    Disk(Box<DiskDatabase>),
+/// Which executor a build runs on. Each carries its own fault complement
+/// (row faults, columnar faults, disk/storage faults), so the kind decides
+/// *which* latent bugs are reachable at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineKind {
+    /// The row-at-a-time in-memory executor (the paper's model).
+    Row,
+    /// The columnar batch executor sharing the optimizer.
+    Columnar,
+    /// The disk-backed executor over the `tqs-pager` page store (buffer
+    /// pool, WAL, B+trees) with the storage-layer fault complement.
+    Disk,
 }
 
-/// The first connector: the in-process simulated DBMS of [`tqs_engine`],
-/// hosting the row, columnar or disk executor.
+impl EngineKind {
+    pub const ALL: [EngineKind; 3] = [EngineKind::Row, EngineKind::Columnar, EngineKind::Disk];
+
+    pub fn label(self) -> &'static str {
+        match self {
+            EngineKind::Row => "row",
+            EngineKind::Columnar => "columnar",
+            EngineKind::Disk => "disk",
+        }
+    }
+
+    pub fn from_label(label: &str) -> Result<EngineKind, String> {
+        Self::ALL
+            .into_iter()
+            .find(|e| e.label() == label)
+            .ok_or_else(|| format!("unknown engine kind `{label}`"))
+    }
+
+    /// The seeded-fault build of this engine, catalog not yet loaded (so a
+    /// recording wrapper can journal the load).
+    pub fn faulty(self, profile: ProfileId) -> EngineConnector {
+        EngineConnector::open(self, BuildSpec::Faulty, profile)
+    }
+
+    /// The fault-free build of this engine, catalog loaded from `dsg`.
+    pub fn connect_pristine(self, profile: ProfileId, dsg: &DsgDatabase) -> EngineConnector {
+        EngineConnector::open(self, BuildSpec::Pristine, profile).loaded(dsg)
+    }
+}
+
+/// Which build of a profile runs: with its seeded faults, or with every one
+/// of them fixed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BuildSpec {
+    /// The seeded-fault build — what a hunt tests and what produced a corpus.
+    Faulty,
+    /// The fault-free build of the same profile: soundness tests, reference
+    /// panels, "every root cause fixed".
+    Pristine,
+}
+
+impl BuildSpec {
+    pub const ALL: [BuildSpec; 2] = [BuildSpec::Faulty, BuildSpec::Pristine];
+
+    pub fn label(self) -> &'static str {
+        match self {
+            BuildSpec::Faulty => "faulty",
+            BuildSpec::Pristine => "pristine",
+        }
+    }
+
+    pub fn from_label(label: &str) -> Result<BuildSpec, String> {
+        Self::ALL
+            .into_iter()
+            .find(|b| b.label() == label)
+            .ok_or_else(|| format!("unknown build spec `{label}`"))
+    }
+}
+
+/// The first connector: the in-process simulated DBMS of [`tqs_engine`] —
+/// one engine session, whichever executor runs it.
 pub struct EngineConnector {
-    backend: EngineBackend,
+    engine: Box<dyn Engine + Send>,
     dialect: ProfileId,
     /// Operator profile of the last executed statement (telemetry on only).
     last_profile: Option<QueryProfile>,
 }
 
 impl EngineConnector {
-    /// Connector over an explicit row-engine build (profile + faults).
-    pub fn new(dialect: ProfileId, profile: DbmsProfile) -> Self {
-        EngineConnector {
-            backend: EngineBackend::Row(Database::new(Catalog::new(), profile)),
-            dialect,
-            last_profile: None,
-        }
-    }
-
-    /// The faulty build of `id`, with its full Table 4 fault complement.
-    pub fn faulty(id: ProfileId) -> Self {
-        Self::new(id, DbmsProfile::build(id))
-    }
-
-    /// A fault-free build of `id` (soundness tests, ablation baselines).
-    pub fn pristine(id: ProfileId) -> Self {
-        Self::new(id, DbmsProfile::pristine(id))
-    }
-
-    /// The second engine: the columnar (batch-at-a-time) build of `id`,
-    /// seeded with the columnar fault complement
-    /// ([`tqs_engine::FaultKind::COLUMNAR`]).
-    pub fn columnar(id: ProfileId) -> Self {
-        EngineConnector {
-            backend: EngineBackend::Columnar(ColumnarDatabase::new(
-                Catalog::new(),
-                DbmsProfile::columnar(id),
-            )),
-            dialect: id,
-            last_profile: None,
-        }
-    }
-
-    /// A fault-free columnar build of `id` — the reference engine for
-    /// cross-engine differential testing.
-    pub fn columnar_pristine(id: ProfileId) -> Self {
-        EngineConnector {
-            backend: EngineBackend::Columnar(ColumnarDatabase::new(
-                Catalog::new(),
-                DbmsProfile::columnar_pristine(id),
-            )),
-            dialect: id,
-            last_profile: None,
-        }
-    }
-
-    /// Factory helper: the faulty build of `id`, already loaded with the DSG
-    /// database's catalog — what [`crate::baselines::run_baseline`] and the
-    /// experiment binaries use to obtain a ready engine connector.
-    pub fn connect(id: ProfileId, dsg: &DsgDatabase) -> Self {
-        Self::faulty(id).loaded(dsg)
-    }
-
-    /// Factory helper: like [`connect`](Self::connect) but fault-free.
-    pub fn connect_pristine(id: ProfileId, dsg: &DsgDatabase) -> Self {
-        Self::pristine(id).loaded(dsg)
-    }
-
-    /// Factory helper: the faulty columnar build, catalog loaded.
-    pub fn connect_columnar(id: ProfileId, dsg: &DsgDatabase) -> Self {
-        Self::columnar(id).loaded(dsg)
-    }
-
-    /// Factory helper: the fault-free columnar build, catalog loaded.
-    pub fn connect_columnar_pristine(id: ProfileId, dsg: &DsgDatabase) -> Self {
-        Self::columnar_pristine(id).loaded(dsg)
-    }
-
-    /// The third engine: the disk-backed build of `id`, scanning its tables
-    /// out of a `tqs-pager` page store (buffer pool, WAL, B+trees) and seeded
-    /// with the storage fault complement ([`tqs_engine::FaultKind::DISK`]).
-    pub fn disk(id: ProfileId) -> Self {
-        EngineConnector {
-            backend: EngineBackend::Disk(Box::new(
-                DiskDatabase::new(Catalog::new(), DbmsProfile::disk(id))
+    /// The `build` of profile `id` on the `kind` executor, no catalog loaded
+    /// yet. Each executor's faulty build carries its own complement: Table 4
+    /// on row, [`FaultKind::COLUMNAR`] on columnar, [`FaultKind::DISK`] on
+    /// disk (whose page store lives in a per-connector temp directory).
+    pub fn open(kind: EngineKind, build: BuildSpec, id: ProfileId) -> Self {
+        let of = |faulty: DbmsProfile| match build {
+            BuildSpec::Faulty => faulty,
+            BuildSpec::Pristine => faulty.fault_free(),
+        };
+        let empty = Catalog::new();
+        let engine: Box<dyn Engine + Send> = match kind {
+            EngineKind::Row => Box::new(Database::new(empty, of(DbmsProfile::build(id)))),
+            EngineKind::Columnar => {
+                Box::new(ColumnarDatabase::new(empty, of(DbmsProfile::columnar(id))))
+            }
+            EngineKind::Disk => Box::new(
+                DiskDatabase::new(empty, of(DbmsProfile::disk(id)))
                     .expect("disk store creation in the temp dir"),
-            )),
-            dialect: id,
-            last_profile: None,
-        }
-    }
-
-    /// A fault-free disk build of `id` — the third member of three-way
-    /// differential panels.
-    pub fn disk_pristine(id: ProfileId) -> Self {
+            ),
+        };
         EngineConnector {
-            backend: EngineBackend::Disk(Box::new(
-                DiskDatabase::new(Catalog::new(), DbmsProfile::disk_pristine(id))
-                    .expect("disk store creation in the temp dir"),
-            )),
+            engine,
             dialect: id,
             last_profile: None,
         }
     }
 
-    /// Factory helper: the faulty disk build, catalog loaded.
-    pub fn connect_disk(id: ProfileId, dsg: &DsgDatabase) -> Self {
-        Self::disk(id).loaded(dsg)
-    }
-
-    /// Factory helper: the fault-free disk build, catalog loaded.
-    pub fn connect_disk_pristine(id: ProfileId, dsg: &DsgDatabase) -> Self {
-        Self::disk_pristine(id).loaded(dsg)
-    }
-
-    fn loaded(mut self, dsg: &DsgDatabase) -> Self {
+    /// This connector with the DSG database's catalog loaded.
+    pub fn loaded(mut self, dsg: &DsgDatabase) -> Self {
         self.load_catalog(&dsg.db.catalog)
             .expect("engine catalog load");
         self
-    }
-
-    fn profile(&self) -> &DbmsProfile {
-        match &self.backend {
-            EngineBackend::Row(db) => &db.profile,
-            EngineBackend::Columnar(db) => db.profile(),
-            EngineBackend::Disk(db) => db.profile(),
-        }
     }
 
     /// Convert an engine outcome, stashing its operator profile so
@@ -313,50 +296,35 @@ impl EngineConnector {
         &mut self,
         r: Result<tqs_engine::ExecOutcome, tqs_engine::EngineError>,
     ) -> Result<SqlOutcome, ConnectorError> {
-        match r {
-            Ok(o) => {
-                self.last_profile = o.profile;
-                Ok(SqlOutcome {
-                    result: o.result,
-                    fired: o.fired,
-                })
-            }
-            Err(e) => {
-                self.last_profile = None;
-                Err(ConnectorError::new(e.to_string()))
-            }
-        }
+        self.last_profile = None;
+        let out = r.map_err(engine_error)?;
+        self.last_profile = out.profile;
+        Ok(SqlOutcome {
+            result: out.result,
+            fired: out.fired,
+        })
     }
 }
 
-impl From<tqs_engine::ExecOutcome> for SqlOutcome {
-    fn from(o: tqs_engine::ExecOutcome) -> Self {
-        SqlOutcome {
-            result: o.result,
-            fired: o.fired,
-        }
-    }
+fn engine_error(e: tqs_engine::EngineError) -> ConnectorError {
+    ConnectorError::new(e.to_string())
 }
 
 impl DbmsConnector for EngineConnector {
     fn info(&self) -> ConnectorInfo {
+        let profile = self.engine.profile();
         ConnectorInfo {
-            name: self.profile().info.name.clone(),
-            version: self.profile().info.version.clone(),
+            name: profile.info.name.clone(),
+            version: profile.info.version.clone(),
             dialect: self.dialect,
-            seeded_faults: !self.profile().faults.is_empty(),
+            seeded_faults: !profile.faults.is_empty(),
         }
     }
 
     fn load_catalog(&mut self, catalog: &Catalog) -> Result<(), ConnectorError> {
-        match &mut self.backend {
-            EngineBackend::Row(db) => db.catalog = catalog.clone(),
-            EngineBackend::Columnar(db) => db.set_catalog(catalog.clone()),
-            EngineBackend::Disk(db) => db
-                .load_catalog(catalog.clone())
-                .map_err(|e| ConnectorError::new(e.to_string()))?,
-        }
-        Ok(())
+        self.engine
+            .load_catalog(catalog.clone())
+            .map_err(engine_error)
     }
 
     fn execute_with_hints(
@@ -364,51 +332,23 @@ impl DbmsConnector for EngineConnector {
         stmt: &SelectStmt,
         hints: &HintSet,
     ) -> Result<SqlOutcome, ConnectorError> {
-        let r = match &mut self.backend {
-            EngineBackend::Row(db) => db.execute_with_hints(stmt, hints),
-            EngineBackend::Columnar(db) => db.execute_with_hints(stmt, hints),
-            EngineBackend::Disk(db) => db.execute_with_hints(stmt, hints),
-        };
+        let r = self.engine.execute_with_hints(stmt, hints);
         self.finish(r)
     }
 
     fn explain(&mut self, stmt: &SelectStmt) -> Result<String, ConnectorError> {
-        match &self.backend {
-            EngineBackend::Row(db) => db.explain(stmt),
-            EngineBackend::Columnar(db) => db.explain(stmt),
-            EngineBackend::Disk(db) => db.explain(stmt),
-        }
-        .map_err(|e| ConnectorError::new(e.to_string()))
+        self.engine.explain(stmt).map_err(engine_error)
     }
 
     fn execute(&mut self, stmt: &SelectStmt) -> Result<SqlOutcome, ConnectorError> {
-        let r = match &mut self.backend {
-            EngineBackend::Row(db) => db.execute(stmt),
-            EngineBackend::Columnar(db) => db.execute(stmt),
-            EngineBackend::Disk(db) => db.execute(stmt),
-        };
-        self.finish(r)
-    }
-
-    fn execute_sql(&mut self, sql: &str) -> Result<SqlOutcome, ConnectorError> {
-        let r = match &mut self.backend {
-            EngineBackend::Row(db) => db.execute_sql(sql),
-            EngineBackend::Columnar(db) => db.execute_sql(sql),
-            EngineBackend::Disk(db) => db.execute_sql(sql),
-        };
+        let r = self.engine.execute(stmt);
         self.finish(r)
     }
 
     fn execute_dml(&mut self, stmt: &DmlStmt) -> Result<SqlOutcome, ConnectorError> {
-        let r = match &mut self.backend {
-            EngineBackend::Row(db) => db.execute_dml(stmt),
-            EngineBackend::Columnar(db) => db.execute_dml(stmt),
-            EngineBackend::Disk(db) => db.execute_dml(stmt),
-        };
-        match r {
-            Ok(out) => Ok(dml_sql_outcome(&out)),
-            Err(e) => Err(ConnectorError::new(e.to_string())),
-        }
+        self.last_profile = None;
+        let out = self.engine.execute_dml(stmt).map_err(engine_error)?;
+        Ok(dml_sql_outcome(&out))
     }
 
     fn query_profile(&self) -> Option<QueryProfile> {
@@ -765,7 +705,7 @@ mod tests {
     #[test]
     fn engine_connector_reports_profile_metadata() {
         for id in ProfileId::ALL {
-            let conn = EngineConnector::faulty(id);
+            let conn = EngineKind::Row.faulty(id);
             let info = conn.info();
             assert_eq!(info.name, id.name());
             assert_eq!(info.dialect, id);
@@ -776,7 +716,7 @@ mod tests {
     #[test]
     fn connect_loads_the_dsg_catalog() {
         let dsg = small_dsg();
-        let mut conn = EngineConnector::connect_pristine(ProfileId::MysqlLike, &dsg);
+        let mut conn = EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &dsg);
         let table = &dsg.db.metas[0].name;
         let out = conn
             .execute_sql(&format!("SELECT COUNT(*) AS c FROM {table}"))
@@ -786,9 +726,33 @@ mod tests {
     }
 
     #[test]
+    fn query_profile_follows_the_most_recent_statement() {
+        let dsg = small_dsg();
+        let mut conn = EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &dsg);
+        let table = &dsg.db.metas[0].name;
+        // The flag is process-wide: keep it on for exactly the two statements.
+        tqs_telemetry::set_enabled(true);
+        let select = conn.execute_sql(&format!("SELECT COUNT(*) AS c FROM {table}"));
+        let after_select = conn.query_profile();
+        let dml = conn.execute_dml_sql("BEGIN");
+        let after_dml = conn.query_profile();
+        tqs_telemetry::set_enabled(false);
+        select.expect("count over a loaded table");
+        dml.expect("BEGIN");
+        assert!(
+            after_select.is_some(),
+            "a SELECT leaves its operator profile"
+        );
+        assert!(
+            after_dml.is_none(),
+            "a DML statement has no operator profile; the SELECT's must not linger"
+        );
+    }
+
+    #[test]
     fn execute_default_matches_execute_with_empty_hints() {
         let dsg = small_dsg();
-        let mut conn = EngineConnector::connect_pristine(ProfileId::TidbLike, &dsg);
+        let mut conn = EngineKind::Row.connect_pristine(ProfileId::TidbLike, &dsg);
         let table = &dsg.db.metas[0].name;
         let col = &dsg.db.metas[0].columns[0];
         let stmt = parse_stmt(&format!("SELECT {table}.{col} FROM {table}")).unwrap();
@@ -802,7 +766,11 @@ mod tests {
     #[test]
     fn recording_connector_traces_every_call() {
         let dsg = small_dsg();
-        let mut conn = RecordingConnector::new(EngineConnector::pristine(ProfileId::MariadbLike));
+        let mut conn = RecordingConnector::new(EngineConnector::open(
+            EngineKind::Row,
+            BuildSpec::Pristine,
+            ProfileId::MariadbLike,
+        ));
         conn.load_catalog(&dsg.db.catalog).unwrap();
         let table = &dsg.db.metas[0].name;
         let col = &dsg.db.metas[0].columns[0];
@@ -837,7 +805,7 @@ mod tests {
     #[test]
     fn columnar_connector_reports_columnar_metadata() {
         for id in ProfileId::ALL {
-            let conn = EngineConnector::columnar(id);
+            let conn = EngineKind::Columnar.faulty(id);
             let info = conn.info();
             assert!(info.name.contains("[columnar]"), "{}", info.name);
             assert_eq!(info.dialect, id);
@@ -847,8 +815,8 @@ mod tests {
     #[test]
     fn columnar_connector_agrees_with_row_connector_when_pristine() {
         let dsg = small_dsg();
-        let mut row = EngineConnector::connect_pristine(ProfileId::MysqlLike, &dsg);
-        let mut col = EngineConnector::connect_columnar_pristine(ProfileId::MysqlLike, &dsg);
+        let mut row = EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &dsg);
+        let mut col = EngineKind::Columnar.connect_pristine(ProfileId::MysqlLike, &dsg);
         let table = &dsg.db.metas[0].name;
         let cols = &dsg.db.metas[0].columns;
         let sql = format!("SELECT {table}.{} FROM {table}", cols[0]);
@@ -864,7 +832,7 @@ mod tests {
     #[test]
     fn disk_connector_reports_disk_metadata() {
         for id in ProfileId::ALL {
-            let conn = EngineConnector::disk(id);
+            let conn = EngineKind::Disk.faulty(id);
             let info = conn.info();
             assert!(info.name.contains("[disk]"), "{}", info.name);
             assert!(info.version.ends_with("-disk"), "{}", info.version);
@@ -875,8 +843,8 @@ mod tests {
     #[test]
     fn disk_connector_agrees_with_row_connector_when_pristine() {
         let dsg = small_dsg();
-        let mut row = EngineConnector::connect_pristine(ProfileId::MysqlLike, &dsg);
-        let mut disk = EngineConnector::connect_disk_pristine(ProfileId::MysqlLike, &dsg);
+        let mut row = EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &dsg);
+        let mut disk = EngineKind::Disk.connect_pristine(ProfileId::MysqlLike, &dsg);
         let table = &dsg.db.metas[0].name;
         let cols = &dsg.db.metas[0].columns;
         let sql = format!("SELECT {table}.{} FROM {table}", cols[0]);
@@ -892,7 +860,8 @@ mod tests {
     #[test]
     fn replay_connector_serves_recorded_outcomes_deterministically() {
         let dsg = small_dsg();
-        let mut rec = RecordingConnector::new(EngineConnector::connect(ProfileId::XdbLike, &dsg));
+        let mut rec =
+            RecordingConnector::new(EngineKind::Row.faulty(ProfileId::XdbLike).loaded(&dsg));
         let table = &dsg.db.metas[0].name;
         let col = &dsg.db.metas[0].columns[0];
         let stmt = parse_stmt(&format!("SELECT {table}.{col} FROM {table}")).unwrap();

@@ -9,7 +9,7 @@
 //! and oracle. All three baselines talk to the DBMS exclusively through
 //! [`DbmsConnector`], so they run unchanged against any backend.
 
-use crate::backend::{DbmsConnector, EngineConnector};
+use crate::backend::{BuildSpec, DbmsConnector, EngineConnector, EngineKind};
 use crate::bugs::BugLog;
 use crate::dsg::{DsgDatabase, QueryGenConfig, QueryGenerator};
 use crate::kqe::{Kqe, KqeConfig};
@@ -73,14 +73,14 @@ pub fn run_baseline(
     dsg: &DsgDatabase,
     cfg: &BaselineConfig,
 ) -> RunStats {
-    let mut conn = EngineConnector::connect(profile, dsg);
+    let mut conn = EngineConnector::open(EngineKind::Row, BuildSpec::Faulty, profile).loaded(dsg);
     run_baseline_on(baseline, &mut conn, dsg, cfg)
 }
 
 /// Same as [`run_baseline`] but against an explicit connector (lets tests use
 /// pristine builds, recording proxies, or entirely different backends). The
 /// connector must already have the DSG catalog loaded — see
-/// [`EngineConnector::connect`] / [`DbmsConnector::load_catalog`].
+/// [`EngineConnector::loaded`] / [`DbmsConnector::load_catalog`].
 pub fn run_baseline_on(
     baseline: Baseline,
     conn: &mut dyn DbmsConnector,
@@ -160,7 +160,7 @@ mod tests {
     fn baselines_produce_no_false_positives_on_pristine_engines() {
         let d = dsg();
         for b in [Baseline::Pqs, Baseline::Tlp, Baseline::NoRec] {
-            let mut conn = EngineConnector::connect_pristine(ProfileId::MysqlLike, &d);
+            let mut conn = EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &d);
             let stats = run_baseline_on(b, &mut conn, &d, &cfg());
             assert_eq!(stats.bug_count, 0, "{b:?} reported false positives");
             assert_eq!(stats.queries_generated, 30);
@@ -197,7 +197,11 @@ mod tests {
     #[test]
     fn baselines_run_through_a_recording_proxy() {
         let d = dsg();
-        let mut conn = RecordingConnector::new(EngineConnector::pristine(ProfileId::TidbLike));
+        let mut conn = RecordingConnector::new(EngineConnector::open(
+            EngineKind::Row,
+            BuildSpec::Pristine,
+            ProfileId::TidbLike,
+        ));
         conn.load_catalog(&d.db.catalog).unwrap();
         let stats = run_baseline_on(Baseline::NoRec, &mut conn, &d, &cfg());
         assert_eq!(stats.dbms, "TiDB-like");
@@ -226,7 +230,7 @@ mod tests {
         // the same footing as the baselines.
         let d = dsg();
         let mut oracle = crate::oracle::TqsOracle::new(&d);
-        let mut conn = EngineConnector::connect(ProfileId::MysqlLike, &d);
+        let mut conn = EngineKind::Row.faulty(ProfileId::MysqlLike).loaded(&d);
         let stats = run_oracle_on(
             &mut oracle,
             None,

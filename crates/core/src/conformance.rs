@@ -14,24 +14,13 @@
 //! * **The session surface works**: `load_catalog` accepts a DSG catalog, raw
 //!   SQL round-trips through `execute_sql`, and `explain` yields a plan.
 
-use crate::backend::DbmsConnector;
+use crate::backend::{BuildSpec, DbmsConnector};
 use crate::dsg::{DsgConfig, DsgDatabase, QueryGenerator, UniformScorer, WideSource};
 use crate::hintgen::hint_sets_for;
 use crate::mutation::{DmlGenConfig, DmlGenerator, DmlOracle};
 use crate::oracle::OracleVerdict;
 use tqs_schema::{GroundTruthEvaluator, NoiseConfig};
 use tqs_storage::widegen::ShoppingConfig;
-
-/// What kind of build the connector under test is driving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildKind {
-    /// Fault-free: the suite asserts soundness (no mismatches, no fired
-    /// faults, all plans agree).
-    Pristine,
-    /// Fault-seeded: the suite asserts that the misbehavior is observable
-    /// (at least one mismatch or fired fault over the run).
-    Seeded,
-}
 
 /// The standard small testing database the suite drives connectors with.
 pub fn conformance_dsg() -> DsgDatabase {
@@ -51,7 +40,7 @@ pub fn conformance_dsg() -> DsgDatabase {
 
 /// Run the conformance contract against `conn`. Panics (with a diagnostic)
 /// on any violation, like an assertion-style test helper.
-pub fn assert_connector_conformance(conn: &mut dyn DbmsConnector, kind: BuildKind) {
+pub fn assert_connector_conformance(conn: &mut dyn DbmsConnector, kind: BuildSpec) {
     let dsg = conformance_dsg();
     conn.load_catalog(&dsg.db.catalog)
         .expect("conformance: load_catalog must accept a DSG catalog");
@@ -78,10 +67,10 @@ pub fn assert_connector_conformance(conn: &mut dyn DbmsConnector, kind: BuildKin
     let mut explained = false;
 
     let iterations = match kind {
-        BuildKind::Pristine => 60,
+        BuildSpec::Pristine => 60,
         // Seeded builds get a longer budget: the faults are corner-case
         // triggers and need enough generated queries to fire.
-        BuildKind::Seeded => 150,
+        BuildSpec::Faulty => 150,
     };
     for _ in 0..iterations {
         let stmt = generator.generate(&dsg, None, &UniformScorer);
@@ -112,7 +101,7 @@ pub fn assert_connector_conformance(conn: &mut dyn DbmsConnector, kind: BuildKin
             }
             if !truth.matches(&out.result) {
                 mismatches += 1;
-                if kind == BuildKind::Pristine {
+                if kind == BuildSpec::Pristine {
                     panic!(
                         "conformance: pristine {} diverged from ground truth under hint set \
                          `{label}` on:\n{}",
@@ -136,7 +125,7 @@ pub fn assert_connector_conformance(conn: &mut dyn DbmsConnector, kind: BuildKin
             }
             if !default_out.result.same_bag(&out.result) {
                 plan_divergences += 1;
-                if kind == BuildKind::Pristine {
+                if kind == BuildSpec::Pristine {
                     panic!(
                         "conformance: pristine {} plan `{label}` disagrees with the default \
                          plan on:\n{}",
@@ -154,14 +143,14 @@ pub fn assert_connector_conformance(conn: &mut dyn DbmsConnector, kind: BuildKin
         info.name
     );
     match kind {
-        BuildKind::Pristine => {
+        BuildSpec::Pristine => {
             assert!(
                 !fired_any,
                 "conformance: pristine {} reported fired faults",
                 info.name
             );
         }
-        BuildKind::Seeded => {
+        BuildSpec::Faulty => {
             assert!(
                 fired_any || mismatches > 0 || plan_divergences > 0,
                 "conformance: seeded {} never misbehaved over {iterations} queries — \
@@ -190,7 +179,7 @@ pub fn assert_connector_conformance(conn: &mut dyn DbmsConnector, kind: BuildKin
 /// Panics with a diagnostic on any violation. A connector without DML
 /// support should simply not call this — the base contract
 /// ([`assert_connector_conformance`]) never touches mutation paths.
-pub fn assert_dml_conformance(conn: &mut dyn DbmsConnector, kind: BuildKind) {
+pub fn assert_dml_conformance(conn: &mut dyn DbmsConnector, kind: BuildSpec) {
     let dsg = conformance_dsg();
     conn.load_catalog(&dsg.db.catalog)
         .expect("dml conformance: load_catalog must accept a DSG catalog");
@@ -283,8 +272,8 @@ pub fn assert_dml_conformance(conn: &mut dyn DbmsConnector, kind: BuildKind) {
     let oracle = DmlOracle::from_dsg(&dsg);
     let mut gen = DmlGenerator::new(DmlGenConfig::default());
     let programs = match kind {
-        BuildKind::Pristine => 10,
-        BuildKind::Seeded => 25,
+        BuildSpec::Pristine => 10,
+        BuildSpec::Faulty => 25,
     };
     let mut executed = 0usize;
     let mut bugs = 0usize;
@@ -294,7 +283,7 @@ pub fn assert_dml_conformance(conn: &mut dyn DbmsConnector, kind: BuildKind) {
             OracleVerdict::Bugs(reports) => {
                 executed += 1;
                 bugs += reports.len();
-                if kind == BuildKind::Pristine {
+                if kind == BuildSpec::Pristine {
                     panic!(
                         "dml conformance: pristine {} diverged from the mutation ground \
                          truth: {reports:#?}",
@@ -311,7 +300,7 @@ pub fn assert_dml_conformance(conn: &mut dyn DbmsConnector, kind: BuildKind) {
         "dml conformance: {} executed only {executed}/{programs} programs",
         info.name
     );
-    if kind == BuildKind::Seeded {
+    if kind == BuildSpec::Faulty {
         assert!(
             bugs > 0,
             "dml conformance: seeded {} never misbehaved over {programs} mutation programs",

@@ -28,7 +28,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use tqs_core::backend::EngineConnector;
+//! use tqs_core::backend::{BuildSpec, EngineConnector, EngineKind};
 //! use tqs_core::dsg::{DsgConfig, WideSource};
 //! use tqs_core::tqs::{TqsConfig, TqsSession};
 //! use tqs_engine::ProfileId;
@@ -39,7 +39,7 @@
 //!     ..Default::default()
 //! };
 //! let mut session = TqsSession::builder()
-//!     .connector(EngineConnector::faulty(ProfileId::MysqlLike))
+//!     .connector(EngineConnector::open(EngineKind::Row, BuildSpec::Faulty, ProfileId::MysqlLike))
 //!     .dsg_config(&dsg_cfg)
 //!     .config(TqsConfig { iterations: 25, ..Default::default() })
 //!     .build()
@@ -71,7 +71,7 @@ pub use backend::{
 };
 pub use baselines::{run_baseline, run_baseline_on, run_oracle_on, Baseline, BaselineConfig};
 pub use bugs::{minimize_query, minimize_with_oracle, BugLog, BugReport, OracleKind};
-pub use conformance::{assert_connector_conformance, assert_dml_conformance, BuildKind};
+pub use conformance::{assert_connector_conformance, assert_dml_conformance};
 pub use dsg::{DsgConfig, DsgDatabase, QueryGenConfig, QueryGenerator, UniformScorer, WideSource};
 pub use hintgen::hint_sets_for;
 pub use kqe::{Kqe, KqeConfig, KqeScorer};

@@ -748,7 +748,7 @@ fn mutation_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::EngineConnector;
+    use crate::backend::{BuildSpec, EngineConnector, EngineKind};
     use crate::conformance::conformance_dsg;
     use tqs_engine::{FaultKind, ProfileId};
     use tqs_sql::parser::parse_program;
@@ -866,7 +866,8 @@ mod tests {
         });
         let programs: Vec<Vec<DmlStmt>> = (0..12).map(|_| gen.generate_program(&dsg)).collect();
 
-        let mut pristine = EngineConnector::pristine(ProfileId::MysqlLike);
+        let mut pristine =
+            EngineConnector::open(EngineKind::Row, BuildSpec::Pristine, ProfileId::MysqlLike);
         let mut executed = 0;
         for p in &programs {
             match oracle.check_program(p, &mut pristine) {
@@ -877,7 +878,7 @@ mod tests {
         }
         assert!(executed >= 10, "only {executed}/12 programs executed");
 
-        let mut faulty = EngineConnector::faulty(ProfileId::MysqlLike);
+        let mut faulty = EngineKind::Row.faulty(ProfileId::MysqlLike);
         let mut implicated: Vec<FaultKind> = Vec::new();
         for p in &programs {
             for r in oracle.check_program(p, &mut faulty).into_bugs() {
@@ -904,11 +905,8 @@ mod tests {
             ..Default::default()
         });
         let programs: Vec<Vec<DmlStmt>> = (0..15).map(|_| gen.generate_program(&dsg)).collect();
-        for (name, mut conn) in [
-            ("row", EngineConnector::faulty(ProfileId::MysqlLike)),
-            ("columnar", EngineConnector::columnar(ProfileId::MysqlLike)),
-            ("disk", EngineConnector::disk(ProfileId::MysqlLike)),
-        ] {
+        for kind in EngineKind::ALL {
+            let (name, mut conn) = (kind.label(), kind.faulty(ProfileId::MysqlLike));
             let mut bugs = 0;
             for p in &programs {
                 bugs += oracle.check_program(p, &mut conn).into_bugs().len();

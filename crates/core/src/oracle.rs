@@ -667,7 +667,7 @@ pub struct DifferentialOracle {
 
 impl DifferentialOracle {
     /// `reference` must already have the catalog under test loaded (e.g. via
-    /// [`crate::backend::EngineConnector::connect_columnar_pristine`]).
+    /// [`crate::backend::EngineConnector::loaded`]).
     pub fn new(reference: impl DbmsConnector + 'static) -> Self {
         Self::boxed(Box::new(reference))
     }
@@ -771,7 +771,7 @@ impl Oracle for DifferentialOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::EngineConnector;
+    use crate::backend::EngineKind;
     use crate::dsg::{DsgConfig, WideSource};
     use tqs_engine::ProfileId;
     use tqs_schema::NoiseConfig;
@@ -805,8 +805,8 @@ mod tests {
     fn tqs_oracle_passes_on_pristine_and_flags_faulty() {
         let d = dsg();
         let mut oracle = TqsOracle::new(&d);
-        let mut pristine = EngineConnector::connect_pristine(ProfileId::MysqlLike, &d);
-        let mut faulty = EngineConnector::connect(ProfileId::MysqlLike, &d);
+        let mut pristine = EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &d);
+        let mut faulty = EngineKind::Row.faulty(ProfileId::MysqlLike).loaded(&d);
         let mut bugs = 0;
         for stmt in sample_queries(&d, 60) {
             if let OracleVerdict::Bugs(r) = oracle.check(&stmt, &mut pristine) {
@@ -823,7 +823,7 @@ mod tests {
     #[test]
     fn baseline_oracles_are_sound_on_pristine_builds() {
         let d = dsg();
-        let mut conn = EngineConnector::connect_pristine(ProfileId::TidbLike, &d);
+        let mut conn = EngineKind::Row.connect_pristine(ProfileId::TidbLike, &d);
         let mut oracles: Vec<Box<dyn Oracle>> = vec![
             Box::new(PqsOracle::new(&d)),
             Box::new(TlpOracle),
@@ -842,12 +842,11 @@ mod tests {
     #[test]
     fn differential_oracle_passes_when_both_engines_are_pristine() {
         let d = dsg();
-        let mut oracle = DifferentialOracle::new(EngineConnector::connect_columnar_pristine(
-            ProfileId::MysqlLike,
-            &d,
-        ));
+        let mut oracle = DifferentialOracle::new(
+            EngineKind::Columnar.connect_pristine(ProfileId::MysqlLike, &d),
+        );
         assert!(oracle.name().contains("columnar"));
-        let mut conn = EngineConnector::connect_pristine(ProfileId::MysqlLike, &d);
+        let mut conn = EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &d);
         let mut executed = 0;
         for stmt in sample_queries(&d, 40) {
             match oracle.check(&stmt, &mut conn) {
@@ -864,19 +863,16 @@ mod tests {
         let d = dsg();
         let panel = || {
             DifferentialOracle::panel(vec![
-                Box::new(EngineConnector::connect_pristine(ProfileId::MysqlLike, &d))
+                Box::new(EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &d))
                     as Box<dyn DbmsConnector>,
-                Box::new(EngineConnector::connect_columnar_pristine(
-                    ProfileId::MysqlLike,
-                    &d,
-                )),
+                Box::new(EngineKind::Columnar.connect_pristine(ProfileId::MysqlLike, &d)),
             ])
         };
         let mut oracle = panel();
         assert_eq!(oracle.reference_count(), 2);
         assert!(oracle.name().contains('+'));
         // Sound on a pristine disk build...
-        let mut pristine = EngineConnector::connect_disk_pristine(ProfileId::MysqlLike, &d);
+        let mut pristine = EngineKind::Disk.connect_pristine(ProfileId::MysqlLike, &d);
         let mut executed = 0;
         for stmt in sample_queries(&d, 40) {
             match oracle.check(&stmt, &mut pristine) {
@@ -888,7 +884,7 @@ mod tests {
         assert!(executed > 20, "only {executed} statements executed");
         // ...and the faulty disk build leaves the majority.
         let mut oracle = panel();
-        let mut faulty = EngineConnector::connect_disk(ProfileId::MysqlLike, &d);
+        let mut faulty = EngineKind::Disk.faulty(ProfileId::MysqlLike).loaded(&d);
         let mut bugs = Vec::new();
         for stmt in sample_queries(&d, 120) {
             if let OracleVerdict::Bugs(r) = oracle.check(&stmt, &mut faulty) {
@@ -905,11 +901,9 @@ mod tests {
     #[test]
     fn oracle_driven_minimizer_shrinks_a_cross_engine_reproducer() {
         let d = dsg();
-        let mut oracle = DifferentialOracle::new(EngineConnector::connect_columnar_pristine(
-            ProfileId::TidbLike,
-            &d,
-        ));
-        let mut conn = EngineConnector::connect(ProfileId::TidbLike, &d);
+        let mut oracle =
+            DifferentialOracle::new(EngineKind::Columnar.connect_pristine(ProfileId::TidbLike, &d));
+        let mut conn = EngineKind::Row.faulty(ProfileId::TidbLike).loaded(&d);
         for stmt in sample_queries(&d, 120) {
             if matches!(oracle.check(&stmt, &mut conn), OracleVerdict::Bugs(_)) {
                 let minimized = crate::bugs::minimize_with_oracle(&stmt, &mut oracle, &mut conn);
@@ -934,7 +928,7 @@ mod tests {
     #[test]
     fn tlp_skips_aggregates_without_projected_columns() {
         let d = dsg();
-        let mut conn = EngineConnector::connect_pristine(ProfileId::MysqlLike, &d);
+        let mut conn = EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &d);
         let table = &d.db.metas[0].name;
         let stmt = parse_stmt(&format!("SELECT COUNT(*) AS c FROM {table}")).unwrap();
         assert!(matches!(

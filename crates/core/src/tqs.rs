@@ -8,7 +8,7 @@
 //! [`TqsOracle`] by default, [`PlanDiffOracle`] for the `!GT` ablation, or
 //! any custom implementation supplied through the builder.
 
-use crate::backend::{ConnectorError, DbmsConnector, EngineConnector};
+use crate::backend::{BuildSpec, ConnectorError, DbmsConnector, EngineConnector, EngineKind};
 use crate::bugs::BugLog;
 use crate::dsg::{DsgConfig, DsgDatabase, QueryGenConfig, QueryGenerator, UniformScorer};
 use crate::kqe::{Kqe, KqeConfig, KqeScorer};
@@ -227,7 +227,7 @@ pub struct TqsSession {
 /// Builder for [`TqsSession`].
 ///
 /// ```
-/// use tqs_core::backend::EngineConnector;
+/// use tqs_core::backend::{BuildSpec, EngineConnector, EngineKind};
 /// use tqs_core::dsg::{DsgConfig, WideSource};
 /// use tqs_core::tqs::{TqsConfig, TqsSession};
 /// use tqs_engine::ProfileId;
@@ -238,7 +238,7 @@ pub struct TqsSession {
 ///     ..Default::default()
 /// };
 /// let mut session = TqsSession::builder()
-///     .connector(EngineConnector::faulty(ProfileId::MysqlLike))
+///     .connector(EngineConnector::open(EngineKind::Row, BuildSpec::Faulty, ProfileId::MysqlLike))
 ///     .dsg_config(&dsg_cfg)
 ///     .config(TqsConfig { iterations: 25, ..Default::default() })
 ///     .build()
@@ -322,7 +322,9 @@ impl TqsSessionBuilder {
         });
         let mut connector = match self.connector {
             Some(c) => c,
-            None => Box::new(EngineConnector::faulty(
+            None => Box::new(EngineConnector::open(
+                EngineKind::Row,
+                BuildSpec::Faulty,
                 self.profile.unwrap_or(ProfileId::MysqlLike),
             )),
         };
@@ -411,6 +413,10 @@ mod tests {
         }
     }
 
+    fn pristine(profile: ProfileId) -> EngineConnector {
+        EngineConnector::open(EngineKind::Row, BuildSpec::Pristine, profile)
+    }
+
     fn small_cfg() -> TqsConfig {
         TqsConfig {
             iterations: 40,
@@ -425,7 +431,7 @@ mod tests {
         // never flag a bug — i.e. the GT evaluator and the engine agree.
         for profile in ProfileId::ALL {
             let mut session = TqsSession::builder()
-                .connector(EngineConnector::pristine(profile))
+                .connector(pristine(profile))
                 .dsg_config(&dsg_cfg(true))
                 .config(small_cfg())
                 .build()
@@ -486,7 +492,7 @@ mod tests {
         let dsg = DsgDatabase::build(&dsg_cfg(false));
         let run = |use_kqe: bool| {
             let mut session = TqsSession::builder()
-                .connector(EngineConnector::pristine(ProfileId::MysqlLike))
+                .connector(pristine(ProfileId::MysqlLike))
                 .dsg(dsg.clone())
                 .config(TqsConfig {
                     iterations: 150,
@@ -513,7 +519,7 @@ mod tests {
     fn the_session_tool_label_comes_from_the_oracle() {
         let run = |use_gt: bool| {
             let mut session = TqsSession::builder()
-                .connector(EngineConnector::pristine(ProfileId::MysqlLike))
+                .connector(pristine(ProfileId::MysqlLike))
                 .dsg_config(&dsg_cfg(false))
                 .config(TqsConfig {
                     iterations: 5,
@@ -545,7 +551,7 @@ mod tests {
             }
         }
         let mut session = TqsSession::builder()
-            .connector(EngineConnector::pristine(ProfileId::MysqlLike))
+            .connector(pristine(ProfileId::MysqlLike))
             .dsg_config(&dsg_cfg(false))
             .config(TqsConfig {
                 iterations: 12,
@@ -598,7 +604,7 @@ mod tests {
         let via_baseline = run_oracle_on(
             &mut TqsOracle::new(&dsg),
             None,
-            &mut EngineConnector::connect(ProfileId::TidbLike, &dsg),
+            &mut EngineKind::Row.faulty(ProfileId::TidbLike).loaded(&dsg),
             &dsg,
             &BaselineConfig {
                 iterations,
@@ -649,7 +655,7 @@ mod tests {
             }
         }
         let mut session = TqsSession::builder()
-            .connector(EngineConnector::pristine(ProfileId::MysqlLike))
+            .connector(pristine(ProfileId::MysqlLike))
             .dsg_config(&dsg_cfg(false))
             .config(TqsConfig {
                 iterations: 1,

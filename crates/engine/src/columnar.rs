@@ -8,8 +8,9 @@
 //! are evaluated as tight per-column loops over a selection bitmap instead of
 //! building a row scope per tuple.
 //!
-//! Both engines share the optimizer ([`Database::plan`]), the subquery
-//! machinery and the projection/aggregation tail, so on fault-free builds
+//! Both engines share the session front ([`Engine`]), the optimizer
+//! ([`Database::plan`]), the statement prologue, the subquery machinery and
+//! the projection/aggregation tail, so on fault-free builds
 //! they are answer-identical by construction of the shared semantics — a
 //! property the workspace pins with a proptest. What differs is the physical
 //! execution — and therefore the *fault complement*: the columnar build
@@ -19,16 +20,20 @@
 //! what makes cross-engine differential testing (`DifferentialOracle` in
 //! tqs-core) a meaningful oracle.
 
-use crate::engine::{distinct, Database, EngineError, EngineSubqueries, ExecOutcome};
-use crate::exec::{ColumnPruner, ExecContext, Rel, ScopeLayout};
+use crate::dml::DmlOutcome;
+use crate::engine::{
+    find_table, join_input, Database, Engine, EngineError, EngineSubqueries, ExecOutcome,
+};
+use crate::exec::{
+    col_index, extract_equi_keys, flatten_and, ColumnPruner, ExecContext, Executor, Rel,
+    ScopeLayout,
+};
 use crate::faults::{FaultKind, TriggerContext};
 use crate::plan::PhysicalJoin;
 use crate::profiles::DbmsProfile;
 use std::collections::HashMap;
-use tqs_sql::ast::{BinOp, ColumnRef, Expr, JoinType, SelectStmt};
+use tqs_sql::ast::{BinOp, ColumnRef, DmlStmt, Expr, JoinType, SelectStmt};
 use tqs_sql::eval::{eval_predicate, ColumnResolver};
-use tqs_sql::hints::HintSet;
-use tqs_sql::parser::parse_stmt;
 use tqs_sql::value::{null_safe_eq, sql_compare, KeyBuf, SqlCmp, Value};
 use tqs_storage::{Catalog, Table};
 
@@ -102,13 +107,6 @@ impl ColumnarRel {
         self.len() == 0
     }
 
-    pub fn col_index(&self, binding: Option<&str>, col: &str) -> Option<usize> {
-        self.cols.iter().position(|(b, c)| {
-            c.eq_ignore_ascii_case(col)
-                && binding.map(|q| q.eq_ignore_ascii_case(b)).unwrap_or(true)
-        })
-    }
-
     /// Allocation-free resolver for row `i`, consumable by the reference
     /// evaluator — gathers nothing; the one matched value is cloned on
     /// resolution.
@@ -127,17 +125,17 @@ impl ColumnarRel {
             self.columns[offset + ci].push(Value::Null);
         }
     }
+}
 
-    /// Row-major view, for handing the tail of the pipeline (projection,
-    /// aggregation) to the shared engine code.
-    pub fn to_rel(&self) -> Rel {
-        let n = self.len();
-        let mut rows = Vec::with_capacity(n);
-        for i in 0..n {
-            rows.push(self.columns.iter().map(|c| c[i].clone()).collect());
-        }
+/// Row-major copy, for handing the tail of the pipeline (projection,
+/// aggregation) to the shared engine code.
+impl From<&ColumnarRel> for Rel {
+    fn from(rel: &ColumnarRel) -> Rel {
+        let rows = (0..rel.len())
+            .map(|i| rel.columns.iter().map(|c| c[i].clone()).collect())
+            .collect();
         Rel {
-            cols: self.cols.clone(),
+            cols: rel.cols.clone(),
             rows,
         }
     }
@@ -159,106 +157,46 @@ impl ColumnarDatabase {
             batch_size: DEFAULT_BATCH_SIZE,
         }
     }
+}
 
-    pub fn catalog(&self) -> &Catalog {
-        &self.inner.catalog
+/// The columnar executor: scans the session's own catalog column-major,
+/// batch-at-a-time kernels. Mutation and transaction semantics are the inner
+/// row session's wholesale — including the DML fault complement, which the
+/// columnar builds also carry — because scans re-read the catalog per
+/// statement.
+impl Engine for ColumnarDatabase {
+    fn session(&self) -> &Database {
+        &self.inner
     }
 
-    pub fn set_catalog(&mut self, catalog: Catalog) {
-        self.inner.catalog = catalog;
+    fn session_mut(&mut self) -> &mut Database {
+        &mut self.inner
     }
 
-    pub fn profile(&self) -> &DbmsProfile {
-        &self.inner.profile
+    fn load_catalog(&mut self, catalog: Catalog) -> Result<(), EngineError> {
+        self.inner.load_catalog(catalog)
     }
 
-    pub fn apply_switch(&mut self, s: tqs_sql::hints::SessionSwitch) {
-        self.inner.apply_switch(s);
-    }
-
-    pub fn reset_switches(&mut self) {
-        self.inner.reset_switches();
-    }
-
-    /// The plan the (shared) optimizer would choose.
-    pub fn plan(&self, stmt: &SelectStmt) -> Result<crate::plan::PhysicalPlan, EngineError> {
-        self.inner.plan(stmt)
-    }
-
-    /// EXPLAIN: the shared plan plus the columnar execution note.
-    pub fn explain(&self, stmt: &SelectStmt) -> Result<String, EngineError> {
-        let mut out = self.inner.explain(stmt)?;
-        out.push_str(&format!(
-            "-> executor: columnar, batch {} rows\n",
-            self.batch_size
-        ));
-        Ok(out)
-    }
-
-    /// Execute a transformed query: apply the hint set's session switches,
-    /// splice its hints into the statement, execute, then restore switches.
-    pub fn execute_with_hints(
-        &mut self,
-        stmt: &SelectStmt,
-        hints: &HintSet,
-    ) -> Result<ExecOutcome, EngineError> {
-        let saved = self.inner.switches.clone();
-        for s in &hints.switches {
-            self.inner.apply_switch(*s);
-        }
-        let mut hinted = stmt.clone();
-        hinted.hints.extend(hints.hints.iter().cloned());
-        let out = self.execute(&hinted);
-        self.inner.switches = saved;
-        out
-    }
-
-    /// Execute SQL text (parses, then executes).
-    pub fn execute_sql(&self, sql: &str) -> Result<ExecOutcome, EngineError> {
-        let stmt = parse_stmt(sql)?;
-        self.execute(&stmt)
-    }
-
-    /// Execute one DML / transaction-control statement. Columnar scans
-    /// re-read the shared catalog per statement, so mutation and transaction
-    /// semantics delegate wholesale to the inner row session — including the
-    /// DML fault complement, which the columnar builds also carry.
-    pub fn execute_dml(
-        &mut self,
-        stmt: &tqs_sql::ast::DmlStmt,
-    ) -> Result<crate::dml::DmlOutcome, EngineError> {
+    fn execute_dml(&mut self, stmt: &DmlStmt) -> Result<DmlOutcome, EngineError> {
         self.inner.execute_dml(stmt)
     }
 
-    /// Execute DML text (parses one statement, then executes).
-    pub fn execute_dml_sql(&mut self, sql: &str) -> Result<crate::dml::DmlOutcome, EngineError> {
-        self.inner.execute_dml_sql(sql)
-    }
-
-    /// Is a transaction open on this session?
-    pub fn in_txn(&self) -> bool {
-        self.inner.in_txn()
+    fn executor_note(&self) -> Option<String> {
+        Some(format!(
+            "-> executor: columnar, batch {} rows\n",
+            self.batch_size
+        ))
     }
 
     /// Execute a statement through the columnar pipeline.
-    pub fn execute(&self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError> {
-        let plan = self.inner.plan(stmt)?;
-        let mut ctx = ExecContext::new(self.inner.profile.faults.clone());
-        ctx.switched_off = self.inner.switched_off_names();
-        ctx.materialization = self.inner.materialization_enabled(stmt);
-        ctx.subquery_present = stmt.has_subquery();
-        ctx.semi_strategy = self.inner.semi_strategy(stmt);
-        ctx.check_cancelled()?;
-
+    fn execute(&mut self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError> {
+        let (plan, mut ctx) = self.inner.begin(stmt, Executor::Columnar)?;
         let _stmt_span = tqs_telemetry::span("engine", "columnar.execute");
+        let catalog = &self.inner.catalog;
 
         // Base scan, column-major.
         let op_t0 = ctx.op_start();
-        let base_table = self
-            .inner
-            .catalog
-            .table(&stmt.from.base.table)
-            .ok_or_else(|| EngineError::UnknownTable(stmt.from.base.table.clone()))?;
+        let base_table = find_table(catalog, &stmt.from.base.table)?;
         let pruner = ColumnPruner::new(stmt);
         let mut rel = ColumnarRel::scan_pruned(base_table, stmt.from.base.binding(), &pruner);
         if op_t0.is_some() {
@@ -270,17 +208,7 @@ impl ColumnarDatabase {
         // Joins, in plan order, batch-at-a-time.
         for pj in &plan.joins {
             ctx.check_cancelled()?;
-            let ast_join = stmt
-                .from
-                .joins
-                .iter()
-                .find(|j| j.table.binding().eq_ignore_ascii_case(&pj.right_binding))
-                .ok_or_else(|| EngineError::Unsupported("plan/AST join mismatch".into()))?;
-            let right_table = self
-                .inner
-                .catalog
-                .table(&ast_join.table.table)
-                .ok_or_else(|| EngineError::UnknownTable(ast_join.table.table.clone()))?;
+            let (ast_join, right_table) = join_input(catalog, stmt, pj)?;
             let right = ColumnarRel::scan_pruned(right_table, ast_join.table.binding(), &pruner);
             let op_t0 = ctx.op_start();
             let rows_in = (rel.len() + right.len()) as u64;
@@ -302,7 +230,7 @@ impl ColumnarDatabase {
         }
 
         // WHERE filtering over the selection bitmap, batch-at-a-time.
-        let sub = EngineSubqueries::new(&self.inner, plan.subquery_plan, ctx.materialization);
+        let sub = EngineSubqueries::new(catalog, &ctx, plan.subquery_plan);
         if let Some(pred) = &stmt.where_clause {
             let op_t0 = ctx.op_start();
             let rows_in = rel.len() as u64;
@@ -316,47 +244,15 @@ impl ColumnarDatabase {
         }
 
         // Projection / aggregation / DISTINCT / LIMIT share the row-engine
-        // tail — the columnar pipeline ends at the relational boundary.
-        let op_t0 = ctx.op_start();
-        let rows_in = rel.len() as u64;
-        let grouped = stmt.has_aggregates() || !stmt.group_by.is_empty();
-        let row_rel = rel.to_rel();
-        let mut result = if grouped {
-            self.inner.aggregate(stmt, &row_rel, &sub)?
-        } else {
-            self.inner.project(stmt, &row_rel, &sub)?
-        };
-        if stmt.distinct {
-            result = distinct(result);
-        }
-        if let Some(l) = stmt.limit {
-            result.rows.truncate(l as usize);
-        }
-        if op_t0.is_some() {
-            let rows_out = result.rows.len() as u64;
-            ctx.op_end(
-                op_t0,
-                if grouped { "group" } else { "project" },
-                rows_in,
-                rows_out,
-            );
-            if grouped {
-                tqs_telemetry::counter!("engine.columnar.group.rows_in").add(rows_in);
-                tqs_telemetry::counter!("engine.columnar.group.rows_out").add(rows_out);
-            }
-            tqs_telemetry::counter!("engine.columnar.statements").incr();
-        }
-
-        ctx.fired.extend(sub.into_fired());
-        ctx.fired.dedup();
-        Ok(ExecOutcome {
-            result,
-            plan,
-            fired: ctx.fired,
-            profile: ctx.profile,
-        })
+        // tail — the columnar pipeline ends at the relational boundary. The
+        // tail copies `rel` row-major; handing it over by value would free
+        // the columns before projection allocates, and that order of frees
+        // alone read −4 % on the benchmark's `select_cross`.
+        self.inner.finish(stmt, plan, &rel, sub, ctx)
     }
+}
 
+impl ColumnarDatabase {
     /// Vectorized WHERE: conjuncts of the form `column <op> literal` run as
     /// tight per-column loops over the selection bitmap; everything else
     /// falls back to the reference evaluator per row (still batched so the
@@ -439,12 +335,12 @@ fn vectorizable<'a>(e: &'a Expr, rel: &ColumnarRel) -> Option<(usize, BinOp, &'a
         return None;
     }
     match (left.as_ref(), right.as_ref()) {
-        (Expr::Column(c), Expr::Literal(v)) => rel
-            .col_index(c.table.as_deref(), &c.column)
-            .map(|ci| (ci, *op, v, false)),
-        (Expr::Literal(v), Expr::Column(c)) => rel
-            .col_index(c.table.as_deref(), &c.column)
-            .map(|ci| (ci, *op, v, true)),
+        (Expr::Column(c), Expr::Literal(v)) => {
+            col_index(&rel.cols, c.table.as_deref(), &c.column).map(|ci| (ci, *op, v, false))
+        }
+        (Expr::Literal(v), Expr::Column(c)) => {
+            col_index(&rel.cols, c.table.as_deref(), &c.column).map(|ci| (ci, *op, v, true))
+        }
         _ => None,
     }
 }
@@ -472,65 +368,6 @@ fn compare_value(v: &Value, op: BinOp, lit: &Value, reversed: bool) -> Option<bo
     }
 }
 
-/// Equi-key extraction over columnar relations (mirrors the row executor's).
-struct EquiKeys {
-    left_idx: Vec<usize>,
-    right_idx: Vec<usize>,
-    residual: Vec<Expr>,
-}
-
-fn extract_equi_keys(left: &ColumnarRel, right: &ColumnarRel, on: Option<&Expr>) -> EquiKeys {
-    let mut keys = EquiKeys {
-        left_idx: Vec::new(),
-        right_idx: Vec::new(),
-        residual: Vec::new(),
-    };
-    let Some(on) = on else { return keys };
-    let mut conjuncts = Vec::new();
-    flatten_and(on, &mut conjuncts);
-    for c in conjuncts {
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left: a,
-            right: b,
-        } = c
-        {
-            if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
-                let la = left.col_index(ca.table.as_deref(), &ca.column);
-                let rb = right.col_index(cb.table.as_deref(), &cb.column);
-                if let (Some(li), Some(ri)) = (la, rb) {
-                    keys.left_idx.push(li);
-                    keys.right_idx.push(ri);
-                    continue;
-                }
-                let lb = left.col_index(cb.table.as_deref(), &cb.column);
-                let ra = right.col_index(ca.table.as_deref(), &ca.column);
-                if let (Some(li), Some(ri)) = (lb, ra) {
-                    keys.left_idx.push(li);
-                    keys.right_idx.push(ri);
-                    continue;
-                }
-            }
-        }
-        keys.residual.push(c.clone());
-    }
-    keys
-}
-
-fn flatten_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    if let Expr::Binary {
-        op: BinOp::And,
-        left,
-        right,
-    } = e
-    {
-        flatten_and(left, out);
-        flatten_and(right, out);
-    } else {
-        out.push(e);
-    }
-}
-
 /// Borrow-based resolver over row `i` of a columnar relation.
 pub struct ColRow<'a> {
     rel: &'a ColumnarRel,
@@ -539,8 +376,7 @@ pub struct ColRow<'a> {
 
 impl ColumnResolver for ColRow<'_> {
     fn resolve(&self, col: &ColumnRef) -> Option<Value> {
-        self.rel
-            .col_index(col.table.as_deref(), &col.column)
+        col_index(&self.rel.cols, col.table.as_deref(), &col.column)
             .map(|ci| self.rel.columns[ci][self.i].clone())
     }
 }
@@ -644,10 +480,8 @@ pub fn columnar_join(
     batch_size: usize,
 ) -> Result<ColumnarRel, EngineError> {
     let t = ctx.trigger_ctx(join);
-    let keys = extract_equi_keys(left, right, on);
-    let layout = ScopeLayout::compile(&keys.residual, &|b, c| left.col_index(b, c), &|b, c| {
-        right.col_index(b, c)
-    });
+    let keys = extract_equi_keys(&left.cols, &right.cols, on);
+    let layout = ScopeLayout::compile(&keys.residual, &left.cols, &right.cols);
     let n_left = left.len();
 
     // Batch-tail loss: hashed probes past the last complete batch are never
@@ -799,6 +633,8 @@ mod tests {
     use crate::faults::FaultSet;
     use crate::plan::JoinAlgo;
     use crate::profiles::ProfileId;
+    use tqs_sql::hints::HintSet;
+    use tqs_sql::parser::parse_stmt;
     use tqs_sql::types::{ColumnDef, ColumnType};
     use tqs_storage::Row;
 
@@ -837,7 +673,7 @@ mod tests {
     }
 
     fn columnar(id: ProfileId) -> ColumnarDatabase {
-        ColumnarDatabase::new(catalog(), DbmsProfile::columnar_pristine(id))
+        ColumnarDatabase::new(catalog(), DbmsProfile::columnar(id).fault_free())
     }
 
     fn row_db(id: ProfileId) -> Database {
@@ -855,8 +691,8 @@ mod tests {
             "SELECT DISTINCT t2.col1 FROM t2 JOIN t1 ON t2.id = t1.col1",
         ];
         for id in ProfileId::ALL {
-            let col = columnar(id);
-            let row = row_db(id);
+            let mut col = columnar(id);
+            let mut row = row_db(id);
             for q in queries {
                 let a = col.execute_sql(q).unwrap_or_else(|e| panic!("{q}: {e}"));
                 let b = row.execute_sql(q).unwrap();
@@ -875,7 +711,7 @@ mod tests {
     fn batch_boundaries_do_not_change_answers_when_pristine() {
         let mut small = columnar(ProfileId::MysqlLike);
         small.batch_size = 2;
-        let big = columnar(ProfileId::MysqlLike);
+        let mut big = columnar(ProfileId::MysqlLike);
         let q = "SELECT t1.id, t2.col1 FROM t1 JOIN t2 ON t1.col1 = t2.id";
         let a = small.execute_sql(q).unwrap();
         let b = big.execute_sql(q).unwrap();
@@ -910,7 +746,7 @@ mod tests {
 
     #[test]
     fn null_pad_misalignment_corrupts_first_padded_row() {
-        let db = ColumnarDatabase::new(
+        let mut db = ColumnarDatabase::new(
             catalog(),
             DbmsProfile {
                 faults: FaultSet::of(&[FaultKind::ColumnarNullPadMisalign]),
@@ -956,7 +792,7 @@ mod tests {
                 .unwrap();
             cat.add_table(t);
         }
-        let faulty = ColumnarDatabase::new(
+        let mut faulty = ColumnarDatabase::new(
             cat.clone(),
             DbmsProfile {
                 faults: FaultSet::of(&[FaultKind::ColumnarDictTruncation]),
@@ -967,8 +803,10 @@ mod tests {
         let out = faulty.execute_sql(q).unwrap();
         assert!(out.fired.contains(&FaultKind::ColumnarDictTruncation));
         assert_eq!(out.result.row_count(), 1, "truncated keys must collide");
-        let clean =
-            ColumnarDatabase::new(cat, DbmsProfile::columnar_pristine(ProfileId::MysqlLike));
+        let mut clean = ColumnarDatabase::new(
+            cat,
+            DbmsProfile::columnar(ProfileId::MysqlLike).fault_free(),
+        );
         assert_eq!(clean.execute_sql(q).unwrap().result.row_count(), 0);
     }
 
@@ -985,7 +823,7 @@ mod tests {
                 .unwrap();
             cat.add_table(t);
         }
-        let faulty = ColumnarDatabase::new(
+        let mut faulty = ColumnarDatabase::new(
             cat,
             DbmsProfile {
                 faults: FaultSet::of(&[FaultKind::ColumnarDictTruncation]),

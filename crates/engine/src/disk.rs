@@ -5,8 +5,9 @@
 //! [`DiskDatabase`] keeps every table in a `tqs-pager` [`DiskStore`] — a
 //! buffer pool over fixed-size pages, a write-ahead log with redo recovery,
 //! and one rowid-keyed B+tree per table — and materializes its scans from
-//! disk at statement time. The optimizer, subquery machinery and the
-//! projection/aggregation tail are shared with the row engine, so on
+//! disk at statement time. The session front ([`Engine`]), the optimizer and
+//! the whole row pipeline after the scan are shared with the row engine
+//! (`Database::execute_rows` runs over the scanned catalog), so on
 //! fault-free builds the two are answer-identical by construction (scans
 //! return rows in rowid order, which is insertion order).
 //!
@@ -26,8 +27,8 @@
 //! batches survive byte-for-byte and uncommitted ones vanish entirely.
 
 use crate::dml::{DmlOp, DmlOutcome};
-use crate::engine::{Database, EngineError, ExecOutcome};
-use crate::exec::ExecContext;
+use crate::engine::{find_table, Database, Engine, EngineError, ExecOutcome};
+use crate::exec::{ExecContext, Executor};
 use crate::faults::{FaultKind, TriggerContext};
 use crate::profiles::DbmsProfile;
 use std::io;
@@ -35,8 +36,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tqs_pager::{CrashPoint, DiskStore, RecoveryStats, TableScan, DEFAULT_POOL_FRAMES};
 use tqs_sql::ast::{DmlStmt, SelectStmt};
-use tqs_sql::hints::HintSet;
-use tqs_sql::parser::{parse_dml, parse_stmt};
 use tqs_sql::value::Value;
 use tqs_storage::{Catalog, Row};
 
@@ -98,14 +97,6 @@ impl DiskDatabase {
         Ok(db)
     }
 
-    pub fn catalog(&self) -> &Catalog {
-        &self.inner.catalog
-    }
-
-    pub fn profile(&self) -> &DbmsProfile {
-        &self.inner.profile
-    }
-
     /// The directory holding this instance's data and WAL files.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -131,52 +122,6 @@ impl DiskDatabase {
     /// [`DiskDatabase::recover`] reopens it.)
     pub fn is_poisoned(&self) -> bool {
         self.store.is_poisoned()
-    }
-
-    pub fn apply_switch(&mut self, s: tqs_sql::hints::SessionSwitch) {
-        self.inner.apply_switch(s);
-    }
-
-    pub fn reset_switches(&mut self) {
-        self.inner.reset_switches();
-    }
-
-    /// Wipe the page store and load `catalog` into it, one B+tree per table,
-    /// committed every [`COMMIT_BATCH_ROWS`] rows. A store nothing was ever
-    /// written to (a connector's first load) is already wiped.
-    pub fn load_catalog(&mut self, catalog: Catalog) -> Result<(), EngineError> {
-        if !self.store.is_fresh() {
-            self.store = DiskStore::create(&self.dir, DEFAULT_POOL_FRAMES).map_err(storage_err)?;
-        }
-        self.store.set_crash_point(self.pending_crash.take());
-        // A fresh load resets the whole DML history with the store.
-        self.base = catalog.clone();
-        self.committed_ops.clear();
-        self.inner.catalog = catalog;
-        self.inner.clear_txn();
-        self.last_recovery = None;
-        if self.base.is_empty() {
-            // Nothing to make durable: no tables, no DML log, no commit.
-            return Ok(());
-        }
-        for name in self.base.table_names() {
-            self.store.create_table(&name).map_err(storage_err)?;
-        }
-        self.store
-            .create_table(DML_LOG_TABLE)
-            .map_err(storage_err)?;
-        self.store.commit().map_err(storage_err)?;
-        for name in self.base.table_names() {
-            let rows: Vec<Vec<Value>> = self
-                .base
-                .table(&name)
-                .map(|t| t.rows.iter().map(|r| r.values.clone()).collect())
-                .unwrap_or_default();
-            for chunk in rows.chunks(COMMIT_BATCH_ROWS) {
-                self.store.insert_batch(&name, chunk).map_err(storage_err)?;
-            }
-        }
-        Ok(())
     }
 
     /// Arm a one-shot process kill at `point` inside the next commit (the
@@ -262,43 +207,6 @@ impl DiskDatabase {
             .collect()
     }
 
-    /// Execute one DML / transaction-control statement. Mutation semantics,
-    /// transactions and the DML fault complement are the shared row
-    /// implementation ([`Database::execute_dml`]); what this layer adds is
-    /// durability: at every commit boundary — `COMMIT`, `ROLLBACK` (which
-    /// persists nothing unless a fault leaks a row) and auto-committed
-    /// statements outside a transaction — the effective ops are appended to
-    /// [`DML_LOG_TABLE`] through the store's full WAL commit protocol, so an
-    /// armed [`CrashPoint`] kills the transaction at a real commit boundary.
-    pub fn execute_dml(&mut self, stmt: &DmlStmt) -> Result<DmlOutcome, EngineError> {
-        if self.store.is_poisoned() {
-            return Err(EngineError::Storage(
-                "store is poisoned by an injected crash; call recover() first".into(),
-            ));
-        }
-        let out = self.inner.execute_dml(stmt)?;
-        let at_commit_boundary = match stmt {
-            DmlStmt::Begin => false,
-            DmlStmt::Commit | DmlStmt::Rollback => true,
-            _ => !self.inner.in_txn(),
-        };
-        if at_commit_boundary {
-            self.persist_ops(&out.ops)?;
-        }
-        Ok(out)
-    }
-
-    /// Execute DML text (parses one statement, then executes).
-    pub fn execute_dml_sql(&mut self, sql: &str) -> Result<DmlOutcome, EngineError> {
-        let stmt = parse_dml(sql)?;
-        self.execute_dml(&stmt)
-    }
-
-    /// Is a transaction open on this session?
-    pub fn in_txn(&self) -> bool {
-        self.inner.in_txn()
-    }
-
     /// Committed DML ops since load (what a crash at this instant would
     /// preserve).
     pub fn committed_ops(&self) -> &[DmlOp] {
@@ -321,56 +229,81 @@ impl DiskDatabase {
         Ok(())
     }
 
-    /// The plan the (shared) optimizer would choose.
-    pub fn plan(&self, stmt: &SelectStmt) -> Result<crate::plan::PhysicalPlan, EngineError> {
-        self.inner.plan(stmt)
-    }
-
-    /// EXPLAIN: the shared plan plus the disk execution note.
-    pub fn explain(&self, stmt: &SelectStmt) -> Result<String, EngineError> {
-        let mut out = self.inner.explain(stmt)?;
-        out.push_str(&format!(
-            "-> executor: disk (B+tree page store, {DEFAULT_POOL_FRAMES}-frame buffer pool, WAL)\n"
-        ));
-        Ok(out)
-    }
-
-    /// Execute a transformed query: apply the hint set's session switches,
-    /// splice its hints into the statement, execute, then restore switches.
-    pub fn execute_with_hints(
+    /// Scan every table out of the store into a fresh catalog, applying the
+    /// active storage faults to each scan.
+    fn scan_catalog(
         &mut self,
-        stmt: &SelectStmt,
-        hints: &HintSet,
-    ) -> Result<ExecOutcome, EngineError> {
-        let saved = self.inner.switches.clone();
-        for s in &hints.switches {
-            self.inner.apply_switch(*s);
+        trigger: &TriggerContext,
+        ctx: &mut ExecContext,
+    ) -> Result<Catalog, EngineError> {
+        let mut catalog = Catalog::new();
+        for name in self.inner.catalog.table_names() {
+            let scan = self.store.scan(&name).map_err(storage_err)?;
+            let rows = faulted_rows(scan, trigger, ctx);
+            let mut t = find_table(&self.inner.catalog, &name)?.clone();
+            t.rows = rows.into_iter().map(Row::new).collect();
+            catalog.add_table(t);
         }
-        let mut hinted = stmt.clone();
-        hinted.hints.extend(hints.hints.iter().cloned());
-        let out = self.execute(&hinted);
-        self.inner.switches = saved;
-        out
+        Ok(catalog)
+    }
+}
+
+/// The disk executor: base relations are scanned out of the page store (with
+/// the storage faults applied), then the row kernels run over them; DML adds
+/// durability on top of the shared session semantics.
+impl Engine for DiskDatabase {
+    fn session(&self) -> &Database {
+        &self.inner
     }
 
-    /// Execute SQL text (parses, then executes).
-    pub fn execute_sql(&mut self, sql: &str) -> Result<ExecOutcome, EngineError> {
-        let stmt = parse_stmt(sql)?;
-        self.execute(&stmt)
+    fn session_mut(&mut self) -> &mut Database {
+        &mut self.inner
+    }
+
+    /// Wipe the page store and load `catalog` into it, one B+tree per table,
+    /// committed every [`COMMIT_BATCH_ROWS`] rows. A store nothing was ever
+    /// written to (a connector's first load) is already wiped.
+    fn load_catalog(&mut self, catalog: Catalog) -> Result<(), EngineError> {
+        if !self.store.is_fresh() {
+            self.store = DiskStore::create(&self.dir, DEFAULT_POOL_FRAMES).map_err(storage_err)?;
+        }
+        self.store.set_crash_point(self.pending_crash.take());
+        // A fresh load resets the whole DML history with the store.
+        self.base = catalog.clone();
+        self.committed_ops.clear();
+        self.inner.catalog = catalog;
+        self.inner.clear_txn();
+        self.last_recovery = None;
+        if self.base.is_empty() {
+            // Nothing to make durable: no tables, no DML log, no commit.
+            return Ok(());
+        }
+        for name in self.base.table_names() {
+            self.store.create_table(&name).map_err(storage_err)?;
+        }
+        self.store
+            .create_table(DML_LOG_TABLE)
+            .map_err(storage_err)?;
+        self.store.commit().map_err(storage_err)?;
+        for name in self.base.table_names() {
+            let rows: Vec<Vec<Value>> = self
+                .base
+                .table(&name)
+                .map(|t| t.rows.iter().map(|r| r.values.clone()).collect())
+                .unwrap_or_default();
+            for chunk in rows.chunks(COMMIT_BATCH_ROWS) {
+                self.store.insert_batch(&name, chunk).map_err(storage_err)?;
+            }
+        }
+        Ok(())
     }
 
     /// Execute a statement: scan every table out of the page store (applying
     /// whatever storage faults the chosen access path exposes), then run the
     /// shared row pipeline over the scanned catalog.
-    pub fn execute(&mut self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError> {
-        let plan = self.inner.plan(stmt)?;
-        let mut ctx = ExecContext::new(self.inner.profile.faults.clone());
-        ctx.switched_off = self.inner.switched_off_names();
-        ctx.materialization = self.inner.materialization_enabled(stmt);
-        ctx.subquery_present = stmt.has_subquery();
-        ctx.semi_strategy = self.inner.semi_strategy(stmt);
-        // The shadow row pipeline re-checks per join; this covers the scan.
-        ctx.check_cancelled()?;
+    fn execute(&mut self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError> {
+        let (plan, mut ctx) = self.inner.begin(stmt, Executor::Disk)?;
+        let _stmt_span = tqs_telemetry::span("engine", "disk.execute");
         let trigger = match plan.joins.first() {
             Some(pj) => ctx.trigger_ctx(pj),
             None => TriggerContext {
@@ -391,46 +324,41 @@ impl DiskDatabase {
             op.apply(&mut catalog);
         }
         // The shared pipeline runs over the scanned (possibly corrupted)
-        // rows. The shadow's fault set holds only DISK kinds, which no row
+        // rows. The fault set holds only DISK (and DML) kinds, which no row
         // execution path checks, so nothing extra can fire inside it.
-        let mut shadow = self.inner.clone();
-        shadow.catalog = catalog;
-        let out = shadow.execute(stmt)?;
-        let mut fired = ctx.fired;
-        for f in out.fired {
-            if !fired.contains(&f) {
-                fired.push(f);
-            }
-        }
-        Ok(ExecOutcome {
-            result: out.result,
-            plan: out.plan,
-            fired,
-            profile: out.profile,
-        })
+        self.inner.execute_rows(&catalog, stmt, plan, ctx)
     }
 
-    /// Scan every table out of the store into a fresh catalog, applying the
-    /// active storage faults to each scan.
-    fn scan_catalog(
-        &mut self,
-        trigger: &TriggerContext,
-        ctx: &mut ExecContext,
-    ) -> Result<Catalog, EngineError> {
-        let mut catalog = Catalog::new();
-        for name in self.inner.catalog.table_names() {
-            let scan = self.store.scan(&name).map_err(storage_err)?;
-            let rows = faulted_rows(scan, trigger, ctx);
-            let src = self
-                .inner
-                .catalog
-                .table(&name)
-                .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
-            let mut t = src.clone();
-            t.rows = rows.into_iter().map(Row::new).collect();
-            catalog.add_table(t);
+    /// Execute one DML / transaction-control statement. Mutation semantics,
+    /// transactions and the DML fault complement are the shared row
+    /// implementation ([`Database::execute_dml`]); what this layer adds is
+    /// durability: at every commit boundary — `COMMIT`, `ROLLBACK` (which
+    /// persists nothing unless a fault leaks a row) and auto-committed
+    /// statements outside a transaction — the effective ops are appended to
+    /// [`DML_LOG_TABLE`] through the store's full WAL commit protocol, so an
+    /// armed [`CrashPoint`] kills the transaction at a real commit boundary.
+    fn execute_dml(&mut self, stmt: &DmlStmt) -> Result<DmlOutcome, EngineError> {
+        if self.store.is_poisoned() {
+            return Err(EngineError::Storage(
+                "store is poisoned by an injected crash; call recover() first".into(),
+            ));
         }
-        Ok(catalog)
+        let out = self.inner.execute_dml(stmt)?;
+        let at_commit_boundary = match stmt {
+            DmlStmt::Begin => false,
+            DmlStmt::Commit | DmlStmt::Rollback => true,
+            _ => !self.inner.in_txn(),
+        };
+        if at_commit_boundary {
+            self.persist_ops(&out.ops)?;
+        }
+        Ok(out)
+    }
+
+    fn executor_note(&self) -> Option<String> {
+        Some(format!(
+            "-> executor: disk (B+tree page store, {DEFAULT_POOL_FRAMES}-frame buffer pool, WAL)\n"
+        ))
     }
 }
 
@@ -512,6 +440,7 @@ mod tests {
     use super::*;
     use crate::faults::FaultSet;
     use crate::profiles::ProfileId;
+    use tqs_sql::parser::parse_stmt;
     use tqs_sql::types::{ColumnDef, ColumnType};
     use tqs_storage::Table;
 
@@ -554,7 +483,7 @@ mod tests {
     }
 
     fn disk(id: ProfileId) -> DiskDatabase {
-        DiskDatabase::new(catalog(), DbmsProfile::disk_pristine(id)).unwrap()
+        DiskDatabase::new(catalog(), DbmsProfile::disk(id).fault_free()).unwrap()
     }
 
     #[test]
@@ -569,7 +498,7 @@ mod tests {
         ];
         for id in ProfileId::ALL {
             let mut d = disk(id);
-            let row = Database::new(catalog(), DbmsProfile::pristine(id));
+            let mut row = Database::new(catalog(), DbmsProfile::pristine(id));
             for q in queries {
                 let a = d.execute_sql(q).unwrap_or_else(|e| panic!("{q}: {e}"));
                 let b = row.execute_sql(q).unwrap();
@@ -738,7 +667,7 @@ mod tests {
             ));
             let stats = db.recover().unwrap();
             assert_eq!(db.last_recovery(), Some(stats));
-            let row = Database::new(catalog(), DbmsProfile::pristine(ProfileId::MysqlLike));
+            let mut row = Database::new(catalog(), DbmsProfile::pristine(ProfileId::MysqlLike));
             let q = "SELECT t1.id, t2.col1 FROM t1 INNER JOIN t2 ON t1.col1 = t2.id";
             let a = db.execute_sql(q).unwrap();
             let b = row.execute_sql(q).unwrap();

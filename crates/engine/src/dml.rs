@@ -513,7 +513,7 @@ fn apply_delete(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Database;
+    use crate::engine::{Database, Engine};
     use crate::profiles::{DbmsProfile, ProfileId};
     use tqs_sql::parser::parse_dml;
     use tqs_sql::types::{ColumnDef, ColumnType};
@@ -556,7 +556,7 @@ mod tests {
         )
     }
 
-    fn ids(db: &Database) -> Vec<i64> {
+    fn ids(db: &mut Database) -> Vec<i64> {
         db.execute_sql("SELECT t1.id FROM t1")
             .unwrap()
             .result
@@ -584,7 +584,7 @@ mod tests {
         assert_eq!(out.rows_affected, 2);
         assert_eq!(out.ops.len(), 2);
         assert!(out.fired.is_empty());
-        assert_eq!(ids(&db), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(ids(&mut db), vec![1, 2, 3, 4, 5, 6]);
 
         let out = run(&mut db, "UPDATE t1 SET col1 = col1 + 1 WHERE t1.col1 = 20");
         assert_eq!(out.rows_affected, 2);
@@ -595,12 +595,12 @@ mod tests {
 
         let out = run(&mut db, "DELETE FROM t1 WHERE t1.id > 4");
         assert_eq!(out.rows_affected, 2);
-        assert_eq!(ids(&db), vec![1, 2, 3, 4]);
+        assert_eq!(ids(&mut db), vec![1, 2, 3, 4]);
 
         // NULL never matches an equality predicate (3VL).
         let out = run(&mut db, "DELETE FROM t1 WHERE t1.col1 = 999");
         assert_eq!(out.rows_affected, 0);
-        assert_eq!(ids(&db), vec![1, 2, 3, 4]);
+        assert_eq!(ids(&mut db), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -628,7 +628,7 @@ mod tests {
             );
         }
         // Errors must not have mutated anything.
-        assert_eq!(ids(&db), vec![1, 2, 3, 4]);
+        assert_eq!(ids(&mut db), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -642,11 +642,11 @@ mod tests {
         assert!(db.execute_dml(&DmlStmt::Begin).is_err(), "nested BEGIN");
         run(&mut db, "INSERT INTO t1 (id, col1) VALUES (5, 50)");
         run(&mut db, "DELETE FROM t1 WHERE t1.id = 1");
-        assert_eq!(ids(&db), vec![2, 3, 4, 5], "own writes visible in txn");
+        assert_eq!(ids(&mut db), vec![2, 3, 4, 5], "own writes visible in txn");
         assert_eq!(db.txn_ops().len(), 2);
         run(&mut db, "ROLLBACK");
         assert!(!db.in_txn());
-        assert_eq!(ids(&db), vec![1, 2, 3, 4], "rollback restores exactly");
+        assert_eq!(ids(&mut db), vec![1, 2, 3, 4], "rollback restores exactly");
 
         run(&mut db, "BEGIN");
         run(&mut db, "UPDATE t1 SET col2 = 'z' WHERE t1.id = 2");
@@ -728,7 +728,11 @@ mod tests {
         // id is the primary key: writing it triggers the stale-index shape.
         let out = run(&mut db, "UPDATE t1 SET id = id + 100 WHERE t1.col1 = 20");
         assert_eq!(out.fired, vec![FaultKind::DmlStaleIndexAfterUpdate]);
-        assert_eq!(ids(&db), vec![1, 2, 3, 104], "first match kept its old id");
+        assert_eq!(
+            ids(&mut db),
+            vec![1, 2, 3, 104],
+            "first match kept its old id"
+        );
         // A non-keyed UPDATE stays clean.
         let out = run(&mut db, "UPDATE t1 SET col2 = 'w' WHERE t1.id = 1");
         assert!(out.fired.is_empty());
@@ -743,7 +747,7 @@ mod tests {
         );
         assert_eq!(out.fired, vec![FaultKind::DmlDeleteSkipsNullKey]);
         // Row 3 (col1 NULL) matched but was skipped; rows 2 and 4 went.
-        assert_eq!(ids(&db), vec![1, 3]);
+        assert_eq!(ids(&mut db), vec![1, 3]);
         assert_eq!(out.rows_affected, 2);
     }
 
@@ -774,13 +778,17 @@ mod tests {
         let out = run(&mut db, "ROLLBACK");
         assert_eq!(out.fired, vec![FaultKind::DmlRollbackLeaksInsertedRow]);
         assert_eq!(out.ops.len(), 1, "the leak is itself an op");
-        assert_eq!(ids(&db), vec![1, 2, 3, 4, 7], "first insert leaked through");
+        assert_eq!(
+            ids(&mut db),
+            vec![1, 2, 3, 4, 7],
+            "first insert leaked through"
+        );
         // A rollback of a txn with no inserts stays clean.
         run(&mut db, "BEGIN");
         run(&mut db, "DELETE FROM t1 WHERE t1.id = 7");
         let out = run(&mut db, "ROLLBACK");
         assert!(out.fired.is_empty());
-        assert_eq!(ids(&db), vec![1, 2, 3, 4, 7]);
+        assert_eq!(ids(&mut db), vec![1, 2, 3, 4, 7]);
     }
 
     #[test]
@@ -792,7 +800,7 @@ mod tests {
         let out = run(&mut db, "COMMIT");
         assert_eq!(out.fired, vec![FaultKind::DmlCommitBoundaryTornVisibility]);
         assert_eq!(out.ops.len(), 1, "only the surviving op is durable");
-        assert_eq!(ids(&db), vec![1, 2, 3, 4, 7], "last change torn off");
+        assert_eq!(ids(&mut db), vec![1, 2, 3, 4, 7], "last change torn off");
         // An empty commit has nothing to tear.
         run(&mut db, "BEGIN");
         let out = run(&mut db, "COMMIT");

@@ -2,13 +2,18 @@
 //! statement execution and the session interface used by TQS.
 
 use crate::dml::{apply_mutation, DmlOp, DmlOutcome};
-use crate::exec::{execute_join, ColumnPruner, ExecContext, ExecError, Rel};
+use crate::exec::{
+    col_index, execute_join, executor_metric, flatten_and, ColumnPruner, ExecContext, ExecError,
+    Executor, Rel,
+};
 use crate::faults::{FaultKind, FaultSet};
 use crate::plan::{JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
 use crate::profiles::DbmsProfile;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use tqs_sql::ast::{AggFunc, BinOp, ColumnRef, DmlStmt, Expr, JoinType, SelectItem, SelectStmt};
+use tqs_sql::ast::{
+    AggFunc, BinOp, ColumnRef, DmlStmt, Expr, Join, JoinType, SelectItem, SelectStmt,
+};
 #[cfg(test)]
 use tqs_sql::eval::in_membership;
 use tqs_sql::eval::{
@@ -18,7 +23,7 @@ use tqs_sql::eval::{
 use tqs_sql::hints::{Hint, HintSet, SemiJoinStrategy, SessionSwitch, SwitchName};
 use tqs_sql::parser::{parse_dml, parse_stmt, ParseError};
 use tqs_sql::value::{sql_compare, KeyBuf, SqlCmp, Value};
-use tqs_storage::{Catalog, ResultSet, Row};
+use tqs_storage::{Catalog, ResultSet, Row, Table};
 use tqs_telemetry::QueryProfile;
 
 /// Errors surfaced by the engine.
@@ -99,6 +104,93 @@ pub struct Database {
     txn: Option<DmlTxn>,
 }
 
+/// A session of the simulated DBMS, whichever executor runs it.
+///
+/// The three executors — [`Database`] (row), [`crate::ColumnarDatabase`] and
+/// [`crate::DiskDatabase`] — differ in where base relations come from and in
+/// which join / filter kernel runs. An executor supplies exactly that (the
+/// required methods); the rest of the session surface is written once, in the
+/// provided methods.
+pub trait Engine {
+    /// The session state: catalog, profile, switches, open transaction.
+    fn session(&self) -> &Database;
+
+    fn session_mut(&mut self) -> &mut Database;
+
+    /// Replace the data the session runs over.
+    fn load_catalog(&mut self, catalog: Catalog) -> Result<(), EngineError>;
+
+    /// Execute a statement and return its result set, plan and fired faults.
+    fn execute(&mut self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError>;
+
+    /// Execute one DML / transaction-control statement.
+    fn execute_dml(&mut self, stmt: &DmlStmt) -> Result<DmlOutcome, EngineError>;
+
+    /// The line EXPLAIN appends under the plan to name the executor (the row
+    /// executor, being the plan's default reading, has none).
+    fn executor_note(&self) -> Option<String>;
+
+    fn catalog(&self) -> &Catalog {
+        &self.session().catalog
+    }
+
+    fn profile(&self) -> &DbmsProfile {
+        &self.session().profile
+    }
+
+    /// Is a transaction open on this session?
+    fn in_txn(&self) -> bool {
+        self.session().txn.is_some()
+    }
+
+    /// `SET optimizer_switch='name=on|off'`.
+    fn apply_switch(&mut self, s: SessionSwitch) {
+        self.session_mut().switches.insert(s.name, s.on);
+    }
+
+    fn reset_switches(&mut self) {
+        self.session_mut().switches.clear();
+    }
+
+    /// EXPLAIN: the physical plan the optimizer would choose, then the
+    /// executor note.
+    fn explain(&self, stmt: &SelectStmt) -> Result<String, EngineError> {
+        let mut out = self.session().plan(stmt)?.explain();
+        out.extend(self.executor_note());
+        Ok(out)
+    }
+
+    /// Execute a transformed query: apply the hint set's session switches,
+    /// splice its hints into the statement, execute, then restore switches.
+    fn execute_with_hints(
+        &mut self,
+        stmt: &SelectStmt,
+        hints: &HintSet,
+    ) -> Result<ExecOutcome, EngineError> {
+        let saved = self.session().switches.clone();
+        for s in &hints.switches {
+            self.apply_switch(*s);
+        }
+        let mut hinted = stmt.clone();
+        hinted.hints.extend(hints.hints.iter().cloned());
+        let out = self.execute(&hinted);
+        self.session_mut().switches = saved;
+        out
+    }
+
+    /// Execute SQL text (parses, then executes).
+    fn execute_sql(&mut self, sql: &str) -> Result<ExecOutcome, EngineError> {
+        let stmt = parse_stmt(sql)?;
+        self.execute(&stmt)
+    }
+
+    /// Execute DML text (parses one statement, then executes).
+    fn execute_dml_sql(&mut self, sql: &str) -> Result<DmlOutcome, EngineError> {
+        let stmt = parse_dml(sql)?;
+        self.execute_dml(&stmt)
+    }
+}
+
 impl Database {
     pub fn new(catalog: Catalog, profile: DbmsProfile) -> Self {
         Database {
@@ -107,11 +199,6 @@ impl Database {
             switches: HashMap::new(),
             txn: None,
         }
-    }
-
-    /// Is a transaction open on this session?
-    pub fn in_txn(&self) -> bool {
-        self.txn.is_some()
     }
 
     /// Ops the open transaction has applied so far (empty outside one). The
@@ -127,6 +214,28 @@ impl Database {
     pub(crate) fn clear_txn(&mut self) {
         self.txn = None;
     }
+}
+
+/// The row executor: scans the session's own catalog, row-at-a-time kernels.
+impl Engine for Database {
+    fn session(&self) -> &Database {
+        self
+    }
+
+    fn session_mut(&mut self) -> &mut Database {
+        self
+    }
+
+    fn load_catalog(&mut self, catalog: Catalog) -> Result<(), EngineError> {
+        self.catalog = catalog;
+        Ok(())
+    }
+
+    fn execute(&mut self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError> {
+        let (plan, ctx) = self.begin(stmt, Executor::Row)?;
+        let _stmt_span = tqs_telemetry::span("engine", "row.execute");
+        self.execute_rows(&self.catalog, stmt, plan, ctx)
+    }
 
     /// Execute one DML / transaction-control statement against this session.
     ///
@@ -135,7 +244,7 @@ impl Database {
     /// and `COMMIT` makes the delta permanent. The enabled
     /// [`FaultKind::DML`] faults fire here on their trigger shapes — see the
     /// [`crate::dml`] module docs.
-    pub fn execute_dml(&mut self, stmt: &DmlStmt) -> Result<DmlOutcome, EngineError> {
+    fn execute_dml(&mut self, stmt: &DmlStmt) -> Result<DmlOutcome, EngineError> {
         match stmt {
             DmlStmt::Begin => {
                 if self.txn.is_some() {
@@ -209,21 +318,12 @@ impl Database {
         }
     }
 
-    /// Execute DML text (parses one statement, then executes).
-    pub fn execute_dml_sql(&mut self, sql: &str) -> Result<DmlOutcome, EngineError> {
-        let stmt = parse_dml(sql)?;
-        self.execute_dml(&stmt)
+    fn executor_note(&self) -> Option<String> {
+        None
     }
+}
 
-    /// `SET optimizer_switch='name=on|off'`.
-    pub fn apply_switch(&mut self, s: SessionSwitch) {
-        self.switches.insert(s.name, s.on);
-    }
-
-    pub fn reset_switches(&mut self) {
-        self.switches.clear();
-    }
-
+impl Database {
     fn switch_on(&self, name: SwitchName) -> bool {
         *self.switches.get(&name).unwrap_or(&true)
     }
@@ -234,35 +334,6 @@ impl Database {
             .filter(|n| !self.switch_on(**n))
             .map(|n| n.name())
             .collect()
-    }
-
-    /// Execute a transformed query: apply the hint set's session switches,
-    /// splice its hints into the statement, execute, then restore switches.
-    pub fn execute_with_hints(
-        &mut self,
-        stmt: &SelectStmt,
-        hints: &HintSet,
-    ) -> Result<ExecOutcome, EngineError> {
-        let saved = self.switches.clone();
-        for s in &hints.switches {
-            self.apply_switch(*s);
-        }
-        let mut hinted = stmt.clone();
-        hinted.hints.extend(hints.hints.iter().cloned());
-        let out = self.execute(&hinted);
-        self.switches = saved;
-        out
-    }
-
-    /// Execute SQL text (parses, then executes).
-    pub fn execute_sql(&self, sql: &str) -> Result<ExecOutcome, EngineError> {
-        let stmt = parse_stmt(sql)?;
-        self.execute(&stmt)
-    }
-
-    /// EXPLAIN: the physical plan the optimizer would choose.
-    pub fn explain(&self, stmt: &SelectStmt) -> Result<String, EngineError> {
-        Ok(self.plan(stmt)?.explain())
     }
 
     /// The optimizer: choose a physical plan for `stmt` given the session
@@ -470,7 +541,7 @@ impl Database {
         false
     }
 
-    fn right_has_key(&self, join: &tqs_sql::ast::Join) -> bool {
+    fn right_has_key(&self, join: &Join) -> bool {
         let table = match self.catalog.table(&join.table.table) {
             Some(t) => t,
             None => return false,
@@ -573,45 +644,48 @@ impl Database {
         Some(self.profile.join_buffer_rows)
     }
 
-    /// Execute a statement and return its result set, plan and fired faults.
-    pub fn execute(&self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError> {
+    /// The prologue every executor opens a statement with: the plan, and an
+    /// execution context carrying the session facts the fault triggers read.
+    pub(crate) fn begin(
+        &self,
+        stmt: &SelectStmt,
+        executor: Executor,
+    ) -> Result<(PhysicalPlan, ExecContext), EngineError> {
         let plan = self.plan(stmt)?;
         let mut ctx = ExecContext::new(self.profile.faults.clone());
+        ctx.executor = executor;
         ctx.switched_off = self.switched_off_names();
         ctx.materialization = self.materialization_enabled(stmt);
         ctx.subquery_present = stmt.has_subquery();
         ctx.semi_strategy = self.semi_strategy(stmt);
         ctx.check_cancelled()?;
+        Ok((plan, ctx))
+    }
 
-        let _stmt_span = tqs_telemetry::span("engine", "row.execute");
-
+    /// The row pipeline over `catalog` — the session's own for the row
+    /// executor, the one scanned out of the page store for the disk executor.
+    pub(crate) fn execute_rows(
+        &self,
+        catalog: &Catalog,
+        stmt: &SelectStmt,
+        plan: PhysicalPlan,
+        mut ctx: ExecContext,
+    ) -> Result<ExecOutcome, EngineError> {
         // Base scan (pruned to the columns the statement can observe).
         let op_t0 = ctx.op_start();
         let pruner = ColumnPruner::new(stmt);
-        let base_table = self
-            .catalog
-            .table(&stmt.from.base.table)
-            .ok_or_else(|| EngineError::UnknownTable(stmt.from.base.table.clone()))?;
+        let base_table = find_table(catalog, &stmt.from.base.table)?;
         let mut rel = Rel::scan_pruned(base_table, stmt.from.base.binding(), &pruner);
         if op_t0.is_some() {
             let rows = rel.rows.len() as u64;
             ctx.op_end(op_t0, "scan", rows, rows);
-            tqs_telemetry::counter!("engine.row.scan.rows_out").add(rows);
+            executor_metric!(counter, ctx.executor, "scan.rows_out").add(rows);
         }
 
         // Joins, in plan order.
         for pj in &plan.joins {
             ctx.check_cancelled()?;
-            let ast_join = stmt
-                .from
-                .joins
-                .iter()
-                .find(|j| j.table.binding().eq_ignore_ascii_case(&pj.right_binding))
-                .ok_or_else(|| EngineError::Unsupported("plan/AST join mismatch".into()))?;
-            let right_table = self
-                .catalog
-                .table(&ast_join.table.table)
-                .ok_or_else(|| EngineError::UnknownTable(ast_join.table.table.clone()))?;
+            let (ast_join, right_table) = join_input(catalog, stmt, pj)?;
             let right = Rel::scan_pruned(right_table, ast_join.table.binding(), &pruner);
             rel = execute_join(&rel, &right, pj, ast_join.on.as_ref(), &mut ctx)?;
         }
@@ -624,7 +698,7 @@ impl Database {
             .where_clause
             .as_ref()
             .and_then(|pred| self.apply_constant_cache_fault(pred, &rel, &mut ctx));
-        let sub = EngineSubqueries::new(self, plan.subquery_plan, ctx.materialization);
+        let sub = EngineSubqueries::new(catalog, &ctx, plan.subquery_plan);
         if let Some(pred) = rewritten.as_ref().or(stmt.where_clause.as_ref()) {
             let op_t0 = ctx.op_start();
             let rows_in = rel.rows.len() as u64;
@@ -638,13 +712,27 @@ impl Database {
             if op_t0.is_some() {
                 let rows_out = rel.rows.len() as u64;
                 ctx.op_end(op_t0, "filter", rows_in, rows_out);
-                tqs_telemetry::counter!("engine.row.filter.rows_in").add(rows_in);
-                tqs_telemetry::counter!("engine.row.filter.rows_out").add(rows_out);
+                executor_metric!(counter, ctx.executor, "filter.rows_in").add(rows_in);
+                executor_metric!(counter, ctx.executor, "filter.rows_out").add(rows_out);
             }
         }
+        self.finish(stmt, plan, rel, sub, ctx)
+    }
 
-        // Projection / aggregation / DISTINCT / LIMIT.
+    /// The tail every executor closes a statement with: projection or
+    /// aggregation, DISTINCT and LIMIT over the filtered relation (made row-major
+    /// inside the operator's clock), then the statement's books — telemetry and
+    /// the faults the subqueries fired.
+    pub(crate) fn finish(
+        &self,
+        stmt: &SelectStmt,
+        plan: PhysicalPlan,
+        rel: impl Into<Rel>,
+        sub: EngineSubqueries<'_>,
+        mut ctx: ExecContext,
+    ) -> Result<ExecOutcome, EngineError> {
         let op_t0 = ctx.op_start();
+        let rel: Rel = rel.into();
         let rows_in = rel.rows.len() as u64;
         let grouped = stmt.has_aggregates() || !stmt.group_by.is_empty();
         let mut result = if grouped {
@@ -653,7 +741,7 @@ impl Database {
             self.project(stmt, &rel, &sub)?
         };
         if stmt.distinct {
-            result = distinct(result);
+            result = result.into_distinct();
         }
         if let Some(l) = stmt.limit {
             result.rows.truncate(l as usize);
@@ -663,10 +751,10 @@ impl Database {
             let op = if grouped { "group" } else { "project" };
             ctx.op_end(op_t0, op, rows_in, rows_out);
             if grouped {
-                tqs_telemetry::counter!("engine.row.group.rows_in").add(rows_in);
-                tqs_telemetry::counter!("engine.row.group.rows_out").add(rows_out);
+                executor_metric!(counter, ctx.executor, "group.rows_in").add(rows_in);
+                executor_metric!(counter, ctx.executor, "group.rows_out").add(rows_out);
             }
-            tqs_telemetry::counter!("engine.row.statements").incr();
+            executor_metric!(counter, ctx.executor, "statements").incr();
         }
 
         ctx.fired.extend(sub.into_fired());
@@ -701,7 +789,7 @@ impl Database {
         let first = &rel.rows[0];
         let mut fired = false;
         let rewritten = rewrite_null_safe_eq(pred, &mut |col: &tqs_sql::ast::ColumnRef| {
-            let idx = rel.col_index(col.table.as_deref(), &col.column)?;
+            let idx = col_index(&rel.cols, col.table.as_deref(), &col.column)?;
             if first[idx].is_null() {
                 fired = true;
                 Some(Value::Null)
@@ -829,6 +917,28 @@ impl Database {
     }
 }
 
+/// `name` in `catalog`, or the engine's unknown-table error.
+pub(crate) fn find_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table, EngineError> {
+    catalog
+        .table(name)
+        .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
+}
+
+/// The AST join a plan step executes and the table on its right side.
+pub(crate) fn join_input<'a>(
+    catalog: &'a Catalog,
+    stmt: &'a SelectStmt,
+    pj: &PhysicalJoin,
+) -> Result<(&'a Join, &'a Table), EngineError> {
+    let ast_join = stmt
+        .from
+        .joins
+        .iter()
+        .find(|j| j.table.binding().eq_ignore_ascii_case(&pj.right_binding))
+        .ok_or_else(|| EngineError::Unsupported("plan/AST join mismatch".into()))?;
+    Ok((ast_join, find_table(catalog, &ast_join.table.table)?))
+}
+
 fn eval_agg(func: AggFunc, group_size: usize, vals: &[Value]) -> Value {
     match func {
         AggFunc::CountStar => Value::Int(group_size as i64),
@@ -867,20 +977,6 @@ fn eval_agg(func: AggFunc, group_size: usize, vals: &[Value]) -> Value {
             }
             best.unwrap_or(Value::Null)
         }
-    }
-}
-
-fn flatten_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    if let Expr::Binary {
-        op: BinOp::And,
-        left,
-        right,
-    } = e
-    {
-        flatten_and(left, out);
-        flatten_and(right, out);
-    } else {
-        out.push(e);
     }
 }
 
@@ -933,7 +1029,7 @@ fn rewrite_null_safe_eq(
 /// subquery plan and its faults. Shared with the columnar executor, whose
 /// WHERE phase delegates subquery evaluation here.
 pub(crate) struct EngineSubqueries<'a> {
-    db: &'a Database,
+    catalog: &'a Catalog,
     plan: SubqueryPlan,
     materialization: bool,
     faults: FaultSet,
@@ -946,12 +1042,13 @@ pub(crate) struct EngineSubqueries<'a> {
 }
 
 impl<'a> EngineSubqueries<'a> {
-    pub(crate) fn new(db: &'a Database, plan: SubqueryPlan, materialization: bool) -> Self {
+    /// Subqueries of the statement `ctx` belongs to, scanning `catalog`.
+    pub(crate) fn new(catalog: &'a Catalog, ctx: &ExecContext, plan: SubqueryPlan) -> Self {
         EngineSubqueries {
-            db,
+            catalog,
             plan,
-            materialization,
-            faults: db.profile.faults.clone(),
+            materialization: ctx.materialization,
+            faults: ctx.faults.clone(),
             fired: RefCell::new(Vec::new()),
             memo: SubqueryMemo::new(),
         }
@@ -978,8 +1075,7 @@ impl<'a> EngineSubqueries<'a> {
 
 impl SubquerySource for EngineSubqueries<'_> {
     fn has_own_column(&self, stmt: &SelectStmt, column: &str) -> bool {
-        self.db
-            .catalog
+        self.catalog
             .table(&stmt.from.base.table)
             .is_some_and(|t| t.column_index(column).is_some())
     }
@@ -992,13 +1088,9 @@ impl SubquerySource for EngineSubqueries<'_> {
         stmt: &SelectStmt,
         outer: &dyn ColumnResolver,
     ) -> Result<Vec<Value>, EvalError> {
-        let table = self
-            .db
-            .catalog
-            .table(&stmt.from.base.table)
-            .ok_or_else(|| {
-                EvalError::Unsupported(format!("unknown table {}", stmt.from.base.table))
-            })?;
+        let table = self.catalog.table(&stmt.from.base.table).ok_or_else(|| {
+            EvalError::Unsupported(format!("unknown table {}", stmt.from.base.table))
+        })?;
         if !stmt.from.joins.is_empty() {
             return Err(EvalError::Unsupported("joins inside subquery".into()));
         }
@@ -1119,7 +1211,7 @@ pub(crate) mod per_row_reference {
 /// table or materializing per-row scope entries.
 struct TableRow<'a> {
     binding: &'a str,
-    table: &'a tqs_storage::Table,
+    table: &'a Table,
     row: &'a [Value],
 }
 
@@ -1136,10 +1228,6 @@ impl ColumnResolver for TableRow<'_> {
             .position(|c| c.name.eq_ignore_ascii_case(&col.column))
             .map(|i| self.row[i].clone())
     }
-}
-
-pub(crate) fn distinct(rs: ResultSet) -> ResultSet {
-    rs.into_distinct()
 }
 
 #[cfg(test)]
@@ -1189,7 +1277,7 @@ mod tests {
 
     #[test]
     fn single_table_select_and_where() {
-        let d = db(ProfileId::MysqlLike);
+        let mut d = db(ProfileId::MysqlLike);
         let out = d
             .execute_sql("SELECT t1.id FROM t1 WHERE t1.col1 > 10")
             .unwrap();
@@ -1213,7 +1301,7 @@ mod tests {
 
     #[test]
     fn hints_change_the_physical_plan() {
-        let d = db(ProfileId::MysqlLike);
+        let mut d = db(ProfileId::MysqlLike);
         let base = parse_stmt("SELECT t1.id FROM t1 JOIN t2 ON t1.col1 = t2.id").unwrap();
         let hash = d.plan(&base).unwrap();
         let merge = d
@@ -1267,7 +1355,7 @@ mod tests {
 
     #[test]
     fn left_outer_join_simplification() {
-        let d = db(ProfileId::XdbLike);
+        let mut d = db(ProfileId::XdbLike);
         let stmt = parse_stmt(
             "SELECT t1.id FROM t1 LEFT OUTER JOIN t2 ON t1.col1 = t2.id WHERE t2.col1 = 'a'",
         )
@@ -1290,7 +1378,7 @@ mod tests {
 
     #[test]
     fn join_order_hint_validity() {
-        let d = db(ProfileId::MysqlLike);
+        let mut d = db(ProfileId::MysqlLike);
         let stmt =
             parse_stmt("SELECT /*+ JOIN_ORDER(t2, t1) */ t1.id FROM t1 JOIN t2 ON t1.col1 = t2.id")
                 .unwrap();
@@ -1300,25 +1388,45 @@ mod tests {
         assert_eq!(out.result.row_count(), 2);
     }
 
+    /// The hint-application body is the one copy all three executors run:
+    /// the switches apply while the statement runs and are restored after a
+    /// successful and after a failing statement.
     #[test]
     fn execute_with_hints_restores_switches() {
-        let mut d = db(ProfileId::MariadbLike);
+        let profile = || DbmsProfile::pristine(ProfileId::MariadbLike);
+        let engines: [Box<dyn Engine>; 3] = [
+            Box::new(db(ProfileId::MariadbLike)),
+            Box::new(crate::ColumnarDatabase::new(catalog(), profile())),
+            Box::new(crate::DiskDatabase::new(catalog(), profile()).unwrap()),
+        ];
         let stmt = parse_stmt("SELECT t1.id FROM t1 JOIN t2 ON t1.col1 = t2.id").unwrap();
+        let missing = parse_stmt("SELECT x.a FROM missing x").unwrap();
         let hs = HintSet::new("bnl")
             .with_switch(SessionSwitch::off(SwitchName::JoinCacheBka))
             .with_switch(SessionSwitch::off(SwitchName::JoinCacheHashed));
-        let out = d.execute_with_hints(&stmt, &hs).unwrap();
-        assert_eq!(out.result.row_count(), 2);
-        // switches restored afterwards
-        assert_eq!(
-            d.plan(&stmt).unwrap().joins[0].algo,
-            JoinAlgo::BatchedKeyAccess
-        );
+        for mut d in engines {
+            let out = d.execute_with_hints(&stmt, &hs).unwrap();
+            assert_eq!(out.result.row_count(), 2);
+            assert_eq!(out.plan.joins[0].algo, JoinAlgo::BlockNestedLoop);
+            // switches restored afterwards
+            assert_eq!(
+                d.session().plan(&stmt).unwrap().joins[0].algo,
+                JoinAlgo::BatchedKeyAccess
+            );
+            assert!(matches!(
+                d.execute_with_hints(&missing, &hs),
+                Err(EngineError::UnknownTable(_))
+            ));
+            assert_eq!(
+                d.session().plan(&stmt).unwrap().joins[0].algo,
+                JoinAlgo::BatchedKeyAccess
+            );
+        }
     }
 
     #[test]
     fn in_subquery_and_not_in_null_semantics() {
-        let d = db(ProfileId::MysqlLike);
+        let mut d = db(ProfileId::MysqlLike);
         let inq = d
             .execute_sql("SELECT t1.id FROM t1 WHERE t1.col1 IN (SELECT t2.id FROM t2)")
             .unwrap();
@@ -1352,7 +1460,7 @@ mod tests {
 
     #[test]
     fn group_by_and_aggregates() {
-        let d = db(ProfileId::TidbLike);
+        let mut d = db(ProfileId::TidbLike);
         let out = d
             .execute_sql(
                 "SELECT t2.col1, COUNT(*) AS cnt FROM t1 JOIN t2 ON t1.col1 = t2.id GROUP BY t2.col1",
@@ -1367,7 +1475,7 @@ mod tests {
 
     #[test]
     fn distinct_and_limit() {
-        let d = db(ProfileId::MysqlLike);
+        let mut d = db(ProfileId::MysqlLike);
         let out = d
             .execute_sql("SELECT DISTINCT t2.col1 FROM t2 JOIN t1 ON t2.id = t1.col1")
             .unwrap();
@@ -1378,7 +1486,7 @@ mod tests {
 
     #[test]
     fn errors_for_unknown_tables_and_bad_sql() {
-        let d = db(ProfileId::MysqlLike);
+        let mut d = db(ProfileId::MysqlLike);
         assert!(matches!(
             d.execute_sql("SELECT x.a FROM missing x"),
             Err(EngineError::UnknownTable(_))

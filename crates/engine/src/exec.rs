@@ -75,19 +75,26 @@ impl Rel {
         out
     }
 
-    pub fn col_index(&self, binding: Option<&str>, col: &str) -> Option<usize> {
-        self.cols.iter().position(|(b, c)| {
-            c.eq_ignore_ascii_case(col)
-                && binding.map(|q| q.eq_ignore_ascii_case(b)).unwrap_or(true)
-        })
-    }
-
     /// Allocation-free resolver for one row, consumable by the reference
     /// evaluator — borrows the relation's column metadata and the row slice
     /// instead of cloning both into an owned scope.
     pub fn resolver<'a>(&'a self, row: &'a [Value]) -> SliceRow<'a> {
         SliceRow::new(&self.cols, row)
     }
+}
+
+/// Position of `binding.col` in a relation header (`cols` of a [`Rel`] or a
+/// [`ColumnarRel`](crate::columnar::ColumnarRel)); an unqualified reference
+/// takes the first column of that name.
+#[inline]
+pub(crate) fn col_index(
+    cols: &[(String, String)],
+    binding: Option<&str>,
+    col: &str,
+) -> Option<usize> {
+    cols.iter().position(|(b, c)| {
+        c.eq_ignore_ascii_case(col) && binding.map(|q| q.eq_ignore_ascii_case(b)).unwrap_or(true)
+    })
 }
 
 /// Plan-time column pruning: which `(binding, column)` pairs a statement can
@@ -168,11 +175,39 @@ impl ColumnPruner {
     }
 }
 
+/// Which executor a statement runs on. The shared pipeline is handed this
+/// and books its span and counters under `engine.<executor>.*`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Executor {
+    Row,
+    Columnar,
+    Disk,
+}
+
+/// The `counter!` / `histogram!` named `engine.<executor>.<suffix>`. Those
+/// macros cache one handle per call site, so a name computed from the
+/// executor would stick to whichever engine ran first: one literal per arm.
+macro_rules! executor_metric {
+    ($kind:ident, $executor:expr, $suffix:literal) => {
+        match $executor {
+            $crate::exec::Executor::Row => tqs_telemetry::$kind!(concat!("engine.row.", $suffix)),
+            $crate::exec::Executor::Columnar => {
+                tqs_telemetry::$kind!(concat!("engine.columnar.", $suffix))
+            }
+            $crate::exec::Executor::Disk => {
+                tqs_telemetry::$kind!(concat!("engine.disk.", $suffix))
+            }
+        }
+    };
+}
+pub(crate) use executor_metric;
+
 /// Per-statement execution context: the fault set, session facts, and the
 /// provenance of which faults fired.
 #[derive(Debug)]
 pub struct ExecContext {
     pub faults: FaultSet,
+    pub(crate) executor: Executor,
     pub switched_off: Vec<&'static str>,
     pub materialization: bool,
     pub subquery_present: bool,
@@ -191,6 +226,7 @@ impl ExecContext {
     pub fn new(faults: FaultSet) -> Self {
         ExecContext {
             faults,
+            executor: Executor::Row,
             switched_off: Vec::new(),
             materialization: true,
             subquery_present: false,
@@ -282,13 +318,19 @@ impl std::error::Error for ExecError {}
 
 /// Equi-key extraction result: column indices on each side plus any residual
 /// predicates that must still be evaluated per candidate pair.
-struct EquiKeys {
-    left_idx: Vec<usize>,
-    right_idx: Vec<usize>,
-    residual: Vec<Expr>,
+pub(crate) struct EquiKeys {
+    pub(crate) left_idx: Vec<usize>,
+    pub(crate) right_idx: Vec<usize>,
+    pub(crate) residual: Vec<Expr>,
 }
 
-fn extract_equi_keys(left: &Rel, right: &Rel, on: Option<&Expr>) -> EquiKeys {
+/// Split `on` into equi-key column pairs and residual conjuncts. Works on
+/// relation headers, so the row and the columnar kernel share it.
+pub(crate) fn extract_equi_keys(
+    left: &[(String, String)],
+    right: &[(String, String)],
+    on: Option<&Expr>,
+) -> EquiKeys {
     let mut keys = EquiKeys {
         left_idx: Vec::new(),
         right_idx: Vec::new(),
@@ -305,15 +347,15 @@ fn extract_equi_keys(left: &Rel, right: &Rel, on: Option<&Expr>) -> EquiKeys {
         } = c
         {
             if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
-                let la = left.col_index(ca.table.as_deref(), &ca.column);
-                let rb = right.col_index(cb.table.as_deref(), &cb.column);
+                let la = col_index(left, ca.table.as_deref(), &ca.column);
+                let rb = col_index(right, cb.table.as_deref(), &cb.column);
                 if let (Some(li), Some(ri)) = (la, rb) {
                     keys.left_idx.push(li);
                     keys.right_idx.push(ri);
                     continue;
                 }
-                let lb = left.col_index(cb.table.as_deref(), &cb.column);
-                let ra = right.col_index(ca.table.as_deref(), &ca.column);
+                let lb = col_index(left, cb.table.as_deref(), &cb.column);
+                let ra = col_index(right, ca.table.as_deref(), &ca.column);
                 if let (Some(li), Some(ri)) = (lb, ra) {
                     keys.left_idx.push(li);
                     keys.right_idx.push(ri);
@@ -326,7 +368,8 @@ fn extract_equi_keys(left: &Rel, right: &Rel, on: Option<&Expr>) -> EquiKeys {
     keys
 }
 
-fn flatten_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+/// The conjuncts of `e`, left to right.
+pub(crate) fn flatten_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     if let Expr::Binary {
         op: BinOp::And,
         left,
@@ -476,8 +519,8 @@ impl ScopeLayout {
     /// the old per-row scope scan used.
     pub(crate) fn compile(
         residual: &[Expr],
-        left_index: &dyn Fn(Option<&str>, &str) -> Option<usize>,
-        right_index: &dyn Fn(Option<&str>, &str) -> Option<usize>,
+        left: &[(String, String)],
+        right: &[(String, String)],
     ) -> ScopeLayout {
         let mut entries: Vec<ScopeEntry> = Vec::new();
         for pred in residual {
@@ -485,9 +528,10 @@ impl ScopeLayout {
                 if entries.iter().any(|e| e.matches(c)) {
                     continue;
                 }
-                let target = left_index(c.table.as_deref(), &c.column)
+                let (table, column) = (c.table.as_deref(), &c.column);
+                let target = col_index(left, table, column)
                     .map(|o| (false, o))
-                    .or_else(|| right_index(c.table.as_deref(), &c.column).map(|o| (true, o)));
+                    .or_else(|| col_index(right, table, column).map(|o| (true, o)));
                 if let Some((right, offset)) = target {
                     entries.push(ScopeEntry {
                         table: c.table.clone(),
@@ -563,10 +607,8 @@ pub fn execute_join(
 ) -> Result<Rel, ExecError> {
     let op_t0 = ctx.op_start();
     let t = ctx.trigger_ctx(join);
-    let keys = extract_equi_keys(left, right, on);
-    let layout = ScopeLayout::compile(&keys.residual, &|b, c| left.col_index(b, c), &|b, c| {
-        right.col_index(b, c)
-    });
+    let keys = extract_equi_keys(&left.cols, &right.cols, on);
+    let layout = ScopeLayout::compile(&keys.residual, &left.cols, &right.cols);
 
     // Compute the match matrix: for each left row, the list of matching right
     // row indices. Algorithms differ in how matches are found (and therefore
@@ -731,9 +773,9 @@ pub fn execute_join(
         if let Some(p) = ctx.profile.as_mut() {
             p.push(join.algo.profile_label(), rows_in, rows_out, ns);
         }
-        tqs_telemetry::counter!("engine.row.join.rows_in").add(rows_in);
-        tqs_telemetry::counter!("engine.row.join.rows_out").add(rows_out);
-        tqs_telemetry::histogram!("engine.row.join.ns").record(ns);
+        executor_metric!(counter, ctx.executor, "join.rows_in").add(rows_in);
+        executor_metric!(counter, ctx.executor, "join.rows_out").add(rows_out);
+        executor_metric!(histogram, ctx.executor, "join.ns").record(ns);
     }
     Ok(out)
 }
@@ -1324,10 +1366,18 @@ mod tests {
         assert_eq!(out.rows.len(), 16);
     }
 
+    /// The one key extraction serves both kernels: a [`Rel`] and a
+    /// [`ColumnarRel`](crate::columnar::ColumnarRel) hand it the same header.
     #[test]
     fn key_extraction_handles_reversed_equality_and_residual() {
-        let left = left_rel();
-        let right = right_rel();
+        use crate::columnar::ColumnarRel;
+        let (lt, rt) = (table("l", vec![]), table("r", vec![]));
+        let row_major = (Rel::scan(&lt, "l").cols, Rel::scan(&rt, "r").cols);
+        let column_major = (
+            ColumnarRel::scan(&lt, "l").cols,
+            ColumnarRel::scan(&rt, "r").cols,
+        );
+        let bare = |c: &str| Expr::Column(ColumnRef::bare(c));
         let on = Expr::and(
             Expr::eq(Expr::col("r", "id"), Expr::col("l", "id")),
             Expr::binary(
@@ -1336,14 +1386,35 @@ mod tests {
                 Expr::lit(Value::str("y")),
             ),
         );
-        let keys = extract_equi_keys(&left, &right, Some(&on));
-        assert_eq!(keys.left_idx, vec![0]);
-        assert_eq!(keys.right_idx, vec![0]);
-        assert_eq!(keys.residual.len(), 1);
+        for (left, right) in [row_major, column_major] {
+            // reversed equality, with a residual non-equi conjunct
+            let keys = extract_equi_keys(&left, &right, Some(&on));
+            assert_eq!((keys.left_idx, keys.right_idx), (vec![0], vec![0]));
+            assert_eq!(keys.residual.len(), 1);
+            // an unqualified column resolves on the left side first
+            let unqualified = Expr::eq(bare("name"), Expr::col("r", "id"));
+            let keys = extract_equi_keys(&left, &right, Some(&unqualified));
+            assert_eq!((keys.left_idx, keys.right_idx), (vec![1], vec![0]));
+            assert!(keys.residual.is_empty());
+            // a column missing on one side is no key: the conjunct stays
+            // residual, in either orientation
+            for missing in [
+                Expr::eq(Expr::col("l", "id"), Expr::col("r", "ghost")),
+                Expr::eq(Expr::col("r", "ghost"), Expr::col("l", "id")),
+            ] {
+                let keys = extract_equi_keys(&left, &right, Some(&missing));
+                assert!(keys.left_idx.is_empty() && keys.right_idx.is_empty());
+                assert_eq!(keys.residual, vec![missing]);
+            }
+            // no ON clause: no keys, nothing residual
+            let keys = extract_equi_keys(&left, &right, None);
+            assert!(keys.left_idx.is_empty() && keys.residual.is_empty());
+        }
+
         let mut ctx = ExecContext::new(FaultSet::none());
         let out = execute_join(
-            &left,
-            &right,
+            &left_rel(),
+            &right_rel(),
             &join(JoinType::Inner, JoinAlgo::HashJoin),
             Some(&on),
             &mut ctx,

@@ -4,14 +4,17 @@
 //! paper tests (MySQL, MariaDB, TiDB, X-DB):
 //!
 //! * [`plan`] — physical plans, seven join algorithms, EXPLAIN.
-//! * [`engine`] — the optimizer (hint- and optimizer_switch-steerable) and
-//!   the executor entry points.
-//! * [`exec`] — physical operators with fault interception points.
-//! * [`columnar`] — the second engine: a columnar, batch-at-a-time executor
-//!   sharing the optimizer but carrying its own fault complement.
-//! * [`disk`] — the third engine: disk-backed execution over the `tqs-pager`
-//!   page store (buffer pool, WAL, B+trees), with a storage-layer fault
-//!   complement and crash-fault injection.
+//! * [`engine`] — the session ([`Database`]: catalog, profile, switches,
+//!   open transaction, the hint- and optimizer_switch-steerable optimizer),
+//!   the one front every executor is driven through ([`Engine`]), the
+//!   statement prologue and projection tail all three share, the row executor.
+//! * [`exec`] — physical operators with fault interception points, and what
+//!   the row and columnar kernels share (key extraction, column lookup).
+//! * [`columnar`] — the second executor: column-major, batch-at-a-time
+//!   kernels between the shared prologue and tail, its own fault complement.
+//! * [`disk`] — the third executor: base relations scanned out of the
+//!   `tqs-pager` page store (buffer pool, WAL, B+trees) with a storage-layer
+//!   fault complement, then the row kernels; durable DML, crash injection.
 //! * [`faults`] — the 20-entry fault catalog modeled on Table 4, plus the
 //!   columnar and disk complements.
 //! * [`profiles`] — the four simulated DBMS builds with their latent faults.
@@ -35,7 +38,7 @@ pub use cancel::{CancelGuard, CancelToken};
 pub use columnar::{ColumnarDatabase, ColumnarRel};
 pub use disk::{DiskDatabase, COMMIT_BATCH_ROWS};
 pub use dml::{DmlOp, DmlOutcome};
-pub use engine::{Database, EngineError, ExecOutcome};
+pub use engine::{Database, Engine, EngineError, ExecOutcome};
 pub use exec::{ExecContext, Rel};
 pub use faults::{FaultKind, FaultSet, Severity, TriggerContext};
 pub use plan::{JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
@@ -46,7 +49,7 @@ mod subquery_equivalence;
 
 #[cfg(test)]
 mod proptests {
-    use crate::engine::Database;
+    use crate::engine::{Database, Engine};
     use crate::profiles::{DbmsProfile, ProfileId};
     use proptest::prelude::*;
     use tqs_sql::types::{ColumnDef, ColumnType};
@@ -99,7 +102,7 @@ mod proptests {
                 rows_a.into_iter().filter(|(id, _)| seen.insert(*id)).collect();
             let mut seen = std::collections::HashSet::new();
             let rows_b: Vec<i64> = rows_b.into_iter().filter(|id| seen.insert(*id)).collect();
-            let db = make_db(&rows_a, &rows_b);
+            let mut db = make_db(&rows_a, &rows_b);
             let base = "SELECT a.id, b.id FROM a {} b ON a.fk = b.id";
             for join_kw in ["JOIN", "LEFT OUTER JOIN"] {
                 let plain = db.execute_sql(&base.replace("{}", join_kw)).unwrap();

@@ -176,12 +176,17 @@ impl DbmsProfile {
         }
     }
 
+    /// The same build with every latent fault fixed — what "pristine" means
+    /// on any executor (`DbmsProfile::columnar(id).fault_free()`).
+    pub fn fault_free(mut self) -> DbmsProfile {
+        self.faults = FaultSet::none();
+        self
+    }
+
     /// A fault-free build of the same profile (used to validate that TQS
     /// reports no bugs on a correct engine, and by ablation baselines).
     pub fn pristine(id: ProfileId) -> DbmsProfile {
-        let mut p = DbmsProfile::build(id);
-        p.faults = FaultSet::none();
-        p
+        DbmsProfile::build(id).fault_free()
     }
 
     /// The columnar (vectorized) build of `id`: same optimizer defaults and
@@ -199,14 +204,6 @@ impl DbmsProfile {
         p
     }
 
-    /// A fault-free columnar build (the reference side of cross-engine
-    /// differential testing, and the parity baseline for the property tests).
-    pub fn columnar_pristine(id: ProfileId) -> DbmsProfile {
-        let mut p = DbmsProfile::columnar(id);
-        p.faults = FaultSet::none();
-        p
-    }
-
     /// The disk build of `id`: same optimizer defaults and hint dialect, but
     /// scanning its tables out of the disk-backed page store
     /// ([`crate::disk::DiskDatabase`]), with the storage-layer fault
@@ -219,14 +216,6 @@ impl DbmsProfile {
         for f in FaultKind::DML {
             p.faults.enable(f);
         }
-        p
-    }
-
-    /// A fault-free disk build (the parity baseline for the disk property
-    /// tests and the third member of three-way differential panels).
-    pub fn disk_pristine(id: ProfileId) -> DbmsProfile {
-        let mut p = DbmsProfile::disk(id);
-        p.faults = FaultSet::none();
         p
     }
 }
@@ -309,7 +298,7 @@ mod tests {
                     f.dbms()
                 );
             }
-            assert!(DbmsProfile::columnar_pristine(id).faults.is_empty());
+            assert!(DbmsProfile::columnar(id).fault_free().faults.is_empty());
         }
     }
 
@@ -327,7 +316,7 @@ mod tests {
                     f.dbms()
                 );
             }
-            assert!(DbmsProfile::disk_pristine(id).faults.is_empty());
+            assert!(DbmsProfile::disk(id).fault_free().faults.is_empty());
         }
     }
 

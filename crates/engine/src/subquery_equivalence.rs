@@ -7,7 +7,7 @@
 
 use crate::columnar::ColumnarDatabase;
 use crate::disk::DiskDatabase;
-use crate::engine::{per_row_reference, Database, EngineError, ExecOutcome};
+use crate::engine::{per_row_reference, Database, Engine, EngineError, ExecOutcome};
 use crate::faults::{FaultKind, FaultSet};
 use crate::profiles::{DbmsProfile, ProfileId};
 use proptest::prelude::*;

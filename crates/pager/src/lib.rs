@@ -3,7 +3,7 @@
 //! A small but honest storage engine: fixed-size pages, a buffer pool with
 //! pin counts and LRU eviction, a write-ahead log with redo recovery, and
 //! append-only B+trees keyed by rowid holding each table's heap. It backs
-//! the third simulated engine (`EngineConnector::disk`) so every oracle,
+//! the third simulated engine (`EngineKind::Disk`) so every oracle,
 //! campaign fleet, and reverification pass can hunt storage-layer logic bugs
 //! with the exact same drivers they use against the row and columnar engines.
 //!

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example cross_engine_diff`
 
-use tqs_core::backend::EngineConnector;
+use tqs_core::backend::{BuildSpec, EngineConnector, EngineKind};
 use tqs_core::bugs::minimize_with_oracle;
 use tqs_core::dsg::{DsgConfig, DsgDatabase, QueryGenerator, UniformScorer, WideSource};
 use tqs_core::oracle::{DifferentialOracle, Oracle, OracleVerdict};
@@ -32,13 +32,18 @@ fn main() {
     });
 
     // The build under test: the faulty row engine.
-    let mut conn = EngineConnector::connect(ProfileId::MysqlLike, &dsg);
+    let mut conn = EngineConnector::open(EngineKind::Row, BuildSpec::Faulty, ProfileId::MysqlLike)
+        .loaded(&dsg);
     // The reference: a pristine columnar build of the same dialect, loaded
     // with the same catalog, owned by the oracle.
-    let mut oracle = DifferentialOracle::new(EngineConnector::connect_columnar_pristine(
-        ProfileId::MysqlLike,
-        &dsg,
-    ));
+    let mut oracle = DifferentialOracle::new(
+        EngineConnector::open(
+            EngineKind::Columnar,
+            BuildSpec::Pristine,
+            ProfileId::MysqlLike,
+        )
+        .loaded(&dsg),
+    );
     println!("oracle: {}", oracle.name());
 
     let mut generator = QueryGenerator::new(Default::default());

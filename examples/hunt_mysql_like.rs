@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example hunt_mysql_like`
 
-use tqs_core::backend::EngineConnector;
+use tqs_core::backend::{BuildSpec, EngineConnector, EngineKind};
 use tqs_core::dsg::{DsgConfig, WideSource};
 use tqs_core::tqs::{TqsConfig, TqsSession};
 use tqs_engine::ProfileId;
@@ -29,7 +29,11 @@ fn main() {
             }),
         };
         let mut session = TqsSession::builder()
-            .connector(EngineConnector::faulty(profile))
+            .connector(EngineConnector::open(
+                EngineKind::Row,
+                BuildSpec::Faulty,
+                profile,
+            ))
             .dsg_config(&dsg_cfg)
             .config(TqsConfig {
                 iterations,

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use tqs_core::backend::EngineConnector;
+use tqs_core::backend::{BuildSpec, EngineConnector, EngineKind};
 use tqs_core::dsg::{DsgConfig, WideSource};
 use tqs_core::tqs::{TqsConfig, TqsSession};
 use tqs_engine::ProfileId;
@@ -25,7 +25,11 @@ fn main() {
         }),
     };
     let mut session = TqsSession::builder()
-        .connector(EngineConnector::faulty(ProfileId::MysqlLike))
+        .connector(EngineConnector::open(
+            EngineKind::Row,
+            BuildSpec::Faulty,
+            ProfileId::MysqlLike,
+        ))
         .dsg_config(&dsg_cfg)
         .config(TqsConfig {
             iterations: 150,

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tqs_core::backend::{DbmsConnector, EngineConnector};
+use tqs_core::backend::{DbmsConnector, EngineKind};
 use tqs_core::dsg::{
     DsgConfig, DsgDatabase, QueryGenConfig, QueryGenerator, UniformScorer, WideSource,
 };
@@ -45,8 +45,8 @@ proptest! {
     ) {
         let dsg = shared_dsg();
         let profile = ProfileId::ALL[profile_idx];
-        let mut row = EngineConnector::connect_pristine(profile, dsg);
-        let mut col = EngineConnector::connect_columnar_pristine(profile, dsg);
+        let mut row = EngineKind::Row.connect_pristine(profile, dsg);
+        let mut col = EngineKind::Columnar.connect_pristine(profile, dsg);
         let mut gen = QueryGenerator::new(QueryGenConfig {
             seed,
             ..Default::default()

@@ -6,7 +6,7 @@
 //!
 //! One test, so nothing else in this process sees the telemetry switch move.
 
-use tqs_core::backend::{DbmsConnector, EngineConnector};
+use tqs_core::backend::{BuildSpec, DbmsConnector, EngineConnector, EngineKind};
 use tqs_core::dsg::{DsgConfig, DsgDatabase, WideSource};
 use tqs_engine::ProfileId;
 use tqs_storage::widegen::ShoppingConfig;
@@ -33,14 +33,15 @@ fn connecting_a_disk_engine_commits_nothing_beyond_the_load() {
         noise: None,
     });
     tqs_telemetry::set_enabled(true);
-    let mut open = EngineConnector::disk_pristine(ProfileId::MysqlLike);
+    let mut open =
+        EngineConnector::open(EngineKind::Disk, BuildSpec::Pristine, ProfileId::MysqlLike);
     open.load_catalog(&d.db.catalog).unwrap();
     let bare_load = fsyncs_of(|| open.load_catalog(&d.db.catalog).unwrap());
     let connect_and_load = fsyncs_of(|| {
-        EngineConnector::connect_disk_pristine(ProfileId::MysqlLike, &d);
+        EngineKind::Disk.connect_pristine(ProfileId::MysqlLike, &d);
     });
     let connect_only = fsyncs_of(|| {
-        EngineConnector::disk(ProfileId::MysqlLike);
+        EngineKind::Disk.faulty(ProfileId::MysqlLike);
     });
     tqs_telemetry::set_enabled(false);
     assert!(bare_load > 0, "a catalog load commits through the WAL");

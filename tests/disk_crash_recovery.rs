@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 use tqs_core::dsg::{DsgConfig, DsgDatabase, WideSource};
-use tqs_engine::{DbmsProfile, DiskDatabase, EngineError, ProfileId};
+use tqs_engine::{DbmsProfile, DiskDatabase, Engine, EngineError, ProfileId};
 use tqs_pager::{CrashPoint, DiskStore, DEFAULT_POOL_FRAMES};
 use tqs_schema::NoiseConfig;
 use tqs_sql::value::Value;

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tqs_core::backend::{DbmsConnector, EngineConnector};
+use tqs_core::backend::{DbmsConnector, EngineKind};
 use tqs_core::dsg::{
     DsgConfig, DsgDatabase, QueryGenConfig, QueryGenerator, UniformScorer, WideSource,
 };
@@ -49,8 +49,8 @@ proptest! {
     ) {
         let dsg = shared_dsg();
         let profile = ProfileId::ALL[profile_idx];
-        let mut row = EngineConnector::connect_pristine(profile, dsg);
-        let mut disk = EngineConnector::connect_disk_pristine(profile, dsg);
+        let mut row = EngineKind::Row.connect_pristine(profile, dsg);
+        let mut disk = EngineKind::Disk.connect_pristine(profile, dsg);
         let mut gen = QueryGenerator::new(QueryGenConfig {
             seed,
             ..Default::default()

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tqs_core::backend::{DbmsConnector, EngineConnector};
+use tqs_core::backend::{DbmsConnector, EngineKind};
 use tqs_core::dsg::{DsgConfig, DsgDatabase, WideSource};
 use tqs_core::mutation::{DmlGenConfig, DmlGenerator};
 use tqs_engine::ProfileId;
@@ -55,9 +55,9 @@ proptest! {
         let dsg = shared_dsg();
         let profile = ProfileId::ALL[profile_idx];
         let mut engines = [
-            ("row", EngineConnector::connect_pristine(profile, dsg)),
-            ("columnar", EngineConnector::connect_columnar_pristine(profile, dsg)),
-            ("disk", EngineConnector::connect_disk_pristine(profile, dsg)),
+            ("row", EngineKind::Row.connect_pristine(profile, dsg)),
+            ("columnar", EngineKind::Columnar.connect_pristine(profile, dsg)),
+            ("disk", EngineKind::Disk.connect_pristine(profile, dsg)),
         ];
         let mut generator = DmlGenerator::new(DmlGenConfig { seed, ..Default::default() });
         let program = generator.generate_program(dsg);

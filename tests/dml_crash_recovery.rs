@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 use tqs_core::dsg::{DsgConfig, DsgDatabase, WideSource};
-use tqs_engine::{DbmsProfile, DiskDatabase, EngineError, ProfileId};
+use tqs_engine::{DbmsProfile, DiskDatabase, Engine, EngineError, ProfileId};
 use tqs_pager::CrashPoint;
 use tqs_sql::ast::{Assignment, DeleteStmt, DmlStmt, Expr, InsertStmt, UpdateStmt};
 use tqs_sql::value::Value;

@@ -24,7 +24,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tqs_core::backend::EngineConnector;
+use tqs_core::backend::EngineKind;
 use tqs_core::dsg::{DsgConfig, DsgDatabase, WideSource};
 use tqs_core::mutation::{DmlGenConfig, DmlGenerator, DmlOracle, MutationGroundTruth};
 use tqs_core::oracle::OracleVerdict;
@@ -315,9 +315,9 @@ proptest! {
         let program = generator.generate_program(dsg);
         let oracle = DmlOracle::from_dsg(dsg);
         for (label, mut conn) in [
-            ("row", EngineConnector::connect_pristine(profile, dsg)),
-            ("columnar", EngineConnector::connect_columnar_pristine(profile, dsg)),
-            ("disk", EngineConnector::connect_disk_pristine(profile, dsg)),
+            ("row", EngineKind::Row.connect_pristine(profile, dsg)),
+            ("columnar", EngineKind::Columnar.connect_pristine(profile, dsg)),
+            ("disk", EngineKind::Disk.connect_pristine(profile, dsg)),
         ] {
             match oracle.check_program(&program, &mut conn) {
                 OracleVerdict::Pass => {}

@@ -2,7 +2,7 @@
 //! set, a pristine engine's result matches the wide-table ground truth —
 //! i.e. the DSG ground-truth machinery and the engine agree on SQL semantics.
 
-use tqs_core::backend::{DbmsConnector, EngineConnector};
+use tqs_core::backend::{DbmsConnector, EngineKind};
 use tqs_core::dsg::{
     DsgConfig, DsgDatabase, QueryGenConfig, QueryGenerator, UniformScorer, WideSource,
 };
@@ -28,7 +28,7 @@ fn pristine_engines_match_ground_truth_on_many_generated_queries() {
     });
     let gt = GroundTruthEvaluator::new(&dsg.db);
     for profile in ProfileId::ALL {
-        let mut conn = EngineConnector::connect_pristine(profile, &dsg);
+        let mut conn = EngineKind::Row.connect_pristine(profile, &dsg);
         let mut gen = QueryGenerator::new(QueryGenConfig {
             seed: profile as u64 + 100,
             ..Default::default()

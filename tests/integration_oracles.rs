@@ -6,7 +6,7 @@
 //! * All four baseline oracles (TQS, PQS, TLP, NoRec) run through the
 //!   `Oracle` trait uniformly, via the same runner.
 
-use tqs_core::backend::EngineConnector;
+use tqs_core::backend::{BuildSpec, EngineConnector, EngineKind};
 use tqs_core::baselines::{run_oracle_on, Baseline, BaselineConfig};
 use tqs_core::bugs::OracleKind;
 use tqs_core::dsg::{DsgConfig, DsgDatabase, WideSource};
@@ -36,12 +36,10 @@ fn cross_engine_differential_detects_injected_join_faults() {
     // Row engine: faulty MySQL-like build (Table 4 complement).
     // Reference: pristine columnar build of the same dialect, same catalog.
     let d = dsg();
-    let oracle = DifferentialOracle::new(EngineConnector::connect_columnar_pristine(
-        ProfileId::MysqlLike,
-        &d,
-    ));
+    let oracle =
+        DifferentialOracle::new(EngineKind::Columnar.connect_pristine(ProfileId::MysqlLike, &d));
     let mut session = TqsSession::builder()
-        .connector(EngineConnector::faulty(ProfileId::MysqlLike))
+        .connector(EngineKind::Row.faulty(ProfileId::MysqlLike))
         .dsg(d)
         .config(TqsConfig {
             iterations: 150,
@@ -79,12 +77,14 @@ fn cross_engine_differential_detects_injected_join_faults() {
 #[test]
 fn cross_engine_differential_is_sound_when_both_builds_are_pristine() {
     let d = dsg();
-    let oracle = DifferentialOracle::new(EngineConnector::connect_columnar_pristine(
-        ProfileId::XdbLike,
-        &d,
-    ));
+    let oracle =
+        DifferentialOracle::new(EngineKind::Columnar.connect_pristine(ProfileId::XdbLike, &d));
     let mut session = TqsSession::builder()
-        .connector(EngineConnector::pristine(ProfileId::XdbLike))
+        .connector(EngineConnector::open(
+            EngineKind::Row,
+            BuildSpec::Pristine,
+            ProfileId::XdbLike,
+        ))
         .dsg(d)
         .config(TqsConfig {
             iterations: 60,
@@ -109,9 +109,9 @@ fn the_columnar_build_is_catchable_too() {
     // pristine row engine flags the columnar batching faults.
     let d = dsg();
     let oracle =
-        DifferentialOracle::new(EngineConnector::connect_pristine(ProfileId::MysqlLike, &d));
+        DifferentialOracle::new(EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &d));
     let mut session = TqsSession::builder()
-        .connector(EngineConnector::columnar(ProfileId::MysqlLike))
+        .connector(EngineKind::Columnar.faulty(ProfileId::MysqlLike))
         .dsg(d)
         .config(TqsConfig {
             iterations: 120,
@@ -148,7 +148,7 @@ fn all_four_oracles_run_uniformly_through_the_trait() {
         (Some(Baseline::NoRec), Baseline::NoRec.oracle(&d)),
     ];
     for (baseline, oracle) in oracles.iter_mut() {
-        let mut conn = EngineConnector::connect(ProfileId::MysqlLike, &d);
+        let mut conn = EngineKind::Row.faulty(ProfileId::MysqlLike).loaded(&d);
         let stats = run_oracle_on(oracle.as_mut(), *baseline, &mut conn, &d, &cfg);
         results.push((stats.tool.clone(), stats.bug_type_count));
     }
@@ -168,7 +168,7 @@ fn all_four_oracles_run_uniformly_through_the_trait() {
 fn a_single_statement_flows_through_any_oracle() {
     // The minimal API surface: one stmt, one connector, one verdict.
     let d = dsg();
-    let mut conn = EngineConnector::connect_pristine(ProfileId::TidbLike, &d);
+    let mut conn = EngineKind::Row.connect_pristine(ProfileId::TidbLike, &d);
     let table = &d.db.metas[0].name;
     let col = &d.db.metas[0].columns[0];
     let stmt = tqs_sql::parser::parse_stmt(&format!("SELECT {table}.{col} FROM {table}")).unwrap();

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full DSG pipeline feeding the orchestrator,
 //! across wide-table sources and profiles.
 
-use tqs_core::backend::EngineConnector;
+use tqs_core::backend::{BuildSpec, EngineConnector, EngineKind};
 use tqs_core::dsg::{DsgConfig, WideSource};
 use tqs_core::tqs::{TqsConfig, TqsSession};
 use tqs_engine::ProfileId;
@@ -60,7 +60,11 @@ fn random_fd_source_end_to_end_pristine_is_sound() {
         }),
     };
     let mut session = TqsSession::builder()
-        .connector(EngineConnector::pristine(ProfileId::MariadbLike))
+        .connector(EngineConnector::open(
+            EngineKind::Row,
+            BuildSpec::Pristine,
+            ProfileId::MariadbLike,
+        ))
         .dsg_config(&dsg_cfg)
         .config(cfg(60))
         .build()

@@ -5,7 +5,7 @@
 //!
 //! One test, so nothing else in this process sees the telemetry switch move.
 
-use tqs_core::backend::{DbmsConnector, EngineConnector};
+use tqs_core::backend::{DbmsConnector, EngineKind};
 use tqs_core::dsg::{DsgConfig, DsgDatabase, QueryGenerator, UniformScorer, WideSource};
 use tqs_core::hintgen::hint_sets_for;
 use tqs_core::oracle::{DifferentialOracle, Oracle, OracleVerdict, TqsOracle};
@@ -42,15 +42,12 @@ fn every_judgement_is_counted_and_the_panel_makes_two_per_hint_set() {
     let stmts: Vec<_> = (0..20)
         .map(|_| gen.generate(&d, None, &UniformScorer))
         .collect();
-    let mut disk = EngineConnector::connect_disk_pristine(ProfileId::MysqlLike, &d);
+    let mut disk = EngineKind::Disk.connect_pristine(ProfileId::MysqlLike, &d);
     let mut tqs = TqsOracle::new(&d);
     let mut panel = DifferentialOracle::panel(vec![
-        Box::new(EngineConnector::connect_pristine(ProfileId::MysqlLike, &d))
+        Box::new(EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &d))
             as Box<dyn DbmsConnector>,
-        Box::new(EngineConnector::connect_columnar_pristine(
-            ProfileId::MysqlLike,
-            &d,
-        )),
+        Box::new(EngineKind::Columnar.connect_pristine(ProfileId::MysqlLike, &d)),
     ]);
 
     // Off: the oracles judge, the books stay empty.

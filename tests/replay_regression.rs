@@ -2,7 +2,9 @@
 //! served back by `ReplayConnector`, reproduces the original run bit-for-bit
 //! — same counts, same timelines — without the engine ever being present.
 
-use tqs_core::backend::{DbmsConnector, EngineConnector, RecordingConnector};
+use tqs_core::backend::{
+    BuildSpec, DbmsConnector, EngineConnector, EngineKind, RecordingConnector,
+};
 use tqs_core::baselines::{run_oracle_on, BaselineConfig};
 use tqs_core::dsg::{DsgConfig, DsgDatabase, WideSource};
 use tqs_core::oracle::TqsOracle;
@@ -62,7 +64,7 @@ fn a_replayed_hunt_reproduces_the_recorded_session_exactly() {
     let d = dsg();
 
     // 1. Record a ground-truth hunt on the faulty TiDB-like build.
-    let mut rec = RecordingConnector::new(EngineConnector::faulty(ProfileId::TidbLike));
+    let mut rec = RecordingConnector::new(EngineKind::Row.faulty(ProfileId::TidbLike));
     rec.load_catalog(&d.db.catalog).unwrap();
     let live = run_oracle_on(&mut TqsOracle::new(&d), None, &mut rec, &d, &hunt_cfg());
     assert!(live.bug_count > 0, "the recorded hunt must catch bugs");
@@ -84,7 +86,11 @@ fn replay_differs_when_the_recorded_build_differs() {
     // The trace is the single source of truth: replaying a pristine
     // recording yields a clean run even though the query stream is the same.
     let d = dsg();
-    let mut rec = RecordingConnector::new(EngineConnector::pristine(ProfileId::TidbLike));
+    let mut rec = RecordingConnector::new(EngineConnector::open(
+        EngineKind::Row,
+        BuildSpec::Pristine,
+        ProfileId::TidbLike,
+    ));
     rec.load_catalog(&d.db.catalog).unwrap();
     let live = run_oracle_on(&mut TqsOracle::new(&d), None, &mut rec, &d, &hunt_cfg());
     assert_eq!(live.bug_count, 0);
