@@ -1,17 +1,32 @@
-//! Figure 10: effect of parallel search — the standard hunt campaign's cell
-//! grid drained by 1 to 5 workers on the campaign's work-stealing fleet.
+//! Figure 10: effect of parallel search — one hunt campaign's cell grid
+//! drained by 1 to 5 workers on the campaign's work-stealing fleet.
 //!
 //! Cells are budget-bound and seeded by `(campaign seed, cell id)`, so every
 //! point does the same work and finds the same bug classes; what the worker
-//! count moves is the wall clock. Sized by the `TQS_CAMPAIGN_*` knobs of
-//! [`standard_campaign_config`] (`TQS_CAMPAIGN_WORKERS` is overridden per
-//! point); each point hunts in its own sub-directory of `TQS_CAMPAIGN_DIR`.
+//! count moves is the wall clock. `TQS_ITER` is the query budget per cell;
+//! each point hunts in its own sub-directory of `target/exp_fig10`.
 
-use tqs_bench::standard_campaign_config;
-use tqs_campaign::{Campaign, CampaignConfig};
+use tqs_bench::{budget, standard_dsg};
+use tqs_campaign::{Campaign, CampaignConfig, EngineKind, OracleSpec, PlanMode, Workload};
+use tqs_engine::ProfileId;
 
 fn main() {
-    let base = standard_campaign_config();
+    let base = CampaignConfig {
+        dir: "target/exp_fig10".into(),
+        dsg: standard_dsg(240, 77),
+        shards: 4,
+        workers: 1,
+        profiles: vec![ProfileId::MysqlLike, ProfileId::TidbLike],
+        oracles: vec![OracleSpec::GroundTruth, OracleSpec::ThreeWay],
+        engines: vec![EngineKind::Row, EngineKind::Disk],
+        plan_modes: vec![PlanMode::Single],
+        workloads: vec![Workload::Select],
+        queries_per_cell: budget(150),
+        seed: 0xCA3A,
+        minimize: true,
+        max_cells_per_run: None,
+        supervisor: Default::default(),
+    };
     println!(
         "Figure 10 — parallel search: {} shards × {} profiles × {} oracles × {} engines, \
          {} queries/cell, {} hardware threads",

@@ -21,7 +21,7 @@
 //!   `Flaky` / `Stale`.
 //! * [`checkpoint`] — the cell-completion journal behind resume, plus
 //!   per-run totals so throughput rates stay cumulative across kill/resume.
-//! * [`stats`] — live fleet counters and the `BENCH_campaign.json` snapshot.
+//! * [`stats`] — live fleet counters and their [`CampaignStats`] snapshot.
 //! * [`status`] — the live progress board and the `curl`-able HTTP/JSONL
 //!   status endpoint ([`CampaignStatusServer`]).
 //! * [`json`] — the dependency-free JSON used by all of the above (the

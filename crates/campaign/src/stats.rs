@@ -2,8 +2,7 @@
 //!
 //! Workers publish progress through a shared, lock-free [`LiveStats`]; a
 //! monitor (or the final report) snapshots it into [`CampaignStats`], the
-//! machine-readable record that `exp_campaign` serializes into
-//! `BENCH_campaign.json`.
+//! machine-readable record the status endpoint serves.
 
 use crate::json::Json;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -353,8 +352,7 @@ impl CampaignStats {
 }
 
 /// Summary of one re-verification run ([`crate::reverify::ReverifyCampaign`]):
-/// how the persisted bug classes fared against each engine build. Serialized
-/// into `BENCH_reverify.json` by `exp_reverify`.
+/// how the persisted bug classes fared against each engine build.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReverifyStats {
     pub elapsed: Duration,
@@ -368,33 +366,6 @@ pub struct ReverifyStats {
     pub fixed: usize,
     pub flaky: usize,
     pub stale: usize,
-}
-
-impl ReverifyStats {
-    /// Verdict throughput: (class, build) checks per wall-clock second.
-    pub fn checks_per_sec(&self) -> f64 {
-        self.verdicts as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "elapsed_sec".to_string(),
-                Json::Num(self.elapsed.as_secs_f64()),
-            ),
-            ("entries".to_string(), Json::count(self.entries)),
-            ("builds".to_string(), Json::count(self.builds)),
-            ("verdicts".to_string(), Json::count(self.verdicts)),
-            (
-                "checks_per_sec".to_string(),
-                Json::Num(self.checks_per_sec()),
-            ),
-            ("still_failing".to_string(), Json::count(self.still_failing)),
-            ("fixed".to_string(), Json::count(self.fixed)),
-            ("flaky".to_string(), Json::count(self.flaky)),
-            ("stale".to_string(), Json::count(self.stale)),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -515,24 +486,5 @@ mod tests {
         let parsed = Json::parse(&s.to_json().to_string()).unwrap();
         assert_eq!(parsed.get("total_queries").unwrap().as_usize(), Some(1_050));
         assert_eq!(parsed.get("queries").unwrap().as_usize(), Some(50));
-    }
-
-    #[test]
-    fn reverify_stats_serialize_the_verdict_counts() {
-        let stats = ReverifyStats {
-            elapsed: Duration::from_millis(500),
-            entries: 6,
-            builds: 2,
-            verdicts: 12,
-            still_failing: 6,
-            fixed: 5,
-            flaky: 0,
-            stale: 1,
-        };
-        assert!(stats.checks_per_sec() > 0.0);
-        let parsed = Json::parse(&stats.to_json().to_string()).unwrap();
-        assert_eq!(parsed.get("verdicts").unwrap().as_usize(), Some(12));
-        assert_eq!(parsed.get("still_failing").unwrap().as_usize(), Some(6));
-        assert_eq!(parsed.get("stale").unwrap().as_usize(), Some(1));
     }
 }

@@ -3,7 +3,7 @@
 //! The workspace builds fully offline and the `serde` shim under
 //! `crates/compat/` is a no-op marker (see its README note), so everything
 //! that persists JSON — the campaign's JSONL corpus and checkpoint journal,
-//! the `BENCH_*.json` artifacts, metrics snapshots and Chrome-trace exports —
+//! the campaign status endpoint, metrics snapshots and Chrome-trace exports —
 //! serializes through this small, dependency-free JSON implementation
 //! instead. It lives in `tqs-telemetry` (the bottom of the crate graph) so
 //! every layer can reach it; `tqs_campaign::json` re-exports it for the

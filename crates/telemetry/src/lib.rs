@@ -21,10 +21,9 @@
 //! [`enabled`]): while disabled, a counter bump or span entry is a single
 //! relaxed atomic load and an early return — no allocation, no lock, no
 //! clock read — which is what keeps the allocation-free execution hot path
-//! at full speed (`exp_obs` measures the enabled overhead and CI gates it
-//! under 5%). The flag defaults to **off**; binaries opt in (`exp_campaign`,
-//! `exp_obs`) or honor the `TQS_TELEMETRY` environment knob via
-//! [`init_from_env`].
+//! at full speed (`tqs_benchmark --trace 1` reports the enabled overhead as
+//! `driver.trace_overhead_pct`). The flag defaults to **off**; callers opt
+//! in with `set_enabled(true)`.
 //!
 //! This crate sits at the bottom of the workspace graph and depends on
 //! nothing, so `tqs-pager`, `tqs-engine`, `tqs-optimizer`, `tqs-core` and
@@ -60,16 +59,6 @@ pub fn enabled() -> bool {
 /// Turn telemetry collection on or off, process-wide.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Honor the `TQS_TELEMETRY` environment knob (`0`/`off`/`false` disable,
-/// anything else enables; unset leaves the default given by the caller).
-pub fn init_from_env(default_on: bool) {
-    let on = match std::env::var("TQS_TELEMETRY") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false" | ""),
-        Err(_) => default_on,
-    };
-    set_enabled(on);
 }
 
 /// Serialize tests that toggle the process-global flag or drain the global

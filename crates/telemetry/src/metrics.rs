@@ -321,8 +321,8 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
     map.entry(name).or_insert_with(|| Box::leak(Box::default()))
 }
 
-/// Reset every registered metric to zero — `exp_obs` isolates runs with
-/// this, and tests use it for a clean slate. Handles stay valid.
+/// Reset every registered metric to zero — `tqs_benchmark` isolates runs
+/// with this, and tests use it for a clean slate. Handles stay valid.
 pub fn reset_metrics() {
     let r = registry();
     for c in r.counters.lock().expect("registry poisoned").values() {

@@ -1,11 +1,12 @@
-//! Campaign-level integration tests: the resume determinism contract, the
-//! sharded-vs-unsharded bug-class comparison, and corpus replay.
+//! Campaign-level integration tests: the resume determinism contract (after
+//! a kill, a torn write or a graceful stop), the sharded-vs-unsharded
+//! bug-class comparison, and corpus replay.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Duration;
 use tqs_campaign::{
-    Campaign, CampaignConfig, Corpus, CorpusEntry, EngineKind, OracleSpec, PlanMode,
+    Campaign, CampaignConfig, Checkpoint, Corpus, CorpusEntry, EngineKind, OracleSpec, PlanMode,
     SupervisorConfig, Workload,
 };
 use tqs_core::backend::DbmsConnector;
@@ -107,6 +108,70 @@ fn killed_and_resumed_campaign_matches_uninterrupted_run() {
 
     std::fs::remove_dir_all(&dir_a).unwrap();
     std::fs::remove_dir_all(&dir_b).unwrap();
+}
+
+#[test]
+fn a_graceful_stop_journals_the_run_and_resume_finishes_the_grid() {
+    // Eight cells (2 shards × 2 oracles × 2 engines) drained by one worker;
+    // a monitor asks the fleet to stop as soon as the status board shows a
+    // drained cell.
+    let grid = |tag: &str, workers: usize| CampaignConfig {
+        workers,
+        oracles: vec![OracleSpec::GroundTruth, OracleSpec::CrossEngine],
+        engines: vec![EngineKind::Row, EngineKind::Columnar],
+        ..cfg(test_dir(tag), 2, 25)
+    };
+    let mut reference = Campaign::new(grid("stop-ref", 2)).unwrap();
+    reference.run().unwrap();
+    assert!(reference.is_complete());
+
+    let config = grid("stop", 1);
+    let mut campaign = Campaign::new(config.clone()).unwrap();
+    assert_eq!(campaign.cells_total(), 8);
+    let board = campaign.status_board();
+    let handle = campaign.stop_handle();
+    let monitor = std::thread::spawn(move || {
+        while !board.snapshot().is_some_and(|s| s.cells_drained >= 1) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.request_stop();
+    });
+    let stats = campaign.run().unwrap();
+    monitor.join().unwrap();
+    assert!(campaign.stop_handle().is_stop_requested());
+    assert!(
+        (1..stats.cells_total).contains(&stats.cells_done),
+        "stopped after {} of {} cells",
+        stats.cells_done,
+        stats.cells_total
+    );
+    assert!(!campaign.is_complete());
+
+    // The stopped run is journaled: its drained cells and its run record.
+    let journal = Checkpoint::in_dir(&config.dir).load().unwrap();
+    assert_eq!(journal.cells.len(), stats.cells_done);
+    let [run] = journal.runs[..] else {
+        panic!("one run record expected, journal holds {:?}", journal.runs);
+    };
+    assert_eq!(
+        (run.queries, run.statements, run.plans),
+        (stats.queries, stats.statements, stats.plans)
+    );
+    drop(campaign);
+
+    let mut resumed = Campaign::resume(CampaignConfig {
+        workers: 2,
+        ..config.clone()
+    })
+    .unwrap();
+    assert_eq!(resumed.cells_done(), stats.cells_done);
+    assert_eq!(resumed.prior_totals().queries, stats.queries);
+    resumed.run().unwrap();
+    assert!(resumed.is_complete());
+    assert_eq!(resumed.class_keys(), reference.class_keys());
+
+    std::fs::remove_dir_all(&reference.config().dir).unwrap();
+    std::fs::remove_dir_all(&config.dir).unwrap();
 }
 
 #[test]

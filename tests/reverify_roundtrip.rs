@@ -149,36 +149,58 @@ fn compaction_is_idempotent_and_garbage_collects_fixed_classes() {
 
 #[test]
 fn mixed_profile_cross_engine_corpora_re_verify_cleanly() {
-    // The full cell grid shape `exp_campaign` uses: two profiles, both the
-    // ground-truth and the cross-engine differential oracle. Re-verification
-    // must route every entry back through its own cell's oracle and build.
-    let dir = test_dir("mixed");
-    let mut config = cfg(dir.clone());
-    config.profiles = vec![ProfileId::MysqlLike, ProfileId::TidbLike];
-    config.oracles = vec![OracleSpec::GroundTruth, OracleSpec::CrossEngine];
-    config.queries_per_cell = 25;
-    let mut campaign = Campaign::new(config.clone()).unwrap();
-    campaign.run().unwrap();
-    let classes = campaign.class_keys().len();
-    assert!(classes > 0);
+    // Two grids over two profiles: the ground truth next to the cross-engine
+    // differential oracle, and the shape of a standard hunt (`exp_fig10`'s
+    // grid) — the ground truth next to the three-way panel, on the row and
+    // the disk engine, one shard, reducer on as everywhere in this file.
+    // Re-verification must route every entry back through its own cell's
+    // oracle and build.
+    let two_profiles = |tag: &str| CampaignConfig {
+        profiles: vec![ProfileId::MysqlLike, ProfileId::TidbLike],
+        ..cfg(test_dir(tag))
+    };
+    let cross_engine = CampaignConfig {
+        oracles: vec![OracleSpec::GroundTruth, OracleSpec::CrossEngine],
+        queries_per_cell: 25,
+        ..two_profiles("mixed")
+    };
+    let standard = CampaignConfig {
+        shards: 1,
+        oracles: vec![OracleSpec::GroundTruth, OracleSpec::ThreeWay],
+        engines: vec![EngineKind::Row, EngineKind::Disk],
+        queries_per_cell: 20,
+        ..two_profiles("standard")
+    };
+    for config in [cross_engine, standard] {
+        let mut campaign = Campaign::new(config.clone()).unwrap();
+        campaign.run().unwrap();
+        let classes = campaign.class_keys().len();
+        assert!(classes > 0);
 
-    let rv = ReverifyCampaign::load(ReverifyConfig {
-        campaign: config,
-        builds: vec![BuildSpec::Faulty, BuildSpec::Pristine],
-        workers: 3,
-    })
-    .unwrap();
-    let (report, stats) = rv.run();
-    assert_eq!(stats.verdicts, classes * 2);
-    assert_eq!(stats.flaky, 0, "{report:#?}");
-    assert_eq!(stats.stale, 0, "{report:#?}");
-    assert_eq!(
-        report.count_on(BuildSpec::Faulty, ReverifyStatus::StillFailing),
-        classes
-    );
-    assert_eq!(
-        report.count_on(BuildSpec::Pristine, ReverifyStatus::Fixed),
-        classes
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
+        // A cold resume rebuilds the class set from the files alone.
+        let resumed = Campaign::resume(config.clone()).unwrap();
+        assert!(resumed.is_complete());
+        assert_eq!(resumed.class_keys(), campaign.class_keys());
+
+        let dir = config.dir.clone();
+        let rv = ReverifyCampaign::load(ReverifyConfig {
+            campaign: config,
+            builds: vec![BuildSpec::Faulty, BuildSpec::Pristine],
+            workers: 3,
+        })
+        .unwrap();
+        let (report, stats) = rv.run();
+        assert_eq!(stats.verdicts, classes * 2);
+        assert_eq!(stats.flaky, 0, "{report:#?}");
+        assert_eq!(stats.stale, 0, "{report:#?}");
+        assert_eq!(
+            report.count_on(BuildSpec::Faulty, ReverifyStatus::StillFailing),
+            classes
+        );
+        assert_eq!(
+            report.count_on(BuildSpec::Pristine, ReverifyStatus::Fixed),
+            classes
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
