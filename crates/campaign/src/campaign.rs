@@ -133,9 +133,10 @@ pub enum OracleSpec {
     /// itself runs columnar, in which case row).
     CrossEngine,
     /// Three-way differential testing: the faulty build against pristine
-    /// replicas of *both other* engines, judged by majority vote — a faulty
-    /// reference can be outvoted, which a single-reference differential
-    /// oracle cannot do.
+    /// replicas of *both other* engines. Only the two references vote and a
+    /// tie goes to the first, so the expected answer is the first
+    /// reference's; the second vetoes a hint set by failing (see
+    /// [`DifferentialOracle`]).
     ThreeWay,
 }
 
@@ -887,6 +888,7 @@ impl Campaign {
                 break;
             }
             let unit = hunt.generate(shard);
+            hunt.begin_unit();
             // Drain (and count) the previous unit's engine events.
             live.add_statements(count_statements(&conn.take_trace()));
             // Statement budget: the engines poll the installed token at
@@ -1058,6 +1060,8 @@ trait CellWorkload {
     /// May a unit run under a statement [`CancelToken`]?
     const CANCELLABLE: bool;
     fn generate(&mut self, shard: &DsgDatabase) -> Self::Unit;
+    /// Called before a unit is judged ([`Oracle::begin_unit`]).
+    fn begin_unit(&mut self) {}
     fn judge(&mut self, unit: &Self::Unit, conn: &mut dyn DbmsConnector) -> OracleVerdict;
     /// The query-graph fingerprint `unit`'s reports are keyed on
     /// ([`BugReport::keyed_on_graph`]).
@@ -1100,6 +1104,10 @@ impl CellWorkload for SelectHunt<'_> {
         idx.insert(&qg, embedding);
         self.live.set_diversity(idx.isomorphic_set_count());
         (stmt, qg)
+    }
+
+    fn begin_unit(&mut self) {
+        self.oracle.begin_unit();
     }
 
     fn judge(&mut self, (stmt, _): &Self::Unit, conn: &mut dyn DbmsConnector) -> OracleVerdict {

@@ -341,6 +341,16 @@ fn strip_binding_references(stmt: &mut SelectStmt, binding: &str) {
     stmt.group_by.retain(|g| !refers(g));
 }
 
+/// The exact text a DBMS executes for `stmt` under `hints`: the session
+/// switches, one per line, then the statement with the hints spliced in.
+pub(crate) fn transformed_sql(stmt: &SelectStmt, hints: &HintSet) -> String {
+    let mut transformed = stmt.clone();
+    transformed.hints.extend(hints.hints.iter().cloned());
+    let mut text: String = hints.switches.iter().map(|s| format!("{s}\n")).collect();
+    text.push_str(&render_stmt(&transformed));
+    text
+}
+
 /// Build a bug report from a mismatch.
 #[allow(clippy::too_many_arguments)]
 pub fn make_report(
@@ -353,21 +363,11 @@ pub fn make_report(
     fired: Vec<FaultKind>,
     minimized: Option<&SelectStmt>,
 ) -> BugReport {
-    let mut transformed = stmt.clone();
-    transformed.hints.extend(hints.hints.iter().cloned());
     BugReport {
         dbms: dbms.to_string(),
         oracle,
         sql: render_stmt(stmt),
-        transformed_sql: format!(
-            "{}{}",
-            hints
-                .switches
-                .iter()
-                .map(|s| format!("{s}\n"))
-                .collect::<String>(),
-            render_stmt(&transformed)
-        ),
+        transformed_sql: transformed_sql(stmt, hints),
         hint_label: hints.label.clone(),
         expected_rows: expected.row_count(),
         observed_rows: observed.row_count(),

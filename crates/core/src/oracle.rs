@@ -22,9 +22,10 @@
 //!   hint set the enumerator intended, and respect cost sanity.
 
 use crate::backend::DbmsConnector;
-use crate::bugs::{make_report, minimize_query, BugReport, OracleKind};
+use crate::bugs::{make_report, minimize_query, transformed_sql, BugReport, OracleKind};
 use crate::dsg::DsgDatabase;
 use crate::hintgen::hint_sets_for;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use tqs_engine::{FaultKind, FaultSet};
 use tqs_optimizer::PlanSpace;
@@ -79,6 +80,13 @@ pub trait Oracle {
     fn plans_enumerated(&self) -> usize {
         0
     }
+
+    /// A new unit of work starts: the statements checked from here on are a
+    /// fresh hunted statement and its reducer candidates. Oracles that
+    /// remember answers across checks drop them here, which bounds what they
+    /// hold by one unit. The session loop and the campaign cell loop call it
+    /// before each unit; the default does nothing.
+    fn begin_unit(&mut self) {}
 }
 
 /// One result judgement made for an oracle, on the books: its duration goes
@@ -651,18 +659,40 @@ impl Oracle for PlanSpaceOracle {
 /// Cross-engine differential testing: execute every hint-set transformation
 /// of the statement on the backend under test *and* on one or more
 /// independent engine builds owned by the oracle, and report any divergence
-/// from the panel's majority answer.
+/// from the panel's expected answer.
 ///
 /// With pairwise-disjoint fault complements (row engine's Table 4 faults,
 /// the columnar engine's batching faults, the disk engine's storage faults) a
-/// pristine reference acts as a ground-truth stand-in, and a panel of two
-/// references ([`DifferentialOracle::panel`]) gives three-way differential
-/// testing: the build under test is flagged when it leaves the majority. This
+/// pristine reference acts as a ground-truth stand-in. Only the references
+/// vote on the expected answer: it is the result the largest group of them
+/// agrees on, ties breaking toward the earlier reference; the build under
+/// test has no vote. A panel of two references ([`DifferentialOracle::panel`],
+/// the campaign's three-way cells) therefore always expects `references[0]`'s
+/// answer — the pair agrees or ties — and `references[1]` can only veto a hint
+/// set, by failing; their pairwise judgement is made and has no effect. This
 /// is the first oracle that *requires* the trait: it owns whole connectors,
 /// not just a per-query check.
+///
+/// **Panel memo.** A reference's answer is a function of its catalog, the
+/// statement and the hint set, so the panel is asked once per transformed
+/// statement text (session switches plus the hinted statement, as a report's
+/// `transformed_sql` shows it) per unit of work. A repeat executes only the build under test
+/// and judges it against the remembered answer. An answer is remembered only
+/// when every reference returned one, so a failed or cancelled reference is
+/// asked again. [`Oracle::begin_unit`] and [`reference_mut`](Self::reference_mut)
+/// — the one sanctioned way to change a reference — forget everything.
 pub struct DifferentialOracle {
     references: Vec<Box<dyn DbmsConnector>>,
     name: String,
+    memo: HashMap<String, PanelAnswer>,
+}
+
+/// What the panel answered for one transformed statement.
+struct PanelAnswer {
+    /// The result the vote picked.
+    result: ResultSet,
+    /// Every reference's `fired`, in reference order.
+    fired: Vec<FaultKind>,
 }
 
 impl DifferentialOracle {
@@ -678,7 +708,8 @@ impl DifferentialOracle {
 
     /// A panel of reference connectors (each with the catalog already
     /// loaded). The build under test is reported when its answer diverges
-    /// from the result the largest group of references agrees on.
+    /// from the result the largest group of references agrees on (ties
+    /// break toward the earlier reference; see the type docs).
     pub fn panel(references: Vec<Box<dyn DbmsConnector>>) -> Self {
         assert!(
             !references.is_empty(),
@@ -692,17 +723,57 @@ impl DifferentialOracle {
                 .collect::<Vec<_>>()
                 .join("+")
         );
-        DifferentialOracle { references, name }
+        DifferentialOracle {
+            references,
+            name,
+            memo: HashMap::new(),
+        }
     }
 
     /// The first reference connector (e.g. to load a catalog or inspect a
-    /// trace).
+    /// trace). Forgets every remembered panel answer, since the caller may
+    /// change what the reference would answer.
     pub fn reference_mut(&mut self) -> &mut dyn DbmsConnector {
+        self.memo.clear();
         self.references[0].as_mut()
     }
 
     pub fn reference_count(&self) -> usize {
         self.references.len()
+    }
+
+    /// Execute the transformed statement on every reference and vote; `None`
+    /// when a reference fails.
+    fn ask(
+        references: &mut [Box<dyn DbmsConnector>],
+        stmt: &SelectStmt,
+        hints: &HintSet,
+    ) -> Option<PanelAnswer> {
+        tqs_telemetry::counter!("core.oracle.panel.executions").incr();
+        let mut refs = Vec::with_capacity(references.len());
+        for r in references.iter_mut() {
+            refs.push(r.execute_with_hints(stmt, hints).ok()?);
+        }
+        // The result the largest group of references agrees on (ties break
+        // toward the earlier one). A result agrees with itself, and each
+        // pair is judged once.
+        let mut majority = vec![1usize; refs.len()];
+        for i in 0..refs.len() {
+            for j in i + 1..refs.len() {
+                if same_bag(&refs[i].result, &refs[j].result) {
+                    majority[i] += 1;
+                    majority[j] += 1;
+                }
+            }
+        }
+        let best = (0..refs.len())
+            .max_by_key(|&i| (majority[i], std::cmp::Reverse(i)))
+            .expect("non-empty panel");
+        let fired = refs.iter().flat_map(|r| r.fired.iter().copied()).collect();
+        Some(PanelAnswer {
+            result: refs.swap_remove(best).result,
+            fired,
+        })
     }
 }
 
@@ -711,43 +782,32 @@ impl Oracle for DifferentialOracle {
         &self.name
     }
 
+    fn begin_unit(&mut self) {
+        self.memo.clear();
+    }
+
     fn check(&mut self, stmt: &SelectStmt, conn: &mut dyn DbmsConnector) -> OracleVerdict {
         let info = conn.info();
         let mut executed = false;
         let mut reports = Vec::new();
-        'hints: for hs in hint_sets_for(info.dialect, stmt) {
+        for hs in hint_sets_for(info.dialect, stmt) {
             let Ok(out) = conn.execute_with_hints(stmt, &hs) else {
                 continue;
             };
-            let mut refs = Vec::with_capacity(self.references.len());
-            for r in self.references.iter_mut() {
-                match r.execute_with_hints(stmt, &hs) {
-                    Ok(o) => refs.push(o),
-                    Err(_) => continue 'hints,
+            let expected = match self.memo.entry(transformed_sql(stmt, &hs)) {
+                Entry::Occupied(hit) => {
+                    tqs_telemetry::counter!("core.oracle.panel.memo_hits").incr();
+                    hit.into_mut()
                 }
-            }
+                Entry::Vacant(miss) => match Self::ask(&mut self.references, stmt, &hs) {
+                    Some(answer) => miss.insert(answer),
+                    None => continue,
+                },
+            };
             executed = true;
-            // The expected answer is the result the largest group of
-            // references agrees on (ties break toward the earlier one). A
-            // result agrees with itself, and each pair is judged once.
-            let mut majority = vec![1usize; refs.len()];
-            for i in 0..refs.len() {
-                for j in i + 1..refs.len() {
-                    if same_bag(&refs[i].result, &refs[j].result) {
-                        majority[i] += 1;
-                        majority[j] += 1;
-                    }
-                }
-            }
-            let best = (0..refs.len())
-                .max_by_key(|&i| (majority[i], std::cmp::Reverse(i)))
-                .expect("non-empty panel");
-            let expected = &refs[best];
             if !same_bag(&expected.result, &out.result) {
                 let mut fired = out.fired.clone();
-                for r in &refs {
-                    fired.extend(r.fired.clone());
-                }
+                fired.extend(expected.fired.iter().copied());
                 reports.push(make_report(
                     &info.name,
                     OracleKind::CrossEngine,
@@ -771,7 +831,7 @@ impl Oracle for DifferentialOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::EngineKind;
+    use crate::backend::{ConnectorError, ConnectorInfo, EngineKind, SqlOutcome};
     use crate::dsg::{DsgConfig, WideSource};
     use tqs_engine::ProfileId;
     use tqs_schema::NoiseConfig;
@@ -882,7 +942,7 @@ mod tests {
             }
         }
         assert!(executed > 20, "only {executed} statements executed");
-        // ...and the faulty disk build leaves the majority.
+        // ...and the faulty disk build diverges from the panel's answer.
         let mut oracle = panel();
         let mut faulty = EngineKind::Disk.faulty(ProfileId::MysqlLike).loaded(&d);
         let mut bugs = Vec::new();
@@ -896,6 +956,94 @@ mod tests {
             .iter()
             .flat_map(|b| &b.fired)
             .all(|f| f.dbms() == "Disk"));
+    }
+
+    /// A reference that gives every statement the same answer.
+    struct Stub(Result<SqlOutcome, ConnectorError>);
+
+    impl DbmsConnector for Stub {
+        fn info(&self) -> ConnectorInfo {
+            ConnectorInfo {
+                name: "stub".into(),
+                version: "0".into(),
+                dialect: ProfileId::MysqlLike,
+                seeded_faults: false,
+            }
+        }
+
+        fn load_catalog(&mut self, _: &tqs_storage::Catalog) -> Result<(), ConnectorError> {
+            Ok(())
+        }
+
+        fn execute_with_hints(
+            &mut self,
+            _: &SelectStmt,
+            _: &HintSet,
+        ) -> Result<SqlOutcome, ConnectorError> {
+            self.0.clone()
+        }
+
+        fn explain(&mut self, _: &SelectStmt) -> Result<String, ConnectorError> {
+            Err(ConnectorError::new("stub"))
+        }
+    }
+
+    type ReportFields = (String, usize, usize, Vec<FaultKind>);
+
+    /// A verdict's reports, `None` for a skip.
+    fn reports_of(v: &OracleVerdict) -> Option<Vec<ReportFields>> {
+        match v {
+            OracleVerdict::Skip => None,
+            OracleVerdict::Pass => Some(Vec::new()),
+            OracleVerdict::Bugs(r) => Some(
+                r.iter()
+                    .map(|b| {
+                        let sql = b.transformed_sql.clone();
+                        (sql, b.expected_rows, b.observed_rows, b.fired.clone())
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn only_the_first_of_two_references_decides_and_the_second_can_only_veto() {
+        let d = dsg();
+        let row = || EngineKind::Row.connect_pristine(ProfileId::MysqlLike, &d);
+        let stub = |answer| Box::new(Stub(answer)) as Box<dyn DbmsConnector>;
+        let mut odd = ResultSet::new(vec!["stub".into()]);
+        odd.rows.push(Row::new(vec![Value::Int(-424_242)]));
+        let odd = Ok(SqlOutcome {
+            result: odd,
+            fired: Vec::new(),
+        });
+        let mut alone = DifferentialOracle::new(row());
+        let mut stub_second = DifferentialOracle::panel(vec![Box::new(row()), stub(odd.clone())]);
+        let mut stub_first = DifferentialOracle::panel(vec![stub(odd), Box::new(row())]);
+        let mut veto = DifferentialOracle::panel(vec![
+            Box::new(row()),
+            stub(Err(ConnectorError::new("down"))),
+        ]);
+        let mut faulty = EngineKind::Disk.faulty(ProfileId::MysqlLike).loaded(&d);
+        let mut bugs = 0;
+        for stmt in sample_queries(&d, 120) {
+            let expected = reports_of(&alone.check(&stmt, &mut faulty));
+            bugs += expected.as_ref().map_or(0, Vec::len);
+            // A different bag from the second reference ties the vote, and
+            // the tie goes to the first: the verdict is the first's alone.
+            assert_eq!(reports_of(&stub_second.check(&stmt, &mut faulty)), expected);
+            // With the stub first, its answer is the expected one.
+            match stub_first.check(&stmt, &mut faulty) {
+                OracleVerdict::Bugs(r) => assert!(r.iter().all(|b| b.expected_rows == 1)),
+                v => assert!(!v.executed() && expected.is_none(), "{v:?}"),
+            }
+            // A failing second reference skips every hint set.
+            assert!(matches!(
+                veto.check(&stmt, &mut faulty),
+                OracleVerdict::Skip
+            ));
+        }
+        assert!(bugs > 0, "the faulty disk build never diverged");
     }
 
     #[test]

@@ -169,6 +169,7 @@ impl Driver<'_> {
             // record in GI (the diversity metric is tracked for every source)
             let qg = query_graph_with_subqueries(&stmt, &self.dsg.schema_desc);
             self.kqe.record(&qg);
+            self.oracle.begin_unit();
             match self.oracle.check(&stmt, self.conn) {
                 OracleVerdict::Skip => stats.queries_skipped += 1,
                 OracleVerdict::Pass => stats.queries_executed += 1,

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tqs_pager::{CrashPoint, DiskStore, RecoveryStats, TableScan, DEFAULT_POOL_FRAMES};
 use tqs_sql::ast::{DmlStmt, SelectStmt};
 use tqs_sql::value::Value;
-use tqs_storage::{Catalog, Row};
+use tqs_storage::{Catalog, Row, Table};
 
 /// Rows per commit batch when loading a catalog into the page store.
 /// Deliberately *not* a multiple of the leaf capacity, so commit boundaries
@@ -240,9 +240,17 @@ impl DiskDatabase {
         for name in self.inner.catalog.table_names() {
             let scan = self.store.scan(&name).map_err(storage_err)?;
             let rows = faulted_rows(scan, trigger, ctx);
-            let mut t = find_table(&self.inner.catalog, &name)?.clone();
-            t.rows = rows.into_iter().map(Row::new).collect();
-            catalog.add_table(t);
+            // Only the schema comes from the in-memory table; its rows are
+            // not copied.
+            let t = find_table(&self.inner.catalog, &name)?;
+            catalog.add_table(Table {
+                name: t.name.clone(),
+                columns: t.columns.clone(),
+                primary_key: t.primary_key.clone(),
+                keys: t.keys.clone(),
+                foreign_keys: t.foreign_keys.clone(),
+                rows: rows.into_iter().map(Row::new).collect(),
+            });
         }
         Ok(catalog)
     }
