@@ -21,7 +21,6 @@
 
 use crate::checkpoint::{CellRecord, Checkpoint, CheckpointHeader, RunRecord};
 use crate::corpus::{Corpus, CorpusEntry, StoredStatement};
-use crate::json::Json;
 use crate::scheduler::WorkQueues;
 use crate::stats::{CampaignStats, LiveStats, RunTotals};
 use crate::status::StatusBoard;
@@ -29,12 +28,13 @@ use crate::supervisor::{
     retry_append, AppendOptions, Quarantine, QuarantineEntry, SupervisorConfig,
 };
 use crate::triage::BugTriage;
-use parking_lot::Mutex;
+use crate::Unpoisoned;
 use std::collections::{BTreeSet, HashSet};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
 use tqs_core::backend::{DbmsConnector, EngineKind, RecordingConnector};
 use tqs_core::bugs::{minimize_with_oracle, BugReport, KeyCache, OracleKind};
@@ -48,6 +48,7 @@ use tqs_graph::plangraph::{graph_fingerprint, query_graph_with_subqueries};
 use tqs_graph::{GraphIndex, LabeledGraph};
 use tqs_sql::ast::{DmlStmt, SelectStmt};
 use tqs_sql::render::render_stmt;
+use tqs_telemetry::Json;
 
 /// Engine-level statement executions in a recorded trace slice.
 fn count_statements(events: &[tqs_core::backend::TraceEvent]) -> usize {
@@ -704,7 +705,7 @@ impl Campaign {
                                 }));
                             let reason = match outcome {
                                 Ok(Ok(_record)) => {
-                                    drained.lock().push(cell.id);
+                                    drained.lock_unpoisoned().push(cell.id);
                                     live.cell_drained();
                                     continue 'cells;
                                 }
@@ -725,7 +726,7 @@ impl Campaign {
                                     if let Err(e) = this
                                         .record_harness_panic(&cell, &text, triage, live, io_lock)
                                     {
-                                        *failure.lock() = Some(e);
+                                        *failure.lock_unpoisoned() = Some(e);
                                         abort.store(true, Ordering::Relaxed);
                                         break 'cells;
                                     }
@@ -739,7 +740,7 @@ impl Campaign {
                                     reason,
                                 };
                                 let appended = {
-                                    let _io = io_lock.lock();
+                                    let _io = io_lock.lock_unpoisoned();
                                     retry_append(sup, &this.append_opts(), |opts| {
                                         this.quarantine_journal.append(&entry, opts)
                                     })
@@ -749,10 +750,10 @@ impl Campaign {
                                         live.add_quarantined();
                                         tqs_telemetry::counter!("campaign.supervisor.quarantined")
                                             .incr();
-                                        poisoned.lock().push(entry);
+                                        poisoned.lock_unpoisoned().push(entry);
                                     }
                                     Err(e) => {
-                                        *failure.lock() = Some(e);
+                                        *failure.lock_unpoisoned() = Some(e);
                                         abort.store(true, Ordering::Relaxed);
                                         break 'cells;
                                     }
@@ -768,16 +769,16 @@ impl Campaign {
             }
         });
 
-        self.triage = triage.into_inner();
-        for id in drained.into_inner() {
+        self.triage = triage.into_inner_unpoisoned();
+        for id in drained.into_inner_unpoisoned() {
             self.done.insert(id);
         }
-        self.quarantine.extend(poisoned.into_inner());
-        if let Some(e) = failure.into_inner() {
+        self.quarantine.extend(poisoned.into_inner_unpoisoned());
+        if let Some(e) = failure.into_inner_unpoisoned() {
             self.status.abort();
             return Err(e);
         }
-        live.set_diversity(diversity.into_inner().isomorphic_set_count());
+        live.set_diversity(diversity.into_inner_unpoisoned().isomorphic_set_count());
         let stats = live.snapshot(
             self.cells.len(),
             self.done.len(),
@@ -933,7 +934,7 @@ impl Campaign {
                     Some(fp) => report.keyed_on_graph(fp),
                     None => report,
                 };
-                let admitted = triage.lock().admit(report.clone(), cell.id);
+                let admitted = triage.lock_unpoisoned().admit(report.clone(), cell.id);
                 let Some(class_idx) = admitted else {
                     continue; // duplicate sighting of a known class
                 };
@@ -947,7 +948,9 @@ impl Campaign {
                 });
                 if self.cfg.minimize {
                     if let Some(minimized) = hunt.minimize(&unit, &mut conn) {
-                        triage.lock().set_minimized(class_idx, minimized.clone());
+                        triage
+                            .lock_unpoisoned()
+                            .set_minimized(class_idx, minimized.clone());
                         report.minimized_sql = Some(minimized);
                     }
                 }
@@ -958,7 +961,7 @@ impl Campaign {
                     report,
                     trace: witness.clone(),
                 };
-                let _io = io_lock.lock();
+                let _io = io_lock.lock_unpoisoned();
                 retry_append(sup, &self.append_opts(), |opts| {
                     self.corpus.append_with(&entry, opts)
                 })?;
@@ -985,7 +988,7 @@ impl Campaign {
             elapsed_ms: started.elapsed().as_millis() as u64,
             timeout: timed_out,
         };
-        let _io = io_lock.lock();
+        let _io = io_lock.lock_unpoisoned();
         retry_append(sup, &self.append_opts(), |opts| {
             self.checkpoint.append_cell_with(&record, opts)
         })?;
@@ -1029,7 +1032,7 @@ impl Campaign {
             fingerprint: None,
             keys: KeyCache::default(),
         };
-        let Some(_idx) = triage.lock().admit(report.clone(), cell.id) else {
+        let Some(_idx) = triage.lock_unpoisoned().admit(report.clone(), cell.id) else {
             return Ok(()); // repeat panic of an already-recorded cell
         };
         live.add_raw_reports(1);
@@ -1041,7 +1044,7 @@ impl Campaign {
             report,
             trace: Vec::new(),
         };
-        let _io = io_lock.lock();
+        let _io = io_lock.lock_unpoisoned();
         retry_append(&self.cfg.supervisor, &self.append_opts(), |opts| {
             self.corpus.append_with(&entry, opts)
         })?;
@@ -1100,7 +1103,7 @@ impl CellWorkload for SelectHunt<'_> {
         let stmt = self.generator.generate(shard, None, &scorer);
         let qg = query_graph_with_subqueries(&stmt, &shard.schema_desc);
         let embedding = self.kqe.record(&qg);
-        let mut idx = self.diversity.lock();
+        let mut idx = self.diversity.lock_unpoisoned();
         idx.insert(&qg, embedding);
         self.live.set_diversity(idx.isomorphic_set_count());
         (stmt, qg)

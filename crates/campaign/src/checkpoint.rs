@@ -11,9 +11,9 @@
 //! and sums the run records so cumulative rates survive the restart
 //! instead of resetting (and spiking) with each resume.
 
-use crate::json::Json;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use tqs_telemetry::Json;
 
 /// The identity of a campaign, pinned in the journal header. Resume refuses
 /// a directory whose header disagrees with the live configuration — mixing

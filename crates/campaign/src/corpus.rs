@@ -12,7 +12,6 @@
 //! serialize through one lock, a killed campaign loses at most the final
 //! partial line (which [`Corpus::load`] skips), and `grep` works on it.
 
-use crate::json::Json;
 use std::fs::OpenOptions;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -21,6 +20,7 @@ use tqs_core::bugs::{BugReport, OracleKind};
 use tqs_engine::{FaultKind, ProfileId};
 use tqs_sql::value::{Decimal, Value};
 use tqs_storage::{ResultSet, Row};
+use tqs_telemetry::Json;
 
 /// One recorded statement of a witness trace: the rendered SQL, the hint-set
 /// label it ran under, and the full outcome (result rows + fired faults, or
@@ -50,7 +50,7 @@ pub struct CorpusEntry {
 }
 
 // ---------------------------------------------------------------------------
-// enum <-> label round-trips (serde is a no-op shim in this workspace)
+// enum <-> label round-trips
 // ---------------------------------------------------------------------------
 
 fn fault_label(f: FaultKind) -> String {

@@ -24,9 +24,8 @@
 //! * [`stats`] — live fleet counters and their [`CampaignStats`] snapshot.
 //! * [`status`] — the live progress board and the `curl`-able HTTP/JSONL
 //!   status endpoint ([`CampaignStatusServer`]).
-//! * [`json`] — the dependency-free JSON used by all of the above (the
-//!   workspace's serde is an offline no-op shim; the type itself now lives
-//!   in `tqs-telemetry` and is re-exported here).
+//!
+//! Every artifact above is written and read as `tqs_telemetry::Json`.
 //!
 //! ## Determinism contract
 //!
@@ -82,7 +81,6 @@
 pub mod campaign;
 pub mod checkpoint;
 pub mod corpus;
-pub mod json;
 pub mod reverify;
 pub mod scheduler;
 pub mod stats;
@@ -95,7 +93,6 @@ pub use campaign::{
 };
 pub use checkpoint::{CellRecord, Checkpoint, CheckpointHeader, CheckpointLoad, RunRecord};
 pub use corpus::{CompactionStats, Corpus, CorpusEntry, StoredStatement};
-pub use json::Json;
 pub use reverify::{
     ClassVerdict, ReverifyCampaign, ReverifyConfig, ReverifyReport, ReverifyStatus,
 };
@@ -107,3 +104,26 @@ pub use supervisor::{AppendOptions, Quarantine, QuarantineEntry, SupervisorConfi
 /// arguments of [`tqs_core::backend::EngineConnector::open`]; they live there.
 pub use tqs_core::backend::{BuildSpec, EngineKind};
 pub use triage::{BugTriage, TriageClass};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The crate's one locking policy: poisoning is ignored. The supervisor
+/// catches a cell's panic and retries or quarantines that cell; if the panic
+/// struck while a lock was held, honouring the poison would make every later
+/// `lock()` panic too, and every remaining cell would end in quarantine.
+pub(crate) trait Unpoisoned<T> {
+    /// `lock()`, taking the guard even after a holder panicked.
+    fn lock_unpoisoned(&self) -> MutexGuard<'_, T>;
+    /// `into_inner()`, taking the value even after a holder panicked.
+    fn into_inner_unpoisoned(self) -> T;
+}
+
+impl<T> Unpoisoned<T> for Mutex<T> {
+    fn lock_unpoisoned(&self) -> MutexGuard<'_, T> {
+        self.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn into_inner_unpoisoned(self) -> T {
+        self.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}

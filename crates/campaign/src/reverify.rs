@@ -32,7 +32,7 @@
 //!   table, or the trace no longer serves the witness statement.
 //!
 //! Verdicts aggregate into a machine-readable [`ReverifyReport`] (hand-rolled
-//! [`crate::json`], like every campaign artifact), which also drives corpus
+//! [`tqs_telemetry::Json`], like every campaign artifact), which also drives corpus
 //! compaction: [`ReverifyReport::retain_class`] keeps classes that still fail
 //! (or are flaky — contested evidence is not discharged) and garbage-collects
 //! `Fixed`/`Stale` classes unless the caller opts into keeping them
@@ -45,13 +45,13 @@
 
 use crate::campaign::{Campaign, CampaignCell, CampaignConfig};
 use crate::corpus::CorpusEntry;
-use crate::json::Json;
 use crate::scheduler::WorkQueues;
 use crate::stats::ReverifyStats;
-use parking_lot::Mutex;
+use crate::Unpoisoned;
 use std::collections::BTreeSet;
 use std::io;
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
 use tqs_core::backend::{BuildSpec, EngineConnector};
 use tqs_core::bugs::{BugReport, OracleKind};
@@ -59,6 +59,7 @@ use tqs_core::dsg::DsgDatabase;
 use tqs_core::mutation::DmlOracle;
 use tqs_sql::parser::{parse_program, parse_stmt};
 use tqs_sql::render::render_dml;
+use tqs_telemetry::Json;
 
 /// Verdict for one (class, build) pair. Declared in ascending severity so
 /// [`ReverifyReport::class_status`] can aggregate across builds with `max`.
@@ -322,12 +323,12 @@ impl ReverifyCampaign {
                 scope.spawn(move || {
                     while let Some((e, b)) = queues.pop(worker) {
                         let verdict = this.verify_one(&this.entries[e], this.cfg.builds[b]);
-                        verdicts.lock().push(((e, b), verdict));
+                        verdicts.lock_unpoisoned().push(((e, b), verdict));
                     }
                 });
             }
         });
-        let mut verdicts = verdicts.into_inner();
+        let mut verdicts = verdicts.into_inner_unpoisoned();
         verdicts.sort_by_key(|(unit, _)| *unit);
         let report = ReverifyReport {
             verdicts: verdicts.into_iter().map(|(_, v)| v).collect(),

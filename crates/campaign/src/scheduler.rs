@@ -1,15 +1,18 @@
 //! Work-stealing cell queues for the campaign fleet.
 //!
-//! Cells — (shard × fault-profile × oracle) work units — are dealt
-//! round-robin onto one deque per worker. A worker drains its own deque from
-//! the front; when empty it steals from the *back* of the other deques, so
-//! thieves and owners contend on opposite ends and a straggler worker never
-//! strands undone cells. Campaign cells take seconds each, so simple
-//! mutex-protected deques beat a lock-free implementation on clarity at no
-//! measurable cost at this granularity.
+//! Cells — (shard × profile × oracle × engine × plan mode × workload) work
+//! units — are dealt round-robin onto one deque per worker. A worker drains
+//! its own deque from the front; when empty it steals from the *back* of the
+//! other deques, so thieves and owners contend on opposite ends and a
+//! straggler worker never strands undone cells. Campaign cells take seconds
+//! each, so simple mutex-protected deques beat a lock-free implementation on
+//! clarity at no measurable cost at this granularity. A worker that panics
+//! while holding a deque does not strand its cells either: the locks ignore
+//! poisoning (`crate::Unpoisoned`).
 
-use parking_lot::Mutex;
+use crate::Unpoisoned;
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// One deque per worker plus the stealing protocol.
 pub struct WorkQueues<T> {
@@ -23,7 +26,7 @@ impl<T> WorkQueues<T> {
         let queues: Vec<Mutex<VecDeque<T>>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
         for (i, item) in items.into_iter().enumerate() {
-            queues[i % workers].lock().push_back(item);
+            queues[i % workers].lock_unpoisoned().push_back(item);
         }
         WorkQueues { queues }
     }
@@ -34,7 +37,7 @@ impl<T> WorkQueues<T> {
 
     /// Items left across all deques.
     pub fn remaining(&self) -> usize {
-        self.queues.iter().map(|q| q.lock().len()).sum()
+        self.queues.iter().map(|q| q.lock_unpoisoned().len()).sum()
     }
 
     /// Next cell for `worker`: its own deque front first, then a steal from
@@ -43,11 +46,11 @@ impl<T> WorkQueues<T> {
     pub fn pop(&self, worker: usize) -> Option<T> {
         let n = self.queues.len();
         let own = worker % n;
-        if let Some(item) = self.queues[own].lock().pop_front() {
+        if let Some(item) = self.queues[own].lock_unpoisoned().pop_front() {
             return Some(item);
         }
         for off in 1..n {
-            if let Some(item) = self.queues[(own + off) % n].lock().pop_back() {
+            if let Some(item) = self.queues[(own + off) % n].lock_unpoisoned().pop_back() {
                 return Some(item);
             }
         }
@@ -111,5 +114,26 @@ mod tests {
             }
         });
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn a_panic_while_holding_a_deque_lock_strands_no_items() {
+        let q = WorkQueues::deal(2, 0..6);
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = q.queues[1].lock_unpoisoned();
+                panic!("worker dies holding its deque");
+            })
+            .join()
+        });
+        assert!(died.is_err());
+        assert!(q.queues[1].is_poisoned());
+        assert_eq!(q.remaining(), 6);
+        // The poisoned deque serves its owner from the front, then a thief
+        // from the back.
+        assert_eq!(q.pop(1), Some(1));
+        let rest: Vec<usize> = std::iter::from_fn(|| q.pop(0)).collect();
+        assert_eq!(rest, [0, 2, 4, 5, 3]);
+        assert_eq!(q.remaining(), 0);
     }
 }

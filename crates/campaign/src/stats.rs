@@ -4,9 +4,9 @@
 //! monitor (or the final report) snapshots it into [`CampaignStats`], the
 //! machine-readable record the status endpoint serves.
 
-use crate::json::Json;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+use tqs_telemetry::Json;
 
 /// Totals carried over from a campaign's previous runs, replayed from the
 /// checkpoint journal's run records on resume. Keeping them separate from

@@ -17,14 +17,15 @@
 //!
 //! [`Campaign`]: crate::campaign::Campaign
 
-use crate::json::Json;
 use crate::stats::{CampaignStats, LiveStats};
-use parking_lot::Mutex;
+use crate::Unpoisoned;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Duration;
+use tqs_telemetry::Json;
 
 /// What the board knows between `begin_run` and `finish`.
 #[derive(Default)]
@@ -68,7 +69,7 @@ impl StatusBoard {
         bug_classes: usize,
         torn_tails_repaired: usize,
     ) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock_unpoisoned();
         *inner = BoardInner {
             live: Some(live),
             cells_total,
@@ -84,7 +85,7 @@ impl StatusBoard {
 
     /// Called by `Campaign::run` with the run's final stats.
     pub fn finish(&self, stats: CampaignStats) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock_unpoisoned();
         inner.live = None;
         inner.last = Some(stats);
         inner.finished = true;
@@ -94,26 +95,26 @@ impl StatusBoard {
     /// A graceful stop was requested: workers finish their current cell and
     /// drain. Surfaced as `"stopping"` (then `"stopped"`) in the status JSON.
     pub fn request_stop(&self) {
-        self.inner.lock().stopping = true;
+        self.inner.lock_unpoisoned().stopping = true;
     }
 
     /// Called when the run dies on an I/O error: streams end rather than
     /// hang waiting for a final snapshot that will never come.
     pub fn abort(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock_unpoisoned();
         inner.live = None;
         inner.finished = true;
     }
 
     /// The run has ended (normally or not); streams drain and close.
     pub fn is_finished(&self) -> bool {
-        self.inner.lock().finished
+        self.inner.lock_unpoisoned().finished
     }
 
     /// A consistent-enough snapshot of the run in flight: live counters
     /// plus the resumed bases. `None` before the first `begin_run`.
     pub fn snapshot(&self) -> Option<CampaignStats> {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock_unpoisoned();
         match &inner.live {
             Some(live) => Some(live.snapshot(
                 inner.cells_total,
@@ -132,7 +133,7 @@ fn status_json(board: &StatusBoard) -> Json {
     match board.snapshot() {
         Some(stats) => {
             let (finished, stopping, stopped) = {
-                let inner = board.inner.lock();
+                let inner = board.inner.lock_unpoisoned();
                 (inner.finished, inner.stopping, inner.stopped)
             };
             let state = match (finished, stopping, stopped) {

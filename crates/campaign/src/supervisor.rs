@@ -28,8 +28,8 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::json::Json;
 use tqs_pager::envfault::{EnvFaultOp, EnvFaultPolicy};
+use tqs_telemetry::Json;
 
 /// Operational knobs for the supervised runtime. These steer *how* a
 /// campaign executes, not *what* it hunts, so they are deliberately not part

@@ -4,13 +4,13 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use tqs_campaign::{
-    Campaign, CampaignConfig, CampaignStatusServer, EngineKind, Json, OracleSpec, PlanMode,
-    Workload,
+    Campaign, CampaignConfig, CampaignStatusServer, EngineKind, OracleSpec, PlanMode, Workload,
 };
 use tqs_core::dsg::{DsgConfig, WideSource};
 use tqs_engine::ProfileId;
 use tqs_schema::NoiseConfig;
 use tqs_storage::widegen::ShoppingConfig;
+use tqs_telemetry::Json;
 
 fn cfg(dir: std::path::PathBuf) -> CampaignConfig {
     CampaignConfig {

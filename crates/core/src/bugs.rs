@@ -3,7 +3,6 @@
 
 use crate::backend::DbmsConnector;
 use crate::oracle::{truth_matches, Oracle, OracleVerdict};
-use serde::Serialize;
 use tqs_engine::FaultKind;
 use tqs_schema::GroundTruthEvaluator;
 use tqs_sql::ast::{Expr, SelectItem, SelectStmt};
@@ -14,7 +13,7 @@ use tqs_storage::ResultSet;
 /// How a bug was established — the verdict class a report carries. The
 /// checking logic itself lives behind the [`Oracle`] trait
 /// (see [`crate::oracle`]); this enum only labels the evidence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
     /// Result set differs from the wide-table ground truth.
     GroundTruth,
@@ -45,7 +44,7 @@ pub enum OracleKind {
 }
 
 /// One detected logic bug.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BugReport {
     pub dbms: String,
     pub oracle: OracleKind,
@@ -82,7 +81,7 @@ pub struct BugReport {
 /// Lazily computed [`BugReport`] dedup keys. Opaque on purpose: resetting it
 /// to `KeyCache::default()` is the only outside operation, for callers that
 /// mutate a report's key-relevant fields in place.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct KeyCache {
     signature: std::sync::OnceLock<String>,
     cause: std::sync::OnceLock<String>,
@@ -172,7 +171,7 @@ impl BugReport {
 }
 
 /// The accumulating bug log with de-duplication.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BugLog {
     pub reports: Vec<BugReport>,
     seen_signatures: std::collections::HashSet<String>,

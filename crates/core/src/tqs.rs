@@ -15,7 +15,6 @@ use crate::kqe::{Kqe, KqeConfig, KqeScorer};
 use crate::oracle::{Oracle, OracleVerdict, PlanDiffOracle, TqsOracle};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::Serialize;
 use std::sync::Arc;
 use tqs_engine::ProfileId;
 use tqs_graph::plangraph::{graph_fingerprint, query_graph_with_subqueries};
@@ -54,14 +53,14 @@ impl Default for TqsConfig {
 }
 
 /// A point on a per-"hour" timeline.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimelinePoint {
     pub hour: usize,
     pub value: usize,
 }
 
 /// Statistics of one run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunStats {
     pub dbms: String,
     pub tool: String,
@@ -271,13 +270,6 @@ impl TqsSessionBuilder {
         self
     }
 
-    /// Drive an already-boxed backend (for callers assembling connectors
-    /// dynamically).
-    pub fn boxed_connector(mut self, connector: Box<dyn DbmsConnector>) -> Self {
-        self.connector = Some(connector);
-        self
-    }
-
     /// Judge every statement with this oracle instead of the default
     /// (ground-truth [`TqsOracle`], or [`PlanDiffOracle`] when
     /// `use_ground_truth` is off). This is how a session runs cross-engine
@@ -286,13 +278,6 @@ impl TqsSessionBuilder {
     /// second engine build.
     pub fn oracle(mut self, oracle: impl Oracle + 'static) -> Self {
         self.oracle = Some(Box::new(oracle));
-        self
-    }
-
-    /// Like [`oracle`](Self::oracle), for callers assembling oracles
-    /// dynamically.
-    pub fn boxed_oracle(mut self, oracle: Box<dyn Oracle>) -> Self {
-        self.oracle = Some(oracle);
         self
     }
 

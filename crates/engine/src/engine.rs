@@ -7,7 +7,7 @@ use crate::exec::{
     Executor, Rel,
 };
 use crate::faults::{FaultKind, FaultSet};
-use crate::plan::{JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
+use crate::plan::{join_prerequisites, JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
 use crate::profiles::DbmsProfile;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -457,14 +457,7 @@ impl Database {
     }
 
     fn reorder_joins(&self, stmt: &SelectStmt, order: &[String]) -> Option<Vec<usize>> {
-        if stmt.from.joins.iter().any(|j| {
-            !matches!(
-                j.join_type,
-                JoinType::Inner | JoinType::Cross | JoinType::LeftOuter
-            )
-        }) {
-            return None;
-        }
+        let needs = join_prerequisites(&stmt.from)?;
         let mut result = Vec::new();
         for name in order {
             if name.eq_ignore_ascii_case(stmt.from.base.binding()) {
@@ -484,22 +477,13 @@ impl Database {
                 result.push(i);
             }
         }
-        // validity: each join's ON may only reference already-available bindings
-        let mut available: Vec<String> = vec![stmt.from.base.binding().to_lowercase()];
+        // valid when every join comes after the joins its ON clause needs
+        let mut placed = vec![false; result.len()];
         for &i in &result {
-            let j = &stmt.from.joins[i];
-            let self_binding = j.table.binding().to_lowercase();
-            if let Some(on) = &j.on {
-                for c in on.column_refs() {
-                    if let Some(t) = &c.table {
-                        let t = t.to_lowercase();
-                        if t != self_binding && !available.contains(&t) {
-                            return None;
-                        }
-                    }
-                }
+            if needs[i].iter().any(|&k| !placed[k]) {
+                return None;
             }
-            available.push(self_binding);
+            placed[i] = true;
         }
         Some(result)
     }

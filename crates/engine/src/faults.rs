@@ -15,13 +15,12 @@
 //! role of the paper's developer root-cause analysis.
 
 use crate::plan::JoinAlgo;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use tqs_sql::ast::JoinType;
 use tqs_sql::hints::SemiJoinStrategy;
 
 /// Severity labels as used in Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     Critical,
     Serious,
@@ -42,7 +41,7 @@ impl Severity {
 
 /// The 20 bug types of Table 4, one enum variant each. The variant names
 /// paraphrase the paper's descriptions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultKind {
     // --- MySQL-like (7 types) ---
     /// #1: semi-join gives wrong results (equality not evaluated as part of
@@ -585,7 +584,7 @@ impl FaultKind {
 }
 
 /// The set of faults compiled into one simulated DBMS build.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultSet {
     enabled: HashSet<FaultKind>,
 }

@@ -41,7 +41,7 @@ pub use dml::{DmlOp, DmlOutcome};
 pub use engine::{Database, Engine, EngineError, ExecOutcome};
 pub use exec::{ExecContext, Rel};
 pub use faults::{FaultKind, FaultSet, Severity, TriggerContext};
-pub use plan::{JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
+pub use plan::{join_prerequisites, JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
 pub use profiles::{DbmsProfile, ProfileId, ProfileInfo};
 
 #[cfg(test)]

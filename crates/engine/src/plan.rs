@@ -1,14 +1,13 @@
 //! Physical plan representation and EXPLAIN output for the simulated DBMS.
 
-use serde::{Deserialize, Serialize};
-use tqs_sql::ast::JoinType;
+use tqs_sql::ast::{FromClause, JoinType};
 use tqs_sql::hints::SemiJoinStrategy;
 
 /// Physical join algorithms implemented by the executor. The set mirrors the
 /// algorithms named in the paper's bug listings: (block) nested loop, hashed
 /// join buffers (BNLH), batched key access (BKA/BKAH), classic hash join,
 /// sort-merge join and index lookup join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinAlgo {
     NestedLoop,
     BlockNestedLoop,
@@ -70,7 +69,7 @@ impl JoinAlgo {
 }
 
 /// One physical join step of a left-deep plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalJoin {
     /// Binding (alias or table name) of the right-hand input.
     pub right_binding: String,
@@ -84,7 +83,7 @@ pub struct PhysicalJoin {
 }
 
 /// Strategy chosen for IN/EXISTS subqueries in the WHERE clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubqueryPlan {
     /// Evaluate the subquery per outer row (the safe default).
     DirectPerRow,
@@ -109,7 +108,7 @@ impl SubqueryPlan {
 
 /// A complete physical plan: the base scan binding, the ordered join steps,
 /// and the subquery strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
     pub base_binding: String,
     pub joins: Vec<PhysicalJoin>,
@@ -170,6 +169,40 @@ impl PhysicalPlan {
     }
 }
 
+/// The join-order rule, written once for the engine's `JOIN_ORDER` hint and
+/// the optimizer's enumerator. `JOIN_ORDER` may reorder only INNER, CROSS and
+/// LEFT OUTER joins, and the base table always stays first. For each join of
+/// `from`, the result lists the other joins its ON clause references: an
+/// order is valid when each of them comes before it. `None` when the joins
+/// may not be reordered at all: a join of another type, or an ON clause that
+/// names a binding the FROM clause lacks (every order fails then, identity
+/// included).
+pub fn join_prerequisites(from: &FromClause) -> Option<Vec<Vec<usize>>> {
+    let reorderable =
+        |t: JoinType| matches!(t, JoinType::Inner | JoinType::Cross | JoinType::LeftOuter);
+    if !from.joins.iter().all(|j| reorderable(j.join_type)) {
+        return None;
+    }
+    let bindings: Vec<&str> = std::iter::once(from.base.binding())
+        .chain(from.joins.iter().map(|j| j.table.binding()))
+        .collect();
+    from.joins
+        .iter()
+        .enumerate()
+        .map(|(i, join)| {
+            let mut needs = Vec::new();
+            for c in join.on.iter().flat_map(|on| on.column_refs()) {
+                let Some(t) = &c.table else { continue };
+                let pos = bindings.iter().position(|b| b.eq_ignore_ascii_case(t))?;
+                if pos != 0 && pos != i + 1 && !needs.contains(&(pos - 1)) {
+                    needs.push(pos - 1);
+                }
+            }
+            Some(needs)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +249,24 @@ mod tests {
         b.joins[0].algo = JoinAlgo::SortMergeJoin;
         assert_ne!(a.signature(), b.signature());
         assert_eq!(a.signature(), plan().signature());
+    }
+
+    #[test]
+    fn join_prerequisites_name_the_joins_each_on_clause_needs() {
+        let needs = |sql: &str| join_prerequisites(&tqs_sql::parser::parse_stmt(sql).unwrap().from);
+        assert_eq!(
+            needs("SELECT * FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k AND a.k = c.k"),
+            Some(vec![vec![], vec![0]])
+        );
+        assert_eq!(
+            needs("SELECT * FROM a LEFT OUTER JOIN b ON c.k = b.k CROSS JOIN c"),
+            Some(vec![vec![1], vec![]])
+        );
+        assert_eq!(needs("SELECT * FROM a JOIN b ON z.k = b.k"), None);
+        assert_eq!(
+            needs("SELECT * FROM a RIGHT OUTER JOIN b ON a.k = b.k"),
+            None
+        );
     }
 
     #[test]

@@ -7,10 +7,9 @@
 
 use crate::faults::{FaultKind, FaultSet};
 use crate::plan::JoinAlgo;
-use serde::Serialize;
 
 /// Descriptive metadata, used by the Table 3 experiment binary.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProfileInfo {
     pub name: String,
     pub version: String,
@@ -22,7 +21,7 @@ pub struct ProfileInfo {
 }
 
 /// A simulated DBMS build: metadata + optimizer defaults + latent faults.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DbmsProfile {
     pub info: ProfileInfo,
     /// Preferred algorithm for equi-joins when no hint applies.
@@ -39,7 +38,7 @@ pub struct DbmsProfile {
 }
 
 /// Identifier for the four shipped profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProfileId {
     MysqlLike,
     MariadbLike,

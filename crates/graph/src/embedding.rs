@@ -8,13 +8,12 @@
 //! query graphs.
 
 use crate::graph::LabeledGraph;
-use serde::{Deserialize, Serialize};
 
 /// Embedding dimensionality.
 pub const EMBED_DIM: usize = 64;
 
 /// A fixed-size graph embedding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Embedding(pub Vec<f32>);
 
 impl Embedding {

@@ -2,17 +2,16 @@
 //! checker. Query graphs and the plan-iterative graph are both instances of
 //! [`LabeledGraph`].
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A node with a string label (e.g. `"table"`, `"int"`, `"varchar"`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     pub label: String,
 }
 
 /// An undirected labeled edge.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Edge {
     pub a: usize,
     pub b: usize,
@@ -20,7 +19,7 @@ pub struct Edge {
 }
 
 /// An undirected graph with labeled nodes and edges.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabeledGraph {
     pub nodes: Vec<Node>,
     pub edges: Vec<Edge>,

@@ -8,18 +8,17 @@
 
 use crate::embedding::{cosine_similarity, Embedding};
 use crate::graph::LabeledGraph;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One indexed entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IndexedGraph {
     pub embedding: Embedding,
     pub canonical: String,
 }
 
 /// The graph index `GI` of Algorithm 1/2.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GraphIndex {
     entries: Vec<IndexedGraph>,
     /// canonical form → count, used for the isomorphic-set diversity metric.

@@ -7,7 +7,6 @@
 //! generated query maps to a sub-graph of this graph.
 
 use crate::graph::LabeledGraph;
-use serde::{Deserialize, Serialize};
 use tqs_sql::ast::{JoinType, SelectItem, SelectStmt};
 
 /// Operator labels on table–column edges (Figure 6).
@@ -16,7 +15,7 @@ pub const COLUMN_OPS: [&str; 5] = ["join column", "filter", "projection", "group
 /// A schema description sufficient to build the plan-iterative graph,
 /// decoupled from the schema crate: tables, their typed columns, and the
 /// joinable (table, table, column) triples.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SchemaDesc {
     pub tables: Vec<String>,
     /// (table, column, type label, is key)
@@ -55,7 +54,7 @@ impl SchemaDesc {
 }
 
 /// The plan-iterative graph `G`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanIterativeGraph {
     pub schema: SchemaDesc,
     pub graph: LabeledGraph,

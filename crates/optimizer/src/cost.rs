@@ -19,7 +19,7 @@
 //!    forgot-to-invalidate-statistics optimizer bug, observable as a
 //!    cost-sanity violation without executing a single plan.
 
-use tqs_sql::ast::{BinOp, Expr, JoinType};
+use tqs_sql::ast::{BinOp, Expr};
 use tqs_storage::Catalog;
 
 use crate::ir::{as_column_equality, qualifiers, split_conjuncts, LogicalPlan};
@@ -193,17 +193,6 @@ impl CostModel {
     }
 }
 
-/// Is every join of the plan one the engine's `JOIN_ORDER` machinery accepts
-/// (the same gate as `reorder_joins`: INNER / CROSS / LEFT OUTER only)?
-pub fn reorderable(plan: &LogicalPlan) -> bool {
-    plan.joins.iter().all(|j| {
-        matches!(
-            j.join_type,
-            JoinType::Inner | JoinType::Cross | JoinType::LeftOuter
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,13 +281,5 @@ mod tests {
         let stale_t3_first = cm.order_cost(&[1, 0], RowCounts::Stale);
         assert!(fresh_t2_first < fresh_t3_first);
         assert!(stale_t3_first < stale_t2_first);
-    }
-
-    #[test]
-    fn reorderable_matches_the_engine_gate() {
-        let ok = LogicalPlan::lower(
-            &parse_stmt("SELECT t1.k FROM t1 LEFT OUTER JOIN t2 ON t1.k = t2.k").unwrap(),
-        );
-        assert!(reorderable(&ok));
     }
 }

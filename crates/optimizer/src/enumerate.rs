@@ -6,12 +6,12 @@
 //! per-join algorithm hints with explicit table lists). The space is built in
 //! three steps:
 //!
-//! 1. **Valid orders.** A DFS enumerates left-deep join orders that replicate
-//!    the engine's `reorder_joins` validity rules exactly (INNER / CROSS /
-//!    LEFT OUTER only; every ON clause may reference only its own binding and
-//!    already-joined ones), capped at [`MAX_ORDERS`]. A statement whose
-//!    identity order fails the check is kept un-reordered with no order hint —
-//!    the engine would ignore the hint anyway.
+//! 1. **Valid orders.** A DFS enumerates left-deep join orders under the
+//!    engine's own join-order rule ([`tqs_engine::join_prerequisites`]:
+//!    INNER / CROSS / LEFT OUTER only; every ON clause may reference only its
+//!    own binding and already-joined ones), capped at [`MAX_ORDERS`]. A
+//!    statement whose identity order fails the check, or with more than 32
+//!    joins, is kept un-reordered with no order hint.
 //! 2. **Cost-based pick.** Up to [`DP_MAX_JOINS`] joins, a Held–Karp subset
 //!    DP finds the cheapest valid order over the *entire* order space (the
 //!    subset-closed cardinalities of [`crate::cost`] give it optimal
@@ -35,11 +35,12 @@
 use std::collections::HashMap;
 
 use tqs_engine::faults::{FaultKind, FaultSet};
+use tqs_engine::join_prerequisites;
 use tqs_sql::ast::SelectStmt;
 use tqs_sql::hints::{Hint, HintSet, SemiJoinStrategy, SessionSwitch, SwitchName};
 use tqs_storage::Catalog;
 
-use crate::cost::{reorderable, CostModel, RowCounts};
+use crate::cost::{CostModel, RowCounts};
 use crate::ir::LogicalPlan;
 use crate::rewrite::rewrite;
 use crate::{fnv1a, statement_seed};
@@ -199,15 +200,21 @@ impl PlanSpace {
 
         let n = logical.joins.len();
         let bindings: Vec<String> = logical.bindings().iter().map(|b| b.to_string()).collect();
-        // Per-join requirement masks: which *join* indices must already be
-        // placed before this join's ON clause is available (the base is
-        // always available). `None` when the ON references an unknown
-        // binding — the engine would reject every order, identity included.
-        let reqs = requirement_masks(&logical, &bindings);
-        let mut orders = if reorderable(&logical) && reqs.is_some() && n > 0 {
-            valid_orders(reqs.as_deref().unwrap(), n, MAX_ORDERS)
-        } else {
-            Vec::new()
+        // Per-join requirement masks from the engine's own join-order rule:
+        // bit `k` set means join `k` must be placed first. `None` when the
+        // engine would not reorder this statement, or when it has more joins
+        // than a mask has bits; either way it runs in statement order.
+        let reqs: Option<Vec<u32>> = join_prerequisites(&rewritten.from)
+            .filter(|_| n <= u32::BITS as usize)
+            .map(|needs| {
+                needs
+                    .iter()
+                    .map(|ks| ks.iter().fold(0, |mask, &k| mask | 1 << k))
+                    .collect()
+            });
+        let mut orders = match &reqs {
+            Some(reqs) if n > 0 => valid_orders(reqs, n, MAX_ORDERS),
+            _ => Vec::new(),
         };
         let hinted_order = !orders.is_empty();
         if orders.is_empty() {
@@ -434,32 +441,9 @@ impl Candidate {
     }
 }
 
-/// Per-join requirement masks: bit `k` set means join `k` must precede this
-/// join. `None` if any ON clause references a binding outside the statement.
-fn requirement_masks(plan: &LogicalPlan, bindings: &[String]) -> Option<Vec<u32>> {
-    let lower: Vec<String> = bindings.iter().map(|b| b.to_lowercase()).collect();
-    let mut reqs = Vec::with_capacity(plan.joins.len());
-    for (i, join) in plan.joins.iter().enumerate() {
-        let mut mask = 0u32;
-        if let Some(on) = &join.on {
-            for c in on.column_refs() {
-                let Some(t) = &c.table else { continue };
-                let t = t.to_lowercase();
-                let pos = lower.iter().position(|b| *b == t)?;
-                if pos != 0 && pos != i + 1 {
-                    mask |= 1 << (pos - 1);
-                }
-            }
-        }
-        reqs.push(mask);
-    }
-    Some(reqs)
-}
-
 /// DFS over valid left-deep orders, ascending join index at every depth, so
-/// the identity order (when valid) is generated first. Replicates the
-/// engine's availability rule: a join is placeable once every binding its ON
-/// clause references (other than itself and the base) is already placed.
+/// the identity order (when valid) is generated first. A join is placeable
+/// once every join its requirement mask names is already placed.
 fn valid_orders(reqs: &[u32], n: usize, cap: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     let mut placed = Vec::with_capacity(n);
@@ -826,6 +810,28 @@ mod tests {
             variants.contains(&"subquery-to-derived"),
             "uncorrelated single-table subquery unlocks decorrelation: {variants:?}"
         );
+    }
+
+    #[test]
+    fn more_joins_than_mask_bits_keep_the_identity_order() {
+        let mut sql = String::from("SELECT t0.k FROM t0");
+        for i in 1..=33 {
+            sql.push_str(&format!(" JOIN t{i} ON t{}.k = t{i}.k", i - 1));
+        }
+        let s = PlanSpace::enumerate(
+            &parse_stmt(&sql).unwrap(),
+            &Catalog::new(),
+            &FaultSet::none(),
+        );
+        let identity: Vec<usize> = (0..33).collect();
+        for p in &s.plans {
+            assert_eq!(p.order, identity);
+            assert!(p
+                .intended
+                .hints
+                .iter()
+                .all(|h| !matches!(h, Hint::JoinOrder(_))));
+        }
     }
 
     #[test]

@@ -47,12 +47,6 @@ impl DataFile {
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_all()
     }
-
-    /// Pages currently backed by the file (rounded down; a torn trailing
-    /// write leaves a partial page that does not count).
-    pub fn page_capacity(&mut self) -> io::Result<u64> {
-        Ok(self.file.metadata()?.len() / PAGE_SIZE as u64)
-    }
 }
 
 #[derive(Debug)]

@@ -1,15 +1,15 @@
-//! Bitmaps, WAH run-length compression and the join bitmap index of §3.1.
+//! Bitmaps and the join bitmap index of §3.1.
 //!
 //! The join bitmap index holds one bit array per schema table; bit `i` of
 //! table `T_j`'s array is 1 iff wide-table row `i` produced a row of `T_j`.
 //! Ground-truth bitmaps of join queries are computed by folding these arrays
 //! with the per-join-type rules of Table 2; the jump-intersection ordering
-//! (sparsest first) keeps multi-way ANDs cheap.
-
-use serde::{Deserialize, Serialize};
+//! (sparsest first) keeps multi-way ANDs cheap. The bitmaps stay
+//! uncompressed: the paper WAH-compresses large sparse ones, but DSG's wide
+//! tables are small enough that nothing here needs it.
 
 /// A fixed-length uncompressed bitmap.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,
@@ -150,106 +150,9 @@ pub fn jump_intersect(bitmaps: &[&Bitmap]) -> Bitmap {
     acc
 }
 
-/// WAH (word-aligned hybrid) compressed bitmap using 31-bit payload words.
-///
-/// A literal word stores 31 raw bits (MSB = 0). A fill word (MSB = 1) stores
-/// a run of identical 31-bit groups: bit 30 is the fill bit, the low 30 bits
-/// the run length in groups. The paper applies WAH when the join bitmap gets
-/// large and sparse.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WahBitmap {
-    words: Vec<u32>,
-    len: usize,
-}
-
-impl WahBitmap {
-    /// Compress an uncompressed bitmap.
-    pub fn compress(src: &Bitmap) -> WahBitmap {
-        let len = src.len();
-        let n_groups = len.div_ceil(31);
-        let mut words: Vec<u32> = Vec::new();
-        let mut i = 0usize;
-        while i < n_groups {
-            let g = Self::group(src, i);
-            if g == 0 || g == 0x7FFF_FFFF {
-                // count run of identical fill groups
-                let fill_bit = if g == 0 { 0u32 } else { 1u32 };
-                let mut run = 1usize;
-                while i + run < n_groups && Self::group(src, i + run) == g {
-                    run += 1;
-                }
-                words.push(0x8000_0000 | (fill_bit << 30) | (run as u32 & 0x3FFF_FFFF));
-                i += run;
-            } else {
-                words.push(g);
-                i += 1;
-            }
-        }
-        WahBitmap { words, len }
-    }
-
-    fn group(src: &Bitmap, g: usize) -> u32 {
-        let mut out = 0u32;
-        for b in 0..31 {
-            let idx = g * 31 + b;
-            if src.get(idx) {
-                out |= 1 << b;
-            }
-        }
-        out
-    }
-
-    /// Decompress back to an uncompressed bitmap.
-    pub fn decompress(&self) -> Bitmap {
-        let mut out = Bitmap::new(self.len);
-        let mut g = 0usize;
-        for w in &self.words {
-            if w & 0x8000_0000 != 0 {
-                let fill = (w >> 30) & 1 == 1;
-                let run = (w & 0x3FFF_FFFF) as usize;
-                if fill {
-                    for gg in g..g + run {
-                        for b in 0..31 {
-                            let idx = gg * 31 + b;
-                            if idx < self.len {
-                                out.set(idx, true);
-                            }
-                        }
-                    }
-                }
-                g += run;
-            } else {
-                for b in 0..31 {
-                    if (w >> b) & 1 == 1 {
-                        let idx = g * 31 + b;
-                        if idx < self.len {
-                            out.set(idx, true);
-                        }
-                    }
-                }
-                g += 1;
-            }
-        }
-        out
-    }
-
-    /// Compressed size in 32-bit words.
-    pub fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 /// The join bitmap index: one bitmap per schema table, aligned on wide-table
 /// RowIDs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinBitmapIndex {
     pub table_names: Vec<String>,
     pub bitmaps: Vec<Bitmap>,
@@ -361,32 +264,6 @@ mod tests {
         // intersect with an empty bitmap jumps out early and yields empty
         let empty = Bitmap::new(200);
         assert_eq!(jump_intersect(&[&dense, &empty, &sparse]).count_ones(), 0);
-    }
-
-    #[test]
-    fn wah_round_trip_sparse_and_dense() {
-        for pattern in [
-            vec![],
-            vec![0],
-            vec![1000],
-            (0..31).collect::<Vec<_>>(),
-            (0..1024).filter(|i| i % 97 == 0).collect::<Vec<_>>(),
-            (0..1024).collect::<Vec<_>>(),
-        ] {
-            let orig = bm(&pattern, 1024);
-            let wah = WahBitmap::compress(&orig);
-            assert_eq!(wah.decompress(), orig, "pattern {pattern:?}");
-        }
-    }
-
-    #[test]
-    fn wah_compresses_sparse_bitmaps() {
-        let sparse = bm(&[5, 50_000], 100_000);
-        let wah = WahBitmap::compress(&sparse);
-        // 100k bits is ~3226 groups uncompressed; the run-length encoding
-        // must use far fewer words.
-        assert!(wah.word_count() < 20, "got {}", wah.word_count());
-        assert_eq!(wah.decompress().ones(), vec![5, 50_000]);
     }
 
     #[test]

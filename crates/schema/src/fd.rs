@@ -6,12 +6,11 @@
 //! level-wise search with partition counting is exact and fast enough, and it
 //! produces the same artifact: the set of minimal FDs supported by the data.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use tqs_storage::WideTable;
 
 /// A functional dependency `lhs → rhs` (single-attribute RHS).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Fd {
     pub lhs: Vec<String>,
     pub rhs: String,
@@ -33,7 +32,7 @@ impl std::fmt::Display for Fd {
 }
 
 /// A set of FDs over the attribute columns of one wide table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FdSet {
     pub attributes: Vec<String>,
     pub fds: Vec<Fd>,

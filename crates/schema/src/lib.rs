@@ -6,8 +6,8 @@
 //! * [`normalize`] — 3NF synthesis of the wide table into schema tables with
 //!   explicit RowIDs, the populated [`tqs_storage::Catalog`], the RowID map
 //!   and the join bitmap index (§3.1).
-//! * [`rowmap`] / [`bitmap`] — the RowID map table and the (optionally
-//!   WAH-compressed) join bitmap index with jump intersection.
+//! * [`rowmap`] / [`bitmap`] — the RowID map table and the uncompressed
+//!   join bitmap index with jump intersection.
 //! * [`noise`] — noise injection with wide-table synchronization (§3.2).
 //! * [`groundtruth`] — ground-truth result recovery per Table 2 (§3.4).
 //! * [`schemagraph`] — the schema graph `G_s` walked by the query generator.
@@ -20,7 +20,7 @@ pub mod normalize;
 pub mod rowmap;
 pub mod schemagraph;
 
-pub use bitmap::{jump_intersect, Bitmap, JoinBitmapIndex, WahBitmap};
+pub use bitmap::{jump_intersect, Bitmap, JoinBitmapIndex};
 pub use fd::{Fd, FdDiscoveryConfig, FdSet};
 pub use groundtruth::{GroundTruth, GroundTruthEvaluator, GtError};
 pub use noise::{inject_noise, NoiseCase, NoiseConfig, NoiseKind, NoiseRecord};
@@ -30,7 +30,7 @@ pub use schemagraph::{ColumnVertex, JoinEdge, SchemaGraph};
 
 #[cfg(test)]
 mod proptests {
-    use crate::bitmap::{Bitmap, WahBitmap};
+    use crate::bitmap::Bitmap;
     use proptest::prelude::*;
 
     fn arb_bitmap() -> impl Strategy<Value = Bitmap> {
@@ -48,13 +48,6 @@ mod proptests {
     }
 
     proptest! {
-        /// WAH compression is lossless.
-        #[test]
-        fn wah_round_trip(b in arb_bitmap()) {
-            let wah = WahBitmap::compress(&b);
-            prop_assert_eq!(wah.decompress(), b);
-        }
-
         /// Bitmap algebra identities used by the Table 2 fold.
         #[test]
         fn bitmap_algebra(a in arb_bitmap(), b in arb_bitmap()) {

@@ -17,12 +17,11 @@ use crate::normalize::NormalizedDb;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use tqs_sql::value::Value;
 
 /// Which corruption is applied to a chosen key cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoiseKind {
     Null,
     Boundary,
@@ -30,14 +29,14 @@ pub enum NoiseKind {
 
 /// Whether the corrupted column was the table's implicit primary key
 /// (Case 1 of §3.2) or a foreign key column (Case 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NoiseCase {
     PrimaryKey,
     ForeignKey,
 }
 
 /// A record of one injected corruption, kept for bug-report provenance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NoiseRecord {
     pub table: String,
     pub column: String,

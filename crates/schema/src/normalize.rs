@@ -5,14 +5,13 @@
 use crate::bitmap::JoinBitmapIndex;
 use crate::fd::FdSet;
 use crate::rowmap::RowIdMap;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use tqs_sql::types::{ColumnDef, ColumnType};
 use tqs_sql::value::Value;
 use tqs_storage::{Catalog, ForeignKey, Row, Table, WideTable, ROW_ID};
 
 /// Metadata about one generated schema table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaTableMeta {
     pub name: String,
     /// The implicit primary key (wide-table column names).
@@ -26,7 +25,7 @@ pub struct SchemaTableMeta {
 }
 
 /// The fully-materialized testing database produced by DSG's data layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NormalizedDb {
     pub wide: WideTable,
     pub fds: FdSet,

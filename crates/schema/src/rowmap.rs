@@ -3,11 +3,9 @@
 //! mapping needed by noise injection (`RowMap(T_i, row_j)` → affected wide
 //! rows).
 
-use serde::{Deserialize, Serialize};
-
 /// The RowID mapping `[RowID, T_i, row_j]`, stored densely as one
 /// `Option<u32>` per (wide row, schema table).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RowIdMap {
     pub table_names: Vec<String>,
     /// `map[wide_row][table_idx]` = row index in that schema table.

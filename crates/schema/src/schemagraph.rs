@@ -4,11 +4,10 @@
 //! plan-iterative graph.
 
 use crate::normalize::NormalizedDb;
-use serde::{Deserialize, Serialize};
 use tqs_sql::types::ColumnType;
 
 /// A table–table edge: the two tables can be equi-joined on `column`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinEdge {
     pub left_table: String,
     pub right_table: String,
@@ -16,7 +15,7 @@ pub struct JoinEdge {
 }
 
 /// A column vertex attached to its table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnVertex {
     pub table: String,
     pub column: String,
@@ -25,7 +24,7 @@ pub struct ColumnVertex {
 }
 
 /// The schema graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SchemaGraph {
     pub tables: Vec<String>,
     pub join_edges: Vec<JoinEdge>,

@@ -9,10 +9,9 @@
 
 use crate::types::ColumnType;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Reference to a column, optionally qualified by table name or alias.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ColumnRef {
     pub table: Option<String>,
     pub column: String,
@@ -34,7 +33,7 @@ impl ColumnRef {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Eq,
     NullSafeEq,
@@ -85,14 +84,14 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     Not,
     Neg,
 }
 
 /// Scalar expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     Column(ColumnRef),
     Literal(Value),
@@ -297,7 +296,7 @@ impl Expr {
 }
 
 /// Aggregate functions supported in the SELECT list / HAVING.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     CountStar,
     Count,
@@ -320,7 +319,7 @@ impl AggFunc {
 }
 
 /// An item in the SELECT list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SelectItem {
     Wildcard,
     Expr {
@@ -347,7 +346,7 @@ impl SelectItem {
 }
 
 /// The seven join types of Table 2 in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinType {
     Inner,
     LeftOuter,
@@ -401,7 +400,7 @@ impl JoinType {
 }
 
 /// A table reference in FROM, with optional alias.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TableRef {
     pub table: String,
     pub alias: Option<String>,
@@ -427,7 +426,7 @@ impl TableRef {
 }
 
 /// One join step: `<join type> <table> ON <condition>`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Join {
     pub join_type: JoinType,
     pub table: TableRef,
@@ -435,7 +434,7 @@ pub struct Join {
 }
 
 /// FROM clause: a base table plus a left-deep chain of joins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FromClause {
     pub base: TableRef,
     pub joins: Vec<Join>,
@@ -457,14 +456,14 @@ impl FromClause {
 }
 
 /// Ordering direction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderBy {
     pub expr: Expr,
     pub asc: bool,
 }
 
 /// A full SELECT statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectStmt {
     pub distinct: bool,
     pub items: Vec<SelectItem>,
@@ -632,14 +631,14 @@ impl SelectStmt {
 }
 
 /// One `SET column = expr` assignment in an UPDATE statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
     pub column: String,
     pub value: Expr,
 }
 
 /// `INSERT INTO table (cols...) VALUES (row...), (row...)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InsertStmt {
     pub table: String,
     /// Column names in VALUES order. Always explicit — the generator lists
@@ -649,7 +648,7 @@ pub struct InsertStmt {
 }
 
 /// `UPDATE table SET a = e1, b = e2 [WHERE pred]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateStmt {
     pub table: String,
     pub set: Vec<Assignment>,
@@ -657,7 +656,7 @@ pub struct UpdateStmt {
 }
 
 /// `DELETE FROM table [WHERE pred]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeleteStmt {
     pub table: String,
     pub where_clause: Option<Expr>,
@@ -665,7 +664,7 @@ pub struct DeleteStmt {
 
 /// A single DML or transaction-control statement. Mutation workloads are
 /// sequences (`programs`) of these, separated by `;` in text form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DmlStmt {
     Insert(InsertStmt),
     Update(UpdateStmt),

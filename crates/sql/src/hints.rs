@@ -6,11 +6,10 @@
 //! comments and MariaDB-style `SET optimizer_switch='...'` session switches,
 //! because the paper's reproduction cases use both.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A `/*+ ... */` optimizer hint attached to a SELECT.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Hint {
     /// Force the listed join order (X-DB / TiDB `JOIN_ORDER(t3, t1, t2)`).
     JoinOrder(Vec<String>),
@@ -39,7 +38,7 @@ pub enum Hint {
 }
 
 /// Semi-join execution strategies (mirrors MySQL's set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SemiJoinStrategy {
     Materialization,
     DuplicateWeedout,
@@ -84,7 +83,7 @@ impl fmt::Display for Hint {
 
 /// A MariaDB-style optimizer switch toggled via
 /// `SET optimizer_switch='name=on|off'` before the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SwitchName {
     /// `join_cache_hashed` — allow BNLH / BKAH (hashed join buffers).
     JoinCacheHashed,
@@ -139,7 +138,7 @@ impl SwitchName {
 }
 
 /// One `optimizer_switch` assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SessionSwitch {
     pub name: SwitchName,
     pub on: bool,
@@ -167,7 +166,7 @@ impl fmt::Display for SessionSwitch {
 
 /// A *hint set*: the complete steering applied to one transformed query —
 /// session switches executed first, then hints spliced into the SELECT.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HintSet {
     pub label: String,
     pub switches: Vec<SessionSwitch>,

@@ -4,11 +4,10 @@
 //! 'ZZZZZZZZZZ'").
 
 use crate::value::{Decimal, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// SQL column types supported by the wide-table generator and the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
     TinyInt {
         unsigned: bool,
@@ -192,7 +191,7 @@ impl fmt::Display for ColumnType {
 }
 
 /// A named, typed column definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     pub name: String,
     pub ty: ColumnType,

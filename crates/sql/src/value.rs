@@ -7,7 +7,6 @@
 //! `-0` as different hash keys, or losing precision by routing a
 //! varchar→bigint comparison through `double`).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -16,7 +15,7 @@ use std::fmt;
 /// MySQL `DECIMAL` columns are exact; several of the paper's bugs hinge on
 /// the difference between exact decimal comparison and a lossy conversion to
 /// `double`, so we keep an exact representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Decimal {
     pub mantissa: i128,
     pub scale: u8,
@@ -25,14 +24,6 @@ pub struct Decimal {
 impl Decimal {
     pub fn new(mantissa: i128, scale: u8) -> Self {
         Decimal { mantissa, scale }
-    }
-
-    /// Build from an integer (scale 0).
-    pub fn from_int(v: i64) -> Self {
-        Decimal {
-            mantissa: v as i128,
-            scale: 0,
-        }
     }
 
     /// Lossy conversion to double, used by coercion paths.
@@ -82,7 +73,7 @@ impl fmt::Display for Decimal {
 /// `UInt` covers the unsigned/zerofill variants. Strings are split into
 /// `Varchar` and `Text` because several engines treat them differently in
 /// join key handling (TEXT keys go through the "long key" path).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
     Bool(bool),

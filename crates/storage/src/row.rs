@@ -1,12 +1,11 @@
 //! Rows and result sets.
 
-use serde::{Deserialize, Serialize};
 use std::hash::Hasher;
 use tqs_sql::value::{result_value_eq, ColClass, KeyBuf, Value};
 
 /// A row is an ordered list of values, positionally aligned with a column
 /// list owned by the enclosing table / result set.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Row {
     pub values: Vec<Value>,
 }
@@ -55,7 +54,7 @@ impl From<Vec<Value>> for Row {
 /// Query results in SQL are bags, not sets, and the order is irrelevant
 /// unless ORDER BY is present — so equality is multiset equality using
 /// [`result_value_eq`] (NULL equals NULL as a *result cell*).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ResultSet {
     pub columns: Vec<String>,
     pub rows: Vec<Row>,

@@ -9,14 +9,13 @@
 
 use crate::row::Row;
 use crate::wide::WideTable;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 use tqs_sql::value::Value;
 
 /// Which of `count` contiguous row-range shards a view covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardSpec {
     /// Shard index, `0 <= index < count`.
     pub index: usize,

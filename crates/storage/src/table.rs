@@ -1,7 +1,6 @@
 //! In-memory tables, keys and the catalog handed to the simulated engine.
 
 use crate::row::Row;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tqs_sql::types::{ColumnDef, ColumnType};
@@ -9,7 +8,7 @@ use tqs_sql::value::Value;
 
 /// A declared foreign key: `columns` of this table reference `ref_columns`
 /// of `ref_table`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForeignKey {
     pub columns: Vec<String>,
     pub ref_table: String,
@@ -18,7 +17,7 @@ pub struct ForeignKey {
 
 /// An in-memory table with schema metadata used by the optimizer
 /// (primary key, secondary keys, foreign keys).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     pub name: String,
     pub columns: Vec<ColumnDef>,
@@ -172,7 +171,7 @@ impl Table {
 /// through [`table_mut`](Catalog::table_mut) stays possible via copy-on-write
 /// (`Arc::make_mut`): noise injection runs before the catalog is shared and
 /// pays nothing; a hypothetical post-share writer pays for its own copy.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: HashMap<String, Arc<Table>>,
     /// Insertion order, so schema graphs and dumps are deterministic.

@@ -7,7 +7,6 @@
 
 use crate::row::Row;
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 use tqs_sql::types::{ColumnDef, ColumnType};
 use tqs_sql::value::Value;
 
@@ -15,7 +14,7 @@ use tqs_sql::value::Value;
 pub const ROW_ID: &str = "RowID";
 
 /// A wide table: a [`Table`] whose first column is the explicit `RowID`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WideTable {
     pub table: Table,
 }

@@ -1,13 +1,11 @@
 //! Minimal JSON model, writer and parser.
 //!
-//! The workspace builds fully offline and the `serde` shim under
-//! `crates/compat/` is a no-op marker (see its README note), so everything
-//! that persists JSON — the campaign's JSONL corpus and checkpoint journal,
-//! the campaign status endpoint, metrics snapshots and Chrome-trace exports —
-//! serializes through this small, dependency-free JSON implementation
-//! instead. It lives in `tqs-telemetry` (the bottom of the crate graph) so
-//! every layer can reach it; `tqs_campaign::json` re-exports it for the
-//! historical path.
+//! The workspace builds fully offline, so everything that persists JSON —
+//! the campaign's JSONL corpus and checkpoint journal, the campaign status
+//! endpoint, metrics snapshots and Chrome-trace exports — serializes through
+//! this small, dependency-free JSON implementation. It lives in
+//! `tqs-telemetry` (the bottom of the crate graph) so every layer can reach
+//! it.
 //!
 //! Design notes:
 //!

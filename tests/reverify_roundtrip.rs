@@ -4,13 +4,14 @@
 
 use std::path::PathBuf;
 use tqs_campaign::{
-    BuildSpec, Campaign, CampaignConfig, Corpus, EngineKind, Json, OracleSpec, PlanMode,
+    BuildSpec, Campaign, CampaignConfig, Corpus, EngineKind, OracleSpec, PlanMode,
     ReverifyCampaign, ReverifyConfig, ReverifyReport, ReverifyStatus, Workload,
 };
 use tqs_core::dsg::{DsgConfig, WideSource};
 use tqs_engine::ProfileId;
 use tqs_schema::NoiseConfig;
 use tqs_storage::widegen::ShoppingConfig;
+use tqs_telemetry::Json;
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tqs-reverify-rt-{}-{tag}", std::process::id()));
