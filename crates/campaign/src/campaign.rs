@@ -8,7 +8,7 @@
 //!    data partition is fixed, so a cell always produces the same verdicts
 //!    no matter when, where or after how many kills it runs.
 //! 2. **Fleet.** Cells are dealt onto work-stealing queues
-//!    ([`crate::scheduler::WorkQueues`]) and drained by worker threads, each
+//!    (`scheduler::WorkQueues`) and drained by worker threads, each
 //!    holding a zero-copy replica of its shard's catalog.
 //! 3. **Triage.** Raw divergences are deduplicated campaign-wide by
 //!    plan-fingerprint class ([`crate::triage::BugTriage`]); each new class
@@ -73,20 +73,11 @@ pub enum PlanMode {
 }
 
 impl PlanMode {
-    pub const ALL: [PlanMode; 2] = [PlanMode::Single, PlanMode::Space];
-
     pub fn label(self) -> &'static str {
         match self {
             PlanMode::Single => "single",
             PlanMode::Space => "space",
         }
-    }
-
-    pub fn from_label(label: &str) -> Result<PlanMode, String> {
-        Self::ALL
-            .into_iter()
-            .find(|m| m.label() == label)
-            .ok_or_else(|| format!("unknown plan mode `{label}`"))
     }
 }
 
@@ -106,20 +97,11 @@ pub enum Workload {
 }
 
 impl Workload {
-    pub const ALL: [Workload; 2] = [Workload::Select, Workload::Dml];
-
     pub fn label(self) -> &'static str {
         match self {
             Workload::Select => "select",
             Workload::Dml => "dml",
         }
-    }
-
-    pub fn from_label(label: &str) -> Result<Workload, String> {
-        Self::ALL
-            .into_iter()
-            .find(|w| w.label() == label)
-            .ok_or_else(|| format!("unknown workload `{label}`"))
     }
 }
 
@@ -379,6 +361,8 @@ pub struct Campaign {
     /// Graceful-stop flag shared with [`CampaignStopHandle`]s; workers check
     /// it before taking another cell.
     stop: Arc<AtomicBool>,
+    /// Serializes the fleet's journal appends (see [`Campaign::append`]).
+    io_lock: Mutex<()>,
 }
 
 /// A cloneable handle requesting a graceful stop of a running [`Campaign`]:
@@ -436,6 +420,7 @@ impl Campaign {
             quarantine_journal: Quarantine::in_dir(&cfg.dir),
             quarantine: Vec::new(),
             stop: Arc::new(AtomicBool::new(false)),
+            io_lock: Mutex::new(()),
             cfg,
         })
     }
@@ -528,6 +513,7 @@ impl Campaign {
             quarantine_journal,
             quarantine,
             stop: Arc::new(AtomicBool::new(false)),
+            io_lock: Mutex::new(()),
             cfg,
         })
     }
@@ -586,7 +572,7 @@ impl Campaign {
 
     /// Cells still pending, in id order. Quarantined cells are not pending —
     /// the fleet gave up on them and journaled why.
-    pub fn pending_cells(&self) -> Vec<CampaignCell> {
+    pub(crate) fn pending_cells(&self) -> Vec<CampaignCell> {
         let poisoned: HashSet<usize> = self.quarantine.iter().map(|q| q.cell_id).collect();
         self.cells
             .iter()
@@ -617,19 +603,18 @@ impl Campaign {
         }
     }
 
-    /// Request a graceful stop of the current/next `run` (see
-    /// [`stop_handle`](Self::stop_handle)).
-    pub fn request_stop(&self) {
-        self.stop_handle().request_stop();
-    }
-
-    /// Durability settings for this campaign's journal appends, from the
-    /// supervisor config.
-    fn append_opts(&self) -> AppendOptions {
-        AppendOptions {
-            env: self.cfg.supervisor.env_faults.clone(),
-            sync: self.cfg.supervisor.sync_appends,
-        }
+    /// The one way the campaign writes its journals: under `io_lock`, so
+    /// appends from concurrent workers never interleave, and retried under
+    /// the supervisor's budget with its durability settings
+    /// ([`retry_append`]).
+    fn append(&self, op: impl FnMut(&AppendOptions) -> io::Result<()>) -> io::Result<()> {
+        let sup = &self.cfg.supervisor;
+        let opts = AppendOptions {
+            env: sup.env_faults.clone(),
+            sync: sup.sync_appends,
+        };
+        let _io = self.io_lock.lock_unpoisoned();
+        retry_append(sup, &opts, op).map(drop)
     }
 
     /// The deduplicated class-key set — the campaign's primary artifact.
@@ -655,7 +640,6 @@ impl Campaign {
         );
         let triage = Mutex::new(std::mem::take(&mut self.triage));
         let diversity = Mutex::new(GraphIndex::new());
-        let io_lock = Mutex::new(());
         let failure: Mutex<Option<io::Error>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
         let drained: Mutex<Vec<usize>> = Mutex::new(Vec::new());
@@ -667,7 +651,6 @@ impl Campaign {
                 let live = &live;
                 let triage = &triage;
                 let diversity = &diversity;
-                let io_lock = &io_lock;
                 let failure = &failure;
                 let abort = &abort;
                 let drained = &drained;
@@ -701,7 +684,7 @@ impl Campaign {
                             attempt += 1;
                             let outcome =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    this.run_cell(&cell, attempt, triage, diversity, live, io_lock)
+                                    this.run_cell(&cell, attempt, triage, diversity, live)
                                 }));
                             let reason = match outcome {
                                 Ok(Ok(_record)) => {
@@ -723,8 +706,8 @@ impl Campaign {
                                     // as a first-class bug class so the
                                     // incident is triaged, persisted and
                                     // re-verifiable like any other class.
-                                    if let Err(e) = this
-                                        .record_harness_panic(&cell, &text, triage, live, io_lock)
+                                    if let Err(e) =
+                                        this.record_harness_panic(&cell, &text, triage, live)
                                     {
                                         *failure.lock_unpoisoned() = Some(e);
                                         abort.store(true, Ordering::Relaxed);
@@ -739,13 +722,9 @@ impl Campaign {
                                     attempts: attempt,
                                     reason,
                                 };
-                                let appended = {
-                                    let _io = io_lock.lock_unpoisoned();
-                                    retry_append(sup, &this.append_opts(), |opts| {
-                                        this.quarantine_journal.append(&entry, opts)
-                                    })
-                                };
-                                match appended {
+                                match this
+                                    .append(|opts| this.quarantine_journal.append(&entry, opts))
+                                {
                                     Ok(_) => {
                                         live.add_quarantined();
                                         tqs_telemetry::counter!("campaign.supervisor.quarantined")
@@ -795,9 +774,7 @@ impl Campaign {
             statements: totals.statements,
             plans: totals.plans,
         };
-        retry_append(&self.cfg.supervisor, &self.append_opts(), |opts| {
-            self.checkpoint.append_run_with(&run_record, opts)
-        })?;
+        self.append(|opts| self.checkpoint.append_run_with(&run_record, opts))?;
         self.prior = RunTotals {
             elapsed: self.prior.elapsed + totals.elapsed,
             queries: self.prior.queries + totals.queries,
@@ -816,24 +793,21 @@ impl Campaign {
         triage: &Mutex<BugTriage>,
         diversity: &Mutex<GraphIndex>,
         live: &LiveStats,
-        io_lock: &Mutex<()>,
     ) -> io::Result<CellRecord> {
         let shard = &self.shards[cell.shard];
         let seed = self.cfg.seed ^ ((cell.id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         match cell.workload {
-            Workload::Select => {
-                self.drain_cell(cell, attempt, triage, live, io_lock, || SelectHunt {
-                    oracle: cell.build_oracle(shard),
-                    kqe: Kqe::new(shard.schema_desc.clone(), KqeConfig::default()),
-                    generator: QueryGenerator::new(QueryGenConfig {
-                        seed,
-                        ..Default::default()
-                    }),
-                    diversity,
-                    live,
-                })
-            }
-            Workload::Dml => self.drain_cell(cell, attempt, triage, live, io_lock, || DmlHunt {
+            Workload::Select => self.drain_cell(cell, attempt, triage, live, || SelectHunt {
+                oracle: cell.build_oracle(shard),
+                kqe: Kqe::new(shard.schema_desc.clone(), KqeConfig::default()),
+                generator: QueryGenerator::new(QueryGenConfig {
+                    seed,
+                    ..Default::default()
+                }),
+                diversity,
+                live,
+            }),
+            Workload::Dml => self.drain_cell(cell, attempt, triage, live, || DmlHunt {
                 oracle: DmlOracle::new(&shard.db.catalog),
                 generator: DmlGenerator::new(DmlGenConfig {
                     seed,
@@ -858,7 +832,6 @@ impl Campaign {
         attempt: u32,
         triage: &Mutex<BugTriage>,
         live: &LiveStats,
-        io_lock: &Mutex<()>,
         make_hunt: impl FnOnce() -> W,
     ) -> io::Result<CellRecord> {
         let started = Instant::now();
@@ -961,10 +934,7 @@ impl Campaign {
                     report,
                     trace: witness.clone(),
                 };
-                let _io = io_lock.lock_unpoisoned();
-                retry_append(sup, &self.append_opts(), |opts| {
-                    self.corpus.append_with(&entry, opts)
-                })?;
+                self.append(|opts| self.corpus.append_with(&entry, opts))?;
             }
         }
 
@@ -988,10 +958,7 @@ impl Campaign {
             elapsed_ms: started.elapsed().as_millis() as u64,
             timeout: timed_out,
         };
-        let _io = io_lock.lock_unpoisoned();
-        retry_append(sup, &self.append_opts(), |opts| {
-            self.checkpoint.append_cell_with(&record, opts)
-        })?;
+        self.append(|opts| self.checkpoint.append_cell_with(&record, opts))?;
         Ok(record)
     }
 
@@ -1016,7 +983,6 @@ impl Campaign {
         payload: &str,
         triage: &Mutex<BugTriage>,
         live: &LiveStats,
-        io_lock: &Mutex<()>,
     ) -> io::Result<()> {
         let info = cell.engine.faulty(cell.profile).info();
         let report = BugReport {
@@ -1044,11 +1010,7 @@ impl Campaign {
             report,
             trace: Vec::new(),
         };
-        let _io = io_lock.lock_unpoisoned();
-        retry_append(&self.cfg.supervisor, &self.append_opts(), |opts| {
-            self.corpus.append_with(&entry, opts)
-        })?;
-        Ok(())
+        self.append(|opts| self.corpus.append_with(&entry, opts))
     }
 }
 
@@ -1257,22 +1219,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_mode_labels_round_trip() {
-        for m in PlanMode::ALL {
-            assert_eq!(PlanMode::from_label(m.label()), Ok(m));
-        }
-        assert!(PlanMode::from_label("exhaustive").is_err());
-    }
-
-    #[test]
-    fn workload_labels_round_trip() {
-        for w in Workload::ALL {
-            assert_eq!(Workload::from_label(w.label()), Ok(w));
-        }
-        assert!(Workload::from_label("ddl").is_err());
-    }
-
-    #[test]
     fn dml_cells_hunt_mutation_bug_classes() {
         let dir = test_dir("dml");
         let mut campaign = Campaign::new(CampaignConfig {
@@ -1368,7 +1314,7 @@ mod tests {
         let first = campaign.run().unwrap();
         assert_eq!(campaign.cells_done(), 1);
         assert!(!campaign.is_complete());
-        assert!(first.prior.is_zero());
+        assert_eq!(first.prior, RunTotals::default());
         let second = campaign.run().unwrap();
         assert!(campaign.is_complete());
         // The second run's rates are cumulative over both installments.

@@ -11,8 +11,10 @@
 //! and sums the run records so cumulative rates survive the restart
 //! instead of resetting (and spiking) with each resume.
 
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use crate::journal::Journal;
+use crate::supervisor::AppendOptions;
+use std::io;
+use std::path::Path;
 use tqs_telemetry::Json;
 
 /// The identity of a campaign, pinned in the journal header. Resume refuses
@@ -102,6 +104,12 @@ impl CheckpointHeader {
                 })
                 .collect()
         };
+        // An axis newer than the header: absent means the one value every
+        // campaign of that era ran.
+        let axis = |k: &str, legacy: &str| match j.get(k) {
+            Some(_) => list(k),
+            None => Ok(vec![legacy.to_string()]),
+        };
         let hex_field = |k: &str| -> Result<u64, String> {
             let hex = j
                 .get(k)
@@ -117,21 +125,9 @@ impl CheckpointHeader {
             queries_per_cell: count("queries_per_cell")?,
             profiles: list("profiles")?,
             oracles: list("oracles")?,
-            engines: if j.get("engines").is_some() {
-                list("engines")?
-            } else {
-                vec!["row".to_string()]
-            },
-            plan_modes: if j.get("plan_modes").is_some() {
-                list("plan_modes")?
-            } else {
-                vec!["single".to_string()]
-            },
-            workloads: if j.get("workloads").is_some() {
-                list("workloads")?
-            } else {
-                vec!["select".to_string()]
-            },
+            engines: axis("engines", "row")?,
+            plan_modes: axis("plan_modes", "single")?,
+            workloads: axis("workloads", "select")?,
         })
     }
 }
@@ -232,8 +228,10 @@ impl RunRecord {
     }
 }
 
-/// Dispatch target for journal body lines.
-enum Record {
+/// One parsed journal line: the identity header comes first, then cell and
+/// run records in append order.
+enum Line {
+    Header(CheckpointHeader),
     Cell(CellRecord),
     Run(RunRecord),
 }
@@ -250,142 +248,97 @@ pub struct CheckpointLoad {
 /// Handle on one campaign's checkpoint journal.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    path: PathBuf,
+    journal: Journal,
 }
 
 impl Checkpoint {
-    pub const FILE_NAME: &'static str = "checkpoint.jsonl";
-
     pub fn in_dir(dir: &Path) -> Checkpoint {
         Checkpoint {
-            path: dir.join(Self::FILE_NAME),
+            journal: Journal::in_dir(dir, "checkpoint", "campaign.checkpoint.torn_lines_dropped"),
         }
     }
 
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    pub fn exists(&self) -> bool {
-        self.path.exists()
+    pub(crate) fn exists(&self) -> bool {
+        self.journal.path().exists()
     }
 
     /// Start a fresh journal (truncates), writing the header line.
     pub fn create(&self, header: &CheckpointHeader) -> io::Result<()> {
-        let mut f = std::fs::File::create(&self.path)?;
-        let mut line = header.to_json().to_string();
-        line.push('\n');
-        f.write_all(line.as_bytes())?;
-        f.flush()
+        self.journal.create(&header.to_json())
     }
 
     /// Journal one completed cell with the default durability settings
     /// (callers serialize through the campaign's io lock).
     pub fn append_cell(&self, record: &CellRecord) -> io::Result<()> {
-        self.append_cell_with(record, &crate::supervisor::AppendOptions::default())
+        self.append_cell_with(record, &AppendOptions::default())
     }
 
     /// Journal one completed cell through explicit durability options
     /// (atomic-or-absent, fsync commit point, chaos fault policy).
-    pub fn append_cell_with(
+    pub(crate) fn append_cell_with(
         &self,
         record: &CellRecord,
-        opts: &crate::supervisor::AppendOptions,
+        opts: &AppendOptions,
     ) -> io::Result<()> {
         tqs_telemetry::counter!("campaign.checkpoint.cell_appends").incr();
-        self.append_line(record.to_json(), opts)
+        self.journal.append(&record.to_json(), opts)
     }
 
     /// Journal one finished run's totals so resumed campaigns report
     /// cumulative throughput instead of restarting their clocks.
-    pub fn append_run(&self, record: &RunRecord) -> io::Result<()> {
-        self.append_run_with(record, &crate::supervisor::AppendOptions::default())
-    }
-
-    /// [`Checkpoint::append_run`] through explicit durability options.
-    pub fn append_run_with(
+    pub(crate) fn append_run_with(
         &self,
         record: &RunRecord,
-        opts: &crate::supervisor::AppendOptions,
+        opts: &AppendOptions,
     ) -> io::Result<()> {
         tqs_telemetry::counter!("campaign.checkpoint.run_appends").incr();
-        self.append_line(record.to_json(), opts)
+        self.journal.append(&record.to_json(), opts)
     }
 
-    fn append_line(&self, json: Json, opts: &crate::supervisor::AppendOptions) -> io::Result<()> {
-        let mut line = json.to_string();
-        line.push('\n');
-        crate::supervisor::append_line_durable(&self.path, line.as_bytes(), opts)
-    }
-
-    /// Truncate a torn final line left by a kill mid-append so later
-    /// appends start on a fresh line (see
-    /// [`Corpus::repair_torn_tail`](crate::corpus::Corpus::repair_torn_tail)).
-    pub fn repair_torn_tail(&self) -> io::Result<bool> {
-        crate::corpus::repair_torn_tail(&self.path)
+    /// Truncate a torn final line left by a kill mid-append.
+    pub(crate) fn repair_torn_tail(&self) -> io::Result<bool> {
+        self.journal.repair_torn_tail()
     }
 
     /// Replay the journal: the header, every completed cell, and every
-    /// finished run. A torn final line (kill mid-append) is dropped;
-    /// corruption elsewhere errors.
+    /// finished run. A missing or empty journal is an error.
     pub fn load(&self) -> io::Result<CheckpointLoad> {
-        let mut text = String::new();
-        std::fs::File::open(&self.path)?.read_to_string(&mut text)?;
-        let lines: Vec<&str> = text.split('\n').filter(|l| !l.trim().is_empty()).collect();
-        if lines.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: empty checkpoint", self.path.display()),
-            ));
-        }
-        let bad = |i: usize, msg: String| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: line {}: {msg}", self.path.display(), i + 1),
-            )
-        };
-        let header = Json::parse(lines[0])
-            .map_err(|e| e.to_string())
-            .and_then(|j| CheckpointHeader::from_json(&j))
-            .map_err(|m| bad(0, m))?;
-        let mut cells = Vec::new();
-        let mut runs = Vec::new();
-        for (i, line) in lines.iter().enumerate().skip(1) {
-            // Dispatch on the record's distinguishing key: cell records
-            // carry `cell`, run records carry `run_elapsed_ms`.
-            let parsed = Json::parse(line).map_err(|e| e.to_string()).and_then(|j| {
-                if j.get("cell").is_some() {
-                    CellRecord::from_json(&j).map(Record::Cell)
+        let mut lines = self
+            .journal
+            .load(|i, j| {
+                // Dispatch on the record's distinguishing key: cell records
+                // carry `cell`, run records carry `run_elapsed_ms`.
+                if i == 0 {
+                    CheckpointHeader::from_json(j).map(Line::Header)
+                } else if j.get("cell").is_some() {
+                    CellRecord::from_json(j).map(Line::Cell)
                 } else if j.get("run_elapsed_ms").is_some() {
-                    RunRecord::from_json(&j).map(Record::Run)
+                    RunRecord::from_json(j).map(Line::Run)
                 } else {
                     Err("unrecognized journal record".to_string())
                 }
-            });
-            match parsed {
-                Ok(Record::Cell(r)) => cells.push(r),
-                Ok(Record::Run(r)) => runs.push(r),
-                Err(_) if i + 1 == lines.len() && !text.ends_with('\n') => {
-                    tqs_telemetry::counter!("campaign.checkpoint.torn_lines_dropped").incr();
-                    tqs_telemetry::event_with("campaign", || {
-                        (
-                            "checkpoint.torn_line_dropped".to_string(),
-                            vec![(
-                                "path".to_string(),
-                                Json::str(self.path.display().to_string()),
-                            )],
-                        )
-                    });
-                    break;
-                }
-                Err(m) => return Err(bad(i, m)),
+            })?
+            .into_iter();
+        let Some(Line::Header(header)) = lines.next() else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: empty checkpoint", self.journal.path().display()),
+            ));
+        };
+        let mut loaded = CheckpointLoad {
+            header,
+            cells: Vec::new(),
+            runs: Vec::new(),
+        };
+        for line in lines {
+            match line {
+                Line::Cell(r) => loaded.cells.push(r),
+                Line::Run(r) => loaded.runs.push(r),
+                // Only the first line parses as a header.
+                Line::Header(_) => {}
             }
         }
-        Ok(CheckpointLoad {
-            header,
-            cells,
-            runs,
-        })
+        Ok(loaded)
     }
 }
 
@@ -393,6 +346,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn header() -> CheckpointHeader {
         CheckpointHeader {
@@ -426,12 +380,15 @@ mod tests {
             })
             .unwrap();
         }
-        ckpt.append_run(&RunRecord {
-            elapsed_ms: 2_500,
-            queries: 180,
-            statements: 540,
-            plans: 900,
-        })
+        ckpt.append_run_with(
+            &RunRecord {
+                elapsed_ms: 2_500,
+                queries: 180,
+                statements: 540,
+                plans: 900,
+            },
+            &AppendOptions::default(),
+        )
         .unwrap();
         let loaded = ckpt.load().unwrap();
         assert_eq!(loaded.header, header());
@@ -442,7 +399,10 @@ mod tests {
         assert_eq!(loaded.runs[0].elapsed_ms, 2_500);
         // torn tail is dropped
         {
-            let mut f = OpenOptions::new().append(true).open(ckpt.path()).unwrap();
+            let mut f = OpenOptions::new()
+                .append(true)
+                .open(ckpt.journal.path())
+                .unwrap();
             f.write_all(b"{\"cell\": 6, \"quer").unwrap();
         }
         let loaded = ckpt.load().unwrap();

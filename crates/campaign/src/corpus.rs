@@ -10,11 +10,13 @@
 //!
 //! The format is line-oriented on purpose: appends from concurrent workers
 //! serialize through one lock, a killed campaign loses at most the final
-//! partial line (which [`Corpus::load`] skips), and `grep` works on it.
+//! partial line (the `journal` contract), and `grep` works
+//! on it.
 
-use std::fs::OpenOptions;
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use crate::journal::Journal;
+use crate::supervisor::AppendOptions;
+use std::io;
+use std::path::Path;
 use tqs_core::backend::{ConnectorInfo, ReplayConnector, SqlOutcome, TraceEvent};
 use tqs_core::bugs::{BugReport, OracleKind};
 use tqs_engine::{FaultKind, ProfileId};
@@ -104,7 +106,7 @@ fn profile_from_name(name: &str) -> Result<ProfileId, String> {
 /// `Value` as a `[tag, text]` pair. Numeric payloads go through strings so
 /// i64/u64/i128 widths and float bit patterns survive the f64-only JSON
 /// number space.
-pub fn value_to_json(v: &Value) -> Json {
+pub(crate) fn value_to_json(v: &Value) -> Json {
     let (tag, text) = match v {
         Value::Null => ("null", String::new()),
         Value::Bool(b) => ("bool", b.to_string()),
@@ -121,7 +123,7 @@ pub fn value_to_json(v: &Value) -> Json {
     Json::Arr(vec![Json::str(tag), Json::str(text)])
 }
 
-pub fn value_from_json(j: &Json) -> Result<Value, String> {
+pub(crate) fn value_from_json(j: &Json) -> Result<Value, String> {
     let pair = j.as_arr().ok_or("value must be a [tag, text] pair")?;
     let [tag, text] = pair else {
         return Err(format!("value pair has {} elements", pair.len()));
@@ -192,7 +194,7 @@ impl StoredStatement {
     }
 
     /// Back to a [`TraceEvent`] for [`ReplayConnector::from_trace`].
-    pub fn to_event(&self) -> TraceEvent {
+    pub(crate) fn to_event(&self) -> TraceEvent {
         let outcome = match &self.error {
             Some(e) => Err(e.clone()),
             None => Ok(SqlOutcome {
@@ -300,7 +302,7 @@ impl CorpusEntry {
         )
     }
 
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let r = &self.report;
         let mut members = vec![
             ("cell".to_string(), Json::count(self.cell_id)),
@@ -340,7 +342,7 @@ impl CorpusEntry {
         Json::Obj(members)
     }
 
-    pub fn from_json(j: &Json) -> Result<CorpusEntry, String> {
+    pub(crate) fn from_json(j: &Json) -> Result<CorpusEntry, String> {
         let str_field = |k: &str| -> Result<String, String> {
             j.get(k)
                 .and_then(Json::as_str)
@@ -402,97 +404,42 @@ impl CorpusEntry {
 /// Handle on the append-only corpus file of one campaign directory.
 #[derive(Debug, Clone)]
 pub struct Corpus {
-    path: PathBuf,
+    journal: Journal,
 }
 
 impl Corpus {
-    pub const FILE_NAME: &'static str = "corpus.jsonl";
-
     pub fn in_dir(dir: &Path) -> Corpus {
         Corpus {
-            path: dir.join(Self::FILE_NAME),
+            journal: Journal::in_dir(dir, "corpus", "campaign.corpus.torn_lines_dropped"),
         }
     }
 
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
     /// Append one entry as a single line with the default durability
     /// settings (fsynced, no fault injection). Callers serialize appends
     /// through the campaign's io lock.
     pub fn append(&self, entry: &CorpusEntry) -> io::Result<()> {
-        self.append_with(entry, &crate::supervisor::AppendOptions::default())
+        self.append_with(entry, &AppendOptions::default())
     }
 
-    /// Append one entry through explicit durability options: atomic-or-absent
-    /// (a failed append rolls the file back to its previous length), with an
-    /// fsync commit point when `opts.sync`, and routed through the
-    /// environmental fault policy for chaos testing.
-    pub fn append_with(
-        &self,
-        entry: &CorpusEntry,
-        opts: &crate::supervisor::AppendOptions,
-    ) -> io::Result<()> {
+    /// Append one entry through explicit durability options (see
+    /// [`AppendOptions`]).
+    pub(crate) fn append_with(&self, entry: &CorpusEntry, opts: &AppendOptions) -> io::Result<()> {
         tqs_telemetry::counter!("campaign.corpus.appends").incr();
-        let mut line = entry.to_json().to_string();
-        line.push('\n');
-        crate::supervisor::append_line_durable(&self.path, line.as_bytes(), opts)
+        self.journal.append(&entry.to_json(), opts)
     }
 
-    /// Load every complete entry. A torn final line (campaign killed
-    /// mid-append) is skipped; a malformed line elsewhere is an error —
-    /// that's corruption, not an interrupted write.
+    /// Load every complete entry; a missing corpus is empty.
     pub fn load(&self) -> io::Result<Vec<CorpusEntry>> {
-        let mut text = String::new();
-        match std::fs::File::open(&self.path) {
-            Ok(mut f) => {
-                f.read_to_string(&mut text)?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        }
-        let mut entries = Vec::new();
-        let lines: Vec<&str> = text.split('\n').filter(|l| !l.trim().is_empty()).collect();
-        for (i, line) in lines.iter().enumerate() {
-            let parsed = Json::parse(line).map_err(|e| (i, e.to_string()));
-            let entry = parsed.and_then(|j| CorpusEntry::from_json(&j).map_err(|m| (i, m)));
-            match entry {
-                Ok(e) => entries.push(e),
-                Err((idx, _)) if idx + 1 == lines.len() && !text.ends_with('\n') => {
-                    // torn tail line from a kill mid-write: drop it
-                    tqs_telemetry::counter!("campaign.corpus.torn_lines_dropped").incr();
-                    tqs_telemetry::event_with("campaign", || {
-                        (
-                            "corpus.torn_line_dropped".to_string(),
-                            vec![(
-                                "path".to_string(),
-                                Json::str(self.path.display().to_string()),
-                            )],
-                        )
-                    });
-                    break;
-                }
-                Err((idx, msg)) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: line {}: {msg}", self.path.display(), idx + 1),
-                    ));
-                }
-            }
-        }
-        Ok(entries)
+        self.journal.load_or_empty(|_, j| CorpusEntry::from_json(j))
     }
 
-    /// Truncate a torn final line left by a kill mid-append (the file does
-    /// not end in a newline), so the campaign's next append starts on a
-    /// fresh line instead of merging into the partial record. Our writers
-    /// emit each record and its newline in one write, so a missing final
-    /// newline always means the last append never completed — dropping it is
-    /// exactly the resume semantics. Returns whether anything was truncated;
-    /// a healthy (or absent) file is untouched.
-    pub fn repair_torn_tail(&self) -> io::Result<bool> {
-        repair_torn_tail(&self.path)
+    /// Truncate a torn final line left by a kill mid-append.
+    pub(crate) fn repair_torn_tail(&self) -> io::Result<bool> {
+        self.journal.repair_torn_tail()
     }
 
     /// Rewrite the corpus keeping **one representative entry per class key
@@ -503,8 +450,7 @@ impl Corpus {
     /// Output order follows each surviving class's first appearance and the
     /// serialization is deterministic, so compaction is **idempotent**: a
     /// second pass over a compacted corpus rewrites it byte-identically.
-    /// The rewrite goes through a temp file + rename, so a kill mid-compact
-    /// leaves the original corpus intact.
+    /// A kill mid-compact leaves the original corpus intact.
     pub fn compact(&self, retain: impl Fn(&str) -> bool) -> io::Result<CompactionStats> {
         let entries = self.load()?;
         let mut kept: Vec<CorpusEntry> = Vec::new();
@@ -531,48 +477,10 @@ impl Corpus {
             }
         }
         stats.kept = kept.len();
-        let mut text = String::new();
-        for entry in &kept {
-            text.push_str(&entry.to_json().to_string());
-            text.push('\n');
-        }
-        let tmp = self.path.with_extension("jsonl.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
-            // Flush the data to disk before the rename commits: rename
-            // metadata is not ordered after data blocks on every filesystem,
-            // and a power cut in that window would replace the corpus with
-            // an empty file — far worse than the torn tail appends risk.
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
+        self.journal
+            .rewrite(kept.iter().map(CorpusEntry::to_json))?;
         Ok(stats)
     }
-}
-
-/// Shared torn-tail truncation for the line-oriented campaign files (the
-/// corpus and the checkpoint journal). Works on raw bytes: a kill can land
-/// mid-way through a multi-byte UTF-8 character, which would make a
-/// string-level read fail with `InvalidData` — the very state this repair
-/// exists to recover from.
-pub(crate) fn repair_torn_tail(path: &Path) -> io::Result<bool> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(e),
-    };
-    if bytes.is_empty() || bytes.ends_with(b"\n") {
-        return Ok(false);
-    }
-    let keep = bytes
-        .iter()
-        .rposition(|b| *b == b'\n')
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    let f = OpenOptions::new().write(true).open(path)?;
-    f.set_len(keep as u64)?;
-    Ok(true)
 }
 
 /// Outcome of one [`Corpus::compact`] pass.
@@ -587,11 +495,13 @@ pub struct CompactionStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
     use tqs_core::backend::DbmsConnector;
 
-    fn sample_entry() -> CorpusEntry {
+    pub(crate) fn sample_entry() -> CorpusEntry {
         let report = BugReport {
             dbms: "MySQL-like".into(),
             oracle: OracleKind::GroundTruth,

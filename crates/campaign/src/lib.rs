@@ -9,7 +9,7 @@
 //! * [`campaign`] — the orchestrator: the (shard × profile × oracle ×
 //!   engine × plan mode × workload) cell grid, the worker fleet,
 //!   [`Campaign::new`] / [`Campaign::resume`] / [`Campaign::run`].
-//! * [`scheduler`] — work-stealing cell queues.
+//! * `scheduler` — work-stealing cell queues.
 //! * [`triage`] — plan-fingerprint deduplication of raw divergences into bug
 //!   classes, one minimized representative per class.
 //! * [`corpus`] — the append-only JSONL bug corpus with replayable witness
@@ -21,6 +21,9 @@
 //!   `Flaky` / `Stale`.
 //! * [`checkpoint`] — the cell-completion journal behind resume, plus
 //!   per-run totals so throughput rates stay cumulative across kill/resume.
+//! * `journal` — the one append-only JSONL format under the checkpoint,
+//!   corpus and quarantine files: atomic-or-absent appends, the fsync
+//!   commit point, and the torn-tail rule on load and repair.
 //! * [`stats`] — live fleet counters and their [`CampaignStats`] snapshot.
 //! * [`status`] — the live progress board and the `curl`-able HTTP/JSONL
 //!   status endpoint ([`CampaignStatusServer`]).
@@ -81,8 +84,9 @@
 pub mod campaign;
 pub mod checkpoint;
 pub mod corpus;
+mod journal;
 pub mod reverify;
-pub mod scheduler;
+mod scheduler;
 pub mod stats;
 pub mod status;
 pub mod supervisor;
@@ -96,10 +100,9 @@ pub use corpus::{CompactionStats, Corpus, CorpusEntry, StoredStatement};
 pub use reverify::{
     ClassVerdict, ReverifyCampaign, ReverifyConfig, ReverifyReport, ReverifyStatus,
 };
-pub use scheduler::WorkQueues;
 pub use stats::{CampaignStats, LiveStats, ReverifyStats, RunTotals};
 pub use status::{CampaignStatusServer, StatusBoard};
-pub use supervisor::{AppendOptions, Quarantine, QuarantineEntry, SupervisorConfig};
+pub use supervisor::{Quarantine, QuarantineEntry, SupervisorConfig};
 /// The grid's engine axis and the re-verification build axis are the two
 /// arguments of [`tqs_core::backend::EngineConnector::open`]; they live there.
 pub use tqs_core::backend::{BuildSpec, EngineKind};

@@ -53,16 +53,18 @@ use std::io;
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Instant;
-use tqs_core::backend::{BuildSpec, EngineConnector};
+use tqs_core::backend::{BuildSpec, DbmsConnector, EngineConnector};
 use tqs_core::bugs::{BugReport, OracleKind};
 use tqs_core::dsg::DsgDatabase;
 use tqs_core::mutation::DmlOracle;
+use tqs_core::oracle::OracleVerdict;
+use tqs_sql::ast::{DmlStmt, SelectStmt};
 use tqs_sql::parser::{parse_program, parse_stmt};
 use tqs_sql::render::render_dml;
 use tqs_telemetry::Json;
 
 /// Verdict for one (class, build) pair. Declared in ascending severity so
-/// [`ReverifyReport::class_status`] can aggregate across builds with `max`.
+/// `ReverifyReport::class_status` can aggregate across builds with `max`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ReverifyStatus {
     /// The entry can no longer be checked (schema/SQL/trace no longer loads).
@@ -77,7 +79,7 @@ pub enum ReverifyStatus {
 }
 
 impl ReverifyStatus {
-    pub const ALL: [ReverifyStatus; 4] = [
+    pub(crate) const ALL: [ReverifyStatus; 4] = [
         ReverifyStatus::Stale,
         ReverifyStatus::Fixed,
         ReverifyStatus::Flaky,
@@ -93,7 +95,7 @@ impl ReverifyStatus {
         }
     }
 
-    pub fn from_label(label: &str) -> Result<ReverifyStatus, String> {
+    pub(crate) fn from_label(label: &str) -> Result<ReverifyStatus, String> {
         Self::ALL
             .into_iter()
             .find(|s| s.label() == label)
@@ -123,7 +125,7 @@ pub struct ClassVerdict {
 }
 
 impl ClassVerdict {
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut members = vec![
             ("class".to_string(), Json::str(&self.class_key)),
             ("cell".to_string(), Json::count(self.cell_id)),
@@ -139,7 +141,7 @@ impl ClassVerdict {
         Json::Obj(members)
     }
 
-    pub fn from_json(j: &Json) -> Result<ClassVerdict, String> {
+    pub(crate) fn from_json(j: &Json) -> Result<ClassVerdict, String> {
         let str_field = |k: &str| -> Result<String, String> {
             j.get(k)
                 .and_then(Json::as_str)
@@ -193,14 +195,14 @@ impl ReverifyReport {
     }
 
     /// The distinct class keys the report covers.
-    pub fn classes(&self) -> BTreeSet<String> {
+    pub(crate) fn classes(&self) -> BTreeSet<String> {
         self.verdicts.iter().map(|v| v.class_key.clone()).collect()
     }
 
     /// A class's status aggregated across every build it was checked on:
     /// the most severe verdict (`StillFailing > Flaky > Fixed > Stale`), so
     /// a class fixed on one build but failing on another stays open.
-    pub fn class_status(&self, class_key: &str) -> Option<ReverifyStatus> {
+    pub(crate) fn class_status(&self, class_key: &str) -> Option<ReverifyStatus> {
         self.verdicts
             .iter()
             .filter(|v| v.class_key == class_key)
@@ -290,15 +292,6 @@ impl ReverifyCampaign {
         })
     }
 
-    pub fn config(&self) -> &ReverifyConfig {
-        &self.cfg
-    }
-
-    /// The underlying (resumed) hunt campaign.
-    pub fn campaign(&self) -> &Campaign {
-        &self.campaign
-    }
-
     /// The corpus entries under re-verification, in corpus order.
     pub fn entries(&self) -> &[CorpusEntry] {
         &self.entries
@@ -346,7 +339,8 @@ impl ReverifyCampaign {
         (report, stats)
     }
 
-    /// Both legs for one (entry, build) pair.
+    /// Both legs for one (entry, build) pair, for either workload: what
+    /// differs between a SELECT and a DML class is [`Unit`]'s.
     fn verify_one(&self, entry: &CorpusEntry, build: BuildSpec) -> ClassVerdict {
         let verdict =
             |profile: &str, status: ReverifyStatus, replay: bool, live: bool, detail: String| {
@@ -381,40 +375,31 @@ impl ReverifyCampaign {
         };
         let profile = cell.profile.name();
         let shard = &self.campaign.shards()[cell.shard];
-        if entry.report.oracle == OracleKind::Mutation {
-            return self.verify_dml(entry, build, cell, shard);
-        }
-        let stmt = match parse_stmt(&entry.report.sql) {
-            Ok(stmt) => stmt,
-            Err(e) => return stale(profile, format!("sql no longer parses: {e}")),
+        let unit = match Unit::parse(&entry.report, shard) {
+            Ok(unit) => unit,
+            Err(detail) => return stale(profile, detail),
         };
-        for table in stmt.from.tables() {
-            if shard.db.catalog.table(&table.table).is_none() {
+        for table in unit.tables() {
+            if shard.db.catalog.table(table).is_none() {
                 return stale(
                     profile,
-                    format!(
-                        "table `{}` missing from the rebuilt shard schema",
-                        table.table
-                    ),
+                    format!("table `{table}` missing from the rebuilt shard schema"),
                 );
             }
         }
-        let replay = entry.replay_connector();
-        if !replay.contains(&entry.report.hint_label, &entry.report.sql) {
-            return stale(
-                profile,
-                format!(
-                    "witness trace no longer serves the failing statement [{}]",
-                    entry.report.hint_label
-                ),
-            );
+        let mut replay = entry.replay_connector();
+        for (label, sql, what) in unit.witness_keys(&entry.report) {
+            if !replay.contains(&label, &sql) {
+                return stale(
+                    profile,
+                    format!("witness trace no longer serves {what} [{label}]"),
+                );
+            }
         }
 
-        // Replay leg: the recorded witness, re-judged by the cell's oracle
-        // (the plan-space oracle for plan-space cells — the witness trace
-        // recorded every enumerated plan's execution).
-        let mut replay = replay;
-        let replay_verdict = cell.build_oracle(shard).check(&stmt, &mut replay);
+        // Replay leg: the recorded witness, re-judged by the procedure that
+        // flagged it.
+        let replay_verdict = unit.judge(cell, shard, &mut replay);
         if !replay_verdict.executed() {
             return stale(
                 profile,
@@ -425,7 +410,7 @@ impl ReverifyCampaign {
 
         // Live leg: a fresh end-to-end execution on the build under test.
         let mut conn = EngineConnector::open(cell.engine, build, cell.profile).loaded(shard);
-        let live_verdict = cell.build_oracle(shard).check(&stmt, &mut conn);
+        let live_verdict = unit.judge(cell, shard, &mut conn);
         if !live_verdict.executed() {
             return stale(
                 profile,
@@ -451,93 +436,78 @@ impl ReverifyCampaign {
         };
         verdict(profile, status, replay_reproduced, live_failing, detail)
     }
+}
 
-    /// Both legs for a mutation-workload class. The persisted SQL is a whole
-    /// DML + transaction program; the witness trace serves every statement
-    /// of it (recorded under the `dml` label) plus the oracle's per-table
-    /// verification probes, so the replay leg re-judges the recorded
-    /// evidence with the same delta-maintained ground truth that flagged it,
-    /// and the live leg re-runs the program end to end on the build under
-    /// test.
-    fn verify_dml(
+/// What a corpus class is re-checked with: its persisted SQL, parsed for the
+/// workload that recorded it, and the judge that flagged it.
+enum Unit {
+    /// A SELECT statement, judged by the cell's oracle (the plan-space
+    /// oracle for plan-space cells — the witness trace recorded every
+    /// enumerated plan's execution).
+    Select(Box<SelectStmt>),
+    /// A whole DML + transaction program, judged by the delta-maintained
+    /// mutation ground truth. Its witness trace serves every statement of it
+    /// (recorded under the `dml` label) plus the oracle's per-table
+    /// verification probes.
+    Dml(Vec<DmlStmt>, DmlOracle),
+}
+
+impl Unit {
+    fn parse(report: &BugReport, shard: &DsgDatabase) -> Result<Unit, String> {
+        if report.oracle == OracleKind::Mutation {
+            parse_program(&report.sql)
+                .map(|program| Unit::Dml(program, DmlOracle::new(&shard.db.catalog)))
+                .map_err(|e| format!("program no longer parses: {e}"))
+        } else {
+            parse_stmt(&report.sql)
+                .map(|stmt| Unit::Select(Box::new(stmt)))
+                .map_err(|e| format!("sql no longer parses: {e}"))
+        }
+    }
+
+    /// The tables the unit reads or writes.
+    fn tables(&self) -> Vec<&str> {
+        match self {
+            Unit::Select(stmt) => stmt
+                .from
+                .tables()
+                .into_iter()
+                .map(|t| t.table.as_str())
+                .collect(),
+            Unit::Dml(program, _) => program.iter().filter_map(DmlStmt::table).collect(),
+        }
+    }
+
+    /// The `(label, sql)` keys the witness trace must serve, each with how a
+    /// `Stale` detail names it.
+    fn witness_keys(&self, report: &BugReport) -> Vec<(String, String, String)> {
+        match self {
+            Unit::Select(_) => vec![(
+                report.hint_label.clone(),
+                report.sql.clone(),
+                "the failing statement".to_string(),
+            )],
+            Unit::Dml(program, _) => program
+                .iter()
+                .map(|stmt| {
+                    let sql = render_dml(stmt);
+                    let what = format!("`{sql}`");
+                    ("dml".to_string(), sql, what)
+                })
+                .collect(),
+        }
+    }
+
+    fn judge(
         &self,
-        entry: &CorpusEntry,
-        build: BuildSpec,
         cell: CampaignCell,
         shard: &Arc<DsgDatabase>,
-    ) -> ClassVerdict {
-        let profile = cell.profile.name();
-        let verdict =
-            |status: ReverifyStatus, replay: bool, live: bool, detail: String| ClassVerdict {
-                class_key: entry.class_key.clone(),
-                cell_id: entry.cell_id,
-                profile: profile.to_string(),
-                build,
-                status,
-                replay_reproduced: replay,
-                live_failing: live,
-                detail,
-            };
-        let stale = |detail: String| verdict(ReverifyStatus::Stale, false, false, detail);
-
-        let program = match parse_program(&entry.report.sql) {
-            Ok(program) => program,
-            Err(e) => return stale(format!("program no longer parses: {e}")),
-        };
-        for stmt in &program {
-            if let Some(table) = stmt.table() {
-                if shard.db.catalog.table(table).is_none() {
-                    return stale(format!(
-                        "table `{table}` missing from the rebuilt shard schema"
-                    ));
-                }
-            }
+        conn: &mut dyn DbmsConnector,
+    ) -> OracleVerdict {
+        match self {
+            Unit::Select(stmt) => cell.build_oracle(shard).check(stmt, conn),
+            Unit::Dml(program, oracle) => oracle.check_program(program, conn),
         }
-        let replay = entry.replay_connector();
-        for stmt in &program {
-            let sql = render_dml(stmt);
-            if !replay.contains("dml", &sql) {
-                return stale(format!("witness trace no longer serves `{sql}` [dml]"));
-            }
-        }
-
-        // Replay leg: the recorded program outcomes and verification probes,
-        // re-judged against a freshly delta-maintained ground truth.
-        let oracle = DmlOracle::new(&shard.db.catalog);
-        let mut replay = replay;
-        let replay_verdict = oracle.check_program(&program, &mut replay);
-        if !replay_verdict.executed() {
-            return stale("witness trace no longer serves the oracle's statements".to_string());
-        }
-        let replay_reproduced = matches_class(&entry.report, replay_verdict.into_bugs());
-
-        // Live leg: a fresh end-to-end execution on the build under test.
-        let mut conn = EngineConnector::open(cell.engine, build, cell.profile).loaded(shard);
-        let live_verdict = oracle.check_program(&program, &mut conn);
-        if !live_verdict.executed() {
-            return stale(format!(
-                "live re-execution on the {} build skipped",
-                build.label()
-            ));
-        }
-        let live_failing = matches_class(&entry.report, live_verdict.into_bugs());
-
-        let (status, detail) = match (replay_reproduced, live_failing) {
-            (true, true) => (ReverifyStatus::StillFailing, String::new()),
-            (true, false) => (ReverifyStatus::Fixed, String::new()),
-            (false, true) => (
-                ReverifyStatus::Flaky,
-                "witness replay no longer reproduces the class but live re-execution still \
-                 trips it"
-                    .to_string(),
-            ),
-            (false, false) => (
-                ReverifyStatus::Flaky,
-                "neither witness replay nor live re-execution reproduces the recorded class"
-                    .to_string(),
-            ),
-        };
-        verdict(status, replay_reproduced, live_failing, detail)
     }
 }
 
@@ -673,46 +643,85 @@ mod tests {
     #[test]
     fn corrupted_entries_re_verify_as_stale() {
         let dir = test_dir("stale");
-        let mut campaign = Campaign::new(cfg(dir.clone())).unwrap();
+        let grid = || CampaignConfig {
+            workloads: vec![Workload::Select, Workload::Dml],
+            ..cfg(dir.clone())
+        };
+        let mut campaign = Campaign::new(grid()).unwrap();
         campaign.run().unwrap();
         let corpus = campaign.corpus().clone();
-        let mut entries = corpus.load().unwrap();
-        assert!(!entries.is_empty());
+        let entries = corpus.load().unwrap();
+        let template = |mutation: bool| {
+            entries
+                .iter()
+                .find(|e| (e.report.oracle == OracleKind::Mutation) == mutation)
+                .cloned()
+                .unwrap()
+        };
+        let (select, dml) = (template(false), template(true));
 
-        // Corrupt one entry three ways: unparseable sql, a dropped table,
-        // and a witness trace that no longer covers the failing statement.
-        let template = entries.remove(0);
-        let mut bad_sql = template.clone();
-        bad_sql.report.sql = "SELECT FROM WHERE".into();
-        let mut bad_table = template.clone();
-        bad_table.report.sql = "SELECT Gone.x FROM Gone".into();
-        let mut bad_trace = template.clone();
-        bad_trace.trace.clear();
-        let mut out_of_grid = template.clone();
-        out_of_grid.cell_id = 999;
+        // Corrupt one entry of each workload four ways: unparseable sql, a
+        // dropped table, a witness trace that no longer covers the failing
+        // statement, and a cell outside the grid.
+        let corrupt = |template: &CorpusEntry, bad_sql: &str, gone_sql: &str| {
+            let mut bad = template.clone();
+            bad.report.sql = bad_sql.into();
+            let mut gone = template.clone();
+            gone.report.sql = gone_sql.into();
+            let mut no_trace = template.clone();
+            no_trace.trace.clear();
+            let mut out_of_grid = template.clone();
+            out_of_grid.cell_id = 999;
+            [bad, gone, no_trace, out_of_grid]
+        };
+        let mut corrupted =
+            corrupt(&select, "SELECT FROM WHERE", "SELECT Gone.x FROM Gone").to_vec();
+        corrupted.extend(corrupt(&dml, "INSERT INTO", "DELETE FROM Gone"));
         // Rewrite the corpus with only the corrupted variants.
-        let text: String = [&bad_sql, &bad_table, &bad_trace, &out_of_grid]
+        let text: String = corrupted
             .iter()
             .map(|e| format!("{}\n", e.to_json()))
             .collect();
         std::fs::write(corpus.path(), text).unwrap();
 
         let reverify = ReverifyCampaign::load(ReverifyConfig {
-            campaign: cfg(dir.clone()),
+            campaign: grid(),
             builds: vec![BuildSpec::Faulty],
             workers: 2,
         })
         .unwrap();
         let (report, stats) = reverify.run();
-        assert_eq!(stats.verdicts, 4);
-        assert_eq!(stats.stale, 4, "{report:#?}");
+        assert_eq!(stats.verdicts, 8);
+        assert_eq!(stats.stale, 8, "{report:#?}");
         assert!(report
             .verdicts
             .iter()
-            .all(|v| v.status == ReverifyStatus::Stale && !v.detail.is_empty()));
+            .all(|v| v.status == ReverifyStatus::Stale));
+        let first_dml = render_dml(&parse_program(&dml.report.sql).unwrap()[0]);
+        let details: Vec<&str> = report.verdicts.iter().map(|v| v.detail.as_str()).collect();
+        assert_eq!(
+            details,
+            [
+                r#"sql no longer parses: parse error at byte 12: expected keyword FROM, found Ident("WHERE")"#
+                    .to_string(),
+                "table `Gone` missing from the rebuilt shard schema".to_string(),
+                format!(
+                    "witness trace no longer serves the failing statement [{}]",
+                    select.report.hint_label
+                ),
+                "cell 999 is outside the campaign grid".to_string(),
+                "program no longer parses: parse error at byte 11: expected identifier, found Eof"
+                    .to_string(),
+                "table `Gone` missing from the rebuilt shard schema".to_string(),
+                format!("witness trace no longer serves `{first_dml}` [dml]"),
+                "cell 999 is outside the campaign grid".to_string(),
+            ]
+        );
         // Stale classes are garbage-collected unless kept.
-        assert!(!report.retain_class(&template.class_key, false));
-        assert!(report.retain_class(&template.class_key, true));
+        for template in [&select, &dml] {
+            assert!(!report.retain_class(&template.class_key, false));
+            assert!(report.retain_class(&template.class_key, true));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

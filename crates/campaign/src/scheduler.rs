@@ -15,13 +15,13 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// One deque per worker plus the stealing protocol.
-pub struct WorkQueues<T> {
+pub(crate) struct WorkQueues<T> {
     queues: Vec<Mutex<VecDeque<T>>>,
 }
 
 impl<T> WorkQueues<T> {
     /// Deal `items` round-robin onto `workers` deques (at least one).
-    pub fn deal(workers: usize, items: impl IntoIterator<Item = T>) -> WorkQueues<T> {
+    pub(crate) fn deal(workers: usize, items: impl IntoIterator<Item = T>) -> WorkQueues<T> {
         let workers = workers.max(1);
         let queues: Vec<Mutex<VecDeque<T>>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
@@ -31,19 +31,14 @@ impl<T> WorkQueues<T> {
         WorkQueues { queues }
     }
 
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.queues.len()
-    }
-
-    /// Items left across all deques.
-    pub fn remaining(&self) -> usize {
-        self.queues.iter().map(|q| q.lock_unpoisoned().len()).sum()
     }
 
     /// Next cell for `worker`: its own deque front first, then a steal from
     /// the back of the first non-empty deque scanning from its right-hand
     /// neighbor. `None` means the whole grid is drained.
-    pub fn pop(&self, worker: usize) -> Option<T> {
+    pub(crate) fn pop(&self, worker: usize) -> Option<T> {
         let n = self.queues.len();
         let own = worker % n;
         if let Some(item) = self.queues[own].lock_unpoisoned().pop_front() {
@@ -62,17 +57,22 @@ impl<T> WorkQueues<T> {
 mod tests {
     use super::*;
 
+    /// Items left across all deques.
+    fn remaining<T>(q: &WorkQueues<T>) -> usize {
+        q.queues.iter().map(|d| d.lock_unpoisoned().len()).sum()
+    }
+
     #[test]
     fn deals_round_robin_and_drains_completely() {
         let q = WorkQueues::deal(3, 0..10);
         assert_eq!(q.workers(), 3);
-        assert_eq!(q.remaining(), 10);
+        assert_eq!(remaining(&q), 10);
         let mut seen: Vec<usize> = Vec::new();
         // worker 1 drains everything: its own cells first, then steals
         while let Some(c) = q.pop(1) {
             seen.push(c);
         }
-        assert_eq!(q.remaining(), 0);
+        assert_eq!(remaining(&q), 0);
         seen.sort();
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
     }
@@ -128,12 +128,12 @@ mod tests {
         });
         assert!(died.is_err());
         assert!(q.queues[1].is_poisoned());
-        assert_eq!(q.remaining(), 6);
+        assert_eq!(remaining(&q), 6);
         // The poisoned deque serves its owner from the front, then a thief
         // from the back.
         assert_eq!(q.pop(1), Some(1));
         let rest: Vec<usize> = std::iter::from_fn(|| q.pop(0)).collect();
         assert_eq!(rest, [0, 2, 4, 5, 3]);
-        assert_eq!(q.remaining(), 0);
+        assert_eq!(remaining(&q), 0);
     }
 }

@@ -22,12 +22,6 @@ pub struct RunTotals {
     pub plans: usize,
 }
 
-impl RunTotals {
-    pub fn is_zero(&self) -> bool {
-        *self == RunTotals::default()
-    }
-}
-
 /// Shared atomic counters the worker fleet bumps as it hunts.
 #[derive(Debug)]
 pub struct LiveStats {
@@ -63,10 +57,6 @@ pub struct LiveStats {
 }
 
 impl LiveStats {
-    pub fn start() -> LiveStats {
-        LiveStats::start_with_prior(RunTotals::default())
-    }
-
     /// Start a run's counters with the totals of the campaign's previous
     /// runs already on the books.
     pub fn start_with_prior(prior: RunTotals) -> LiveStats {
@@ -87,63 +77,64 @@ impl LiveStats {
         }
     }
 
-    pub fn add_panic_caught(&self) {
+    pub(crate) fn add_panic_caught(&self) {
         self.panics_caught.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn add_retry(&self) {
+    pub(crate) fn add_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn add_quarantined(&self) {
+    pub(crate) fn add_quarantined(&self) {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn add_deadline_cell(&self) {
+    pub(crate) fn add_deadline_cell(&self) {
         self.deadline_cells.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn add_queries(&self, n: usize) {
+    pub(crate) fn add_queries(&self, n: usize) {
         self.queries.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn add_statements(&self, n: usize) {
+    pub(crate) fn add_statements(&self, n: usize) {
         self.statements.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn add_plans(&self, n: usize) {
+    pub(crate) fn add_plans(&self, n: usize) {
         self.plans.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn add_raw_reports(&self, n: usize) {
+    pub(crate) fn add_raw_reports(&self, n: usize) {
         self.raw_reports.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn add_new_class(&self) {
+    pub(crate) fn add_new_class(&self) {
         self.new_classes.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn cell_drained(&self) {
+    pub(crate) fn cell_drained(&self) {
         self.cells_drained.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Publish the campaign's current structural-diversity count so live
     /// status readers see it without touching the campaign's locks.
-    pub fn set_diversity(&self, n: usize) {
+    pub(crate) fn set_diversity(&self, n: usize) {
         self.diversity.store(n, Ordering::Relaxed);
     }
 
-    pub fn cells_drained(&self) -> usize {
+    pub(crate) fn cells_drained(&self) -> usize {
         self.cells_drained.load(Ordering::Relaxed)
     }
 
-    pub fn new_classes_found(&self) -> usize {
+    pub(crate) fn new_classes_found(&self) -> usize {
         self.new_classes.load(Ordering::Relaxed)
     }
 
-    /// This run's totals in journal-record form (what `Checkpoint::append_run`
-    /// persists so the next resume carries the clock forward).
-    pub fn run_totals(&self) -> RunTotals {
+    /// This run's totals in journal-record form (what
+    /// `Checkpoint::append_run_with` persists so the next resume carries the
+    /// clock forward).
+    pub(crate) fn run_totals(&self) -> RunTotals {
         RunTotals {
             elapsed: self.started.elapsed(),
             queries: self.queries.load(Ordering::Relaxed),
@@ -229,22 +220,22 @@ pub struct CampaignStats {
 
 impl CampaignStats {
     /// Wall-clock across every run of the campaign, this one included.
-    pub fn total_elapsed(&self) -> Duration {
+    pub(crate) fn total_elapsed(&self) -> Duration {
         self.elapsed + self.prior.elapsed
     }
 
     /// Oracle-exercised statements across every run.
-    pub fn total_queries(&self) -> usize {
+    pub(crate) fn total_queries(&self) -> usize {
         self.queries + self.prior.queries
     }
 
     /// Engine-level statements across every run.
-    pub fn total_statements(&self) -> usize {
+    pub(crate) fn total_statements(&self) -> usize {
         self.statements + self.prior.statements
     }
 
     /// Optimizer-enumerated plans across every run.
-    pub fn total_plans(&self) -> usize {
+    pub(crate) fn total_plans(&self) -> usize {
         self.plans + self.prior.plans
     }
 
@@ -258,24 +249,24 @@ impl CampaignStats {
     /// Raw engine throughput: statements executed per wall-clock second —
     /// the rate the allocation-free execution path feeds directly.
     /// Cumulative across resume.
-    pub fn statements_per_sec(&self) -> f64 {
+    pub(crate) fn statements_per_sec(&self) -> f64 {
         self.total_statements() as f64 / self.total_elapsed().as_secs_f64().max(1e-9)
     }
 
     /// Plan-space throughput: optimizer-enumerated plans executed per
     /// wall-clock second — the paper's coverage rate. Cumulative across
     /// resume.
-    pub fn plans_per_sec(&self) -> f64 {
+    pub(crate) fn plans_per_sec(&self) -> f64 {
         self.total_plans() as f64 / self.total_elapsed().as_secs_f64().max(1e-9)
     }
 
     /// Raw divergence sightings per hour — the flood the triage collapses.
-    pub fn raw_reports_per_hour(&self) -> f64 {
+    pub(crate) fn raw_reports_per_hour(&self) -> f64 {
         self.raw_reports as f64 / (self.elapsed.as_secs_f64().max(1e-9) / 3600.0)
     }
 
     /// Newly discovered bug classes per hour of campaign time.
-    pub fn bugs_per_hour(&self) -> f64 {
+    pub(crate) fn bugs_per_hour(&self) -> f64 {
         self.new_classes as f64 / (self.elapsed.as_secs_f64().max(1e-9) / 3600.0)
     }
 
@@ -288,7 +279,7 @@ impl CampaignStats {
         self.raw_reports as f64 / self.new_classes as f64
     }
 
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Obj(vec![
             (
                 "elapsed_sec".to_string(),
@@ -374,7 +365,7 @@ mod tests {
 
     #[test]
     fn snapshot_carries_live_counters_and_campaign_totals() {
-        let live = LiveStats::start();
+        let live = LiveStats::start_with_prior(RunTotals::default());
         live.add_queries(10);
         live.add_queries(5);
         live.add_plans(34);
@@ -400,7 +391,7 @@ mod tests {
 
     #[test]
     fn supervision_counters_flow_into_the_snapshot() {
-        let live = LiveStats::start();
+        let live = LiveStats::start_with_prior(RunTotals::default());
         live.add_panic_caught();
         live.add_panic_caught();
         live.add_retry();
@@ -420,7 +411,7 @@ mod tests {
 
     #[test]
     fn json_snapshot_has_the_bench_fields() {
-        let live = LiveStats::start();
+        let live = LiveStats::start_with_prior(RunTotals::default());
         live.add_queries(4);
         live.set_diversity(3);
         let j = live.snapshot(2, 2, 1, 0).to_json();
@@ -453,7 +444,7 @@ mod tests {
 
     #[test]
     fn dedup_ratio_is_zero_without_classes() {
-        let live = LiveStats::start();
+        let live = LiveStats::start_with_prior(RunTotals::default());
         live.add_raw_reports(3);
         assert_eq!(live.snapshot(1, 0, 0, 0).dedup_ratio(), 0.0);
     }

@@ -100,14 +100,14 @@ impl StatusBoard {
 
     /// Called when the run dies on an I/O error: streams end rather than
     /// hang waiting for a final snapshot that will never come.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         let mut inner = self.inner.lock_unpoisoned();
         inner.live = None;
         inner.finished = true;
     }
 
     /// The run has ended (normally or not); streams drain and close.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.inner.lock_unpoisoned().finished
     }
 

@@ -9,23 +9,24 @@
 //!   panic becomes an `OracleKind::HarnessPanic` bug class and the worker
 //!   moves on (see `Campaign::run`).
 //! * **Retry + quarantine** — a failing cell retries with capped exponential
-//!   backoff ([`SupervisorConfig::backoff`]); after
+//!   backoff (`SupervisorConfig::backoff`); after
 //!   [`SupervisorConfig::max_attempts`] failures it is journaled to a poison
 //!   list ([`Quarantine`]) that survives kill+resume, so the cell is neither
 //!   re-run nor lost.
 //! * **Deadlines** — per-cell and per-statement wall-clock budgets enforced
 //!   through the engine-side cancel token (`tqs_engine::cancel`).
-//! * **Durable appends** — [`append_line_durable`] gives every corpus /
-//!   checkpoint / quarantine append an fsync commit point and an
-//!   atomic-or-absent contract: on any failure (real or injected via
-//!   [`EnvFaultPolicy`]) the file is rolled back to its pre-append length.
+//! * **Durable appends** — `append_line_durable` gives every `journal`
+//!   append an fsync commit point and an atomic-or-absent contract: on any
+//!   failure (real or injected via [`EnvFaultPolicy`]) the file is rolled
+//!   back to its pre-append length.
 //! * **Environmental fault injection** — [`SupervisorConfig::env_faults`]
 //!   routes the campaign's own file IO through the seeded
 //!   [`EnvFaultPolicy`] shim so chaos tests can prove all of the above.
 
+use crate::journal::Journal;
 use std::fs::OpenOptions;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use tqs_pager::envfault::{EnvFaultOp, EnvFaultPolicy};
@@ -86,7 +87,7 @@ impl Default for SupervisorConfig {
 impl SupervisorConfig {
     /// Backoff before retry number `attempt` (1-based): base · 2^(attempt−1),
     /// capped.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let shift = attempt.saturating_sub(1).min(16);
         self.backoff_base
             .saturating_mul(1u32 << shift)
@@ -129,9 +130,9 @@ fn splitmix64(mut x: u64) -> u64 {
 /// How a journal append is performed: through which fault policy, and
 /// whether it carries an fsync commit point.
 #[derive(Debug, Clone)]
-pub struct AppendOptions {
-    pub env: EnvFaultPolicy,
-    pub sync: bool,
+pub(crate) struct AppendOptions {
+    pub(crate) env: EnvFaultPolicy,
+    pub(crate) sync: bool,
 }
 
 impl Default for AppendOptions {
@@ -147,7 +148,7 @@ impl AppendOptions {
     /// The same durability settings with fault injection disabled — used for
     /// the final attempt of a retry loop so injected faults cannot exhaust
     /// the retry budget.
-    pub fn without_faults(&self) -> AppendOptions {
+    pub(crate) fn without_faults(&self) -> AppendOptions {
         AppendOptions {
             env: EnvFaultPolicy::off(),
             sync: self.sync,
@@ -268,79 +269,44 @@ impl QuarantineEntry {
 }
 
 /// The journaled poison list: cells that exhausted their retry budget.
-/// Append-only JSONL beside the corpus and checkpoint, with the same
-/// torn-tail repair discipline, so it survives kill+resume.
+/// Append-only JSONL beside the corpus and checkpoint, under the same
+/// `journal` contract, so it survives kill+resume.
 #[derive(Debug, Clone)]
 pub struct Quarantine {
-    path: PathBuf,
+    journal: Journal,
 }
 
 impl Quarantine {
-    pub const FILE_NAME: &'static str = "quarantine.jsonl";
-
     pub fn in_dir(dir: &Path) -> Quarantine {
         Quarantine {
-            path: dir.join(Self::FILE_NAME),
+            journal: Journal::in_dir(dir, "quarantine", "campaign.quarantine.torn_lines_dropped"),
         }
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Journal one quarantined cell (durable, atomic-or-absent).
-    pub fn append(&self, entry: &QuarantineEntry, opts: &AppendOptions) -> io::Result<()> {
+    pub(crate) fn append(&self, entry: &QuarantineEntry, opts: &AppendOptions) -> io::Result<()> {
         tqs_telemetry::counter!("campaign.quarantine.appends").incr();
-        let mut line = entry.to_json().to_string();
-        line.push('\n');
-        append_line_durable(&self.path, line.as_bytes(), opts)
+        self.journal.append(&entry.to_json(), opts)
     }
 
-    /// Load the poison list. A missing file is an empty list; a torn final
-    /// line is dropped (the entry's cell was never marked done, so a resume
-    /// simply re-runs it — and re-quarantines it if it is still poisoned).
+    /// Load the poison list. A missing file is an empty list; a dropped torn
+    /// final line's cell was never marked done, so a resume simply re-runs
+    /// it — and re-quarantines it if it is still poisoned.
     pub fn load(&self) -> io::Result<Vec<QuarantineEntry>> {
-        let text = match std::fs::read_to_string(&self.path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let lines: Vec<&str> = text.lines().collect();
-        let mut entries = Vec::new();
-        for (idx, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed = Json::parse(line)
-                .map_err(|e| e.to_string())
-                .and_then(|j| QuarantineEntry::from_json(&j));
-            match parsed {
-                Ok(entry) => entries.push(entry),
-                Err(err) => {
-                    if idx + 1 == lines.len() && !text.ends_with('\n') {
-                        tqs_telemetry::counter!("campaign.quarantine.torn_lines_dropped").incr();
-                        continue;
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("quarantine line {}: {err}", idx + 1),
-                    ));
-                }
-            }
-        }
-        Ok(entries)
+        self.journal
+            .load_or_empty(|_, j| QuarantineEntry::from_json(j))
     }
 
-    /// Truncate a torn trailing line in place (byte-level, like the corpus
-    /// and checkpoint repair). Returns true if bytes were dropped.
-    pub fn repair_torn_tail(&self) -> io::Result<bool> {
-        crate::corpus::repair_torn_tail(&self.path)
+    /// Truncate a torn final line left by a kill mid-append.
+    pub(crate) fn repair_torn_tail(&self) -> io::Result<bool> {
+        self.journal.repair_torn_tail()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -468,7 +434,10 @@ mod tests {
         // Torn tail: dropped on load, truncated by repair.
         {
             use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(q.path()).unwrap();
+            let mut f = OpenOptions::new()
+                .append(true)
+                .open(q.journal.path())
+                .unwrap();
             f.write_all(b"{\"cell\": 9, \"atte").unwrap();
         }
         assert_eq!(q.load().unwrap(), vec![a.clone(), b.clone()]);

@@ -76,17 +76,8 @@ impl BugTriage {
         &self.classes
     }
 
-    pub fn class(&self, idx: usize) -> &TriageClass {
-        &self.classes[idx]
-    }
-
     pub fn class_count(&self) -> usize {
         self.classes.len()
-    }
-
-    /// Total raw sightings across all classes.
-    pub fn sightings(&self) -> usize {
-        self.classes.iter().map(|c| c.sightings).sum()
     }
 
     /// The deduplicated class-key set — the campaign's primary artifact, and
@@ -144,9 +135,9 @@ mod tests {
             Some(1)
         );
         assert_eq!(t.class_count(), 2);
-        assert_eq!(t.sightings(), 3);
-        assert_eq!(t.class(0).sightings, 2);
-        assert_eq!(t.class(0).cell_id, 0);
+        assert_eq!(t.classes().iter().map(|c| c.sightings).sum::<usize>(), 3);
+        assert_eq!(t.classes()[0].sightings, 2);
+        assert_eq!(t.classes()[0].cell_id, 0);
         assert_eq!(t.class_keys().len(), 2);
     }
 
@@ -170,7 +161,7 @@ mod tests {
             .unwrap();
         t.set_minimized(idx, "SELECT 1".into());
         assert_eq!(
-            t.class(idx).representative.minimized_sql.as_deref(),
+            t.classes()[idx].representative.minimized_sql.as_deref(),
             Some("SELECT 1")
         );
     }
