@@ -25,6 +25,11 @@
 //! [`DiskDatabase::recover`] reopens the files, replays the WAL and resumes
 //! the interrupted catalog load. The crash-recovery suite pins that committed
 //! batches survive byte-for-byte and uncommitted ones vanish entirely.
+//!
+//! DML only ever appends to the hidden [`DML_LOG_TABLE`], so reloading the
+//! catalog the store already holds — what the mutation oracle does before
+//! every program — rewinds that log in one commit instead of rebuilding the
+//! store (see the `load_catalog` docs on [`DiskDatabase`]'s [`Engine`] impl).
 
 use crate::dml::{DmlOp, DmlOutcome};
 use crate::engine::{find_table, Database, Engine, EngineError, ExecOutcome};
@@ -77,6 +82,11 @@ pub struct DiskDatabase {
     /// load replaces the store, so the request must outlive it).
     pending_crash: Option<CrashPoint>,
     last_recovery: Option<RecoveryStats>,
+    /// The store's base tables hold exactly `base`, written by a load that
+    /// ran to completion on this store instance — so its pool still knows
+    /// every base leaf's first-flush cell count — and a reload of `base`
+    /// may rewind the DML log instead of rebuilding the store.
+    rewindable: bool,
 }
 
 impl DiskDatabase {
@@ -92,6 +102,7 @@ impl DiskDatabase {
             committed_ops: Vec::new(),
             pending_crash: None,
             last_recovery: None,
+            rewindable: false,
         };
         db.load_catalog(catalog)?;
         Ok(db)
@@ -125,7 +136,8 @@ impl DiskDatabase {
     }
 
     /// Arm a one-shot process kill at `point` inside the next commit (the
-    /// next [`DiskDatabase::load_catalog`] or catch-up load).
+    /// next [`DiskDatabase::load_catalog`] — always a full load then — or
+    /// catch-up load).
     pub fn arm_crash(&mut self, point: CrashPoint) {
         self.pending_crash = Some(point);
         self.store.set_crash_point(Some(point));
@@ -138,6 +150,7 @@ impl DiskDatabase {
     /// vanish entirely, and running recovery again is a no-op (idempotent).
     pub fn recover(&mut self) -> Result<RecoveryStats, EngineError> {
         self.pending_crash = None;
+        self.rewindable = false;
         let (store, stats) =
             DiskStore::open(&self.dir, DEFAULT_POOL_FRAMES).map_err(storage_err)?;
         self.store = store;
@@ -229,6 +242,40 @@ impl DiskDatabase {
         Ok(())
     }
 
+    /// Does the store hold `catalog` as loaded, untouched but for the DML
+    /// log, with nothing that makes the next load a real one (an armed
+    /// crash, a poisoned store)? Same names are not enough: every table must
+    /// be the very `Arc` the last load got, which — catalogs being immutable
+    /// behind `Arc` — implies the same rows.
+    fn holds(&self, catalog: &Catalog) -> bool {
+        self.rewindable
+            && self.pending_crash.is_none()
+            && !self.store.is_poisoned()
+            && catalog.table_names() == self.base.table_names()
+            && self
+                .base
+                .iter()
+                .all(|t| catalog.table(&t.name).is_some_and(|c| std::ptr::eq(c, t)))
+    }
+
+    /// Reload the catalog the store already holds: empty the DML log in one
+    /// commit, then drop the session's committed and open DML. A rewind
+    /// that fails leaves the next load to rebuild the store.
+    fn rewind(&mut self, catalog: Catalog) -> Result<(), EngineError> {
+        self.rewindable = false;
+        self.store
+            .truncate_table(DML_LOG_TABLE)
+            .map_err(storage_err)?;
+        self.rewindable = true;
+        self.committed_ops.clear();
+        self.inner.catalog = catalog;
+        self.inner.clear_txn();
+        if tqs_telemetry::enabled() {
+            tqs_telemetry::counter!("engine.disk.load.rewinds").incr();
+        }
+        Ok(())
+    }
+
     /// Scan every table out of the store into a fresh catalog, applying the
     /// active storage faults to each scan.
     fn scan_catalog(
@@ -268,10 +315,26 @@ impl Engine for DiskDatabase {
         &mut self.inner
     }
 
-    /// Wipe the page store and load `catalog` into it, one B+tree per table,
-    /// committed every [`COMMIT_BATCH_ROWS`] rows. A store nothing was ever
-    /// written to (a connector's first load) is already wiped.
+    /// Load `catalog` and reset the DML history: afterwards the session and
+    /// the store hold `catalog` and nothing else.
+    ///
+    /// The full load wipes the page store and writes one B+tree per table,
+    /// committed every [`COMMIT_BATCH_ROWS`] rows (a store nothing was ever
+    /// written to — a connector's first load — is already wiped). DML never
+    /// writes a base table's B+tree, only [`DML_LOG_TABLE`], so reloading
+    /// the catalog the store already holds (every table the same `Arc` as
+    /// in the last load) skips all that: it empties the log in one commit,
+    /// and the base tables keep the pages, scan metadata and first-flush
+    /// records the full load gave them. The full load still runs for a
+    /// fresh store, a different catalog, an armed crash point, a poisoned
+    /// store, a load that did not finish, and a store reopened by
+    /// [`DiskDatabase::recover`] (its new pool has lost the first-flush
+    /// records the stale-frame fault keys on).
     fn load_catalog(&mut self, catalog: Catalog) -> Result<(), EngineError> {
+        if self.holds(&catalog) {
+            return self.rewind(catalog);
+        }
+        self.rewindable = false;
         if !self.store.is_fresh() {
             self.store = DiskStore::create(&self.dir, DEFAULT_POOL_FRAMES).map_err(storage_err)?;
         }
@@ -303,6 +366,7 @@ impl Engine for DiskDatabase {
                 self.store.insert_batch(&name, chunk).map_err(storage_err)?;
             }
         }
+        self.rewindable = true;
         Ok(())
     }
 
@@ -684,5 +748,168 @@ mod tests {
                 "{point}: post-recovery answers diverged"
             );
         }
+    }
+
+    /// One profile per disk fault, on the access path that exposes it.
+    fn faulty(kind: FaultKind) -> DbmsProfile {
+        let id = if kind == FaultKind::DiskSplitHighKeyLoss {
+            ProfileId::TidbLike
+        } else {
+            ProfileId::MysqlLike
+        };
+        DbmsProfile {
+            faults: FaultSet::of(&[kind]),
+            ..DbmsProfile::disk(id)
+        }
+    }
+
+    /// Auto-commits, a COMMIT, a ROLLBACK and a transaction left open. The
+    /// 100-row UPDATE grows the DML log past its root leaf.
+    const PROGRAM: [&str; 10] = [
+        "INSERT INTO t2 (id, col1) VALUES (26, 'v26'), (27, 'v27')",
+        "UPDATE t1 SET col1 = 7 WHERE t1.id > 0",
+        "BEGIN",
+        "DELETE FROM t2 WHERE t2.id = 27",
+        "COMMIT",
+        "BEGIN",
+        "DELETE FROM t1 WHERE t1.id < 50",
+        "ROLLBACK",
+        "BEGIN",
+        "INSERT INTO t2 (id, col1) VALUES (28, 'open')",
+    ];
+
+    /// Between them, every disk fault's access path.
+    const PROBES: [&str; 4] = [
+        "SELECT t1.id, t2.col1 FROM t1 INNER JOIN t2 ON t1.col1 = t2.id",
+        "SELECT t1.id FROM t1 WHERE t1.col1 IN (SELECT t2.id FROM t2)",
+        "SELECT t1.id FROM t1 LEFT OUTER JOIN t2 ON t1.col1 = t2.id",
+        "SELECT t2.id, t2.col1 FROM t2",
+    ];
+
+    fn run(d: &mut DiskDatabase, program: &[&str]) {
+        for sql in program {
+            d.execute_dml_sql(sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+    }
+
+    /// The session's catalog holds exactly `base`'s rows.
+    fn assert_holds(d: &DiskDatabase, base: &Catalog, what: &str) {
+        for t in base.iter() {
+            let got = &d.session().catalog.table(&t.name).unwrap().rows;
+            assert_eq!(got, &t.rows, "{what}: {}", t.name);
+        }
+    }
+
+    #[test]
+    fn a_reload_after_dml_equals_a_fresh_load() {
+        let cat = catalog();
+        for kind in FaultKind::DISK {
+            let mut fresh = DiskDatabase::new(cat.clone(), faulty(kind)).unwrap();
+            let fresh_pool = fresh.store().pool_stats();
+            let mut d = DiskDatabase::new(cat.clone(), faulty(kind)).unwrap();
+            run(&mut d, &PROGRAM);
+            assert!(d.in_txn() && d.committed_ops().len() > tqs_pager::MAX_LEAF_CELLS);
+            d.load_catalog(cat.clone()).unwrap();
+            // A rebuild would have started a new pool, counting like `fresh`'s.
+            assert_ne!(d.store().pool_stats(), fresh_pool, "{kind:?}: rebuilt");
+            assert!(d.committed_ops().is_empty() && !d.in_txn(), "{kind:?}");
+            assert_holds(&d, &cat, "reloaded");
+            for name in cat.table_names() {
+                assert_eq!(
+                    d.store_mut().scan(&name).unwrap(),
+                    fresh.store_mut().scan(&name).unwrap(),
+                    "{kind:?}: {name} scans differently"
+                );
+            }
+            let mut fired = false;
+            for q in PROBES {
+                let a = d.execute_sql(q).unwrap();
+                let b = fresh.execute_sql(q).unwrap();
+                assert!(a.result.same_bag(&b.result), "{kind:?} diverged on {q}");
+                assert_eq!(a.fired, b.fired, "{kind:?} on {q}");
+                fired |= a.fired.contains(&kind);
+            }
+            assert!(fired, "{kind:?} fired on no probe");
+            d.recover().unwrap();
+            assert!(d.committed_ops().is_empty(), "{kind:?}");
+            assert_holds(&d, &cat, "recovered");
+        }
+    }
+
+    #[test]
+    fn reloads_reclaim_the_pages_the_dml_log_grew() {
+        let cat = catalog();
+        let profile = DbmsProfile::disk(ProfileId::MysqlLike).fault_free();
+        let fresh = DiskDatabase::new(cat.clone(), profile.clone()).unwrap();
+        let footprint = |d: &DiskDatabase| {
+            let len = std::fs::metadata(d.dir().join("data.tqs")).unwrap().len();
+            (d.store().page_count(), len)
+        };
+        let mut d = DiskDatabase::new(cat.clone(), profile).unwrap();
+        let mut after_one = None;
+        for round in 0..20 {
+            run(&mut d, &PROGRAM);
+            d.load_catalog(cat.clone()).unwrap();
+            let now = footprint(&d);
+            assert_eq!(now, *after_one.get_or_insert(now), "reload {round}");
+        }
+        assert_eq!(after_one, Some(footprint(&fresh)));
+    }
+
+    #[test]
+    fn a_crash_armed_before_a_reload_fires_inside_it() {
+        let cat = catalog();
+        for point in CrashPoint::ALL {
+            let mut d =
+                DiskDatabase::new(cat.clone(), DbmsProfile::disk(ProfileId::MysqlLike)).unwrap();
+            run(&mut d, &PROGRAM[..2]);
+            assert!(!d.committed_ops().is_empty());
+            d.arm_crash(point);
+            let err = d.load_catalog(cat.clone()).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::Storage(m) if m.contains("injected crash")),
+                "{point}: {err}"
+            );
+            d.recover().unwrap();
+            assert!(d.committed_ops().is_empty(), "{point}: old ops came back");
+            assert_holds(&d, &cat, point.label());
+        }
+    }
+
+    #[test]
+    fn a_reload_after_recovery_rebuilds_the_store() {
+        let cat = catalog();
+        let profile = faulty(FaultKind::DiskStaleFrameRead);
+        let mut fresh = DiskDatabase::new(cat.clone(), profile.clone()).unwrap();
+        let fresh_pool = fresh.store().pool_stats();
+        let t1 = fresh.store_mut().scan("t1").unwrap();
+        let mut d = DiskDatabase::new(cat.clone(), profile).unwrap();
+        run(&mut d, &PROGRAM);
+        d.recover().unwrap();
+        // The reopened pool has lost the first-flush records a rewind keeps.
+        assert_ne!(d.store_mut().scan("t1").unwrap(), t1);
+        d.load_catalog(cat.clone()).unwrap();
+        assert_eq!(d.store().pool_stats(), fresh_pool, "the reload rewound");
+        assert_eq!(d.store_mut().scan("t1").unwrap(), t1);
+        let q = PROBES[0];
+        let (a, b) = (d.execute_sql(q).unwrap(), fresh.execute_sql(q).unwrap());
+        assert!(a.fired.contains(&FaultKind::DiskStaleFrameRead));
+        assert_eq!(a.fired, b.fired);
+        assert!(a.result.same_bag(&b.result));
+    }
+
+    #[test]
+    fn a_catalog_with_the_same_names_but_a_changed_row_loads_in_full() {
+        let cat = catalog();
+        let mut changed = cat.clone();
+        let row = vec![Value::Int(1), Value::str("changed")];
+        changed.table_mut("t2").unwrap().rows[0] = Row::new(row.clone());
+        let mut d =
+            DiskDatabase::new(cat, DbmsProfile::disk(ProfileId::MysqlLike).fault_free()).unwrap();
+        run(&mut d, &PROGRAM[..1]);
+        d.load_catalog(changed.clone()).unwrap();
+        assert_holds(&d, &changed, "loaded");
+        assert_eq!(d.store_mut().scan("t2").unwrap().into_rows()[0], (1, row));
     }
 }

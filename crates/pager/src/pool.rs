@@ -44,6 +44,12 @@ impl DataFile {
         self.file.write_all(&page.as_bytes()[..PAGE_SIZE / 2])
     }
 
+    /// Cut the file back to its first `pages` pages (the store reclaimed
+    /// the rest).
+    pub(crate) fn truncate_pages(&mut self, pages: u32) -> io::Result<()> {
+        self.file.set_len(pages as u64 * PAGE_SIZE as u64)
+    }
+
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_all()
     }
@@ -121,12 +127,7 @@ impl BufferPool {
             .min_by_key(|(_, f)| f.last_used)
             .map(|(i, _)| i);
         if let Some(idx) = victim {
-            let evicted = self.frames.swap_remove(idx);
-            self.map.remove(&evicted.page_id);
-            if idx < self.frames.len() {
-                // swap_remove moved the tail frame into `idx`
-                self.map.insert(self.frames[idx].page_id, idx);
-            }
+            self.remove_frame(idx);
             self.stats.evictions += 1;
             tqs_telemetry::counter!("pager.pool.evictions").incr();
         }
@@ -173,6 +174,25 @@ impl BufferPool {
         self.map.insert(id, idx);
         self.touch(idx);
         idx
+    }
+
+    /// Forget page `id` — its frame, dirty or not, and its first-flush
+    /// record — because the store reclaimed it: a later reuse of the id
+    /// starts from a fresh frame, as a newly allocated page does.
+    pub(crate) fn discard(&mut self, id: PageId) {
+        if let Some(&idx) = self.map.get(&id) {
+            self.remove_frame(idx);
+        }
+        self.first_flush_cells.remove(&id);
+    }
+
+    fn remove_frame(&mut self, idx: FrameIdx) {
+        let gone = self.frames.swap_remove(idx);
+        self.map.remove(&gone.page_id);
+        if idx < self.frames.len() {
+            // swap_remove moved the tail frame into `idx`
+            self.map.insert(self.frames[idx].page_id, idx);
+        }
     }
 
     pub fn page(&self, idx: FrameIdx) -> &PageBuf {

@@ -95,7 +95,7 @@ impl std::fmt::Display for CrashPoint {
 
 /// One leaf's worth of a table scan, with the storage metadata the seeded
 /// disk faults key on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeafScan {
     pub page: PageId,
     /// This leaf overflowed into a right sibling at some point.
@@ -107,7 +107,7 @@ pub struct LeafScan {
 }
 
 /// A full table scan in rowid order, leaf by leaf.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableScan {
     pub leaves: Vec<LeafScan>,
     /// First rowid of the most recent commit batch (0 = none).
@@ -223,6 +223,11 @@ impl DiskStore {
 
     pub fn tables(&self) -> &[TableMeta] {
         &self.tables
+    }
+
+    /// Pages allocated in the data file, the directory page included.
+    pub fn page_count(&self) -> u32 {
+        self.page_count
     }
 
     pub fn pool_stats(&self) -> PoolStats {
@@ -375,6 +380,69 @@ impl DiskStore {
                 }
             }
         }
+    }
+
+    /// Empty `table` as one commit batch: its first leaf becomes an empty
+    /// root again, rowids restart at 1, and every other page of its tree is
+    /// reclaimed — dropped from the pool, then cut off the data file once
+    /// the batch has committed. The store keeps no free list, so those pages
+    /// must be the most recently allocated ones (nothing else grew since the
+    /// table did); otherwise nothing changes and the call fails with
+    /// `InvalidInput`.
+    pub fn truncate_table(&mut self, table: &str) -> io::Result<()> {
+        self.check_poisoned()?;
+        let ti = self.table_index(table)?;
+        let (first_leaf, mut others) = self.tree_pages(self.tables[ti].root)?;
+        others.sort_unstable();
+        let keep = self.page_count.saturating_sub(others.len() as u32);
+        if !others.iter().copied().eq(keep..self.page_count) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("table {table} does not own the data file's tail pages"),
+            ));
+        }
+        for &id in &others {
+            self.pool.discard(id);
+        }
+        self.page_count = keep;
+        let idx = self.pool.fetch(&mut self.data, first_leaf)?;
+        Leaf::init(self.pool.page_mut(idx));
+        let meta = &mut self.tables[ti];
+        meta.root = first_leaf;
+        meta.next_rowid = 1;
+        meta.last_batch_start = 0;
+        meta.last_batch_rows = 0;
+        self.commit()?;
+        self.data.truncate_pages(self.page_count)
+    }
+
+    /// The pages of the tree rooted at `root`: its leftmost leaf (the page
+    /// the table was created with — splits only ever add right siblings and
+    /// new roots), and all the others.
+    fn tree_pages(&mut self, root: PageId) -> io::Result<(PageId, Vec<PageId>)> {
+        let mut first_leaf = None;
+        let mut others = Vec::new();
+        // Depth-first, leftmost child first, so the first leaf met is the
+        // leftmost one.
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            let idx = self.pool.fetch(&mut self.data, id)?;
+            match self.pool.page(idx).kind() {
+                KIND_LEAF if first_leaf.is_none() => {
+                    first_leaf = Some(id);
+                    continue;
+                }
+                KIND_LEAF => {}
+                KIND_INTERNAL => {
+                    let entries = Internal::entries(self.pool.page(idx)).map_err(corrupt)?;
+                    stack.extend(entries.iter().rev().map(|&(_, child)| child));
+                }
+                k => return Err(invalid(format!("unexpected page kind {k} in a table tree"))),
+            }
+            others.push(id);
+        }
+        let first_leaf = first_leaf.ok_or_else(|| invalid("table tree has no leaf"))?;
+        Ok((first_leaf, others))
     }
 
     /// Run the commit protocol over every dirty page (see the module docs).
@@ -634,6 +702,73 @@ mod tests {
         let (mut back, _) = DiskStore::open(&t.0, 8).unwrap();
         assert_eq!(back.scan("Empty").unwrap().row_count(), 0);
         assert_eq!(back.tables().len(), 1);
+    }
+
+    fn data_len(dir: &Path) -> u64 {
+        std::fs::metadata(dir.join("data.tqs")).unwrap().len()
+    }
+
+    #[test]
+    fn truncate_table_reclaims_the_tail_and_restarts_rowids() {
+        let t = TempDir::new("truncate");
+        let mut store = DiskStore::create(&t.0, 4).unwrap();
+        store.create_table("Base").unwrap();
+        store.create_table("Log").unwrap();
+        let rows: Vec<Vec<Value>> = (1..=100).map(row).collect();
+        store.insert_batch("Base", &rows).unwrap();
+        let (pages, len) = (store.page_count(), data_len(&t.0));
+        let base = store.scan("Base").unwrap();
+        let empty_log = store.scan("Log").unwrap();
+        for _ in 0..3 {
+            // 100 rows split the log's root twice over: leaves and a new root.
+            for chunk in rows.chunks(30) {
+                store.insert_batch("Log", chunk).unwrap();
+            }
+            assert!(store.page_count() > pages + 2);
+            store.truncate_table("Log").unwrap();
+            assert_eq!((store.page_count(), data_len(&t.0)), (pages, len));
+            assert_eq!(store.scan("Log").unwrap(), empty_log);
+            assert_eq!(store.scan("Base").unwrap(), base);
+        }
+        store.insert_batch("Log", &rows[..2]).unwrap();
+        assert_eq!(all_rowids(&mut store, "Log"), vec![1, 2]);
+        drop(store);
+        let (mut back, _) = DiskStore::open(&t.0, 4).unwrap();
+        assert_eq!(all_rowids(&mut back, "Log"), vec![1, 2]);
+        assert_eq!(back.scan("Base").unwrap().into_rows(), base.into_rows());
+    }
+
+    #[test]
+    fn truncate_table_refuses_a_table_that_does_not_own_the_tail() {
+        let t = TempDir::new("truncate-mid");
+        let mut store = DiskStore::create(&t.0, 8).unwrap();
+        store.create_table("A").unwrap();
+        store.create_table("B").unwrap();
+        let rows: Vec<Vec<Value>> = (1..=40).map(row).collect();
+        store.insert_batch("A", &rows).unwrap();
+        store.insert_batch("B", &rows).unwrap();
+        let err = store.truncate_table("A").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(all_rowids(&mut store, "A").len(), 40, "nothing changed");
+        store.truncate_table("B").unwrap();
+        assert!(all_rowids(&mut store, "B").is_empty());
+    }
+
+    #[test]
+    fn a_crash_inside_truncate_table_keeps_it_atomic() {
+        for point in CrashPoint::ALL {
+            let t = TempDir::new(&format!("truncate-crash-{point}"));
+            let mut store = DiskStore::create(&t.0, 8).unwrap();
+            store.create_table("T").unwrap();
+            let rows: Vec<Vec<Value>> = (1..=50).map(row).collect();
+            store.insert_batch("T", &rows).unwrap();
+            store.set_crash_point(Some(point));
+            assert!(store.truncate_table("T").is_err());
+            drop(store);
+            let (mut back, _) = DiskStore::open(&t.0, 8).unwrap();
+            let expect = if point.batch_is_committed() { 0 } else { 50 };
+            assert_eq!(all_rowids(&mut back, "T").len(), expect, "{point}");
+        }
     }
 
     #[test]
