@@ -24,9 +24,7 @@ use crate::corpus::{Corpus, CorpusEntry, StoredStatement};
 use crate::scheduler::WorkQueues;
 use crate::stats::{CampaignStats, LiveStats, RunTotals};
 use crate::status::StatusBoard;
-use crate::supervisor::{
-    retry_append, AppendOptions, Quarantine, QuarantineEntry, SupervisorConfig,
-};
+use crate::supervisor::{retry_append, Quarantine, QuarantineEntry, SupervisorConfig};
 use crate::triage::BugTriage;
 use crate::Unpoisoned;
 use std::collections::{BTreeSet, HashSet};
@@ -46,6 +44,7 @@ use tqs_engine::cancel::CancelToken;
 use tqs_engine::ProfileId;
 use tqs_graph::plangraph::{graph_fingerprint, query_graph_with_subqueries};
 use tqs_graph::{GraphIndex, LabeledGraph};
+use tqs_pager::envfault::EnvFaultPolicy;
 use tqs_sql::ast::{DmlStmt, SelectStmt};
 use tqs_sql::render::render_stmt;
 use tqs_telemetry::Json;
@@ -204,8 +203,8 @@ pub struct CampaignConfig {
     /// Stop the run after draining this many cells (the remaining cells stay
     /// queued for the next run) — bounded sessions and kill-testing.
     pub max_cells_per_run: Option<usize>,
-    /// Supervised-runtime knobs: deadlines, retry/quarantine policy, append
-    /// durability and chaos injection. Operational (not part of the campaign
+    /// Supervised-runtime knobs: deadlines, retry/quarantine policy and
+    /// chaos injection. Operational (not part of the campaign
     /// identity): a resume may use different supervision than the run that
     /// created the journal.
     pub supervisor: SupervisorConfig,
@@ -262,14 +261,7 @@ impl CampaignConfig {
     /// not silently hunted. `DsgConfig`'s `Debug` rendering covers every
     /// field and is deterministic, which is all a tamper check needs.
     fn dsg_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x1_0000_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for byte in format!("{:?}", self.dsg).as_bytes() {
-            h ^= u64::from(*byte);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        tqs_sql::fingerprint_hash(format!("{:?}", self.dsg).as_bytes())
     }
 
     /// The full cell grid, in id order. Newer axes go innermost so a
@@ -605,16 +597,11 @@ impl Campaign {
 
     /// The one way the campaign writes its journals: under `io_lock`, so
     /// appends from concurrent workers never interleave, and retried under
-    /// the supervisor's budget with its durability settings
+    /// the supervisor's budget through its environmental fault policy
     /// ([`retry_append`]).
-    fn append(&self, op: impl FnMut(&AppendOptions) -> io::Result<()>) -> io::Result<()> {
-        let sup = &self.cfg.supervisor;
-        let opts = AppendOptions {
-            env: sup.env_faults.clone(),
-            sync: sup.sync_appends,
-        };
+    fn append(&self, op: impl FnMut(&EnvFaultPolicy) -> io::Result<()>) -> io::Result<()> {
         let _io = self.io_lock.lock_unpoisoned();
-        retry_append(sup, &opts, op).map(drop)
+        retry_append(&self.cfg.supervisor, op).map(drop)
     }
 
     /// The deduplicated class-key set — the campaign's primary artifact.
@@ -722,8 +709,7 @@ impl Campaign {
                                     attempts: attempt,
                                     reason,
                                 };
-                                match this
-                                    .append(|opts| this.quarantine_journal.append(&entry, opts))
+                                match this.append(|env| this.quarantine_journal.append(&entry, env))
                                 {
                                     Ok(_) => {
                                         live.add_quarantined();
@@ -774,7 +760,7 @@ impl Campaign {
             statements: totals.statements,
             plans: totals.plans,
         };
-        self.append(|opts| self.checkpoint.append_run_with(&run_record, opts))?;
+        self.append(|env| self.checkpoint.append_run_with(&run_record, env))?;
         self.prior = RunTotals {
             elapsed: self.prior.elapsed + totals.elapsed,
             queries: self.prior.queries + totals.queries,
@@ -934,7 +920,7 @@ impl Campaign {
                     report,
                     trace: witness.clone(),
                 };
-                self.append(|opts| self.corpus.append_with(&entry, opts))?;
+                self.append(|env| self.corpus.append_with(&entry, env))?;
             }
         }
 
@@ -958,7 +944,7 @@ impl Campaign {
             elapsed_ms: started.elapsed().as_millis() as u64,
             timeout: timed_out,
         };
-        self.append(|opts| self.checkpoint.append_cell_with(&record, opts))?;
+        self.append(|env| self.checkpoint.append_cell_with(&record, env))?;
         Ok(record)
     }
 
@@ -1010,7 +996,7 @@ impl Campaign {
             report,
             trace: Vec::new(),
         };
-        self.append(|opts| self.corpus.append_with(&entry, opts))
+        self.append(|env| self.corpus.append_with(&entry, env))
     }
 }
 

@@ -12,9 +12,9 @@
 //! instead of resetting (and spiking) with each resume.
 
 use crate::journal::Journal;
-use crate::supervisor::AppendOptions;
 use std::io;
 use std::path::Path;
+use tqs_pager::envfault::EnvFaultPolicy;
 use tqs_telemetry::Json;
 
 /// The identity of a campaign, pinned in the journal header. Resume refuses
@@ -267,21 +267,21 @@ impl Checkpoint {
         self.journal.create(&header.to_json())
     }
 
-    /// Journal one completed cell with the default durability settings
+    /// Journal one completed cell, fsynced, with no fault injection
     /// (callers serialize through the campaign's io lock).
     pub fn append_cell(&self, record: &CellRecord) -> io::Result<()> {
-        self.append_cell_with(record, &AppendOptions::default())
+        self.append_cell_with(record, &EnvFaultPolicy::off())
     }
 
-    /// Journal one completed cell through explicit durability options
-    /// (atomic-or-absent, fsync commit point, chaos fault policy).
+    /// Journal one completed cell through an environmental fault policy
+    /// (atomic-or-absent, fsync commit point).
     pub(crate) fn append_cell_with(
         &self,
         record: &CellRecord,
-        opts: &AppendOptions,
+        env: &EnvFaultPolicy,
     ) -> io::Result<()> {
         tqs_telemetry::counter!("campaign.checkpoint.cell_appends").incr();
-        self.journal.append(&record.to_json(), opts)
+        self.journal.append(&record.to_json(), env)
     }
 
     /// Journal one finished run's totals so resumed campaigns report
@@ -289,10 +289,10 @@ impl Checkpoint {
     pub(crate) fn append_run_with(
         &self,
         record: &RunRecord,
-        opts: &AppendOptions,
+        env: &EnvFaultPolicy,
     ) -> io::Result<()> {
         tqs_telemetry::counter!("campaign.checkpoint.run_appends").incr();
-        self.journal.append(&record.to_json(), opts)
+        self.journal.append(&record.to_json(), env)
     }
 
     /// Truncate a torn final line left by a kill mid-append.
@@ -387,7 +387,7 @@ mod tests {
                 statements: 540,
                 plans: 900,
             },
-            &AppendOptions::default(),
+            &EnvFaultPolicy::off(),
         )
         .unwrap();
         let loaded = ckpt.load().unwrap();

@@ -14,12 +14,12 @@
 //! on it.
 
 use crate::journal::Journal;
-use crate::supervisor::AppendOptions;
 use std::io;
 use std::path::Path;
 use tqs_core::backend::{ConnectorInfo, ReplayConnector, SqlOutcome, TraceEvent};
 use tqs_core::bugs::{BugReport, OracleKind};
 use tqs_engine::{FaultKind, ProfileId};
+use tqs_pager::envfault::EnvFaultPolicy;
 use tqs_sql::value::{Decimal, Value};
 use tqs_storage::{ResultSet, Row};
 use tqs_telemetry::Json;
@@ -418,18 +418,17 @@ impl Corpus {
         self.journal.path()
     }
 
-    /// Append one entry as a single line with the default durability
-    /// settings (fsynced, no fault injection). Callers serialize appends
+    /// Append one entry as a single line, fsynced, with no fault
+    /// injection. Callers serialize appends
     /// through the campaign's io lock.
     pub fn append(&self, entry: &CorpusEntry) -> io::Result<()> {
-        self.append_with(entry, &AppendOptions::default())
+        self.append_with(entry, &EnvFaultPolicy::off())
     }
 
-    /// Append one entry through explicit durability options (see
-    /// [`AppendOptions`]).
-    pub(crate) fn append_with(&self, entry: &CorpusEntry, opts: &AppendOptions) -> io::Result<()> {
+    /// Append one entry through an environmental fault policy.
+    pub(crate) fn append_with(&self, entry: &CorpusEntry, env: &EnvFaultPolicy) -> io::Result<()> {
         tqs_telemetry::counter!("campaign.corpus.appends").incr();
-        self.journal.append(&entry.to_json(), opts)
+        self.journal.append(&entry.to_json(), env)
     }
 
     /// Load every complete entry; a missing corpus is empty.

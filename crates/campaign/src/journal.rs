@@ -18,10 +18,11 @@
 //! [`Quarantine`](crate::supervisor::Quarantine) are typed wrappers that
 //! only say how a record becomes a line and back.
 
-use crate::supervisor::{append_line_durable, AppendOptions};
+use crate::supervisor::append_line_durable;
 use std::fs::OpenOptions;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use tqs_pager::envfault::EnvFaultPolicy;
 use tqs_telemetry::Json;
 
 /// Handle on one journal file.
@@ -57,8 +58,8 @@ impl Journal {
     }
 
     /// Append one record durably (see the module docs).
-    pub(crate) fn append(&self, record: &Json, opts: &AppendOptions) -> io::Result<()> {
-        append_line_durable(&self.path, line(record).as_bytes(), opts)
+    pub(crate) fn append(&self, record: &Json, env: &EnvFaultPolicy) -> io::Result<()> {
+        append_line_durable(&self.path, line(record).as_bytes(), env)
     }
 
     /// Replace the whole journal with `records`, through a temp file and a
@@ -180,9 +181,10 @@ fn line(record: &Json) -> String {
 mod tests {
     use crate::checkpoint::{CellRecord, Checkpoint, CheckpointHeader};
     use crate::corpus::{tests::sample_entry, Corpus};
-    use crate::supervisor::{AppendOptions, Quarantine, QuarantineEntry};
+    use crate::supervisor::{Quarantine, QuarantineEntry};
     use std::fs::OpenOptions;
     use std::io::Write;
+    use tqs_pager::envfault::EnvFaultPolicy;
 
     #[test]
     fn every_journal_loads_past_a_tail_torn_inside_a_multibyte_char() {
@@ -223,7 +225,7 @@ mod tests {
             reason: "chaos: injected panic in cell 0".to_string(),
         };
         quarantine
-            .append(&poisoned, &AppendOptions::default())
+            .append(&poisoned, &EnvFaultPolicy::off())
             .unwrap();
 
         // A kill can land mid-way through a multi-byte UTF-8 character:

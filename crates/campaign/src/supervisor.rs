@@ -53,9 +53,6 @@ pub struct SupervisorConfig {
     pub backoff_base: Duration,
     /// Upper bound on the exponential backoff.
     pub backoff_cap: Duration,
-    /// Fsync every corpus/checkpoint/quarantine append (the commit point).
-    /// On by default; chaos tests rely on it for atomic-or-absent appends.
-    pub sync_appends: bool,
     /// Chaos: make roughly this percentage of cells panic mid-hunt
     /// (deterministically from [`Self::chaos_seed`]). 0 = off. A third of
     /// the panicking cells are *persistent* offenders that panic on every
@@ -76,7 +73,6 @@ impl Default for SupervisorConfig {
             max_attempts: 3,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(500),
-            sync_appends: true,
             chaos_panic_pct: 0,
             chaos_seed: 0,
             env_faults: EnvFaultPolicy::off(),
@@ -127,48 +123,20 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// How a journal append is performed: through which fault policy, and
-/// whether it carries an fsync commit point.
-#[derive(Debug, Clone)]
-pub(crate) struct AppendOptions {
-    pub(crate) env: EnvFaultPolicy,
-    pub(crate) sync: bool,
-}
-
-impl Default for AppendOptions {
-    fn default() -> Self {
-        AppendOptions {
-            env: EnvFaultPolicy::off(),
-            sync: true,
-        }
-    }
-}
-
-impl AppendOptions {
-    /// The same durability settings with fault injection disabled — used for
-    /// the final attempt of a retry loop so injected faults cannot exhaust
-    /// the retry budget.
-    pub(crate) fn without_faults(&self) -> AppendOptions {
-        AppendOptions {
-            env: EnvFaultPolicy::off(),
-            sync: self.sync,
-        }
-    }
-}
-
 /// Append one line to a journal file with an atomic-or-absent contract: on
-/// success the full line (and, with `sync`, its fsync) is on disk; on any
+/// success the full line and its fsync (the commit point) are on disk, with
+/// `env` injecting environmental faults into both; on any
 /// failure the file is rolled back to its pre-append length, so a retry
 /// never produces a duplicate and a crash mid-append leaves at worst a torn
 /// tail for the existing repair path.
 pub(crate) fn append_line_durable(
     path: &Path,
     bytes: &[u8],
-    opts: &AppendOptions,
+    env: &EnvFaultPolicy,
 ) -> io::Result<()> {
     let mut f = OpenOptions::new().create(true).append(true).open(path)?;
     let start = f.metadata()?.len();
-    let result = write_through_policy(&mut f, bytes, opts);
+    let result = write_through_policy(&mut f, bytes, env);
     if result.is_err() {
         // Roll back whatever prefix landed. This bypasses the fault policy:
         // the rollback models the caller discarding a torn tail, which the
@@ -183,41 +151,36 @@ pub(crate) fn append_line_durable(
 fn write_through_policy(
     f: &mut std::fs::File,
     bytes: &[u8],
-    opts: &AppendOptions,
+    env: &EnvFaultPolicy,
 ) -> io::Result<()> {
-    if let Some(e) = opts.env.should_fail(EnvFaultOp::Write) {
+    if let Some(e) = env.should_fail(EnvFaultOp::Write) {
         // Short write: half the line reaches the file before the EIO.
         let _ = f.write_all(&bytes[..bytes.len() / 2]);
         return Err(e);
     }
     f.write_all(bytes)?;
-    if opts.sync {
-        if let Some(e) = opts.env.should_fail(EnvFaultOp::Sync) {
-            return Err(e);
-        }
-        f.sync_data()
-    } else {
-        f.flush()
+    if let Some(e) = env.should_fail(EnvFaultOp::Sync) {
+        return Err(e);
     }
+    f.sync_data()
 }
 
 /// Retry a journal append under the supervisor's budget. All but the last
-/// attempt run with the configured fault policy; the final attempt suppresses
+/// attempt run with the supervisor's environmental fault policy; the final attempt suppresses
 /// injection, so only *real* IO errors can escape this function. Returns the
 /// number of retries that were needed (0 = first attempt succeeded).
 pub(crate) fn retry_append(
     sup: &SupervisorConfig,
-    opts: &AppendOptions,
-    mut op: impl FnMut(&AppendOptions) -> io::Result<()>,
+    mut op: impl FnMut(&EnvFaultPolicy) -> io::Result<()>,
 ) -> io::Result<u32> {
     let attempts = sup.max_attempts.max(1);
     let mut retries = 0u32;
     loop {
         let attempt = retries + 1;
         let effective = if attempt == attempts {
-            opts.without_faults()
+            EnvFaultPolicy::off()
         } else {
-            opts.clone()
+            sup.env_faults.clone()
         };
         match op(&effective) {
             Ok(()) => return Ok(retries),
@@ -284,9 +247,9 @@ impl Quarantine {
     }
 
     /// Journal one quarantined cell (durable, atomic-or-absent).
-    pub(crate) fn append(&self, entry: &QuarantineEntry, opts: &AppendOptions) -> io::Result<()> {
+    pub(crate) fn append(&self, entry: &QuarantineEntry, env: &EnvFaultPolicy) -> io::Result<()> {
         tqs_telemetry::counter!("campaign.quarantine.appends").incr();
-        self.journal.append(&entry.to_json(), opts)
+        self.journal.append(&entry.to_json(), env)
     }
 
     /// Load the poison list. A missing file is an empty list; a dropped torn
@@ -354,15 +317,12 @@ mod tests {
     fn durable_append_rolls_back_on_injected_failure() {
         let dir = temp_dir("rollback");
         let path = dir.join("journal.jsonl");
-        let good = AppendOptions::default();
+        let good = EnvFaultPolicy::off();
         append_line_durable(&path, b"{\"n\": 1}\n", &good).unwrap();
         let before = std::fs::metadata(&path).unwrap().len();
 
         // 100% failure rate: the first checked op fails.
-        let bad = AppendOptions {
-            env: EnvFaultPolicy::seeded(3, 100),
-            sync: true,
-        };
+        let bad = EnvFaultPolicy::seeded(3, 100);
         let err = append_line_durable(&path, b"{\"n\": 2}\n", &bad).unwrap_err();
         assert!(err.to_string().contains("injected"));
         assert_eq!(
@@ -374,12 +334,11 @@ mod tests {
         // And a retry through the supervisor budget lands it exactly once.
         let sup = SupervisorConfig {
             backoff_base: Duration::from_millis(1),
+            env_faults: bad,
             ..Default::default()
         };
-        let retries = retry_append(&sup, &bad, |opts| {
-            append_line_durable(&path, b"{\"n\": 2}\n", opts)
-        })
-        .unwrap();
+        let retries =
+            retry_append(&sup, |env| append_line_durable(&path, b"{\"n\": 2}\n", env)).unwrap();
         assert!(retries >= 1);
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "{\"n\": 1}\n{\"n\": 2}\n");
@@ -391,16 +350,13 @@ mod tests {
         let sup = SupervisorConfig {
             max_attempts: 2,
             backoff_base: Duration::from_millis(1),
+            env_faults: EnvFaultPolicy::seeded(0, 100),
             ..Default::default()
         };
-        let opts = AppendOptions {
-            env: EnvFaultPolicy::seeded(0, 100),
-            sync: false,
-        };
         let calls = AtomicU32::new(0);
-        let retries = retry_append(&sup, &opts, |effective| {
+        let retries = retry_append(&sup, |effective| {
             calls.fetch_add(1, Ordering::Relaxed);
-            match effective.env.should_fail(EnvFaultOp::Rename) {
+            match effective.should_fail(EnvFaultOp::Rename) {
                 Some(e) => Err(e),
                 None => Ok(()),
             }
@@ -416,7 +372,7 @@ mod tests {
         let q = Quarantine::in_dir(&dir);
         assert_eq!(q.load().unwrap(), Vec::new(), "missing file is empty");
 
-        let opts = AppendOptions::default();
+        let env = EnvFaultPolicy::off();
         let a = QuarantineEntry {
             cell_id: 3,
             attempts: 3,
@@ -427,8 +383,8 @@ mod tests {
             attempts: 2,
             reason: "io: disk full".to_string(),
         };
-        q.append(&a, &opts).unwrap();
-        q.append(&b, &opts).unwrap();
+        q.append(&a, &env).unwrap();
+        q.append(&b, &env).unwrap();
         assert_eq!(q.load().unwrap(), vec![a.clone(), b.clone()]);
 
         // Torn tail: dropped on load, truncated by repair.

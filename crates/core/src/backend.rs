@@ -582,11 +582,6 @@ impl ReplayConnector {
         }
     }
 
-    /// How many distinct (label, sql) statement keys the trace recorded.
-    pub fn statement_count(&self) -> usize {
-        self.statements.len()
-    }
-
     /// Does the trace hold an outcome for `(label, sql)`? Re-verification
     /// uses this to tell a *stale* witness (the failing statement was never
     /// recorded, so the trace cannot testify) from a witness that replays
@@ -873,7 +868,6 @@ mod tests {
 
         let mut replay = rec.replay();
         assert_eq!(replay.info().name, "X-DB-like");
-        assert!(replay.statement_count() >= 3);
         replay.load_catalog(&dsg.db.catalog).unwrap();
         // Recorded statements come back with full, identical result sets —
         // repeatedly, since the queue keeps serving its last outcome.

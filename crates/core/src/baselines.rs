@@ -81,7 +81,7 @@ pub fn run_baseline(
 /// pristine builds, recording proxies, or entirely different backends). The
 /// connector must already have the DSG catalog loaded — see
 /// [`EngineConnector::loaded`] / [`DbmsConnector::load_catalog`].
-pub fn run_baseline_on(
+pub(crate) fn run_baseline_on(
     baseline: Baseline,
     conn: &mut dyn DbmsConnector,
     dsg: &DsgDatabase,
@@ -121,6 +121,7 @@ pub fn run_oracle_on(
         source: &mut source,
         kqe: &mut Kqe::new(dsg.schema_desc.clone(), KqeConfig::default()),
         bugs: &mut BugLog::new(),
+        minimize: false,
     }
     .run(cfg.iterations, cfg.queries_per_hour)
 }

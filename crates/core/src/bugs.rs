@@ -2,9 +2,8 @@
 //! C-Reduce-style test-case minimizer.
 
 use crate::backend::DbmsConnector;
-use crate::oracle::{truth_matches, Oracle, OracleVerdict};
+use crate::oracle::{Oracle, OracleVerdict};
 use tqs_engine::FaultKind;
-use tqs_schema::GroundTruthEvaluator;
 use tqs_sql::ast::{Expr, SelectItem, SelectStmt};
 use tqs_sql::hints::HintSet;
 use tqs_sql::render::render_stmt;
@@ -221,50 +220,20 @@ impl BugLog {
     }
 }
 
-/// Delta-debugging style minimizer: repeatedly try to drop joins, predicates
-/// and projections while the mismatch against the ground truth persists.
-pub fn minimize_query(
-    stmt: &SelectStmt,
-    hints: &HintSet,
-    conn: &mut dyn DbmsConnector,
-    gt: &GroundTruthEvaluator<'_>,
-) -> SelectStmt {
-    let mut still_fails = |candidate: &SelectStmt, conn: &mut dyn DbmsConnector| -> bool {
-        let truth = match gt.evaluate(candidate) {
-            Ok(t) => t,
-            Err(_) => return false,
-        };
-        match conn.execute_with_hints(candidate, hints) {
-            Ok(out) => !truth_matches(&truth, &out.result),
-            Err(_) => false,
-        }
-    };
-    minimize_by(stmt, conn, &mut still_fails)
-}
-
-/// Oracle-driven minimizer: shrink `stmt` while `oracle` keeps returning a
-/// bug verdict for the candidate on `conn`. Works with *any*
-/// [`Oracle`] implementation — ground truth, cross-engine differential,
-/// or a baseline — instead of being hardwired to one verdict procedure.
+/// The reducer, driven by an oracle: repeatedly try to drop joins,
+/// predicates and projections while `oracle` keeps returning a bug verdict
+/// for the candidate on `conn`. Works with *any* [`Oracle`] implementation —
+/// ground truth, cross-engine differential, or a baseline.
 pub fn minimize_with_oracle(
     stmt: &SelectStmt,
     oracle: &mut dyn Oracle,
     conn: &mut dyn DbmsConnector,
 ) -> SelectStmt {
-    let mut still_fails = |candidate: &SelectStmt, conn: &mut dyn DbmsConnector| -> bool {
+    let mut still_fails = |candidate: &SelectStmt| -> bool {
         matches!(oracle.check(candidate, conn), OracleVerdict::Bugs(_))
     };
-    minimize_by(stmt, conn, &mut still_fails)
-}
-
-/// The shared reduction loop behind both minimizers.
-fn minimize_by(
-    stmt: &SelectStmt,
-    conn: &mut dyn DbmsConnector,
-    still_fails: &mut dyn FnMut(&SelectStmt, &mut dyn DbmsConnector) -> bool,
-) -> SelectStmt {
     let mut current = stmt.clone();
-    if !still_fails(&current, conn) {
+    if !still_fails(&current) {
         return current;
     }
     let mut progress = true;
@@ -276,7 +245,7 @@ fn minimize_by(
             let removed = candidate.from.joins.pop().unwrap();
             let removed_binding = removed.table.binding().to_string();
             strip_binding_references(&mut candidate, &removed_binding);
-            if !candidate.items.is_empty() && still_fails(&candidate, conn) {
+            if !candidate.items.is_empty() && still_fails(&candidate) {
                 current = candidate;
                 progress = true;
                 continue;
@@ -286,7 +255,7 @@ fn minimize_by(
         if current.where_clause.is_some() {
             let mut candidate = current.clone();
             candidate.where_clause = None;
-            if still_fails(&candidate, conn) {
+            if still_fails(&candidate) {
                 current = candidate;
                 progress = true;
                 continue;
@@ -297,7 +266,7 @@ fn minimize_by(
             let mut candidate = current.clone();
             candidate.group_by.clear();
             candidate.items.retain(|i| !i.is_aggregate());
-            if !candidate.items.is_empty() && still_fails(&candidate, conn) {
+            if !candidate.items.is_empty() && still_fails(&candidate) {
                 current = candidate;
                 progress = true;
                 continue;
@@ -307,7 +276,7 @@ fn minimize_by(
         if current.items.len() > 1 {
             let mut candidate = current.clone();
             candidate.items.truncate(1);
-            if still_fails(&candidate, conn) {
+            if still_fails(&candidate) {
                 current = candidate;
                 progress = true;
             }
@@ -351,7 +320,6 @@ pub(crate) fn transformed_sql(stmt: &SelectStmt, hints: &HintSet) -> String {
 }
 
 /// Build a bug report from a mismatch.
-#[allow(clippy::too_many_arguments)]
 pub fn make_report(
     dbms: &str,
     oracle: OracleKind,
@@ -360,7 +328,6 @@ pub fn make_report(
     expected: &ResultSet,
     observed: &ResultSet,
     fired: Vec<FaultKind>,
-    minimized: Option<&SelectStmt>,
 ) -> BugReport {
     BugReport {
         dbms: dbms.to_string(),
@@ -371,7 +338,7 @@ pub fn make_report(
         expected_rows: expected.row_count(),
         observed_rows: observed.row_count(),
         fired,
-        minimized_sql: minimized.map(render_stmt),
+        minimized_sql: None,
         fingerprint: None,
         keys: KeyCache::default(),
     }
@@ -393,7 +360,6 @@ mod tests {
             &ResultSet::new(vec!["a".into()]),
             &ResultSet::new(vec!["a".into()]),
             fired,
-            None,
         )
     }
 
@@ -475,7 +441,6 @@ mod tests {
             &ResultSet::new(vec![]),
             &ResultSet::new(vec![]),
             vec![],
-            None,
         );
         assert!(r.transformed_sql.contains("MERGE_JOIN(t1, t2)"));
         assert!(r.transformed_sql.contains("materialization=off"));

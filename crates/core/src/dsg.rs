@@ -86,7 +86,7 @@ impl DsgDatabase {
     /// every shard — queries, ground truth and plan-graph fingerprints stay
     /// comparable across the whole fleet while each worker only materializes
     /// its own partition.
-    pub fn from_wide_with_fds(
+    pub(crate) fn from_wide_with_fds(
         wide: WideTable,
         fds: &FdSet,
         noise_cfg: Option<&NoiseConfig>,
@@ -162,7 +162,7 @@ impl DsgDatabase {
             .collect()
     }
 
-    pub fn sample_values(&self, table: &str, column: &str) -> &[Value] {
+    pub(crate) fn sample_values(&self, table: &str, column: &str) -> &[Value] {
         self.value_pool
             .iter()
             .find(|(t, c, _)| t.eq_ignore_ascii_case(table) && c.eq_ignore_ascii_case(column))

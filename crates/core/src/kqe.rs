@@ -52,7 +52,7 @@ impl Kqe {
     }
 
     /// Transition weight of Eq. 3.
-    pub fn transition_weight(&self, g: &LabeledGraph) -> f64 {
+    pub(crate) fn transition_weight(&self, g: &LabeledGraph) -> f64 {
         1.0 / (self.coverage(g) as f64 + 1.0)
     }
 
@@ -69,11 +69,6 @@ impl Kqe {
     /// metric plotted in Figure 8(a–d).
     pub fn diversity(&self) -> usize {
         self.index.isomorphic_set_count()
-    }
-
-    /// Has an isomorphic query already been explored?
-    pub fn seen_isomorphic(&self, g: &LabeledGraph) -> bool {
-        self.index.contains_isomorphic(g)
     }
 }
 
@@ -123,8 +118,6 @@ mod tests {
         assert!(kqe.coverage(&g) > 0.9);
         assert!(kqe.transition_weight(&g) < 0.6);
         assert_eq!(kqe.diversity(), 1);
-        assert!(kqe.seen_isomorphic(&chain(2, "inner join")));
-        assert!(!kqe.seen_isomorphic(&chain(2, "anti join")));
     }
 
     #[test]

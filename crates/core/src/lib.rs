@@ -69,13 +69,13 @@ pub use backend::{
     ConnectorError, ConnectorInfo, DbmsConnector, EngineConnector, RecordingConnector,
     ReplayConnector, SqlOutcome, TraceEvent,
 };
-pub use baselines::{run_baseline, run_baseline_on, run_oracle_on, Baseline, BaselineConfig};
-pub use bugs::{minimize_query, minimize_with_oracle, BugLog, BugReport, OracleKind};
+pub use baselines::{run_baseline, run_oracle_on, Baseline, BaselineConfig};
+pub use bugs::{minimize_with_oracle, BugLog, BugReport, OracleKind};
 pub use conformance::{assert_connector_conformance, assert_dml_conformance};
 pub use dsg::{DsgConfig, DsgDatabase, QueryGenConfig, QueryGenerator, UniformScorer, WideSource};
 pub use hintgen::hint_sets_for;
 pub use kqe::{Kqe, KqeConfig, KqeScorer};
-pub use mutation::{DmlGenConfig, DmlGenerator, DmlOracle, MutationGroundTruth, DML_VERIFY_LABEL};
+pub use mutation::{DmlGenConfig, DmlGenerator, DmlOracle, MutationGroundTruth};
 pub use oracle::{
     DifferentialOracle, NorecOracle, Oracle, OracleVerdict, PlanDiffOracle, PlanSpaceOracle,
     PqsOracle, TlpOracle, TqsOracle, PLAN_BASELINE_LABEL,

@@ -38,11 +38,11 @@ use crate::dsg::DsgDatabase;
 use crate::oracle::{same_bag, OracleVerdict};
 
 /// The rows of one table with their stable identities: `(row id, values)`.
-pub type IdentityRows = Vec<(u64, Vec<Value>)>;
+pub(crate) type IdentityRows = Vec<(u64, Vec<Value>)>;
 
 /// The hint-set label the mutation oracle executes its verification SELECTs
 /// under, so recorded witness traces key them apart from hunt queries.
-pub const DML_VERIFY_LABEL: &str = "dml-verify";
+pub(crate) const DML_VERIFY_LABEL: &str = "dml-verify";
 
 /// One table's reference state: rows tagged with stable identities assigned
 /// at load/insert time, in engine order.
@@ -167,7 +167,7 @@ impl MutationGroundTruth {
 
     /// The committed state of a table as a [`ResultSet`] (for bag comparison
     /// against a `SELECT *` from the backend).
-    pub fn committed_result(&self, table: &str) -> Result<ResultSet, String> {
+    pub(crate) fn committed_result(&self, table: &str) -> Result<ResultSet, String> {
         let t = self
             .schema
             .table(table)

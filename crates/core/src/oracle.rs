@@ -22,7 +22,7 @@
 //!   hint set the enumerator intended, and respect cost sanity.
 
 use crate::backend::DbmsConnector;
-use crate::bugs::{make_report, minimize_query, transformed_sql, BugReport, OracleKind};
+use crate::bugs::{make_report, transformed_sql, BugReport, OracleKind};
 use crate::dsg::DsgDatabase;
 use crate::hintgen::hint_sets_for;
 use std::collections::hash_map::{Entry, HashMap};
@@ -119,7 +119,6 @@ pub(crate) fn same_bag(a: &ResultSet, b: &ResultSet) -> bool {
 /// against the wide-table ground truth.
 pub struct TqsOracle {
     dsg: Arc<DsgDatabase>,
-    minimize: bool,
 }
 
 impl TqsOracle {
@@ -132,16 +131,7 @@ impl TqsOracle {
 
     /// Zero-copy constructor over a shared DSG database.
     pub fn shared(dsg: Arc<DsgDatabase>) -> Self {
-        TqsOracle {
-            dsg,
-            minimize: false,
-        }
-    }
-
-    /// Run the reducer on each mismatch before reporting it.
-    pub fn with_minimize(mut self, minimize: bool) -> Self {
-        self.minimize = minimize;
-        self
+        TqsOracle { dsg }
     }
 }
 
@@ -166,11 +156,6 @@ impl Oracle for TqsOracle {
             };
             executed = true;
             if !truth_matches(&truth, &out.result) {
-                let minimized = if self.minimize {
-                    Some(minimize_query(stmt, &hs, conn, &gt))
-                } else {
-                    None
-                };
                 reports.push(make_report(
                     &info.name,
                     OracleKind::GroundTruth,
@@ -179,7 +164,6 @@ impl Oracle for TqsOracle {
                     &truth.result,
                     &out.result,
                     out.fired.clone(),
-                    minimized.as_ref(),
                 ));
             }
         }
@@ -245,7 +229,6 @@ impl Oracle for PlanDiffOracle {
                     &base.result,
                     &out.result,
                     out.fired.clone(),
-                    None,
                 ));
             }
         }
@@ -367,7 +350,6 @@ impl Oracle for PqsOracle {
                 &expected,
                 &out.result,
                 out.fired.clone(),
-                None,
             )])
         } else {
             OracleVerdict::Pass
@@ -425,7 +407,6 @@ impl Oracle for TlpOracle {
                 &base.result,
                 &base.result,
                 base.fired.clone(),
-                None,
             )])
         } else {
             OracleVerdict::Pass
@@ -472,7 +453,6 @@ impl Oracle for NorecOracle {
                 &reference.result,
                 &optimized.result,
                 fired,
-                None,
             )])
         } else {
             OracleVerdict::Pass
@@ -588,7 +568,6 @@ impl Oracle for PlanSpaceOracle {
                 &truth.result,
                 &baseline.result,
                 baseline.fired.clone(),
-                None,
             ));
         }
 
@@ -609,7 +588,6 @@ impl Oracle for PlanSpaceOracle {
                     &truth.result,
                     &out.result,
                     fired,
-                    None,
                 );
                 r.set_fingerprint(Some(plan.fingerprint));
                 reports.push(r);
@@ -624,7 +602,6 @@ impl Oracle for PlanSpaceOracle {
                     &truth.result,
                     &out.result,
                     plan.fired.clone(),
-                    None,
                 );
                 r.set_fingerprint(Some(plan.fingerprint));
                 reports.push(r);
@@ -642,7 +619,6 @@ impl Oracle for PlanSpaceOracle {
                 &truth.result,
                 &truth.result,
                 space.cost_fired.clone(),
-                None,
             );
             r.set_fingerprint(Some(best.fingerprint));
             reports.push(r);
@@ -738,10 +714,6 @@ impl DifferentialOracle {
         self.references[0].as_mut()
     }
 
-    pub fn reference_count(&self) -> usize {
-        self.references.len()
-    }
-
     /// Execute the transformed statement on every reference and vote; `None`
     /// when a reference fails.
     fn ask(
@@ -816,7 +788,6 @@ impl Oracle for DifferentialOracle {
                     &expected.result,
                     &out.result,
                     fired,
-                    None,
                 ));
             }
         }
@@ -929,7 +900,6 @@ mod tests {
             ])
         };
         let mut oracle = panel();
-        assert_eq!(oracle.reference_count(), 2);
         assert!(oracle.name().contains('+'));
         // Sound on a pristine disk build...
         let mut pristine = EngineKind::Disk.connect_pristine(ProfileId::MysqlLike, &d);

@@ -9,7 +9,7 @@
 //! any custom implementation supplied through the builder.
 
 use crate::backend::{BuildSpec, ConnectorError, DbmsConnector, EngineConnector, EngineKind};
-use crate::bugs::BugLog;
+use crate::bugs::{minimize_with_oracle, BugLog};
 use crate::dsg::{DsgConfig, DsgDatabase, QueryGenConfig, QueryGenerator, UniformScorer};
 use crate::kqe::{Kqe, KqeConfig, KqeScorer};
 use crate::oracle::{Oracle, OracleVerdict, PlanDiffOracle, TqsOracle};
@@ -19,6 +19,7 @@ use std::sync::Arc;
 use tqs_engine::ProfileId;
 use tqs_graph::plangraph::{graph_fingerprint, query_graph_with_subqueries};
 use tqs_sql::ast::{Expr, FromClause, SelectItem, SelectStmt};
+use tqs_sql::render::render_stmt;
 
 /// Orchestrator configuration, including the ablation switches of Table 5.
 #[derive(Debug, Clone)]
@@ -28,7 +29,8 @@ pub struct TqsConfig {
     pub use_kqe: bool,
     /// Ground-truth verification (off = `TQS!GT`, i.e. differential testing).
     pub use_ground_truth: bool,
-    /// Run the reducer on each new bug before logging it.
+    /// Reduce the statement behind each newly logged bug class, once, and
+    /// store the result on the logged report.
     pub minimize: bool,
     pub query_gen: QueryGenConfig,
     pub kqe: KqeConfig,
@@ -145,6 +147,8 @@ pub(crate) struct Driver<'a> {
     pub source: &'a mut StatementSource,
     pub kqe: &'a mut Kqe,
     pub bugs: &'a mut BugLog,
+    /// Reduce each newly logged class's statement ([`TqsConfig::minimize`]).
+    pub minimize: bool,
 }
 
 impl Driver<'_> {
@@ -179,8 +183,17 @@ impl Driver<'_> {
                     // deduplicates at bug-class granularity (see
                     // [`crate::bugs::BugReport::class_key`]).
                     let fp = graph_fingerprint(&qg);
+                    let mut minimized: Option<String> = None;
                     for r in reports {
-                        self.bugs.push(r.keyed_on_graph(fp));
+                        if !self.bugs.push(r.keyed_on_graph(fp)) || !self.minimize {
+                            continue;
+                        }
+                        let sql = minimized.get_or_insert_with(|| {
+                            render_stmt(&minimize_with_oracle(&stmt, self.oracle, self.conn))
+                        });
+                        if let Some(logged) = self.bugs.reports.last_mut() {
+                            logged.minimized_sql = Some(sql.clone());
+                        }
                     }
                 }
             }
@@ -318,9 +331,7 @@ impl TqsSessionBuilder {
         let info = connector.info();
         let oracle: Box<dyn Oracle> = match self.oracle {
             Some(o) => o,
-            None if self.cfg.use_ground_truth => {
-                Box::new(TqsOracle::shared(Arc::clone(&dsg)).with_minimize(self.cfg.minimize))
-            }
+            None if self.cfg.use_ground_truth => Box::new(TqsOracle::shared(Arc::clone(&dsg))),
             None => Box::new(PlanDiffOracle::shared(Arc::clone(&dsg))),
         };
         let kqe = Kqe::new(dsg.schema_desc.clone(), self.cfg.kqe.clone());
@@ -368,6 +379,7 @@ impl TqsSession {
             source: &mut self.source,
             kqe: &mut self.kqe,
             bugs: &mut self.bugs,
+            minimize: self.cfg.minimize,
         }
         .run(self.cfg.iterations, self.cfg.queries_per_hour)
     }
@@ -449,6 +461,33 @@ mod tests {
         // every report carries a reproducer
         for r in &session.bugs.reports {
             assert!(r.transformed_sql.contains("SELECT"));
+        }
+    }
+
+    #[test]
+    fn minimized_representatives_still_fail() {
+        let mut session = TqsSession::builder()
+            .profile(ProfileId::MysqlLike)
+            .dsg_config(&dsg_cfg(true))
+            .config(TqsConfig {
+                iterations: 60,
+                minimize: true,
+                ..small_cfg()
+            })
+            .build()
+            .unwrap();
+        session.run();
+        assert!(!session.bugs.reports.is_empty());
+        for r in &session.bugs.reports {
+            let sql = r
+                .minimized_sql
+                .as_deref()
+                .expect("every logged class is reduced");
+            let stmt = tqs_sql::parser::parse_stmt(sql).unwrap();
+            assert!(matches!(
+                session.oracle.check(&stmt, session.connector.as_mut()),
+                OracleVerdict::Bugs(_)
+            ));
         }
     }
 

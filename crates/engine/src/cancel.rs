@@ -65,7 +65,7 @@ impl CancelToken {
 
     /// True once the token has been cancelled or its deadline has passed.
     #[inline]
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         match &self.inner {
             None => false,
             Some(inner) => {
@@ -76,7 +76,8 @@ impl CancelToken {
     }
 
     /// True when this token can ever report cancelled.
-    pub fn is_armed(&self) -> bool {
+    #[cfg(test)]
+    fn is_armed(&self) -> bool {
         self.inner.is_some()
     }
 

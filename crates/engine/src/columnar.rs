@@ -2,7 +2,7 @@
 //!
 //! Where [`crate::engine::Database`] executes row-at-a-time over [`Rel`],
 //! [`ColumnarDatabase`] keeps every intermediate relation column-major
-//! ([`ColumnarRel`]) and drives joins and WHERE filtering in probe batches of
+//! (`ColumnarRel`) and drives joins and WHERE filtering in probe batches of
 //! [`ColumnarDatabase::batch_size`] rows: hashed joins encode and probe a
 //! whole batch of keys at a time, and simple `column <op> literal` conjuncts
 //! are evaluated as tight per-column loops over a selection bitmap instead of
@@ -25,8 +25,7 @@ use crate::engine::{
     find_table, join_input, Database, Engine, EngineError, EngineSubqueries, ExecOutcome,
 };
 use crate::exec::{
-    col_index, extract_equi_keys, flatten_and, ColumnPruner, ExecContext, Executor, Rel,
-    ScopeLayout,
+    col_index, extract_equi_keys, ColumnPruner, ExecContext, Executor, Rel, ScopeLayout,
 };
 use crate::faults::{FaultKind, TriggerContext};
 use crate::plan::PhysicalJoin;
@@ -38,12 +37,12 @@ use tqs_sql::value::{null_safe_eq, sql_compare, KeyBuf, SqlCmp, Value};
 use tqs_storage::{Catalog, Table};
 
 /// Default number of rows per probe/filter batch.
-pub const DEFAULT_BATCH_SIZE: usize = 64;
+pub(crate) const DEFAULT_BATCH_SIZE: usize = 64;
 
 /// A column-major intermediate relation: one `Vec<Value>` per output column,
 /// all of equal length.
 #[derive(Debug, Clone, Default)]
-pub struct ColumnarRel {
+pub(crate) struct ColumnarRel {
     /// (binding, column name) per column, parallel to `columns`.
     pub cols: Vec<(String, String)>,
     pub columns: Vec<Vec<Value>>,
@@ -73,7 +72,7 @@ impl ColumnarRel {
     /// Scan only the columns the statement can observe (see
     /// [`ColumnPruner`]) — the columnar analogue of [`Rel::scan_pruned`];
     /// a skipped column is simply never gathered.
-    pub fn scan_pruned(table: &Table, binding: &str, pruner: &ColumnPruner) -> ColumnarRel {
+    pub(crate) fn scan_pruned(table: &Table, binding: &str, pruner: &ColumnPruner) -> ColumnarRel {
         let keep = pruner.keep_indices(table, binding);
         if keep.len() == table.columns.len() {
             return ColumnarRel::scan(table, binding);
@@ -266,8 +265,7 @@ impl ColumnarDatabase {
     ) -> Result<ColumnarRel, EngineError> {
         let n = rel.len();
         let mut sel = vec![true; n];
-        let mut conjuncts = Vec::new();
-        flatten_and(pred, &mut conjuncts);
+        let conjuncts = pred.conjuncts();
         let filter_trigger = TriggerContext::default();
         let null_as_true = ctx
             .faults
@@ -369,7 +367,7 @@ fn compare_value(v: &Value, op: BinOp, lit: &Value, reversed: bool) -> Option<bo
 }
 
 /// Borrow-based resolver over row `i` of a columnar relation.
-pub struct ColRow<'a> {
+pub(crate) struct ColRow<'a> {
     rel: &'a ColumnarRel,
     i: usize,
 }
@@ -471,7 +469,7 @@ fn residual_ok(
 /// Execute one physical join step over columnar inputs: build a hash table
 /// over the build (right) side, then probe the left side one batch at a
 /// time. Non-equi joins degrade to a (correct) batched nested loop.
-pub fn columnar_join(
+pub(crate) fn columnar_join(
     left: &ColumnarRel,
     right: &ColumnarRel,
     join: &PhysicalJoin,

@@ -26,7 +26,7 @@
 //! the interrupted catalog load. The crash-recovery suite pins that committed
 //! batches survive byte-for-byte and uncommitted ones vanish entirely.
 //!
-//! DML only ever appends to the hidden [`DML_LOG_TABLE`], so reloading the
+//! DML only ever appends to the hidden `DML_LOG_TABLE`, so reloading the
 //! catalog the store already holds — what the mutation oracle does before
 //! every program — rewinds that log in one commit instead of rebuilding the
 //! store (see the `load_catalog` docs on [`DiskDatabase`]'s [`Engine`] impl).
@@ -49,14 +49,14 @@ use tqs_storage::{Catalog, Row, Table};
 /// land mid-leaf: a leaf can be flushed half-full and grow in a later batch,
 /// giving the stale-frame fault a version gap to serve and the WAL-loss fault
 /// a tail batch that straddles leaves.
-pub const COMMIT_BATCH_ROWS: usize = 48;
+pub(crate) const COMMIT_BATCH_ROWS: usize = 48;
 
 /// Store table holding the committed DML delta, one encoded [`DmlOp`] per
 /// row (see [`DmlOp::encode`]). It lives in the page store but never in the
 /// SQL catalog, so scans and faults can't touch it; its batches ride the
 /// ordinary WAL commit protocol, which is what makes a DML commit a *real*
 /// commit boundary for crash injection.
-pub const DML_LOG_TABLE: &str = "__dml_log";
+pub(crate) const DML_LOG_TABLE: &str = "__dml_log";
 
 static NEXT_STORE: AtomicU64 = AtomicU64::new(0);
 
@@ -319,9 +319,9 @@ impl Engine for DiskDatabase {
     /// the store hold `catalog` and nothing else.
     ///
     /// The full load wipes the page store and writes one B+tree per table,
-    /// committed every [`COMMIT_BATCH_ROWS`] rows (a store nothing was ever
+    /// committed every `COMMIT_BATCH_ROWS` rows (a store nothing was ever
     /// written to — a connector's first load — is already wiped). DML never
-    /// writes a base table's B+tree, only [`DML_LOG_TABLE`], so reloading
+    /// writes a base table's B+tree, only `DML_LOG_TABLE`, so reloading
     /// the catalog the store already holds (every table the same `Arc` as
     /// in the last load) skips all that: it empties the log in one commit,
     /// and the base tables keep the pages, scan metadata and first-flush
@@ -349,23 +349,9 @@ impl Engine for DiskDatabase {
             // Nothing to make durable: no tables, no DML log, no commit.
             return Ok(());
         }
-        for name in self.base.table_names() {
-            self.store.create_table(&name).map_err(storage_err)?;
-        }
-        self.store
-            .create_table(DML_LOG_TABLE)
-            .map_err(storage_err)?;
-        self.store.commit().map_err(storage_err)?;
-        for name in self.base.table_names() {
-            let rows: Vec<Vec<Value>> = self
-                .base
-                .table(&name)
-                .map(|t| t.rows.iter().map(|r| r.values.clone()).collect())
-                .unwrap_or_default();
-            for chunk in rows.chunks(COMMIT_BATCH_ROWS) {
-                self.store.insert_batch(&name, chunk).map_err(storage_err)?;
-            }
-        }
+        // On the wiped store this creates every table, commits once and
+        // inserts every row.
+        self.resume_load()?;
         self.rewindable = true;
         Ok(())
     }
@@ -407,7 +393,7 @@ impl Engine for DiskDatabase {
     /// durability: at every commit boundary — `COMMIT`, `ROLLBACK` (which
     /// persists nothing unless a fault leaks a row) and auto-committed
     /// statements outside a transaction — the effective ops are appended to
-    /// [`DML_LOG_TABLE`] through the store's full WAL commit protocol, so an
+    /// `DML_LOG_TABLE` through the store's full WAL commit protocol, so an
     /// armed [`CrashPoint`] kills the transaction at a real commit boundary.
     fn execute_dml(&mut self, stmt: &DmlStmt) -> Result<DmlOutcome, EngineError> {
         if self.store.is_poisoned() {

@@ -131,7 +131,7 @@ impl DmlOp {
     }
 
     /// Undo this op on `catalog` (same clamping policy as [`DmlOp::apply`]).
-    pub fn revert(&self, catalog: &mut Catalog) {
+    pub(crate) fn revert(&self, catalog: &mut Catalog) {
         match self {
             DmlOp::Insert { table, idx, .. } => {
                 if let Some(t) = catalog.table_mut(table) {

@@ -3,8 +3,7 @@
 
 use crate::dml::{apply_mutation, DmlOp, DmlOutcome};
 use crate::exec::{
-    col_index, execute_join, executor_metric, flatten_and, ColumnPruner, ExecContext, ExecError,
-    Executor, Rel,
+    col_index, execute_join, executor_metric, ColumnPruner, ExecContext, ExecError, Executor, Rel,
 };
 use crate::faults::{FaultKind, FaultSet};
 use crate::plan::{join_prerequisites, JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
@@ -204,7 +203,7 @@ impl Database {
     /// Ops the open transaction has applied so far (empty outside one). The
     /// disk engine replays these onto its scanned catalog so a session sees
     /// its own uncommitted writes.
-    pub fn txn_ops(&self) -> &[DmlOp] {
+    pub(crate) fn txn_ops(&self) -> &[DmlOp] {
         self.txn.as_ref().map(|t| t.ops.as_slice()).unwrap_or(&[])
     }
 
@@ -512,9 +511,7 @@ impl Database {
         }
         // null-rejecting WHERE conjuncts (comparisons, not IS NULL)
         if let Some(w) = &stmt.where_clause {
-            let mut conjuncts = Vec::new();
-            flatten_and(w, &mut conjuncts);
-            for c in conjuncts {
+            for c in w.conjuncts() {
                 if let Expr::Binary { op, .. } = c {
                     if op.is_comparison() && *op != BinOp::NullSafeEq && mentions(c) {
                         return true;
@@ -1093,8 +1090,7 @@ impl SubquerySource for EngineSubqueries<'_> {
             SubqueryPlan::SemiJoinTransform(SemiJoinStrategy::Materialization)
         ) && self.faults.contains(FaultKind::SemiJoinWrongResults);
         if let (true, Some(w)) = (drops_equalities, &stmt.where_clause) {
-            let mut flat = Vec::new();
-            flatten_and(w, &mut flat);
+            let mut flat = w.conjuncts();
             let all = flat.len();
             flat.retain(|c| !matches!(c, Expr::Binary { op: BinOp::Eq, .. }));
             if flat.len() < all {

@@ -43,7 +43,7 @@ impl Rel {
     /// scan; only unreferenced column values are skipped, so every
     /// downstream operator — joins, faults, filters, projection — sees
     /// bit-identical data on the columns that exist.
-    pub fn scan_pruned(table: &Table, binding: &str, pruner: &ColumnPruner) -> Rel {
+    pub(crate) fn scan_pruned(table: &Table, binding: &str, pruner: &ColumnPruner) -> Rel {
         let keep = pruner.keep_indices(table, binding);
         if keep.len() == table.columns.len() {
             return Rel::scan(table, binding);
@@ -110,7 +110,7 @@ pub(crate) fn col_index(
 /// order, and every referencable value — including every fault's observable
 /// effect — are unchanged.
 #[derive(Debug)]
-pub struct ColumnPruner {
+pub(crate) struct ColumnPruner {
     /// `SELECT *` present: keep everything.
     wildcard: bool,
     /// Lower-cased `(binding, column)` pairs referenced with a qualifier.
@@ -160,7 +160,7 @@ impl ColumnPruner {
     /// lose its row count (the columnar engine derives `len()` from its
     /// first column), so an entirely unreferenced table — e.g. the pure
     /// cardinality factor of a `CROSS JOIN` — keeps its first column.
-    pub fn keep_indices(&self, table: &Table, binding: &str) -> Vec<usize> {
+    pub(crate) fn keep_indices(&self, table: &Table, binding: &str) -> Vec<usize> {
         let keep: Vec<usize> = table
             .columns
             .iter()
@@ -242,7 +242,7 @@ impl ExecContext {
     /// and once per join so a runaway cross join is stopped at the next
     /// operator boundary.
     #[inline]
-    pub fn check_cancelled(&self) -> Result<(), ExecError> {
+    pub(crate) fn check_cancelled(&self) -> Result<(), ExecError> {
         if self.cancel.is_cancelled() {
             tqs_telemetry::counter!("engine.exec.cancelled").incr();
             Err(ExecError::Cancelled)
@@ -253,14 +253,20 @@ impl ExecContext {
 
     /// Start an operator clock — `None` (no clock read) unless profiling.
     #[inline]
-    pub fn op_start(&self) -> Option<Instant> {
+    pub(crate) fn op_start(&self) -> Option<Instant> {
         self.profile.as_ref().map(|_| Instant::now())
     }
 
     /// Record one operator sample on the per-query profile; returns the
     /// elapsed nanoseconds (0 when not profiling) for global histograms.
     #[inline]
-    pub fn op_end(&mut self, start: Option<Instant>, op: &str, rows_in: u64, rows_out: u64) -> u64 {
+    pub(crate) fn op_end(
+        &mut self,
+        start: Option<Instant>,
+        op: &str,
+        rows_in: u64,
+        rows_out: u64,
+    ) -> u64 {
         if let (Some(t0), Some(p)) = (start, self.profile.as_mut()) {
             let ns = t0.elapsed().as_nanos() as u64;
             p.push(op, rows_in, rows_out, ns);
@@ -337,9 +343,7 @@ pub(crate) fn extract_equi_keys(
         residual: Vec::new(),
     };
     let Some(on) = on else { return keys };
-    let mut conjuncts = Vec::new();
-    flatten_and(on, &mut conjuncts);
-    for c in conjuncts {
+    for c in on.conjuncts() {
         if let Expr::Binary {
             op: BinOp::Eq,
             left: a,
@@ -366,21 +370,6 @@ pub(crate) fn extract_equi_keys(
         keys.residual.push(c.clone());
     }
     keys
-}
-
-/// The conjuncts of `e`, left to right.
-pub(crate) fn flatten_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    if let Expr::Binary {
-        op: BinOp::And,
-        left,
-        right,
-    } = e
-    {
-        flatten_and(left, out);
-        flatten_and(right, out);
-    } else {
-        out.push(e);
-    }
 }
 
 /// Correct value-level key equality (used by the non-hashed algorithms).

@@ -474,7 +474,7 @@ pub struct TriggerContext {
 }
 
 impl TriggerContext {
-    pub fn switched_off(&self, name: &str) -> bool {
+    pub(crate) fn switched_off(&self, name: &str) -> bool {
         self.switched_off.contains(&name)
     }
 }
@@ -608,10 +608,6 @@ impl FaultSet {
         self.enabled.insert(kind);
     }
 
-    pub fn disable(&mut self, kind: FaultKind) {
-        self.enabled.remove(&kind);
-    }
-
     pub fn contains(&self, kind: FaultKind) -> bool {
         self.enabled.contains(&kind)
     }
@@ -693,8 +689,6 @@ mod tests {
         let mut fs = FaultSet::none();
         fs.enable(FaultKind::SemiJoinWrongResults);
         assert!(fs.contains(FaultKind::SemiJoinWrongResults));
-        fs.disable(FaultKind::SemiJoinWrongResults);
-        assert!(fs.is_empty());
     }
 
     #[test]

@@ -34,15 +34,15 @@ pub mod faults;
 pub mod plan;
 pub mod profiles;
 
-pub use cancel::{CancelGuard, CancelToken};
-pub use columnar::{ColumnarDatabase, ColumnarRel};
-pub use disk::{DiskDatabase, COMMIT_BATCH_ROWS};
+pub use cancel::CancelToken;
+pub use columnar::ColumnarDatabase;
+pub use disk::DiskDatabase;
 pub use dml::{DmlOp, DmlOutcome};
 pub use engine::{Database, Engine, EngineError, ExecOutcome};
 pub use exec::{ExecContext, Rel};
-pub use faults::{FaultKind, FaultSet, Severity, TriggerContext};
-pub use plan::{join_prerequisites, JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
-pub use profiles::{DbmsProfile, ProfileId, ProfileInfo};
+pub use faults::{FaultKind, FaultSet};
+pub use plan::{join_prerequisites, JoinAlgo, PhysicalJoin};
+pub use profiles::{DbmsProfile, ProfileId};
 
 #[cfg(test)]
 mod subquery_equivalence;

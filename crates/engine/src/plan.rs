@@ -43,7 +43,7 @@ impl JoinAlgo {
 
     /// Short operator label used in query profiles and telemetry
     /// (`join.hash`, `join.sort_merge`, ...).
-    pub fn profile_label(self) -> &'static str {
+    pub(crate) fn profile_label(self) -> &'static str {
         match self {
             JoinAlgo::NestedLoop => "join.nested_loop",
             JoinAlgo::BlockNestedLoop => "join.block_nested_loop",
@@ -57,7 +57,7 @@ impl JoinAlgo {
 
     /// Does this algorithm match keys via a hash/encoded key rather than by
     /// direct pairwise comparison?
-    pub fn uses_hashed_keys(self) -> bool {
+    pub(crate) fn uses_hashed_keys(self) -> bool {
         matches!(
             self,
             JoinAlgo::BlockNestedLoopHashed

@@ -26,8 +26,6 @@ pub struct DbmsProfile {
     pub info: ProfileInfo,
     /// Preferred algorithm for equi-joins when no hint applies.
     pub default_equi_algo: JoinAlgo,
-    /// Preferred algorithm when no equi-key can be extracted.
-    pub default_theta_algo: JoinAlgo,
     /// Whether IN-subqueries are transformed to semi-joins by default.
     pub default_semijoin_transform: bool,
     /// Whether subquery materialization is on by default.
@@ -91,7 +89,6 @@ impl DbmsProfile {
                     first_release: 1995,
                 },
                 default_equi_algo: JoinAlgo::HashJoin,
-                default_theta_algo: JoinAlgo::BlockNestedLoop,
                 default_semijoin_transform: true,
                 default_materialization: true,
                 join_buffer_rows: 256,
@@ -116,7 +113,6 @@ impl DbmsProfile {
                     first_release: 2009,
                 },
                 default_equi_algo: JoinAlgo::BlockNestedLoopHashed,
-                default_theta_algo: JoinAlgo::BlockNestedLoop,
                 default_semijoin_transform: true,
                 default_materialization: true,
                 join_buffer_rows: 128,
@@ -139,7 +135,6 @@ impl DbmsProfile {
                     first_release: 2017,
                 },
                 default_equi_algo: JoinAlgo::IndexJoin,
-                default_theta_algo: JoinAlgo::NestedLoop,
                 default_semijoin_transform: false,
                 default_materialization: true,
                 join_buffer_rows: 256,
@@ -162,7 +157,6 @@ impl DbmsProfile {
                     first_release: 2019,
                 },
                 default_equi_algo: JoinAlgo::HashJoin,
-                default_theta_algo: JoinAlgo::NestedLoop,
                 default_semijoin_transform: true,
                 default_materialization: false,
                 join_buffer_rows: 256,

@@ -8,9 +8,10 @@
 //! query graphs.
 
 use crate::graph::LabeledGraph;
+use tqs_sql::fnv1a;
 
 /// Embedding dimensionality.
-pub const EMBED_DIM: usize = 64;
+pub(crate) const EMBED_DIM: usize = 64;
 
 /// A fixed-size graph embedding.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,19 +22,9 @@ impl Embedding {
         self.0.len()
     }
 
-    pub fn norm(&self) -> f32 {
+    pub(crate) fn norm(&self) -> f32 {
         self.0.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
-}
-
-fn hash_str(s: &str) -> u64 {
-    // FNV-1a
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Embed a labeled graph: run `rounds` of WL label refinement and hash every
@@ -47,7 +38,7 @@ pub fn embed_graph(g: &LabeledGraph, rounds: usize) -> Embedding {
     let mut labels: Vec<String> = g.nodes.iter().map(|n| n.label.clone()).collect();
     for round in 0..=rounds {
         for l in &labels {
-            let h = hash_str(&format!("r{round}:{l}")) as usize % EMBED_DIM;
+            let h = fnv1a(format!("r{round}:{l}").as_bytes()) as usize % EMBED_DIM;
             v[h] += 1.0 / (1.0 + round as f32);
         }
         // also hash edge signatures so edge labels (join types, operator
@@ -55,7 +46,7 @@ pub fn embed_graph(g: &LabeledGraph, rounds: usize) -> Embedding {
         for e in &g.edges {
             let sig = format!("r{round}:e:{}:{}:{}", e.label, labels[e.a], labels[e.b]);
             let sig_rev = format!("r{round}:e:{}:{}:{}", e.label, labels[e.b], labels[e.a]);
-            let h = (hash_str(&sig) ^ hash_str(&sig_rev)) as usize % EMBED_DIM;
+            let h = (fnv1a(sig.as_bytes()) ^ fnv1a(sig_rev.as_bytes())) as usize % EMBED_DIM;
             v[h] += 1.0 / (1.0 + round as f32);
         }
         if round == rounds {
@@ -85,7 +76,7 @@ pub fn embed_graph(g: &LabeledGraph, rounds: usize) -> Embedding {
 }
 
 /// Cosine similarity between two embeddings (already normalized → dot).
-pub fn cosine_similarity(a: &Embedding, b: &Embedding) -> f32 {
+pub(crate) fn cosine_similarity(a: &Embedding, b: &Embedding) -> f32 {
     let dot: f32 = a.0.iter().zip(&b.0).map(|(x, y)| x * y).sum();
     let na = a.norm();
     let nb = b.norm();

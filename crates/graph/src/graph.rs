@@ -1,8 +1,5 @@
-//! Labeled graphs, canonical hashing and a small sub-graph isomorphism
-//! checker. Query graphs and the plan-iterative graph are both instances of
-//! [`LabeledGraph`].
-
-use std::collections::BTreeMap;
+//! Labeled graphs and their canonical form. Query graphs and the
+//! plan-iterative graph are both instances of [`LabeledGraph`].
 
 /// A node with a string label (e.g. `"table"`, `"int"`, `"varchar"`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,12 +39,8 @@ impl LabeledGraph {
         });
     }
 
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// Edges incident to `n` as `(neighbor, edge label)`.
@@ -63,16 +56,12 @@ impl LabeledGraph {
         out
     }
 
-    pub fn degree(&self, n: usize) -> usize {
-        self.neighbors(n).len()
-    }
-
     /// Weisfeiler-Lehman style canonical form: iteratively refine node
     /// signatures from neighbor labels, then serialize the multiset. Two
     /// isomorphic graphs always share a canonical form; collisions between
     /// non-isomorphic graphs are possible in principle but do not occur for
     /// the small, richly-labeled query graphs TQS generates.
-    pub fn canonical_form(&self, rounds: usize) -> String {
+    pub(crate) fn canonical_form(&self, rounds: usize) -> String {
         let mut labels: Vec<String> = self.nodes.iter().map(|n| n.label.clone()).collect();
         for _ in 0..rounds {
             let mut next = Vec::with_capacity(labels.len());
@@ -98,75 +87,6 @@ impl LabeledGraph {
             edge_labels.join(",")
         )
     }
-
-    /// Exact graph isomorphism (both directions of sub-graph containment with
-    /// equal node counts), via backtracking on label-compatible assignments.
-    /// Only intended for the small query graphs (≤ ~20 nodes).
-    pub fn isomorphic_to(&self, other: &LabeledGraph) -> bool {
-        if self.nodes.len() != other.nodes.len() || self.edges.len() != other.edges.len() {
-            return false;
-        }
-        // quick label-multiset check
-        fn multiset(g: &LabeledGraph) -> BTreeMap<String, usize> {
-            let mut m: BTreeMap<String, usize> = BTreeMap::new();
-            for n in &g.nodes {
-                *m.entry(n.label.clone()).or_default() += 1;
-            }
-            m
-        }
-        if multiset(self) != multiset(other) {
-            return false;
-        }
-        let mut mapping: Vec<Option<usize>> = vec![None; self.nodes.len()];
-        let mut used = vec![false; other.nodes.len()];
-        self.backtrack(other, 0, &mut mapping, &mut used)
-    }
-
-    fn backtrack(
-        &self,
-        other: &LabeledGraph,
-        i: usize,
-        mapping: &mut Vec<Option<usize>>,
-        used: &mut Vec<bool>,
-    ) -> bool {
-        if i == self.nodes.len() {
-            return true;
-        }
-        for j in 0..other.nodes.len() {
-            if used[j] || self.nodes[i].label != other.nodes[j].label {
-                continue;
-            }
-            if self.degree(i) != other.degree(j) {
-                continue;
-            }
-            // check edges from i to already-mapped nodes
-            let consistent = self.edges.iter().all(|e| {
-                let (x, y) = (e.a, e.b);
-                let involved = (x == i && mapping[y].is_some()) || (y == i && mapping[x].is_some());
-                let self_loop = x == i && y == i;
-                if !(involved || self_loop) {
-                    return true;
-                }
-                let (mi, mo) = if x == i { (y, j) } else { (x, j) };
-                let mapped = mapping[mi].unwrap_or(mo);
-                other.edges.iter().any(|oe| {
-                    oe.label == e.label
-                        && ((oe.a == mo && oe.b == mapped) || (oe.b == mo && oe.a == mapped))
-                })
-            });
-            if !consistent {
-                continue;
-            }
-            mapping[i] = Some(j);
-            used[j] = true;
-            if self.backtrack(other, i + 1, mapping, used) {
-                return true;
-            }
-            mapping[i] = None;
-            used[j] = false;
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -186,8 +106,8 @@ mod tests {
     fn neighbors_and_degree() {
         let g = path_graph(&["table", "table", "int"], &["inner join", "filter"]);
         assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.degree(1), 2);
+        assert_eq!(g.edges.len(), 2);
+        assert_eq!(g.neighbors(1).len(), 2);
         assert_eq!(g.neighbors(0), vec![(1, "inner join")]);
     }
 
@@ -205,29 +125,5 @@ mod tests {
         // a different edge label changes the form
         let c = path_graph(&["table", "table", "int"], &["left outer join", "filter"]);
         assert_ne!(a.canonical_form(3), c.canonical_form(3));
-    }
-
-    #[test]
-    fn isomorphism_detects_equal_and_different_structures() {
-        let a = path_graph(&["table", "table", "int"], &["inner join", "filter"]);
-        let mut b = LabeledGraph::default();
-        let x = b.add_node("table");
-        let y = b.add_node("int");
-        let z = b.add_node("table");
-        b.add_edge(z, x, "inner join");
-        b.add_edge(x, y, "filter");
-        assert!(a.isomorphic_to(&b));
-        assert!(b.isomorphic_to(&a));
-        let c = path_graph(&["table", "table", "int"], &["anti join", "filter"]);
-        assert!(!a.isomorphic_to(&c));
-        let d = path_graph(&["table", "table"], &["inner join"]);
-        assert!(!a.isomorphic_to(&d));
-    }
-
-    #[test]
-    fn isomorphism_respects_node_labels() {
-        let a = path_graph(&["table", "int"], &["filter"]);
-        let b = path_graph(&["table", "varchar"], &["filter"]);
-        assert!(!a.isomorphic_to(&b));
     }
 }

@@ -10,17 +10,11 @@ use crate::embedding::{cosine_similarity, Embedding};
 use crate::graph::LabeledGraph;
 use std::collections::HashMap;
 
-/// One indexed entry.
-#[derive(Debug, Clone)]
-pub struct IndexedGraph {
-    pub embedding: Embedding,
-    pub canonical: String,
-}
-
 /// The graph index `GI` of Algorithm 1/2.
 #[derive(Debug, Clone, Default)]
 pub struct GraphIndex {
-    entries: Vec<IndexedGraph>,
+    /// The embedding of every inserted graph, in insertion order.
+    entries: Vec<Embedding>,
     /// canonical form → count, used for the isomorphic-set diversity metric.
     iso_sets: HashMap<String, usize>,
 }
@@ -44,28 +38,19 @@ impl GraphIndex {
         self.iso_sets.len()
     }
 
-    /// Has a graph isomorphic to this one already been explored?
-    pub fn contains_isomorphic(&self, g: &LabeledGraph) -> bool {
-        self.iso_sets.contains_key(&g.canonical_form(3))
-    }
-
     /// Insert a graph (with its precomputed embedding).
     pub fn insert(&mut self, g: &LabeledGraph, embedding: Embedding) {
-        let canonical = g.canonical_form(3);
-        *self.iso_sets.entry(canonical.clone()).or_insert(0) += 1;
-        self.entries.push(IndexedGraph {
-            embedding,
-            canonical,
-        });
+        *self.iso_sets.entry(g.canonical_form(3)).or_insert(0) += 1;
+        self.entries.push(embedding);
     }
 
     /// k nearest neighbours by cosine similarity (descending).
-    pub fn knn(&self, query: &Embedding, k: usize) -> Vec<(usize, f32)> {
+    pub(crate) fn knn(&self, query: &Embedding, k: usize) -> Vec<(usize, f32)> {
         let mut sims: Vec<(usize, f32)> = self
             .entries
             .iter()
             .enumerate()
-            .map(|(i, e)| (i, cosine_similarity(query, &e.embedding)))
+            .map(|(i, e)| (i, cosine_similarity(query, e)))
             .collect();
         sims.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         sims.truncate(k);
@@ -116,8 +101,6 @@ mod tests {
         gi.insert(&c, embed_graph(&c, 2));
         assert_eq!(gi.isomorphic_set_count(), 2);
         assert_eq!(gi.len(), 3);
-        assert!(gi.contains_isomorphic(&chain(2, "inner join")));
-        assert!(!gi.contains_isomorphic(&chain(2, "anti join")));
     }
 
     #[test]

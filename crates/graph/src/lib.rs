@@ -14,9 +14,9 @@ pub mod graph;
 pub mod index;
 pub mod plangraph;
 
-pub use embedding::{cosine_similarity, embed_graph, Embedding, EMBED_DIM};
+pub use embedding::{embed_graph, Embedding};
 pub use graph::{Edge, LabeledGraph, Node};
-pub use index::{GraphIndex, IndexedGraph};
+pub use index::GraphIndex;
 pub use plangraph::{
     graph_fingerprint, plan_fingerprint, query_graph, query_graph_with_subqueries,
     PlanIterativeGraph, SchemaDesc,

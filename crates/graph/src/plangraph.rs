@@ -10,7 +10,8 @@ use crate::graph::LabeledGraph;
 use tqs_sql::ast::{JoinType, SelectItem, SelectStmt};
 
 /// Operator labels on table–column edges (Figure 6).
-pub const COLUMN_OPS: [&str; 5] = ["join column", "filter", "projection", "group by", "count"];
+pub(crate) const COLUMN_OPS: [&str; 5] =
+    ["join column", "filter", "projection", "group by", "count"];
 
 /// A schema description sufficient to build the plan-iterative graph,
 /// decoupled from the schema crate: tables, their typed columns, and the
@@ -32,7 +33,7 @@ impl SchemaDesc {
             .collect()
     }
 
-    pub fn type_of(&self, table: &str, column: &str) -> Option<&str> {
+    pub(crate) fn type_of(&self, table: &str, column: &str) -> Option<&str> {
         self.columns
             .iter()
             .find(|(t, c, _, _)| t.eq_ignore_ascii_case(table) && c.eq_ignore_ascii_case(column))
@@ -234,19 +235,11 @@ fn lookup_type(stmt: &SelectStmt, schema: &SchemaDesc, binding: &str, column: &s
 /// fingerprint, and the richly-labeled query graphs TQS generates make
 /// collisions between structurally different queries vanishingly rare.
 ///
-/// The hash is FNV-1a over the canonical string — deliberately *not*
-/// [`std::hash::DefaultHasher`], whose output is not specified to be stable
-/// across Rust releases. Campaign corpora persist these fingerprints to disk
-/// and must reload them unchanged years later.
+/// The hash is [`tqs_sql::fingerprint_hash`] over the canonical string.
+/// Campaign corpora persist these fingerprints to disk and must reload them
+/// unchanged years later.
 pub fn graph_fingerprint(g: &LabeledGraph) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1_0000_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for byte in g.canonical_form(3).as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    tqs_sql::fingerprint_hash(g.canonical_form(3).as_bytes())
 }
 
 /// The canonical plan-graph fingerprint of one statement: the
@@ -306,7 +299,7 @@ mod tests {
         assert_eq!(g.vertex_count(), 10);
         assert_eq!(g.join_edge_count(), 2 * 7);
         // column edges: 5 operator edges per column
-        assert_eq!(g.graph.edge_count(), 2 * 7 + 7 * 5);
+        assert_eq!(g.graph.edges.len(), 2 * 7 + 7 * 5);
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!    forgot-to-invalidate-statistics optimizer bug, observable as a
 //!    cost-sanity violation without executing a single plan.
 
-use tqs_sql::ast::{BinOp, Expr};
+use tqs_sql::ast::{BinOp, Expr, SelectStmt};
 use tqs_storage::Catalog;
 
-use crate::ir::{as_column_equality, qualifiers, split_conjuncts, LogicalPlan};
+use crate::rewrite::{as_column_equality, qualifiers};
 
 /// Row-count discount per single-binding predicate conjunct.
 const PRUNE_FACTOR: f64 = 0.5;
@@ -33,7 +33,7 @@ const UNKNOWN_ROWS: f64 = 100.0;
 
 /// Which row-count table a cost evaluation reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowCounts {
+pub(crate) enum RowCounts {
     /// Raw catalog row counts, ignoring predicate pruning.
     Stale,
     /// Catalog counts discounted by single-binding predicates.
@@ -43,7 +43,7 @@ pub enum RowCounts {
 /// The per-statement cost model: one slot per chain position (base = 0,
 /// join i = i + 1), plus the predicate edges between positions.
 #[derive(Debug, Clone)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     stale: Vec<f64>,
     fresh: Vec<f64>,
     /// Equality edges between two distinct positions (from ON clauses).
@@ -53,18 +53,17 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Build the model for a (rewritten) logical plan against the catalog.
-    pub fn new(plan: &LogicalPlan, catalog: &Catalog) -> CostModel {
-        let bindings: Vec<String> = plan.bindings().iter().map(|b| b.to_lowercase()).collect();
+    /// Build the model for a (rewritten) statement against the catalog.
+    pub(crate) fn new(stmt: &SelectStmt, catalog: &Catalog) -> CostModel {
+        let tables = stmt.from.tables();
+        let bindings: Vec<String> = tables.iter().map(|t| t.binding().to_lowercase()).collect();
         let position = |qual: &str| bindings.iter().position(|b| b == qual);
 
         let mut stale = Vec::with_capacity(bindings.len());
-        let tables =
-            std::iter::once(&plan.base.table).chain(plan.joins.iter().map(|j| &j.table.table));
-        for table in tables {
+        for table in &tables {
             stale.push(
                 catalog
-                    .table(table)
+                    .table(&table.table)
                     .map(|t| t.row_count() as f64)
                     .unwrap_or(UNKNOWN_ROWS)
                     .max(1.0),
@@ -75,13 +74,13 @@ impl CostModel {
         let mut single_binding = vec![0u32; bindings.len()];
         let mut equi = Vec::new();
         let mut nonequi = Vec::new();
-        let conjuncts = plan
-            .filter
+        let conjuncts = stmt
+            .where_clause
             .iter()
-            .chain(plan.joins.iter().filter_map(|j| j.on.as_ref()))
-            .flat_map(split_conjuncts);
+            .chain(stmt.from.joins.iter().filter_map(|j| j.on.as_ref()))
+            .flat_map(Expr::conjuncts);
         for conjunct in conjuncts {
-            let Some(quals) = qualifiers(&conjunct) else {
+            let Some(quals) = qualifiers(conjunct) else {
                 continue;
             };
             let positions: Vec<usize> = quals.iter().filter_map(|q| position(q)).collect();
@@ -92,9 +91,9 @@ impl CostModel {
                 [p] => single_binding[*p] += 1,
                 [a, b] => {
                     let edge = (*a.min(b), *a.max(b));
-                    if as_column_equality(&conjunct).is_some() {
+                    if as_column_equality(conjunct).is_some() {
                         equi.push(edge);
-                    } else if let Expr::Binary { op, .. } = &conjunct {
+                    } else if let Expr::Binary { op, .. } = conjunct {
                         if op.is_comparison() && *op != BinOp::Eq {
                             nonequi.push(edge);
                         }
@@ -115,11 +114,6 @@ impl CostModel {
             equi,
             nonequi,
         }
-    }
-
-    /// Number of chain positions (base + joins).
-    pub fn positions(&self) -> usize {
-        self.stale.len()
     }
 
     fn rows(&self, pos: usize, counts: RowCounts) -> f64 {
@@ -164,7 +158,7 @@ impl CostModel {
     /// cardinalities after every join step (the base scan is free — it is the
     /// same in every order). `order` lists join indices (position = index+1);
     /// the base is always first, as the engine's `JOIN_ORDER` requires.
-    pub fn order_cost(&self, order: &[usize], counts: RowCounts) -> f64 {
+    pub(crate) fn order_cost(&self, order: &[usize], counts: RowCounts) -> f64 {
         let mut joined = vec![0usize];
         let mut card = self.rows(0, counts);
         let mut total = 0.0;
@@ -180,7 +174,7 @@ impl CostModel {
 
     /// The cardinality of a joined subset (base + the given join indices) —
     /// order-independent by construction; used by the DP enumerator.
-    pub fn subset_card(&self, joins: &[usize], counts: RowCounts) -> f64 {
+    pub(crate) fn subset_card(&self, joins: &[usize], counts: RowCounts) -> f64 {
         let mut joined = vec![0usize];
         let mut card = self.rows(0, counts);
         for &j in joins {
@@ -228,7 +222,7 @@ mod tests {
     }
 
     fn model(sql: &str) -> CostModel {
-        CostModel::new(&LogicalPlan::lower(&parse_stmt(sql).unwrap()), &catalog())
+        CostModel::new(&parse_stmt(sql).unwrap(), &catalog())
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! 1. **Valid orders.** A DFS enumerates left-deep join orders under the
 //!    engine's own join-order rule ([`tqs_engine::join_prerequisites`]:
 //!    INNER / CROSS / LEFT OUTER only; every ON clause may reference only its
-//!    own binding and already-joined ones), capped at [`MAX_ORDERS`]. A
+//!    own binding and already-joined ones), capped at `MAX_ORDERS`. A
 //!    statement whose identity order fails the check, or with more than 32
 //!    joins, is kept un-reordered with no order hint.
-//! 2. **Cost-based pick.** Up to [`DP_MAX_JOINS`] joins, a Held–Karp subset
+//! 2. **Cost-based pick.** Up to `DP_MAX_JOINS` joins, a Held–Karp subset
 //!    DP finds the cheapest valid order over the *entire* order space (the
-//!    subset-closed cardinalities of [`crate::cost`] give it optimal
+//!    subset-closed cardinalities of `crate::cost` give it optimal
 //!    substructure); above the threshold it falls back to the cheapest of the
 //!    DFS-enumerated orders. Two seeded faults live here:
 //!    [`FaultKind::OptInvertedCostComparison`] flips every comparison (the DP
@@ -23,9 +23,9 @@
 //!    row counts while reporting predicate-pruned costs.
 //! 3. **Selection + memo.** Candidates (orders × per-join algorithm
 //!    assignments × subquery-strategy variants) are ranked by cost; the space
-//!    keeps the cost-model pick, the [`TOP_K`] cheapest, and
-//!    [`SAMPLE_PLANS`] seeded random draws — the seed derives from the
-//!    statement text ([`crate::statement_seed`]), so hunt, replay and
+//!    keeps the cost-model pick, the `TOP_K` cheapest, and
+//!    `SAMPLE_PLANS` seeded random draws — the seed derives from the
+//!    statement text (`crate::statement_seed`), so hunt, replay and
 //!    re-verification enumerate the identical subset. Hint sets are issued
 //!    through a fingerprint-keyed memo; under
 //!    [`FaultKind::OptHintIgnoredUnderMemoCollision`] the memo keys on only
@@ -41,23 +41,22 @@ use tqs_sql::hints::{Hint, HintSet, SemiJoinStrategy, SessionSwitch, SwitchName}
 use tqs_storage::Catalog;
 
 use crate::cost::{CostModel, RowCounts};
-use crate::ir::LogicalPlan;
 use crate::rewrite::rewrite;
-use crate::{fnv1a, statement_seed};
+use crate::statement_seed;
 
 /// Relation-count threshold for exact Held–Karp join ordering; above it the
 /// enumerator falls back to the cheapest DFS-enumerated order.
-pub const DP_MAX_JOINS: usize = 7;
+pub(crate) const DP_MAX_JOINS: usize = 7;
 /// Cap on DFS-enumerated valid join orders per statement.
-pub const MAX_ORDERS: usize = 64;
+pub(crate) const MAX_ORDERS: usize = 64;
 /// Plans kept by cost rank (beyond the cost-model pick itself).
-pub const TOP_K: usize = 12;
+pub(crate) const TOP_K: usize = 12;
 /// Additional seeded random draws from the candidate set.
-pub const SAMPLE_PLANS: usize = 4;
+pub(crate) const SAMPLE_PLANS: usize = 4;
 
 /// A join algorithm a plan can pin onto one join step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanAlgo {
+pub(crate) enum PlanAlgo {
     /// No hint: the engine's profile default.
     Default,
     Hash,
@@ -69,7 +68,7 @@ pub enum PlanAlgo {
 impl PlanAlgo {
     /// The non-default algorithms, in the deterministic order hint sets and
     /// assignment variants are generated in.
-    pub const FORCED: [PlanAlgo; 4] = [
+    pub(crate) const FORCED: [PlanAlgo; 4] = [
         PlanAlgo::Hash,
         PlanAlgo::Merge,
         PlanAlgo::Nl,
@@ -129,19 +128,11 @@ fn subq_hints(label: &str, hs: HintSet) -> HintSet {
     }
 }
 
-/// One member of a statement's plan space: a join order, a per-join
-/// algorithm assignment, an optional subquery strategy, and the hint set
-/// that pins all of it onto an engine.
+/// One member of a statement's plan space: the hint set that pins a join
+/// order, a per-join algorithm assignment and an optional subquery strategy
+/// onto an engine.
 #[derive(Debug, Clone)]
 pub struct EnumeratedPlan {
-    /// Join indices in execution order (identity = statement order).
-    pub order: Vec<usize>,
-    /// Bindings in execution order, base first — the `JOIN_ORDER` argument.
-    pub order_bindings: Vec<String>,
-    /// Algorithm per join step, parallel to `order`.
-    pub algos: Vec<PlanAlgo>,
-    /// Subquery-strategy variant, if any.
-    pub subquery: Option<&'static str>,
     /// Estimated cost (fresh row counts × algorithm factors).
     pub cost: f64,
     /// Stable plan fingerprint over (order, algorithms, subquery variant).
@@ -194,12 +185,16 @@ impl PlanSpace {
     /// hunt, its witness replay and a later re-verification agree.
     pub fn enumerate(stmt: &SelectStmt, catalog: &Catalog, faults: &FaultSet) -> PlanSpace {
         let _span = tqs_telemetry::span("optimizer", "enumerate");
-        let mut logical = LogicalPlan::lower(stmt);
-        let rewrite_fired = rewrite(&mut logical, faults);
-        let rewritten = logical.to_stmt();
+        let mut rewritten = stmt.clone();
+        let rewrite_fired = rewrite(&mut rewritten, faults);
 
-        let n = logical.joins.len();
-        let bindings: Vec<String> = logical.bindings().iter().map(|b| b.to_string()).collect();
+        let n = rewritten.from.joins.len();
+        let bindings: Vec<String> = rewritten
+            .from
+            .tables()
+            .iter()
+            .map(|t| t.binding().to_string())
+            .collect();
         // Per-join requirement masks from the engine's own join-order rule:
         // bit `k` set means join `k` must be placed first. `None` when the
         // engine would not reorder this statement, or when it has more joins
@@ -235,7 +230,7 @@ impl PlanSpace {
             tqs_telemetry::metrics::counter(path).incr();
         }
 
-        let cm = CostModel::new(&logical, catalog);
+        let cm = CostModel::new(&rewritten, catalog);
         let pick = |active: &FaultSet| -> Vec<usize> {
             if !hinted_order || n < 2 {
                 return (0..n).collect();
@@ -400,17 +395,17 @@ impl Candidate {
             algos,
             subquery,
             cost,
-            fingerprint: fnv1a(key.as_bytes()),
+            fingerprint: tqs_sql::fingerprint_hash(key.as_bytes()),
         }
     }
 
     fn materialize(&self, bindings: &[String], hinted_order: bool) -> EnumeratedPlan {
-        let order_bindings: Vec<String> = std::iter::once(bindings[0].clone())
-            .chain(self.order.iter().map(|&j| bindings[j + 1].clone()))
-            .collect();
         let mut hs = HintSet::new(format!("plan-{:016x}", self.fingerprint));
         if hinted_order && !self.order.is_empty() {
-            hs = hs.with_hint(Hint::JoinOrder(order_bindings.clone()));
+            let order_bindings = std::iter::once(bindings[0].clone())
+                .chain(self.order.iter().map(|&j| bindings[j + 1].clone()))
+                .collect();
+            hs = hs.with_hint(Hint::JoinOrder(order_bindings));
         }
         for algo in PlanAlgo::FORCED {
             let tables: Vec<String> = self
@@ -428,10 +423,6 @@ impl Candidate {
             hs = subq_hints(v, hs);
         }
         EnumeratedPlan {
-            order: self.order.clone(),
-            order_bindings,
-            algos: self.algos.clone(),
-            subquery: self.subquery,
             cost: self.cost,
             fingerprint: self.fingerprint,
             intended: hs.clone(),
@@ -677,6 +668,14 @@ mod tests {
         PlanSpace::enumerate(&parse_stmt(sql).unwrap(), &catalog(), faults)
     }
 
+    /// The `JOIN_ORDER` a plan's hint set pins, if any.
+    fn join_order(p: &EnumeratedPlan) -> Option<&[String]> {
+        p.intended.hints.iter().find_map(|h| match h {
+            Hint::JoinOrder(order) => Some(order.as_slice()),
+            _ => None,
+        })
+    }
+
     const CHAIN4: &str = "SELECT t1.k FROM t1 JOIN t2 ON t1.k = t2.k \
                           JOIN t3 ON t2.k = t3.k JOIN t4 ON t3.k = t4.k";
     const STAR3: &str = "SELECT t1.k FROM t1 JOIN t2 ON t1.k = t2.k \
@@ -716,8 +715,8 @@ mod tests {
             &FaultSet::none(),
         );
         assert_eq!(
-            s.best().order_bindings,
-            vec!["t1", "t4", "t2"],
+            join_order(s.best()),
+            Some(&["t1", "t4", "t2"].map(String::from)[..]),
             "the 2-row t4 should join before the 32-row t2"
         );
     }
@@ -726,7 +725,11 @@ mod tests {
     fn chain_joins_admit_only_the_identity_order() {
         let s = space(CHAIN4, &FaultSet::none());
         for p in &s.plans {
-            assert_eq!(p.order, vec![0, 1, 2], "chain ON availability: {p:?}");
+            assert_eq!(
+                join_order(p),
+                Some(&["t1", "t2", "t3", "t4"].map(String::from)[..]),
+                "chain ON availability: {p:?}"
+            );
         }
     }
 
@@ -804,11 +807,11 @@ mod tests {
             "SELECT t1.k FROM t1 WHERE t1.k IN (SELECT t4.k FROM t4)",
             &FaultSet::none(),
         );
-        let variants: Vec<&str> = s.plans.iter().filter_map(|p| p.subquery).collect();
-        assert!(variants.contains(&"no-semijoin"), "{variants:?}");
+        let hints: Vec<&Hint> = s.plans.iter().flat_map(|p| &p.intended.hints).collect();
+        assert!(hints.contains(&&Hint::NoSemiJoin), "{hints:?}");
         assert!(
-            variants.contains(&"subquery-to-derived"),
-            "uncorrelated single-table subquery unlocks decorrelation: {variants:?}"
+            hints.contains(&&Hint::SubqueryToDerived),
+            "uncorrelated single-table subquery unlocks decorrelation: {hints:?}"
         );
     }
 
@@ -823,14 +826,8 @@ mod tests {
             &Catalog::new(),
             &FaultSet::none(),
         );
-        let identity: Vec<usize> = (0..33).collect();
         for p in &s.plans {
-            assert_eq!(p.order, identity);
-            assert!(p
-                .intended
-                .hints
-                .iter()
-                .all(|h| !matches!(h, Hint::JoinOrder(_))));
+            assert_eq!(join_order(p), None);
         }
     }
 
@@ -841,11 +838,7 @@ mod tests {
             &FaultSet::none(),
         );
         for p in &s.plans {
-            assert!(p
-                .intended
-                .hints
-                .iter()
-                .all(|h| !matches!(h, Hint::JoinOrder(_))));
+            assert_eq!(join_order(p), None);
         }
     }
 }

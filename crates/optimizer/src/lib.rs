@@ -7,19 +7,20 @@
 //! plan per engine (plus a handful of fixed hint sets). This crate adds a
 //! real optimizer layer in four passes:
 //!
-//! 1. **Logical IR** ([`ir::LogicalPlan`]) — a left-deep operator chain
-//!    (base scan → join steps → filter) lowered from a [`SelectStmt`] and
-//!    re-synthesized exactly by [`ir::LogicalPlan::to_stmt`], so every
-//!    rewrite stays executable on the unmodified engines.
-//! 2. **Rule-based rewrites** ([`rewrite`]) — predicate pushdown into
+//! 1. **The statement is the logical plan** — a [`SelectStmt`]'s FROM clause
+//!    is already a left-deep chain (base scan → join steps), and its WHERE
+//!    clause the post-join filter. [`PlanSpace::enumerate`] clones the
+//!    statement once and every later pass reads or edits that clone, so
+//!    every rewrite stays executable on the unmodified engines.
+//! 2. **Rule-based rewrites** (`rewrite`) — predicate pushdown into
 //!    inner-join ON clauses and transitive join-condition inference, both
 //!    semantics-preserving and idempotent. Uncorrelated-subquery
 //!    decorrelation is hint-level: eligible statements gain subquery-strategy
 //!    plan variants (semi-join transform, derived-table rewrite).
-//! 3. **Cost model + join enumeration** ([`cost`], [`enumerate`]) —
+//! 3. **Cost model + join enumeration** (`cost`, [`enumerate`]) —
 //!    cardinality estimation from catalog row counts and predicate
 //!    selectivities, Held–Karp subset DP over valid left-deep join orders
-//!    (DFS/greedy fallback above [`enumerate::DP_MAX_JOINS`] relations).
+//!    (DFS/greedy fallback above `enumerate::DP_MAX_JOINS` relations).
 //! 4. **Hint-forced physical selection** — each enumerated plan is pinned
 //!    with `JOIN_ORDER` plus a join-algorithm hint, replicating the engine's
 //!    own hint-validity rules, so the plan is deterministically executable on
@@ -38,34 +39,17 @@
 //! enumeration seeds derive from the statement text, so a hunt, its witness
 //! replay and a later re-verification all enumerate the identical space.
 
-pub mod cost;
+mod cost;
 pub mod enumerate;
-pub mod ir;
-pub mod rewrite;
+mod rewrite;
 
-pub use cost::CostModel;
-pub use enumerate::{EnumeratedPlan, PlanAlgo, PlanSpace, DP_MAX_JOINS, SAMPLE_PLANS, TOP_K};
-pub use ir::LogicalPlan;
+pub use enumerate::{EnumeratedPlan, PlanSpace};
 
 use tqs_sql::ast::SelectStmt;
-
-/// Stable FNV-1a over a byte string — the same construction the plan-graph
-/// fingerprints use, deliberately not `DefaultHasher` (whose output may
-/// change across Rust releases; plan fingerprints are persisted in corpora).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1_0000_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The enumeration seed of a statement: derived from the statement alone
 /// (never from a campaign seed), so every consumer — hunt, witness replay,
 /// re-verification — samples the identical plan subset.
-pub fn statement_seed(stmt: &SelectStmt) -> u64 {
-    fnv1a(tqs_sql::render::render_stmt(stmt).as_bytes()) ^ 0x9E37_79B9_7F4A_7C15
+pub(crate) fn statement_seed(stmt: &SelectStmt) -> u64 {
+    tqs_sql::fingerprint_hash(tqs_sql::render::render_stmt(stmt).as_bytes()) ^ 0x9E37_79B9_7F4A_7C15
 }

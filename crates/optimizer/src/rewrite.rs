@@ -1,11 +1,14 @@
 //! Rule-based logical rewrites: predicate pushdown and transitive
 //! join-condition inference.
 //!
-//! Both rules are **semantics-preserving** and **idempotent** — applying
-//! `rewrite` twice yields the same plan as applying it once. Idempotence is
+//! Both rules edit the statement in place — its ON clauses and its WHERE
+//! clause; the join chain's order and types and every other clause stay as
+//! written — so every rewritten statement runs unchanged on the engines.
+//! Both are **semantics-preserving** and **idempotent** — applying `rewrite`
+//! twice yields the same statement as applying it once. Idempotence is
 //! load-bearing: the `PlanSpaceOracle` reports the *rewritten* statement as
-//! the witness SQL, so re-verification lowers and rewrites that witness again
-//! and must land on the identical statement.
+//! the witness SQL, so re-verification rewrites that witness again and must
+//! land on the identical statement.
 //!
 //! The rewrites also host two seeded optimizer faults:
 //!
@@ -26,9 +29,7 @@
 use std::collections::{HashMap, HashSet};
 
 use tqs_engine::faults::{FaultKind, FaultSet};
-use tqs_sql::ast::{ColumnRef, Expr, JoinType};
-
-use crate::ir::{as_column_equality, qualifiers, split_conjuncts, LogicalPlan};
+use tqs_sql::ast::{BinOp, ColumnRef, Expr, Join, JoinType, SelectStmt};
 
 /// Backstop on the fixpoint loop. Each pass either changes the plan or ends
 /// the loop, and every change moves a conjunct out of WHERE or materializes
@@ -36,19 +37,25 @@ use crate::ir::{as_column_equality, qualifiers, split_conjuncts, LogicalPlan};
 /// own; the cap only bounds the damage of a future non-converging rule.
 const MAX_REWRITE_PASSES: u64 = 8;
 
-/// Apply all rewrite rules to the plan, rerunning the rule set until a full
+/// Apply all rewrite rules to the statement, rerunning the rule set until a full
 /// pass changes nothing (a fixpoint — which is what actually guarantees the
 /// idempotence contract above: re-rewriting a rewritten statement finds no
 /// rule that still wants to act). Pristine inputs converge on the second
 /// pass; the loop structure keeps the contract if a future rule's output
 /// enables another rule. Returns the seeded faults that altered the outcome.
-pub fn rewrite(plan: &mut LogicalPlan, faults: &FaultSet) -> Vec<FaultKind> {
+pub(crate) fn rewrite(stmt: &mut SelectStmt, faults: &FaultSet) -> Vec<FaultKind> {
+    let bindings: Vec<String> = stmt
+        .from
+        .tables()
+        .iter()
+        .map(|t| t.binding().to_lowercase())
+        .collect();
     let mut fired = Vec::new();
     let mut passes = 0u64;
     loop {
         passes += 1;
-        let mut changed = push_down_predicates(plan, faults, &mut fired);
-        changed |= infer_join_conditions(plan);
+        let mut changed = push_down_predicates(stmt, &bindings, faults, &mut fired);
+        changed |= infer_join_conditions(stmt, &bindings);
         if !changed || passes >= MAX_REWRITE_PASSES {
             break;
         }
@@ -83,39 +90,40 @@ enum Placement {
 /// LEFT OUTER / ANTI joins never change columns the conjunct can see
 /// (null-padding only touches the newly introduced binding).
 fn push_down_predicates(
-    plan: &mut LogicalPlan,
+    stmt: &mut SelectStmt,
+    bindings: &[String],
     faults: &FaultSet,
     fired: &mut Vec<FaultKind>,
 ) -> bool {
-    let Some(filter) = plan.filter.take() else {
+    let Some(filter) = stmt.where_clause.take() else {
         return false;
     };
-    let bindings: Vec<String> = plan.bindings().iter().map(|b| b.to_lowercase()).collect();
+    let joins = &mut stmt.from.joins;
 
     let mut kept: Vec<Expr> = Vec::new();
     let mut pushed: Vec<(usize, Expr)> = Vec::new();
-    for conjunct in split_conjuncts(&filter) {
-        match place_conjunct(&conjunct, plan, &bindings, faults, fired) {
-            Placement::Keep => kept.push(conjunct),
-            Placement::On(i) => pushed.push((i, conjunct)),
+    for conjunct in filter.conjuncts() {
+        match place_conjunct(conjunct, joins, bindings, faults, fired) {
+            Placement::Keep => kept.push(conjunct.clone()),
+            Placement::On(i) => pushed.push((i, conjunct.clone())),
         }
     }
 
     let changed = !pushed.is_empty();
     for (i, conjunct) in pushed {
-        let on = plan.joins[i].on.take();
-        plan.joins[i].on = Some(match on {
+        let on = joins[i].on.take();
+        joins[i].on = Some(match on {
             Some(existing) => Expr::and(existing, conjunct),
             None => conjunct,
         });
     }
-    plan.filter = Expr::conjunction(kept);
+    stmt.where_clause = Expr::conjunction(kept);
     changed
 }
 
 fn place_conjunct(
     conjunct: &Expr,
-    plan: &LogicalPlan,
+    joins: &[Join],
     bindings: &[String],
     faults: &FaultSet,
     fired: &mut Vec<FaultKind>,
@@ -141,8 +149,8 @@ fn place_conjunct(
     // OUTER join gets pushed *into that join's ON clause*, so rows failing
     // it survive as padded rows instead of being filtered.
     if let [qual] = quals.as_slice() {
-        if let Some(k) = plan.joins.iter().position(|j| {
-            j.join_type == JoinType::LeftOuter && j.binding().eq_ignore_ascii_case(qual)
+        if let Some(k) = joins.iter().position(|j| {
+            j.join_type == JoinType::LeftOuter && j.table.binding().eq_ignore_ascii_case(qual)
         }) {
             if faults.contains(FaultKind::OptPushdownPastOuterJoin) {
                 record(fired, FaultKind::OptPushdownPastOuterJoin);
@@ -153,16 +161,16 @@ fn place_conjunct(
         }
     }
 
-    let inner_target = (frontier..plan.joins.len())
-        .find(|&i| plan.joins[i].join_type == JoinType::Inner && plan.joins[i].on.is_some());
+    let inner_target = (frontier..joins.len())
+        .find(|&i| joins[i].join_type == JoinType::Inner && joins[i].on.is_some());
 
     // Seeded fault 31: the "target must be INNER" precondition is dropped —
     // the earliest ON-bearing join of *any* type wins. Only an actually
     // non-INNER target differs from pristine, so only that fires.
     if faults.contains(FaultKind::OptDroppedRewritePrecondition) {
-        let any_target = (frontier..plan.joins.len()).find(|&i| plan.joins[i].on.is_some());
+        let any_target = (frontier..joins.len()).find(|&i| joins[i].on.is_some());
         if let Some(i) = any_target {
-            if plan.joins[i].join_type != JoinType::Inner {
+            if joins[i].join_type != JoinType::Inner {
                 record(fired, FaultKind::OptDroppedRewritePrecondition);
                 return Placement::On(i);
             }
@@ -179,6 +187,20 @@ fn record(fired: &mut Vec<FaultKind>, kind: FaultKind) {
     if !fired.contains(&kind) {
         fired.push(kind);
     }
+}
+
+/// The distinct lowercase qualifiers of an expression's column references.
+/// `None` if any reference is unqualified — an unqualified column cannot be
+/// placed safely, so rewrites leave such conjuncts alone.
+pub(crate) fn qualifiers(expr: &Expr) -> Option<Vec<String>> {
+    let mut out: Vec<String> = Vec::new();
+    for c in expr.column_refs() {
+        let t = c.table.as_ref()?.to_lowercase();
+        if !out.contains(&t) {
+            out.push(t);
+        }
+    }
+    Some(out)
 }
 
 /// A column key in the equivalence machinery: `(chain position, lowercase
@@ -201,20 +223,20 @@ type ColKey = (usize, String);
 /// *full* closure is materialized and `present` is seeded from both ON and
 /// WHERE equalities, a second pass finds nothing absent, keeping the rewrite
 /// idempotent.
-fn infer_join_conditions(plan: &mut LogicalPlan) -> bool {
-    let bindings: Vec<String> = plan.bindings().iter().map(|b| b.to_lowercase()).collect();
+fn infer_join_conditions(stmt: &mut SelectStmt, bindings: &[String]) -> bool {
     // Equalities already spelled out in some ON clause or the WHERE filter,
     // as ordered pairs.
     let mut present: HashSet<(ColKey, ColKey)> = HashSet::new();
-    let spelled = plan
+    let spelled = stmt
+        .from
         .joins
         .iter()
         .filter_map(|j| j.on.as_ref())
-        .chain(plan.filter.iter())
-        .flat_map(split_conjuncts);
+        .chain(stmt.where_clause.iter())
+        .flat_map(Expr::conjuncts);
     for conjunct in spelled {
-        if let Some((a, b)) = as_column_equality(&conjunct) {
-            if let (Some(ka), Some(kb)) = (col_key(a, &bindings), col_key(b, &bindings)) {
+        if let Some((a, b)) = as_column_equality(conjunct) {
+            if let (Some(ka), Some(kb)) = (col_key(a, bindings), col_key(b, bindings)) {
                 present.insert(pair(ka, kb));
             }
         }
@@ -222,14 +244,14 @@ fn infer_join_conditions(plan: &mut LogicalPlan) -> bool {
 
     // The entailment basis: equalities from INNER-join ON clauses only.
     let mut dsu = Dsu::default();
-    for join in &plan.joins {
+    for join in &stmt.from.joins {
         if join.join_type != JoinType::Inner {
             continue;
         }
         let Some(on) = &join.on else { continue };
-        for conjunct in split_conjuncts(on) {
-            if let Some((a, b)) = as_column_equality(&conjunct) {
-                if let (Some(ka), Some(kb)) = (col_key(a, &bindings), col_key(b, &bindings)) {
+        for conjunct in on.conjuncts() {
+            if let Some((a, b)) = as_column_equality(conjunct) {
+                if let (Some(ka), Some(kb)) = (col_key(a, bindings), col_key(b, bindings)) {
                     dsu.union(ka, kb);
                 }
             }
@@ -248,16 +270,32 @@ fn infer_join_conditions(plan: &mut LogicalPlan) -> bool {
             present.insert(pair(ka.clone(), kb.clone()));
             changed = true;
             let eq = Expr::eq(
-                Expr::Column(key_ref(ka, &bindings)),
-                Expr::Column(key_ref(kb, &bindings)),
+                Expr::Column(key_ref(ka, bindings)),
+                Expr::Column(key_ref(kb, bindings)),
             );
-            plan.filter = Some(match plan.filter.take() {
+            stmt.where_clause = Some(match stmt.where_clause.take() {
                 Some(f) => Expr::and(f, eq),
                 None => eq,
             });
         }
     }
     changed
+}
+
+/// Is this expression a plain `column = column` equality? Returns the two
+/// references if so.
+pub(crate) fn as_column_equality(expr: &Expr) -> Option<(&ColumnRef, &ColumnRef)> {
+    if let Expr::Binary {
+        op: BinOp::Eq,
+        left,
+        right,
+    } = expr
+    {
+        if let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) {
+            return Some((a, b));
+        }
+    }
+    None
 }
 
 fn pair(a: ColKey, b: ColKey) -> (ColKey, ColKey) {
@@ -323,10 +361,40 @@ mod tests {
     use tqs_sql::render::render_stmt;
 
     fn rewritten(sql: &str, faults: &FaultSet) -> (String, Vec<FaultKind>) {
-        let stmt = parse_stmt(sql).unwrap();
-        let mut plan = LogicalPlan::lower(&stmt);
-        let fired = rewrite(&mut plan, faults);
-        (render_stmt(&plan.to_stmt()), fired)
+        let mut stmt = parse_stmt(sql).unwrap();
+        let fired = rewrite(&mut stmt, faults);
+        (render_stmt(&stmt), fired)
+    }
+
+    fn stmt() -> SelectStmt {
+        parse_stmt(
+            "SELECT t1.a, t2.b FROM t1 JOIN t2 ON t1.k = t2.k \
+             LEFT OUTER JOIN t3 ON t2.k = t3.k WHERE t1.a > 3 AND t2.b = t3.c",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn conjunct_split_is_top_level_only() {
+        let s = stmt();
+        let conjuncts = s.where_clause.as_ref().unwrap().conjuncts();
+        assert_eq!(conjuncts.len(), 2);
+        assert_eq!(qualifiers(conjuncts[0]), Some(vec!["t1".to_string()]));
+        assert_eq!(
+            qualifiers(conjuncts[1]),
+            Some(vec!["t2".to_string(), "t3".to_string()])
+        );
+    }
+
+    #[test]
+    fn column_equality_recognizer() {
+        let s = stmt();
+        let on = s.from.joins[0].on.as_ref().unwrap();
+        let (a, b) = as_column_equality(on).expect("t1.k = t2.k");
+        assert_eq!(a.table.as_deref(), Some("t1"));
+        assert_eq!(b.table.as_deref(), Some("t2"));
+        let not_eq = s.where_clause.as_ref().unwrap().conjuncts()[0];
+        assert!(as_column_equality(not_eq).is_none());
     }
 
     #[test]
@@ -430,13 +498,11 @@ mod tests {
                     FaultKind::OptPushdownPastOuterJoin,
                 ]),
             ] {
-                let stmt = parse_stmt(sql).unwrap();
-                let mut plan = LogicalPlan::lower(&stmt);
-                rewrite(&mut plan, &faults);
-                let once = render_stmt(&plan.to_stmt());
-                let mut plan2 = LogicalPlan::lower(&plan.to_stmt());
-                rewrite(&mut plan2, &faults);
-                let twice = render_stmt(&plan2.to_stmt());
+                let mut stmt = parse_stmt(sql).unwrap();
+                rewrite(&mut stmt, &faults);
+                let once = render_stmt(&stmt);
+                rewrite(&mut stmt, &faults);
+                let twice = render_stmt(&stmt);
                 assert_eq!(once, twice, "rewrite must be idempotent for {sql}");
             }
         }

@@ -90,11 +90,6 @@ impl EnvFaultPolicy {
         }
     }
 
-    /// True when this policy can inject failures.
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Total failures injected so far (0 for the inert policy).
     pub fn injected(&self) -> u64 {
         self.inner
@@ -103,7 +98,8 @@ impl EnvFaultPolicy {
     }
 
     /// Total operations checked so far (0 for the inert policy).
-    pub fn tickets(&self) -> u64 {
+    #[cfg(test)]
+    fn tickets(&self) -> u64 {
         self.inner
             .as_ref()
             .map_or(0, |i| i.tickets.load(Ordering::Relaxed))
@@ -154,7 +150,6 @@ mod tests {
         }
         assert_eq!(p.injected(), 0);
         assert_eq!(p.tickets(), 0);
-        assert!(!p.is_active());
     }
 
     #[test]

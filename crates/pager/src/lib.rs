@@ -11,7 +11,7 @@
 //!
 //! * [`page`] — page images and the on-page codecs (leaf / internal /
 //!   directory), all strict: a torn page decodes to an error, not garbage.
-//! * [`rowcodec`] — `Vec<Value>` ⇄ leaf-cell payload bytes, injective and
+//! * `rowcodec` — `Vec<Value>` ⇄ leaf-cell payload bytes, injective and
 //!   strict, so disk answers can be compared bit-for-bit against row answers.
 //! * [`pool`] — the buffer pool (no-steal: dirty pages never hit the data
 //!   file outside a commit).
@@ -29,13 +29,11 @@
 pub mod envfault;
 pub mod page;
 pub mod pool;
-pub mod rowcodec;
+pub(crate) mod rowcodec;
 pub mod store;
 pub mod wal;
 
 pub use envfault::{EnvFaultOp, EnvFaultPolicy};
-pub use page::{PageBuf, PageCorrupt, PageId, TableMeta, MAX_LEAF_CELLS, PAGE_SIZE};
-pub use pool::{BufferPool, DataFile, PoolStats};
-pub use rowcodec::{decode_row, encode_row, RowCodecError};
+pub use page::MAX_LEAF_CELLS;
 pub use store::{CrashPoint, DiskStore, LeafScan, TableScan, DEFAULT_POOL_FRAMES};
-pub use wal::{RecoveryStats, Wal};
+pub use wal::RecoveryStats;

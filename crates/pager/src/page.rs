@@ -1,6 +1,6 @@
 //! Fixed-size pages and the on-page codecs.
 //!
-//! Every file in a store is an array of [`PAGE_SIZE`]-byte pages. Three page
+//! Every file in a store is an array of `PAGE_SIZE`-byte pages. Three page
 //! kinds exist:
 //!
 //! * **leaf** — B+tree leaf holding `(rowid, payload)` cells in ascending
@@ -15,18 +15,18 @@
 //! garbage rows — a torn page must be *visible* to the layers above.
 
 /// Size of every page, in bytes.
-pub const PAGE_SIZE: usize = 4096;
+pub(crate) const PAGE_SIZE: usize = 4096;
 
 /// Page index inside the data file (page 0 is the table directory).
-pub type PageId = u32;
+pub(crate) type PageId = u32;
 
-pub const KIND_LEAF: u8 = 1;
-pub const KIND_INTERNAL: u8 = 2;
-pub const KIND_DIRECTORY: u8 = 3;
+pub(crate) const KIND_LEAF: u8 = 1;
+pub(crate) const KIND_INTERNAL: u8 = 2;
+pub(crate) const KIND_DIRECTORY: u8 = 3;
 
 /// Leaf flag: this leaf overflowed and handed its high end to a new sibling
 /// — the metadata the seeded "split loses the high key" fault keys on.
-pub const FLAG_SPLIT_ORIGIN: u8 = 0b0000_0001;
+pub(crate) const FLAG_SPLIT_ORIGIN: u8 = 0b0000_0001;
 
 const LEAF_HEADER: usize = 12; // kind, flags, count u16, next u32, free u32
 const INTERNAL_HEADER: usize = 8; // kind, flags, count u16, padding u32
@@ -38,7 +38,7 @@ pub const MAX_LEAF_CELLS: usize = 32;
 
 /// One fixed-size page image.
 #[derive(Clone, PartialEq, Eq)]
-pub struct PageBuf(pub Box<[u8; PAGE_SIZE]>);
+pub(crate) struct PageBuf(pub Box<[u8; PAGE_SIZE]>);
 
 impl std::fmt::Debug for PageBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -61,7 +61,7 @@ impl PageBuf {
         &self.0
     }
 
-    pub fn as_bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
         &mut self.0
     }
 }
@@ -94,7 +94,7 @@ fn write_u64(b: &mut [u8], at: usize, v: u64) {
 
 /// Decoding error: the page image does not parse as its claimed kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PageCorrupt(pub String);
+pub(crate) struct PageCorrupt(pub String);
 
 impl std::fmt::Display for PageCorrupt {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -107,29 +107,29 @@ impl std::fmt::Display for PageCorrupt {
 // ---------------------------------------------------------------------------
 
 /// Typed view over a leaf page.
-pub struct Leaf;
+pub(crate) struct Leaf;
 
 impl Leaf {
     /// Format `page` as a fresh, empty leaf.
-    pub fn init(page: &mut PageBuf) {
+    pub(crate) fn init(page: &mut PageBuf) {
         let b = page.as_bytes_mut();
         b.fill(0);
         b[0] = KIND_LEAF;
         write_u32(b, 8, LEAF_HEADER as u32);
     }
 
-    pub fn cell_count(page: &PageBuf) -> usize {
+    pub(crate) fn cell_count(page: &PageBuf) -> usize {
         read_u16(page.as_bytes(), 2) as usize
     }
 
-    pub fn next_leaf(page: &PageBuf) -> Option<PageId> {
+    pub(crate) fn next_leaf(page: &PageBuf) -> Option<PageId> {
         match read_u32(page.as_bytes(), 4) {
             0 => None, // page 0 is the directory, so 0 is a safe sentinel
             id => Some(id),
         }
     }
 
-    pub fn set_next_leaf(page: &mut PageBuf, next: PageId) {
+    pub(crate) fn set_next_leaf(page: &mut PageBuf, next: PageId) {
         write_u32(page.as_bytes_mut(), 4, next);
     }
 
@@ -137,7 +137,7 @@ impl Leaf {
         page.as_bytes()[1] & FLAG_SPLIT_ORIGIN != 0
     }
 
-    pub fn mark_split_origin(page: &mut PageBuf) {
+    pub(crate) fn mark_split_origin(page: &mut PageBuf) {
         page.as_bytes_mut()[1] |= FLAG_SPLIT_ORIGIN;
     }
 
@@ -153,7 +153,7 @@ impl Leaf {
 
     /// Append one `(rowid, payload)` cell. Caller must have checked
     /// [`fits`](Self::fits); rowids must arrive in ascending order.
-    pub fn push_cell(page: &mut PageBuf, rowid: u64, payload: &[u8]) {
+    pub(crate) fn push_cell(page: &mut PageBuf, rowid: u64, payload: &[u8]) {
         let at = Self::free_offset(page);
         let count = Self::cell_count(page);
         let b = page.as_bytes_mut();
@@ -220,26 +220,26 @@ impl Leaf {
 /// Typed view over a B+tree internal node: `(first_rowid, child)` entries in
 /// ascending first_rowid order; `child` covers rowids in
 /// `[first_rowid, next_entry.first_rowid)`.
-pub struct Internal;
+pub(crate) struct Internal;
 
 impl Internal {
-    pub fn init(page: &mut PageBuf) {
+    pub(crate) fn init(page: &mut PageBuf) {
         let b = page.as_bytes_mut();
         b.fill(0);
         b[0] = KIND_INTERNAL;
     }
 
-    pub fn entry_count(page: &PageBuf) -> usize {
+    pub(crate) fn entry_count(page: &PageBuf) -> usize {
         read_u16(page.as_bytes(), 2) as usize
     }
 
-    pub const MAX_ENTRIES: usize = (PAGE_SIZE - INTERNAL_HEADER) / INTERNAL_ENTRY;
+    pub(crate) const MAX_ENTRIES: usize = (PAGE_SIZE - INTERNAL_HEADER) / INTERNAL_ENTRY;
 
     pub fn fits(page: &PageBuf) -> bool {
         Self::entry_count(page) < Self::MAX_ENTRIES
     }
 
-    pub fn push_entry(page: &mut PageBuf, first_rowid: u64, child: PageId) {
+    pub(crate) fn push_entry(page: &mut PageBuf, first_rowid: u64, child: PageId) {
         let count = Self::entry_count(page);
         let at = INTERNAL_HEADER + count * INTERNAL_ENTRY;
         let b = page.as_bytes_mut();
@@ -271,7 +271,7 @@ impl Internal {
     }
 
     /// The child covering `rowid`: last entry with `first_rowid <= rowid`.
-    pub fn child_for(page: &PageBuf, rowid: u64) -> Result<Option<PageId>, PageCorrupt> {
+    pub(crate) fn child_for(page: &PageBuf, rowid: u64) -> Result<Option<PageId>, PageCorrupt> {
         let entries = Self::entries(page)?;
         Ok(entries
             .iter()
@@ -282,12 +282,12 @@ impl Internal {
     }
 
     /// The first (leftmost) child — the entry of the scan chain.
-    pub fn first_child(page: &PageBuf) -> Result<Option<PageId>, PageCorrupt> {
+    pub(crate) fn first_child(page: &PageBuf) -> Result<Option<PageId>, PageCorrupt> {
         Ok(Self::entries(page)?.first().map(|(_, c)| *c))
     }
 
     /// The last (rightmost) child — the insert path of an append-only tree.
-    pub fn last_child(page: &PageBuf) -> Result<Option<PageId>, PageCorrupt> {
+    pub(crate) fn last_child(page: &PageBuf) -> Result<Option<PageId>, PageCorrupt> {
         Ok(Self::entries(page)?.last().map(|(_, c)| *c))
     }
 }
@@ -312,19 +312,14 @@ pub struct TableMeta {
 }
 
 /// Typed view over page 0.
-pub struct Directory;
+pub(crate) struct Directory;
 
 impl Directory {
-    pub fn init(page: &mut PageBuf) {
+    pub(crate) fn init(page: &mut PageBuf) {
         let b = page.as_bytes_mut();
         b.fill(0);
         b[0] = KIND_DIRECTORY;
         write_u32(b, 4, 1); // pages allocated so far (the directory itself)
-    }
-
-    /// Total pages allocated in the data file (committed state).
-    pub fn page_count(page: &PageBuf) -> u32 {
-        read_u32(page.as_bytes(), 4)
     }
 
     pub fn encode(page: &mut PageBuf, page_count: u32, tables: &[TableMeta]) {

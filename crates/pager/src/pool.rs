@@ -1,9 +1,9 @@
 //! The buffer pool: a fixed set of in-memory frames over the data file, with
-//! pin counts and LRU eviction.
+//! LRU eviction.
 //!
-//! Policy is **no-steal**: only clean, unpinned frames are evicted, so a
-//! dirty page never reaches the data file outside a commit's WAL-first
-//! protocol. If every frame is dirty or pinned the pool temporarily exceeds
+//! Policy is **no-steal**: only clean frames are evicted, so a dirty page
+//! never reaches the data file outside a commit's WAL-first protocol. If
+//! every frame is dirty the pool temporarily exceeds
 //! its capacity rather than break that invariant (the store's commit batches
 //! touch a bounded handful of pages, so the overshoot is small and
 //! self-healing at the next flush).
@@ -15,7 +15,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// The data file as an array of pages.
 #[derive(Debug)]
-pub struct DataFile {
+pub(crate) struct DataFile {
     file: File,
 }
 
@@ -24,13 +24,13 @@ impl DataFile {
         DataFile { file }
     }
 
-    pub fn read_page(&mut self, id: PageId, into: &mut PageBuf) -> io::Result<()> {
+    pub(crate) fn read_page(&mut self, id: PageId, into: &mut PageBuf) -> io::Result<()> {
         self.file
             .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
         self.file.read_exact(into.as_bytes_mut().as_mut_slice())
     }
 
-    pub fn write_page(&mut self, id: PageId, page: &PageBuf) -> io::Result<()> {
+    pub(crate) fn write_page(&mut self, id: PageId, page: &PageBuf) -> io::Result<()> {
         self.file
             .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
         self.file.write_all(page.as_bytes().as_slice())
@@ -38,7 +38,7 @@ impl DataFile {
 
     /// Write only the first half of the page — the torn write a mid-flush
     /// crash leaves behind. Recovery must repair this from the WAL image.
-    pub fn write_torn(&mut self, id: PageId, page: &PageBuf) -> io::Result<()> {
+    pub(crate) fn write_torn(&mut self, id: PageId, page: &PageBuf) -> io::Result<()> {
         self.file
             .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
         self.file.write_all(&page.as_bytes()[..PAGE_SIZE / 2])
@@ -60,7 +60,6 @@ struct Frame {
     page_id: PageId,
     page: PageBuf,
     dirty: bool,
-    pins: u32,
     last_used: u64,
 }
 
@@ -73,10 +72,10 @@ pub struct PoolStats {
 }
 
 /// Frame index inside the pool (invalidated by the next fetch/evict).
-pub type FrameIdx = usize;
+pub(crate) type FrameIdx = usize;
 
 #[derive(Debug)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     capacity: usize,
     frames: Vec<Frame>,
     map: HashMap<PageId, FrameIdx>,
@@ -104,17 +103,13 @@ impl BufferPool {
         self.stats
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn touch(&mut self, idx: FrameIdx) {
         self.tick += 1;
         self.frames[idx].last_used = self.tick;
     }
 
     /// Make room for one more frame if at capacity: evict the
-    /// least-recently-used clean, unpinned frame. No candidate → overshoot.
+    /// least-recently-used clean frame. No candidate → overshoot.
     fn make_room(&mut self) {
         if self.frames.len() < self.capacity {
             return;
@@ -123,7 +118,7 @@ impl BufferPool {
             .frames
             .iter()
             .enumerate()
-            .filter(|(_, f)| !f.dirty && f.pins == 0)
+            .filter(|(_, f)| !f.dirty)
             .min_by_key(|(_, f)| f.last_used)
             .map(|(i, _)| i);
         if let Some(idx) = victim {
@@ -134,7 +129,7 @@ impl BufferPool {
     }
 
     /// Fetch `id` into a frame, reading from `file` on a miss.
-    pub fn fetch(&mut self, file: &mut DataFile, id: PageId) -> io::Result<FrameIdx> {
+    pub(crate) fn fetch(&mut self, file: &mut DataFile, id: PageId) -> io::Result<FrameIdx> {
         if let Some(&idx) = self.map.get(&id) {
             self.stats.hits += 1;
             tqs_telemetry::counter!("pager.pool.hits").incr();
@@ -151,7 +146,6 @@ impl BufferPool {
             page_id: id,
             page,
             dirty: false,
-            pins: 0,
             last_used: 0,
         });
         self.map.insert(id, idx);
@@ -160,7 +154,7 @@ impl BufferPool {
     }
 
     /// Install a frame for a freshly allocated page (no backing bytes yet).
-    pub fn install_fresh(&mut self, id: PageId) -> FrameIdx {
+    pub(crate) fn install_fresh(&mut self, id: PageId) -> FrameIdx {
         debug_assert!(!self.map.contains_key(&id), "page {id} already framed");
         self.make_room();
         let idx = self.frames.len();
@@ -168,7 +162,6 @@ impl BufferPool {
             page_id: id,
             page: PageBuf::default(),
             dirty: true,
-            pins: 0,
             last_used: 0,
         });
         self.map.insert(id, idx);
@@ -200,22 +193,13 @@ impl BufferPool {
     }
 
     /// Mutable access marks the frame dirty.
-    pub fn page_mut(&mut self, idx: FrameIdx) -> &mut PageBuf {
+    pub(crate) fn page_mut(&mut self, idx: FrameIdx) -> &mut PageBuf {
         self.frames[idx].dirty = true;
         &mut self.frames[idx].page
     }
 
-    pub fn pin(&mut self, idx: FrameIdx) {
-        self.frames[idx].pins += 1;
-    }
-
-    pub fn unpin(&mut self, idx: FrameIdx) {
-        debug_assert!(self.frames[idx].pins > 0, "unpin of an unpinned frame");
-        self.frames[idx].pins = self.frames[idx].pins.saturating_sub(1);
-    }
-
     /// Dirty page ids, ascending — the commit batch's WAL image set.
-    pub fn dirty_page_ids(&self) -> Vec<PageId> {
+    pub(crate) fn dirty_page_ids(&self) -> Vec<PageId> {
         let mut ids: Vec<PageId> = self
             .frames
             .iter()
@@ -227,13 +211,13 @@ impl BufferPool {
     }
 
     /// The current in-pool image of `id`, if framed.
-    pub fn image_of(&self, id: PageId) -> Option<&PageBuf> {
+    pub(crate) fn image_of(&self, id: PageId) -> Option<&PageBuf> {
         self.map.get(&id).map(|&idx| &self.frames[idx].page)
     }
 
     /// Flush every dirty frame to the data file and clear its dirty bit,
     /// recording each page's first-flushed leaf cell count.
-    pub fn flush_dirty(&mut self, file: &mut DataFile) -> io::Result<()> {
+    pub(crate) fn flush_dirty(&mut self, file: &mut DataFile) -> io::Result<()> {
         let mut idxs: Vec<FrameIdx> = (0..self.frames.len())
             .filter(|&i| self.frames[i].dirty)
             .collect();
@@ -291,20 +275,20 @@ mod tests {
         for id in 0..4u32 {
             pool.fetch(&mut file, id).unwrap();
         }
-        // dirty page 0, pin page 1; re-touch page 3 so page 2 is coldest
+        // dirty pages 0 and 1; re-touch page 3 so page 2 is coldest
         let idx0 = pool.fetch(&mut file, 0).unwrap();
         pool.page_mut(idx0);
         let idx1 = pool.fetch(&mut file, 1).unwrap();
-        pool.pin(idx1);
+        pool.page_mut(idx1);
         pool.fetch(&mut file, 3).unwrap();
-        // a miss must evict page 2 (clean, unpinned, coldest)
+        // a miss must evict page 2 (clean, coldest)
         pool.fetch(&mut file, 7).unwrap();
         assert!(pool.image_of(0).is_some(), "dirty frame survives");
-        assert!(pool.image_of(1).is_some(), "pinned frame survives");
+        assert!(pool.image_of(1).is_some(), "dirty frame survives");
         assert!(pool.image_of(2).is_none(), "cold clean frame evicted");
         assert!(pool.image_of(3).is_some());
         assert_eq!(pool.stats().evictions, 1);
-        // dirty + pinned everywhere → pool overshoots instead of stealing
+        // dirty everywhere → pool overshoots instead of stealing
         let idx3 = pool.fetch(&mut file, 3).unwrap();
         pool.page_mut(idx3);
         let idx7 = pool.fetch(&mut file, 7).unwrap();

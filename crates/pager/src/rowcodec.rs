@@ -20,7 +20,7 @@ const TAG_DATE: u8 = 9;
 
 /// Decoding failure (truncated payload, unknown tag, bad UTF-8).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowCodecError(pub String);
+pub(crate) struct RowCodecError(pub String);
 
 impl std::fmt::Display for RowCodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -29,7 +29,7 @@ impl std::fmt::Display for RowCodecError {
 }
 
 /// Append the encoding of `row` to `out`.
-pub fn encode_row(row: &[Value], out: &mut Vec<u8>) {
+pub(crate) fn encode_row(row: &[Value], out: &mut Vec<u8>) {
     out.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
         match v {
@@ -108,7 +108,7 @@ fn array<const N: usize>(s: &[u8]) -> [u8; N] {
 }
 
 /// Decode one row payload produced by [`encode_row`].
-pub fn decode_row(bytes: &[u8]) -> Result<Vec<Value>, RowCodecError> {
+pub(crate) fn decode_row(bytes: &[u8]) -> Result<Vec<Value>, RowCodecError> {
     let mut cur = Cursor { bytes, at: 0 };
     let n = u16::from_le_bytes(array(cur.take(2)?)) as usize;
     let mut row = Vec::with_capacity(n);

@@ -40,7 +40,7 @@ pub struct RecoveryStats {
 
 /// An append-only write-ahead log file.
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     file: File,
     env: EnvFaultPolicy,
 }
@@ -63,7 +63,8 @@ impl Wal {
     /// Route this log's writes and fsyncs through an environmental fault
     /// policy (chaos testing). An injected write failure leaves a torn tail
     /// — exactly what recovery's scan is built to discard.
-    pub fn set_env_faults(&mut self, env: EnvFaultPolicy) {
+    #[cfg(test)]
+    fn set_env_faults(&mut self, env: EnvFaultPolicy) {
         self.env = env;
     }
 
@@ -71,13 +72,9 @@ impl Wal {
         Ok(self.file.metadata()?.len())
     }
 
-    pub fn is_empty(&self) -> io::Result<bool> {
-        Ok(self.len()? == 0)
-    }
-
     /// Append one commit batch — page images then the commit record — with a
     /// single write. **Not yet durable**: call [`Wal::sync`] afterwards.
-    pub fn append_batch(
+    pub(crate) fn append_batch(
         &mut self,
         images: &[(PageId, &PageBuf)],
         batch_seq: u64,
@@ -112,7 +109,7 @@ impl Wal {
 
     /// Truncate back to `len` — used to emulate the OS page cache losing an
     /// appended-but-never-fsynced batch in a crash.
-    pub fn truncate_to(&mut self, len: u64) -> io::Result<()> {
+    pub(crate) fn truncate_to(&mut self, len: u64) -> io::Result<()> {
         self.file.set_len(len)?;
         self.file.seek(SeekFrom::Start(len))?;
         Ok(())
@@ -319,9 +316,9 @@ mod tests {
         let t = TempWal::new("reset");
         let mut wal = Wal::open(&t.wal_path).unwrap();
         wal.append_batch(&[(0, &leaf_with(&[1]))], 1).unwrap();
-        assert!(!wal.is_empty().unwrap());
+        assert!(wal.len().unwrap() > 0);
         wal.reset().unwrap();
-        assert!(wal.is_empty().unwrap());
+        assert_eq!(wal.len().unwrap(), 0);
         let mut data = t.data();
         assert_eq!(wal.replay(&mut data).unwrap(), RecoveryStats::default());
     }

@@ -54,17 +54,8 @@ impl Bitmap {
         self.len = new_len;
     }
 
-    pub fn count_ones(&self) -> usize {
+    pub(crate) fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Fraction of set bits; used to order jump intersections.
-    pub fn density(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.count_ones() as f64 / self.len as f64
-        }
     }
 
     pub fn and(&self, other: &Bitmap) -> Bitmap {
@@ -76,7 +67,7 @@ impl Bitmap {
     }
 
     /// `self AND NOT other` — the anti-join rule.
-    pub fn and_not(&self, other: &Bitmap) -> Bitmap {
+    pub(crate) fn and_not(&self, other: &Bitmap) -> Bitmap {
         self.zip_with(other, |a, b| a & !b)
     }
 
@@ -127,27 +118,6 @@ impl Bitmap {
         b.mask_tail();
         b
     }
-}
-
-/// Multi-way intersection using the jump-intersection heuristic: order the
-/// operands by ascending density so the sparsest bitmap prunes first.
-pub fn jump_intersect(bitmaps: &[&Bitmap]) -> Bitmap {
-    assert!(!bitmaps.is_empty());
-    let mut order: Vec<usize> = (0..bitmaps.len()).collect();
-    order.sort_by(|&a, &b| {
-        bitmaps[a]
-            .density()
-            .partial_cmp(&bitmaps[b].density())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut acc = bitmaps[order[0]].clone();
-    for &i in &order[1..] {
-        if acc.count_ones() == 0 {
-            break; // jump out early
-        }
-        acc = acc.and(bitmaps[i]);
-    }
-    acc
 }
 
 /// The join bitmap index: one bitmap per schema table, aligned on wide-table
@@ -247,23 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn full_and_density() {
+    fn full_and_empty() {
         let f = Bitmap::full(70);
         assert_eq!(f.count_ones(), 70);
-        assert!((f.density() - 1.0).abs() < 1e-9);
         assert!(Bitmap::new(0).is_empty());
-    }
-
-    #[test]
-    fn jump_intersect_orders_by_sparsity() {
-        let dense = Bitmap::full(200);
-        let medium = bm(&(0..100).collect::<Vec<_>>(), 200);
-        let sparse = bm(&[3, 50, 150], 200);
-        let out = jump_intersect(&[&dense, &medium, &sparse]);
-        assert_eq!(out.ones(), vec![3, 50]);
-        // intersect with an empty bitmap jumps out early and yields empty
-        let empty = Bitmap::new(200);
-        assert_eq!(jump_intersect(&[&dense, &empty, &sparse]).count_ones(), 0);
     }
 
     #[test]

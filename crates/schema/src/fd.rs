@@ -178,7 +178,7 @@ impl FdSet {
 
     /// All attributes transitively determined by the single column `col`
     /// (excluding `col` itself). This is `Fd(col_k)` in §3.2.
-    pub fn determined_by(&self, col: &str) -> Vec<String> {
+    pub(crate) fn determined_by(&self, col: &str) -> Vec<String> {
         let mut out: Vec<String> = self
             .closure(&[col.to_string()])
             .into_iter()
@@ -190,7 +190,7 @@ impl FdSet {
 
     /// A candidate key of the full attribute set: start from all attributes
     /// and greedily drop any attribute still implied by the rest.
-    pub fn candidate_key(&self) -> Vec<String> {
+    pub(crate) fn candidate_key(&self) -> Vec<String> {
         let mut key: Vec<String> = self.attributes.clone();
         let all: HashSet<String> = self.attributes.iter().cloned().collect();
         let mut i = 0;

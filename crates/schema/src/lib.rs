@@ -6,25 +6,24 @@
 //! * [`normalize`] — 3NF synthesis of the wide table into schema tables with
 //!   explicit RowIDs, the populated [`tqs_storage::Catalog`], the RowID map
 //!   and the join bitmap index (§3.1).
-//! * [`rowmap`] / [`bitmap`] — the RowID map table and the uncompressed
+//! * `rowmap` / [`bitmap`] — the RowID map table and the uncompressed
 //!   join bitmap index with jump intersection.
 //! * [`noise`] — noise injection with wide-table synchronization (§3.2).
 //! * [`groundtruth`] — ground-truth result recovery per Table 2 (§3.4).
-//! * [`schemagraph`] — the schema graph `G_s` walked by the query generator.
+//! * `schemagraph` — the schema graph `G_s` walked by the query generator.
 
 pub mod bitmap;
 pub mod fd;
 pub mod groundtruth;
 pub mod noise;
 pub mod normalize;
-pub mod rowmap;
-pub mod schemagraph;
+pub(crate) mod rowmap;
+pub(crate) mod schemagraph;
 
-pub use bitmap::{jump_intersect, Bitmap, JoinBitmapIndex};
-pub use fd::{Fd, FdDiscoveryConfig, FdSet};
+pub use fd::{FdDiscoveryConfig, FdSet};
 pub use groundtruth::{GroundTruth, GroundTruthEvaluator, GtError};
-pub use noise::{inject_noise, NoiseCase, NoiseConfig, NoiseKind, NoiseRecord};
-pub use normalize::{normalize, NormalizedDb, SchemaTableMeta};
+pub use noise::{inject_noise, NoiseConfig, NoiseRecord};
+pub use normalize::{normalize, NormalizedDb};
 pub use rowmap::RowIdMap;
 pub use schemagraph::{ColumnVertex, JoinEdge, SchemaGraph};
 

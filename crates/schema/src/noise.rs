@@ -164,7 +164,7 @@ fn collect_existing(db: &NormalizedDb, table: &str, column: &str) -> HashSet<Str
 }
 
 /// Apply one corruption and synchronize the wide table, RowID map and bitmap.
-pub fn apply_noise(
+pub(crate) fn apply_noise(
     db: &mut NormalizedDb,
     table: &str,
     column: &str,

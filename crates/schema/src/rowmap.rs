@@ -69,7 +69,8 @@ impl RowIdMap {
     }
 
     /// Number of wide rows that map into `table`.
-    pub fn mapped_count(&self, table: &str) -> usize {
+    #[cfg(test)]
+    pub(crate) fn mapped_count(&self, table: &str) -> usize {
         let ti = match self.table_index(table) {
             Some(i) => i,
             None => return 0,

@@ -184,6 +184,28 @@ impl Expr {
         Some(acc)
     }
 
+    /// The top-level AND conjuncts of this expression, left to right; any
+    /// other expression (an OR included) is one conjunct.
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        let mut out = Vec::new();
+        self.collect_conjuncts(&mut out);
+        out
+    }
+
+    fn collect_conjuncts<'a>(&'a self, out: &mut Vec<&'a Expr>) {
+        if let Expr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } = self
+        {
+            left.collect_conjuncts(out);
+            right.collect_conjuncts(out);
+        } else {
+            out.push(self);
+        }
+    }
+
     /// All column references appearing in this expression (not descending
     /// into subqueries — those have their own scopes).
     pub fn column_refs(&self) -> Vec<&ColumnRef> {
@@ -392,11 +414,6 @@ impl JoinType {
             JoinType::Anti => "anti join",
         }
     }
-
-    /// Whether the verification mode is full-set or subset (Table 2).
-    pub fn verification_is_subset(self) -> bool {
-        matches!(self, JoinType::Cross)
-    }
 }
 
 /// A table reference in FROM, with optional alias.
@@ -411,12 +428,6 @@ impl TableRef {
         TableRef {
             table: table.into(),
             alias: None,
-        }
-    }
-    pub fn aliased(table: impl Into<String>, alias: impl Into<String>) -> Self {
-        TableRef {
-            table: table.into(),
-            alias: Some(alias.into()),
         }
     }
     /// Name by which columns of this table are qualified.
@@ -521,7 +532,8 @@ impl SelectStmt {
     }
 
     /// Join types used, in FROM order.
-    pub fn join_types(&self) -> Vec<JoinType> {
+    #[cfg(test)]
+    pub(crate) fn join_types(&self) -> Vec<JoinType> {
         self.from.joins.iter().map(|j| j.join_type).collect()
     }
 
@@ -754,6 +766,15 @@ mod tests {
     }
 
     #[test]
+    fn conjuncts_split_nested_ands_left_to_right_and_keep_an_or_whole() {
+        let lit = |i| Expr::lit(Value::Int(i));
+        let or = Expr::or(lit(3), lit(4));
+        let e = Expr::and(Expr::and(lit(1), Expr::and(lit(2), or.clone())), lit(5));
+        assert_eq!(e.conjuncts(), vec![&lit(1), &lit(2), &or, &lit(5)]);
+        assert_eq!(or.conjuncts(), vec![&or]);
+    }
+
+    #[test]
     fn subquery_detection() {
         let sub = sample_query();
         let e = Expr::InSubquery {
@@ -842,8 +863,6 @@ mod tests {
     #[test]
     fn join_type_metadata() {
         assert_eq!(JoinType::ALL.len(), 7);
-        assert!(JoinType::Cross.verification_is_subset());
-        assert!(!JoinType::Inner.verification_is_subset());
         assert_eq!(JoinType::Semi.graph_label(), "semi join");
     }
 

@@ -473,7 +473,7 @@ fn tv_compare(l: &Value, r: &Value, pred: impl Fn(Ordering) -> bool) -> Option<b
     }
 }
 
-pub fn tv_and(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+pub(crate) fn tv_and(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     match (a, b) {
         (Some(false), _) | (_, Some(false)) => Some(false),
         (Some(true), Some(true)) => Some(true),
@@ -481,7 +481,7 @@ pub fn tv_and(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     }
 }
 
-pub fn tv_or(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+pub(crate) fn tv_or(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     match (a, b) {
         (Some(true), _) | (_, Some(true)) => Some(true),
         (Some(false), Some(false)) => Some(false),
@@ -489,11 +489,11 @@ pub fn tv_or(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     }
 }
 
-pub fn tv_not(a: Option<bool>) -> Option<bool> {
+pub(crate) fn tv_not(a: Option<bool>) -> Option<bool> {
     a.map(|b| !b)
 }
 
-pub fn tv_to_value(tv: Option<bool>) -> Value {
+pub(crate) fn tv_to_value(tv: Option<bool>) -> Value {
     match tv {
         None => Value::Null,
         Some(b) => Value::Bool(b),
@@ -527,7 +527,7 @@ pub fn in_membership(probe: &Value, members: &[Value]) -> Option<bool> {
 }
 
 /// Correct CAST semantics (the faulty engine paths implement their own).
-pub fn cast_value(v: &Value, ty: crate::types::ColumnType) -> Value {
+pub(crate) fn cast_value(v: &Value, ty: crate::types::ColumnType) -> Value {
     use crate::types::ColumnType as T;
     if v.is_null() {
         return Value::Null;

@@ -31,6 +31,36 @@ pub use hints::{Hint, HintSet, SemiJoinStrategy, SessionSwitch, SwitchName};
 pub use types::{ColumnDef, ColumnType};
 pub use value::{Decimal, Value};
 
+/// Standard 64-bit FNV-1a over a byte string (prime `0x100000001b3`).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(0x100_0000_01b3, bytes)
+}
+
+/// The hash behind every persisted fingerprint and digest: plan graphs,
+/// enumerated plans, statement seeds and a campaign's DSG recipe. It is the
+/// FNV-1a fold with the prime `2^48 + 0x1b3` in place of the standard
+/// `0x100000001b3`. Corpora and checkpoints already hold its values, so it
+/// keeps that prime; it is not `DefaultHasher`, whose output may change
+/// across Rust releases.
+pub fn fingerprint_hash(bytes: &[u8]) -> u64 {
+    fnv1a_fold(0x1_0000_0000_01b3, bytes)
+}
+
+fn fnv1a_fold(prime: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(prime)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     use crate::parser::{parse_expr, parse_stmt};

@@ -212,8 +212,9 @@ pub fn parse_program(sql: &str) -> Result<Vec<DmlStmt>, ParseError> {
     Ok(out)
 }
 
-/// Parse a standalone expression (used by tests and the reducer).
-pub fn parse_expr(sql: &str) -> Result<Expr, ParseError> {
+/// Parse a standalone expression.
+#[cfg(test)]
+pub(crate) fn parse_expr(sql: &str) -> Result<Expr, ParseError> {
     let toks = Lexer::new(sql).tokens()?;
     let mut p = Parser { toks, idx: 0 };
     let e = p.parse_or()?;
@@ -900,7 +901,7 @@ fn parse_number_literal(n: &str) -> Value {
 }
 
 /// Parse the body of a `/*+ ... */` comment into structured hints.
-pub fn parse_hints(body: &str) -> Result<Vec<Hint>, String> {
+pub(crate) fn parse_hints(body: &str) -> Result<Vec<Hint>, String> {
     let mut hints = Vec::new();
     let mut rest = body.trim();
     while !rest.is_empty() {

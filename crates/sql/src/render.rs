@@ -156,7 +156,7 @@ fn render_table_ref(t: &TableRef) -> String {
 }
 
 /// Render an expression with minimal but unambiguous parenthesization.
-pub fn render_expr(e: &Expr) -> String {
+pub(crate) fn render_expr(e: &Expr) -> String {
     render_expr_prec(e, 0)
 }
 

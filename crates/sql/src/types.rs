@@ -43,7 +43,7 @@ pub enum ColumnType {
 }
 
 impl ColumnType {
-    pub fn is_integer(&self) -> bool {
+    pub(crate) fn is_integer(&self) -> bool {
         matches!(
             self,
             ColumnType::TinyInt { .. }
@@ -54,7 +54,7 @@ impl ColumnType {
         )
     }
 
-    pub fn is_numeric(&self) -> bool {
+    pub(crate) fn is_numeric(&self) -> bool {
         self.is_integer()
             || matches!(
                 self,
@@ -62,7 +62,7 @@ impl ColumnType {
             )
     }
 
-    pub fn is_string(&self) -> bool {
+    pub(crate) fn is_string(&self) -> bool {
         matches!(
             self,
             ColumnType::Varchar(_) | ColumnType::Char(_) | ColumnType::Text

@@ -27,12 +27,12 @@ impl Decimal {
     }
 
     /// Lossy conversion to double, used by coercion paths.
-    pub fn to_f64(self) -> f64 {
+    pub(crate) fn to_f64(self) -> f64 {
         self.mantissa as f64 / 10f64.powi(self.scale as i32)
     }
 
     /// Rescale both operands to a common scale and compare exactly.
-    pub fn cmp_exact(self, other: Decimal) -> Ordering {
+    pub(crate) fn cmp_exact(self, other: Decimal) -> Ordering {
         let scale = self.scale.max(other.scale);
         let a = self.mantissa * 10i128.pow((scale - self.scale) as u32);
         let b = other.mantissa * 10i128.pow((scale - other.scale) as u32);
@@ -46,10 +46,6 @@ impl Decimal {
             self.scale -= 1;
         }
         self
-    }
-
-    pub fn is_zero(self) -> bool {
-        self.mantissa == 0
     }
 }
 
@@ -154,7 +150,7 @@ impl Value {
 
     /// Truthiness for `WHERE` predicates: NULL → None (unknown),
     /// numbers → non-zero, strings → numeric prefix non-zero.
-    pub fn truthiness(&self) -> Option<bool> {
+    pub(crate) fn truthiness(&self) -> Option<bool> {
         match self {
             Value::Null => None,
             Value::Bool(b) => Some(*b),
@@ -165,7 +161,7 @@ impl Value {
 
 /// Parse a numeric prefix the way MySQL coerces strings in numeric context:
 /// `"12abc"` → 12, `"abc"` → 0, `"-3.5x"` → -3.5.
-pub fn parse_numeric_prefix(s: &str) -> f64 {
+pub(crate) fn parse_numeric_prefix(s: &str) -> f64 {
     let t = s.trim_start();
     let mut end = 0usize;
     let bytes = t.as_bytes();
@@ -209,7 +205,7 @@ pub enum SqlCmp {
 }
 
 impl SqlCmp {
-    pub fn is_eq(self) -> Option<bool> {
+    pub(crate) fn is_eq(self) -> Option<bool> {
         match self {
             SqlCmp::Unknown => None,
             SqlCmp::Ordering(o) => Some(o == Ordering::Equal),
@@ -276,7 +272,7 @@ pub fn collate_cmp(a: &str, b: &str) -> Ordering {
 /// Total order over doubles that collapses `-0.0`/`0.0` and sorts NaN last.
 /// Correct engines must compare `0` and `-0` as equal; one of the injected
 /// faults replaces this with a bit-pattern comparison.
-pub fn total_f64(a: f64, b: f64) -> Ordering {
+pub(crate) fn total_f64(a: f64, b: f64) -> Ordering {
     if a == b {
         return Ordering::Equal; // also collapses 0.0 / -0.0
     }
@@ -299,8 +295,8 @@ pub fn total_f64(a: f64, b: f64) -> Ordering {
 /// names — all strings, or all exact integers within ±2⁵³. Elsewhere the two
 /// part ways: a string never keys like the number it coerces to, an integer
 /// beyond 2⁵³ can equal a double it does not key like, and a `Decimal` with
-/// a fractional part compares exactly ([`Decimal::cmp_exact`]) but keys
-/// through the lossy [`Decimal::to_f64`], so two different decimals can
+/// a fractional part compares exactly (`Decimal::cmp_exact`) but keys
+/// through the lossy `Decimal::to_f64`, so two different decimals can
 /// share a key. Callers that must agree with `sql_compare` classify their
 /// columns first (the engine's `hash_equivalent_keys` does).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -352,7 +348,7 @@ fn float_key(f: f64) -> HashKey {
 }
 
 /// Collapse -0.0 into +0.0 and all NaNs into one bit pattern.
-pub fn canon_f64_bits(f: f64) -> u64 {
+pub(crate) fn canon_f64_bits(f: f64) -> u64 {
     if f == 0.0 {
         0u64
     } else if f.is_nan() {
@@ -381,7 +377,7 @@ pub enum ColClass {
     /// strings meeting numbers (two equal strings share a numeric prefix).
     /// The converse fails, so the double is a bucket key, not a verdict.
     Num,
-    /// Holds a fractional `Decimal` too wide for [`Decimal::to_f64`] to be
+    /// Holds a fractional `Decimal` too wide for `Decimal::to_f64` to be
     /// the correctly rounded value (mantissa beyond 2⁵³ or scale beyond 15):
     /// `1.50` and `1.5` at that width may convert differently while
     /// comparing equal, so no key at all is known to be faithful.
@@ -476,7 +472,7 @@ impl KeyBuf {
     /// Lossy varchar-via-double fault segment.
     pub const TAG_LOSSY_DOUBLE: u8 = b'D';
     /// String (length-prefixed payload).
-    pub const TAG_STR: u8 = b'S';
+    pub(crate) const TAG_STR: u8 = b'S';
 
     pub fn new() -> KeyBuf {
         KeyBuf::default()

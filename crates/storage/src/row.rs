@@ -34,13 +34,6 @@ impl Row {
         values.extend_from_slice(&other.values);
         Row { values }
     }
-
-    /// A row of `n` NULLs (the padding side of outer joins).
-    pub fn nulls(n: usize) -> Row {
-        Row {
-            values: vec![Value::Null; n],
-        }
-    }
 }
 
 impl From<Vec<Value>> for Row {
@@ -303,7 +296,7 @@ mod tests {
     #[test]
     fn concat_and_nulls() {
         let a = Row::new(vec![Value::Int(1)]);
-        let b = Row::nulls(2);
+        let b = Row::new(vec![Value::Null; 2]);
         let c = a.concat(&b);
         assert_eq!(c.len(), 3);
         assert!(c.get(1).is_null());

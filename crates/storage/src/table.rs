@@ -3,7 +3,7 @@
 use crate::row::Row;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tqs_sql::types::{ColumnDef, ColumnType};
+use tqs_sql::types::ColumnDef;
 use tqs_sql::value::Value;
 
 /// A declared foreign key: `columns` of this table reference `ref_columns`
@@ -50,10 +50,6 @@ impl Table {
         self.columns
             .iter()
             .position(|c| c.name.eq_ignore_ascii_case(name))
-    }
-
-    pub fn column_type(&self, name: &str) -> Option<ColumnType> {
-        self.column_index(name).map(|i| self.columns[i].ty)
     }
 
     pub fn column_names(&self) -> Vec<String> {
@@ -103,15 +99,6 @@ impl Table {
             .ok_or_else(|| format!("row {row} out of range in {}", self.name))?;
         r.values[idx] = v;
         Ok(())
-    }
-
-    /// Does `cols` form (a superset of) the primary key?
-    pub fn is_primary_key(&self, cols: &[String]) -> bool {
-        !self.primary_key.is_empty()
-            && self
-                .primary_key
-                .iter()
-                .all(|pk| cols.iter().any(|c| c.eq_ignore_ascii_case(pk)))
     }
 
     /// Whether any declared key (primary or secondary) starts with `col`,
@@ -189,7 +176,7 @@ impl Catalog {
 
     /// Insert an already-shared table without copying its rows (shard views
     /// and worker replicas hand catalogs around this way).
-    pub fn add_shared_table(&mut self, table: Arc<Table>) {
+    pub(crate) fn add_shared_table(&mut self, table: Arc<Table>) {
         let key = table.name.to_lowercase();
         if !self.tables.contains_key(&key) {
             self.order.push(table.name.clone());
@@ -201,8 +188,9 @@ impl Catalog {
         self.tables.get(&name.to_lowercase()).map(Arc::as_ref)
     }
 
-    /// The shared handle of a table (zero-copy; used to build shard views).
-    pub fn shared_table(&self, name: &str) -> Option<Arc<Table>> {
+    /// The shared handle of a table.
+    #[cfg(test)]
+    fn shared_table(&self, name: &str) -> Option<Arc<Table>> {
         self.tables.get(&name.to_lowercase()).cloned()
     }
 
@@ -246,11 +234,6 @@ impl Catalog {
         }
         out
     }
-
-    /// Total number of rows across tables.
-    pub fn total_rows(&self) -> usize {
-        self.iter().map(Table::row_count).sum()
-    }
 }
 
 #[cfg(test)]
@@ -288,10 +271,6 @@ mod tests {
     fn column_lookup_is_case_insensitive() {
         let t = goods_table();
         assert_eq!(t.column_index("GOODSNAME"), Some(2));
-        assert_eq!(
-            t.column_type("goodsid"),
-            Some(ColumnType::Int { unsigned: false })
-        );
         assert!(t.column_index("missing").is_none());
     }
 
@@ -325,8 +304,6 @@ mod tests {
     #[test]
     fn key_metadata() {
         let t = goods_table();
-        assert!(t.is_primary_key(&["RowID".to_string(), "goodsId".to_string()]));
-        assert!(!t.is_primary_key(&["goodsId".to_string()]));
         assert!(t.has_key_on("rowid"));
         assert!(t.has_key_on("goodsId"));
         assert!(!t.has_key_on("goodsName"));
@@ -367,7 +344,6 @@ mod tests {
         assert_eq!(cat.table_names(), vec!["T3".to_string(), "T4".to_string()]);
         assert!(cat.table("t3").is_some());
         assert_eq!(cat.foreign_key_edges().len(), 1);
-        assert_eq!(cat.total_rows(), 2);
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl WideTable {
     }
 
     /// Attribute columns, excluding `RowID`.
-    pub fn attr_columns(&self) -> &[ColumnDef] {
+    pub(crate) fn attr_columns(&self) -> &[ColumnDef] {
         &self.table.columns[1..]
     }
 

@@ -8,7 +8,7 @@
 //! * [`trace`] — structured spans/events on a thread-local span stack,
 //!   exported in Chrome trace-event format (one event object per line) that
 //!   Perfetto and `chrome://tracing` open directly.
-//! * [`metrics`] — a process-wide registry of atomic counters, gauges and
+//! * [`metrics`] — a process-wide registry of atomic counters and
 //!   log-linear histograms with mergeable [`MetricsSnapshot`]s, serialized
 //!   through the workspace's hand-rolled [`json`] module.
 //! * [`profile`] — per-query [`QueryProfile`]s: operator-level row counts
@@ -36,13 +36,13 @@ pub mod trace;
 
 pub use json::{Json, JsonError};
 pub use metrics::{
-    counter, gauge, histogram, reset_metrics, snapshot_metrics, Counter, Gauge, Histogram,
-    HistogramSnapshot, MetricsSnapshot,
+    counter, histogram, reset_metrics, snapshot_metrics, Counter, Histogram, HistogramSnapshot,
+    MetricsSnapshot,
 };
 pub use profile::{OpProfile, QueryProfile};
 pub use trace::{
-    dropped_events, event, event_with, export_chrome_trace, parse_chrome_trace,
-    render_chrome_trace, span, span_depth, span_with, take_events, SpanGuard, TraceEvent,
+    event, event_with, export_chrome_trace, render_chrome_trace, span, span_with, take_events,
+    SpanGuard, TraceEvent,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

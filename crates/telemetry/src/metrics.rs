@@ -1,8 +1,8 @@
-//! The process-wide metrics registry: atomic counters, gauges and
-//! log-linear histograms with mergeable snapshots.
+//! The process-wide metrics registry: atomic counters and log-linear
+//! histograms with mergeable snapshots.
 //!
-//! Metric handles are `&'static` — a site registers once (the [`counter!`],
-//! [`gauge!`] and [`histogram!`](crate::histogram) macros cache the handle in
+//! Metric handles are `&'static` — a site registers once (the [`counter!`]
+//! and [`histogram!`](crate::histogram) macros cache the handle in
 //! a local `OnceLock`) and then updates are a single relaxed atomic op. Every
 //! update is gated on the global [`enabled`](crate::enabled) flag, so with
 //! telemetry off an instrumented hot path pays one predictable branch on an
@@ -16,7 +16,7 @@
 use crate::enabled;
 use crate::json::Json;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// A monotonically increasing counter.
@@ -43,40 +43,6 @@ impl Counter {
     }
 
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A gauge: a value that goes up and down (queue depths, live cells).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    pub const fn new() -> Gauge {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Set the gauge; a no-op while telemetry is disabled.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Add `delta` (may be negative); a no-op while telemetry is disabled.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if enabled() {
-            self.0.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 
@@ -292,7 +258,6 @@ impl HistogramSnapshot {
 #[derive(Default)]
 struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
-    gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
     histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
 }
 
@@ -309,12 +274,6 @@ pub fn counter(name: &'static str) -> &'static Counter {
     map.entry(name).or_insert_with(|| Box::leak(Box::default()))
 }
 
-/// Register (or look up) the process-wide gauge named `name`.
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    let mut map = registry().gauges.lock().expect("registry poisoned");
-    map.entry(name).or_insert_with(|| Box::leak(Box::default()))
-}
-
 /// Register (or look up) the process-wide histogram named `name`.
 pub fn histogram(name: &'static str) -> &'static Histogram {
     let mut map = registry().histograms.lock().expect("registry poisoned");
@@ -328,9 +287,6 @@ pub fn reset_metrics() {
     for c in r.counters.lock().expect("registry poisoned").values() {
         c.reset();
     }
-    for g in r.gauges.lock().expect("registry poisoned").values() {
-        g.reset();
-    }
     for h in r.histograms.lock().expect("registry poisoned").values() {
         h.reset();
     }
@@ -342,7 +298,6 @@ pub fn reset_metrics() {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, i64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
@@ -351,10 +306,6 @@ impl MetricsSnapshot {
         let mut out = self.clone();
         for (k, v) in &other.counters {
             *out.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            // Gauges are last-writer-wins; "other" is the later snapshot.
-            out.gauges.insert(k.clone(), *v);
         }
         for (k, v) in &other.histograms {
             let merged = match out.histograms.get(k) {
@@ -376,15 +327,6 @@ impl MetricsSnapshot {
                     self.counters
                         .iter()
                         .map(|(k, v)| (k.clone(), Json::count(*v as usize)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges".to_string(),
-                Json::Obj(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
                         .collect(),
                 ),
             ),
@@ -412,13 +354,6 @@ pub fn snapshot_metrics() -> MetricsSnapshot {
             .iter()
             .map(|(k, c)| (k.to_string(), c.get()))
             .collect(),
-        gauges: r
-            .gauges
-            .lock()
-            .expect("registry poisoned")
-            .iter()
-            .map(|(k, g)| (k.to_string(), g.get()))
-            .collect(),
         histograms: r
             .histograms
             .lock()
@@ -438,16 +373,6 @@ macro_rules! counter {
         static HANDLE: std::sync::OnceLock<&'static $crate::metrics::Counter> =
             std::sync::OnceLock::new();
         *HANDLE.get_or_init(|| $crate::metrics::counter($name))
-    }};
-}
-
-/// Cache a `&'static Gauge` handle at the use site.
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        static HANDLE: std::sync::OnceLock<&'static $crate::metrics::Gauge> =
-            std::sync::OnceLock::new();
-        *HANDLE.get_or_init(|| $crate::metrics::gauge($name))
     }};
 }
 
@@ -483,22 +408,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_only_move_while_enabled() {
+    fn counters_only_move_while_enabled() {
         let _g = test_guard();
         let c = counter("test.metrics.gate");
-        let g = gauge("test.metrics.gate.gauge");
         c.reset();
-        g.reset();
         crate::set_enabled(false);
         c.add(5);
-        g.set(9);
         assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
         crate::set_enabled(true);
         c.add(5);
-        g.set(9);
         assert_eq!(c.get(), 5);
-        assert_eq!(g.get(), 9);
         crate::set_enabled(false);
     }
 

@@ -42,15 +42,6 @@ impl QueryProfile {
         });
     }
 
-    pub fn total_ns(&self) -> u64 {
-        self.ops.iter().map(|o| o.ns).sum()
-    }
-
-    /// Rows emitted by the last operator (the statement's output side).
-    pub fn output_rows(&self) -> u64 {
-        self.ops.last().map(|o| o.rows_out).unwrap_or(0)
-    }
-
     pub fn to_json(&self) -> Json {
         Json::Arr(
             self.ops
@@ -90,8 +81,6 @@ mod tests {
         p.push("scan", 0, 240, 1_000);
         p.push("join.hash", 480, 300, 25_000);
         p.push("project", 300, 300, 2_000);
-        assert_eq!(p.total_ns(), 28_000);
-        assert_eq!(p.output_rows(), 300);
         let j = Json::parse(&p.to_json().to_string()).unwrap();
         let arr = j.as_arr().unwrap();
         assert_eq!(arr.len(), 3);

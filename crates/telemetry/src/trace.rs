@@ -10,12 +10,12 @@
 //! telemetry is disabled a span is one atomic load and no allocation.
 //!
 //! The collector is process-wide and capped: a multi-hour campaign cannot
-//! OOM the process by tracing; overflow is counted and reported in the
-//! export instead.
+//! OOM the process by tracing; overflow is dropped and counted in the
+//! `telemetry.trace.dropped_events` metric instead.
 
 use crate::enabled;
 use crate::json::Json;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -61,48 +61,11 @@ impl TraceEvent {
         }
         Json::Obj(members)
     }
-
-    /// Parse one Chrome trace-event object back (the JSONL round-trip tests
-    /// and external tooling use this; export is the primary direction).
-    pub fn from_json(j: &Json) -> Result<TraceEvent, String> {
-        let name = j
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("event missing `name`")?
-            .to_string();
-        let ph = j
-            .get("ph")
-            .and_then(Json::as_str)
-            .and_then(|s| s.chars().next())
-            .ok_or("event missing `ph`")?;
-        let cat = match j.get("cat").and_then(Json::as_str) {
-            Some("engine") => "engine",
-            Some("pager") => "pager",
-            Some("optimizer") => "optimizer",
-            Some("campaign") => "campaign",
-            Some("bench") => "bench",
-            _ => "other",
-        };
-        let num = |k: &str| j.get(k).and_then(Json::as_usize).unwrap_or(0) as u64;
-        Ok(TraceEvent {
-            name,
-            cat,
-            ph,
-            ts_us: num("ts"),
-            dur_us: num("dur"),
-            tid: num("tid"),
-            args: match j.get("args") {
-                Some(Json::Obj(members)) => members.clone(),
-                _ => Vec::new(),
-            },
-        })
-    }
 }
 
 struct Collector {
     epoch: Instant,
     events: Mutex<Vec<TraceEvent>>,
-    dropped: AtomicUsize,
     next_tid: AtomicU64,
 }
 
@@ -111,7 +74,6 @@ fn collector() -> &'static Collector {
     COLLECTOR.get_or_init(|| Collector {
         epoch: Instant::now(),
         events: Mutex::new(Vec::new()),
-        dropped: AtomicUsize::new(0),
         next_tid: AtomicU64::new(1),
     })
 }
@@ -130,7 +92,7 @@ fn push_event(ev: TraceEvent) {
     let mut events = c.events.lock().expect("trace collector poisoned");
     if events.len() >= MAX_EVENTS {
         drop(events);
-        c.dropped.fetch_add(1, Ordering::Relaxed);
+        crate::counter!("telemetry.trace.dropped_events").incr();
         return;
     }
     events.push(ev);
@@ -208,7 +170,8 @@ pub fn span_with(cat: &'static str, name: impl FnOnce() -> String) -> SpanGuard 
 }
 
 /// Current depth of this thread's span stack (0 outside any span).
-pub fn span_depth() -> usize {
+#[cfg(test)]
+fn span_depth() -> usize {
     SPAN_STACK.with(|s| s.borrow().len())
 }
 
@@ -241,11 +204,6 @@ pub fn take_events() -> Vec<TraceEvent> {
     std::mem::take(&mut *collector().events.lock().expect("trace collector poisoned"))
 }
 
-/// Events dropped because the collector cap was reached.
-pub fn dropped_events() -> usize {
-    collector().dropped.load(Ordering::Relaxed)
-}
-
 /// Render events as a Chrome trace document: a JSON array with one event
 /// object per line. Perfetto and `chrome://tracing` open it as-is, and each
 /// body line is itself a complete JSON object (JSONL-greppable).
@@ -261,16 +219,6 @@ pub fn render_chrome_trace(events: &[TraceEvent]) -> String {
     out.push(']');
     out.push('\n');
     out
-}
-
-/// Parse a Chrome trace document produced by [`render_chrome_trace`] back
-/// into events — the round-trip contract the JSONL export is tested against.
-pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let doc = Json::parse(text).map_err(|e| e.to_string())?;
-    let Json::Arr(items) = doc else {
-        return Err("chrome trace must be a top-level array".to_string());
-    };
-    items.iter().map(TraceEvent::from_json).collect()
 }
 
 /// Drain the collector and write a Chrome trace file to `path`.
@@ -353,7 +301,10 @@ mod tests {
         for line in text.lines().filter(|l| l.starts_with('{')) {
             Json::parse(line.trim_end_matches(',')).expect("JSONL body line");
         }
-        let parsed = parse_chrome_trace(&text).unwrap();
-        assert_eq!(parsed, events);
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(
+            parsed,
+            Json::Arr(events.iter().map(TraceEvent::to_json).collect())
+        );
     }
 }
