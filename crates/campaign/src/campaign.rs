@@ -117,7 +117,7 @@ pub enum OracleSpec {
     /// Three-way differential testing: the faulty build against pristine
     /// replicas of *both other* engines. Only the two references vote and a
     /// tie goes to the first, so the expected answer is the first
-    /// reference's; the second vetoes a hint set by failing (see
+    /// reference's; the second can only veto, by failing (see
     /// [`DifferentialOracle`]).
     ThreeWay,
 }

@@ -311,7 +311,7 @@ fn strip_binding_references(stmt: &mut SelectStmt, binding: &str) {
 
 /// The exact text a DBMS executes for `stmt` under `hints`: the session
 /// switches, one per line, then the statement with the hints spliced in.
-pub(crate) fn transformed_sql(stmt: &SelectStmt, hints: &HintSet) -> String {
+fn transformed_sql(stmt: &SelectStmt, hints: &HintSet) -> String {
     let mut transformed = stmt.clone();
     transformed.hints.extend(hints.hints.iter().cloned());
     let mut text: String = hints.switches.iter().map(|s| format!("{s}\n")).collect();

@@ -22,7 +22,7 @@
 //!   hint set the enumerator intended, and respect cost sanity.
 
 use crate::backend::DbmsConnector;
-use crate::bugs::{make_report, transformed_sql, BugReport, OracleKind};
+use crate::bugs::{make_report, BugReport, OracleKind};
 use crate::dsg::DsgDatabase;
 use crate::hintgen::hint_sets_for;
 use std::collections::hash_map::{Entry, HashMap};
@@ -32,6 +32,7 @@ use tqs_optimizer::PlanSpace;
 use tqs_schema::{GroundTruth, GroundTruthEvaluator};
 use tqs_sql::ast::{BinOp, Expr, SelectItem, SelectStmt};
 use tqs_sql::hints::{Hint, HintSet};
+use tqs_sql::render::render_stmt;
 use tqs_sql::value::Value;
 use tqs_storage::{ResultSet, Row};
 
@@ -633,29 +634,32 @@ impl Oracle for PlanSpaceOracle {
 }
 
 /// Cross-engine differential testing: execute every hint-set transformation
-/// of the statement on the backend under test *and* on one or more
-/// independent engine builds owned by the oracle, and report any divergence
-/// from the panel's expected answer.
+/// of the statement on the backend under test, and judge each against the
+/// answer of one or more independent engine builds owned by the oracle.
 ///
 /// With pairwise-disjoint fault complements (row engine's Table 4 faults,
 /// the columnar engine's batching faults, the disk engine's storage faults) a
-/// pristine reference acts as a ground-truth stand-in. Only the references
-/// vote on the expected answer: it is the result the largest group of them
-/// agrees on, ties breaking toward the earlier reference; the build under
-/// test has no vote. A panel of two references ([`DifferentialOracle::panel`],
-/// the campaign's three-way cells) therefore always expects `references[0]`'s
-/// answer — the pair agrees or ties — and `references[1]` can only veto a hint
-/// set, by failing; their pairwise judgement is made and has no effect. This
-/// is the first oracle that *requires* the trait: it owns whole connectors,
-/// not just a per-query check.
+/// pristine reference acts as a ground-truth stand-in: like the ground truth,
+/// its answer does not depend on the plan, so the panel answers the statement
+/// once, under the `default` hint set, and every hint set of the build under
+/// test is judged against that one answer. Only the references vote on it: it
+/// is the result the largest group of them agrees on, ties breaking toward
+/// the earlier reference; the build under test has no vote. A panel of two
+/// references ([`DifferentialOracle::panel`], the campaign's three-way cells)
+/// therefore always expects `references[0]`'s answer — the pair agrees or
+/// ties — and `references[1]` can only veto, by failing; their pairwise
+/// judgement is made and has no effect. This is the first oracle that
+/// *requires* the trait: it owns whole connectors, not just a per-query
+/// check.
 ///
-/// **Panel memo.** A reference's answer is a function of its catalog, the
-/// statement and the hint set, so the panel is asked once per transformed
-/// statement text (session switches plus the hinted statement, as a report's
-/// `transformed_sql` shows it) per unit of work. A repeat executes only the build under test
-/// and judges it against the remembered answer. An answer is remembered only
-/// when every reference returned one, so a failed or cancelled reference is
-/// asked again. [`Oracle::begin_unit`] and [`reference_mut`](Self::reference_mut)
+/// **Panel memo.** A reference's answer is a function of its catalog and the
+/// statement (as written, with its own hints; `tests/pristine_hint_invariance.rs`
+/// checks that no hint set changes a pristine engine's bag), so the panel is
+/// asked once per statement per unit of work. Every other hint set, and every
+/// repeat, executes only the build under test and judges it against the
+/// remembered answer. An answer is remembered only when every reference
+/// returned one, so after a failed or cancelled reference the next hint set
+/// asks again. [`Oracle::begin_unit`] and [`reference_mut`](Self::reference_mut)
 /// — the one sanctioned way to change a reference — forget everything.
 pub struct DifferentialOracle {
     references: Vec<Box<dyn DbmsConnector>>,
@@ -663,7 +667,7 @@ pub struct DifferentialOracle {
     memo: HashMap<String, PanelAnswer>,
 }
 
-/// What the panel answered for one transformed statement.
+/// What the panel answered for one statement.
 struct PanelAnswer {
     /// The result the vote picked.
     result: ResultSet,
@@ -714,17 +718,14 @@ impl DifferentialOracle {
         self.references[0].as_mut()
     }
 
-    /// Execute the transformed statement on every reference and vote; `None`
-    /// when a reference fails.
-    fn ask(
-        references: &mut [Box<dyn DbmsConnector>],
-        stmt: &SelectStmt,
-        hints: &HintSet,
-    ) -> Option<PanelAnswer> {
+    /// Execute the statement on every reference under the `default` hint set
+    /// and vote; `None` when a reference fails.
+    fn ask(references: &mut [Box<dyn DbmsConnector>], stmt: &SelectStmt) -> Option<PanelAnswer> {
         tqs_telemetry::counter!("core.oracle.panel.executions").incr();
+        let default = HintSet::new("default");
         let mut refs = Vec::with_capacity(references.len());
         for r in references.iter_mut() {
-            refs.push(r.execute_with_hints(stmt, hints).ok()?);
+            refs.push(r.execute_with_hints(stmt, &default).ok()?);
         }
         // The result the largest group of references agrees on (ties break
         // toward the earlier one). A result agrees with itself, and each
@@ -762,16 +763,17 @@ impl Oracle for DifferentialOracle {
         let info = conn.info();
         let mut executed = false;
         let mut reports = Vec::new();
+        let key = render_stmt(stmt);
         for hs in hint_sets_for(info.dialect, stmt) {
             let Ok(out) = conn.execute_with_hints(stmt, &hs) else {
                 continue;
             };
-            let expected = match self.memo.entry(transformed_sql(stmt, &hs)) {
+            let expected = match self.memo.entry(key.clone()) {
                 Entry::Occupied(hit) => {
                     tqs_telemetry::counter!("core.oracle.panel.memo_hits").incr();
                     hit.into_mut()
                 }
-                Entry::Vacant(miss) => match Self::ask(&mut self.references, stmt, &hs) {
+                Entry::Vacant(miss) => match Self::ask(&mut self.references, stmt) {
                     Some(answer) => miss.insert(answer),
                     None => continue,
                 },

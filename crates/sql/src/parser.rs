@@ -5,6 +5,8 @@
 //! everything the renderer can produce: SELECT with hint comments, the seven
 //! join types, IN / NOT IN / EXISTS subqueries, GROUP BY / HAVING / ORDER BY /
 //! LIMIT, CAST, BETWEEN and the literal forms of every [`Value`] variant.
+//! Text from outside (a damaged corpus line) can be anything, so expressions
+//! nested past a fixed depth are a [`ParseError`], not a stack overflow.
 
 use crate::ast::*;
 use crate::hints::{Hint, SemiJoinStrategy};
@@ -175,8 +177,7 @@ impl<'a> Lexer<'a> {
 
 /// Parse a complete SELECT statement.
 pub fn parse_stmt(sql: &str) -> Result<SelectStmt, ParseError> {
-    let toks = Lexer::new(sql).tokens()?;
-    let mut p = Parser { toks, idx: 0 };
+    let mut p = Parser::new(sql)?;
     let stmt = p.parse_select()?;
     p.expect_eof()?;
     Ok(stmt)
@@ -184,8 +185,7 @@ pub fn parse_stmt(sql: &str) -> Result<SelectStmt, ParseError> {
 
 /// Parse a single DML or transaction-control statement (trailing `;` ok).
 pub fn parse_dml(sql: &str) -> Result<DmlStmt, ParseError> {
-    let toks = Lexer::new(sql).tokens()?;
-    let mut p = Parser { toks, idx: 0 };
+    let mut p = Parser::new(sql)?;
     let stmt = p.parse_dml_stmt()?;
     while p.eat_symbol(";") {}
     p.expect_eof()?;
@@ -196,8 +196,7 @@ pub fn parse_dml(sql: &str) -> Result<DmlStmt, ParseError> {
 /// mutation workloads are logged and replayed as. The split happens at the
 /// token level, so `;` inside string literals is handled correctly.
 pub fn parse_program(sql: &str) -> Result<Vec<DmlStmt>, ParseError> {
-    let toks = Lexer::new(sql).tokens()?;
-    let mut p = Parser { toks, idx: 0 };
+    let mut p = Parser::new(sql)?;
     let mut out = Vec::new();
     loop {
         while p.eat_symbol(";") {}
@@ -215,19 +214,49 @@ pub fn parse_program(sql: &str) -> Result<Vec<DmlStmt>, ParseError> {
 /// Parse a standalone expression.
 #[cfg(test)]
 pub(crate) fn parse_expr(sql: &str) -> Result<Expr, ParseError> {
-    let toks = Lexer::new(sql).tokens()?;
-    let mut p = Parser { toks, idx: 0 };
+    let mut p = Parser::new(sql)?;
     let e = p.parse_or()?;
     p.expect_eof()?;
     Ok(e)
 }
 
+/// How many expression frames ([`Parser::nested`]) the parser holds open at
+/// once before it gives up with a [`ParseError`]. Every recursive path of the
+/// grammar — parentheses, `NOT` and unary minus chains, `CAST`, `IN` lists and
+/// subqueries — passes through `parse_not` or `parse_unary`, and each of them
+/// is one frame, so a parenthesized level takes two. Without the bound a
+/// damaged statement of `((((…` would overflow the stack and abort the
+/// process; nothing the generator or the reducer writes comes near it.
+const MAX_DEPTH: usize = 256;
+
 struct Parser {
     toks: Vec<(Tok, usize)>,
     idx: usize,
+    /// Expression frames open around `idx`.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(sql: &str) -> Result<Parser, ParseError> {
+        Ok(Parser {
+            toks: Lexer::new(sql).tokens()?,
+            idx: 0,
+            depth: 0,
+        })
+    }
+    /// Run `parse` one expression frame deeper, or fail past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("expression nested deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let e = parse(self);
+        self.depth -= 1;
+        e
+    }
     fn peek(&self) -> &Tok {
         &self.toks[self.idx].0
     }
@@ -600,12 +629,14 @@ impl Parser {
     }
 
     fn parse_not(&mut self) -> Result<Expr, ParseError> {
-        if self.at_keyword("NOT") && !self.next_is_in_chain() {
-            self.bump();
-            let e = self.parse_not()?;
-            return Ok(Expr::not(e));
-        }
-        self.parse_comparison()
+        self.nested(|p| {
+            if p.at_keyword("NOT") && !p.next_is_in_chain() {
+                p.bump();
+                let e = p.parse_not()?;
+                return Ok(Expr::not(e));
+            }
+            p.parse_comparison()
+        })
     }
 
     /// `NOT EXISTS` is handled by the primary parser; `NOT IN`/`NOT BETWEEN`
@@ -721,15 +752,17 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
-        if self.at_symbol("-") {
-            self.bump();
-            let e = self.parse_unary()?;
-            return Ok(Expr::Unary {
-                op: UnOp::Neg,
-                expr: Box::new(e),
-            });
-        }
-        self.parse_primary()
+        self.nested(|p| {
+            if p.at_symbol("-") {
+                p.bump();
+                let e = p.parse_unary()?;
+                return Ok(Expr::Unary {
+                    op: UnOp::Neg,
+                    expr: Box::new(e),
+                });
+            }
+            p.parse_primary()
+        })
     }
 
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
@@ -1112,6 +1145,40 @@ mod tests {
         assert!(parse_dml("DELETE t1").is_err());
         assert!(parse_dml("SELECT * FROM t1").is_err());
         assert!(parse_program("BEGIN; SELECT 1").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let deep = 100_000;
+        let too_deep = |r: Result<(), ParseError>| {
+            let err = r.unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+        };
+        let parens = "(".repeat(deep);
+        too_deep(parse_stmt(&format!("SELECT a FROM t WHERE {parens}")).map(drop));
+        too_deep(parse_stmt(&format!("SELECT a FROM t WHERE {}a", "NOT ".repeat(deep))).map(drop));
+        too_deep(parse_stmt(&format!("SELECT {}1 FROM t", "- ".repeat(deep))).map(drop));
+        let exists = "EXISTS (SELECT a FROM t WHERE ".repeat(deep / 8);
+        too_deep(parse_stmt(&format!("SELECT a FROM t WHERE {exists}")).map(drop));
+        too_deep(parse_stmt(&format!("SELECT a FROM t WHERE a IN {parens}")).map(drop));
+        // DML shares the expression parser.
+        too_deep(parse_dml(&format!("DELETE FROM t WHERE {parens}")).map(drop));
+        too_deep(parse_dml(&format!("UPDATE t SET a = {}1", "- ".repeat(deep))).map(drop));
+        too_deep(parse_program(&format!("BEGIN; DELETE FROM t WHERE {parens}")).map(drop));
+        // Nesting well inside the bound still parses, and round-trips.
+        let n = MAX_DEPTH / 2 - 8;
+        let sql = format!(
+            "SELECT a FROM t WHERE {}a = 1{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        );
+        let stmt = parse_stmt(&sql).unwrap();
+        assert_eq!(parse_stmt(&render_stmt(&stmt)).unwrap(), stmt);
+        let nots = format!(
+            "SELECT a FROM t WHERE {}a = 1",
+            "NOT ".repeat(MAX_DEPTH - 8)
+        );
+        assert!(parse_stmt(&nots).is_ok());
     }
 
     #[test]

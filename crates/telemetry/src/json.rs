@@ -86,11 +86,13 @@ impl Json {
         }
     }
 
-    /// Parse one JSON document; trailing non-whitespace is an error.
+    /// Parse one JSON document; trailing non-whitespace is an error, and so
+    /// is nesting arrays and objects more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -181,9 +183,17 @@ impl fmt::Display for Json {
     }
 }
 
+/// How deep [`Json::parse`] nests arrays and objects before it gives up with
+/// an error. The parser recurses once per level, so without a bound a damaged
+/// line of `[[[[…` would overflow the stack and abort the process; nothing
+/// this workspace writes comes near the bound.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -228,11 +238,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object a level deeper, or fail past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -396,6 +420,17 @@ mod tests {
         assert!(Json::parse("{\"a\": 1} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("deeper"), "{err}");
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&format!("{}1", r#"{"a":"#.repeat(200_000))).is_err());
     }
 
     #[test]
