@@ -3,14 +3,15 @@
 //! Where [`crate::engine::Database`] executes row-at-a-time over [`Rel`],
 //! [`ColumnarDatabase`] keeps every intermediate relation column-major
 //! (`ColumnarRel`) and drives joins and WHERE filtering in probe batches of
-//! [`ColumnarDatabase::batch_size`] rows: hashed joins encode and probe a
-//! whole batch of keys at a time, and simple `column <op> literal` conjuncts
-//! are evaluated as tight per-column loops over a selection bitmap instead of
-//! building a row scope per tuple.
+//! `batch_size` rows: hashed joins encode and probe a whole batch of keys at
+//! a time, and simple `column <op> literal` conjuncts are evaluated as tight
+//! per-column loops over a selection bitmap instead of building a row scope
+//! per tuple.
 //!
 //! Both engines share the session front ([`Engine`]), the optimizer
-//! ([`Database::plan`]), the statement prologue, the subquery machinery and
-//! the projection/aggregation tail, so on fault-free builds
+//! ([`Database::plan`]), the statement pipeline (`Database::execute_plan`),
+//! the subquery machinery and the projection/aggregation tail; this module
+//! supplies only the kernel the pipeline runs with. So on fault-free builds
 //! they are answer-identical by construction of the shared semantics — a
 //! property the workspace pins with a proptest. What differs is the physical
 //! execution — and therefore the *fault complement*: the columnar build
@@ -21,16 +22,15 @@
 //! tqs-core) a meaningful oracle.
 
 use crate::dml::DmlOutcome;
-use crate::engine::{
-    find_table, join_input, Database, Engine, EngineError, EngineSubqueries, ExecOutcome,
-};
+use crate::engine::{Database, Engine, EngineError, EngineSubqueries, ExecOutcome, Kernel};
 use crate::exec::{
-    col_index, extract_equi_keys, ColumnPruner, ExecContext, Executor, Rel, ScopeLayout,
+    build_table, col_index, extract_equi_keys, residual_ok, ExecContext, Executor, Rel, Relation,
+    ScopeLayout,
 };
 use crate::faults::{FaultKind, TriggerContext};
 use crate::plan::PhysicalJoin;
 use crate::profiles::DbmsProfile;
-use std::collections::HashMap;
+use std::borrow::Cow;
 use tqs_sql::ast::{BinOp, ColumnRef, DmlStmt, Expr, JoinType, SelectStmt};
 use tqs_sql::eval::{eval_predicate, ColumnResolver};
 use tqs_sql::value::{null_safe_eq, sql_compare, KeyBuf, SqlCmp, Value};
@@ -49,57 +49,8 @@ pub(crate) struct ColumnarRel {
 }
 
 impl ColumnarRel {
-    pub fn scan(table: &Table, binding: &str) -> ColumnarRel {
-        // `vec![v; n]` clones drop the capacity; build each Vec explicitly.
-        let mut columns: Vec<Vec<Value>> = (0..table.columns.len())
-            .map(|_| Vec::with_capacity(table.rows.len()))
-            .collect();
-        for row in &table.rows {
-            for (ci, v) in row.values.iter().enumerate() {
-                columns[ci].push(v.clone());
-            }
-        }
-        ColumnarRel {
-            cols: table
-                .columns
-                .iter()
-                .map(|c| (binding.to_string(), c.name.clone()))
-                .collect(),
-            columns,
-        }
-    }
-
-    /// Scan only the columns the statement can observe (see
-    /// [`ColumnPruner`]) — the columnar analogue of [`Rel::scan_pruned`];
-    /// a skipped column is simply never gathered.
-    pub(crate) fn scan_pruned(table: &Table, binding: &str, pruner: &ColumnPruner) -> ColumnarRel {
-        let keep = pruner.keep_indices(table, binding);
-        if keep.len() == table.columns.len() {
-            return ColumnarRel::scan(table, binding);
-        }
-        let mut columns: Vec<Vec<Value>> = (0..keep.len())
-            .map(|_| Vec::with_capacity(table.rows.len()))
-            .collect();
-        for row in &table.rows {
-            for (out_ci, &i) in keep.iter().enumerate() {
-                columns[out_ci].push(row.values[i].clone());
-            }
-        }
-        ColumnarRel {
-            cols: keep
-                .iter()
-                .map(|&i| (binding.to_string(), table.columns[i].name.clone()))
-                .collect(),
-            columns,
-        }
-    }
-
     pub fn width(&self) -> usize {
         self.cols.len()
-    }
-
-    pub fn len(&self) -> usize {
-        self.columns.first().map(|c| c.len()).unwrap_or(0)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -126,17 +77,44 @@ impl ColumnarRel {
     }
 }
 
-/// Row-major copy, for handing the tail of the pipeline (projection,
-/// aggregation) to the shared engine code.
-impl From<&ColumnarRel> for Rel {
-    fn from(rel: &ColumnarRel) -> Rel {
-        let rows = (0..rel.len())
-            .map(|i| rel.columns.iter().map(|c| c[i].clone()).collect())
+impl Relation for ColumnarRel {
+    fn scan(table: &Table, binding: &str, keep: &[usize]) -> ColumnarRel {
+        // `vec![v; n]` clones drop the capacity; build each Vec explicitly.
+        let mut columns: Vec<Vec<Value>> = (0..keep.len())
+            .map(|_| Vec::with_capacity(table.rows.len()))
             .collect();
-        Rel {
-            cols: rel.cols.clone(),
-            rows,
+        for row in &table.rows {
+            for (out_ci, &i) in keep.iter().enumerate() {
+                columns[out_ci].push(row.values[i].clone());
+            }
         }
+        ColumnarRel {
+            cols: keep
+                .iter()
+                .map(|&i| (binding.to_string(), table.columns[i].name.clone()))
+                .collect(),
+            columns,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.columns.first().map(|c| c.len()).unwrap_or(0)
+    }
+
+    fn value(&self, row: usize, col: usize) -> &Value {
+        &self.columns[col][row]
+    }
+
+    /// A row-major copy, for handing the tail of the pipeline (projection,
+    /// aggregation) to the shared engine code.
+    fn row_major(&self) -> Cow<'_, Rel> {
+        let rows = (0..self.len())
+            .map(|i| self.columns.iter().map(|c| c[i].clone()).collect())
+            .collect();
+        Cow::Owned(Rel {
+            cols: self.cols.clone(),
+            rows,
+        })
     }
 }
 
@@ -146,7 +124,7 @@ impl From<&ColumnarRel> for Rel {
 #[derive(Debug, Clone)]
 pub struct ColumnarDatabase {
     inner: Database,
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
 }
 
 impl ColumnarDatabase {
@@ -187,71 +165,32 @@ impl Engine for ColumnarDatabase {
         ))
     }
 
-    /// Execute a statement through the columnar pipeline.
+    /// Execute a statement through the shared pipeline with the columnar
+    /// kernel.
     fn execute(&mut self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError> {
-        let (plan, mut ctx) = self.inner.begin(stmt, Executor::Columnar)?;
+        let (plan, ctx) = self.inner.begin(stmt, Executor::Columnar)?;
         let _stmt_span = tqs_telemetry::span("engine", "columnar.execute");
-        let catalog = &self.inner.catalog;
-
-        // Base scan, column-major.
-        let op_t0 = ctx.op_start();
-        let base_table = find_table(catalog, &stmt.from.base.table)?;
-        let pruner = ColumnPruner::new(stmt);
-        let mut rel = ColumnarRel::scan_pruned(base_table, stmt.from.base.binding(), &pruner);
-        if op_t0.is_some() {
-            let rows = rel.len() as u64;
-            ctx.op_end(op_t0, "scan", rows, rows);
-            tqs_telemetry::counter!("engine.columnar.scan.rows_out").add(rows);
-        }
-
-        // Joins, in plan order, batch-at-a-time.
-        for pj in &plan.joins {
-            ctx.check_cancelled()?;
-            let (ast_join, right_table) = join_input(catalog, stmt, pj)?;
-            let right = ColumnarRel::scan_pruned(right_table, ast_join.table.binding(), &pruner);
-            let op_t0 = ctx.op_start();
-            let rows_in = (rel.len() + right.len()) as u64;
-            rel = columnar_join(
-                &rel,
-                &right,
-                pj,
-                ast_join.on.as_ref(),
-                &mut ctx,
-                self.batch_size,
-            )?;
-            if op_t0.is_some() {
-                let rows_out = rel.len() as u64;
-                let ns = ctx.op_end(op_t0, pj.algo.profile_label(), rows_in, rows_out);
-                tqs_telemetry::counter!("engine.columnar.join.rows_in").add(rows_in);
-                tqs_telemetry::counter!("engine.columnar.join.rows_out").add(rows_out);
-                tqs_telemetry::histogram!("engine.columnar.join.ns").record(ns);
-            }
-        }
-
-        // WHERE filtering over the selection bitmap, batch-at-a-time.
-        let sub = EngineSubqueries::new(catalog, &ctx, plan.subquery_plan);
-        if let Some(pred) = &stmt.where_clause {
-            let op_t0 = ctx.op_start();
-            let rows_in = rel.len() as u64;
-            rel = self.filter(pred, rel, &mut ctx, &sub)?;
-            if op_t0.is_some() {
-                let rows_out = rel.len() as u64;
-                ctx.op_end(op_t0, "filter", rows_in, rows_out);
-                tqs_telemetry::counter!("engine.columnar.filter.rows_in").add(rows_in);
-                tqs_telemetry::counter!("engine.columnar.filter.rows_out").add(rows_out);
-            }
-        }
-
-        // Projection / aggregation / DISTINCT / LIMIT share the row-engine
-        // tail — the columnar pipeline ends at the relational boundary. The
-        // tail copies `rel` row-major; handing it over by value would free
-        // the columns before projection allocates, and that order of frees
-        // alone read −4 % on the benchmark's `select_cross`.
-        self.inner.finish(stmt, plan, &rel, sub, ctx)
+        self.inner
+            .execute_plan(self, &self.inner.catalog, stmt, plan, ctx)
     }
 }
 
-impl ColumnarDatabase {
+/// The columnar kernel: [`ColumnarRel`] intermediates, [`columnar_join`]
+/// probing in batches, and a vectorized WHERE.
+impl Kernel for ColumnarDatabase {
+    type Rel = ColumnarRel;
+
+    fn join(
+        &self,
+        left: &ColumnarRel,
+        right: &ColumnarRel,
+        join: &PhysicalJoin,
+        on: Option<&Expr>,
+        ctx: &mut ExecContext,
+    ) -> Result<ColumnarRel, EngineError> {
+        Ok(columnar_join(left, right, join, on, ctx, self.batch_size))
+    }
+
     /// Vectorized WHERE: conjuncts of the form `column <op> literal` run as
     /// tight per-column loops over the selection bitmap; everything else
     /// falls back to the reference evaluator per row (still batched so the
@@ -299,7 +238,9 @@ impl ColumnarDatabase {
         }
         Ok(out)
     }
+}
 
+impl ColumnarDatabase {
     fn apply_truth(
         &self,
         truth: Option<bool>,
@@ -419,53 +360,6 @@ fn encode_key_into(
     true
 }
 
-/// Borrow-based resolver over one candidate row pair of columnar inputs,
-/// driven by a compiled [`ScopeLayout`].
-struct ColScopedPair<'a> {
-    layout: &'a ScopeLayout,
-    left: &'a ColumnarRel,
-    right: &'a ColumnarRel,
-    li: usize,
-    ri: usize,
-}
-
-impl ColumnResolver for ColScopedPair<'_> {
-    fn resolve(&self, col: &ColumnRef) -> Option<Value> {
-        self.layout.lookup(col).map(|(right, offset)| {
-            if right {
-                self.right.columns[offset][self.ri].clone()
-            } else {
-                self.left.columns[offset][self.li].clone()
-            }
-        })
-    }
-}
-
-fn residual_ok(
-    residual: &[Expr],
-    layout: &ScopeLayout,
-    left: &ColumnarRel,
-    right: &ColumnarRel,
-    li: usize,
-    ri: usize,
-) -> bool {
-    if residual.is_empty() {
-        return true;
-    }
-    let resolver = ColScopedPair {
-        layout,
-        left,
-        right,
-        li,
-        ri,
-    };
-    residual.iter().all(|p| {
-        eval_predicate(p, &resolver, &tqs_sql::eval::NoSubqueries)
-            .map(|r| r == Some(true))
-            .unwrap_or(false)
-    })
-}
-
 /// Execute one physical join step over columnar inputs: build a hash table
 /// over the build (right) side, then probe the left side one batch at a
 /// time. Non-equi joins degrade to a (correct) batched nested loop.
@@ -476,7 +370,7 @@ pub(crate) fn columnar_join(
     on: Option<&Expr>,
     ctx: &mut ExecContext,
     batch_size: usize,
-) -> Result<ColumnarRel, EngineError> {
+) -> ColumnarRel {
     let t = ctx.trigger_ctx(join);
     let keys = extract_equi_keys(&left.cols, &right.cols, on);
     let layout = ScopeLayout::compile(&keys.residual, &left.cols, &right.cols);
@@ -501,31 +395,16 @@ pub(crate) fn columnar_join(
         // No equi key: batched nested loop (correct for cross/theta joins).
         for (li, row_matches) in matches.iter_mut().enumerate().take(live_until) {
             for ri in 0..right.len() {
-                if residual_ok(&keys.residual, &layout, left, right, li, ri) {
+                if residual_ok(&keys.residual, &layout, left, li, right, ri) {
                     row_matches.push(ri);
                 }
             }
         }
     } else {
-        let mut table: HashMap<KeyBuf, Vec<usize>> = HashMap::new();
+        let table = build_table(right.len(), |ri, buf| {
+            encode_key_into(&right.columns, &keys.right_idx, ri, truncate, ctx, buf)
+        });
         let mut scratch = KeyBuf::new();
-        for ri in 0..right.len() {
-            if encode_key_into(
-                &right.columns,
-                &keys.right_idx,
-                ri,
-                truncate,
-                ctx,
-                &mut scratch,
-            ) {
-                match table.get_mut(&scratch) {
-                    Some(bucket) => bucket.push(ri),
-                    None => {
-                        table.insert(scratch.clone(), vec![ri]);
-                    }
-                }
-            }
-        }
         let mut start = 0;
         while start < live_until {
             let end = (start + batch_size).min(live_until);
@@ -542,7 +421,7 @@ pub(crate) fn columnar_join(
                     continue;
                 }
                 let mut ms = table.get(&scratch).cloned().unwrap_or_default();
-                ms.retain(|&ri| residual_ok(&keys.residual, &layout, left, right, li, ri));
+                ms.retain(|&ri| residual_ok(&keys.residual, &layout, left, li, right, ri));
                 *row_matches = ms;
             }
             start = end;
@@ -622,7 +501,7 @@ pub(crate) fn columnar_join(
             }
         }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]

@@ -5,11 +5,11 @@
 //! [`DiskDatabase`] keeps every table in a `tqs-pager` [`DiskStore`] — a
 //! buffer pool over fixed-size pages, a write-ahead log with redo recovery,
 //! and one rowid-keyed B+tree per table — and materializes its scans from
-//! disk at statement time. The session front ([`Engine`]), the optimizer and
-//! the whole row pipeline after the scan are shared with the row engine
-//! (`Database::execute_rows` runs over the scanned catalog), so on
-//! fault-free builds the two are answer-identical by construction (scans
-//! return rows in rowid order, which is insertion order).
+//! disk at statement time. The session front ([`Engine`]), the optimizer, the
+//! statement pipeline and the row kernel are shared with the row engine
+//! (`Database::execute_plan` runs the row kernel over the scanned catalog),
+//! so on fault-free builds the two are answer-identical by construction
+//! (scans return rows in rowid order, which is insertion order).
 //!
 //! What differs is the storage layer — and therefore the *fault complement*:
 //! the disk build carries [`FaultKind::DISK`] (torn page writes, WAL records
@@ -32,7 +32,7 @@
 //! store (see the `load_catalog` docs on [`DiskDatabase`]'s [`Engine`] impl).
 
 use crate::dml::{DmlOp, DmlOutcome};
-use crate::engine::{find_table, Database, Engine, EngineError, ExecOutcome};
+use crate::engine::{find_table, Database, Engine, EngineError, ExecOutcome, RowKernel};
 use crate::exec::{ExecContext, Executor};
 use crate::faults::{FaultKind, TriggerContext};
 use crate::profiles::DbmsProfile;
@@ -304,8 +304,8 @@ impl DiskDatabase {
 }
 
 /// The disk executor: base relations are scanned out of the page store (with
-/// the storage faults applied), then the row kernels run over them; DML adds
-/// durability on top of the shared session semantics.
+/// the storage faults applied), then the shared pipeline runs the row kernel
+/// over them; DML adds durability on top of the shared session semantics.
 impl Engine for DiskDatabase {
     fn session(&self) -> &Database {
         &self.inner
@@ -358,7 +358,7 @@ impl Engine for DiskDatabase {
 
     /// Execute a statement: scan every table out of the page store (applying
     /// whatever storage faults the chosen access path exposes), then run the
-    /// shared row pipeline over the scanned catalog.
+    /// shared pipeline with the row kernel over the scanned catalog.
     fn execute(&mut self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError> {
         let (plan, mut ctx) = self.inner.begin(stmt, Executor::Disk)?;
         let _stmt_span = tqs_telemetry::span("engine", "disk.execute");
@@ -384,7 +384,8 @@ impl Engine for DiskDatabase {
         // The shared pipeline runs over the scanned (possibly corrupted)
         // rows. The fault set holds only DISK (and DML) kinds, which no row
         // execution path checks, so nothing extra can fire inside it.
-        self.inner.execute_rows(&catalog, stmt, plan, ctx)
+        self.inner
+            .execute_plan(&RowKernel, &catalog, stmt, plan, ctx)
     }
 
     /// Execute one DML / transaction-control statement. Mutation semantics,

@@ -9,6 +9,7 @@
 
 use crate::faults::{FaultKind, FaultSet, TriggerContext};
 use crate::plan::{JoinAlgo, PhysicalJoin};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Instant;
 use tqs_sql::ast::{BinOp, ColumnRef, Expr, JoinType};
@@ -27,27 +28,38 @@ pub struct Rel {
 }
 
 impl Rel {
-    pub fn scan(table: &Table, binding: &str) -> Rel {
-        Rel {
-            cols: table
-                .columns
-                .iter()
-                .map(|c| (binding.to_string(), c.name.clone()))
-                .collect(),
-            rows: table.rows.iter().map(|r| r.values.clone()).collect(),
-        }
+    pub fn width(&self) -> usize {
+        self.cols.len()
     }
 
-    /// Scan only the columns the statement can observe (see
-    /// [`ColumnPruner`]). Row count and row order are those of the full
-    /// scan; only unreferenced column values are skipped, so every
-    /// downstream operator — joins, faults, filters, projection — sees
-    /// bit-identical data on the columns that exist.
-    pub(crate) fn scan_pruned(table: &Table, binding: &str, pruner: &ColumnPruner) -> Rel {
-        let keep = pruner.keep_indices(table, binding);
-        if keep.len() == table.columns.len() {
-            return Rel::scan(table, binding);
-        }
+    /// Allocation-free resolver for one row, consumable by the reference
+    /// evaluator — borrows the relation's column metadata and the row slice
+    /// instead of cloning both into an owned scope.
+    pub fn resolver<'a>(&'a self, row: &'a [Value]) -> SliceRow<'a> {
+        SliceRow::new(&self.cols, row)
+    }
+}
+
+/// What the shared operator code reads of an intermediate relation, whichever
+/// way it is laid out: [`Rel`] row-major, or column-major
+/// [`ColumnarRel`](crate::columnar::ColumnarRel).
+pub(crate) trait Relation: Sized {
+    /// Scan columns `keep` of `table` under `binding`, in row order (the
+    /// pipeline keeps the columns [`ColumnPruner::keep_indices`] names).
+    fn scan(table: &Table, binding: &str, keep: &[usize]) -> Self;
+
+    fn len(&self) -> usize;
+
+    /// The value of column `col` in row `row`.
+    fn value(&self, row: usize, col: usize) -> &Value;
+
+    /// The relation row-major, for the shared tail: borrowed when it already
+    /// is.
+    fn row_major(&self) -> Cow<'_, Rel>;
+}
+
+impl Relation for Rel {
+    fn scan(table: &Table, binding: &str, keep: &[usize]) -> Rel {
         Rel {
             cols: keep
                 .iter()
@@ -61,25 +73,16 @@ impl Rel {
         }
     }
 
-    pub fn width(&self) -> usize {
-        self.cols.len()
+    fn len(&self) -> usize {
+        self.rows.len()
     }
 
-    pub fn bindings(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for (b, _) in &self.cols {
-            if !out.contains(&b.as_str()) {
-                out.push(b);
-            }
-        }
-        out
+    fn value(&self, row: usize, col: usize) -> &Value {
+        &self.rows[row][col]
     }
 
-    /// Allocation-free resolver for one row, consumable by the reference
-    /// evaluator — borrows the relation's column metadata and the row slice
-    /// instead of cloning both into an owned scope.
-    pub fn resolver<'a>(&'a self, row: &'a [Value]) -> SliceRow<'a> {
-        SliceRow::new(&self.cols, row)
+    fn row_major(&self) -> Cow<'_, Rel> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -176,7 +179,7 @@ impl ColumnPruner {
 }
 
 /// Which executor a statement runs on. The shared pipeline is handed this
-/// and books its span and counters under `engine.<executor>.*`.
+/// and books its counters under `engine.<executor>.*`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Executor {
     Row,
@@ -553,37 +556,86 @@ impl ScopeEntry {
     }
 }
 
-/// Borrow-based resolver over one candidate row pair, driven by a compiled
-/// [`ScopeLayout`].
-struct ScopedPair<'a> {
+/// Borrow-based resolver over the candidate pair (row `li` of `left`, row
+/// `ri` of `right`), driven by a compiled [`ScopeLayout`].
+struct ScopedPair<'a, R> {
     layout: &'a ScopeLayout,
-    lrow: &'a [Value],
-    rrow: &'a [Value],
+    left: &'a R,
+    right: &'a R,
+    li: usize,
+    ri: usize,
 }
 
-impl ColumnResolver for ScopedPair<'_> {
+impl<R: Relation> ColumnResolver for ScopedPair<'_, R> {
     fn resolve(&self, col: &ColumnRef) -> Option<Value> {
         self.layout.lookup(col).map(|(right, offset)| {
             if right {
-                self.rrow[offset].clone()
+                self.right.value(self.ri, offset).clone()
             } else {
-                self.lrow[offset].clone()
+                self.left.value(self.li, offset).clone()
             }
         })
     }
 }
 
-/// Residual ON predicates evaluated on the combined row.
-fn residual_ok(residual: &[Expr], layout: &ScopeLayout, lrow: &[Value], rrow: &[Value]) -> bool {
+/// Residual ON predicates evaluated on one candidate pair.
+pub(crate) fn residual_ok<R: Relation>(
+    residual: &[Expr],
+    layout: &ScopeLayout,
+    left: &R,
+    li: usize,
+    right: &R,
+    ri: usize,
+) -> bool {
     if residual.is_empty() {
         return true;
     }
-    let resolver = ScopedPair { layout, lrow, rrow };
+    let resolver = ScopedPair {
+        layout,
+        left,
+        right,
+        li,
+        ri,
+    };
     residual.iter().all(|p| {
         eval_predicate(p, &resolver, &NoSubqueries)
             .map(|r| r == Some(true))
             .unwrap_or(false)
     })
+}
+
+/// The build side of a hashed match: build rows `0..rows`, bucketed by the
+/// key `encode` writes for each; a row it returns `false` for stays out.
+pub(crate) fn build_table(
+    rows: usize,
+    mut encode: impl FnMut(usize, &mut KeyBuf) -> bool,
+) -> HashMap<KeyBuf, Vec<usize>> {
+    let mut table: HashMap<KeyBuf, Vec<usize>> = HashMap::new();
+    let mut scratch = KeyBuf::new();
+    for ri in 0..rows {
+        if encode(ri, &mut scratch) {
+            match table.get_mut(&scratch) {
+                Some(bucket) => bucket.push(ri),
+                None => {
+                    table.insert(scratch.clone(), vec![ri]);
+                }
+            }
+        }
+    }
+    table
+}
+
+/// Encode `row`'s key columns `idx` canonically into `buf` (cleared first);
+/// `false` for a NULL key, which never matches.
+fn canonical_key(row: &[Value], idx: &[usize], buf: &mut KeyBuf) -> bool {
+    buf.clear();
+    for &i in idx {
+        if row[i].is_null() {
+            return false;
+        }
+        buf.push_canonical(&row[i]);
+    }
+    true
 }
 
 /// Execute one physical join step.
@@ -594,7 +646,6 @@ pub fn execute_join(
     on: Option<&Expr>,
     ctx: &mut ExecContext,
 ) -> Result<Rel, ExecError> {
-    let op_t0 = ctx.op_start();
     let t = ctx.trigger_ctx(join);
     let keys = extract_equi_keys(&left.cols, &right.cols, on);
     let layout = ScopeLayout::compile(&keys.residual, &left.cols, &right.cols);
@@ -602,7 +653,7 @@ pub fn execute_join(
     // Compute the match matrix: for each left row, the list of matching right
     // row indices. Algorithms differ in how matches are found (and therefore
     // in which faults can perturb them).
-    let (matches, mut extra_fired_rows) = match join.algo {
+    let (matches, extra_fired_rows) = match join.algo {
         JoinAlgo::HashJoin
         | JoinAlgo::IndexJoin
         | JoinAlgo::BatchedKeyAccess
@@ -754,18 +805,6 @@ pub fn execute_join(
         }
     }
 
-    extra_fired_rows.null_right_rows.clear();
-    if let Some(t0) = op_t0 {
-        let ns = t0.elapsed().as_nanos() as u64;
-        let rows_in = (left.rows.len() + right.rows.len()) as u64;
-        let rows_out = out.rows.len() as u64;
-        if let Some(p) = ctx.profile.as_mut() {
-            p.push(join.algo.profile_label(), rows_in, rows_out, ns);
-        }
-        executor_metric!(counter, ctx.executor, "join.rows_in").add(rows_in);
-        executor_metric!(counter, ctx.executor, "join.rows_out").add(rows_out);
-        executor_metric!(histogram, ctx.executor, "join.ns").record(ns);
-    }
     Ok(out)
 }
 
@@ -814,45 +853,28 @@ fn loop_matches_hashed(
     ctx: &mut ExecContext,
     t: &TriggerContext,
 ) -> (Vec<Vec<usize>>, MatchSideEffects) {
-    let mut table: HashMap<KeyBuf, Vec<usize>> = HashMap::new();
+    let table = build_table(right.rows.len(), |ri, buf| {
+        canonical_key(&right.rows[ri], &keys.right_idx, buf)
+    });
     let mut scratch = KeyBuf::new();
-    for (ri, rrow) in right.rows.iter().enumerate() {
-        if keys.right_idx.iter().any(|&i| rrow[i].is_null()) {
-            continue;
-        }
-        scratch.clear();
-        for &i in &keys.right_idx {
-            scratch.push_canonical(&rrow[i]);
-        }
-        match table.get_mut(&scratch) {
-            Some(bucket) => bucket.push(ri),
-            None => {
-                table.insert(scratch.clone(), vec![ri]);
-            }
-        }
-    }
     let mut out = vec![Vec::new(); left.rows.len()];
     for (li, lrow) in left.rows.iter().enumerate() {
-        if keys.left_idx.iter().any(|&i| lrow[i].is_null()) {
+        if !canonical_key(lrow, &keys.left_idx, &mut scratch) {
             // NULL keys never match; the simplified-join confusion fault
             // spuriously matches build row 0, exactly like the compare loop.
             if !right.rows.is_empty() && ctx.active(FaultKind::LeftToInnerNullZeroConfusion, t) {
                 ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
-                if residual_ok(&keys.residual, layout, lrow, &right.rows[0]) {
+                if residual_ok(&keys.residual, layout, left, li, right, 0) {
                     out[li].push(0);
                 }
             }
             continue;
         }
-        scratch.clear();
-        for &i in &keys.left_idx {
-            scratch.push_canonical(&lrow[i]);
-        }
         if let Some(bucket) = table.get(&scratch) {
             out[li] = bucket
                 .iter()
                 .copied()
-                .filter(|&ri| residual_ok(&keys.residual, layout, lrow, &right.rows[ri]))
+                .filter(|&ri| residual_ok(&keys.residual, layout, left, li, right, ri))
                 .collect();
         }
     }
@@ -885,7 +907,7 @@ fn loop_matches(
                 ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
                 matched = true;
             }
-            if matched && residual_ok(&keys.residual, layout, lrow, rrow) {
+            if matched && residual_ok(&keys.residual, layout, left, li, right, ri) {
                 out[li].push(ri);
             }
         }
@@ -905,21 +927,10 @@ fn hashed_matches(
         // no equi key — degrade to the loop implementation (correct)
         return loop_matches(left, right, keys, layout, ctx, t);
     }
-    // Build side: one owned key per *distinct* key; the scratch buffer is
-    // reused across rows, so the per-row cost is a clear + byte appends.
-    let mut table: HashMap<KeyBuf, Vec<usize>> = HashMap::new();
+    let table = build_table(right.rows.len(), |ri, buf| {
+        encode_key_into(&right.rows[ri], &keys.right_idx, ctx, t, buf)
+    });
     let mut scratch = KeyBuf::new();
-    for (ri, rrow) in right.rows.iter().enumerate() {
-        if encode_key_into(rrow, &keys.right_idx, ctx, t, &mut scratch) {
-            match table.get_mut(&scratch) {
-                Some(bucket) => bucket.push(ri),
-                None => {
-                    table.insert(scratch.clone(), vec![ri]);
-                }
-            }
-        }
-    }
-    let first_bucket: Vec<usize> = table.values().next().cloned().unwrap_or_default();
     let mut out = vec![Vec::new(); left.rows.len()];
     for (li, lrow) in left.rows.iter().enumerate() {
         let has_null = keys.left_idx.iter().any(|&i| lrow[i].is_null());
@@ -928,16 +939,18 @@ fn hashed_matches(
         } else {
             Vec::new()
         };
+        // The simplified-join confusion fault matches build row 0, as the
+        // loop algorithms do.
         if ms.is_empty()
             && has_null
+            && !right.rows.is_empty()
             && ctx.active(FaultKind::LeftToInnerNullZeroConfusion, t)
-            && !first_bucket.is_empty()
         {
             ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
-            ms = first_bucket.clone();
+            ms = vec![0];
         }
         // residual predicates still apply
-        ms.retain(|&ri| residual_ok(&keys.residual, layout, lrow, &right.rows[ri]));
+        ms.retain(|&ri| residual_ok(&keys.residual, layout, left, li, right, ri));
         out[li] = ms;
     }
     (out, MatchSideEffects::default())
@@ -984,12 +997,8 @@ fn merge_matches(
     let mut index: HashMap<KeyBuf, usize> = HashMap::new();
     let mut scratch = KeyBuf::new();
     for (ri, rrow) in right.rows.iter().enumerate() {
-        if keys.right_idx.iter().any(|&i| rrow[i].is_null()) {
+        if !canonical_key(rrow, &keys.right_idx, &mut scratch) {
             continue;
-        }
-        scratch.clear();
-        for &i in &keys.right_idx {
-            scratch.push_canonical(&rrow[i]);
         }
         match index.get(&scratch) {
             Some(&gi) => runs[gi].rows.push(ri),
@@ -1044,12 +1053,8 @@ fn merge_matches(
     }
     let mut out = vec![Vec::new(); left.rows.len()];
     for (li, lrow) in left.rows.iter().enumerate() {
-        if keys.left_idx.iter().any(|&i| lrow[i].is_null()) {
+        if !canonical_key(lrow, &keys.left_idx, &mut scratch) {
             continue;
-        }
-        scratch.clear();
-        for &i in &keys.left_idx {
-            scratch.push_canonical(&lrow[i]);
         }
         if let Some(&gi) = index.get(&scratch) {
             if runs[gi].skipped {
@@ -1059,7 +1064,7 @@ fn merge_matches(
                 .rows
                 .iter()
                 .copied()
-                .filter(|&ri| residual_ok(&keys.residual, layout, lrow, &right.rows[ri]))
+                .filter(|&ri| residual_ok(&keys.residual, layout, left, li, right, ri))
                 .collect();
         }
     }
@@ -1139,6 +1144,7 @@ mod tests {
                 ],
             ),
             "l",
+            &[0, 1],
         )
     }
 
@@ -1154,6 +1160,7 @@ mod tests {
                 ],
             ),
             "r",
+            &[0, 1],
         )
     }
 
@@ -1321,10 +1328,12 @@ mod tests {
         let left = Rel::scan(
             &table("l", vec![vec![Value::Int(65_535), Value::str("big")]]),
             "l",
+            &[0, 1],
         );
         let right = Rel::scan(
             &table("r", vec![vec![Value::Int(65_535), Value::str("big")]]),
             "r",
+            &[0, 1],
         );
         let mut ctx =
             ExecContext::new(FaultSet::of(&[FaultKind::HashJoinMaterializationZeroSplit]));
@@ -1361,10 +1370,13 @@ mod tests {
     fn key_extraction_handles_reversed_equality_and_residual() {
         use crate::columnar::ColumnarRel;
         let (lt, rt) = (table("l", vec![]), table("r", vec![]));
-        let row_major = (Rel::scan(&lt, "l").cols, Rel::scan(&rt, "r").cols);
+        let row_major = (
+            Rel::scan(&lt, "l", &[0, 1]).cols,
+            Rel::scan(&rt, "r", &[0, 1]).cols,
+        );
         let column_major = (
-            ColumnarRel::scan(&lt, "l").cols,
-            ColumnarRel::scan(&rt, "r").cols,
+            ColumnarRel::scan(&lt, "l", &[0, 1]).cols,
+            ColumnarRel::scan(&rt, "r", &[0, 1]).cols,
         );
         let bare = |c: &str| Expr::Column(ColumnRef::bare(c));
         let on = Expr::and(

@@ -6,15 +6,17 @@
 //! * [`plan`] — physical plans, seven join algorithms, EXPLAIN.
 //! * [`engine`] — the session ([`Database`]: catalog, profile, switches,
 //!   open transaction, the hint- and optimizer_switch-steerable optimizer),
-//!   the one front every executor is driven through ([`Engine`]), the
-//!   statement prologue and projection tail all three share, the row executor.
+//!   the one front every executor is driven through ([`Engine`]), the one
+//!   statement pipeline all three run (scan → joins → WHERE → projection),
+//!   and the row kernel it runs with.
 //! * [`exec`] — physical operators with fault interception points, and what
-//!   the row and columnar kernels share (key extraction, column lookup).
-//! * [`columnar`] — the second executor: column-major, batch-at-a-time
-//!   kernels between the shared prologue and tail, its own fault complement.
+//!   the row and columnar kernels share (the relation interface, key
+//!   extraction, residual ON predicates, hash-table build, column lookup).
+//! * [`columnar`] — the second executor: the column-major, batch-at-a-time
+//!   kernel, its own fault complement.
 //! * [`disk`] — the third executor: base relations scanned out of the
 //!   `tqs-pager` page store (buffer pool, WAL, B+trees) with a storage-layer
-//!   fault complement, then the row kernels; durable DML, crash injection.
+//!   fault complement, then the row kernel; durable DML, crash injection.
 //! * [`faults`] — the 20-entry fault catalog modeled on Table 4, plus the
 //!   columnar and disk complements.
 //! * [`profiles`] — the four simulated DBMS builds with their latent faults.

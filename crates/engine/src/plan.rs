@@ -112,6 +112,9 @@ impl SubqueryPlan {
 pub struct PhysicalPlan {
     pub base_binding: String,
     pub joins: Vec<PhysicalJoin>,
+    /// Per step of `joins`, the index of its join in the statement's FROM
+    /// clause.
+    pub join_order: Vec<usize>,
     pub subquery_plan: SubqueryPlan,
     /// Free-form notes from optimizer passes (simplifications, hint effects),
     /// surfaced through EXPLAIN.
@@ -226,6 +229,7 @@ mod tests {
                     buffer_rows: Some(128),
                 },
             ],
+            join_order: vec![0, 1],
             subquery_plan: SubqueryPlan::SemiJoinTransform(SemiJoinStrategy::Materialization),
             notes: vec!["outer join simplified".into()],
         }
