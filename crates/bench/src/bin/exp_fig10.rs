@@ -1,5 +1,6 @@
 //! Figure 10: effect of parallel search — one hunt campaign's cell grid
-//! drained by 1 to 5 workers on the campaign's work-stealing fleet.
+//! drained by 1 to 5 workers on the campaign fleet, which hands out cells
+//! in id order from one shared cursor.
 //!
 //! Cells are budget-bound and seeded by `(campaign seed, cell id)`, so every
 //! point does the same work and finds the same bug classes; what the worker

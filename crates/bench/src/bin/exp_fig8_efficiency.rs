@@ -27,7 +27,7 @@ fn main() {
                 &dsg,
                 &BaselineConfig {
                     iterations,
-                    queries_per_hour: iterations.div_ceil(24).max(1),
+                    queries_per_hour: iterations.div_ceil(24),
                     ..Default::default()
                 },
             );

@@ -38,7 +38,7 @@ pub fn standard_session(profile: ProfileId, iterations: usize, seed: u64) -> Tqs
         .dsg(DsgDatabase::build(&standard_dsg(250, seed)))
         .config(TqsConfig {
             iterations,
-            queries_per_hour: iterations.div_ceil(24).max(1),
+            queries_per_hour: iterations.div_ceil(24),
             ..Default::default()
         })
         .build()

@@ -3,13 +3,16 @@
 //! A campaign turns the one-shot explorer into a service-shaped workload:
 //!
 //! 1. **Cell grid.** The hunt is the cross product (wide-table shard ×
-//!    fault profile × oracle). Each cell is an independent, deterministic
-//!    unit: its query stream is seeded by `(campaign seed, cell id)` and its
-//!    data partition is fixed, so a cell always produces the same verdicts
-//!    no matter when, where or after how many kills it runs.
-//! 2. **Fleet.** Cells are dealt onto work-stealing queues
-//!    (`scheduler::WorkQueues`) and drained by worker threads, each
-//!    holding a zero-copy replica of its shard's catalog.
+//!    fault profile × oracle × engine × plan mode × workload). Each cell is
+//!    an independent, deterministic unit: its statement stream is seeded by
+//!    `(campaign seed, cell id)` and its data partition is fixed, so a cell
+//!    always produces the same verdicts no matter when, where or after how
+//!    many kills it runs.
+//! 2. **Fleet.** Worker threads take pending cells in id order from one
+//!    shared cursor (`scheduler::drain_in_order`), each cell under the
+//!    supervisor's retry and quarantine policy, and the run reads the
+//!    outcomes back in cell order. A bounded run drains the lowest-id
+//!    pending cells.
 //! 3. **Triage.** Raw divergences are deduplicated campaign-wide by
 //!    plan-fingerprint class ([`crate::triage::BugTriage`]); each new class
 //!    is minimized once and persisted with its witness trace.
@@ -21,7 +24,7 @@
 
 use crate::checkpoint::{CellRecord, Checkpoint, CheckpointHeader, RunRecord};
 use crate::corpus::{Corpus, CorpusEntry, StoredStatement};
-use crate::scheduler::WorkQueues;
+use crate::scheduler::drain_in_order;
 use crate::stats::{CampaignStats, LiveStats, RunTotals};
 use crate::status::StatusBoard;
 use crate::supervisor::{retry_append, Quarantine, QuarantineEntry, SupervisorConfig};
@@ -29,8 +32,9 @@ use crate::triage::BugTriage;
 use crate::Unpoisoned;
 use std::collections::{BTreeSet, HashSet};
 use std::io;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -200,8 +204,9 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Minimize one representative per newly discovered class.
     pub minimize: bool,
-    /// Stop the run after draining this many cells (the remaining cells stay
-    /// queued for the next run) — bounded sessions and kill-testing.
+    /// Drain at most this many cells per run: the lowest-id pending ones
+    /// (the rest stay pending for the next run) — bounded sessions and
+    /// kill-testing.
     pub max_cells_per_run: Option<usize>,
     /// Supervised-runtime knobs: deadlines, retry/quarantine policy and
     /// chaos injection. Operational (not part of the campaign
@@ -609,14 +614,14 @@ impl Campaign {
         self.triage.class_keys()
     }
 
-    /// Drain (up to `max_cells_per_run`) pending cells with the worker
-    /// fleet, journaling each drained cell and appending every new bug class
-    /// to the corpus as it is discovered. Returns this run's statistics.
+    /// Drain the pending cells — the `max_cells_per_run` lowest-id ones when
+    /// bounded — with the worker fleet, journaling each drained cell and
+    /// appending every new bug class to the corpus as it is discovered.
+    /// Returns this run's statistics.
     pub fn run(&mut self) -> io::Result<CampaignStats> {
         let _run_span = tqs_telemetry::span("campaign", "run");
-        let pending = self.pending_cells();
-        let budget = AtomicUsize::new(self.cfg.max_cells_per_run.unwrap_or(usize::MAX));
-        let queues = WorkQueues::deal(self.cfg.workers, pending);
+        let mut pending = self.pending_cells();
+        pending.truncate(self.cfg.max_cells_per_run.unwrap_or(usize::MAX));
         let live = Arc::new(LiveStats::start_with_prior(self.prior));
         self.status.begin_run(
             Arc::clone(&live),
@@ -627,119 +632,26 @@ impl Campaign {
         );
         let triage = Mutex::new(std::mem::take(&mut self.triage));
         let diversity = Mutex::new(GraphIndex::new());
-        let failure: Mutex<Option<io::Error>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        let drained: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let poisoned: Mutex<Vec<QuarantineEntry>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            for worker in 0..queues.workers() {
-                let queues = &queues;
-                let live = &live;
-                let triage = &triage;
-                let diversity = &diversity;
-                let failure = &failure;
-                let abort = &abort;
-                let drained = &drained;
-                let poisoned = &poisoned;
-                let budget = &budget;
-                let this = &*self;
-                scope.spawn(move || {
-                    let sup = &this.cfg.supervisor;
-                    'cells: while !abort.load(Ordering::Relaxed)
-                        && !this.stop.load(Ordering::Relaxed)
-                    {
-                        // Reserve budget before taking a cell so a bounded
-                        // run never over-drains.
-                        if budget
-                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
-                                b.checked_sub(1)
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                        let Some(cell) = queues.pop(worker) else {
-                            break;
-                        };
-                        // Supervised attempt loop: panics are caught and
-                        // converted to HarnessPanic classes, failures retry
-                        // with capped backoff, and a cell that exhausts the
-                        // budget is quarantined instead of poisoning the run.
-                        let mut attempt = 0u32;
-                        loop {
-                            attempt += 1;
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    this.run_cell(&cell, attempt, triage, diversity, live)
-                                }));
-                            let reason = match outcome {
-                                Ok(Ok(_record)) => {
-                                    drained.lock_unpoisoned().push(cell.id);
-                                    live.cell_drained();
-                                    continue 'cells;
-                                }
-                                Ok(Err(e)) => {
-                                    tqs_telemetry::counter!("campaign.supervisor.cell_io_errors")
-                                        .incr();
-                                    e.to_string()
-                                }
-                                Err(payload) => {
-                                    live.add_panic_caught();
-                                    tqs_telemetry::counter!("campaign.supervisor.panics_caught")
-                                        .incr();
-                                    let text = panic_payload_text(payload.as_ref());
-                                    // The panic is itself a finding: admit it
-                                    // as a first-class bug class so the
-                                    // incident is triaged, persisted and
-                                    // re-verifiable like any other class.
-                                    if let Err(e) =
-                                        this.record_harness_panic(&cell, &text, triage, live)
-                                    {
-                                        *failure.lock_unpoisoned() = Some(e);
-                                        abort.store(true, Ordering::Relaxed);
-                                        break 'cells;
-                                    }
-                                    text
-                                }
-                            };
-                            if attempt >= sup.max_attempts.max(1) {
-                                let entry = QuarantineEntry {
-                                    cell_id: cell.id,
-                                    attempts: attempt,
-                                    reason,
-                                };
-                                match this.append(|env| this.quarantine_journal.append(&entry, env))
-                                {
-                                    Ok(_) => {
-                                        live.add_quarantined();
-                                        tqs_telemetry::counter!("campaign.supervisor.quarantined")
-                                            .incr();
-                                        poisoned.lock_unpoisoned().push(entry);
-                                    }
-                                    Err(e) => {
-                                        *failure.lock_unpoisoned() = Some(e);
-                                        abort.store(true, Ordering::Relaxed);
-                                        break 'cells;
-                                    }
-                                }
-                                continue 'cells;
-                            }
-                            live.add_retry();
-                            tqs_telemetry::counter!("campaign.supervisor.retries").incr();
-                            std::thread::sleep(sup.backoff(attempt));
-                        }
-                    }
-                });
+        let outcomes = drain_in_order(self.cfg.workers, &pending, &self.stop, |cell| {
+            match self.supervise_cell(cell, &triage, &diversity, &live) {
+                Ok(outcome) => ControlFlow::Continue(Ok(outcome)),
+                Err(e) => ControlFlow::Break(Err(e)),
             }
         });
 
         self.triage = triage.into_inner_unpoisoned();
-        for id in drained.into_inner_unpoisoned() {
-            self.done.insert(id);
+        let mut failure = None;
+        for (cell, outcome) in pending.iter().zip(outcomes) {
+            match outcome {
+                None => {} // not taken: the run stopped first
+                Some(Ok(None)) => {
+                    self.done.insert(cell.id);
+                }
+                Some(Ok(Some(entry))) => self.quarantine.push(entry),
+                Some(Err(e)) => failure = failure.or(Some(e)),
+            }
         }
-        self.quarantine.extend(poisoned.into_inner_unpoisoned());
-        if let Some(e) = failure.into_inner_unpoisoned() {
+        if let Some(e) = failure {
             self.status.abort();
             return Err(e);
         }
@@ -769,6 +681,63 @@ impl Campaign {
         };
         self.status.finish(stats.clone());
         Ok(stats)
+    }
+
+    /// One cell under supervision: panics are caught and admitted as
+    /// `HarnessPanic` classes, failed attempts retry with capped backoff, and
+    /// a cell that exhausts the attempt budget is quarantined instead of
+    /// poisoning the run. `Ok(None)`: the cell drained. `Ok(Some(entry))`:
+    /// the cell was quarantined and `entry` journaled. `Err`: a panic class
+    /// or quarantine entry could not be journaled, which halts the fleet.
+    fn supervise_cell(
+        &self,
+        cell: &CampaignCell,
+        triage: &Mutex<BugTriage>,
+        diversity: &Mutex<GraphIndex>,
+        live: &LiveStats,
+    ) -> io::Result<Option<QuarantineEntry>> {
+        let sup = &self.cfg.supervisor;
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.run_cell(cell, attempt, triage, diversity, live)
+            }));
+            let reason = match outcome {
+                Ok(Ok(_record)) => {
+                    live.cell_drained();
+                    return Ok(None);
+                }
+                Ok(Err(e)) => {
+                    tqs_telemetry::counter!("campaign.supervisor.cell_io_errors").incr();
+                    e.to_string()
+                }
+                Err(payload) => {
+                    live.add_panic_caught();
+                    tqs_telemetry::counter!("campaign.supervisor.panics_caught").incr();
+                    let text = panic_payload_text(payload.as_ref());
+                    // The panic is itself a finding: admit it as a
+                    // first-class bug class so the incident is triaged,
+                    // persisted and re-verifiable like any other class.
+                    self.record_harness_panic(cell, &text, triage, live)?;
+                    text
+                }
+            };
+            if attempt >= sup.max_attempts.max(1) {
+                let entry = QuarantineEntry {
+                    cell_id: cell.id,
+                    attempts: attempt,
+                    reason,
+                };
+                self.append(|env| self.quarantine_journal.append(&entry, env))?;
+                live.add_quarantined();
+                tqs_telemetry::counter!("campaign.supervisor.quarantined").incr();
+                return Ok(Some(entry));
+            }
+            live.add_retry();
+            tqs_telemetry::counter!("campaign.supervisor.retries").incr();
+            std::thread::sleep(sup.backoff(attempt));
+        }
     }
 
     /// Drain one cell with the [`CellWorkload`] its `workload` axis names.
@@ -1293,15 +1262,26 @@ mod tests {
         let dir = test_dir("bounded");
         let mut campaign = Campaign::new(CampaignConfig {
             max_cells_per_run: Some(1),
-            workers: 1,
+            workers: 3,
             ..small_cfg(dir.clone())
         })
         .unwrap();
+        // Each installment drains the lowest-id pending cell, however many
+        // workers the fleet has.
+        let checkpointed = |campaign: &Campaign| -> Vec<usize> {
+            let mut ids: Vec<usize> = (campaign.checkpoint.load().unwrap().cells)
+                .iter()
+                .map(|r| r.cell_id)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
         let first = campaign.run().unwrap();
-        assert_eq!(campaign.cells_done(), 1);
+        assert_eq!(checkpointed(&campaign), [0]);
         assert!(!campaign.is_complete());
         assert_eq!(first.prior, RunTotals::default());
         let second = campaign.run().unwrap();
+        assert_eq!(checkpointed(&campaign), [0, 1]);
         assert!(campaign.is_complete());
         // The second run's rates are cumulative over both installments.
         assert_eq!(second.prior.queries, first.queries);

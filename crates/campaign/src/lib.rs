@@ -9,7 +9,8 @@
 //! * [`campaign`] — the orchestrator: the (shard × profile × oracle ×
 //!   engine × plan mode × workload) cell grid, the worker fleet,
 //!   [`Campaign::new`] / [`Campaign::resume`] / [`Campaign::run`].
-//! * `scheduler` — work-stealing cell queues.
+//! * `scheduler` — the fleet both campaigns run on: workers take items in
+//!   order from one shared cursor, and results come back in item order.
 //! * [`triage`] — plan-fingerprint deduplication of raw divergences into bug
 //!   classes, one minimized representative per class.
 //! * [`corpus`] — the append-only JSONL bug corpus with replayable witness
@@ -128,5 +129,27 @@ impl<T> Unpoisoned<T> for Mutex<T> {
 
     fn into_inner_unpoisoned(self) -> T {
         self.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unpoisoned_access_survives_a_holder_that_panicked() {
+        let m = std::sync::Arc::new(Mutex::new(vec![1, 2, 3]));
+        let holder = std::sync::Arc::clone(&m);
+        let died = std::thread::spawn(move || {
+            let mut held = holder.lock_unpoisoned();
+            held.push(4);
+            panic!("worker dies holding the lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(m.is_poisoned());
+        assert_eq!(*m.lock_unpoisoned(), [1, 2, 3, 4]);
+        let m = std::sync::Arc::into_inner(m).unwrap();
+        assert_eq!(m.into_inner_unpoisoned(), [1, 2, 3, 4]);
     }
 }

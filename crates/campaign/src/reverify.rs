@@ -38,20 +38,20 @@
 //! `Fixed`/`Stale` classes unless the caller opts into keeping them
 //! ([`Corpus::compact`](crate::corpus::Corpus::compact)).
 //!
-//! Like a hunt, re-verification shards across a worker fleet: (entry × build)
-//! pairs are dealt onto the campaign scheduler's work-stealing queues and the
-//! report is assembled in deterministic (entry, build) order regardless of
-//! which worker drained which pair.
+//! Like a hunt, re-verification runs on the campaign fleet
+//! (`scheduler::drain_in_order`): workers take (entry × build) pairs in
+//! order from one shared cursor, and the report lists the verdicts in
+//! (entry, build) order regardless of which worker checked which pair.
 
 use crate::campaign::{Campaign, CampaignCell, CampaignConfig};
 use crate::corpus::CorpusEntry;
-use crate::scheduler::WorkQueues;
+use crate::scheduler::drain_in_order;
 use crate::stats::ReverifyStats;
-use crate::Unpoisoned;
 use std::collections::BTreeSet;
 use std::io;
+use std::ops::ControlFlow;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::sync::Mutex;
 use std::time::Instant;
 use tqs_core::backend::{BuildSpec, DbmsConnector, EngineConnector};
 use tqs_core::bugs::{BugReport, OracleKind};
@@ -303,28 +303,19 @@ impl ReverifyCampaign {
     /// in (corpus, build) order.
     pub fn run(&self) -> (ReverifyReport, ReverifyStats) {
         let started = Instant::now();
-        let units: Vec<(usize, usize)> = (0..self.entries.len())
-            .flat_map(|e| (0..self.cfg.builds.len()).map(move |b| (e, b)))
+        let units: Vec<(&CorpusEntry, BuildSpec)> = self
+            .entries
+            .iter()
+            .flat_map(|e| self.cfg.builds.iter().map(move |&b| (e, b)))
             .collect();
-        let queues = WorkQueues::deal(self.cfg.workers, units);
-        let verdicts: Mutex<Vec<((usize, usize), ClassVerdict)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for worker in 0..queues.workers() {
-                let queues = &queues;
-                let verdicts = &verdicts;
-                let this = &*self;
-                scope.spawn(move || {
-                    while let Some((e, b)) = queues.pop(worker) {
-                        let verdict = this.verify_one(&this.entries[e], this.cfg.builds[b]);
-                        verdicts.lock_unpoisoned().push(((e, b), verdict));
-                    }
-                });
-            }
-        });
-        let mut verdicts = verdicts.into_inner_unpoisoned();
-        verdicts.sort_by_key(|(unit, _)| *unit);
+        let verdicts = drain_in_order(
+            self.cfg.workers,
+            &units,
+            &AtomicBool::new(false),
+            |&(entry, build)| ControlFlow::Continue(self.verify_one(entry, build)),
+        );
         let report = ReverifyReport {
-            verdicts: verdicts.into_iter().map(|(_, v)| v).collect(),
+            verdicts: verdicts.into_iter().flatten().collect(),
         };
         let stats = ReverifyStats {
             elapsed: started.elapsed(),

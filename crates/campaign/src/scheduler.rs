@@ -1,139 +1,130 @@
-//! Work-stealing cell queues for the campaign fleet.
+//! The campaign fleet: one scheduler for hunt cells and re-verification
+//! units alike.
 //!
-//! Cells — (shard × profile × oracle × engine × plan mode × workload) work
-//! units — are dealt round-robin onto one deque per worker. A worker drains
-//! its own deque from the front; when empty it steals from the *back* of the
-//! other deques, so thieves and owners contend on opposite ends and a
-//! straggler worker never strands undone cells. Campaign cells take seconds
-//! each, so simple mutex-protected deques beat a lock-free implementation on
-//! clarity at no measurable cost at this granularity. A worker that panics
-//! while holding a deque does not strand its cells either: the locks ignore
-//! poisoning (`crate::Unpoisoned`).
+//! Workers take the next item from one shared atomic cursor over a slice —
+//! the classic self-scheduling loop — so a straggler never strands undone
+//! items, and every result lands in its item's slot, so callers read them
+//! back in item order whichever worker ran what. Campaign items take tenths
+//! of a second to seconds each; at that granularity a single counter costs
+//! nothing measurable and needs no locks.
 
-use crate::Unpoisoned;
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// One deque per worker plus the stealing protocol.
-pub(crate) struct WorkQueues<T> {
-    queues: Vec<Mutex<VecDeque<T>>>,
-}
-
-impl<T> WorkQueues<T> {
-    /// Deal `items` round-robin onto `workers` deques (at least one).
-    pub(crate) fn deal(workers: usize, items: impl IntoIterator<Item = T>) -> WorkQueues<T> {
-        let workers = workers.max(1);
-        let queues: Vec<Mutex<VecDeque<T>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            queues[i % workers].lock_unpoisoned().push_back(item);
+/// Run `run` over `items` on `workers` scoped threads (0 is clamped to 1).
+///
+/// Workers stop taking items once `stop` is set (an outside request, such as
+/// a campaign's stop handle) or once an item returns
+/// [`ControlFlow::Break`]; items already running finish. The result is in
+/// item order, `None` marking an item no worker took.
+pub(crate) fn drain_in_order<T, R>(
+    workers: usize,
+    items: &[T],
+    stop: &AtomicBool,
+    run: impl Fn(&T) -> ControlFlow<R, R> + Sync,
+) -> Vec<Option<R>>
+where
+    T: Sync,
+    R: Send + Sync,
+{
+    let cursor = AtomicUsize::new(0);
+    let halted = AtomicBool::new(false);
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers.max(1) {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) && !halted.load(Ordering::Relaxed) {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else {
+                        break;
+                    };
+                    let result = match run(item) {
+                        ControlFlow::Continue(result) => result,
+                        ControlFlow::Break(result) => {
+                            halted.store(true, Ordering::Relaxed);
+                            result
+                        }
+                    };
+                    // The cursor hands out each index once, so the slot is
+                    // empty.
+                    let _ = slots[i].set(result);
+                }
+            });
         }
-        WorkQueues { queues }
-    }
-
-    pub(crate) fn workers(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Next cell for `worker`: its own deque front first, then a steal from
-    /// the back of the first non-empty deque scanning from its right-hand
-    /// neighbor. `None` means the whole grid is drained.
-    pub(crate) fn pop(&self, worker: usize) -> Option<T> {
-        let n = self.queues.len();
-        let own = worker % n;
-        if let Some(item) = self.queues[own].lock_unpoisoned().pop_front() {
-            return Some(item);
-        }
-        for off in 1..n {
-            if let Some(item) = self.queues[(own + off) % n].lock_unpoisoned().pop_back() {
-                return Some(item);
-            }
-        }
-        None
-    }
+    });
+    slots.into_iter().map(OnceLock::into_inner).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Items left across all deques.
-    fn remaining<T>(q: &WorkQueues<T>) -> usize {
-        q.queues.iter().map(|d| d.lock_unpoisoned().len()).sum()
+    fn drain(workers: usize, items: &[usize]) -> Vec<Option<usize>> {
+        drain_in_order(workers, items, &AtomicBool::new(false), |&i| {
+            ControlFlow::Continue(i * 10)
+        })
     }
 
     #[test]
-    fn deals_round_robin_and_drains_completely() {
-        let q = WorkQueues::deal(3, 0..10);
-        assert_eq!(q.workers(), 3);
-        assert_eq!(remaining(&q), 10);
-        let mut seen: Vec<usize> = Vec::new();
-        // worker 1 drains everything: its own cells first, then steals
-        while let Some(c) = q.pop(1) {
-            seen.push(c);
+    fn results_come_back_in_item_order() {
+        let items: Vec<usize> = (0..50).collect();
+        let want: Vec<Option<usize>> = items.iter().map(|i| Some(i * 10)).collect();
+        for workers in [1, 3] {
+            assert_eq!(drain(workers, &items), want);
         }
-        assert_eq!(remaining(&q), 0);
-        seen.sort();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn own_cells_come_first_then_steals_from_the_back() {
-        let q = WorkQueues::deal(2, 0..6);
-        // worker 0 owns [0, 2, 4], worker 1 owns [1, 3, 5]
-        assert_eq!(q.pop(0), Some(0));
-        assert_eq!(q.pop(0), Some(2));
-        assert_eq!(q.pop(0), Some(4));
-        // now steal: from the back of worker 1's deque
-        assert_eq!(q.pop(0), Some(5));
-        assert_eq!(q.pop(1), Some(1));
+        assert!(drain(2, &[]).is_empty());
     }
 
     #[test]
     fn zero_workers_is_clamped_to_one() {
-        let q = WorkQueues::deal(0, ["only"]);
-        assert_eq!(q.workers(), 1);
-        assert_eq!(q.pop(0), Some("only"));
-        assert_eq!(q.pop(0), None);
+        assert_eq!(drain(0, &[7]), [Some(70)]);
     }
 
     #[test]
     fn concurrent_workers_drain_without_duplication() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let q = WorkQueues::deal(4, 0..100);
         let counts: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        std::thread::scope(|s| {
-            for w in 0..4 {
-                let q = &q;
-                let counts = &counts;
-                s.spawn(move || {
-                    while let Some(c) = q.pop(w) {
-                        counts[c].fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
+        let items: Vec<usize> = (0..100).collect();
+        let results = drain_in_order(4, &items, &AtomicBool::new(false), |&i| {
+            counts[i].fetch_add(1, Ordering::Relaxed);
+            ControlFlow::Continue(i)
         });
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        assert!(results.iter().enumerate().all(|(i, r)| *r == Some(i)));
     }
 
     #[test]
-    fn a_panic_while_holding_a_deque_lock_strands_no_items() {
-        let q = WorkQueues::deal(2, 0..6);
-        let died = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _held = q.queues[1].lock_unpoisoned();
-                panic!("worker dies holding its deque");
-            })
-            .join()
+    fn a_halting_item_stops_the_fleet() {
+        let items: Vec<usize> = (0..10).collect();
+        let results = drain_in_order(1, &items, &AtomicBool::new(false), |&i| {
+            if i == 3 {
+                ControlFlow::Break(i)
+            } else {
+                ControlFlow::Continue(i)
+            }
         });
-        assert!(died.is_err());
-        assert!(q.queues[1].is_poisoned());
-        assert_eq!(remaining(&q), 6);
-        // The poisoned deque serves its owner from the front, then a thief
-        // from the back.
-        assert_eq!(q.pop(1), Some(1));
-        let rest: Vec<usize> = std::iter::from_fn(|| q.pop(0)).collect();
-        assert_eq!(rest, [0, 2, 4, 5, 3]);
-        assert_eq!(remaining(&q), 0);
+        let want: Vec<Option<usize>> = (0..10).map(|i| (i <= 3).then_some(i)).collect();
+        assert_eq!(results, want);
+        // Under several workers, items already running when one halts still
+        // finish, so only the halting item's own slot is certain.
+        let results = drain_in_order(3, &items, &AtomicBool::new(false), |&i| {
+            if i == 0 {
+                ControlFlow::Break(i)
+            } else {
+                ControlFlow::Continue(i)
+            }
+        });
+        assert_eq!(results[0], Some(0));
+        assert!(results
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.is_none() || *r == Some(i)));
+    }
+
+    #[test]
+    fn a_stop_request_leaves_every_item_untaken() {
+        let stop = AtomicBool::new(true);
+        let results = drain_in_order(2, &[1, 2, 3], &stop, |&i| ControlFlow::Continue(i));
+        assert_eq!(results, [None, None, None]);
     }
 }

@@ -50,6 +50,7 @@ impl Baseline {
 #[derive(Debug, Clone)]
 pub struct BaselineConfig {
     pub iterations: usize,
+    /// Queries per timeline "hour", as in [`crate::tqs::TqsConfig`].
     pub queries_per_hour: usize,
     pub seed: u64,
 }

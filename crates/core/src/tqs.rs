@@ -36,7 +36,7 @@ pub struct TqsConfig {
     pub kqe: KqeConfig,
     /// How many generated queries correspond to one "hour" when reporting
     /// timelines (the paper's x-axis is wall-clock hours; ours is a query
-    /// budget).
+    /// budget). 0 counts as 1.
     pub queries_per_hour: usize,
 }
 
@@ -153,6 +153,8 @@ pub(crate) struct Driver<'a> {
 
 impl Driver<'_> {
     pub(crate) fn run(self, iterations: usize, queries_per_hour: usize) -> RunStats {
+        // An hour of no queries would never end: count it as one query.
+        let queries_per_hour = queries_per_hour.max(1);
         let mut stats = RunStats {
             dbms: self.conn.info().name,
             tool: self.oracle.name().to_string(),
@@ -600,6 +602,31 @@ mod tests {
             .unwrap();
         assert_eq!(session.dbms_name(), "MySQL-like");
         assert_eq!(session.connector.info().dialect, ProfileId::MysqlLike);
+    }
+
+    #[test]
+    fn an_hour_of_zero_queries_counts_as_one() {
+        let timelines = |queries_per_hour| {
+            let stats = TqsSession::builder()
+                .dsg_config(&dsg_cfg(false))
+                .config(TqsConfig {
+                    iterations: 5,
+                    queries_per_hour,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap()
+                .run();
+            [
+                stats.diversity_timeline,
+                stats.bug_timeline,
+                stats.bug_type_timeline,
+            ]
+            .map(|t| t.iter().map(|p| (p.hour, p.value)).collect::<Vec<_>>())
+        };
+        let hourly = timelines(1);
+        assert_eq!(hourly[0].len(), 5);
+        assert_eq!(timelines(0), hourly);
     }
 
     #[test]
