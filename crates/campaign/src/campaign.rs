@@ -119,10 +119,9 @@ pub enum OracleSpec {
     /// itself runs columnar, in which case row).
     CrossEngine,
     /// Three-way differential testing: the faulty build against pristine
-    /// replicas of *both other* engines. Only the two references vote and a
-    /// tie goes to the first, so the expected answer is the first
-    /// reference's; the second can only veto, by failing (see
-    /// [`DifferentialOracle`]).
+    /// replicas of *both other* engines. The expected answer is the first
+    /// reference's; the second executes every statement too and can only
+    /// veto, by failing (see [`DifferentialOracle`]).
     ThreeWay,
 }
 

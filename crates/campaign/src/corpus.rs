@@ -145,9 +145,14 @@ pub(crate) fn value_from_json(j: &Json) -> Result<Value, String> {
             let (m, s) = text
                 .split_once('/')
                 .ok_or_else(|| format!("bad decimal `{text}`"))?;
+            let scale = s
+                .parse()
+                .ok()
+                .filter(|s| *s <= Decimal::MAX_SCALE)
+                .ok_or_else(|| format!("bad scale `{s}`"))?;
             Value::Decimal(Decimal::new(
                 m.parse().map_err(|_| format!("bad mantissa `{m}`"))?,
-                s.parse().map_err(|_| format!("bad scale `{s}`"))?,
+                scale,
             ))
         }
         "str" => Value::Varchar(text.to_string()),
@@ -602,6 +607,15 @@ pub(crate) mod tests {
             let back = value_from_json(&Json::parse(&value_to_json(&v).to_string()).unwrap());
             assert_eq!(back.as_ref(), Ok(&v), "{v:?}");
         }
+    }
+
+    #[test]
+    fn a_decimal_scale_beyond_an_i128_is_rejected() {
+        let dec = |text: &str| value_from_json(&Json::Arr(vec![Json::str("dec"), Json::str(text)]));
+        assert_eq!(dec("1/38"), Ok(Value::Decimal(Decimal::new(1, 38))));
+        assert!(dec("1/39").is_err());
+        assert!(dec("1/40").is_err());
+        assert!(dec("1/256").is_err());
     }
 
     #[test]

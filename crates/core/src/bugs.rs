@@ -224,6 +224,9 @@ impl BugLog {
 /// predicates and projections while `oracle` keeps returning a bug verdict
 /// for the candidate on `conn`. Works with *any* [`Oracle`] implementation —
 /// ground truth, cross-engine differential, or a baseline.
+///
+/// `stmt` must be a statement `oracle` has just reported bugs for on `conn`:
+/// the reducer does not check it again, and only its candidates are checked.
 pub fn minimize_with_oracle(
     stmt: &SelectStmt,
     oracle: &mut dyn Oracle,
@@ -233,9 +236,6 @@ pub fn minimize_with_oracle(
         matches!(oracle.check(candidate, conn), OracleVerdict::Bugs(_))
     };
     let mut current = stmt.clone();
-    if !still_fails(&current) {
-        return current;
-    }
     let mut progress = true;
     while progress {
         progress = false;

@@ -709,11 +709,7 @@ impl DmlOracle {
             }
         }
 
-        match (executed, reports.is_empty()) {
-            (false, _) => OracleVerdict::Skip,
-            (true, true) => OracleVerdict::Pass,
-            (true, false) => OracleVerdict::Bugs(reports),
-        }
+        OracleVerdict::from_reports(executed, reports)
     }
 }
 

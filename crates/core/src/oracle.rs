@@ -5,18 +5,25 @@
 //! [`OracleVerdict`]. The orchestrator ([`crate::tqs::TqsSession`]), the
 //! baseline runner ([`crate::baselines`]), the campaign fleet and the
 //! oracle-driven minimizer ([`crate::bugs::minimize_with_oracle`]) all drive
-//! `&mut dyn Oracle`, so oracles compose, swap and compare uniformly:
+//! `&mut dyn Oracle`, so oracles compose, swap and compare uniformly.
 //!
-//! * [`TqsOracle`] — the paper's oracle: every hint-forced transformed query
-//!   must match the wide-table ground truth.
-//! * [`PlanDiffOracle`] — the `TQS!GT` ablation: transformed plans must agree
-//!   with the default plan (no ground truth).
+//! Three oracles are one judge with three expectations. They run one loop,
+//! Algorithm 1 lines 11-15: transform the statement into every hint set of
+//! the backend's dialect, execute each, and judge each result against
+//!
+//! * the wide-table ground truth — [`TqsOracle`], the paper's oracle;
+//! * the first hint set's result — [`PlanDiffOracle`], the `TQS!GT`
+//!   ablation (no ground truth);
+//! * the answer of a panel of *different engine builds* (e.g. the columnar
+//!   engine for the row engine), which is the first reference's —
+//!   [`DifferentialOracle`], cross-engine differential testing. This oracle
+//!   owns whole connectors, which is impossible to express as a per-query
+//!   check against a single backend — the reason the oracle layer is a
+//!   trait and not an enum.
+//!
+//! The others check in their own way:
+//!
 //! * [`PqsOracle`], [`TlpOracle`], [`NorecOracle`] — the §5.2 baselines.
-//! * [`DifferentialOracle`] — cross-engine differential testing: the same
-//!   statement on two *different engine builds* (e.g. the row engine vs the
-//!   columnar engine) must agree. This oracle owns a second connector, which
-//!   is impossible to express as a per-query check against a single backend —
-//!   the reason the oracle layer is a trait and not an enum.
 //! * [`PlanSpaceOracle`] — every plan of the statement's enumerated
 //!   optimizer plan space must agree with the ground truth, execute with the
 //!   hint set the enumerator intended, and respect cost sanity.
@@ -61,6 +68,16 @@ impl OracleVerdict {
         match self {
             OracleVerdict::Bugs(reports) => reports,
             OracleVerdict::Pass | OracleVerdict::Skip => Vec::new(),
+        }
+    }
+
+    /// The verdict of a check that `executed` the statement (or did not)
+    /// and observed `reports`.
+    pub(crate) fn from_reports(executed: bool, reports: Vec<BugReport>) -> Self {
+        match (executed, reports.is_empty()) {
+            (false, _) => OracleVerdict::Skip,
+            (true, true) => OracleVerdict::Pass,
+            (true, false) => OracleVerdict::Bugs(reports),
         }
     }
 }
@@ -115,6 +132,75 @@ pub(crate) fn same_bag(a: &ResultSet, b: &ResultSet) -> bool {
     judged(a, b, || a.same_bag(b))
 }
 
+/// What each hint set's result is judged against in [`judge_hint_sets`].
+enum Expectation<'a> {
+    /// The wide-table ground truth ([`TqsOracle`]).
+    Truth(GroundTruth),
+    /// The result of the first hint set that executes ([`PlanDiffOracle`]);
+    /// that hint set becomes the expectation and is not itself judged.
+    /// Callers pass `None`.
+    FirstPlan(Option<ResultSet>),
+    /// The panel's answer for the statement, memoized under its rendered
+    /// text ([`DifferentialOracle`]). A hint set the panel cannot answer
+    /// for does not count.
+    Panel(&'a mut DifferentialOracle, String),
+}
+
+/// The one loop of the hint-set oracles (see the module docs): judge every
+/// hint set of `stmt` that executes on `conn` against `expectation`, and
+/// report each mismatch as `kind`, with the build under test's `fired`
+/// first, then the panel's. The verdict is a skip when no hint set counts.
+fn judge_hint_sets(
+    stmt: &SelectStmt,
+    conn: &mut dyn DbmsConnector,
+    kind: OracleKind,
+    mut expectation: Expectation,
+) -> OracleVerdict {
+    let info = conn.info();
+    let mut executed = false;
+    let mut reports = Vec::new();
+    for hs in hint_sets_for(info.dialect, stmt) {
+        let Ok(out) = conn.execute_with_hints(stmt, &hs) else {
+            continue;
+        };
+        let (expected, matches, panel_fired) = match &mut expectation {
+            Expectation::Truth(truth) => {
+                (&truth.result, truth_matches(truth, &out.result), &[][..])
+            }
+            Expectation::FirstPlan(first) => match first {
+                Some(first) => (&*first, same_bag(first, &out.result), &[][..]),
+                None => {
+                    *first = Some(out.result);
+                    executed = true;
+                    continue;
+                }
+            },
+            Expectation::Panel(oracle, key) => {
+                let Some(answer) = oracle.answer(stmt, key) else {
+                    continue;
+                };
+                let matches = same_bag(&answer.result, &out.result);
+                (&answer.result, matches, &answer.fired[..])
+            }
+        };
+        executed = true;
+        if !matches {
+            let mut fired = out.fired;
+            fired.extend_from_slice(panel_fired);
+            reports.push(make_report(
+                &info.name,
+                kind,
+                stmt,
+                &hs,
+                expected,
+                &out.result,
+                fired,
+            ));
+        }
+    }
+    OracleVerdict::from_reports(executed, reports)
+}
+
 /// The TQS oracle (Algorithm 1 lines 11-15): transform the query into every
 /// hint set of the backend's dialect, execute each, and verify every result
 /// against the wide-table ground truth.
@@ -142,37 +228,11 @@ impl Oracle for TqsOracle {
     }
 
     fn check(&mut self, stmt: &SelectStmt, conn: &mut dyn DbmsConnector) -> OracleVerdict {
-        let gt = GroundTruthEvaluator::new(&self.dsg.db);
-        let truth = match gt.evaluate(stmt) {
-            Ok(t) => t,
-            Err(_) => return OracleVerdict::Skip,
+        let Ok(truth) = GroundTruthEvaluator::new(&self.dsg.db).evaluate(stmt) else {
+            return OracleVerdict::Skip;
         };
-        let info = conn.info();
-        let mut executed = false;
-        let mut reports = Vec::new();
-        for hs in hint_sets_for(info.dialect, stmt) {
-            let out = match conn.execute_with_hints(stmt, &hs) {
-                Ok(o) => o,
-                Err(_) => continue,
-            };
-            executed = true;
-            if !truth_matches(&truth, &out.result) {
-                reports.push(make_report(
-                    &info.name,
-                    OracleKind::GroundTruth,
-                    stmt,
-                    &hs,
-                    &truth.result,
-                    &out.result,
-                    out.fired.clone(),
-                ));
-            }
-        }
-        match (executed, reports.is_empty()) {
-            (false, _) => OracleVerdict::Skip,
-            (true, true) => OracleVerdict::Pass,
-            (true, false) => OracleVerdict::Bugs(reports),
-        }
+        let truth = Expectation::Truth(truth);
+        judge_hint_sets(stmt, conn, OracleKind::GroundTruth, truth)
     }
 }
 
@@ -204,40 +264,14 @@ impl Oracle for PlanDiffOracle {
     }
 
     fn check(&mut self, stmt: &SelectStmt, conn: &mut dyn DbmsConnector) -> OracleVerdict {
-        let gt = GroundTruthEvaluator::new(&self.dsg.db);
-        if gt.evaluate(stmt).is_err() {
+        if GroundTruthEvaluator::new(&self.dsg.db)
+            .evaluate(stmt)
+            .is_err()
+        {
             return OracleVerdict::Skip;
         }
-        let info = conn.info();
-        let mut outcomes = Vec::new();
-        for hs in hint_sets_for(info.dialect, stmt) {
-            if let Ok(out) = conn.execute_with_hints(stmt, &hs) {
-                outcomes.push((hs, out));
-            }
-        }
-        if outcomes.is_empty() {
-            return OracleVerdict::Skip;
-        }
-        let (_, base) = &outcomes[0];
-        let mut reports = Vec::new();
-        for (hs, out) in &outcomes[1..] {
-            if !same_bag(&base.result, &out.result) {
-                reports.push(make_report(
-                    &info.name,
-                    OracleKind::Differential,
-                    stmt,
-                    hs,
-                    &base.result,
-                    &out.result,
-                    out.fired.clone(),
-                ));
-            }
-        }
-        if reports.is_empty() {
-            OracleVerdict::Pass
-        } else {
-            OracleVerdict::Bugs(reports)
-        }
+        let first_plan = Expectation::FirstPlan(None);
+        judge_hint_sets(stmt, conn, OracleKind::Differential, first_plan)
     }
 }
 
@@ -624,33 +658,28 @@ impl Oracle for PlanSpaceOracle {
             r.set_fingerprint(Some(best.fingerprint));
             reports.push(r);
         }
-
-        if reports.is_empty() {
-            OracleVerdict::Pass
-        } else {
-            OracleVerdict::Bugs(reports)
-        }
+        OracleVerdict::from_reports(true, reports)
     }
 }
 
 /// Cross-engine differential testing: execute every hint-set transformation
 /// of the statement on the backend under test, and judge each against the
-/// answer of one or more independent engine builds owned by the oracle.
+/// answer of a panel of one or more independent engine builds owned by the
+/// oracle.
 ///
 /// With pairwise-disjoint fault complements (row engine's Table 4 faults,
 /// the columnar engine's batching faults, the disk engine's storage faults) a
 /// pristine reference acts as a ground-truth stand-in: like the ground truth,
 /// its answer does not depend on the plan, so the panel answers the statement
 /// once, under the `default` hint set, and every hint set of the build under
-/// test is judged against that one answer. Only the references vote on it: it
-/// is the result the largest group of them agrees on, ties breaking toward
-/// the earlier reference; the build under test has no vote. A panel of two
-/// references ([`DifferentialOracle::panel`], the campaign's three-way cells)
-/// therefore always expects `references[0]`'s answer — the pair agrees or
-/// ties — and `references[1]` can only veto, by failing; their pairwise
-/// judgement is made and has no effect. This is the first oracle that
-/// *requires* the trait: it owns whole connectors, not just a per-query
-/// check.
+/// test is judged against that one answer. The answer is `references[0]`'s.
+/// Every other reference executes the statement too, and can only veto: when
+/// any reference fails, the panel has no answer and the hint set does not
+/// count. There is no vote, so a panel of two references
+/// ([`DifferentialOracle::panel`], the campaign's three-way cells) judges
+/// exactly what `references[0]` alone would, except where `references[1]`
+/// fails. This is the first oracle that *requires* the trait: it owns whole
+/// connectors, not just a per-query check.
 ///
 /// **Panel memo.** A reference's answer is a function of its catalog and the
 /// statement (as written, with its own hints; `tests/pristine_hint_invariance.rs`
@@ -669,7 +698,7 @@ pub struct DifferentialOracle {
 
 /// What the panel answered for one statement.
 struct PanelAnswer {
-    /// The result the vote picked.
+    /// `references[0]`'s result.
     result: ResultSet,
     /// Every reference's `fired`, in reference order.
     fired: Vec<FaultKind>,
@@ -688,8 +717,8 @@ impl DifferentialOracle {
 
     /// A panel of reference connectors (each with the catalog already
     /// loaded). The build under test is reported when its answer diverges
-    /// from the result the largest group of references agrees on (ties
-    /// break toward the earlier reference; see the type docs).
+    /// from the first reference's; the others can only veto (see the type
+    /// docs).
     pub fn panel(references: Vec<Box<dyn DbmsConnector>>) -> Self {
         assert!(
             !references.is_empty(),
@@ -718,35 +747,30 @@ impl DifferentialOracle {
         self.references[0].as_mut()
     }
 
-    /// Execute the statement on every reference under the `default` hint set
-    /// and vote; `None` when a reference fails.
-    fn ask(references: &mut [Box<dyn DbmsConnector>], stmt: &SelectStmt) -> Option<PanelAnswer> {
+    /// The panel's answer for `stmt`, remembered under `key` (its rendered
+    /// text). On a miss every reference executes the statement under the
+    /// `default` hint set and the answer is `references[0]`'s; `None` when
+    /// any reference fails.
+    fn answer(&mut self, stmt: &SelectStmt, key: &str) -> Option<&PanelAnswer> {
+        let miss = match self.memo.entry(key.to_string()) {
+            Entry::Occupied(hit) => {
+                tqs_telemetry::counter!("core.oracle.panel.memo_hits").incr();
+                return Some(hit.into_mut());
+            }
+            Entry::Vacant(miss) => miss,
+        };
         tqs_telemetry::counter!("core.oracle.panel.executions").incr();
         let default = HintSet::new("default");
-        let mut refs = Vec::with_capacity(references.len());
-        for r in references.iter_mut() {
-            refs.push(r.execute_with_hints(stmt, &default).ok()?);
+        let (first, rest) = self.references.split_first_mut()?;
+        let answer = first.execute_with_hints(stmt, &default).ok()?;
+        let mut fired = answer.fired;
+        for r in rest {
+            fired.extend(r.execute_with_hints(stmt, &default).ok()?.fired);
         }
-        // The result the largest group of references agrees on (ties break
-        // toward the earlier one). A result agrees with itself, and each
-        // pair is judged once.
-        let mut majority = vec![1usize; refs.len()];
-        for i in 0..refs.len() {
-            for j in i + 1..refs.len() {
-                if same_bag(&refs[i].result, &refs[j].result) {
-                    majority[i] += 1;
-                    majority[j] += 1;
-                }
-            }
-        }
-        let best = (0..refs.len())
-            .max_by_key(|&i| (majority[i], std::cmp::Reverse(i)))
-            .expect("non-empty panel");
-        let fired = refs.iter().flat_map(|r| r.fired.iter().copied()).collect();
-        Some(PanelAnswer {
-            result: refs.swap_remove(best).result,
+        Some(miss.insert(PanelAnswer {
+            result: answer.result,
             fired,
-        })
+        }))
     }
 }
 
@@ -760,44 +784,8 @@ impl Oracle for DifferentialOracle {
     }
 
     fn check(&mut self, stmt: &SelectStmt, conn: &mut dyn DbmsConnector) -> OracleVerdict {
-        let info = conn.info();
-        let mut executed = false;
-        let mut reports = Vec::new();
-        let key = render_stmt(stmt);
-        for hs in hint_sets_for(info.dialect, stmt) {
-            let Ok(out) = conn.execute_with_hints(stmt, &hs) else {
-                continue;
-            };
-            let expected = match self.memo.entry(key.clone()) {
-                Entry::Occupied(hit) => {
-                    tqs_telemetry::counter!("core.oracle.panel.memo_hits").incr();
-                    hit.into_mut()
-                }
-                Entry::Vacant(miss) => match Self::ask(&mut self.references, stmt) {
-                    Some(answer) => miss.insert(answer),
-                    None => continue,
-                },
-            };
-            executed = true;
-            if !same_bag(&expected.result, &out.result) {
-                let mut fired = out.fired.clone();
-                fired.extend(expected.fired.iter().copied());
-                reports.push(make_report(
-                    &info.name,
-                    OracleKind::CrossEngine,
-                    stmt,
-                    &hs,
-                    &expected.result,
-                    &out.result,
-                    fired,
-                ));
-            }
-        }
-        match (executed, reports.is_empty()) {
-            (false, _) => OracleVerdict::Skip,
-            (true, true) => OracleVerdict::Pass,
-            (true, false) => OracleVerdict::Bugs(reports),
-        }
+        let panel = Expectation::Panel(self, render_stmt(stmt));
+        judge_hint_sets(stmt, conn, OracleKind::CrossEngine, panel)
     }
 }
 
@@ -991,6 +979,8 @@ mod tests {
         });
         let mut alone = DifferentialOracle::new(row());
         let mut stub_second = DifferentialOracle::panel(vec![Box::new(row()), stub(odd.clone())]);
+        let mut outvoted =
+            DifferentialOracle::panel(vec![Box::new(row()), stub(odd.clone()), stub(odd.clone())]);
         let mut stub_first = DifferentialOracle::panel(vec![stub(odd), Box::new(row())]);
         let mut veto = DifferentialOracle::panel(vec![
             Box::new(row()),
@@ -1001,9 +991,12 @@ mod tests {
         for stmt in sample_queries(&d, 120) {
             let expected = reports_of(&alone.check(&stmt, &mut faulty));
             bugs += expected.as_ref().map_or(0, Vec::len);
-            // A different bag from the second reference ties the vote, and
-            // the tie goes to the first: the verdict is the first's alone.
+            // A different bag from the second reference changes nothing:
+            // the verdict is the first's alone.
             assert_eq!(reports_of(&stub_second.check(&stmt, &mut faulty)), expected);
+            // Nor does a second and third that agree with each other against
+            // the first: the panel does not vote.
+            assert_eq!(reports_of(&outvoted.check(&stmt, &mut faulty)), expected);
             // With the stub first, its answer is the expected one.
             match stub_first.check(&stmt, &mut faulty) {
                 OracleVerdict::Bugs(r) => assert!(r.iter().all(|b| b.expected_rows == 1)),

@@ -923,10 +923,12 @@ fn parse_number_literal(n: &str) -> Value {
     }
     if !n.contains(['e', 'E']) {
         if let Some(dot) = n.find('.') {
-            let scale = (n.len() - dot - 1) as u8;
+            let scale = n.len() - dot - 1;
             let digits: String = n.chars().filter(|c| *c != '.').collect();
-            if let Ok(m) = digits.parse::<i128>() {
-                return Value::Decimal(Decimal::new(m, scale));
+            if let (Ok(scale), Ok(m)) = (u8::try_from(scale), digits.parse::<i128>()) {
+                if scale <= Decimal::MAX_SCALE {
+                    return Value::Decimal(Decimal::new(m, scale));
+                }
             }
         }
     }
@@ -990,6 +992,20 @@ pub(crate) fn parse_hints(body: &str) -> Result<Vec<Hint>, String> {
 mod tests {
     use super::*;
     use crate::render::{render_expr, render_stmt};
+
+    #[test]
+    fn a_literal_with_more_fractional_digits_than_a_decimal_holds_is_a_double() {
+        let tiny = format!("0.{}1", "0".repeat(39));
+        let sql = format!("SELECT t.a AS x FROM t WHERE t.a = {tiny}");
+        let rendered = render_stmt(&parse_stmt(&sql).unwrap());
+        assert_eq!(rendered, sql);
+        assert_eq!(parse_number_literal(&tiny), Value::Double(1e-40));
+        let widest = format!("0.{}1", "0".repeat(37));
+        assert_eq!(
+            parse_number_literal(&widest),
+            Value::Decimal(Decimal::new(1, Decimal::MAX_SCALE))
+        );
+    }
 
     #[test]
     fn parses_simple_join_query() {

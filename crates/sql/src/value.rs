@@ -22,6 +22,10 @@ pub struct Decimal {
 }
 
 impl Decimal {
+    /// The largest scale whose power of ten fits an `i128`: a literal with
+    /// more fractional digits is not a decimal.
+    pub const MAX_SCALE: u8 = 38;
+
     pub fn new(mantissa: i128, scale: u8) -> Self {
         Decimal { mantissa, scale }
     }
@@ -34,9 +38,19 @@ impl Decimal {
     /// Rescale both operands to a common scale and compare exactly.
     pub(crate) fn cmp_exact(self, other: Decimal) -> Ordering {
         let scale = self.scale.max(other.scale);
-        let a = self.mantissa * 10i128.pow((scale - self.scale) as u32);
-        let b = other.mantissa * 10i128.pow((scale - other.scale) as u32);
-        a.cmp(&b)
+        let rescaled = |d: Decimal| match d.mantissa {
+            0 => Some(0),
+            m => 10i128
+                .checked_pow(u32::from(scale - d.scale))?
+                .checked_mul(m),
+        };
+        match (rescaled(self), rescaled(other)) {
+            (Some(a), Some(b)) => a.cmp(&b),
+            // Only the operand with the smaller scale is rescaled; one that
+            // overflows lies beyond every i128, so its sign decides.
+            (None, _) => self.mantissa.cmp(&0),
+            (_, None) => 0.cmp(&other.mantissa),
+        }
     }
 
     /// Normalize away trailing zeros so `1.50` and `1.5` hash identically.
@@ -671,6 +685,29 @@ pub fn result_value_eq(a: &Value, b: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn decimals_too_far_apart_to_rescale_compare_without_overflow() {
+        use Ordering::{Equal, Greater, Less};
+        for ((am, ascale), (bm, bscale), want) in [
+            ((5, 0), (1, 40), Greater),
+            ((-5, 0), (1, 40), Less),
+            ((0, 0), (1, 40), Less),
+            ((0, 0), (0, 40), Equal),
+            // Where rescaling fits, the exact answer.
+            ((15, 1), (150, 2), Equal),
+            ((i128::MAX, 0), (1, 38), Greater),
+        ] {
+            let (a, b) = (Decimal::new(am, ascale), Decimal::new(bm, bscale));
+            let cmp = |x, y| sql_compare(&Value::Decimal(x), &Value::Decimal(y));
+            assert_eq!(cmp(a, b), SqlCmp::Ordering(want), "{a:?} vs {b:?}");
+            assert_eq!(
+                cmp(b, a),
+                SqlCmp::Ordering(want.reverse()),
+                "{b:?} vs {a:?}"
+            );
+        }
+    }
 
     #[test]
     fn null_comparisons_are_unknown() {

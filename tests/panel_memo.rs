@@ -122,20 +122,16 @@ fn the_panel_answers_each_statement_once_per_unit() {
     let calls = || (row_calls.get(), col_calls.get());
 
     // Two checks of one statement in one unit: each reference executes once,
-    // for the first hint set, and the two answers are judged against each
-    // other; every hint set is judged against the voted answer. The repeat
-    // makes one judgement per hint set and asks nobody.
+    // for the first hint set, and every hint set is judged against the first
+    // reference's answer. The repeat makes one judgement per hint set and
+    // asks nobody.
     panel.begin_unit();
     assert!(matches!(panel.check(&stmt, &mut disk), OracleVerdict::Pass));
     assert_eq!(calls(), (1, 1));
-    assert_eq!(
-        judgements(),
-        n as u64 + 1,
-        "a first sighting: one per hint set plus the panel's own"
-    );
+    assert_eq!(judgements(), n as u64, "a first sighting: one per hint set");
     assert!(matches!(panel.check(&stmt, &mut disk), OracleVerdict::Pass));
     assert_eq!(calls(), (1, 1), "the repeat is answered from the memo");
-    assert_eq!(judgements(), 2 * n as u64 + 1, "a repeat: one per hint set");
+    assert_eq!(judgements(), 2 * n as u64, "a repeat: one per hint set");
     assert_eq!(panel_metrics(), (1, 2 * n as u64 - 1));
 
     // A new unit and a changed reference both forget the answer.
