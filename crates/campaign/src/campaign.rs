@@ -10,17 +10,19 @@
 //!    many kills it runs.
 //! 2. **Fleet.** Worker threads take pending cells in id order from one
 //!    shared cursor (`scheduler::drain_in_order`), each cell under the
-//!    supervisor's retry and quarantine policy, and the run reads the
-//!    outcomes back in cell order. A bounded run drains the lowest-id
-//!    pending cells.
-//! 3. **Triage.** Raw divergences are deduplicated campaign-wide by
-//!    plan-fingerprint class ([`crate::triage::BugTriage`]); each new class
-//!    is minimized once and persisted with its witness trace.
-//! 4. **Persistence.** `checkpoint.jsonl` journals drained cells;
-//!    `corpus.jsonl` accumulates bug classes. [`Campaign::resume`] replays
-//!    both and continues with the missing cells — a killed-and-resumed
-//!    campaign converges to the identical deduplicated bug-class set as an
-//!    uninterrupted one.
+//!    supervisor's retry and quarantine policy. Cells finish out of order
+//!    and retire in cell order on the run thread, the one writer of triage
+//!    and journals. A bounded run drains the lowest-id pending cells.
+//! 3. **Triage.** A cell deduplicates its raw divergences by plan-fingerprint
+//!    class and minimizes each of its classes once; retiring it admits them
+//!    campaign-wide ([`crate::triage::BugTriage`]), so the lowest cell id
+//!    owns each class at any worker count.
+//! 4. **Persistence.** A retiring cell appends its new classes, with their
+//!    witness traces, to `corpus.jsonl`, then its record to
+//!    `checkpoint.jsonl`. [`Campaign::resume`] replays both and continues
+//!    with the missing cells — a killed-and-resumed campaign converges to the
+//!    identical deduplicated bug-class set as an uninterrupted one, and any
+//!    worker count writes the same corpus.
 
 use crate::checkpoint::{CellRecord, Checkpoint, CheckpointHeader, RunRecord};
 use crate::corpus::{Corpus, CorpusEntry, StoredStatement};
@@ -32,7 +34,6 @@ use crate::triage::BugTriage;
 use crate::Unpoisoned;
 use std::collections::{BTreeSet, HashSet};
 use std::io;
-use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,7 +49,6 @@ use tqs_engine::cancel::CancelToken;
 use tqs_engine::ProfileId;
 use tqs_graph::plangraph::{graph_fingerprint, query_graph_with_subqueries};
 use tqs_graph::{GraphIndex, LabeledGraph};
-use tqs_pager::envfault::EnvFaultPolicy;
 use tqs_sql::ast::{DmlStmt, SelectStmt};
 use tqs_sql::render::render_stmt;
 use tqs_telemetry::Json;
@@ -357,8 +357,6 @@ pub struct Campaign {
     /// Graceful-stop flag shared with [`CampaignStopHandle`]s; workers check
     /// it before taking another cell.
     stop: Arc<AtomicBool>,
-    /// Serializes the fleet's journal appends (see [`Campaign::append`]).
-    io_lock: Mutex<()>,
 }
 
 /// A cloneable handle requesting a graceful stop of a running [`Campaign`]:
@@ -416,7 +414,6 @@ impl Campaign {
             quarantine_journal: Quarantine::in_dir(&cfg.dir),
             quarantine: Vec::new(),
             stop: Arc::new(AtomicBool::new(false)),
-            io_lock: Mutex::new(()),
             cfg,
         })
     }
@@ -509,7 +506,6 @@ impl Campaign {
             quarantine_journal,
             quarantine,
             stop: Arc::new(AtomicBool::new(false)),
-            io_lock: Mutex::new(()),
             cfg,
         })
     }
@@ -599,24 +595,14 @@ impl Campaign {
         }
     }
 
-    /// The one way the campaign writes its journals: under `io_lock`, so
-    /// appends from concurrent workers never interleave, and retried under
-    /// the supervisor's budget through its environmental fault policy
-    /// ([`retry_append`]).
-    fn append(&self, op: impl FnMut(&EnvFaultPolicy) -> io::Result<()>) -> io::Result<()> {
-        let _io = self.io_lock.lock_unpoisoned();
-        retry_append(&self.cfg.supervisor, op).map(drop)
-    }
-
     /// The deduplicated class-key set — the campaign's primary artifact.
     pub fn class_keys(&self) -> BTreeSet<String> {
         self.triage.class_keys()
     }
 
     /// Drain the pending cells — the `max_cells_per_run` lowest-id ones when
-    /// bounded — with the worker fleet, journaling each drained cell and
-    /// appending every new bug class to the corpus as it is discovered.
-    /// Returns this run's statistics.
+    /// bounded — with the worker fleet, retiring each in cell order on this
+    /// thread. Returns this run's statistics.
     pub fn run(&mut self) -> io::Result<CampaignStats> {
         let _run_span = tqs_telemetry::span("campaign", "run");
         let mut pending = self.pending_cells();
@@ -629,32 +615,52 @@ impl Campaign {
             self.triage.class_count(),
             self.torn_tails_repaired,
         );
-        let triage = Mutex::new(std::mem::take(&mut self.triage));
-        let diversity = Mutex::new(GraphIndex::new());
-        let outcomes = drain_in_order(self.cfg.workers, &pending, &self.stop, |cell| {
-            match self.supervise_cell(cell, &triage, &diversity, &live) {
-                Ok(outcome) => ControlFlow::Continue(Ok(outcome)),
-                Err(e) => ControlFlow::Break(Err(e)),
-            }
-        });
-
-        self.triage = triage.into_inner_unpoisoned();
-        let mut failure = None;
-        for (cell, outcome) in pending.iter().zip(outcomes) {
-            match outcome {
-                None => {} // not taken: the run stopped first
-                Some(Ok(None)) => {
-                    self.done.insert(cell.id);
+        let fleet = Fleet {
+            cfg: &self.cfg,
+            shards: &self.shards,
+            diversity: Mutex::new(GraphIndex::new()),
+            live: &live,
+        };
+        let sup = &self.cfg.supervisor;
+        // The one writer: cells retire in id order, so the lowest cell that
+        // found a class owns it. Appends retry under the supervisor's budget.
+        let retire = |cell: &CampaignCell, outcome: CellOutcome| -> io::Result<()> {
+            let mut new_classes = 0;
+            for entry in outcome.found {
+                if self.triage.admit(entry.report.clone(), cell.id).is_some() {
+                    retry_append(sup, |env| self.corpus.append_with(&entry, env))?;
+                    new_classes += 1;
+                    live.add_new_class();
                 }
-                Some(Ok(Some(entry))) => self.quarantine.push(entry),
-                Some(Err(e)) => failure = failure.or(Some(e)),
             }
-        }
-        if let Some(e) = failure {
+            match outcome.end {
+                Ok(mut record) => {
+                    record.new_classes = new_classes;
+                    retry_append(sup, |env| self.checkpoint.append_cell_with(&record, env))?;
+                    self.done.insert(cell.id);
+                    live.cell_drained();
+                }
+                Err(entry) => {
+                    retry_append(sup, |env| self.quarantine_journal.append(&entry, env))?;
+                    self.quarantine.push(entry);
+                    live.add_quarantined();
+                    tqs_telemetry::counter!("campaign.supervisor.quarantined").incr();
+                }
+            }
+            Ok(())
+        };
+        if let Err(e) = drain_in_order(
+            self.cfg.workers,
+            &pending,
+            &self.stop,
+            |cell| fleet.supervise_cell(cell),
+            retire,
+        ) {
             self.status.abort();
             return Err(e);
         }
-        live.set_diversity(diversity.into_inner_unpoisoned().isomorphic_set_count());
+        let diversity = fleet.diversity.into_inner_unpoisoned();
+        live.set_diversity(diversity.isomorphic_set_count());
         let stats = live.snapshot(
             self.cells.len(),
             self.done.len(),
@@ -671,7 +677,7 @@ impl Campaign {
             statements: totals.statements,
             plans: totals.plans,
         };
-        self.append(|env| self.checkpoint.append_run_with(&run_record, env))?;
+        retry_append(sup, |env| self.checkpoint.append_run_with(&run_record, env))?;
         self.prior = RunTotals {
             elapsed: self.prior.elapsed + totals.elapsed,
             queries: self.prior.queries + totals.queries,
@@ -681,62 +687,73 @@ impl Campaign {
         self.status.finish(stats.clone());
         Ok(stats)
     }
+}
 
-    /// One cell under supervision: panics are caught and admitted as
+/// What the fleet's workers share: configuration and shards, read-only, the
+/// reporting-only diversity index and the live counters. They write no
+/// triage and no journal; [`Campaign::run`] retires what they return.
+struct Fleet<'a> {
+    cfg: &'a CampaignConfig,
+    shards: &'a [Arc<DsgDatabase>],
+    diversity: Mutex<GraphIndex>,
+    live: &'a LiveStats,
+}
+
+/// A supervised cell's result, retired on the run thread in cell order.
+struct CellOutcome {
+    /// One corpus entry per class found, in order, over all attempts.
+    found: Vec<CorpusEntry>,
+    /// Drained: the checkpoint record. Given up on: the quarantine entry.
+    end: Result<CellRecord, QuarantineEntry>,
+}
+
+impl Fleet<'_> {
+    /// One cell under supervision: panics are caught and recorded as
     /// `HarnessPanic` classes, failed attempts retry with capped backoff, and
     /// a cell that exhausts the attempt budget is quarantined instead of
-    /// poisoning the run. `Ok(None)`: the cell drained. `Ok(Some(entry))`:
-    /// the cell was quarantined and `entry` journaled. `Err`: a panic class
-    /// or quarantine entry could not be journaled, which halts the fleet.
-    fn supervise_cell(
-        &self,
-        cell: &CampaignCell,
-        triage: &Mutex<BugTriage>,
-        diversity: &Mutex<GraphIndex>,
-        live: &LiveStats,
-    ) -> io::Result<Option<QuarantineEntry>> {
+    /// poisoning the run. What failed attempts found is kept: a retry
+    /// re-sights it as duplicates, and a quarantined cell still retires it.
+    fn supervise_cell(&self, cell: &CampaignCell) -> CellOutcome {
         let sup = &self.cfg.supervisor;
+        let mut found = Vec::new();
         let mut attempt = 0u32;
-        loop {
+        let end = loop {
             attempt += 1;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.run_cell(cell, attempt, triage, diversity, live)
+                self.run_cell(cell, attempt, &mut found)
             }));
             let reason = match outcome {
-                Ok(Ok(_record)) => {
-                    live.cell_drained();
-                    return Ok(None);
-                }
+                Ok(Ok(record)) => break Ok(record),
                 Ok(Err(e)) => {
                     tqs_telemetry::counter!("campaign.supervisor.cell_io_errors").incr();
                     e.to_string()
                 }
                 Err(payload) => {
-                    live.add_panic_caught();
+                    self.live.add_panic_caught();
                     tqs_telemetry::counter!("campaign.supervisor.panics_caught").incr();
                     let text = panic_payload_text(payload.as_ref());
-                    // The panic is itself a finding: admit it as a
-                    // first-class bug class so the incident is triaged,
-                    // persisted and re-verifiable like any other class.
-                    self.record_harness_panic(cell, &text, triage, live)?;
+                    // The panic is itself a finding, a class like any other;
+                    // a persistent panicker's repeats are duplicate sightings.
+                    let entry = harness_panic_entry(cell, &text);
+                    if !found.iter().any(|e| e.class_key == entry.class_key) {
+                        self.live.add_raw_reports(1);
+                        found.push(entry);
+                    }
                     text
                 }
             };
             if attempt >= sup.max_attempts.max(1) {
-                let entry = QuarantineEntry {
+                break Err(QuarantineEntry {
                     cell_id: cell.id,
                     attempts: attempt,
                     reason,
-                };
-                self.append(|env| self.quarantine_journal.append(&entry, env))?;
-                live.add_quarantined();
-                tqs_telemetry::counter!("campaign.supervisor.quarantined").incr();
-                return Ok(Some(entry));
+                });
             }
-            live.add_retry();
+            self.live.add_retry();
             tqs_telemetry::counter!("campaign.supervisor.retries").incr();
             std::thread::sleep(sup.backoff(attempt));
-        }
+        };
+        CellOutcome { found, end }
     }
 
     /// Drain one cell with the [`CellWorkload`] its `workload` axis names.
@@ -744,24 +761,22 @@ impl Campaign {
         &self,
         cell: &CampaignCell,
         attempt: u32,
-        triage: &Mutex<BugTriage>,
-        diversity: &Mutex<GraphIndex>,
-        live: &LiveStats,
+        found: &mut Vec<CorpusEntry>,
     ) -> io::Result<CellRecord> {
         let shard = &self.shards[cell.shard];
         let seed = self.cfg.seed ^ ((cell.id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         match cell.workload {
-            Workload::Select => self.drain_cell(cell, attempt, triage, live, || SelectHunt {
+            Workload::Select => self.drain_cell(cell, attempt, found, || SelectHunt {
                 oracle: cell.build_oracle(shard),
                 kqe: Kqe::new(shard.schema_desc.clone(), KqeConfig::default()),
                 generator: QueryGenerator::new(QueryGenConfig {
                     seed,
                     ..Default::default()
                 }),
-                diversity,
-                live,
+                diversity: &self.diversity,
+                live: self.live,
             }),
-            Workload::Dml => self.drain_cell(cell, attempt, triage, live, || DmlHunt {
+            Workload::Dml => self.drain_cell(cell, attempt, found, || DmlHunt {
                 oracle: DmlOracle::new(&shard.db.catalog),
                 generator: DmlGenerator::new(DmlGenConfig {
                     seed,
@@ -772,23 +787,22 @@ impl Campaign {
     }
 
     /// The cell loop: a deterministic stream of `queries_per_cell` units of
-    /// the cell's workload, campaign-wide triage, witness-trace persistence,
-    /// then the checkpoint record. `attempt` is the supervisor's 1-based
-    /// attempt counter — everything the cell does is attempt-independent
-    /// except the chaos panic decision, so a retried cell re-admits its
-    /// findings as duplicates and the corpus stays deterministic. The
-    /// workload is built by `make_hunt` once the cell's clock and span are
-    /// running, so they cover the oracle's set-up (reference replicas load
-    /// whole catalogs).
+    /// the cell's workload, each new class pushed to `found` minimized and
+    /// with its witness trace, then the checkpoint record. `attempt` is the
+    /// supervisor's 1-based attempt counter — everything the cell does is
+    /// attempt-independent except the chaos panic decision, so a retry
+    /// re-sights what `found` holds and reduces nothing twice. The workload
+    /// is built by `make_hunt` once the cell's clock and span are running, so
+    /// they cover the oracle's set-up (reference replicas load whole catalogs).
     fn drain_cell<W: CellWorkload>(
         &self,
         cell: &CampaignCell,
         attempt: u32,
-        triage: &Mutex<BugTriage>,
-        live: &LiveStats,
+        found: &mut Vec<CorpusEntry>,
         make_hunt: impl FnOnce() -> W,
     ) -> io::Result<CellRecord> {
         let started = Instant::now();
+        let live = self.live;
         let mut cell_span = tqs_telemetry::span_with("campaign", || format!("cell-{}", cell.id));
         cell_span.arg("shard", Json::count(cell.shard));
         cell_span.arg("oracle", Json::str(cell.oracle.label()));
@@ -806,7 +820,6 @@ impl Campaign {
         let mut timed_out = false;
         let mut queries = 0usize;
         let mut raw_reports = 0usize;
-        let mut new_classes = 0usize;
         for _ in 0..self.cfg.queries_per_cell {
             // The cell deadline is checked between units (and folded into
             // each cancellable unit's token below), so a timed-out cell
@@ -861,12 +874,9 @@ impl Campaign {
                     Some(fp) => report.keyed_on_graph(fp),
                     None => report,
                 };
-                let admitted = triage.lock_unpoisoned().admit(report.clone(), cell.id);
-                let Some(class_idx) = admitted else {
-                    continue; // duplicate sighting of a known class
-                };
-                new_classes += 1;
-                live.add_new_class();
+                if found.iter().any(|e| e.class_key == report.class_key()) {
+                    continue; // duplicate sighting of a class this cell holds
+                }
                 let witness = witness.get_or_insert_with(|| {
                     conn.trace()
                         .iter()
@@ -874,21 +884,15 @@ impl Campaign {
                         .collect()
                 });
                 if self.cfg.minimize {
-                    if let Some(minimized) = hunt.minimize(&unit, &mut conn) {
-                        triage
-                            .lock_unpoisoned()
-                            .set_minimized(class_idx, minimized.clone());
-                        report.minimized_sql = Some(minimized);
-                    }
+                    report.minimized_sql = hunt.minimize(&unit, &mut conn);
                 }
-                let entry = CorpusEntry {
+                found.push(CorpusEntry {
                     cell_id: cell.id,
                     class_key: report.class_key().to_string(),
                     connector: conn.info(),
                     report,
                     trace: witness.clone(),
-                };
-                self.append(|env| self.corpus.append_with(&entry, env))?;
+                });
             }
         }
 
@@ -899,21 +903,19 @@ impl Campaign {
             live.add_deadline_cell();
             tqs_telemetry::counter!("campaign.supervisor.deadline_cells").incr();
         }
-        // Chaos hook: fires between the hunting loop and the checkpoint
-        // append, so a panicking attempt leaves its ordinary bug classes in
-        // the corpus (admitted as duplicates on retry) but never checkpoints.
+        // Chaos hook: fires after the hunting loop, so a panicking attempt
+        // has found its ordinary bug classes (the retry re-sights them) but
+        // never returns a checkpoint record.
         self.maybe_chaos_panic(cell, attempt);
 
-        let record = CellRecord {
+        Ok(CellRecord {
             cell_id: cell.id,
             queries,
             raw_reports,
-            new_classes,
+            new_classes: 0, // counted when the cell retires
             elapsed_ms: started.elapsed().as_millis() as u64,
             timeout: timed_out,
-        };
-        self.append(|env| self.checkpoint.append_cell_with(&record, env))?;
-        Ok(record)
+        })
     }
 
     /// Chaos hook for the supervision goldens: deterministically panic in a
@@ -925,46 +927,32 @@ impl Campaign {
             panic!("chaos: injected panic in cell {}", cell.id);
         }
     }
+}
 
-    /// Convert a caught worker panic into a first-class incident report: a
-    /// `HarnessPanic` bug class keyed per cell, so the campaign's output
-    /// records *that the harness failed* alongside what the engines did.
-    /// Duplicate sightings (the retry attempts of a persistent panicker)
-    /// dedup through ordinary triage and never re-enter the corpus.
-    fn record_harness_panic(
-        &self,
-        cell: &CampaignCell,
-        payload: &str,
-        triage: &Mutex<BugTriage>,
-        live: &LiveStats,
-    ) -> io::Result<()> {
-        let info = cell.engine.faulty(cell.profile).info();
-        let report = BugReport {
-            dbms: info.name.clone(),
-            oracle: OracleKind::HarnessPanic,
-            sql: payload.to_string(),
-            transformed_sql: String::new(),
-            hint_label: format!("harness-panic:cell-{}", cell.id),
-            expected_rows: 0,
-            observed_rows: 0,
-            fired: Vec::new(),
-            minimized_sql: None,
-            fingerprint: None,
-            keys: KeyCache::default(),
-        };
-        let Some(_idx) = triage.lock_unpoisoned().admit(report.clone(), cell.id) else {
-            return Ok(()); // repeat panic of an already-recorded cell
-        };
-        live.add_raw_reports(1);
-        live.add_new_class();
-        let entry = CorpusEntry {
-            cell_id: cell.id,
-            class_key: report.class_key().to_string(),
-            connector: info,
-            report,
-            trace: Vec::new(),
-        };
-        self.append(|env| self.corpus.append_with(&entry, env))
+/// A caught worker panic as a first-class incident report: a
+/// `HarnessPanic` bug class keyed per cell, so the campaign's output records
+/// *that the harness failed* alongside what the engines did.
+fn harness_panic_entry(cell: &CampaignCell, payload: &str) -> CorpusEntry {
+    let connector = cell.engine.faulty(cell.profile).info();
+    let report = BugReport {
+        dbms: connector.name.clone(),
+        oracle: OracleKind::HarnessPanic,
+        sql: payload.to_string(),
+        transformed_sql: String::new(),
+        hint_label: format!("harness-panic:cell-{}", cell.id),
+        expected_rows: 0,
+        observed_rows: 0,
+        fired: Vec::new(),
+        minimized_sql: None,
+        fingerprint: None,
+        keys: KeyCache::default(),
+    };
+    CorpusEntry {
+        cell_id: cell.id,
+        class_key: report.class_key().to_string(),
+        connector,
+        report,
+        trace: Vec::new(),
     }
 }
 
@@ -972,7 +960,7 @@ impl Campaign {
 /// generator, the judge, whether a statement may carry a [`CancelToken`], and
 /// whether a query graph (to record, and to key reports on), a reducer and
 /// plan enumeration exist. Everything else about a cell happens once, in
-/// [`Campaign::drain_cell`].
+/// [`Fleet::drain_cell`].
 trait CellWorkload {
     /// One unit of the cell's query budget.
     type Unit;

@@ -10,7 +10,8 @@
 //!   engine × plan mode × workload) cell grid, the worker fleet,
 //!   [`Campaign::new`] / [`Campaign::resume`] / [`Campaign::run`].
 //! * `scheduler` — the fleet both campaigns run on: workers take items in
-//!   order from one shared cursor, and results come back in item order.
+//!   order from one shared cursor, and results retire in item order on the
+//!   calling thread.
 //! * [`triage`] — plan-fingerprint deduplication of raw divergences into bug
 //!   classes, one minimized representative per class.
 //! * [`corpus`] — the append-only JSONL bug corpus with replayable witness
@@ -35,13 +36,14 @@
 //!
 //! Campaign cells are deterministic: a cell's query stream depends only on
 //! `(campaign seed, cell id)` and its own per-cell KQE state, and its data
-//! partition is fixed by the shard spec. Thread scheduling may reorder which
-//! worker drains which cell — and therefore which duplicate sighting gets to
-//! *name* a class first — but the deduplicated **bug-class set** of a
-//! finished campaign is a pure function of the configuration. That is the
-//! property the resume machinery leans on: kill a campaign at any point,
-//! `resume` it (any number of times, with any worker count), and the final
-//! class set is bit-identical to an uninterrupted run's.
+//! partition is fixed by the shard spec. Thread scheduling may change which
+//! worker drains which cell, but cells retire in id order on one thread, so
+//! the lowest cell that found a class names it and an uninterrupted run
+//! writes the same corpus at any worker count. The deduplicated **bug-class
+//! set** of a finished campaign is a pure function of the configuration.
+//! That is the property the resume machinery leans on: kill a campaign at
+//! any point, `resume` it (any number of times, with any worker count), and
+//! the final class set is bit-identical to an uninterrupted run's.
 //!
 //! ## Quick start
 //!

@@ -40,7 +40,7 @@
 //!
 //! Like a hunt, re-verification runs on the campaign fleet
 //! (`scheduler::drain_in_order`): workers take (entry × build) pairs in
-//! order from one shared cursor, and the report lists the verdicts in
+//! order from one shared cursor, and the verdicts retire into the report in
 //! (entry, build) order regardless of which worker checked which pair.
 
 use crate::campaign::{Campaign, CampaignCell, CampaignConfig};
@@ -48,8 +48,8 @@ use crate::corpus::CorpusEntry;
 use crate::scheduler::drain_in_order;
 use crate::stats::ReverifyStats;
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::io;
-use std::ops::ControlFlow;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
@@ -308,15 +308,18 @@ impl ReverifyCampaign {
             .iter()
             .flat_map(|e| self.cfg.builds.iter().map(move |&b| (e, b)))
             .collect();
-        let verdicts = drain_in_order(
+        let mut verdicts = Vec::with_capacity(units.len());
+        let Ok(()) = drain_in_order(
             self.cfg.workers,
             &units,
             &AtomicBool::new(false),
-            |&(entry, build)| ControlFlow::Continue(self.verify_one(entry, build)),
+            |&(entry, build)| self.verify_one(entry, build),
+            |_, verdict| {
+                verdicts.push(verdict);
+                Ok::<_, Infallible>(())
+            },
         );
-        let report = ReverifyReport {
-            verdicts: verdicts.into_iter().flatten().collect(),
-        };
+        let report = ReverifyReport { verdicts };
         let stats = ReverifyStats {
             elapsed: started.elapsed(),
             entries: self.entries.len(),

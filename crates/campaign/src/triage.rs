@@ -23,7 +23,8 @@ pub struct TriageClass {
     pub representative: BugReport,
     /// Id of the campaign cell that discovered the class.
     pub cell_id: usize,
-    /// Raw reports collapsed into this class, including the representative.
+    /// Admissions collapsed into this class, including the representative.
+    /// A campaign admits a class once per cell that found it.
     pub sightings: usize,
 }
 

@@ -318,32 +318,58 @@ fn corpus_witnesses_replay_without_the_engine() {
 
 #[test]
 fn worker_count_does_not_change_what_the_fleet_finds() {
-    // Figure 10 as an assertion: the same grid drained by 1, 2 and 4 workers
-    // does the same work and finds the same classes — what makes the
-    // campaign fleet a valid scaling experiment (only the wall clock may
-    // move). The reducer is off: it runs in whichever cell sights a class
-    // first, so its statement bill moves between cells with thread timing.
+    // Figure 10 as an assertion: the same grids drained by 1, 2 and 4 workers
+    // do the same work and write the same corpus, byte for byte, and the same
+    // cell records — what makes the campaign fleet a valid scaling experiment
+    // (only the wall clock may move). The SELECT grid runs two oracles on two
+    // engines; on the DML grid, cells on two profiles and two engines sight
+    // many of the same classes, which the lowest cell id must own.
+    let grids = |dir: PathBuf, workers: usize| {
+        [
+            CampaignConfig {
+                workers,
+                oracles: vec![OracleSpec::GroundTruth, OracleSpec::CrossEngine],
+                engines: vec![EngineKind::Row, EngineKind::Columnar],
+                ..cfg(dir.join("select"), 2, 25)
+            },
+            CampaignConfig {
+                workers,
+                profiles: vec![ProfileId::MysqlLike, ProfileId::TidbLike],
+                engines: vec![EngineKind::Row, EngineKind::Disk],
+                workloads: vec![Workload::Dml],
+                ..cfg(dir.join("dml"), 2, 25)
+            },
+        ]
+    };
     let outcome = |workers: usize| {
         let dir = test_dir(&format!("workers-{workers}"));
-        let mut campaign = Campaign::new(CampaignConfig {
-            workers,
-            oracles: vec![OracleSpec::GroundTruth, OracleSpec::CrossEngine],
-            engines: vec![EngineKind::Row, EngineKind::Columnar],
-            minimize: false,
-            ..cfg(dir.clone(), 2, 25)
-        })
-        .unwrap();
-        assert_eq!(campaign.cells_total(), 8);
-        let stats = campaign.run().unwrap();
-        assert!(campaign.is_complete());
+        let found: Vec<_> = grids(dir.clone(), workers)
+            .into_iter()
+            .map(|config| {
+                let mut campaign = Campaign::new(config.clone()).unwrap();
+                assert_eq!(campaign.cells_total(), 8);
+                let stats = campaign.run().unwrap();
+                assert!(campaign.is_complete());
+                let corpus = std::fs::read_to_string(campaign.corpus().path()).unwrap();
+                let mut cells = Checkpoint::in_dir(&config.dir).load().unwrap().cells;
+                for record in &mut cells {
+                    record.elapsed_ms = 0;
+                }
+                (
+                    corpus,
+                    cells,
+                    (stats.queries, stats.statements, stats.raw_reports),
+                )
+            })
+            .collect();
         std::fs::remove_dir_all(&dir).unwrap();
-        (
-            campaign.class_keys(),
-            (stats.queries, stats.statements, stats.raw_reports),
-        )
+        found
     };
     let one = outcome(1);
-    assert!(!one.0.is_empty(), "seeded faults should surface");
+    assert!(
+        one.iter().all(|(corpus, ..)| !corpus.is_empty()),
+        "seeded faults should surface"
+    );
     assert_eq!(outcome(2), one);
     assert_eq!(outcome(4), one);
 }

@@ -7,12 +7,12 @@
 //! injected IO faults are retried away — and none of it perturbs the
 //! ordinary bug-class set, even across a kill/resume cycle.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::time::Duration;
 use tqs_campaign::{
-    Campaign, CampaignConfig, EngineKind, OracleSpec, PlanMode, Quarantine, SupervisorConfig,
-    Workload,
+    Campaign, CampaignConfig, CellRecord, Checkpoint, EngineKind, OracleSpec, PlanMode, Quarantine,
+    SupervisorConfig, Workload,
 };
 use tqs_core::dsg::{DsgConfig, WideSource};
 use tqs_engine::ProfileId;
@@ -150,6 +150,30 @@ fn chaos_run_completes_and_matches_the_fault_free_class_set() {
     // it *found*.
     assert_eq!(ordinary(&classes), ref_classes);
 
+    // Every drained cell journals the fault-free run's work. Its new classes
+    // are the reference's, plus the incident class of a cell that panicked:
+    // what an attempt found before it panicked retires with the cell.
+    let records = |dir: &PathBuf| -> BTreeMap<usize, CellRecord> {
+        let journal = Checkpoint::in_dir(dir).load().unwrap();
+        journal.cells.into_iter().map(|r| (r.cell_id, r)).collect()
+    };
+    let (want, got) = (records(&dir_ref), records(&dir));
+    assert_eq!(got.len() + persistent.len(), cells);
+    for (id, record) in &got {
+        let reference = &want[id];
+        assert_eq!(
+            (record.queries, record.raw_reports),
+            (reference.queries, reference.raw_reports),
+            "cell {id}"
+        );
+        let panicked = usize::from(picked.contains(id));
+        assert_eq!(
+            record.new_classes,
+            reference.new_classes + panicked,
+            "cell {id}"
+        );
+    }
+
     std::fs::remove_dir_all(&dir_ref).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -232,7 +256,7 @@ fn zero_cell_deadline_times_out_every_cell_but_completes() {
     assert_eq!(stats.deadline_cells, campaign.cells_total());
     assert_eq!(stats.queries, 0);
     assert_eq!(campaign.class_keys().len(), 0);
-    let journal = tqs_campaign::Checkpoint::in_dir(&dir).load().unwrap();
+    let journal = Checkpoint::in_dir(&dir).load().unwrap();
     assert!(journal.cells.iter().all(|c| c.timeout && c.queries == 0));
     std::fs::remove_dir_all(&dir).unwrap();
 }

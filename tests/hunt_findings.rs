@@ -5,7 +5,7 @@
 //! {row, columnar, disk} × Single × Select, 24 queries per cell, the
 //! minimizer on, campaign seed `0x5EED_CA3A`, and the shopping-order DSG with
 //! 120 rows and 4 % key noise seeded from the run seed. It runs on seeds 42
-//! and 7, each at 1 and 2 workers, and each run must reproduce its line of
+//! and 7, each at 1, 2 and 4 workers, and each run must reproduce its line of
 //! `tests/fixtures/hunt_findings.txt` exactly: queries, statements, raw
 //! reports, classes, the fault kinds the classes implicate, an FNV-1a of the
 //! sorted class keys and an FNV-1a of the sorted corpus lines (which carry
@@ -122,7 +122,7 @@ fn pinned(seed: u64, workers: usize) -> String {
 }
 
 fn check(seed: u64) {
-    for workers in [1, 2] {
+    for workers in [1, 2, 4] {
         assert_eq!(
             findings(seed, workers),
             pinned(seed, workers),
@@ -132,11 +132,11 @@ fn check(seed: u64) {
 }
 
 #[test]
-fn seed_42_finds_what_the_fixture_pins_at_one_and_two_workers() {
+fn seed_42_finds_what_the_fixture_pins_at_one_two_and_four_workers() {
     check(42);
 }
 
 #[test]
-fn seed_7_finds_what_the_fixture_pins_at_one_and_two_workers() {
+fn seed_7_finds_what_the_fixture_pins_at_one_two_and_four_workers() {
     check(7);
 }
