@@ -1,7 +1,9 @@
 //! The second simulated engine: a columnar, batch-at-a-time executor.
 //!
-//! Where [`crate::engine::Database`] executes row-at-a-time over [`Rel`],
-//! [`ColumnarDatabase`] keeps every intermediate relation column-major
+//! Where [`crate::engine::Database`] executes row-at-a-time over row-id
+//! relations ([`crate::exec::Rel`]), [`ColumnarDatabase`] copies the columns
+//! a statement can observe out of each scanned table and keeps every
+//! intermediate relation column-major
 //! (`ColumnarRel`) and drives joins and WHERE filtering in probe batches of
 //! `batch_size` rows: hashed joins encode and probe a whole batch of keys at
 //! a time, and simple `column <op> literal` conjuncts are evaluated as tight
@@ -10,8 +12,9 @@
 //!
 //! Both engines share the session front ([`Engine`]), the optimizer
 //! ([`Database::plan`]), the statement pipeline (`Database::execute_plan`),
-//! the subquery machinery and the projection/aggregation tail; this module
-//! supplies only the kernel the pipeline runs with. So on fault-free builds
+//! the subquery machinery and the projection/aggregation tail, which reads a
+//! [`ColumnarRel`] in place through [`Relation`]; this module supplies only
+//! the kernel the pipeline runs with. So on fault-free builds
 //! they are answer-identical by construction of the shared semantics — a
 //! property the workspace pins with a proptest. What differs is the physical
 //! execution — and therefore the *fault complement*: the columnar build
@@ -24,15 +27,15 @@
 use crate::dml::DmlOutcome;
 use crate::engine::{Database, Engine, EngineError, EngineSubqueries, ExecOutcome, Kernel};
 use crate::exec::{
-    build_table, col_index, extract_equi_keys, residual_ok, ExecContext, Executor, Rel, Relation,
+    build_table, col_index, extract_equi_keys, residual_ok, ExecContext, Executor, Relation,
     ScopeLayout,
 };
 use crate::faults::{FaultKind, TriggerContext};
 use crate::plan::PhysicalJoin;
 use crate::profiles::DbmsProfile;
-use std::borrow::Cow;
-use tqs_sql::ast::{BinOp, ColumnRef, DmlStmt, Expr, JoinType, SelectStmt};
-use tqs_sql::eval::{eval_predicate, ColumnResolver};
+use std::sync::Arc;
+use tqs_sql::ast::{BinOp, DmlStmt, Expr, JoinType, SelectStmt};
+use tqs_sql::eval::eval_predicate;
 use tqs_sql::value::{null_safe_eq, sql_compare, KeyBuf, SqlCmp, Value};
 use tqs_storage::{Catalog, Table};
 
@@ -53,17 +56,6 @@ impl ColumnarRel {
         self.cols.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Allocation-free resolver for row `i`, consumable by the reference
-    /// evaluator — gathers nothing; the one matched value is cloned on
-    /// resolution.
-    pub fn resolver(&self, i: usize) -> ColRow<'_> {
-        ColRow { rel: self, i }
-    }
-
     fn push_gathered(&mut self, src: &ColumnarRel, row: usize, offset: usize) {
         for (ci, col) in src.columns.iter().enumerate() {
             self.columns[offset + ci].push(col[row].clone());
@@ -78,7 +70,7 @@ impl ColumnarRel {
 }
 
 impl Relation for ColumnarRel {
-    fn scan(table: &Table, binding: &str, keep: &[usize]) -> ColumnarRel {
+    fn scan(table: &Arc<Table>, binding: &str, keep: &[usize]) -> ColumnarRel {
         // `vec![v; n]` clones drop the capacity; build each Vec explicitly.
         let mut columns: Vec<Vec<Value>> = (0..keep.len())
             .map(|_| Vec::with_capacity(table.rows.len()))
@@ -97,24 +89,16 @@ impl Relation for ColumnarRel {
         }
     }
 
+    fn cols(&self) -> &[(String, String)] {
+        &self.cols
+    }
+
     fn len(&self) -> usize {
         self.columns.first().map(|c| c.len()).unwrap_or(0)
     }
 
     fn value(&self, row: usize, col: usize) -> &Value {
         &self.columns[col][row]
-    }
-
-    /// A row-major copy, for handing the tail of the pipeline (projection,
-    /// aggregation) to the shared engine code.
-    fn row_major(&self) -> Cow<'_, Rel> {
-        let rows = (0..self.len())
-            .map(|i| self.columns.iter().map(|c| c[i].clone()).collect())
-            .collect();
-        Cow::Owned(Rel {
-            cols: self.cols.clone(),
-            rows,
-        })
     }
 }
 
@@ -304,19 +288,6 @@ fn compare_value(v: &Value, op: BinOp, lit: &Value, reversed: bool) -> Option<bo
             _ => unreachable!("non-comparison op in vectorized kernel"),
         }),
         SqlCmp::Unknown => None,
-    }
-}
-
-/// Borrow-based resolver over row `i` of a columnar relation.
-pub(crate) struct ColRow<'a> {
-    rel: &'a ColumnarRel,
-    i: usize,
-}
-
-impl ColumnResolver for ColRow<'_> {
-    fn resolve(&self, col: &ColumnRef) -> Option<Value> {
-        col_index(&self.rel.cols, col.table.as_deref(), &col.column)
-            .map(|ci| self.rel.columns[ci][self.i].clone())
     }
 }
 

@@ -276,15 +276,21 @@ impl DiskDatabase {
         Ok(())
     }
 
-    /// Scan every table out of the store into a fresh catalog, applying the
-    /// active storage faults to each scan.
+    /// Scan the tables `stmt` reads out of the store into a fresh catalog,
+    /// applying the active storage faults to each scan. The row kernel's
+    /// relations address these scanned rows in place.
     fn scan_catalog(
         &mut self,
+        stmt: &SelectStmt,
         trigger: &TriggerContext,
         ctx: &mut ExecContext,
     ) -> Result<Catalog, EngineError> {
+        let read = stmt.tables_read();
         let mut catalog = Catalog::new();
         for name in self.inner.catalog.table_names() {
+            if !read.iter().any(|t| t.eq_ignore_ascii_case(&name)) {
+                continue;
+            }
             let scan = self.store.scan(&name).map_err(storage_err)?;
             let rows = faulted_rows(scan, trigger, ctx);
             // Only the schema comes from the in-memory table; its rows are
@@ -356,9 +362,10 @@ impl Engine for DiskDatabase {
         Ok(())
     }
 
-    /// Execute a statement: scan every table out of the page store (applying
-    /// whatever storage faults the chosen access path exposes), then run the
-    /// shared pipeline with the row kernel over the scanned catalog.
+    /// Execute a statement: scan the tables it reads out of the page store
+    /// (applying whatever storage faults the chosen access path exposes),
+    /// then run the shared pipeline with the row kernel over the scanned
+    /// catalog.
     fn execute(&mut self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError> {
         let (plan, mut ctx) = self.inner.begin(stmt, Executor::Disk)?;
         let _stmt_span = tqs_telemetry::span("engine", "disk.execute");
@@ -373,7 +380,7 @@ impl Engine for DiskDatabase {
             },
         };
 
-        let mut catalog = self.scan_catalog(&trigger, &mut ctx)?;
+        let mut catalog = self.scan_catalog(stmt, &trigger, &mut ctx)?;
         // The scan returns base-table content; the session's DML delta —
         // committed ops, then the open transaction's own writes — replays on
         // top. Ops clamp out-of-range indices, so replay stays well-defined
@@ -623,6 +630,31 @@ mod tests {
         let good = clean.execute_sql(q).unwrap();
         assert!(out.fired.is_empty(), "fired: {:?}", out.fired);
         assert!(out.result.same_bag(&good.result));
+    }
+
+    /// Only the tables a statement reads are scanned, so a storage fault on
+    /// another table neither fires nor reaches the answer.
+    #[test]
+    fn faults_on_tables_the_statement_does_not_read_do_not_fire() {
+        let mut seeded = DiskDatabase::new(
+            catalog(),
+            DbmsProfile {
+                faults: FaultSet::of(&[FaultKind::DiskSplitHighKeyLoss]),
+                ..DbmsProfile::disk(ProfileId::TidbLike)
+            },
+        )
+        .unwrap();
+        let mut clean = disk(ProfileId::TidbLike);
+        // t2's 25 rows fit one leaf; the split leaves are t1's.
+        let q = "SELECT t2.id FROM t2 INNER JOIN t2 AS b ON t2.id = b.id";
+        let out = seeded.execute_sql(q).unwrap();
+        assert!(out.fired.is_empty(), "fired: {:?}", out.fired);
+        assert!(out.result.same_bag(&clean.execute_sql(q).unwrap().result));
+        // A subquery reads its table too.
+        let q = "SELECT t2.id FROM t2 INNER JOIN t2 AS b ON t2.id = b.id \
+                 WHERE t2.id IN (SELECT t1.col1 FROM t1)";
+        let out = seeded.execute_sql(q).unwrap();
+        assert_eq!(out.fired, vec![FaultKind::DiskSplitHighKeyLoss]);
     }
 
     #[test]

@@ -1,5 +1,12 @@
 //! The simulated DBMS: optimizer (hint- and switch-steerable plan choice),
 //! statement execution and the session interface used by TQS.
+//!
+//! One statement pipeline (`Database::execute_plan`) serves every executor:
+//! scan, joins in plan order, WHERE, then one tail — projection or
+//! aggregation, DISTINCT, LIMIT — that reads the filtered relation in place
+//! through [`Relation`], whether it holds row ids ([`Rel`]) or columns
+//! ([`crate::columnar::ColumnarRel`]). Values are built only for the result
+//! set.
 
 use crate::dml::{apply_mutation, DmlOp, DmlOutcome};
 use crate::exec::{
@@ -11,6 +18,7 @@ use crate::plan::{join_prerequisites, JoinAlgo, PhysicalJoin, PhysicalPlan, Subq
 use crate::profiles::DbmsProfile;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 use tqs_sql::ast::{
     AggFunc, BinOp, ColumnRef, DmlStmt, Expr, Join, JoinType, SelectItem, SelectStmt, TableRef,
 };
@@ -726,8 +734,8 @@ impl Database {
     }
 
     /// The tail every executor closes a statement with: projection or
-    /// aggregation, DISTINCT and LIMIT over the filtered relation (made row-major
-    /// inside the operator's clock), then the statement's books — telemetry and
+    /// aggregation, DISTINCT and LIMIT over the filtered relation, read in
+    /// place whatever its layout, then the statement's books — telemetry and
     /// the faults the subqueries fired.
     fn finish(
         &self,
@@ -738,13 +746,12 @@ impl Database {
         mut ctx: ExecContext,
     ) -> Result<ExecOutcome, EngineError> {
         let op_t0 = ctx.op_start();
-        let rel = rel.row_major();
-        let rows_in = rel.rows.len() as u64;
+        let rows_in = rel.len() as u64;
         let grouped = stmt.has_aggregates() || !stmt.group_by.is_empty();
         let mut result = if grouped {
-            self.aggregate(stmt, &rel, &sub)?
+            self.aggregate(stmt, rel, &sub)?
         } else {
-            self.project(stmt, &rel, &sub)?
+            self.project(stmt, rel, &sub)?
         };
         if stmt.distinct {
             result = result.into_distinct();
@@ -773,17 +780,17 @@ impl Database {
         })
     }
 
-    pub(crate) fn project(
+    fn project(
         &self,
         stmt: &SelectStmt,
-        rel: &Rel,
+        rel: &impl Relation,
         sub: &EngineSubqueries<'_>,
     ) -> Result<ResultSet, EngineError> {
         let mut columns = Vec::new();
         for item in &stmt.items {
             match item {
                 SelectItem::Wildcard => {
-                    for (b, c) in &rel.cols {
+                    for (b, c) in rel.cols() {
                         columns.push(format!("{b}.{c}"));
                     }
                 }
@@ -798,12 +805,14 @@ impl Database {
             }
         }
         let mut rs = ResultSet::new(columns);
-        for row in &rel.rows {
-            let resolver = rel.resolver(row);
+        for i in 0..rel.len() {
+            let resolver = rel.resolver(i);
             let mut out = Vec::new();
             for item in &stmt.items {
                 match item {
-                    SelectItem::Wildcard => out.extend(row.clone()),
+                    SelectItem::Wildcard => {
+                        out.extend((0..rel.cols().len()).map(|c| rel.value(i, c).clone()))
+                    }
                     SelectItem::Expr { expr, .. } => out.push(eval_expr(expr, &resolver, sub)?),
                     SelectItem::Aggregate { .. } => unreachable!(),
                 }
@@ -813,17 +822,17 @@ impl Database {
         Ok(rs)
     }
 
-    pub(crate) fn aggregate(
+    fn aggregate(
         &self,
         stmt: &SelectStmt,
-        rel: &Rel,
+        rel: &impl Relation,
         sub: &EngineSubqueries<'_>,
     ) -> Result<ResultSet, EngineError> {
         let mut groups: HashMap<KeyBuf, Vec<usize>> = HashMap::new();
         let mut order: Vec<KeyBuf> = Vec::new();
         let mut key = KeyBuf::new();
-        for (i, row) in rel.rows.iter().enumerate() {
-            let resolver = rel.resolver(row);
+        for i in 0..rel.len() {
+            let resolver = rel.resolver(i);
             key.clear();
             for g in &stmt.group_by {
                 let v = eval_expr(g, &resolver, sub)?;
@@ -865,7 +874,7 @@ impl Database {
                     }
                     SelectItem::Expr { expr, .. } => {
                         let v = match members.first() {
-                            Some(&i) => eval_expr(expr, &rel.resolver(&rel.rows[i]), sub)?,
+                            Some(&i) => eval_expr(expr, &rel.resolver(i), sub)?,
                             None => Value::Null,
                         };
                         out.push(v);
@@ -874,7 +883,7 @@ impl Database {
                         let mut vals = Vec::new();
                         if let Some(e) = arg {
                             for &i in members {
-                                vals.push(eval_expr(e, &rel.resolver(&rel.rows[i]), sub)?);
+                                vals.push(eval_expr(e, &rel.resolver(i), sub)?);
                             }
                         }
                         out.push(eval_agg(*func, members.len(), &vals));
@@ -888,9 +897,12 @@ impl Database {
 }
 
 /// `name` in `catalog`, or the engine's unknown-table error.
-pub(crate) fn find_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table, EngineError> {
+pub(crate) fn find_table<'a>(
+    catalog: &'a Catalog,
+    name: &str,
+) -> Result<&'a Arc<Table>, EngineError> {
     catalog
-        .table(name)
+        .shared_table(name)
         .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
 }
 
@@ -930,8 +942,9 @@ pub(crate) trait Kernel {
     ) -> Result<Self::Rel, EngineError>;
 }
 
-/// The row kernel: [`Rel`] intermediates, [`execute_join`], and a WHERE
-/// evaluated row by row. The row and the disk executor run it.
+/// The row kernel: [`Rel`] intermediates of row ids, [`execute_join`], and a
+/// WHERE evaluated row by row that keeps ids. The row and the disk executor
+/// run it.
 pub(crate) struct RowKernel;
 
 impl Kernel for RowKernel {
@@ -952,14 +965,13 @@ impl Kernel for RowKernel {
     /// was type-converted against the first row; if that first value was
     /// NULL, the cached constant degrades to NULL.
     fn rewrite_where(&self, pred: &Expr, rel: &Rel, ctx: &mut ExecContext) -> Option<Expr> {
-        if !ctx.faults.contains(FaultKind::ConstantCacheNullSafeEq) || rel.rows.is_empty() {
+        if !ctx.faults.contains(FaultKind::ConstantCacheNullSafeEq) || rel.is_empty() {
             return None;
         }
-        let first = &rel.rows[0];
         let mut fired = false;
         let rewritten = rewrite_null_safe_eq(pred, &mut |col: &tqs_sql::ast::ColumnRef| {
             let idx = col_index(&rel.cols, col.table.as_deref(), &col.column)?;
-            if first[idx].is_null() {
+            if rel.value(0, idx).is_null() {
                 fired = true;
                 Some(Value::Null)
             } else {
@@ -979,13 +991,7 @@ impl Kernel for RowKernel {
         _ctx: &mut ExecContext,
         sub: &EngineSubqueries<'_>,
     ) -> Result<Rel, EngineError> {
-        let mut kept = Vec::new();
-        for row in std::mem::take(&mut rel.rows) {
-            if eval_predicate(pred, &rel.resolver(&row), sub)? == Some(true) {
-                kept.push(row);
-            }
-        }
-        rel.rows = kept;
+        rel.retain(|rel, i| eval_predicate(pred, &rel.resolver(i), sub).map(|t| t == Some(true)))?;
         Ok(rel)
     }
 }
@@ -1617,6 +1623,38 @@ mod tests {
         assert!(nested.result.same_bag(&hashed.result));
         // a's NULL key is paired with b's row 0 (j = 10)
         assert_eq!(hashed.result.row_count(), 3);
+    }
+
+    /// The cached `<=>` constant is converted against the first row of the
+    /// relation: when that row's value is NULL, the literal degrades to NULL.
+    #[test]
+    fn null_safe_eq_constant_cache_reads_the_first_row() {
+        let mut cat = Catalog::new();
+        let mut t = Table::new(
+            "t",
+            vec![
+                ColumnDef::new("id", ColumnType::Int { unsigned: false }),
+                ColumnDef::new("c", ColumnType::Int { unsigned: false }),
+            ],
+        );
+        for (id, c) in [(1, None), (2, Some(5)), (3, None)] {
+            let c = c.map(Value::Int).unwrap_or(Value::Null);
+            t.push_row(Row::new(vec![Value::Int(id), c])).unwrap();
+        }
+        cat.add_table(t);
+        let profile = DbmsProfile {
+            faults: FaultSet::of(&[FaultKind::ConstantCacheNullSafeEq]),
+            ..DbmsProfile::build(ProfileId::MysqlLike)
+        };
+        let sql = "SELECT t.id FROM t WHERE t.c <=> 5";
+        let out = Database::new(cat.clone(), profile)
+            .execute_sql(sql)
+            .unwrap();
+        assert_eq!(out.fired, vec![FaultKind::ConstantCacheNullSafeEq]);
+        let ids: Vec<&Value> = out.result.rows.iter().map(|r| r.get(0)).collect();
+        assert_eq!(ids, [&Value::Int(1), &Value::Int(3)]);
+        let mut clean = Database::new(cat, DbmsProfile::pristine(ProfileId::MysqlLike));
+        assert_eq!(clean.execute_sql(sql).unwrap().result.row_count(), 1);
     }
 
     #[test]

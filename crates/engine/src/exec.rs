@@ -6,83 +6,246 @@
 //! actually hits the corner case. Each interception point records which
 //! faults fired so the benchmark harness can classify detected bugs by root
 //! cause.
+//!
+//! The row kernel's intermediates are row ids, not values (late
+//! materialization): a [`Rel`] holds, per binding, the `Arc`-shared table it
+//! scanned, and per row one id into each. A scan is `0..n`, a join emits id
+//! tuples, WHERE keeps ids, and the shared tail reads values in place through
+//! [`Relation::value`]. Outer-join pads point at a binding's NULL row; the
+//! faults that make up values (`''` pads, blanked rows) add rows to the
+//! binding they corrupt.
 
 use crate::faults::{FaultKind, FaultSet, TriggerContext};
 use crate::plan::{JoinAlgo, PhysicalJoin};
-use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 use tqs_sql::ast::{BinOp, ColumnRef, Expr, JoinType};
-use tqs_sql::eval::{eval_predicate, ColumnResolver, NoSubqueries, SliceRow};
+use tqs_sql::eval::{eval_predicate, ColumnResolver, NoSubqueries};
 use tqs_sql::hints::SemiJoinStrategy;
 use tqs_sql::value::{sql_compare, ColClass, KeyBuf, SqlCmp, Value};
 use tqs_storage::Table;
 use tqs_telemetry::QueryProfile;
 
-/// An intermediate relation: bound columns plus rows.
-#[derive(Debug, Clone, Default)]
+/// The row id of a part's NULL row: every column reads NULL. Outer-join
+/// pads point here.
+const NULL_ROW: u32 = u32::MAX;
+
+static NULL: Value = Value::Null;
+
+/// The id of row `i`: every id but [`NULL_ROW`] addresses a row.
+fn row_id(i: usize) -> u32 {
+    u32::try_from(i)
+        .ok()
+        .filter(|&id| id != NULL_ROW)
+        .expect("a relation addresses fewer than u32::MAX rows per binding")
+}
+
+/// An intermediate relation of row ids: one [`Part`] per binding, and per
+/// row one id into each part. Scans and joins move ids, never values; the
+/// tail reads the values it projects through [`Relation::value`].
+#[derive(Debug, Clone)]
 pub struct Rel {
     /// (binding, column name) per output column.
-    pub cols: Vec<(String, String)>,
-    pub rows: Vec<Vec<Value>>,
+    pub(crate) cols: Vec<(String, String)>,
+    parts: Vec<Part>,
+    /// Where each output column lives, parallel to `cols`.
+    slots: Vec<Slot>,
+    /// Row-major: row `i` holds `ids[i * parts.len()..][..parts.len()]`.
+    ids: Vec<u32>,
+}
+
+/// One binding of a [`Rel`]. An id below `table.rows.len()` addresses a
+/// base row, a larger one a row in `extra`, [`NULL_ROW`] the NULL row.
+#[derive(Debug, Clone)]
+struct Part {
+    table: Arc<Table>,
+    /// The table columns the binding keeps, in header order.
+    keep: Vec<usize>,
+    /// Rows the join faults make up, one value per kept column.
+    extra: Vec<Vec<Value>>,
+}
+
+/// Output column → (part, column of the part's table, position among the
+/// part's kept columns).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    part: usize,
+    column: usize,
+    local: usize,
+}
+
+impl Part {
+    #[inline]
+    fn value(&self, id: u32, slot: Slot) -> &Value {
+        let base = self.table.rows.len();
+        match id as usize {
+            i if i < base => &self.table.rows[i].values[slot.column],
+            _ if id == NULL_ROW => &NULL,
+            i => &self.extra[i - base][slot.local],
+        }
+    }
+
+    /// Add a made-up row (one value per kept column); its id.
+    fn push_extra(&mut self, values: Vec<Value>) -> u32 {
+        self.extra.push(values);
+        row_id(self.table.rows.len() + self.extra.len() - 1)
+    }
 }
 
 impl Rel {
-    pub fn width(&self) -> usize {
-        self.cols.len()
+    /// A relation over literal rows: one binding whose rows are all made up.
+    pub fn from_rows(cols: Vec<(String, String)>, rows: Vec<Vec<Value>>) -> Rel {
+        let part = Part {
+            table: Arc::new(Table::new("", Vec::new())),
+            keep: (0..cols.len()).collect(),
+            extra: rows,
+        };
+        Rel::single(cols, part)
     }
 
-    /// Allocation-free resolver for one row, consumable by the reference
-    /// evaluator — borrows the relation's column metadata and the row slice
-    /// instead of cloning both into an owned scope.
-    pub fn resolver<'a>(&'a self, row: &'a [Value]) -> SliceRow<'a> {
-        SliceRow::new(&self.cols, row)
+    /// One binding, `part`, with every one of its rows in order.
+    fn single(cols: Vec<(String, String)>, part: Part) -> Rel {
+        let slots = (part.keep.iter().enumerate())
+            .map(|(local, &column)| Slot {
+                part: 0,
+                column,
+                local,
+            })
+            .collect();
+        let ids = (0..row_id(part.table.rows.len() + part.extra.len())).collect();
+        Rel {
+            cols,
+            parts: vec![part],
+            slots,
+            ids,
+        }
+    }
+
+    /// Every row's values, materialized.
+    pub fn to_rows(&self) -> Vec<Vec<Value>> {
+        (0..self.len())
+            .map(|i| {
+                (0..self.cols.len())
+                    .map(|c| self.value(i, c).clone())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Row `row`'s ids, one per part.
+    #[inline]
+    fn tuple(&self, row: usize) -> &[u32] {
+        let stride = self.parts.len();
+        &self.ids[row * stride..(row + 1) * stride]
+    }
+
+    /// The header of a join of `left` with `right` (with no `right`, of a
+    /// semi or anti join), and no rows yet.
+    fn joined(left: &Rel, right: Option<&Rel>) -> Rel {
+        let mut out = Rel {
+            cols: left.cols.clone(),
+            parts: left.parts.clone(),
+            slots: left.slots.clone(),
+            ids: Vec::new(),
+        };
+        if let Some(right) = right {
+            let offset = left.parts.len();
+            out.cols.extend(right.cols.iter().cloned());
+            out.parts.extend(right.parts.iter().cloned());
+            out.slots.extend(right.slots.iter().map(|s| Slot {
+                part: s.part + offset,
+                ..*s
+            }));
+        }
+        out
+    }
+
+    /// Keep the rows `keep` holds for, in order.
+    pub(crate) fn retain<E>(
+        &mut self,
+        mut keep: impl FnMut(&Rel, usize) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        let mut ids = Vec::new();
+        for i in 0..self.len() {
+            if keep(self, i)? {
+                ids.extend_from_slice(self.tuple(i));
+            }
+        }
+        self.ids = ids;
+        Ok(())
     }
 }
 
 /// What the shared operator code reads of an intermediate relation, whichever
-/// way it is laid out: [`Rel`] row-major, or column-major
+/// way it is laid out: [`Rel`] as row ids, or column-major
 /// [`ColumnarRel`](crate::columnar::ColumnarRel).
 pub(crate) trait Relation: Sized {
     /// Scan columns `keep` of `table` under `binding`, in row order (the
     /// pipeline keeps the columns [`ColumnPruner::keep_indices`] names).
-    fn scan(table: &Table, binding: &str, keep: &[usize]) -> Self;
+    fn scan(table: &Arc<Table>, binding: &str, keep: &[usize]) -> Self;
+
+    /// (binding, column name) per column.
+    fn cols(&self) -> &[(String, String)];
 
     fn len(&self) -> usize;
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 
     /// The value of column `col` in row `row`.
     fn value(&self, row: usize, col: usize) -> &Value;
 
-    /// The relation row-major, for the shared tail: borrowed when it already
-    /// is.
-    fn row_major(&self) -> Cow<'_, Rel>;
+    /// Allocation-free resolver for row `row`, consumable by the reference
+    /// evaluator; the one matched value is cloned on resolution.
+    fn resolver(&self, row: usize) -> RowResolver<'_, Self> {
+        RowResolver { rel: self, row }
+    }
 }
 
 impl Relation for Rel {
-    fn scan(table: &Table, binding: &str, keep: &[usize]) -> Rel {
-        Rel {
-            cols: keep
-                .iter()
-                .map(|&i| (binding.to_string(), table.columns[i].name.clone()))
-                .collect(),
-            rows: table
-                .rows
-                .iter()
-                .map(|r| keep.iter().map(|&i| r.values[i].clone()).collect())
-                .collect(),
-        }
+    /// Row ids `0..n`: the scan copies no value.
+    fn scan(table: &Arc<Table>, binding: &str, keep: &[usize]) -> Rel {
+        let cols = keep
+            .iter()
+            .map(|&i| (binding.to_string(), table.columns[i].name.clone()))
+            .collect();
+        let part = Part {
+            table: Arc::clone(table),
+            keep: keep.to_vec(),
+            extra: Vec::new(),
+        };
+        Rel::single(cols, part)
+    }
+
+    fn cols(&self) -> &[(String, String)] {
+        &self.cols
     }
 
     fn len(&self) -> usize {
-        self.rows.len()
+        self.ids.len() / self.parts.len()
     }
 
+    #[inline]
     fn value(&self, row: usize, col: usize) -> &Value {
-        &self.rows[row][col]
+        let slot = self.slots[col];
+        let id = self.ids[row * self.parts.len() + slot.part];
+        self.parts[slot.part].value(id, slot)
     }
+}
 
-    fn row_major(&self) -> Cow<'_, Rel> {
-        Cow::Borrowed(self)
+/// Row `row` of a relation, resolved by column reference.
+pub(crate) struct RowResolver<'a, R> {
+    rel: &'a R,
+    row: usize,
+}
+
+impl<R: Relation> ColumnResolver for RowResolver<'_, R> {
+    fn resolve(&self, col: &ColumnRef) -> Option<Value> {
+        col_index(self.rel.cols(), col.table.as_deref(), &col.column)
+            .map(|ci| self.rel.value(self.row, ci).clone())
     }
 }
 
@@ -101,10 +264,9 @@ pub(crate) fn col_index(
 }
 
 /// Plan-time column pruning: which `(binding, column)` pairs a statement can
-/// observe, resolved once per execution so scans stop materializing values
-/// no operator will ever read. A cross-join chain that only projects one
-/// column used to clone every column of every table through every
-/// intermediate relation.
+/// observe, resolved once per execution. It trims every relation's header,
+/// and it is what keeps the columnar scan from copying columns no operator
+/// will ever read; the row kernel's scans copy no values either way.
 ///
 /// Conservative by construction: a `SELECT *` disables pruning entirely, a
 /// bare (unqualified) reference keeps that column on *every* binding, and
@@ -375,13 +537,14 @@ pub(crate) fn extract_equi_keys(
     keys
 }
 
-/// Correct value-level key equality (used by the non-hashed algorithms).
-fn keys_equal_correct(lrow: &[Value], rrow: &[Value], keys: &EquiKeys) -> bool {
+/// Correct value-level key equality of left row `l` and right row `r` (used
+/// by the non-hashed algorithms).
+fn keys_equal_correct(left: &Rel, l: usize, right: &Rel, r: usize, keys: &EquiKeys) -> bool {
     keys.left_idx
         .iter()
         .zip(keys.right_idx.iter())
         .all(|(&li, &ri)| {
-            let (x, y) = (&lrow[li], &rrow[ri]);
+            let (x, y) = (left.value(l, li), right.value(r, ri));
             if x.is_null() || y.is_null() {
                 return false;
             }
@@ -392,7 +555,7 @@ fn keys_equal_correct(lrow: &[Value], rrow: &[Value], keys: &EquiKeys) -> bool {
         })
 }
 
-/// Encode one row's join key for the hash-based algorithms into `buf`
+/// Encode row `row`'s join key for the hash-based algorithms into `buf`
 /// (cleared first), with fault interception. Returns `false` when the key
 /// can never match (the correct treatment of NULL keys, and the
 /// boundary-overflow fault). The fault segments encode bit-for-bit the same
@@ -400,7 +563,8 @@ fn keys_equal_correct(lrow: &[Value], rrow: &[Value], keys: &EquiKeys) -> bool {
 /// encoding, so every fault fires and collides on exactly the same rows —
 /// pinned by the property tests below against the legacy reference.
 fn encode_key_into(
-    row: &[Value],
+    rel: &Rel,
+    row: usize,
     idx: &[usize],
     ctx: &mut ExecContext,
     t: &TriggerContext,
@@ -408,7 +572,7 @@ fn encode_key_into(
 ) -> bool {
     buf.clear();
     for &i in idx {
-        let v = &row[i];
+        let v = rel.value(row, i);
         if v.is_null() {
             if ctx.active(FaultKind::HashJoinNullMatchesEmpty, t) {
                 ctx.fire(FaultKind::HashJoinNullMatchesEmpty);
@@ -625,20 +789,24 @@ pub(crate) fn build_table(
     table
 }
 
-/// Encode `row`'s key columns `idx` canonically into `buf` (cleared first);
-/// `false` for a NULL key, which never matches.
-fn canonical_key(row: &[Value], idx: &[usize], buf: &mut KeyBuf) -> bool {
+/// Encode row `row`'s key columns `idx` canonically into `buf` (cleared
+/// first); `false` for a NULL key, which never matches.
+fn canonical_key(rel: &Rel, row: usize, idx: &[usize], buf: &mut KeyBuf) -> bool {
     buf.clear();
     for &i in idx {
-        if row[i].is_null() {
+        let v = rel.value(row, i);
+        if v.is_null() {
             return false;
         }
-        buf.push_canonical(&row[i]);
+        buf.push_canonical(v);
     }
     true
 }
 
-/// Execute one physical join step.
+/// Execute one physical join step. The output carries row ids: each
+/// emitted row is the left row's ids followed by the right row's (the left
+/// row's alone for semi and anti joins); pads point at a part's NULL row,
+/// and the faults that make up values add rows to the output's parts.
 pub fn execute_join(
     left: &Rel,
     right: &Rel,
@@ -653,7 +821,7 @@ pub fn execute_join(
     // Compute the match matrix: for each left row, the list of matching right
     // row indices. Algorithms differ in how matches are found (and therefore
     // in which faults can perturb them).
-    let (matches, extra_fired_rows) = match join.algo {
+    let (matches, effects) = match join.algo {
         JoinAlgo::HashJoin
         | JoinAlgo::IndexJoin
         | JoinAlgo::BatchedKeyAccess
@@ -666,10 +834,10 @@ pub fn execute_join(
 
     // Join-buffer tail loss: rows of the buffered (left) side beyond the last
     // complete buffer chunk never get joined.
-    let mut left_live: Vec<bool> = vec![true; left.rows.len()];
+    let mut left_live: Vec<bool> = vec![true; left.len()];
     if let Some(buf) = join.buffer_rows {
-        if ctx.active(FaultKind::JoinBufferLimitDropsTail, &t) && left.rows.len() > buf {
-            let keep = (left.rows.len() / buf) * buf;
+        if ctx.active(FaultKind::JoinBufferLimitDropsTail, &t) && left.len() > buf {
+            let keep = (left.len() / buf) * buf;
             for live in left_live.iter_mut().skip(keep) {
                 *live = false;
             }
@@ -677,25 +845,17 @@ pub fn execute_join(
         }
     }
 
-    let mut out = Rel {
-        cols: match join.join_type {
-            JoinType::Semi | JoinType::Anti => left.cols.clone(),
-            _ => {
-                let mut c = left.cols.clone();
-                c.extend(right.cols.clone());
-                c
-            }
-        },
-        rows: Vec::new(),
-    };
-
-    let mut right_matched = vec![false; right.rows.len()];
-    let mut first_unmatched_pad: Option<Vec<Value>> = None;
-    for (li, lrow) in left.rows.iter().enumerate() {
+    let semi_or_anti = matches!(join.join_type, JoinType::Semi | JoinType::Anti);
+    let mut out = Rel::joined(left, (!semi_or_anti).then_some(right));
+    let (ls, rs) = (left.parts.len(), right.parts.len());
+    let stride = out.parts.len();
+    let null_right = vec![NULL_ROW; rs];
+    let mut first_pad_done = false;
+    let mut right_matched = vec![false; right.len()];
+    for (li, ms) in matches.iter().enumerate() {
         if !left_live[li] {
             continue;
         }
-        let ms = &matches[li];
         match join.join_type {
             JoinType::Inner
             | JoinType::Cross
@@ -704,26 +864,24 @@ pub fn execute_join(
             | JoinType::FullOuter => {
                 for &ri in ms {
                     right_matched[ri] = true;
-                    let mut row = lrow.clone();
-                    let mut rvals = right.rows[ri].clone();
+                    let n = out.len();
                     // Stale-cache replay: every 50th emitted row repeats the
                     // previous row's right-side values.
-                    if ctx.active(FaultKind::JoinCacheStaleRow, &t)
-                        && out.rows.len() % 50 == 49
-                        && !out.rows.is_empty()
-                    {
+                    let stale = ctx.active(FaultKind::JoinCacheStaleRow, &t) && n % 50 == 49;
+                    if stale {
                         ctx.fire(FaultKind::JoinCacheStaleRow);
-                        let prev = &out.rows[out.rows.len() - 1];
-                        rvals = prev[left.width()..].to_vec();
                     }
+                    out.ids.extend_from_slice(left.tuple(li));
                     // Merge join returning NULL instead of the value for
-                    // duplicate key runs is applied inside merge_matches via
-                    // extra_fired_rows.
-                    if extra_fired_rows.null_right_rows.contains(&ri) {
-                        rvals = vec![Value::Null; right.width()];
+                    // duplicate key runs is marked inside merge_matches.
+                    if effects.null_right.get(ri).copied().unwrap_or(false) {
+                        out.ids.extend_from_slice(&null_right);
+                    } else if stale {
+                        let prev = (n - 1) * stride;
+                        out.ids.extend_from_within(prev + ls..prev + stride);
+                    } else {
+                        out.ids.extend_from_slice(right.tuple(ri));
                     }
-                    row.extend(rvals);
-                    out.rows.push(row);
                 }
                 if ms.is_empty()
                     && matches!(join.join_type, JoinType::LeftOuter | JoinType::FullOuter)
@@ -733,24 +891,23 @@ pub fn execute_join(
                         ctx.fire(FaultKind::MergeJoinOuterNullLoss);
                         continue;
                     }
-                    let pad = pad_values(right.width(), ctx, &t, &mut first_unmatched_pad);
-                    let mut row = lrow.clone();
-                    row.extend(pad);
-                    out.rows.push(row);
+                    let pad = pad_ids(&mut out, ls..stride, ctx, &t, &mut first_pad_done);
+                    out.ids.extend_from_slice(left.tuple(li));
+                    out.ids.extend_from_slice(&pad);
                 }
             }
             JoinType::Semi => {
                 if !ms.is_empty() {
-                    out.rows.push(lrow.clone());
+                    out.ids.extend_from_slice(left.tuple(li));
                     if ctx.active(FaultKind::SemiJoinUnknownData, &t) {
                         ctx.fire(FaultKind::SemiJoinUnknownData);
-                        out.rows.push(lrow.clone());
+                        out.ids.extend_from_slice(left.tuple(li));
                     }
                 }
             }
             JoinType::Anti => {
                 if ms.is_empty() {
-                    out.rows.push(lrow.clone());
+                    out.ids.extend_from_slice(left.tuple(li));
                 }
             }
         }
@@ -764,10 +921,9 @@ pub fn execute_join(
                     ctx.fire(FaultKind::MergeJoinOuterNullLoss);
                     continue;
                 }
-                let pad = pad_values(left.width(), ctx, &t, &mut first_unmatched_pad);
-                let mut row = pad;
-                row.extend(right.rows[ri].clone());
-                out.rows.push(row);
+                let pad = pad_ids(&mut out, 0..ls, ctx, &t, &mut first_pad_done);
+                out.ids.extend_from_slice(&pad);
+                out.ids.extend_from_slice(right.tuple(ri));
             }
         }
     }
@@ -775,33 +931,38 @@ pub fn execute_join(
     // Extra spurious NULL-padded row for the left hash join + subquery case.
     if ctx.active(FaultKind::LeftHashJoinSubqueryNull, &t) && join.join_type == JoinType::LeftOuter
     {
-        if let Some((li, _)) = left
-            .rows
-            .iter()
-            .enumerate()
-            .find(|(li, _)| left_live[*li] && matches[*li].is_empty())
-        {
+        if let Some(li) = (0..left.len()).find(|&li| left_live[li] && matches[li].is_empty()) {
             ctx.fire(FaultKind::LeftHashJoinSubqueryNull);
-            let mut row = left.rows[li].clone();
-            row.extend(vec![Value::Null; right.width()]);
-            out.rows.push(row);
+            out.ids.extend_from_slice(left.tuple(li));
+            out.ids.extend_from_slice(&null_right);
         }
     }
 
-    // Blanked varchar values when the hashed join buffer is disallowed.
+    // Blanked varchar values when the hashed join buffer is disallowed: each
+    // part of the last row points at a blanked copy of its row.
     if ctx.active(FaultKind::BnlhDisallowedBlankValues, &t)
-        && join
-            .buffer_rows
-            .map(|b| left.rows.len() > b)
-            .unwrap_or(false)
-        && !out.rows.is_empty()
+        && join.buffer_rows.map(|b| left.len() > b).unwrap_or(false)
+        && !out.is_empty()
     {
         ctx.fire(FaultKind::BnlhDisallowedBlankValues);
-        let last = out.rows.len() - 1;
-        for v in out.rows[last].iter_mut() {
-            if matches!(v, Value::Varchar(_) | Value::Text(_)) {
-                *v = Value::Varchar(String::new());
-            }
+        let last = out.ids.len() - stride;
+        for p in 0..stride {
+            let id = out.ids[last + p];
+            let part = &mut out.parts[p];
+            let blanked = (part.keep.iter().enumerate())
+                .map(|(local, &column)| {
+                    let slot = Slot {
+                        part: p,
+                        column,
+                        local,
+                    };
+                    match part.value(id, slot) {
+                        Value::Varchar(_) | Value::Text(_) => Value::Varchar(String::new()),
+                        v => v.clone(),
+                    }
+                })
+                .collect();
+            out.ids[last + p] = part.push_extra(blanked);
         }
     }
 
@@ -812,8 +973,8 @@ pub fn execute_join(
 #[derive(Default)]
 struct MatchSideEffects {
     /// Right rows whose values must be replaced by NULLs in the output
-    /// (merge-join duplicate-run corruption).
-    null_right_rows: Vec<usize>,
+    /// (merge-join duplicate-run corruption); empty when none are.
+    null_right: Vec<bool>,
 }
 
 /// Is canonical-key equality ([`KeyBuf::push_canonical`] / [`hash_key`]
@@ -829,15 +990,11 @@ struct MatchSideEffects {
 /// through a lossy f64; integers beyond 2⁵³ can equal a double under lossy
 /// comparison while hashing differently.
 fn hash_equivalent_keys(left: &Rel, right: &Rel, keys: &EquiKeys) -> bool {
-    let class = |rows: &[Vec<Value>], idx: usize| ColClass::of_all(rows.iter().map(|r| &r[idx]));
+    let class = |rel: &Rel, col: usize| ColClass::of_all((0..rel.len()).map(|i| rel.value(i, col)));
     keys.left_idx
         .iter()
         .zip(keys.right_idx.iter())
-        .all(|(&li, &ri)| {
-            class(&left.rows, li)
-                .join(class(&right.rows, ri))
-                .hash_exact()
-        })
+        .all(|(&li, &ri)| class(left, li).join(class(right, ri)).hash_exact())
 }
 
 /// The nested-loop algorithms with an equi key: identical match decisions to
@@ -853,25 +1010,25 @@ fn loop_matches_hashed(
     ctx: &mut ExecContext,
     t: &TriggerContext,
 ) -> (Vec<Vec<usize>>, MatchSideEffects) {
-    let table = build_table(right.rows.len(), |ri, buf| {
-        canonical_key(&right.rows[ri], &keys.right_idx, buf)
+    let table = build_table(right.len(), |ri, buf| {
+        canonical_key(right, ri, &keys.right_idx, buf)
     });
     let mut scratch = KeyBuf::new();
-    let mut out = vec![Vec::new(); left.rows.len()];
-    for (li, lrow) in left.rows.iter().enumerate() {
-        if !canonical_key(lrow, &keys.left_idx, &mut scratch) {
+    let mut out = vec![Vec::new(); left.len()];
+    for (li, matches) in out.iter_mut().enumerate() {
+        if !canonical_key(left, li, &keys.left_idx, &mut scratch) {
             // NULL keys never match; the simplified-join confusion fault
             // spuriously matches build row 0, exactly like the compare loop.
-            if !right.rows.is_empty() && ctx.active(FaultKind::LeftToInnerNullZeroConfusion, t) {
+            if !right.is_empty() && ctx.active(FaultKind::LeftToInnerNullZeroConfusion, t) {
                 ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
                 if residual_ok(&keys.residual, layout, left, li, right, 0) {
-                    out[li].push(0);
+                    matches.push(0);
                 }
             }
             continue;
         }
         if let Some(bucket) = table.get(&scratch) {
-            out[li] = bucket
+            *matches = bucket
                 .iter()
                 .copied()
                 .filter(|&ri| residual_ok(&keys.residual, layout, left, li, right, ri))
@@ -892,11 +1049,12 @@ fn loop_matches(
     if !keys.left_idx.is_empty() && hash_equivalent_keys(left, right, keys) {
         return loop_matches_hashed(left, right, keys, layout, ctx, t);
     }
-    let mut out = vec![Vec::new(); left.rows.len()];
-    for (li, lrow) in left.rows.iter().enumerate() {
-        let left_has_null = keys.left_idx.iter().any(|&i| lrow[i].is_null());
-        for (ri, rrow) in right.rows.iter().enumerate() {
-            let mut matched = keys.left_idx.is_empty() || keys_equal_correct(lrow, rrow, keys);
+    let mut out = vec![Vec::new(); left.len()];
+    for (li, matches) in out.iter_mut().enumerate() {
+        let left_has_null = keys.left_idx.iter().any(|&i| left.value(li, i).is_null());
+        for ri in 0..right.len() {
+            let mut matched =
+                keys.left_idx.is_empty() || keys_equal_correct(left, li, right, ri, keys);
             // A simplified (outer→inner) join that confuses NULL with the
             // first build row.
             if !matched
@@ -908,7 +1066,7 @@ fn loop_matches(
                 matched = true;
             }
             if matched && residual_ok(&keys.residual, layout, left, li, right, ri) {
-                out[li].push(ri);
+                matches.push(ri);
             }
         }
     }
@@ -927,14 +1085,15 @@ fn hashed_matches(
         // no equi key — degrade to the loop implementation (correct)
         return loop_matches(left, right, keys, layout, ctx, t);
     }
-    let table = build_table(right.rows.len(), |ri, buf| {
-        encode_key_into(&right.rows[ri], &keys.right_idx, ctx, t, buf)
+    let table = build_table(right.len(), |ri, buf| {
+        encode_key_into(right, ri, &keys.right_idx, ctx, t, buf)
     });
     let mut scratch = KeyBuf::new();
-    let mut out = vec![Vec::new(); left.rows.len()];
-    for (li, lrow) in left.rows.iter().enumerate() {
-        let has_null = keys.left_idx.iter().any(|&i| lrow[i].is_null());
-        let mut ms: Vec<usize> = if encode_key_into(lrow, &keys.left_idx, ctx, t, &mut scratch) {
+    let mut out = vec![Vec::new(); left.len()];
+    for (li, matches) in out.iter_mut().enumerate() {
+        let has_null = keys.left_idx.iter().any(|&i| left.value(li, i).is_null());
+        let mut ms: Vec<usize> = if encode_key_into(left, li, &keys.left_idx, ctx, t, &mut scratch)
+        {
             table.get(&scratch).cloned().unwrap_or_default()
         } else {
             Vec::new()
@@ -943,7 +1102,7 @@ fn hashed_matches(
         // loop algorithms do.
         if ms.is_empty()
             && has_null
-            && !right.rows.is_empty()
+            && !right.is_empty()
             && ctx.active(FaultKind::LeftToInnerNullZeroConfusion, t)
         {
             ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
@@ -951,7 +1110,7 @@ fn hashed_matches(
         }
         // residual predicates still apply
         ms.retain(|&ri| residual_ok(&keys.residual, layout, left, li, right, ri));
-        out[li] = ms;
+        *matches = ms;
     }
     (out, MatchSideEffects::default())
 }
@@ -978,17 +1137,12 @@ fn merge_matches(
         return loop_matches(left, right, keys, layout, ctx, t);
     }
     // Collation-mismatch fault: varchar merge keys produce an empty join.
-    let key_is_string = right
-        .rows
-        .iter()
-        .flat_map(|r| keys.right_idx.iter().map(move |&i| &r[i]))
+    let key_is_string = (0..right.len())
+        .flat_map(|ri| keys.right_idx.iter().map(move |&i| right.value(ri, i)))
         .any(|v| v.as_str().is_some());
     if key_is_string && ctx.active(FaultKind::MergeJoinVarcharEmpty, t) {
         ctx.fire(FaultKind::MergeJoinVarcharEmpty);
-        return (
-            vec![Vec::new(); left.rows.len()],
-            MatchSideEffects::default(),
-        );
+        return (vec![Vec::new(); left.len()], MatchSideEffects::default());
     }
     // A straightforward (correct) merge: group right rows by canonical key.
     // Binary keys index the runs; the probe below hits this same index
@@ -996,8 +1150,8 @@ fn merge_matches(
     let mut runs: Vec<MergeRun> = Vec::new();
     let mut index: HashMap<KeyBuf, usize> = HashMap::new();
     let mut scratch = KeyBuf::new();
-    for (ri, rrow) in right.rows.iter().enumerate() {
-        if !canonical_key(rrow, &keys.right_idx, &mut scratch) {
+    for ri in 0..right.len() {
+        if !canonical_key(right, ri, &keys.right_idx, &mut scratch) {
             continue;
         }
         match index.get(&scratch) {
@@ -1009,7 +1163,7 @@ fn merge_matches(
                     text: keys
                         .right_idx
                         .iter()
-                        .map(|&i| canonical_encoding(&rrow[i]) + "|")
+                        .map(|&i| canonical_encoding(right.value(ri, i)) + "|")
                         .collect(),
                     skipped: false,
                 });
@@ -1040,9 +1194,10 @@ fn merge_matches(
         // duplicate runs: 2nd and later rows come back as NULLs
         if runs[gi].rows.len() > 1 && ctx.active(FaultKind::MergeJoinNullInsteadOfValue, t) {
             ctx.fire(FaultKind::MergeJoinNullInsteadOfValue);
-            effects
-                .null_right_rows
-                .extend(runs[gi].rows.iter().skip(1).copied());
+            effects.null_right.resize(right.len(), false);
+            for &ri in &runs[gi].rows[1..] {
+                effects.null_right[ri] = true;
+            }
         }
     }
     if skipped_first {
@@ -1051,16 +1206,16 @@ fn merge_matches(
     if skipped_last {
         ctx.fire(FaultKind::MergeJoinDropsLastRun);
     }
-    let mut out = vec![Vec::new(); left.rows.len()];
-    for (li, lrow) in left.rows.iter().enumerate() {
-        if !canonical_key(lrow, &keys.left_idx, &mut scratch) {
+    let mut out = vec![Vec::new(); left.len()];
+    for (li, matches) in out.iter_mut().enumerate() {
+        if !canonical_key(left, li, &keys.left_idx, &mut scratch) {
             continue;
         }
         if let Some(&gi) = index.get(&scratch) {
             if runs[gi].skipped {
                 continue;
             }
-            out[li] = runs[gi]
+            *matches = runs[gi]
                 .rows
                 .iter()
                 .copied()
@@ -1071,31 +1226,35 @@ fn merge_matches(
     (out, effects)
 }
 
-/// NULL padding for the unmatched side of outer joins, with the
-/// empty-string-instead-of-NULL faults.
-fn pad_values(
-    width: usize,
+/// The row ids padding `parts` of `out` for the unmatched side of an outer
+/// join: their NULL rows, except that the empty-string-instead-of-NULL
+/// faults make the first pad a row of `''`s.
+fn pad_ids(
+    out: &mut Rel,
+    parts: Range<usize>,
     ctx: &mut ExecContext,
     t: &TriggerContext,
-    first_pad_done: &mut Option<Vec<Value>>,
-) -> Vec<Value> {
-    let corrupt = first_pad_done.is_none()
+    first_pad_done: &mut bool,
+) -> Vec<u32> {
+    let corrupt = !*first_pad_done
         && (ctx.active(FaultKind::OuterJoinCacheEmptyPad, t)
             || ctx.active(FaultKind::BkaDisallowedNullToEmpty, t));
-    let pad: Vec<Value> = if corrupt {
-        if ctx.active(FaultKind::OuterJoinCacheEmptyPad, t) {
-            ctx.fire(FaultKind::OuterJoinCacheEmptyPad);
-        } else {
-            ctx.fire(FaultKind::BkaDisallowedNullToEmpty);
-        }
-        vec![Value::Varchar(String::new()); width]
-    } else {
-        vec![Value::Null; width]
-    };
-    if first_pad_done.is_none() {
-        *first_pad_done = Some(pad.clone());
+    *first_pad_done = true;
+    if !corrupt {
+        return vec![NULL_ROW; parts.len()];
     }
-    pad
+    if ctx.active(FaultKind::OuterJoinCacheEmptyPad, t) {
+        ctx.fire(FaultKind::OuterJoinCacheEmptyPad);
+    } else {
+        ctx.fire(FaultKind::BkaDisallowedNullToEmpty);
+    }
+    parts
+        .map(|p| {
+            let part = &mut out.parts[p];
+            let blank = vec![Value::Varchar(String::new()); part.keep.len()];
+            part.push_extra(blank)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1132,35 +1291,33 @@ mod tests {
         Expr::eq(Expr::col("l", "id"), Expr::col("r", "id"))
     }
 
+    /// The one way these tests build a relation: a scan of every column of
+    /// table `name` under binding `name`.
+    fn scan(name: &str, rows: Vec<Vec<Value>>) -> Rel {
+        Rel::scan(&Arc::new(table(name, rows)), name, &[0, 1])
+    }
+
     fn left_rel() -> Rel {
-        Rel::scan(
-            &table(
-                "l",
-                vec![
-                    vec![Value::Int(1), Value::str("a")],
-                    vec![Value::Int(2), Value::str("b")],
-                    vec![Value::Int(3), Value::str("c")],
-                    vec![Value::Null, Value::str("n")],
-                ],
-            ),
+        scan(
             "l",
-            &[0, 1],
+            vec![
+                vec![Value::Int(1), Value::str("a")],
+                vec![Value::Int(2), Value::str("b")],
+                vec![Value::Int(3), Value::str("c")],
+                vec![Value::Null, Value::str("n")],
+            ],
         )
     }
 
     fn right_rel() -> Rel {
-        Rel::scan(
-            &table(
-                "r",
-                vec![
-                    vec![Value::Int(1), Value::str("x")],
-                    vec![Value::Int(1), Value::str("y")],
-                    vec![Value::Int(3), Value::str("z")],
-                    vec![Value::Null, Value::str("rn")],
-                ],
-            ),
+        scan(
             "r",
-            &[0, 1],
+            vec![
+                vec![Value::Int(1), Value::str("x")],
+                vec![Value::Int(1), Value::str("y")],
+                vec![Value::Int(3), Value::str("z")],
+                vec![Value::Null, Value::str("rn")],
+            ],
         )
     }
 
@@ -1182,7 +1339,7 @@ mod tests {
         let mut counts = Vec::new();
         for algo in JoinAlgo::ALL {
             let (out, ctx) = run(JoinType::Inner, algo, FaultSet::none());
-            counts.push(out.rows.len());
+            counts.push(out.len());
             assert!(
                 ctx.fired.is_empty(),
                 "{algo:?} fired faults on a pristine build"
@@ -1196,21 +1353,22 @@ mod tests {
     fn outer_join_padding_is_null_by_default() {
         let (out, _) = run(JoinType::LeftOuter, JoinAlgo::HashJoin, FaultSet::none());
         // 3 matches + 2 unmatched left rows (id=2 and NULL)
-        assert_eq!(out.rows.len(), 5);
-        let padded: Vec<&Vec<Value>> = out.rows.iter().filter(|r| r[2].is_null()).collect();
+        assert_eq!(out.len(), 5);
+        let rows = out.to_rows();
+        let padded: Vec<&Vec<Value>> = rows.iter().filter(|r| r[2].is_null()).collect();
         assert_eq!(padded.len(), 2);
         let (out, _) = run(JoinType::FullOuter, JoinAlgo::NestedLoop, FaultSet::none());
         // + 1 unmatched right row (NULL key)
-        assert_eq!(out.rows.len(), 6);
+        assert_eq!(out.len(), 6);
     }
 
     #[test]
     fn semi_and_anti_join_semantics() {
         let (semi, _) = run(JoinType::Semi, JoinAlgo::HashJoin, FaultSet::none());
-        assert_eq!(semi.rows.len(), 2); // ids 1 and 3
-        assert_eq!(semi.width(), 2); // only left columns
+        assert_eq!(semi.len(), 2); // ids 1 and 3
+        assert_eq!(semi.cols.len(), 2); // only left columns
         let (anti, _) = run(JoinType::Anti, JoinAlgo::NestedLoop, FaultSet::none());
-        assert_eq!(anti.rows.len(), 2); // id 2 and the NULL row
+        assert_eq!(anti.len(), 2); // id 2 and the NULL row
     }
 
     #[test]
@@ -1218,31 +1376,31 @@ mod tests {
         let faults = FaultSet::of(&[FaultKind::HashJoinNullMatchesEmpty]);
         let (out, ctx) = run(JoinType::Inner, JoinAlgo::HashJoin, faults.clone());
         // The NULL left key now matches the NULL right key (both encode "").
-        assert_eq!(out.rows.len(), 4);
+        assert_eq!(out.len(), 4);
         assert_eq!(ctx.fired, vec![FaultKind::HashJoinNullMatchesEmpty]);
         // …but the same fault never fires under a nested loop plan.
         let (out, ctx) = run(JoinType::Inner, JoinAlgo::NestedLoop, faults);
-        assert_eq!(out.rows.len(), 3);
+        assert_eq!(out.len(), 3);
         assert!(ctx.fired.is_empty());
     }
 
     #[test]
     fn merge_join_faults_drop_runs() {
         let (clean, _) = run(JoinType::Inner, JoinAlgo::SortMergeJoin, FaultSet::none());
-        assert_eq!(clean.rows.len(), 3);
+        assert_eq!(clean.len(), 3);
         let (out, ctx) = run(
             JoinType::Inner,
             JoinAlgo::SortMergeJoin,
             FaultSet::of(&[FaultKind::MergeJoinDropsLastRun]),
         );
-        assert!(out.rows.len() < clean.rows.len());
+        assert!(out.len() < clean.len());
         assert_eq!(ctx.fired, vec![FaultKind::MergeJoinDropsLastRun]);
         let (out, ctx) = run(
             JoinType::Inner,
             JoinAlgo::SortMergeJoin,
             FaultSet::of(&[FaultKind::MergeJoinNegativeZeroMiss]),
         );
-        assert!(out.rows.len() < clean.rows.len());
+        assert!(out.len() < clean.len());
         assert_eq!(ctx.fired, vec![FaultKind::MergeJoinNegativeZeroMiss]);
     }
 
@@ -1255,7 +1413,10 @@ mod tests {
         );
         assert_eq!(ctx.fired, vec![FaultKind::MergeJoinNullInsteadOfValue]);
         // the duplicate id=1 run has its second row blanked to NULLs
-        assert!(out.rows.iter().any(|r| r[2].is_null() && !r[0].is_null()));
+        assert!(out
+            .to_rows()
+            .iter()
+            .any(|r| r[2].is_null() && !r[0].is_null()));
     }
 
     #[test]
@@ -1273,7 +1434,7 @@ mod tests {
         assert_eq!(ctx.fired, vec![FaultKind::OuterJoinCacheEmptyPad]);
         // exactly one padded row carries '' instead of NULL
         let empties = out
-            .rows
+            .to_rows()
             .iter()
             .filter(|r| r[2..].iter().any(|v| v.as_str() == Some("")))
             .count();
@@ -1296,7 +1457,7 @@ mod tests {
         // clean execution row id=NULL contributes nothing anyway, so compare
         // against a buffer that fits everything.
         assert_eq!(ctx.fired, vec![FaultKind::JoinBufferLimitDropsTail]);
-        assert!(out.rows.len() <= 3);
+        assert!(out.len() <= 3);
     }
 
     #[test]
@@ -1312,29 +1473,21 @@ mod tests {
         let out =
             execute_join(&left_rel(), &right_rel(), &j, Some(&on_clause()), &mut ctx).unwrap();
         assert_eq!(ctx.fired, vec![FaultKind::LeftToInnerNullZeroConfusion]);
-        assert!(out.rows.len() > 3, "NULL key spuriously matched");
+        assert!(out.len() > 3, "NULL key spuriously matched");
         // without the simplification flag the fault stays silent
         let (out, ctx2) = run(
             JoinType::Inner,
             JoinAlgo::HashJoin,
             FaultSet::of(&[FaultKind::LeftToInnerNullZeroConfusion]),
         );
-        assert_eq!(out.rows.len(), 3);
+        assert_eq!(out.len(), 3);
         assert!(ctx2.fired.is_empty());
     }
 
     #[test]
     fn boundary_values_vanish_under_materialized_hash_join() {
-        let left = Rel::scan(
-            &table("l", vec![vec![Value::Int(65_535), Value::str("big")]]),
-            "l",
-            &[0, 1],
-        );
-        let right = Rel::scan(
-            &table("r", vec![vec![Value::Int(65_535), Value::str("big")]]),
-            "r",
-            &[0, 1],
-        );
+        let left = scan("l", vec![vec![Value::Int(65_535), Value::str("big")]]);
+        let right = scan("r", vec![vec![Value::Int(65_535), Value::str("big")]]);
         let mut ctx =
             ExecContext::new(FaultSet::of(&[FaultKind::HashJoinMaterializationZeroSplit]));
         ctx.materialization = true;
@@ -1346,7 +1499,7 @@ mod tests {
             &mut ctx,
         )
         .unwrap();
-        assert!(out.rows.is_empty());
+        assert!(out.is_empty());
         assert_eq!(ctx.fired, vec![FaultKind::HashJoinMaterializationZeroSplit]);
     }
 
@@ -1361,7 +1514,7 @@ mod tests {
             &mut ctx,
         )
         .unwrap();
-        assert_eq!(out.rows.len(), 16);
+        assert_eq!(out.len(), 16);
     }
 
     /// The one key extraction serves both kernels: a [`Rel`] and a
@@ -1369,8 +1522,8 @@ mod tests {
     #[test]
     fn key_extraction_handles_reversed_equality_and_residual() {
         use crate::columnar::ColumnarRel;
-        let (lt, rt) = (table("l", vec![]), table("r", vec![]));
-        let row_major = (
+        let (lt, rt) = (Arc::new(table("l", vec![])), Arc::new(table("r", vec![])));
+        let row_ids = (
             Rel::scan(&lt, "l", &[0, 1]).cols,
             Rel::scan(&rt, "r", &[0, 1]).cols,
         );
@@ -1387,7 +1540,7 @@ mod tests {
                 Expr::lit(Value::str("y")),
             ),
         );
-        for (left, right) in [row_major, column_major] {
+        for (left, right) in [row_ids, column_major] {
             // reversed equality, with a residual non-equi conjunct
             let keys = extract_equi_keys(&left, &right, Some(&on));
             assert_eq!((keys.left_idx, keys.right_idx), (vec![0], vec![0]));
@@ -1422,6 +1575,6 @@ mod tests {
         )
         .unwrap();
         // the residual predicate filters out the (1, y) match
-        assert_eq!(out.rows.len(), 2);
+        assert_eq!(out.len(), 2);
     }
 }

@@ -279,22 +279,43 @@ impl Expr {
         }
     }
 
-    /// Does this expression (transitively) contain a subquery?
-    pub fn has_subquery(&self) -> bool {
+    /// The subqueries this expression holds, not those nested inside them.
+    fn collect_subqueries<'a>(&'a self, out: &mut Vec<&'a SelectStmt>) {
         match self {
-            Expr::InSubquery { .. } | Expr::Exists { .. } => true,
-            Expr::Binary { left, right, .. } => left.has_subquery() || right.has_subquery(),
+            Expr::InSubquery { expr, subquery, .. } => {
+                expr.collect_subqueries(out);
+                out.push(subquery);
+            }
+            Expr::Exists { subquery, .. } => out.push(subquery),
+            Expr::Column(_) | Expr::Literal(_) => {}
+            Expr::Binary { left, right, .. } => {
+                left.collect_subqueries(out);
+                right.collect_subqueries(out);
+            }
             Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                expr.has_subquery()
+                expr.collect_subqueries(out)
             }
             Expr::Between {
                 expr, low, high, ..
-            } => expr.has_subquery() || low.has_subquery() || high.has_subquery(),
-            Expr::InList { expr, list, .. } => {
-                expr.has_subquery() || list.iter().any(Expr::has_subquery)
+            } => {
+                expr.collect_subqueries(out);
+                low.collect_subqueries(out);
+                high.collect_subqueries(out);
             }
-            _ => false,
+            Expr::InList { expr, list, .. } => {
+                expr.collect_subqueries(out);
+                for e in list {
+                    e.collect_subqueries(out);
+                }
+            }
         }
+    }
+
+    /// Does this expression (transitively) contain a subquery?
+    pub fn has_subquery(&self) -> bool {
+        let mut found = Vec::new();
+        self.collect_subqueries(&mut found);
+        !found.is_empty()
     }
 
     /// Number of AST nodes; used by the test-case reducer.
@@ -621,6 +642,31 @@ impl SelectStmt {
         for o in &self.order_by {
             o.expr.collect_column_refs_deep(out);
         }
+    }
+
+    /// The tables this statement reads: those its FROM clause names and,
+    /// recursively, those its subqueries' FROM clauses name.
+    pub fn tables_read(&self) -> Vec<&str> {
+        let mut tables = Vec::new();
+        let mut stmts = vec![self];
+        while let Some(stmt) = stmts.pop() {
+            tables.extend(stmt.from.tables().into_iter().map(|t| t.table.as_str()));
+            let items = stmt.items.iter().filter_map(|item| match item {
+                SelectItem::Wildcard => None,
+                SelectItem::Expr { expr, .. } => Some(expr),
+                SelectItem::Aggregate { arg, .. } => arg.as_ref(),
+            });
+            let exprs = items
+                .chain(stmt.from.joins.iter().filter_map(|j| j.on.as_ref()))
+                .chain(&stmt.where_clause)
+                .chain(&stmt.group_by)
+                .chain(&stmt.having)
+                .chain(stmt.order_by.iter().map(|o| &o.expr));
+            for e in exprs {
+                e.collect_subqueries(&mut stmts);
+            }
+        }
+        tables
     }
 
     /// Does this query contain any subquery (IN/EXISTS) anywhere?

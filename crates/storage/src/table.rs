@@ -188,10 +188,10 @@ impl Catalog {
         self.tables.get(&name.to_lowercase()).map(Arc::as_ref)
     }
 
-    /// The shared handle of a table.
-    #[cfg(test)]
-    fn shared_table(&self, name: &str) -> Option<Arc<Table>> {
-        self.tables.get(&name.to_lowercase()).cloned()
+    /// The shared handle of a table: executors hold it to address its rows
+    /// without copying them.
+    pub fn shared_table(&self, name: &str) -> Option<&Arc<Table>> {
+        self.tables.get(&name.to_lowercase())
     }
 
     /// Copy-on-write mutable access: cheap while the table is unshared,
@@ -353,7 +353,7 @@ mod tests {
         let replica = cat.clone();
         let a = cat.shared_table("T3").unwrap();
         let b = replica.shared_table("T3").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "worker replicas must not copy rows");
+        assert!(Arc::ptr_eq(a, b), "worker replicas must not copy rows");
     }
 
     #[test]

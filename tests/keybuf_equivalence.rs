@@ -238,17 +238,16 @@ fn binary_encoding_fixes_legacy_boundary_shift_collision() {
 // ---------------------------------------------------------------------------
 
 fn rel_with_tags(keys: &[Value], binding: &str, tag_base: i64) -> Rel {
-    Rel {
-        cols: vec![
+    Rel::from_rows(
+        vec![
             (binding.to_string(), "k".to_string()),
             (binding.to_string(), "tag".to_string()),
         ],
-        rows: keys
-            .iter()
+        keys.iter()
             .enumerate()
             .map(|(i, k)| vec![k.clone(), Value::Int(tag_base + i as i64)])
             .collect(),
-    }
+    )
 }
 
 fn join_spec(join_type: JoinType) -> PhysicalJoin {
@@ -296,7 +295,7 @@ fn engine_pairs(
     ctx.materialization = materialization;
     let out = execute_join(&l, &r, &join_spec(join_type), Some(&on_clause()), &mut ctx).unwrap();
     let mut pairs: Vec<(i64, i64)> = out
-        .rows
+        .to_rows()
         .iter()
         .map(|row| {
             let lt = row[1].as_i128_exact().unwrap() as i64;
