@@ -1,20 +1,17 @@
 //! The second simulated engine: a columnar, batch-at-a-time executor.
 //!
-//! Where [`crate::engine::Database`] executes row-at-a-time over row-id
-//! relations ([`crate::exec::Rel`]), [`ColumnarDatabase`] copies the columns
-//! a statement can observe out of each scanned table and keeps every
-//! intermediate relation column-major
-//! (`ColumnarRel`) and drives joins and WHERE filtering in probe batches of
-//! `batch_size` rows: hashed joins encode and probe a whole batch of keys at
-//! a time, and simple `column <op> literal` conjuncts are evaluated as tight
-//! per-column loops over a selection bitmap instead of building a row scope
-//! per tuple.
+//! [`ColumnarDatabase`] runs over the same row-id relations as
+//! [`crate::engine::Database`] ([`crate::exec::Rel`]: ids into the
+//! `Arc`-shared tables, values read in place) and differs in its kernel:
+//! joins and WHERE filtering run in probe batches of `batch_size` rows —
+//! hashed joins encode and probe a whole batch of keys at a time, and simple
+//! `column <op> literal` conjuncts are evaluated as tight per-column loops
+//! over a selection bitmap instead of through the reference evaluator.
 //!
 //! Both engines share the session front ([`Engine`]), the optimizer
 //! ([`Database::plan`]), the statement pipeline (`Database::execute_plan`),
-//! the subquery machinery and the projection/aggregation tail, which reads a
-//! [`ColumnarRel`] in place through [`Relation`]; this module supplies only
-//! the kernel the pipeline runs with. So on fault-free builds
+//! the subquery machinery and the projection/aggregation tail; this module
+//! supplies only the kernel the pipeline runs with. So on fault-free builds
 //! they are answer-identical by construction of the shared semantics — a
 //! property the workspace pins with a proptest. What differs is the physical
 //! execution — and therefore the *fault complement*: the columnar build
@@ -27,80 +24,18 @@
 use crate::dml::DmlOutcome;
 use crate::engine::{Database, Engine, EngineError, EngineSubqueries, ExecOutcome, Kernel};
 use crate::exec::{
-    build_table, col_index, extract_equi_keys, residual_ok, ExecContext, Executor, Relation,
-    ScopeLayout,
+    build_table, col_index, extract_equi_keys, residual_ok, ColumnSlots, ExecContext, Executor, Rel,
 };
 use crate::faults::{FaultKind, TriggerContext};
 use crate::plan::PhysicalJoin;
 use crate::profiles::DbmsProfile;
-use std::sync::Arc;
 use tqs_sql::ast::{BinOp, DmlStmt, Expr, JoinType, SelectStmt};
 use tqs_sql::eval::eval_predicate;
 use tqs_sql::value::{null_safe_eq, sql_compare, KeyBuf, SqlCmp, Value};
-use tqs_storage::{Catalog, Table};
+use tqs_storage::Catalog;
 
 /// Default number of rows per probe/filter batch.
 pub(crate) const DEFAULT_BATCH_SIZE: usize = 64;
-
-/// A column-major intermediate relation: one `Vec<Value>` per output column,
-/// all of equal length.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ColumnarRel {
-    /// (binding, column name) per column, parallel to `columns`.
-    pub cols: Vec<(String, String)>,
-    pub columns: Vec<Vec<Value>>,
-}
-
-impl ColumnarRel {
-    pub fn width(&self) -> usize {
-        self.cols.len()
-    }
-
-    fn push_gathered(&mut self, src: &ColumnarRel, row: usize, offset: usize) {
-        for (ci, col) in src.columns.iter().enumerate() {
-            self.columns[offset + ci].push(col[row].clone());
-        }
-    }
-
-    fn push_nulls(&mut self, offset: usize, width: usize) {
-        for ci in 0..width {
-            self.columns[offset + ci].push(Value::Null);
-        }
-    }
-}
-
-impl Relation for ColumnarRel {
-    fn scan(table: &Arc<Table>, binding: &str, keep: &[usize]) -> ColumnarRel {
-        // `vec![v; n]` clones drop the capacity; build each Vec explicitly.
-        let mut columns: Vec<Vec<Value>> = (0..keep.len())
-            .map(|_| Vec::with_capacity(table.rows.len()))
-            .collect();
-        for row in &table.rows {
-            for (out_ci, &i) in keep.iter().enumerate() {
-                columns[out_ci].push(row.values[i].clone());
-            }
-        }
-        ColumnarRel {
-            cols: keep
-                .iter()
-                .map(|&i| (binding.to_string(), table.columns[i].name.clone()))
-                .collect(),
-            columns,
-        }
-    }
-
-    fn cols(&self) -> &[(String, String)] {
-        &self.cols
-    }
-
-    fn len(&self) -> usize {
-        self.columns.first().map(|c| c.len()).unwrap_or(0)
-    }
-
-    fn value(&self, row: usize, col: usize) -> &Value {
-        &self.columns[col][row]
-    }
-}
 
 /// The columnar simulated DBMS: shares the optimizer, catalog, session
 /// switches and subquery machinery with [`Database`], but executes through
@@ -120,8 +55,8 @@ impl ColumnarDatabase {
     }
 }
 
-/// The columnar executor: scans the session's own catalog column-major,
-/// batch-at-a-time kernels. Mutation and transaction semantics are the inner
+/// The columnar executor: scans the session's own catalog, batch-at-a-time
+/// kernels. Mutation and transaction semantics are the inner
 /// row session's wholesale — including the DML fault complement, which the
 /// columnar builds also carry — because scans re-read the catalog per
 /// statement.
@@ -159,19 +94,17 @@ impl Engine for ColumnarDatabase {
     }
 }
 
-/// The columnar kernel: [`ColumnarRel`] intermediates, [`columnar_join`]
-/// probing in batches, and a vectorized WHERE.
+/// The columnar kernel: [`columnar_join`] probing in batches, and a
+/// vectorized WHERE.
 impl Kernel for ColumnarDatabase {
-    type Rel = ColumnarRel;
-
     fn join(
         &self,
-        left: &ColumnarRel,
-        right: &ColumnarRel,
+        left: &Rel,
+        right: &Rel,
         join: &PhysicalJoin,
         on: Option<&Expr>,
         ctx: &mut ExecContext,
-    ) -> Result<ColumnarRel, EngineError> {
+    ) -> Result<Rel, EngineError> {
         Ok(columnar_join(left, right, join, on, ctx, self.batch_size))
     }
 
@@ -182,10 +115,10 @@ impl Kernel for ColumnarDatabase {
     fn filter(
         &self,
         pred: &Expr,
-        rel: ColumnarRel,
+        mut rel: Rel,
         ctx: &mut ExecContext,
         sub: &EngineSubqueries<'_>,
-    ) -> Result<ColumnarRel, EngineError> {
+    ) -> Result<Rel, EngineError> {
         let n = rel.len();
         let mut sel = vec![true; n];
         let conjuncts = pred.conjuncts();
@@ -193,34 +126,25 @@ impl Kernel for ColumnarDatabase {
         let null_as_true = ctx
             .faults
             .active(FaultKind::ColumnarFilterNullAsTrue, &filter_trigger);
+        let slots = ColumnSlots::new([pred], &rel.cols);
         for c in conjuncts {
             match vectorizable(c, &rel) {
                 Some((ci, op, lit, reversed)) => {
-                    let col = &rel.columns[ci];
-                    for (i, v) in col.iter().enumerate() {
-                        let truth = compare_value(v, op, lit, reversed);
+                    for i in 0..n {
+                        let truth = compare_value(rel.value(i, ci), op, lit, reversed);
                         self.apply_truth(truth, i, &mut sel, null_as_true, ctx);
                     }
                 }
                 None => {
                     for i in 0..n {
-                        let resolver = rel.resolver(i);
-                        let truth = eval_predicate(c, &resolver, sub)?;
+                        let truth = eval_predicate(c, &rel.resolver(&slots, i), sub)?;
                         self.apply_truth(truth, i, &mut sel, null_as_true, ctx);
                     }
                 }
             }
         }
-        let mut out = ColumnarRel {
-            cols: rel.cols.clone(),
-            columns: vec![Vec::new(); rel.width()],
-        };
-        for (i, keep) in sel.iter().enumerate() {
-            if *keep {
-                out.push_gathered(&rel, i, 0);
-            }
-        }
-        Ok(out)
+        rel.retain(|_, i| Ok::<_, EngineError>(sel[i]))?;
+        Ok(rel)
     }
 }
 
@@ -247,7 +171,7 @@ impl ColumnarDatabase {
 
 /// Can this conjunct run through the vectorized comparison kernel?
 /// Returns (column index, operator, literal, literal-on-the-left).
-fn vectorizable<'a>(e: &'a Expr, rel: &ColumnarRel) -> Option<(usize, BinOp, &'a Value, bool)> {
+fn vectorizable<'a>(e: &'a Expr, rel: &Rel) -> Option<(usize, BinOp, &'a Value, bool)> {
     let Expr::Binary { op, left, right } = e else {
         return None;
     };
@@ -291,13 +215,13 @@ fn compare_value(v: &Value, op: BinOp, lit: &Value, reversed: bool) -> Option<bo
     }
 }
 
-/// Encode the join key of row `i` against `key_idx` column vectors into
-/// `buf` (cleared first). Returns `false` for a NULL key (never matches).
+/// Encode the join key of row `i` of `rel`, columns `key_idx`, into `buf`
+/// (cleared first). Returns `false` for a NULL key (never matches).
 /// The dictionary-truncation fault clips long varchar keys to their first 8
 /// bytes — raw, without the canonical case folding, exactly like the old
 /// `"S:{clip}|"` text segment.
 fn encode_key_into(
-    columns: &[Vec<Value>],
+    rel: &Rel,
     key_idx: &[usize],
     i: usize,
     truncate: bool,
@@ -306,7 +230,7 @@ fn encode_key_into(
 ) -> bool {
     buf.clear();
     for &ci in key_idx {
-        let v = &columns[ci][i];
+        let v = rel.value(i, ci);
         if v.is_null() {
             return false;
         }
@@ -331,20 +255,21 @@ fn encode_key_into(
     true
 }
 
-/// Execute one physical join step over columnar inputs: build a hash table
-/// over the build (right) side, then probe the left side one batch at a
-/// time. Non-equi joins degrade to a (correct) batched nested loop.
+/// Execute one physical join step: build a hash table over the build
+/// (right) side, then probe the left side one batch at a time. Non-equi
+/// joins degrade to a (correct) batched nested loop. The output carries row
+/// ids, as the row kernel's does.
 pub(crate) fn columnar_join(
-    left: &ColumnarRel,
-    right: &ColumnarRel,
+    left: &Rel,
+    right: &Rel,
     join: &PhysicalJoin,
     on: Option<&Expr>,
     ctx: &mut ExecContext,
     batch_size: usize,
-) -> ColumnarRel {
+) -> Rel {
     let t = ctx.trigger_ctx(join);
     let keys = extract_equi_keys(&left.cols, &right.cols, on);
-    let layout = ScopeLayout::compile(&keys.residual, &left.cols, &right.cols);
+    let slots = ColumnSlots::pair(&keys.residual, &left.cols, &right.cols);
     let n_left = left.len();
 
     // Batch-tail loss: hashed probes past the last complete batch are never
@@ -366,14 +291,14 @@ pub(crate) fn columnar_join(
         // No equi key: batched nested loop (correct for cross/theta joins).
         for (li, row_matches) in matches.iter_mut().enumerate().take(live_until) {
             for ri in 0..right.len() {
-                if residual_ok(&keys.residual, &layout, left, li, right, ri) {
+                if residual_ok(&keys.residual, &slots, left, li, right, ri) {
                     row_matches.push(ri);
                 }
             }
         }
     } else {
         let table = build_table(right.len(), |ri, buf| {
-            encode_key_into(&right.columns, &keys.right_idx, ri, truncate, ctx, buf)
+            encode_key_into(right, &keys.right_idx, ri, truncate, ctx, buf)
         });
         let mut scratch = KeyBuf::new();
         let mut start = 0;
@@ -381,37 +306,26 @@ pub(crate) fn columnar_join(
             let end = (start + batch_size).min(live_until);
             for (li, row_matches) in matches[start..end].iter_mut().enumerate() {
                 let li = start + li;
-                if !encode_key_into(
-                    &left.columns,
-                    &keys.left_idx,
-                    li,
-                    truncate,
-                    ctx,
-                    &mut scratch,
-                ) {
+                if !encode_key_into(left, &keys.left_idx, li, truncate, ctx, &mut scratch) {
                     continue;
                 }
-                let mut ms = table.get(&scratch).cloned().unwrap_or_default();
-                ms.retain(|&ri| residual_ok(&keys.residual, &layout, left, li, right, ri));
-                *row_matches = ms;
+                if let Some(bucket) = table.get(&scratch) {
+                    row_matches.extend(
+                        bucket
+                            .iter()
+                            .copied()
+                            .filter(|&ri| residual_ok(&keys.residual, &slots, left, li, right, ri)),
+                    );
+                }
             }
             start = end;
         }
     }
 
-    // Assemble the output column-major.
-    let (cols, left_width, right_width) = match join.join_type {
-        JoinType::Semi | JoinType::Anti => (left.cols.clone(), left.width(), 0),
-        _ => {
-            let mut c = left.cols.clone();
-            c.extend(right.cols.clone());
-            (c, left.width(), right.width())
-        }
-    };
-    let mut out = ColumnarRel {
-        columns: vec![Vec::new(); cols.len()],
-        cols,
-    };
+    // Assemble the output: id tuples.
+    let semi_or_anti = matches!(join.join_type, JoinType::Semi | JoinType::Anti);
+    let mut out = Rel::joined(left, (!semi_or_anti).then_some(right));
+    let (null_left, null_right) = (left.null_tuple(), right.null_tuple());
     let misalign = ctx.faults.active(FaultKind::ColumnarNullPadMisalign, &t);
     let mut first_pad = true;
     let mut right_matched = vec![false; right.len()];
@@ -424,32 +338,32 @@ pub(crate) fn columnar_join(
             | JoinType::FullOuter => {
                 for &ri in ms {
                     right_matched[ri] = true;
-                    out.push_gathered(left, li, 0);
-                    out.push_gathered(right, ri, left_width);
+                    out.push_ids(left.tuple(li));
+                    out.push_ids(right.tuple(ri));
                 }
                 if ms.is_empty()
                     && matches!(join.join_type, JoinType::LeftOuter | JoinType::FullOuter)
                 {
-                    out.push_gathered(left, li, 0);
+                    out.push_ids(left.tuple(li));
                     // NULL-mask misalignment: the first padded row replays
                     // build row 0 instead of NULLs.
                     if misalign && first_pad && !right.is_empty() {
                         ctx.fire(FaultKind::ColumnarNullPadMisalign);
-                        out.push_gathered(right, 0, left_width);
+                        out.push_ids(right.tuple(0));
                     } else {
-                        out.push_nulls(left_width, right_width);
+                        out.push_ids(&null_right);
                     }
                     first_pad = false;
                 }
             }
             JoinType::Semi => {
                 if !ms.is_empty() {
-                    out.push_gathered(left, li, 0);
+                    out.push_ids(left.tuple(li));
                 }
             }
             JoinType::Anti => {
                 if ms.is_empty() {
-                    out.push_gathered(left, li, 0);
+                    out.push_ids(left.tuple(li));
                 }
             }
         }
@@ -461,14 +375,12 @@ pub(crate) fn columnar_join(
             if !matched {
                 if misalign && first_pad && n_left > 0 {
                     ctx.fire(FaultKind::ColumnarNullPadMisalign);
-                    out.push_gathered(left, 0, 0);
+                    out.push_ids(left.tuple(0));
                 } else {
-                    for ci in 0..left_width {
-                        out.columns[ci].push(Value::Null);
-                    }
+                    out.push_ids(&null_left);
                 }
                 first_pad = false;
-                out.push_gathered(right, ri, left_width);
+                out.push_ids(right.tuple(ri));
             }
         }
     }
@@ -484,7 +396,7 @@ mod tests {
     use tqs_sql::hints::HintSet;
     use tqs_sql::parser::parse_stmt;
     use tqs_sql::types::{ColumnDef, ColumnType};
-    use tqs_storage::Row;
+    use tqs_storage::{Row, Table};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();

@@ -3,15 +3,15 @@
 //!
 //! One statement pipeline (`Database::execute_plan`) serves every executor:
 //! scan, joins in plan order, WHERE, then one tail — projection or
-//! aggregation, DISTINCT, LIMIT — that reads the filtered relation in place
-//! through [`Relation`], whether it holds row ids ([`Rel`]) or columns
-//! ([`crate::columnar::ColumnarRel`]). Values are built only for the result
-//! set.
+//! aggregation, DISTINCT, LIMIT — over row-id relations ([`Rel`]), whichever
+//! kernel built them. Each operator compiles its column references once
+//! ([`ColumnSlots`]) and reads values in place; values are built only for
+//! the result set.
 
 use crate::dml::{apply_mutation, DmlOp, DmlOutcome};
 use crate::exec::{
-    col_index, execute_join, executor_metric, ColumnPruner, ExecContext, ExecError, Executor, Rel,
-    Relation,
+    col_index, execute_join, executor_metric, ColumnPruner, ColumnSlots, ExecContext, ExecError,
+    Executor, Rel,
 };
 use crate::faults::{FaultKind, FaultSet};
 use crate::plan::{join_prerequisites, JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
@@ -683,7 +683,7 @@ impl Database {
         let scan = |from: &TableRef| {
             let table = find_table(catalog, &from.table)?;
             let keep = pruner.keep_indices(table, from.binding());
-            Ok::<_, EngineError>(K::Rel::scan(table, from.binding(), &keep))
+            Ok::<_, EngineError>(Rel::scan(table, from.binding(), &keep))
         };
         let op_t0 = ctx.op_start();
         let mut rel = scan(&stmt.from.base)?;
@@ -727,21 +727,18 @@ impl Database {
                 executor_metric!(counter, ctx.executor, "filter.rows_out").add(rows_out);
             }
         }
-        // The tail gets `&rel`: a columnar `rel` handed over by value would
-        // free its columns before projection allocates, and that order of
-        // frees alone read −4 % on the benchmark's `select_cross`.
         self.finish(stmt, plan, &rel, sub, ctx)
     }
 
     /// The tail every executor closes a statement with: projection or
     /// aggregation, DISTINCT and LIMIT over the filtered relation, read in
-    /// place whatever its layout, then the statement's books — telemetry and
-    /// the faults the subqueries fired.
+    /// place, then the statement's books — telemetry and the faults the
+    /// subqueries fired.
     fn finish(
         &self,
         stmt: &SelectStmt,
         plan: PhysicalPlan,
-        rel: &impl Relation,
+        rel: &Rel,
         sub: EngineSubqueries<'_>,
         mut ctx: ExecContext,
     ) -> Result<ExecOutcome, EngineError> {
@@ -783,14 +780,14 @@ impl Database {
     fn project(
         &self,
         stmt: &SelectStmt,
-        rel: &impl Relation,
+        rel: &Rel,
         sub: &EngineSubqueries<'_>,
     ) -> Result<ResultSet, EngineError> {
         let mut columns = Vec::new();
         for item in &stmt.items {
             match item {
                 SelectItem::Wildcard => {
-                    for (b, c) in rel.cols() {
+                    for (b, c) in &rel.cols {
                         columns.push(format!("{b}.{c}"));
                     }
                 }
@@ -804,14 +801,19 @@ impl Database {
                 }
             }
         }
+        let exprs = stmt.items.iter().filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            _ => None,
+        });
+        let slots = ColumnSlots::new(exprs, &rel.cols);
         let mut rs = ResultSet::new(columns);
         for i in 0..rel.len() {
-            let resolver = rel.resolver(i);
+            let resolver = rel.resolver(&slots, i);
             let mut out = Vec::new();
             for item in &stmt.items {
                 match item {
                     SelectItem::Wildcard => {
-                        out.extend((0..rel.cols().len()).map(|c| rel.value(i, c).clone()))
+                        out.extend((0..rel.cols.len()).map(|c| rel.value(i, c).clone()))
                     }
                     SelectItem::Expr { expr, .. } => out.push(eval_expr(expr, &resolver, sub)?),
                     SelectItem::Aggregate { .. } => unreachable!(),
@@ -825,14 +827,20 @@ impl Database {
     fn aggregate(
         &self,
         stmt: &SelectStmt,
-        rel: &impl Relation,
+        rel: &Rel,
         sub: &EngineSubqueries<'_>,
     ) -> Result<ResultSet, EngineError> {
+        let items = stmt.items.iter().filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            SelectItem::Aggregate { arg, .. } => arg.as_ref(),
+            SelectItem::Wildcard => None,
+        });
+        let slots = ColumnSlots::new(stmt.group_by.iter().chain(items), &rel.cols);
         let mut groups: HashMap<KeyBuf, Vec<usize>> = HashMap::new();
         let mut order: Vec<KeyBuf> = Vec::new();
         let mut key = KeyBuf::new();
         for i in 0..rel.len() {
-            let resolver = rel.resolver(i);
+            let resolver = rel.resolver(&slots, i);
             key.clear();
             for g in &stmt.group_by {
                 let v = eval_expr(g, &resolver, sub)?;
@@ -874,7 +882,7 @@ impl Database {
                     }
                     SelectItem::Expr { expr, .. } => {
                         let v = match members.first() {
-                            Some(&i) => eval_expr(expr, &rel.resolver(i), sub)?,
+                            Some(&i) => eval_expr(expr, &rel.resolver(&slots, i), sub)?,
                             None => Value::Null,
                         };
                         out.push(v);
@@ -883,7 +891,7 @@ impl Database {
                         let mut vals = Vec::new();
                         if let Some(e) = arg {
                             for &i in members {
-                                vals.push(eval_expr(e, &rel.resolver(i), sub)?);
+                                vals.push(eval_expr(e, &rel.resolver(&slots, i), sub)?);
                             }
                         }
                         out.push(eval_agg(*func, members.len(), &vals));
@@ -906,29 +914,22 @@ pub(crate) fn find_table<'a>(
         .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
 }
 
-/// One layout's operators: what [`Database::execute_plan`] runs a statement
+/// One kernel's operators: what [`Database::execute_plan`] runs a statement
 /// with.
 pub(crate) trait Kernel {
-    type Rel: Relation;
-
     /// One physical join step.
     fn join(
         &self,
-        left: &Self::Rel,
-        right: &Self::Rel,
+        left: &Rel,
+        right: &Rel,
         join: &PhysicalJoin,
         on: Option<&Expr>,
         ctx: &mut ExecContext,
-    ) -> Result<Self::Rel, EngineError>;
+    ) -> Result<Rel, EngineError>;
 
-    /// The WHERE predicate as the layout's faults rewrite it against `rel`,
+    /// The WHERE predicate as the kernel's faults rewrite it against `rel`,
     /// `None` when it stands as written.
-    fn rewrite_where(
-        &self,
-        _pred: &Expr,
-        _rel: &Self::Rel,
-        _ctx: &mut ExecContext,
-    ) -> Option<Expr> {
+    fn rewrite_where(&self, _pred: &Expr, _rel: &Rel, _ctx: &mut ExecContext) -> Option<Expr> {
         None
     }
 
@@ -936,20 +937,17 @@ pub(crate) trait Kernel {
     fn filter(
         &self,
         pred: &Expr,
-        rel: Self::Rel,
+        rel: Rel,
         ctx: &mut ExecContext,
         sub: &EngineSubqueries<'_>,
-    ) -> Result<Self::Rel, EngineError>;
+    ) -> Result<Rel, EngineError>;
 }
 
-/// The row kernel: [`Rel`] intermediates of row ids, [`execute_join`], and a
-/// WHERE evaluated row by row that keeps ids. The row and the disk executor
-/// run it.
+/// The row kernel: [`execute_join`], and a WHERE evaluated row by row that
+/// keeps ids. The row and the disk executor run it.
 pub(crate) struct RowKernel;
 
 impl Kernel for RowKernel {
-    type Rel = Rel;
-
     fn join(
         &self,
         left: &Rel,
@@ -991,7 +989,10 @@ impl Kernel for RowKernel {
         _ctx: &mut ExecContext,
         sub: &EngineSubqueries<'_>,
     ) -> Result<Rel, EngineError> {
-        rel.retain(|rel, i| eval_predicate(pred, &rel.resolver(i), sub).map(|t| t == Some(true)))?;
+        let slots = ColumnSlots::new([pred], &rel.cols);
+        rel.retain(|rel, i| {
+            eval_predicate(pred, &rel.resolver(&slots, i), sub).map(|t| t == Some(true))
+        })?;
         Ok(rel)
     }
 }
@@ -1272,7 +1273,7 @@ struct TableRow<'a> {
 }
 
 impl ColumnResolver for TableRow<'_> {
-    fn resolve(&self, col: &ColumnRef) -> Option<Value> {
+    fn resolve(&self, col: &ColumnRef) -> Option<&Value> {
         if let Some(q) = &col.table {
             if !q.eq_ignore_ascii_case(self.binding) {
                 return None;
@@ -1282,7 +1283,7 @@ impl ColumnResolver for TableRow<'_> {
             .columns
             .iter()
             .position(|c| c.name.eq_ignore_ascii_case(&col.column))
-            .map(|i| self.row[i].clone())
+            .map(|i| &self.row[i])
     }
 }
 

@@ -7,13 +7,18 @@
 //! faults fired so the benchmark harness can classify detected bugs by root
 //! cause.
 //!
-//! The row kernel's intermediates are row ids, not values (late
+//! Both kernels' intermediates are row ids, not values (late
 //! materialization): a [`Rel`] holds, per binding, the `Arc`-shared table it
 //! scanned, and per row one id into each. A scan is `0..n`, a join emits id
 //! tuples, WHERE keeps ids, and the shared tail reads values in place through
-//! [`Relation::value`]. Outer-join pads point at a binding's NULL row; the
-//! faults that make up values (`''` pads, blanked rows) add rows to the
-//! binding they corrupt.
+//! [`Rel::value`]. Outer-join pads point at a binding's NULL row; the faults
+//! that make up values (`''` pads, blanked rows) add rows to the binding they
+//! corrupt.
+//!
+//! Expressions read those values through [`ColumnSlots`]: each operator
+//! resolves its column references to header positions once, and every row
+//! then resolves a reference to a borrow of its value — no per-row name
+//! search, no per-row copy.
 
 use crate::faults::{FaultKind, FaultSet, TriggerContext};
 use crate::plan::{JoinAlgo, PhysicalJoin};
@@ -44,7 +49,7 @@ fn row_id(i: usize) -> u32 {
 
 /// An intermediate relation of row ids: one [`Part`] per binding, and per
 /// row one id into each part. Scans and joins move ids, never values; the
-/// tail reads the values it projects through [`Relation::value`].
+/// tail reads the values it projects through [`Rel::value`].
 #[derive(Debug, Clone)]
 pub struct Rel {
     /// (binding, column name) per output column.
@@ -95,6 +100,22 @@ impl Part {
 }
 
 impl Rel {
+    /// Scan columns `keep` of `table` under `binding`, in row order (the
+    /// pipeline keeps the columns [`ColumnPruner::keep_indices`] names): row
+    /// ids `0..n`, no value copied.
+    pub(crate) fn scan(table: &Arc<Table>, binding: &str, keep: &[usize]) -> Rel {
+        let cols = keep
+            .iter()
+            .map(|&i| (binding.to_string(), table.columns[i].name.clone()))
+            .collect();
+        let part = Part {
+            table: Arc::clone(table),
+            keep: keep.to_vec(),
+            extra: Vec::new(),
+        };
+        Rel::single(cols, part)
+    }
+
     /// A relation over literal rows: one binding whose rows are all made up.
     pub fn from_rows(cols: Vec<(String, String)>, rows: Vec<Vec<Value>>) -> Rel {
         let part = Part {
@@ -134,16 +155,53 @@ impl Rel {
             .collect()
     }
 
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len() / self.parts.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The value of column `col` in row `row`.
+    #[inline]
+    pub(crate) fn value(&self, row: usize, col: usize) -> &Value {
+        let slot = self.slots[col];
+        let id = self.ids[row * self.parts.len() + slot.part];
+        self.parts[slot.part].value(id, slot)
+    }
+
+    /// Row `row`, resolved by column reference through `slots`.
+    pub(crate) fn resolver<'a>(&'a self, slots: &'a ColumnSlots, row: usize) -> RowResolver<'a> {
+        RowResolver {
+            rel: self,
+            slots,
+            row,
+        }
+    }
+
     /// Row `row`'s ids, one per part.
     #[inline]
-    fn tuple(&self, row: usize) -> &[u32] {
+    pub(crate) fn tuple(&self, row: usize) -> &[u32] {
         let stride = self.parts.len();
         &self.ids[row * stride..(row + 1) * stride]
     }
 
+    /// The ids of a row that is NULL in every part.
+    pub(crate) fn null_tuple(&self) -> Vec<u32> {
+        vec![NULL_ROW; self.parts.len()]
+    }
+
+    /// Append `ids` to the last row; a row is complete once it holds one id
+    /// per part.
+    #[inline]
+    pub(crate) fn push_ids(&mut self, ids: &[u32]) {
+        self.ids.extend_from_slice(ids);
+    }
+
     /// The header of a join of `left` with `right` (with no `right`, of a
     /// semi or anti join), and no rows yet.
-    fn joined(left: &Rel, right: Option<&Rel>) -> Rel {
+    pub(crate) fn joined(left: &Rel, right: Option<&Rel>) -> Rel {
         let mut out = Rel {
             cols: left.cols.clone(),
             parts: left.parts.clone(),
@@ -178,80 +236,100 @@ impl Rel {
     }
 }
 
-/// What the shared operator code reads of an intermediate relation, whichever
-/// way it is laid out: [`Rel`] as row ids, or column-major
-/// [`ColumnarRel`](crate::columnar::ColumnarRel).
-pub(crate) trait Relation: Sized {
-    /// Scan columns `keep` of `table` under `binding`, in row order (the
-    /// pipeline keeps the columns [`ColumnPruner::keep_indices`] names).
-    fn scan(table: &Arc<Table>, binding: &str, keep: &[usize]) -> Self;
-
-    /// (binding, column name) per column.
-    fn cols(&self) -> &[(String, String)];
-
-    fn len(&self) -> usize;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The value of column `col` in row `row`.
-    fn value(&self, row: usize, col: usize) -> &Value;
-
-    /// Allocation-free resolver for row `row`, consumable by the reference
-    /// evaluator; the one matched value is cloned on resolution.
-    fn resolver(&self, row: usize) -> RowResolver<'_, Self> {
-        RowResolver { rel: self, row }
-    }
-}
-
-impl Relation for Rel {
-    /// Row ids `0..n`: the scan copies no value.
-    fn scan(table: &Arc<Table>, binding: &str, keep: &[usize]) -> Rel {
-        let cols = keep
-            .iter()
-            .map(|&i| (binding.to_string(), table.columns[i].name.clone()))
-            .collect();
-        let part = Part {
-            table: Arc::clone(table),
-            keep: keep.to_vec(),
-            extra: Vec::new(),
-        };
-        Rel::single(cols, part)
-    }
-
-    fn cols(&self) -> &[(String, String)] {
-        &self.cols
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len() / self.parts.len()
-    }
-
-    #[inline]
-    fn value(&self, row: usize, col: usize) -> &Value {
-        let slot = self.slots[col];
-        let id = self.ids[row * self.parts.len() + slot.part];
-        self.parts[slot.part].value(id, slot)
-    }
-}
-
 /// Row `row` of a relation, resolved by column reference.
-pub(crate) struct RowResolver<'a, R> {
-    rel: &'a R,
+pub(crate) struct RowResolver<'a> {
+    rel: &'a Rel,
+    slots: &'a ColumnSlots,
     row: usize,
 }
 
-impl<R: Relation> ColumnResolver for RowResolver<'_, R> {
-    fn resolve(&self, col: &ColumnRef) -> Option<Value> {
-        col_index(self.rel.cols(), col.table.as_deref(), &col.column)
-            .map(|ci| self.rel.value(self.row, ci).clone())
+impl ColumnResolver for RowResolver<'_> {
+    fn resolve(&self, col: &ColumnRef) -> Option<&Value> {
+        let cols = &self.rel.cols;
+        let ci = self.slots.position(col, || header_index(cols, col))?;
+        Some(self.rel.value(self.row, ci))
     }
 }
 
-/// Position of `binding.col` in a relation header (`cols` of a [`Rel`] or a
-/// [`ColumnarRel`](crate::columnar::ColumnarRel)); an unqualified reference
-/// takes the first column of that name.
+/// Column references compiled to header positions once per operator, so a
+/// row resolves a reference with a binary search over a few node addresses
+/// instead of a case-insensitive name search. Each [`ColumnRef`] node of the
+/// operator's expressions (not descending into subqueries) maps, by address,
+/// to the position [`col_index`] gives it; for a join residual the header is
+/// two-sided, left columns before right. A reference the walk did not reach
+/// — a correlated reference arriving from inside a subquery — falls back to
+/// the name search, so resolution is exactly `col_index`'s.
+///
+/// Like the subquery memo, this keys on node addresses: the expressions
+/// compiled must stay alive and in place while the slots are used.
+pub(crate) struct ColumnSlots {
+    /// (node address, header position), sorted by address.
+    nodes: Vec<(usize, Option<usize>)>,
+}
+
+fn node_addr(col: &ColumnRef) -> usize {
+    col as *const ColumnRef as usize
+}
+
+/// [`col_index`] of a column reference.
+fn header_index(cols: &[(String, String)], col: &ColumnRef) -> Option<usize> {
+    col_index(cols, col.table.as_deref(), &col.column)
+}
+
+/// Position of `col` in the two-sided header `left ++ right`.
+fn pair_index(
+    left: &[(String, String)],
+    right: &[(String, String)],
+    col: &ColumnRef,
+) -> Option<usize> {
+    header_index(left, col).or_else(|| header_index(right, col).map(|o| left.len() + o))
+}
+
+impl ColumnSlots {
+    /// The references of `exprs` against the header `cols`.
+    pub(crate) fn new<'e>(
+        exprs: impl IntoIterator<Item = &'e Expr>,
+        cols: &[(String, String)],
+    ) -> ColumnSlots {
+        ColumnSlots::compile(exprs, |c| header_index(cols, c))
+    }
+
+    /// The references of `exprs` against the candidate pairs of a join.
+    pub(crate) fn pair<'e>(
+        exprs: impl IntoIterator<Item = &'e Expr>,
+        left: &[(String, String)],
+        right: &[(String, String)],
+    ) -> ColumnSlots {
+        ColumnSlots::compile(exprs, |c| pair_index(left, right, c))
+    }
+
+    fn compile<'e>(
+        exprs: impl IntoIterator<Item = &'e Expr>,
+        position: impl Fn(&ColumnRef) -> Option<usize>,
+    ) -> ColumnSlots {
+        let mut nodes: Vec<_> = (exprs.into_iter())
+            .flat_map(Expr::column_refs)
+            .map(|c| (node_addr(c), position(c)))
+            .collect();
+        nodes.sort_unstable_by_key(|&(addr, _)| addr);
+        ColumnSlots { nodes }
+    }
+
+    /// The header position of `col`: compiled, or `fallback`'s search.
+    #[inline]
+    fn position(&self, col: &ColumnRef, fallback: impl FnOnce() -> Option<usize>) -> Option<usize> {
+        match self
+            .nodes
+            .binary_search_by_key(&node_addr(col), |&(addr, _)| addr)
+        {
+            Ok(i) => self.nodes[i].1,
+            Err(_) => fallback(),
+        }
+    }
+}
+
+/// Position of `binding.col` in a relation header (`cols` of a [`Rel`]);
+/// an unqualified reference takes the first column of that name.
 #[inline]
 pub(crate) fn col_index(
     cols: &[(String, String)],
@@ -264,9 +342,9 @@ pub(crate) fn col_index(
 }
 
 /// Plan-time column pruning: which `(binding, column)` pairs a statement can
-/// observe, resolved once per execution. It trims every relation's header,
-/// and it is what keeps the columnar scan from copying columns no operator
-/// will ever read; the row kernel's scans copy no values either way.
+/// observe, resolved once per execution. It trims every relation's header, so
+/// name searches and outer-join pads cover only the columns an operator can
+/// read; no scan copies values either way.
 ///
 /// Conservative by construction: a `SELECT *` disables pruning entirely, a
 /// bare (unqualified) reference keeps that column on *every* binding, and
@@ -320,23 +398,14 @@ impl ColumnPruner {
         self.bare.contains(&col) || self.qualified.contains(&(binding.to_lowercase(), col))
     }
 
-    /// The column indices of `table` a pruned scan under `binding` must
-    /// materialize. Never empty: a relation that keeps zero columns would
-    /// lose its row count (the columnar engine derives `len()` from its
-    /// first column), so an entirely unreferenced table — e.g. the pure
-    /// cardinality factor of a `CROSS JOIN` — keeps its first column.
+    /// The column indices of `table` a pruned scan under `binding` keeps.
+    /// An entirely unreferenced table — the pure cardinality factor of a
+    /// `CROSS JOIN` — keeps none; its rows are still counted by their ids.
     pub(crate) fn keep_indices(&self, table: &Table, binding: &str) -> Vec<usize> {
-        let keep: Vec<usize> = table
-            .columns
-            .iter()
-            .enumerate()
+        (table.columns.iter().enumerate())
             .filter(|(_, c)| self.keep(binding, &c.name))
             .map(|(i, _)| i)
-            .collect();
-        if keep.is_empty() && !table.columns.is_empty() {
-            return vec![0];
-        }
-        keep
+            .collect()
     }
 }
 
@@ -651,111 +720,41 @@ fn is_boundary_like(v: &Value) -> bool {
     }
 }
 
-/// Residual-predicate column references resolved to a side and a column
-/// offset once per join — the compiled scope that lets residual evaluation
-/// borrow the candidate row slices instead of cloning a full two-sided
-/// scope (binding + column name + value per column) for every candidate
-/// pair.
-pub(crate) struct ScopeLayout {
-    entries: Vec<ScopeEntry>,
-}
-
-struct ScopeEntry {
-    /// The reference text this entry compiles (qualifier + column).
-    table: Option<String>,
-    column: String,
-    /// Resolved target: right side? plus the column offset on that side.
-    right: bool,
-    offset: usize,
-}
-
-impl ScopeLayout {
-    /// Resolve every distinct column reference in `residual` against the
-    /// join inputs, left columns before right — the same first-match order
-    /// the old per-row scope scan used.
-    pub(crate) fn compile(
-        residual: &[Expr],
-        left: &[(String, String)],
-        right: &[(String, String)],
-    ) -> ScopeLayout {
-        let mut entries: Vec<ScopeEntry> = Vec::new();
-        for pred in residual {
-            for c in pred.column_refs() {
-                if entries.iter().any(|e| e.matches(c)) {
-                    continue;
-                }
-                let (table, column) = (c.table.as_deref(), &c.column);
-                let target = col_index(left, table, column)
-                    .map(|o| (false, o))
-                    .or_else(|| col_index(right, table, column).map(|o| (true, o)));
-                if let Some((right, offset)) = target {
-                    entries.push(ScopeEntry {
-                        table: c.table.clone(),
-                        column: c.column.clone(),
-                        right,
-                        offset,
-                    });
-                }
-            }
-        }
-        ScopeLayout { entries }
-    }
-
-    pub(crate) fn lookup(&self, col: &ColumnRef) -> Option<(bool, usize)> {
-        self.entries
-            .iter()
-            .find(|e| e.matches(col))
-            .map(|e| (e.right, e.offset))
-    }
-}
-
-impl ScopeEntry {
-    fn matches(&self, col: &ColumnRef) -> bool {
-        self.column.eq_ignore_ascii_case(&col.column)
-            && match (&self.table, &col.table) {
-                (None, None) => true,
-                (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
-                _ => false,
-            }
-    }
-}
-
 /// Borrow-based resolver over the candidate pair (row `li` of `left`, row
-/// `ri` of `right`), driven by a compiled [`ScopeLayout`].
-struct ScopedPair<'a, R> {
-    layout: &'a ScopeLayout,
-    left: &'a R,
-    right: &'a R,
+/// `ri` of `right`), through the join's two-sided [`ColumnSlots`].
+struct ScopedPair<'a> {
+    slots: &'a ColumnSlots,
+    left: &'a Rel,
+    right: &'a Rel,
     li: usize,
     ri: usize,
 }
 
-impl<R: Relation> ColumnResolver for ScopedPair<'_, R> {
-    fn resolve(&self, col: &ColumnRef) -> Option<Value> {
-        self.layout.lookup(col).map(|(right, offset)| {
-            if right {
-                self.right.value(self.ri, offset).clone()
-            } else {
-                self.left.value(self.li, offset).clone()
-            }
+impl ColumnResolver for ScopedPair<'_> {
+    fn resolve(&self, col: &ColumnRef) -> Option<&Value> {
+        let (left, right) = (&self.left.cols, &self.right.cols);
+        let ci = self.slots.position(col, || pair_index(left, right, col))?;
+        Some(match ci.checked_sub(left.len()) {
+            Some(offset) => self.right.value(self.ri, offset),
+            None => self.left.value(self.li, ci),
         })
     }
 }
 
 /// Residual ON predicates evaluated on one candidate pair.
-pub(crate) fn residual_ok<R: Relation>(
+pub(crate) fn residual_ok(
     residual: &[Expr],
-    layout: &ScopeLayout,
-    left: &R,
+    slots: &ColumnSlots,
+    left: &Rel,
     li: usize,
-    right: &R,
+    right: &Rel,
     ri: usize,
 ) -> bool {
     if residual.is_empty() {
         return true;
     }
     let resolver = ScopedPair {
-        layout,
+        slots,
         left,
         right,
         li,
@@ -816,7 +815,7 @@ pub fn execute_join(
 ) -> Result<Rel, ExecError> {
     let t = ctx.trigger_ctx(join);
     let keys = extract_equi_keys(&left.cols, &right.cols, on);
-    let layout = ScopeLayout::compile(&keys.residual, &left.cols, &right.cols);
+    let slots = ColumnSlots::pair(&keys.residual, &left.cols, &right.cols);
 
     // Compute the match matrix: for each left row, the list of matching right
     // row indices. Algorithms differ in how matches are found (and therefore
@@ -825,10 +824,10 @@ pub fn execute_join(
         JoinAlgo::HashJoin
         | JoinAlgo::IndexJoin
         | JoinAlgo::BatchedKeyAccess
-        | JoinAlgo::BlockNestedLoopHashed => hashed_matches(left, right, &keys, &layout, ctx, &t),
-        JoinAlgo::SortMergeJoin => merge_matches(left, right, &keys, &layout, ctx, &t),
+        | JoinAlgo::BlockNestedLoopHashed => hashed_matches(left, right, &keys, &slots, ctx, &t),
+        JoinAlgo::SortMergeJoin => merge_matches(left, right, &keys, &slots, ctx, &t),
         JoinAlgo::NestedLoop | JoinAlgo::BlockNestedLoop => {
-            loop_matches(left, right, &keys, &layout, ctx, &t)
+            loop_matches(left, right, &keys, &slots, ctx, &t)
         }
     };
 
@@ -847,9 +846,9 @@ pub fn execute_join(
 
     let semi_or_anti = matches!(join.join_type, JoinType::Semi | JoinType::Anti);
     let mut out = Rel::joined(left, (!semi_or_anti).then_some(right));
-    let (ls, rs) = (left.parts.len(), right.parts.len());
+    let ls = left.parts.len();
     let stride = out.parts.len();
-    let null_right = vec![NULL_ROW; rs];
+    let null_right = right.null_tuple();
     let mut first_pad_done = false;
     let mut right_matched = vec![false; right.len()];
     for (li, ms) in matches.iter().enumerate() {
@@ -1006,7 +1005,7 @@ fn loop_matches_hashed(
     left: &Rel,
     right: &Rel,
     keys: &EquiKeys,
-    layout: &ScopeLayout,
+    slots: &ColumnSlots,
     ctx: &mut ExecContext,
     t: &TriggerContext,
 ) -> (Vec<Vec<usize>>, MatchSideEffects) {
@@ -1021,7 +1020,7 @@ fn loop_matches_hashed(
             // spuriously matches build row 0, exactly like the compare loop.
             if !right.is_empty() && ctx.active(FaultKind::LeftToInnerNullZeroConfusion, t) {
                 ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
-                if residual_ok(&keys.residual, layout, left, li, right, 0) {
+                if residual_ok(&keys.residual, slots, left, li, right, 0) {
                     matches.push(0);
                 }
             }
@@ -1031,7 +1030,7 @@ fn loop_matches_hashed(
             *matches = bucket
                 .iter()
                 .copied()
-                .filter(|&ri| residual_ok(&keys.residual, layout, left, li, right, ri))
+                .filter(|&ri| residual_ok(&keys.residual, slots, left, li, right, ri))
                 .collect();
         }
     }
@@ -1042,12 +1041,12 @@ fn loop_matches(
     left: &Rel,
     right: &Rel,
     keys: &EquiKeys,
-    layout: &ScopeLayout,
+    slots: &ColumnSlots,
     ctx: &mut ExecContext,
     t: &TriggerContext,
 ) -> (Vec<Vec<usize>>, MatchSideEffects) {
     if !keys.left_idx.is_empty() && hash_equivalent_keys(left, right, keys) {
-        return loop_matches_hashed(left, right, keys, layout, ctx, t);
+        return loop_matches_hashed(left, right, keys, slots, ctx, t);
     }
     let mut out = vec![Vec::new(); left.len()];
     for (li, matches) in out.iter_mut().enumerate() {
@@ -1065,7 +1064,7 @@ fn loop_matches(
                 ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
                 matched = true;
             }
-            if matched && residual_ok(&keys.residual, layout, left, li, right, ri) {
+            if matched && residual_ok(&keys.residual, slots, left, li, right, ri) {
                 matches.push(ri);
             }
         }
@@ -1077,13 +1076,13 @@ fn hashed_matches(
     left: &Rel,
     right: &Rel,
     keys: &EquiKeys,
-    layout: &ScopeLayout,
+    slots: &ColumnSlots,
     ctx: &mut ExecContext,
     t: &TriggerContext,
 ) -> (Vec<Vec<usize>>, MatchSideEffects) {
     if keys.left_idx.is_empty() {
         // no equi key — degrade to the loop implementation (correct)
-        return loop_matches(left, right, keys, layout, ctx, t);
+        return loop_matches(left, right, keys, slots, ctx, t);
     }
     let table = build_table(right.len(), |ri, buf| {
         encode_key_into(right, ri, &keys.right_idx, ctx, t, buf)
@@ -1092,25 +1091,26 @@ fn hashed_matches(
     let mut out = vec![Vec::new(); left.len()];
     for (li, matches) in out.iter_mut().enumerate() {
         let has_null = keys.left_idx.iter().any(|&i| left.value(li, i).is_null());
-        let mut ms: Vec<usize> = if encode_key_into(left, li, &keys.left_idx, ctx, t, &mut scratch)
-        {
-            table.get(&scratch).cloned().unwrap_or_default()
-        } else {
-            Vec::new()
-        };
+        let mut bucket: &[usize] =
+            match encode_key_into(left, li, &keys.left_idx, ctx, t, &mut scratch) {
+                true => table.get(&scratch).map_or(&[], Vec::as_slice),
+                false => &[],
+            };
         // The simplified-join confusion fault matches build row 0, as the
         // loop algorithms do.
-        if ms.is_empty()
+        if bucket.is_empty()
             && has_null
             && !right.is_empty()
             && ctx.active(FaultKind::LeftToInnerNullZeroConfusion, t)
         {
             ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
-            ms = vec![0];
+            bucket = &[0];
         }
         // residual predicates still apply
-        ms.retain(|&ri| residual_ok(&keys.residual, layout, left, li, right, ri));
-        *matches = ms;
+        matches.extend(
+            (bucket.iter().copied())
+                .filter(|&ri| residual_ok(&keys.residual, slots, left, li, right, ri)),
+        );
     }
     (out, MatchSideEffects::default())
 }
@@ -1129,12 +1129,12 @@ fn merge_matches(
     left: &Rel,
     right: &Rel,
     keys: &EquiKeys,
-    layout: &ScopeLayout,
+    slots: &ColumnSlots,
     ctx: &mut ExecContext,
     t: &TriggerContext,
 ) -> (Vec<Vec<usize>>, MatchSideEffects) {
     if keys.left_idx.is_empty() {
-        return loop_matches(left, right, keys, layout, ctx, t);
+        return loop_matches(left, right, keys, slots, ctx, t);
     }
     // Collation-mismatch fault: varchar merge keys produce an empty join.
     let key_is_string = (0..right.len())
@@ -1219,7 +1219,7 @@ fn merge_matches(
                 .rows
                 .iter()
                 .copied()
-                .filter(|&ri| residual_ok(&keys.residual, layout, left, li, right, ri))
+                .filter(|&ri| residual_ok(&keys.residual, slots, left, li, right, ri))
                 .collect();
         }
     }
@@ -1517,20 +1517,76 @@ mod tests {
         assert_eq!(out.len(), 16);
     }
 
-    /// The one key extraction serves both kernels: a [`Rel`] and a
-    /// [`ColumnarRel`](crate::columnar::ColumnarRel) hand it the same header.
+    /// Compiled slots resolve every reference exactly as [`col_index`]
+    /// does, one-sided and two-sided, compiled or not.
+    #[test]
+    fn compiled_slots_resolve_as_the_name_search_does() {
+        fn col(e: &Expr) -> &ColumnRef {
+            match e {
+                Expr::Column(c) => c,
+                _ => unreachable!(),
+            }
+        }
+        let (left, right) = (left_rel(), right_rel());
+        let mut ctx = ExecContext::new(FaultSet::none());
+        let on = on_clause();
+        let joined = execute_join(
+            &left,
+            &right,
+            &join(JoinType::Inner, JoinAlgo::HashJoin),
+            Some(&on),
+            &mut ctx,
+        )
+        .unwrap();
+        // the header is l.id, l.name, r.id, r.name
+        let compiled = [
+            // a name two bindings carry: unqualified, the first one
+            Expr::Column(ColumnRef::bare("NAME")),
+            // qualifier and name compared without regard to case
+            Expr::col("R", "Id"),
+            Expr::col("l", "ghost"),
+        ];
+        let outside = [Expr::col("r", "nAmE"), Expr::Column(ColumnRef::bare("id"))];
+        let slots = ColumnSlots::new(&compiled, &joined.cols);
+        for e in &compiled {
+            // compiled: the fallback is never asked
+            let compiled = slots.position(col(e), || unreachable!());
+            assert_eq!(compiled, header_index(&joined.cols, col(e)));
+        }
+        for e in &outside {
+            // not compiled: the fallback answers
+            assert_eq!(slots.position(col(e), || Some(99)), Some(99));
+        }
+        let pair = ColumnSlots::pair(&compiled, &left.cols, &right.cols);
+        for row in 0..joined.len() {
+            let resolver = joined.resolver(&slots, row);
+            // a scan's ids are its row numbers
+            let (l, r) = (joined.tuple(row)[0] as usize, joined.tuple(row)[1] as usize);
+            let scoped = ScopedPair {
+                slots: &pair,
+                left: &left,
+                right: &right,
+                li: l,
+                ri: r,
+            };
+            for e in compiled.iter().chain(&outside) {
+                let c = col(e);
+                let expected = col_index(&joined.cols, c.table.as_deref(), &c.column)
+                    .map(|ci| joined.value(row, ci));
+                assert_eq!(resolver.resolve(c), expected, "{c:?}");
+                assert_eq!(scoped.resolve(c), expected, "{c:?}");
+            }
+        }
+        let first = joined.resolver(&slots, 0);
+        assert_eq!(first.resolve(col(&compiled[0])), Some(&Value::str("a")));
+        assert_eq!(first.resolve(col(&compiled[1])), Some(&Value::Int(1)));
+        assert_eq!(first.resolve(col(&compiled[2])), None);
+        assert_eq!(first.resolve(col(&outside[0])), Some(&Value::str("x")));
+    }
+
     #[test]
     fn key_extraction_handles_reversed_equality_and_residual() {
-        use crate::columnar::ColumnarRel;
-        let (lt, rt) = (Arc::new(table("l", vec![])), Arc::new(table("r", vec![])));
-        let row_ids = (
-            Rel::scan(&lt, "l", &[0, 1]).cols,
-            Rel::scan(&rt, "r", &[0, 1]).cols,
-        );
-        let column_major = (
-            ColumnarRel::scan(&lt, "l", &[0, 1]).cols,
-            ColumnarRel::scan(&rt, "r", &[0, 1]).cols,
-        );
+        let (left, right) = (scan("l", vec![]).cols, scan("r", vec![]).cols);
         let bare = |c: &str| Expr::Column(ColumnRef::bare(c));
         let on = Expr::and(
             Expr::eq(Expr::col("r", "id"), Expr::col("l", "id")),
@@ -1540,30 +1596,28 @@ mod tests {
                 Expr::lit(Value::str("y")),
             ),
         );
-        for (left, right) in [row_ids, column_major] {
-            // reversed equality, with a residual non-equi conjunct
-            let keys = extract_equi_keys(&left, &right, Some(&on));
-            assert_eq!((keys.left_idx, keys.right_idx), (vec![0], vec![0]));
-            assert_eq!(keys.residual.len(), 1);
-            // an unqualified column resolves on the left side first
-            let unqualified = Expr::eq(bare("name"), Expr::col("r", "id"));
-            let keys = extract_equi_keys(&left, &right, Some(&unqualified));
-            assert_eq!((keys.left_idx, keys.right_idx), (vec![1], vec![0]));
-            assert!(keys.residual.is_empty());
-            // a column missing on one side is no key: the conjunct stays
-            // residual, in either orientation
-            for missing in [
-                Expr::eq(Expr::col("l", "id"), Expr::col("r", "ghost")),
-                Expr::eq(Expr::col("r", "ghost"), Expr::col("l", "id")),
-            ] {
-                let keys = extract_equi_keys(&left, &right, Some(&missing));
-                assert!(keys.left_idx.is_empty() && keys.right_idx.is_empty());
-                assert_eq!(keys.residual, vec![missing]);
-            }
-            // no ON clause: no keys, nothing residual
-            let keys = extract_equi_keys(&left, &right, None);
-            assert!(keys.left_idx.is_empty() && keys.residual.is_empty());
+        // reversed equality, with a residual non-equi conjunct
+        let keys = extract_equi_keys(&left, &right, Some(&on));
+        assert_eq!((keys.left_idx, keys.right_idx), (vec![0], vec![0]));
+        assert_eq!(keys.residual.len(), 1);
+        // an unqualified column resolves on the left side first
+        let unqualified = Expr::eq(bare("name"), Expr::col("r", "id"));
+        let keys = extract_equi_keys(&left, &right, Some(&unqualified));
+        assert_eq!((keys.left_idx, keys.right_idx), (vec![1], vec![0]));
+        assert!(keys.residual.is_empty());
+        // a column missing on one side is no key: the conjunct stays
+        // residual, in either orientation
+        for missing in [
+            Expr::eq(Expr::col("l", "id"), Expr::col("r", "ghost")),
+            Expr::eq(Expr::col("r", "ghost"), Expr::col("l", "id")),
+        ] {
+            let keys = extract_equi_keys(&left, &right, Some(&missing));
+            assert!(keys.left_idx.is_empty() && keys.right_idx.is_empty());
+            assert_eq!(keys.residual, vec![missing]);
         }
+        // no ON clause: no keys, nothing residual
+        let keys = extract_equi_keys(&left, &right, None);
+        assert!(keys.left_idx.is_empty() && keys.residual.is_empty());
 
         let mut ctx = ExecContext::new(FaultSet::none());
         let out = execute_join(

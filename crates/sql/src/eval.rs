@@ -5,9 +5,15 @@
 //! filter/projection operators use this module. The engine's *join* operators
 //! deliberately do not: they go through fault-interceptable comparators so
 //! that injected optimizer bugs only affect specific physical plans.
+//!
+//! Evaluation reads values in place: a [`ColumnResolver`] hands out a borrow
+//! of the value it finds, and column references and literals stay borrowed
+//! (`Cow`) until an operator computes a new value. A predicate therefore
+//! clones nothing; [`eval_expr`] clones once, for callers that keep the value.
 
 use crate::ast::{BinOp, ColumnRef, Expr, SelectStmt, UnOp};
 use crate::value::{null_safe_eq, sql_compare, KeyBuf, SqlCmp, Value};
+use std::borrow::Cow;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -34,7 +40,9 @@ impl std::error::Error for EvalError {}
 
 /// Resolves column references against the current row scope.
 pub trait ColumnResolver {
-    fn resolve(&self, col: &ColumnRef) -> Option<Value>;
+    /// The value `col` names in this scope, borrowed; `None` when it names
+    /// none.
+    fn resolve(&self, col: &ColumnRef) -> Option<&Value>;
 }
 
 /// Resolver over `(qualifier, column, value)` triples; the usual row scope.
@@ -49,7 +57,7 @@ impl<'a> ScopedRow<'a> {
 }
 
 impl ColumnResolver for ScopedRow<'_> {
-    fn resolve(&self, col: &ColumnRef) -> Option<Value> {
+    fn resolve(&self, col: &ColumnRef) -> Option<&Value> {
         self.entries
             .iter()
             .find(|(t, c, _)| {
@@ -60,14 +68,13 @@ impl ColumnResolver for ScopedRow<'_> {
                         .map(|q| q.eq_ignore_ascii_case(t))
                         .unwrap_or(true)
             })
-            .map(|(_, _, v)| v.clone())
+            .map(|(_, _, v)| v)
     }
 }
 
 /// Allocation-free resolver over one row: borrowed `(qualifier, column)`
 /// metadata (shared by every row of a relation) plus a borrowed value slice.
-/// Replaces building an owned scope `Vec` per row — only the one matched
-/// value is cloned, on resolution.
+/// Replaces building an owned scope `Vec` per row.
 pub struct SliceRow<'a> {
     cols: &'a [(String, String)],
     values: &'a [Value],
@@ -81,7 +88,7 @@ impl<'a> SliceRow<'a> {
 }
 
 impl ColumnResolver for SliceRow<'_> {
-    fn resolve(&self, col: &ColumnRef) -> Option<Value> {
+    fn resolve(&self, col: &ColumnRef) -> Option<&Value> {
         self.cols
             .iter()
             .zip(self.values.iter())
@@ -93,7 +100,7 @@ impl ColumnResolver for SliceRow<'_> {
                         .map(|q| q.eq_ignore_ascii_case(t))
                         .unwrap_or(true)
             })
-            .map(|(_, v)| v.clone())
+            .map(|(_, v)| v)
     }
 }
 
@@ -104,7 +111,7 @@ pub struct ChainedResolver<'a> {
 }
 
 impl ColumnResolver for ChainedResolver<'_> {
-    fn resolve(&self, col: &ColumnRef) -> Option<Value> {
+    fn resolve(&self, col: &ColumnRef) -> Option<&Value> {
         self.inner.resolve(col).or_else(|| self.outer.resolve(col))
     }
 }
@@ -176,8 +183,19 @@ pub trait SubquerySource {
 #[derive(Default)]
 pub struct SubqueryMemo {
     nodes: RefCell<HashMap<usize, Rc<Node>>>,
+    /// The key of the lookup at hand, reused: a hit allocates nothing.
+    scratch: RefCell<KeyBuf>,
     evaluations: Cell<u64>,
     memo_hits: Cell<u64>,
+}
+
+/// What a node's verdicts say about the row at hand.
+enum Lookup {
+    Hit(Option<bool>),
+    /// No verdict yet: the key to store it under.
+    Miss(KeyBuf),
+    /// Not memoized, or an outer reference does not resolve here.
+    Unmemoized,
 }
 
 /// What the memo knows about one subquery node.
@@ -190,18 +208,6 @@ struct Node {
     /// Verdict per encoded (outer binding, probe); `EXISTS` has no probe
     /// and stores `Some(bool)`.
     verdicts: RefCell<HashMap<KeyBuf, Option<bool>>>,
-}
-
-impl Node {
-    /// The encoded values of the node's outer columns in `outer`; `None`
-    /// when the node is not memoized or a reference does not resolve.
-    fn binding_key(&self, outer: &dyn ColumnResolver) -> Option<KeyBuf> {
-        let mut key = KeyBuf::new();
-        for c in self.outer.as_ref()? {
-            key.push_group(&outer.resolve(c)?);
-        }
-        Some(key)
-    }
 }
 
 impl SubqueryMemo {
@@ -225,13 +231,13 @@ impl SubqueryMemo {
         outer: &dyn ColumnResolver,
     ) -> Result<Option<bool>, EvalError> {
         let node = self.node(src, stmt);
-        let Some(mut key) = node.binding_key(outer) else {
-            return Ok(in_membership(probe, &self.evaluate(src, stmt, outer)?));
+        let key = match self.lookup(&node, outer, Some(probe)) {
+            Lookup::Hit(verdict) => return Ok(verdict),
+            Lookup::Miss(key) => key,
+            Lookup::Unmemoized => {
+                return Ok(in_membership(probe, &self.evaluate(src, stmt, outer)?))
+            }
         };
-        key.push_group(probe);
-        if let Some(verdict) = self.cached(&node, &key) {
-            return Ok(verdict);
-        }
         let correlated = node.outer.as_ref().is_some_and(|o| !o.is_empty());
         let verdict = if correlated {
             in_membership(probe, &self.evaluate(src, stmt, outer)?)
@@ -261,12 +267,11 @@ impl SubqueryMemo {
         outer: &dyn ColumnResolver,
     ) -> Result<bool, EvalError> {
         let node = self.node(src, stmt);
-        let Some(key) = node.binding_key(outer) else {
-            return Ok(!self.evaluate(src, stmt, outer)?.is_empty());
+        let key = match self.lookup(&node, outer, None) {
+            Lookup::Hit(verdict) => return Ok(verdict == Some(true)),
+            Lookup::Miss(key) => key,
+            Lookup::Unmemoized => return Ok(!self.evaluate(src, stmt, outer)?.is_empty()),
         };
-        if let Some(verdict) = self.cached(&node, &key) {
-            return Ok(verdict == Some(true));
-        }
         let found = !self.evaluate(src, stmt, outer)?.is_empty();
         node.verdicts.borrow_mut().insert(key, Some(found));
         Ok(found)
@@ -290,12 +295,31 @@ impl SubqueryMemo {
         node
     }
 
-    fn cached(&self, node: &Node, key: &KeyBuf) -> Option<Option<bool>> {
-        let verdict = node.verdicts.borrow().get(key).copied();
-        if verdict.is_some() {
-            self.memo_hits.set(self.memo_hits.get() + 1);
+    /// The verdict `node` holds for the row `outer` (and `probe`): the key
+    /// is the encoded values of the node's outer columns, then the probe,
+    /// built in the reused scratch buffer; only a miss copies it out.
+    fn lookup(&self, node: &Node, outer: &dyn ColumnResolver, probe: Option<&Value>) -> Lookup {
+        let Some(refs) = &node.outer else {
+            return Lookup::Unmemoized;
+        };
+        let mut key = self.scratch.borrow_mut();
+        key.clear();
+        for c in refs {
+            match outer.resolve(c) {
+                Some(v) => key.push_group(v),
+                None => return Lookup::Unmemoized,
+            }
         }
-        verdict
+        if let Some(p) = probe {
+            key.push_group(p);
+        }
+        match node.verdicts.borrow().get(&*key) {
+            Some(&verdict) => {
+                self.memo_hits.set(self.memo_hits.get() + 1);
+                Lookup::Hit(verdict)
+            }
+            None => Lookup::Miss(key.clone()),
+        }
     }
 
     fn evaluate(
@@ -334,79 +358,7 @@ pub fn eval_expr(
     row: &dyn ColumnResolver,
     sub: &dyn SubqueryHandler,
 ) -> Result<Value, EvalError> {
-    match e {
-        Expr::Column(c) => row
-            .resolve(c)
-            .ok_or_else(|| EvalError::UnknownColumn(format!("{:?}.{}", c.table, c.column))),
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Binary { op, left, right } => {
-            let l = eval_expr(left, row, sub)?;
-            let r = eval_expr(right, row, sub)?;
-            Ok(eval_binary(*op, &l, &r))
-        }
-        Expr::Unary { op, expr } => {
-            let v = eval_expr(expr, row, sub)?;
-            Ok(match op {
-                UnOp::Not => match v.truthiness() {
-                    None => Value::Null,
-                    Some(b) => Value::Bool(!b),
-                },
-                UnOp::Neg => match v.as_f64_lossy() {
-                    None => Value::Null,
-                    Some(f) => match v.as_i128_exact() {
-                        Some(i) => Value::Int((-i) as i64),
-                        None => Value::Double(-f),
-                    },
-                },
-            })
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval_expr(expr, row, sub)?;
-            let b = v.is_null() != *negated;
-            Ok(Value::Bool(b))
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval_expr(expr, row, sub)?;
-            let lo = eval_expr(low, row, sub)?;
-            let hi = eval_expr(high, row, sub)?;
-            let ge = tv_compare(&v, &lo, |o| o != Ordering::Less);
-            let le = tv_compare(&v, &hi, |o| o != Ordering::Greater);
-            let both = tv_and(ge, le);
-            Ok(tv_to_value(if *negated { tv_not(both) } else { both }))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval_expr(expr, row, sub)?;
-            let vals: Result<Vec<Value>, _> = list.iter().map(|e| eval_expr(e, row, sub)).collect();
-            let tv = in_membership(&v, &vals?);
-            Ok(tv_to_value(if *negated { tv_not(tv) } else { tv }))
-        }
-        Expr::InSubquery {
-            expr,
-            subquery,
-            negated,
-        } => {
-            let v = eval_expr(expr, row, sub)?;
-            let tv = sub.in_subquery(&v, subquery, row)?;
-            Ok(tv_to_value(if *negated { tv_not(tv) } else { tv }))
-        }
-        Expr::Exists { subquery, negated } => {
-            let b = sub.exists(subquery, row)?;
-            Ok(Value::Bool(b != *negated))
-        }
-        Expr::Cast { expr, ty } => {
-            let v = eval_expr(expr, row, sub)?;
-            Ok(cast_value(&v, *ty))
-        }
-    }
+    eval(e, row, sub).map(Cow::into_owned)
 }
 
 /// Evaluate a predicate with three-valued logic: `None` means UNKNOWN.
@@ -415,7 +367,97 @@ pub fn eval_predicate(
     row: &dyn ColumnResolver,
     sub: &dyn SubqueryHandler,
 ) -> Result<Option<bool>, EvalError> {
-    Ok(eval_expr(e, row, sub)?.truthiness())
+    Ok(eval(e, row, sub)?.truthiness())
+}
+
+/// The evaluator: column references and literals come back borrowed, every
+/// computed value owned.
+fn eval<'a>(
+    e: &'a Expr,
+    row: &'a dyn ColumnResolver,
+    sub: &dyn SubqueryHandler,
+) -> Result<Cow<'a, Value>, EvalError> {
+    let value = match e {
+        Expr::Column(c) => {
+            return row
+                .resolve(c)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| EvalError::UnknownColumn(format!("{:?}.{}", c.table, c.column)))
+        }
+        Expr::Literal(v) => return Ok(Cow::Borrowed(v)),
+        Expr::Binary { op, left, right } => {
+            let l = eval(left, row, sub)?;
+            let r = eval(right, row, sub)?;
+            eval_binary(*op, &l, &r)
+        }
+        Expr::Unary { op, expr } => {
+            let v = eval(expr, row, sub)?;
+            match op {
+                UnOp::Not => match v.truthiness() {
+                    None => Value::Null,
+                    Some(b) => Value::Bool(!b),
+                },
+                UnOp::Neg => match v.as_f64_lossy() {
+                    None => Value::Null,
+                    Some(f) => v
+                        .as_i128_exact()
+                        .and_then(|i| exact_int(i.checked_neg()?))
+                        .unwrap_or(Value::Double(-f)),
+                },
+            }
+        }
+        Expr::IsNull { expr, negated } => {
+            let v = eval(expr, row, sub)?;
+            Value::Bool(v.is_null() != *negated)
+        }
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => {
+            let v = eval(expr, row, sub)?;
+            let lo = eval(low, row, sub)?;
+            let hi = eval(high, row, sub)?;
+            let ge = tv_compare(&v, &lo, |o| o != Ordering::Less);
+            let le = tv_compare(&v, &hi, |o| o != Ordering::Greater);
+            let both = tv_and(ge, le);
+            tv_to_value(if *negated { tv_not(both) } else { both })
+        }
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            // `v IN (a, b)` is `v = a OR v = b` — exactly [`in_membership`];
+            // every member is evaluated, so an error in any one surfaces.
+            let v = eval(expr, row, sub)?;
+            let mut tv = Some(false);
+            for member in list {
+                let m = eval(member, row, sub)?;
+                tv = tv_or(tv, tv_compare(&v, &m, |o| o == Ordering::Equal));
+            }
+            tv_to_value(if *negated { tv_not(tv) } else { tv })
+        }
+        Expr::InSubquery {
+            expr,
+            subquery,
+            negated,
+        } => {
+            let v = eval(expr, row, sub)?;
+            let tv = sub.in_subquery(&v, subquery, row)?;
+            tv_to_value(if *negated { tv_not(tv) } else { tv })
+        }
+        Expr::Exists { subquery, negated } => {
+            let b = sub.exists(subquery, row)?;
+            Value::Bool(b != *negated)
+        }
+        Expr::Cast { expr, ty } => {
+            let v = eval(expr, row, sub)?;
+            cast_value(&v, *ty)
+        }
+    };
+    Ok(Cow::Owned(value))
 }
 
 fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Value {
@@ -433,17 +475,29 @@ fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Value {
     }
 }
 
+/// An exact integer result as `Int` when it fits `i64`, else as `UInt` when
+/// it fits `u64`; `None` past both, where the double path takes over.
+fn exact_int(i: i128) -> Option<Value> {
+    i64::try_from(i)
+        .map(Value::Int)
+        .or_else(|_| u64::try_from(i).map(Value::UInt))
+        .ok()
+}
+
 fn arith(op: BinOp, l: &Value, r: &Value) -> Value {
     if l.is_null() || r.is_null() {
         return Value::Null;
     }
     // Exact integer path when both sides are integral and the op is not Div.
     if let (Some(a), Some(b)) = (l.as_i128_exact(), r.as_i128_exact()) {
-        match op {
-            BinOp::Add => return Value::Int((a + b) as i64),
-            BinOp::Sub => return Value::Int((a - b) as i64),
-            BinOp::Mul => return Value::Int(a.saturating_mul(b) as i64),
-            _ => {}
+        let exact = match op {
+            BinOp::Add => a.checked_add(b),
+            BinOp::Sub => a.checked_sub(b),
+            BinOp::Mul => a.checked_mul(b),
+            _ => None,
+        };
+        if let Some(v) = exact.and_then(exact_int) {
+            return v;
         }
     }
     let (a, b) = match (l.as_f64_lossy(), r.as_f64_lossy()) {
@@ -649,6 +703,59 @@ mod tests {
             Expr::lit(Value::Int(0)),
         );
         assert!(eval_expr(&div0, &scope, &NoSubqueries).unwrap().is_null());
+    }
+
+    #[test]
+    fn integer_arithmetic_widens_instead_of_wrapping() {
+        let lit = Expr::lit;
+        let max = || lit(Value::UInt(u64::MAX));
+        let neg = |e: Expr| Expr::Unary {
+            op: UnOp::Neg,
+            expr: Box::new(e),
+        };
+        let eval = |e: Expr| eval_expr(&e, &ScopedRow::new(&[]), &NoSubqueries).unwrap();
+        let big = u64::MAX as f64;
+        // past u64: the double path
+        let sum = Expr::binary(BinOp::Add, max(), lit(Value::Int(1)));
+        assert_eq!(eval(sum), Value::Double(big + 1.0));
+        assert_eq!(eval(neg(max())), Value::Double(-big));
+        let product = Expr::binary(BinOp::Mul, max(), lit(Value::Int(2)));
+        assert_eq!(eval(product), Value::Double(big * 2.0));
+        // past i64 but within u64: UInt
+        assert_eq!(eval(neg(lit(Value::Int(i64::MIN)))), Value::UInt(1 << 63));
+        let sum = Expr::binary(BinOp::Add, lit(Value::Int(i64::MAX)), lit(Value::Int(1)));
+        assert_eq!(eval(sum), Value::UInt(1 << 63));
+        // back within i64: Int
+        assert_eq!(eval(Expr::binary(BinOp::Sub, max(), max())), Value::Int(0));
+        assert_eq!(eval(neg(lit(Value::UInt(5)))), Value::Int(-5));
+        // (u + 1) > 5 holds for the largest u
+        let r = [("t".into(), "u".into(), Value::UInt(u64::MAX))];
+        let plus_one = Expr::binary(BinOp::Add, Expr::col("t", "u"), lit(Value::Int(1)));
+        let e = Expr::binary(BinOp::Gt, plus_one, lit(Value::Int(5)));
+        assert_eq!(
+            eval_predicate(&e, &ScopedRow::new(&r), &NoSubqueries).unwrap(),
+            Some(true)
+        );
+    }
+
+    #[test]
+    fn in_list_evaluates_every_member() {
+        let r = row();
+        let scope = ScopedRow::new(&r);
+        // a match does not stop evaluation: the unknown member still errors
+        let e = Expr::InList {
+            expr: Box::new(Expr::col("t1", "a")),
+            list: vec![Expr::lit(Value::Int(3)), Expr::col("t9", "z")],
+            negated: false,
+        };
+        assert!(eval_predicate(&e, &scope, &NoSubqueries).is_err());
+        // NULL probe over a non-empty list is UNKNOWN, over members only
+        let e = Expr::InList {
+            expr: Box::new(Expr::col("t1", "b")),
+            list: vec![Expr::lit(Value::Int(3))],
+            negated: true,
+        };
+        assert_eq!(eval_predicate(&e, &scope, &NoSubqueries).unwrap(), None);
     }
 
     #[test]

@@ -867,11 +867,14 @@ impl Parser {
     fn parse_type(&mut self) -> Result<ColumnType, ParseError> {
         let name = self.ident()?.to_ascii_lowercase();
         // swallow optional (n[,m]) and trailing keywords
-        let mut args: Vec<i64> = Vec::new();
+        let mut args: Vec<u64> = Vec::new();
         if self.eat_symbol("(") {
             loop {
                 match self.bump() {
-                    Tok::Number(n) => args.push(n.parse().unwrap_or(0)),
+                    Tok::Number(n) => match n.parse() {
+                        Ok(len) => args.push(len),
+                        Err(_) => return self.err(format!("type length `{n}` is not an integer")),
+                    },
                     other => return self.err(format!("expected type length, got {other:?}")),
                 }
                 if !self.eat_symbol(",") {
@@ -888,15 +891,22 @@ impl Parser {
             "mediumint" => ColumnType::MediumInt { unsigned },
             "int" | "integer" => ColumnType::Int { unsigned },
             "bigint" => ColumnType::BigInt { unsigned },
-            "decimal" | "numeric" => ColumnType::Decimal {
-                precision: *args.first().unwrap_or(&10) as u8,
-                scale: *args.get(1).unwrap_or(&0) as u8,
-                zerofill,
-            },
+            "decimal" | "numeric" => {
+                let precision = self.type_length(&args, 0, 10)?;
+                let scale = self.type_length(&args, 1, 0)?;
+                if scale > precision || scale > Decimal::MAX_SCALE {
+                    return self.err(format!("decimal({precision},{scale}): scale out of range"));
+                }
+                ColumnType::Decimal {
+                    precision,
+                    scale,
+                    zerofill,
+                }
+            }
             "float" => ColumnType::Float,
             "double" => ColumnType::Double,
-            "varchar" => ColumnType::Varchar(*args.first().unwrap_or(&255) as u16),
-            "char" => ColumnType::Char(*args.first().unwrap_or(&1) as u16),
+            "varchar" => ColumnType::Varchar(self.type_length(&args, 0, 255)?),
+            "char" => ColumnType::Char(self.type_length(&args, 0, 1)?),
             "text" | "blob" => ColumnType::Text,
             "date" => ColumnType::Date,
             "bool" | "boolean" => ColumnType::Bool,
@@ -904,6 +914,23 @@ impl Parser {
                 return self.err(format!("unknown type `{other}`"));
             }
         })
+    }
+
+    /// Type argument `i` (`default` when absent), or an error when it does
+    /// not fit the field it sets.
+    fn type_length<T: TryFrom<u64>>(
+        &self,
+        args: &[u64],
+        i: usize,
+        default: T,
+    ) -> Result<T, ParseError> {
+        match args.get(i) {
+            None => Ok(default),
+            Some(&n) => match T::try_from(n) {
+                Ok(len) => Ok(len),
+                Err(_) => self.err(format!("type length {n} out of range")),
+            },
+        }
     }
 }
 
@@ -1097,6 +1124,28 @@ mod tests {
         assert!(matches!(e, Expr::Between { .. }));
         let e = parse_expr("CAST(x AS varchar(20)) = 'a'").unwrap();
         assert!(render_expr(&e).starts_with("CAST(x AS varchar(20))"));
+    }
+
+    #[test]
+    fn type_lengths_that_do_not_fit_are_errors() {
+        let e = parse_expr("CAST(t.a AS DECIMAL(10,2)) = 1").unwrap();
+        assert!(render_expr(&e).starts_with("CAST(t.a AS decimal(10,2))"));
+        assert_eq!(
+            render_expr(&parse_expr(&render_expr(&e)).unwrap()),
+            render_expr(&e)
+        );
+        for ty in [
+            "DECIMAL(10, 300)",
+            "DECIMAL(300)",
+            "DECIMAL(10, 11)",
+            "DECIMAL(40, 39)",
+            "VARCHAR(70000)",
+            "CHAR(1.5)",
+            "VARCHAR(99999999999999999999)",
+        ] {
+            let sql = format!("CAST(t.a AS {ty}) = 1");
+            assert!(parse_expr(&sql).is_err(), "{ty} parsed");
+        }
     }
 
     #[test]
