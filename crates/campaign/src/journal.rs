@@ -179,12 +179,119 @@ fn line(record: &Json) -> String {
 
 #[cfg(test)]
 mod tests {
+    use crate::campaign::{Campaign, CampaignConfig};
     use crate::checkpoint::{CellRecord, Checkpoint, CheckpointHeader};
     use crate::corpus::{tests::sample_entry, Corpus};
     use crate::supervisor::{Quarantine, QuarantineEntry};
     use std::fs::OpenOptions;
     use std::io::Write;
+    use std::path::{Path, PathBuf};
+    use std::sync::OnceLock;
+    use tqs_core::dsg::{DsgConfig, WideSource};
     use tqs_pager::envfault::EnvFaultPolicy;
+    use tqs_storage::widegen::ShoppingConfig;
+
+    const FILES: [&str; 3] = ["checkpoint.jsonl", "corpus.jsonl", "quarantine.jsonl"];
+
+    /// A one-shard campaign over a tiny database, in `dir`.
+    fn tiny_campaign(dir: PathBuf) -> CampaignConfig {
+        CampaignConfig {
+            dir,
+            dsg: DsgConfig {
+                source: WideSource::Shopping(ShoppingConfig {
+                    n_rows: 20,
+                    ..Default::default()
+                }),
+                fd: Default::default(),
+                noise: None,
+            },
+            shards: 1,
+            workers: 1,
+            ..Default::default()
+        }
+    }
+
+    /// The three journals of a campaign `Campaign::resume` accepts: its
+    /// checkpoint with one drained cell, one corpus entry, one quarantined
+    /// cell. Written once per test process.
+    fn valid_journals() -> &'static [Vec<u8>; 3] {
+        static FILES_BYTES: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
+        FILES_BYTES.get_or_init(|| {
+            let dir =
+                std::env::temp_dir().join(format!("tqs-journal-valid-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            Campaign::new(tiny_campaign(dir.clone())).unwrap();
+            Checkpoint::in_dir(&dir)
+                .append_cell(&CellRecord {
+                    cell_id: 0,
+                    queries: 10,
+                    raw_reports: 1,
+                    new_classes: 1,
+                    elapsed_ms: 5,
+                    timeout: false,
+                })
+                .unwrap();
+            Corpus::in_dir(&dir).append(&sample_entry()).unwrap();
+            let poisoned = QuarantineEntry {
+                cell_id: 1,
+                attempts: 3,
+                reason: "chaos: injected panic in cell 1".to_string(),
+            };
+            Quarantine::in_dir(&dir)
+                .append(&poisoned, &EnvFaultPolicy::off())
+                .unwrap();
+            assert!(Campaign::resume(tiny_campaign(dir.clone())).is_ok());
+            let bytes = FILES.map(|f| std::fs::read(dir.join(f)).unwrap());
+            std::fs::remove_dir_all(&dir).unwrap();
+            bytes
+        })
+    }
+
+    /// Every loader over `dir`, and a resume from it: each may fail, none
+    /// may panic.
+    fn load_everything(dir: &Path) {
+        let _ = Checkpoint::in_dir(dir).load();
+        let _ = Corpus::in_dir(dir).load();
+        let _ = Quarantine::in_dir(dir).load();
+        let _ = Campaign::resume(tiny_campaign(dir.to_path_buf()));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        /// Arbitrary bytes in one journal, or one byte of a valid journal
+        /// changed: loading and resuming return `Ok` or an `io::Error`.
+        #[test]
+        fn journal_loads_and_resume_survive_arbitrary_and_mutated_bytes(
+            file in 0usize..3,
+            arbitrary in proptest::option::of(proptest::collection::vec(
+                proptest::prelude::any::<u8>(),
+                0..96,
+            )),
+            at in proptest::prelude::any::<usize>(),
+            byte in proptest::prelude::any::<u8>(),
+        ) {
+            let dir = std::env::temp_dir().join(format!(
+                "tqs-journal-fuzz-{}-{file}-{at}-{byte}",
+                std::process::id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut journals = valid_journals().clone();
+            match arbitrary {
+                Some(bytes) => journals[file] = bytes,
+                None => {
+                    let target = &mut journals[file];
+                    let i = at % target.len();
+                    target[i] = byte;
+                }
+            }
+            for (name, bytes) in FILES.iter().zip(&journals) {
+                std::fs::write(dir.join(name), bytes).unwrap();
+            }
+            load_everything(&dir);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 
     #[test]
     fn every_journal_loads_past_a_tail_torn_inside_a_multibyte_char() {

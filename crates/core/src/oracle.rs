@@ -38,6 +38,7 @@ use tqs_engine::{FaultKind, FaultSet};
 use tqs_optimizer::PlanSpace;
 use tqs_schema::{GroundTruth, GroundTruthEvaluator};
 use tqs_sql::ast::{BinOp, Expr, SelectItem, SelectStmt};
+use tqs_sql::eval::{eval_predicate, NoSubqueries, SliceRow};
 use tqs_sql::hints::{Hint, HintSet};
 use tqs_sql::render::render_stmt;
 use tqs_sql::value::Value;
@@ -337,23 +338,18 @@ impl Oracle for PqsOracle {
         let Some(table) = self.dsg.db.catalog.table(base) else {
             return OracleVerdict::Skip;
         };
-        // Recompute the expected pivot values straight from the stored table.
+        // Recompute the expected pivot values straight from the stored table,
+        // its rows read under one header named by the table.
+        let header: Vec<(String, String)> = (table.columns.iter())
+            .map(|c| (base.clone(), c.name.clone()))
+            .collect();
         let expected_rows: Vec<Row> = table
             .rows
             .iter()
             .filter(|r| match &stmt.where_clause {
                 Some(w) => {
-                    let scope: Vec<(String, String, Value)> = table
-                        .columns
-                        .iter()
-                        .zip(&r.values)
-                        .map(|(c, v)| (base.clone(), c.name.clone(), v.clone()))
-                        .collect();
-                    let resolver = tqs_sql::eval::ScopedRow::new(&scope);
-                    tqs_sql::eval::eval_predicate(w, &resolver, &tqs_sql::eval::NoSubqueries)
-                        .ok()
-                        .flatten()
-                        == Some(true)
+                    let resolver = SliceRow::new(&header, &r.values);
+                    eval_predicate(w, &resolver, &NoSubqueries).ok().flatten() == Some(true)
                 }
                 None => true,
             })
@@ -420,7 +416,10 @@ impl Oracle for TlpOracle {
             Expr::Column(col.clone()),
             Expr::lit(Value::Int(0)),
         );
+        // The report names the partitions' sum as what was observed, and
+        // every fault the base query or a partition fired, each once.
         let mut total = 0usize;
+        let mut fired = base.fired.clone();
         for variant in [p.clone(), Expr::not(p.clone()), Expr::is_null(p.clone())] {
             let mut q = stmt.clone();
             q.where_clause = Some(match &q.where_clause {
@@ -432,17 +431,24 @@ impl Oracle for TlpOracle {
                 Err(_) => return OracleVerdict::Skip,
             };
             total += out.result.row_count();
+            for f in out.fired {
+                if !fired.contains(&f) {
+                    fired.push(f);
+                }
+            }
         }
         if total != base.result.row_count() {
-            OracleVerdict::Bugs(vec![make_report(
+            let mut report = make_report(
                 &conn.info().name,
                 OracleKind::Partitioning,
                 stmt,
                 &HintSet::new("tlp-partitions"),
                 &base.result,
                 &base.result,
-                base.fired.clone(),
-            )])
+                fired,
+            );
+            report.observed_rows = total;
+            OracleVerdict::Bugs(vec![report])
         } else {
             OracleVerdict::Pass
         }
@@ -1036,6 +1042,66 @@ mod tests {
         assert!(OracleVerdict::Pass.executed());
         assert!(OracleVerdict::Bugs(Vec::new()).executed());
         assert!(!OracleVerdict::Skip.executed());
+    }
+
+    /// A backend that answers from a script, one outcome per statement.
+    struct Scripted(std::collections::VecDeque<SqlOutcome>);
+
+    impl DbmsConnector for Scripted {
+        fn info(&self) -> ConnectorInfo {
+            Stub(Err(ConnectorError::new("unused"))).info()
+        }
+
+        fn load_catalog(&mut self, _: &tqs_storage::Catalog) -> Result<(), ConnectorError> {
+            Ok(())
+        }
+
+        fn execute_with_hints(
+            &mut self,
+            _: &SelectStmt,
+            _: &HintSet,
+        ) -> Result<SqlOutcome, ConnectorError> {
+            self.0
+                .pop_front()
+                .ok_or_else(|| ConnectorError::new("script ran out"))
+        }
+
+        fn explain(&mut self, _: &SelectStmt) -> Result<String, ConnectorError> {
+            Err(ConnectorError::new("scripted"))
+        }
+    }
+
+    #[test]
+    fn a_tlp_report_observes_the_partition_sum_and_their_faults() {
+        use FaultKind::{HashJoinVarcharViaDouble, JoinCacheStaleRow, SemiJoinWrongResults};
+        let answer = |rows: i64, fired: Vec<FaultKind>| {
+            let mut result = ResultSet::new(vec!["a".into()]);
+            result.rows = (0..rows).map(|i| Row::new(vec![Value::Int(i)])).collect();
+            SqlOutcome { result, fired }
+        };
+        let mut conn = Scripted(
+            [
+                answer(5, vec![HashJoinVarcharViaDouble]),
+                answer(1, vec![SemiJoinWrongResults]),
+                answer(1, vec![HashJoinVarcharViaDouble]),
+                answer(1, vec![JoinCacheStaleRow]),
+            ]
+            .into(),
+        );
+        let stmt = parse_stmt("SELECT t.a FROM t").unwrap();
+        let OracleVerdict::Bugs(reports) = TlpOracle.check(&stmt, &mut conn) else {
+            panic!("5 rows against partitions of 3 is a TLP report");
+        };
+        assert_eq!(reports.len(), 1);
+        assert_eq!((reports[0].expected_rows, reports[0].observed_rows), (5, 3));
+        assert_eq!(
+            reports[0].fired,
+            [
+                HashJoinVarcharViaDouble,
+                SemiJoinWrongResults,
+                JoinCacheStaleRow
+            ]
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! One statement pipeline (`Database::execute_plan`) serves every executor:
 //! scan, joins in plan order, WHERE, then one tail — projection or
-//! aggregation, DISTINCT, LIMIT — over row-id relations ([`Rel`]), whichever
-//! kernel built them. Each operator compiles its column references once
+//! aggregation, DISTINCT, LIMIT; [`result_tail`], which the ground truth
+//! ends with too — over row-id relations ([`Rel`]), whichever kernel built
+//! them. Each operator compiles its column references once
 //! ([`ColumnSlots`]) and reads values in place; values are built only for
 //! the result set.
 
@@ -20,7 +21,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tqs_sql::ast::{
-    AggFunc, BinOp, ColumnRef, DmlStmt, Expr, Join, JoinType, SelectItem, SelectStmt, TableRef,
+    BinOp, ColumnRef, DmlStmt, Expr, Join, JoinType, SelectItem, SelectStmt, TableRef,
 };
 #[cfg(test)]
 use tqs_sql::eval::in_membership;
@@ -30,8 +31,8 @@ use tqs_sql::eval::{
 };
 use tqs_sql::hints::{Hint, HintSet, SemiJoinStrategy, SessionSwitch, SwitchName};
 use tqs_sql::parser::{parse_dml, parse_stmt, ParseError};
-use tqs_sql::value::{sql_compare, KeyBuf, SqlCmp, Value};
-use tqs_storage::{Catalog, ResultSet, Row, Table};
+use tqs_sql::value::Value;
+use tqs_storage::{result_tail, Catalog, ResultSet, Row, Table, TailError};
 use tqs_telemetry::QueryProfile;
 
 /// Errors surfaced by the engine.
@@ -77,6 +78,14 @@ impl From<ExecError> for EngineError {
 impl From<EvalError> for EngineError {
     fn from(e: EvalError) -> Self {
         EngineError::Eval(e)
+    }
+}
+impl From<TailError> for EngineError {
+    fn from(e: TailError) -> Self {
+        match e {
+            TailError::Eval(e) => EngineError::Eval(e),
+            TailError::Unsupported(m) => EngineError::Unsupported(m.into()),
+        }
     }
 }
 
@@ -730,10 +739,12 @@ impl Database {
         self.finish(stmt, plan, &rel, sub, ctx)
     }
 
-    /// The tail every executor closes a statement with: projection or
-    /// aggregation, DISTINCT and LIMIT over the filtered relation, read in
-    /// place, then the statement's books — telemetry and the faults the
-    /// subqueries fired.
+    /// The tail every executor closes a statement with: [`result_tail`] —
+    /// projection or aggregation, DISTINCT and LIMIT, the one
+    /// implementation the ground truth runs too — over the filtered
+    /// relation, read in place through slots compiled once for the tail's
+    /// expressions; then the statement's books — telemetry and the faults
+    /// the subqueries fired.
     fn finish(
         &self,
         stmt: &SelectStmt,
@@ -744,19 +755,12 @@ impl Database {
     ) -> Result<ExecOutcome, EngineError> {
         let op_t0 = ctx.op_start();
         let rows_in = rel.len() as u64;
-        let grouped = stmt.has_aggregates() || !stmt.group_by.is_empty();
-        let mut result = if grouped {
-            self.aggregate(stmt, rel, &sub)?
-        } else {
-            self.project(stmt, rel, &sub)?
-        };
-        if stmt.distinct {
-            result = result.into_distinct();
-        }
-        if let Some(l) = stmt.limit {
-            result.rows.truncate(l as usize);
-        }
+        let items = stmt.items.iter().filter_map(SelectItem::expr);
+        let slots = ColumnSlots::new(stmt.group_by.iter().chain(items), &rel.cols);
+        let row = |i| rel.resolver(&slots, i);
+        let result = result_tail(stmt, &rel.cols, rel.len(), row, &sub)?;
         if op_t0.is_some() {
+            let grouped = stmt.is_grouped();
             let rows_out = result.rows.len() as u64;
             let op = if grouped { "group" } else { "project" };
             ctx.op_end(op_t0, op, rows_in, rows_out);
@@ -775,132 +779,6 @@ impl Database {
             fired: ctx.fired,
             profile: ctx.profile,
         })
-    }
-
-    fn project(
-        &self,
-        stmt: &SelectStmt,
-        rel: &Rel,
-        sub: &EngineSubqueries<'_>,
-    ) -> Result<ResultSet, EngineError> {
-        let mut columns = Vec::new();
-        for item in &stmt.items {
-            match item {
-                SelectItem::Wildcard => {
-                    for (b, c) in &rel.cols {
-                        columns.push(format!("{b}.{c}"));
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(alias.clone().unwrap_or_else(|| format!("{expr:?}")))
-                }
-                SelectItem::Aggregate { .. } => {
-                    return Err(EngineError::Unsupported(
-                        "aggregate without GROUP BY path".into(),
-                    ))
-                }
-            }
-        }
-        let exprs = stmt.items.iter().filter_map(|item| match item {
-            SelectItem::Expr { expr, .. } => Some(expr),
-            _ => None,
-        });
-        let slots = ColumnSlots::new(exprs, &rel.cols);
-        let mut rs = ResultSet::new(columns);
-        for i in 0..rel.len() {
-            let resolver = rel.resolver(&slots, i);
-            let mut out = Vec::new();
-            for item in &stmt.items {
-                match item {
-                    SelectItem::Wildcard => {
-                        out.extend((0..rel.cols.len()).map(|c| rel.value(i, c).clone()))
-                    }
-                    SelectItem::Expr { expr, .. } => out.push(eval_expr(expr, &resolver, sub)?),
-                    SelectItem::Aggregate { .. } => unreachable!(),
-                }
-            }
-            rs.rows.push(Row::new(out));
-        }
-        Ok(rs)
-    }
-
-    fn aggregate(
-        &self,
-        stmt: &SelectStmt,
-        rel: &Rel,
-        sub: &EngineSubqueries<'_>,
-    ) -> Result<ResultSet, EngineError> {
-        let items = stmt.items.iter().filter_map(|item| match item {
-            SelectItem::Expr { expr, .. } => Some(expr),
-            SelectItem::Aggregate { arg, .. } => arg.as_ref(),
-            SelectItem::Wildcard => None,
-        });
-        let slots = ColumnSlots::new(stmt.group_by.iter().chain(items), &rel.cols);
-        let mut groups: HashMap<KeyBuf, Vec<usize>> = HashMap::new();
-        let mut order: Vec<KeyBuf> = Vec::new();
-        let mut key = KeyBuf::new();
-        for i in 0..rel.len() {
-            let resolver = rel.resolver(&slots, i);
-            key.clear();
-            for g in &stmt.group_by {
-                let v = eval_expr(g, &resolver, sub)?;
-                key.push_group(&v);
-            }
-            match groups.get_mut(&key) {
-                Some(members) => members.push(i),
-                None => {
-                    order.push(key.clone());
-                    groups.insert(key.clone(), vec![i]);
-                }
-            }
-        }
-        if stmt.group_by.is_empty() && groups.is_empty() {
-            order.push(KeyBuf::new());
-            groups.insert(KeyBuf::new(), Vec::new());
-        }
-        let columns: Vec<String> = stmt
-            .items
-            .iter()
-            .map(|i| match i {
-                SelectItem::Wildcard => "*".into(),
-                SelectItem::Expr { alias, expr } => {
-                    alias.clone().unwrap_or_else(|| format!("{expr:?}"))
-                }
-                SelectItem::Aggregate { alias, func, .. } => {
-                    alias.clone().unwrap_or_else(|| format!("{func:?}"))
-                }
-            })
-            .collect();
-        let mut rs = ResultSet::new(columns);
-        for key in order {
-            let members = &groups[&key];
-            let mut out = Vec::new();
-            for item in &stmt.items {
-                match item {
-                    SelectItem::Wildcard => {
-                        return Err(EngineError::Unsupported("wildcard with GROUP BY".into()))
-                    }
-                    SelectItem::Expr { expr, .. } => {
-                        let v = match members.first() {
-                            Some(&i) => eval_expr(expr, &rel.resolver(&slots, i), sub)?,
-                            None => Value::Null,
-                        };
-                        out.push(v);
-                    }
-                    SelectItem::Aggregate { func, arg, .. } => {
-                        let mut vals = Vec::new();
-                        if let Some(e) = arg {
-                            for &i in members {
-                                vals.push(eval_expr(e, &rel.resolver(&slots, i), sub)?);
-                            }
-                        }
-                        out.push(eval_agg(*func, members.len(), &vals));
-                    }
-                }
-            }
-            rs.rows.push(Row::new(out));
-        }
-        Ok(rs)
     }
 }
 
@@ -994,47 +872,6 @@ impl Kernel for RowKernel {
             eval_predicate(pred, &rel.resolver(&slots, i), sub).map(|t| t == Some(true))
         })?;
         Ok(rel)
-    }
-}
-
-fn eval_agg(func: AggFunc, group_size: usize, vals: &[Value]) -> Value {
-    match func {
-        AggFunc::CountStar => Value::Int(group_size as i64),
-        AggFunc::Count => Value::Int(vals.iter().filter(|v| !v.is_null()).count() as i64),
-        AggFunc::Sum | AggFunc::Avg => {
-            let nums: Vec<f64> = vals.iter().filter_map(|v| v.as_f64_lossy()).collect();
-            if nums.is_empty() {
-                Value::Null
-            } else if func == AggFunc::Sum {
-                Value::Double(nums.iter().sum())
-            } else {
-                Value::Double(nums.iter().sum::<f64>() / nums.len() as f64)
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let mut best: Option<Value> = None;
-            for v in vals.iter().filter(|v| !v.is_null()) {
-                best = Some(match best {
-                    None => v.clone(),
-                    Some(b) => match sql_compare(v, &b) {
-                        SqlCmp::Ordering(o) => {
-                            let take = if func == AggFunc::Min {
-                                o == std::cmp::Ordering::Less
-                            } else {
-                                o == std::cmp::Ordering::Greater
-                            };
-                            if take {
-                                v.clone()
-                            } else {
-                                b
-                            }
-                        }
-                        SqlCmp::Unknown => b,
-                    },
-                });
-            }
-            best.unwrap_or(Value::Null)
-        }
     }
 }
 

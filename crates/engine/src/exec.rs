@@ -30,7 +30,7 @@ use tqs_sql::ast::{BinOp, ColumnRef, Expr, JoinType};
 use tqs_sql::eval::{eval_predicate, ColumnResolver, NoSubqueries};
 use tqs_sql::hints::SemiJoinStrategy;
 use tqs_sql::value::{sql_compare, ColClass, KeyBuf, SqlCmp, Value};
-use tqs_storage::Table;
+use tqs_storage::{Table, TailRow};
 use tqs_telemetry::QueryProfile;
 
 /// The row id of a part's NULL row: every column reads NULL. Outer-join
@@ -248,6 +248,12 @@ impl ColumnResolver for RowResolver<'_> {
         let cols = &self.rel.cols;
         let ci = self.slots.position(col, || header_index(cols, col))?;
         Some(self.rel.value(self.row, ci))
+    }
+}
+
+impl TailRow for RowResolver<'_> {
+    fn at(&self, column: usize) -> &Value {
+        self.rel.value(self.row, column)
     }
 }
 

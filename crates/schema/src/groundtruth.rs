@@ -6,18 +6,26 @@
 //! the *reference* expression evaluator. The output is the result set a
 //! correct DBMS must return (full-set verification), or must at least contain
 //! (subset verification, used when a cross join is present).
+//!
+//! Only the fold and the subquery source (`GtSubqueries`, which answers a
+//! subquery from the wide table) are the ground truth's own. Surviving rows
+//! are value rows under one `(binding, column)` header per statement, read
+//! through [`SliceRow`]; WHERE is the reference evaluator's, and projection,
+//! grouping, aggregates and DISTINCT are [`result_tail`], the tail the
+//! engines end every statement with — so the two sides cannot drift apart
+//! there, where a drift would only produce false bug reports.
 
 use crate::normalize::NormalizedDb;
-use std::collections::HashMap;
-use tqs_sql::ast::{AggFunc, Expr, JoinType, SelectItem, SelectStmt};
+use std::collections::HashSet;
+use tqs_sql::ast::{JoinType, SelectItem, SelectStmt};
 #[cfg(test)]
 use tqs_sql::eval::in_membership;
 use tqs_sql::eval::{
-    eval_expr, eval_predicate, ChainedResolver, ColumnResolver, EvalError, ScopedRow,
+    eval_expr, eval_predicate, ChainedResolver, ColumnResolver, EvalError, SliceRow,
     SubqueryHandler, SubqueryMemo, SubquerySource,
 };
-use tqs_sql::value::{sql_compare, KeyBuf, SqlCmp, Value};
-use tqs_storage::{ResultSet, Row};
+use tqs_sql::value::{KeyBuf, Value};
+use tqs_storage::{result_tail, ResultSet, Row, TailError};
 
 /// Errors raised while recovering ground truth. `Unsupported` marks query
 /// shapes outside the generator's contract (the orchestrator simply skips
@@ -44,6 +52,15 @@ impl std::error::Error for GtError {}
 impl From<EvalError> for GtError {
     fn from(e: EvalError) -> Self {
         GtError::Eval(e)
+    }
+}
+
+impl From<TailError> for GtError {
+    fn from(e: TailError) -> Self {
+        match e {
+            TailError::Eval(e) => GtError::Eval(e),
+            TailError::Unsupported(m) => GtError::Unsupported(m.into()),
+        }
     }
 }
 
@@ -167,25 +184,34 @@ impl<'a> GroundTruthEvaluator<'a> {
             };
         }
 
-        // Build scoped rows for the surviving wide rows.
-        let visible_bindings: Vec<&(String, String)> = bindings
-            .iter()
-            .zip(&visible)
-            .filter(|(_, v)| **v)
-            .map(|(b, _)| b)
-            .collect();
-        // Deduplicate witnesses by schema-row *identity* (the RowID-map
-        // targets), not by cell values: many wide rows witness the same
-        // combination of schema rows (that is what denormalization means),
-        // but two *distinct* schema rows whose contents happen to coincide —
-        // e.g. after NULL-noise corrupted their keys — must keep their own
-        // result rows, exactly as a physical scan returns both.
-        let mut scoped_rows: Vec<Vec<(String, String, Value)>> = Vec::new();
-        let mut seen: std::collections::HashSet<KeyBuf> = std::collections::HashSet::new();
+        // One header for the statement: the visible bindings' columns, in
+        // FROM order; per binding, the wide-table column each one reads.
+        let mut header: Vec<(String, String)> = Vec::new();
+        let mut parts: Vec<(&str, Vec<Option<usize>>)> = Vec::new();
+        for ((binding, table), _) in bindings.iter().zip(&visible).filter(|(_, v)| **v) {
+            let meta = self.db.meta(table).expect("resolved table");
+            header.extend(meta.columns.iter().map(|c| (binding.clone(), c.clone())));
+            parts.push((table, wide_columns(self.db, &meta.columns)));
+        }
+
+        // Value rows for the surviving wide rows, kept where the WHERE
+        // filter holds under the reference evaluator. Witnesses are
+        // deduplicated by schema-row *identity* (the RowID-map targets), not
+        // by cell values: many wide rows witness the same combination of
+        // schema rows (that is what denormalization means), but two
+        // *distinct* schema rows whose contents happen to coincide — e.g.
+        // after NULL-noise corrupted their keys — must keep their own result
+        // rows, exactly as a physical scan returns both.
+        let sub = GtSubqueries {
+            db: self.db,
+            memo: Default::default(),
+        };
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let mut seen: HashSet<KeyBuf> = HashSet::new();
         let mut identity = KeyBuf::new();
         for wide_row in acc.ones() {
             identity.clear();
-            for (_, table) in &visible_bindings {
+            for (table, _) in &parts {
                 let rowid = if self.db.bitmap.get(table, wide_row) {
                     self.db.rowid_map.get(wide_row, table)
                 } else {
@@ -197,258 +223,55 @@ impl<'a> GroundTruthEvaluator<'a> {
                     None => identity.push_null(),
                 }
             }
-            if !seen.contains(&identity) {
-                seen.insert(identity.clone());
-                scoped_rows.push(self.scope_for(wide_row, &visible_bindings));
+            if seen.contains(&identity) {
+                continue;
             }
-        }
-
-        // WHERE filter with the reference evaluator.
-        let sub = GtSubqueries {
-            db: self.db,
-            memo: Default::default(),
-        };
-        if let Some(pred) = &stmt.where_clause {
-            let mut kept = Vec::new();
-            for scope in scoped_rows {
-                let resolver = ScopedRow::new(&scope);
-                if eval_predicate(pred, &resolver, &sub)? == Some(true) {
-                    kept.push(scope);
+            seen.insert(identity.clone());
+            let wide = self.db.wide.table.rows.get(wide_row);
+            let mut row = Vec::with_capacity(header.len());
+            for (table, columns) in &parts {
+                let matched = self.db.bitmap.get(table, wide_row);
+                push_cells(wide.filter(|_| matched), columns, &mut row);
+            }
+            if let Some(pred) = &stmt.where_clause {
+                if eval_predicate(pred, &SliceRow::new(&header, &row), &sub)? != Some(true) {
+                    continue;
                 }
             }
-            scoped_rows = kept;
+            rows.push(row);
         }
 
         // Projection / aggregation. Aggregates cannot be verified in subset
         // mode (a cross join's full result multiplies the counts), so such
         // queries are skipped rather than misjudged.
-        if subset_mode && (stmt.has_aggregates() || !stmt.group_by.is_empty()) {
+        if subset_mode && stmt.is_grouped() {
             return Err(GtError::Unsupported("aggregation over a cross join".into()));
         }
-        let result = if stmt.has_aggregates() || !stmt.group_by.is_empty() {
-            self.aggregate(stmt, &scoped_rows, &sub)?
-        } else {
-            self.project(stmt, &scoped_rows, &visible_bindings, &sub)?
-        };
-
-        let result = if stmt.distinct {
-            distinct(result)
-        } else {
-            result
-        };
+        let row = |i: usize| SliceRow::new(&header, &rows[i]);
+        let result = result_tail(stmt, &header, rows.len(), row, &sub)?;
         sub.record_counts();
         Ok(GroundTruth {
             result,
             subset_mode,
         })
     }
+}
 
-    fn scope_for(
-        &self,
-        wide_row: usize,
-        visible_bindings: &[&(String, String)],
-    ) -> Vec<(String, String, Value)> {
-        let mut scope = Vec::new();
-        for (binding, table) in visible_bindings.iter() {
-            let matched = self.db.bitmap.get(table, wide_row);
-            let meta = self.db.meta(table).expect("resolved table");
-            for col in &meta.columns {
-                let v = if matched {
-                    self.db
-                        .wide
-                        .cell(wide_row as u64, col)
-                        .cloned()
-                        .unwrap_or(Value::Null)
-                } else {
-                    Value::Null
-                };
-                scope.push((binding.clone(), col.clone(), v));
-            }
-        }
-        scope
-    }
+/// The wide-table column index of each of `columns`.
+fn wide_columns(db: &NormalizedDb, columns: &[String]) -> Vec<Option<usize>> {
+    columns
+        .iter()
+        .map(|c| db.wide.table.column_index(c))
+        .collect()
+}
 
-    fn project(
-        &self,
-        stmt: &SelectStmt,
-        scoped_rows: &[Vec<(String, String, Value)>],
-        visible_bindings: &[&(String, String)],
-        sub: &GtSubqueries<'_>,
-    ) -> Result<ResultSet, GtError> {
-        let mut columns: Vec<String> = Vec::new();
-        for item in &stmt.items {
-            match item {
-                SelectItem::Wildcard => {
-                    for (binding, table) in visible_bindings {
-                        let meta = self.db.meta(table).expect("resolved");
-                        for c in &meta.columns {
-                            columns.push(format!("{binding}.{c}"));
-                        }
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(alias.clone().unwrap_or_else(|| format!("{expr:?}")));
-                }
-                SelectItem::Aggregate { .. } => {
-                    return Err(GtError::Unsupported(
-                        "aggregate outside GROUP BY path".into(),
-                    ))
-                }
-            }
-        }
-        let mut rs = ResultSet::new(columns);
-        for scope in scoped_rows {
-            let resolver = ScopedRow::new(scope);
-            let mut row = Vec::new();
-            for item in &stmt.items {
-                match item {
-                    SelectItem::Wildcard => {
-                        for (binding, _table) in visible_bindings {
-                            for (_b, _c, v) in scope.iter().filter(|(b, _, _)| b == binding) {
-                                row.push(v.clone());
-                            }
-                        }
-                    }
-                    SelectItem::Expr { expr, .. } => {
-                        row.push(eval_expr(expr, &resolver, sub)?);
-                    }
-                    SelectItem::Aggregate { .. } => unreachable!(),
-                }
-            }
-            rs.rows.push(Row::new(row));
-        }
-        Ok(rs)
-    }
-
-    fn aggregate(
-        &self,
-        stmt: &SelectStmt,
-        scoped_rows: &[Vec<(String, String, Value)>],
-        sub: &GtSubqueries<'_>,
-    ) -> Result<ResultSet, GtError> {
-        // Group rows by the GROUP BY key (global group when empty) — a
-        // reusable binary key instead of a formatted string per row.
-        let mut groups: HashMap<KeyBuf, Vec<usize>> = HashMap::new();
-        let mut order: Vec<KeyBuf> = Vec::new();
-        let mut key = KeyBuf::new();
-        for (i, scope) in scoped_rows.iter().enumerate() {
-            let resolver = ScopedRow::new(scope);
-            key.clear();
-            for g in &stmt.group_by {
-                let v = eval_expr(g, &resolver, sub)?;
-                key.push_group(&v);
-            }
-            match groups.get_mut(&key) {
-                Some(members) => members.push(i),
-                None => {
-                    order.push(key.clone());
-                    groups.insert(key.clone(), vec![i]);
-                }
-            }
-        }
-        if stmt.group_by.is_empty() && groups.is_empty() {
-            // aggregate over an empty input still yields one row
-            order.push(KeyBuf::new());
-            groups.insert(KeyBuf::new(), Vec::new());
-        }
-        let columns: Vec<String> = stmt
-            .items
-            .iter()
-            .map(|i| match i {
-                SelectItem::Wildcard => "*".to_string(),
-                SelectItem::Expr { alias, expr } => {
-                    alias.clone().unwrap_or_else(|| format!("{expr:?}"))
-                }
-                SelectItem::Aggregate { func, alias, .. } => {
-                    alias.clone().unwrap_or_else(|| format!("{func:?}"))
-                }
-            })
-            .collect();
-        let mut rs = ResultSet::new(columns);
-        for key in order {
-            let members = &groups[&key];
-            let mut row = Vec::new();
-            for item in &stmt.items {
-                match item {
-                    SelectItem::Wildcard => {
-                        return Err(GtError::Unsupported("wildcard with GROUP BY".into()))
-                    }
-                    SelectItem::Expr { expr, .. } => {
-                        // must be (functionally) a group key: evaluate on the
-                        // first member
-                        let v = match members.first() {
-                            Some(&i) => {
-                                let resolver = ScopedRow::new(&scoped_rows[i]);
-                                eval_expr(expr, &resolver, sub)?
-                            }
-                            None => Value::Null,
-                        };
-                        row.push(v);
-                    }
-                    SelectItem::Aggregate { func, arg, .. } => {
-                        row.push(self.eval_aggregate(*func, arg, members, scoped_rows, sub)?);
-                    }
-                }
-            }
-            rs.rows.push(Row::new(row));
-        }
-        Ok(rs)
-    }
-
-    fn eval_aggregate(
-        &self,
-        func: AggFunc,
-        arg: &Option<Expr>,
-        members: &[usize],
-        scoped_rows: &[Vec<(String, String, Value)>],
-        sub: &GtSubqueries<'_>,
-    ) -> Result<Value, GtError> {
-        let mut values = Vec::new();
-        if let Some(expr) = arg {
-            for &i in members {
-                let resolver = ScopedRow::new(&scoped_rows[i]);
-                values.push(eval_expr(expr, &resolver, sub)?);
-            }
-        }
-        Ok(match func {
-            AggFunc::CountStar => Value::Int(members.len() as i64),
-            AggFunc::Count => Value::Int(values.iter().filter(|v| !v.is_null()).count() as i64),
-            AggFunc::Sum | AggFunc::Avg => {
-                let nums: Vec<f64> = values.iter().filter_map(|v| v.as_f64_lossy()).collect();
-                if nums.is_empty() {
-                    Value::Null
-                } else if func == AggFunc::Sum {
-                    Value::Double(nums.iter().sum())
-                } else {
-                    Value::Double(nums.iter().sum::<f64>() / nums.len() as f64)
-                }
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let mut best: Option<Value> = None;
-                for v in values.into_iter().filter(|v| !v.is_null()) {
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => match sql_compare(&v, &b) {
-                            SqlCmp::Ordering(o) => {
-                                let take = if func == AggFunc::Min {
-                                    o == std::cmp::Ordering::Less
-                                } else {
-                                    o == std::cmp::Ordering::Greater
-                                };
-                                if take {
-                                    v
-                                } else {
-                                    b
-                                }
-                            }
-                            SqlCmp::Unknown => b,
-                        },
-                    });
-                }
-                best.unwrap_or(Value::Null)
-            }
-        })
-    }
+/// Append the cells `columns` of the wide-table row `wide` to `row`: NULL
+/// throughout for no row, NULL for a column the wide table lacks.
+fn push_cells(wide: Option<&Row>, columns: &[Option<usize>], row: &mut Vec<Value>) {
+    row.extend(columns.iter().map(|c| match (wide, c) {
+        (Some(wide), Some(c)) => wide.get(*c).clone(),
+        _ => Value::Null,
+    }));
 }
 
 /// Reference subquery evaluation: generated subqueries are single-table
@@ -507,26 +330,24 @@ impl SubquerySource for GtSubqueries<'_> {
                 "subquery must project a single expression".into(),
             ));
         };
+        let header: Vec<(String, String)> = (table.columns.iter())
+            .map(|c| (binding.to_string(), c.clone()))
+            .collect();
+        let columns = wide_columns(self.db, &table.columns);
         let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
+        let (mut row, mut fingerprint) = (Vec::new(), KeyBuf::new());
         for wide_row in bm.ones() {
-            let mut scope = Vec::new();
-            for col in &table.columns {
-                let v = self
-                    .db
-                    .wide
-                    .cell(wide_row as u64, col)
-                    .cloned()
-                    .unwrap_or(Value::Null);
-                scope.push((binding.to_string(), col.clone(), v));
-            }
-            let fp = scope_fingerprint(&scope);
-            if !seen.insert(fp) {
+            row.clear();
+            push_cells(self.db.wide.table.rows.get(wide_row), &columns, &mut row);
+            fingerprint.clear();
+            row.iter().for_each(|v| fingerprint.push_group(v));
+            if seen.contains(&fingerprint) {
                 continue;
             }
-            let inner = ScopedRow::new(&scope);
+            seen.insert(fingerprint.clone());
             let resolver = ChainedResolver {
-                inner: &inner,
+                inner: &SliceRow::new(&header, &row),
                 outer,
             };
             if let Some(pred) = &stmt.where_clause {
@@ -587,18 +408,6 @@ mod per_row_reference {
     }
 }
 
-fn scope_fingerprint(scope: &[(String, String, Value)]) -> KeyBuf {
-    let mut fp = KeyBuf::new();
-    for (_, _, v) in scope {
-        fp.push_group(v);
-    }
-    fp
-}
-
-fn distinct(rs: ResultSet) -> ResultSet {
-    rs.into_distinct()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,6 +416,7 @@ mod tests {
     use tqs_sql::ast::{FromClause, Join, TableRef};
     use tqs_sql::parser::parse_stmt;
     use tqs_storage::widegen::{shopping_orders, ShoppingConfig};
+    use tqs_storage::Row;
 
     fn db() -> NormalizedDb {
         let wide = shopping_orders(&ShoppingConfig {

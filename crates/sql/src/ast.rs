@@ -386,6 +386,15 @@ impl SelectItem {
     pub fn is_aggregate(&self) -> bool {
         matches!(self, SelectItem::Aggregate { .. })
     }
+
+    /// The expression the item evaluates, or its aggregate's argument.
+    pub fn expr(&self) -> Option<&Expr> {
+        match self {
+            SelectItem::Wildcard => None,
+            SelectItem::Expr { expr, .. } => Some(expr),
+            SelectItem::Aggregate { arg, .. } => arg.as_ref(),
+        }
+    }
 }
 
 /// The seven join types of Table 2 in the paper.
@@ -533,6 +542,11 @@ impl SelectStmt {
         self.items.iter().any(SelectItem::is_aggregate)
     }
 
+    /// Does the statement group its rows (aggregates or a GROUP BY)?
+    pub fn is_grouped(&self) -> bool {
+        self.has_aggregates() || !self.group_by.is_empty()
+    }
+
     /// Total AST size, used by the reducer and by search metrics.
     pub fn size(&self) -> usize {
         let mut n = 1 + self.items.len() + self.table_count();
@@ -579,15 +593,7 @@ impl SelectStmt {
                 .map_or(true, |q| q.eq_ignore_ascii_case(binding))
                 && has_own_column(&c.column)
         };
-        let exprs = self
-            .items
-            .iter()
-            .filter_map(|item| match item {
-                SelectItem::Wildcard => None,
-                SelectItem::Expr { expr, .. } => Some(expr),
-                SelectItem::Aggregate { arg, .. } => arg.as_ref(),
-            })
-            .chain(&self.where_clause);
+        let exprs = (self.items.iter().filter_map(SelectItem::expr)).chain(&self.where_clause);
         let mut outer: Vec<&ColumnRef> = Vec::new();
         for e in exprs {
             if e.has_subquery() {
@@ -651,12 +657,7 @@ impl SelectStmt {
         let mut stmts = vec![self];
         while let Some(stmt) = stmts.pop() {
             tables.extend(stmt.from.tables().into_iter().map(|t| t.table.as_str()));
-            let items = stmt.items.iter().filter_map(|item| match item {
-                SelectItem::Wildcard => None,
-                SelectItem::Expr { expr, .. } => Some(expr),
-                SelectItem::Aggregate { arg, .. } => arg.as_ref(),
-            });
-            let exprs = items
+            let exprs = (stmt.items.iter().filter_map(SelectItem::expr))
                 .chain(stmt.from.joins.iter().filter_map(|j| j.on.as_ref()))
                 .chain(&stmt.where_clause)
                 .chain(&stmt.group_by)

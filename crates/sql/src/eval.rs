@@ -10,6 +10,12 @@
 //! of the value it finds, and column references and literals stay borrowed
 //! (`Cow`) until an operator computes a new value. A predicate therefore
 //! clones nothing; [`eval_expr`] clones once, for callers that keep the value.
+//!
+//! A row is scoped by name one way, [`SliceRow`]: one `(binding, column)`
+//! header per relation, built once, over each row's values. The ground
+//! truth's rows and subquery rows and PQS's pivot rows read through it; the
+//! engines resolve through their compiled column slots instead, and
+//! [`ChainedResolver`] stacks a subquery's row over its outer row.
 
 use crate::ast::{BinOp, ColumnRef, Expr, SelectStmt, UnOp};
 use crate::value::{null_safe_eq, sql_compare, KeyBuf, SqlCmp, Value};
@@ -45,36 +51,10 @@ pub trait ColumnResolver {
     fn resolve(&self, col: &ColumnRef) -> Option<&Value>;
 }
 
-/// Resolver over `(qualifier, column, value)` triples; the usual row scope.
-pub struct ScopedRow<'a> {
-    entries: &'a [(String, String, Value)],
-}
-
-impl<'a> ScopedRow<'a> {
-    pub fn new(entries: &'a [(String, String, Value)]) -> Self {
-        ScopedRow { entries }
-    }
-}
-
-impl ColumnResolver for ScopedRow<'_> {
-    fn resolve(&self, col: &ColumnRef) -> Option<&Value> {
-        self.entries
-            .iter()
-            .find(|(t, c, _)| {
-                c.eq_ignore_ascii_case(&col.column)
-                    && col
-                        .table
-                        .as_ref()
-                        .map(|q| q.eq_ignore_ascii_case(t))
-                        .unwrap_or(true)
-            })
-            .map(|(_, _, v)| v)
-    }
-}
-
-/// Allocation-free resolver over one row: borrowed `(qualifier, column)`
-/// metadata (shared by every row of a relation) plus a borrowed value slice.
-/// Replaces building an owned scope `Vec` per row.
+/// The one row scope by name: borrowed `(qualifier, column)` metadata —
+/// one header, shared by every row of a relation — plus the row's borrowed
+/// values. A qualified reference matches qualifier and column, a bare one
+/// the column; either case-blind, the first match wins.
 pub struct SliceRow<'a> {
     cols: &'a [(String, String)],
     values: &'a [Value],
@@ -84,6 +64,11 @@ impl<'a> SliceRow<'a> {
     pub fn new(cols: &'a [(String, String)], values: &'a [Value]) -> Self {
         debug_assert_eq!(cols.len(), values.len());
         SliceRow { cols, values }
+    }
+
+    /// The row's values, in header order.
+    pub fn values(&self) -> &'a [Value] {
+        self.values
     }
 }
 
@@ -610,18 +595,19 @@ mod tests {
     use super::*;
     use crate::ast::Expr;
 
-    fn row() -> Vec<(String, String, Value)> {
-        vec![
-            ("t1".into(), "a".into(), Value::Int(3)),
-            ("t1".into(), "b".into(), Value::Null),
-            ("t1".into(), "name".into(), Value::str("Tom")),
-        ]
+    /// The header and values of one row of `t1(a, b, name)`.
+    fn row() -> (Vec<(String, String)>, Vec<Value>) {
+        let cols = ["a", "b", "name"].map(|c| ("t1".to_string(), c.to_string()));
+        (
+            cols.into(),
+            vec![Value::Int(3), Value::Null, Value::str("Tom")],
+        )
     }
 
     #[test]
     fn column_resolution_qualified_and_bare() {
-        let r = row();
-        let scope = ScopedRow::new(&r);
+        let (cols, values) = row();
+        let scope = SliceRow::new(&cols, &values);
         let v = eval_expr(&Expr::col("t1", "a"), &scope, &NoSubqueries).unwrap();
         assert_eq!(v.as_i128_exact(), Some(3));
         let v = eval_expr(
@@ -636,8 +622,8 @@ mod tests {
 
     #[test]
     fn three_valued_logic_null_propagation() {
-        let r = row();
-        let scope = ScopedRow::new(&r);
+        let (cols, values) = row();
+        let scope = SliceRow::new(&cols, &values);
         // b = 1  → NULL
         let e = Expr::eq(Expr::col("t1", "b"), Expr::lit(Value::Int(1)));
         assert_eq!(eval_predicate(&e, &scope, &NoSubqueries).unwrap(), None);
@@ -676,8 +662,8 @@ mod tests {
     #[test]
     fn not_in_with_null_member_filters_everything() {
         // The classic trap exploited by the paper's Listing 1-style queries.
-        let r = row();
-        let scope = ScopedRow::new(&r);
+        let (cols, values) = row();
+        let scope = SliceRow::new(&cols, &values);
         let e = Expr::InList {
             expr: Box::new(Expr::col("t1", "a")),
             list: vec![Expr::lit(Value::Int(9)), Expr::lit(Value::Null)],
@@ -688,8 +674,8 @@ mod tests {
 
     #[test]
     fn arithmetic_and_division_by_zero() {
-        let r = row();
-        let scope = ScopedRow::new(&r);
+        let (cols, values) = row();
+        let scope = SliceRow::new(&cols, &values);
         let e = Expr::binary(BinOp::Add, Expr::col("t1", "a"), Expr::lit(Value::Int(4)));
         assert_eq!(
             eval_expr(&e, &scope, &NoSubqueries)
@@ -713,7 +699,7 @@ mod tests {
             op: UnOp::Neg,
             expr: Box::new(e),
         };
-        let eval = |e: Expr| eval_expr(&e, &ScopedRow::new(&[]), &NoSubqueries).unwrap();
+        let eval = |e: Expr| eval_expr(&e, &SliceRow::new(&[], &[]), &NoSubqueries).unwrap();
         let big = u64::MAX as f64;
         // past u64: the double path
         let sum = Expr::binary(BinOp::Add, max(), lit(Value::Int(1)));
@@ -729,19 +715,20 @@ mod tests {
         assert_eq!(eval(Expr::binary(BinOp::Sub, max(), max())), Value::Int(0));
         assert_eq!(eval(neg(lit(Value::UInt(5)))), Value::Int(-5));
         // (u + 1) > 5 holds for the largest u
-        let r = [("t".into(), "u".into(), Value::UInt(u64::MAX))];
+        let cols = [("t".to_string(), "u".to_string())];
+        let values = [Value::UInt(u64::MAX)];
         let plus_one = Expr::binary(BinOp::Add, Expr::col("t", "u"), lit(Value::Int(1)));
         let e = Expr::binary(BinOp::Gt, plus_one, lit(Value::Int(5)));
         assert_eq!(
-            eval_predicate(&e, &ScopedRow::new(&r), &NoSubqueries).unwrap(),
+            eval_predicate(&e, &SliceRow::new(&cols, &values), &NoSubqueries).unwrap(),
             Some(true)
         );
     }
 
     #[test]
     fn in_list_evaluates_every_member() {
-        let r = row();
-        let scope = ScopedRow::new(&r);
+        let (cols, values) = row();
+        let scope = SliceRow::new(&cols, &values);
         // a match does not stop evaluation: the unknown member still errors
         let e = Expr::InList {
             expr: Box::new(Expr::col("t1", "a")),
@@ -760,8 +747,8 @@ mod tests {
 
     #[test]
     fn null_safe_eq_and_is_null() {
-        let r = row();
-        let scope = ScopedRow::new(&r);
+        let (cols, values) = row();
+        let scope = SliceRow::new(&cols, &values);
         let e = Expr::binary(
             BinOp::NullSafeEq,
             Expr::col("t1", "b"),
@@ -780,8 +767,8 @@ mod tests {
 
     #[test]
     fn between_and_cast() {
-        let r = row();
-        let scope = ScopedRow::new(&r);
+        let (cols, values) = row();
+        let scope = SliceRow::new(&cols, &values);
         let e = Expr::Between {
             expr: Box::new(Expr::col("t1", "a")),
             low: Box::new(Expr::lit(Value::Int(1))),
@@ -824,14 +811,11 @@ mod tests {
             let Some(crate::ast::SelectItem::Expr { expr, .. }) = stmt.items.first() else {
                 return Err(EvalError::Unsupported("one expression".into()));
             };
+            let cols = ["k", "v"].map(|c| ("t2".to_string(), c.to_string()));
             let mut out = Vec::new();
-            for [k, v] in &self.t2 {
-                let scope = [
-                    ("t2".to_string(), "k".to_string(), k.clone()),
-                    ("t2".to_string(), "v".to_string(), v.clone()),
-                ];
+            for row in &self.t2 {
                 let resolver = ChainedResolver {
-                    inner: &ScopedRow::new(&scope),
+                    inner: &SliceRow::new(&cols, row),
                     outer,
                 };
                 let keep = match &stmt.where_clause {
@@ -877,13 +861,13 @@ mod tests {
             ],
             memo: SubqueryMemo::new(),
         };
+        let cols = [("t1".to_string(), "a".to_string())];
         let verdicts = outer
             .iter()
             .map(|a| {
-                let scope = [("t1".to_string(), "a".to_string(), a.clone())];
                 eval_predicate(
                     stmt.where_clause.as_ref().unwrap(),
-                    &ScopedRow::new(&scope),
+                    &SliceRow::new(&cols, std::slice::from_ref(a)),
                     &tables,
                 )
             })
@@ -1003,8 +987,9 @@ mod tests {
     #[test]
     fn string_number_equality_in_predicates() {
         // The varchar-vs-bigint comparisons from Figure 1(b).
-        let r = vec![("t".into(), "v".into(), Value::str("1985"))];
-        let scope = ScopedRow::new(&r);
+        let cols = [("t".to_string(), "v".to_string())];
+        let values = [Value::str("1985")];
+        let scope = SliceRow::new(&cols, &values);
         let e = Expr::eq(Expr::col("t", "v"), Expr::lit(Value::Int(1985)));
         assert_eq!(
             eval_predicate(&e, &scope, &NoSubqueries).unwrap(),

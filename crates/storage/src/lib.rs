@@ -3,7 +3,9 @@
 //! In-memory storage substrate for the TQS reproduction:
 //!
 //! * [`row`] — rows and bag-semantics result sets (the unit of comparison
-//!   between engine output and ground truth).
+//!   between engine output and ground truth), and [`result_tail`], the
+//!   projection, grouping, aggregation, DISTINCT and LIMIT that the engines
+//!   and the ground truth share.
 //! * [`table`] — tables with key/foreign-key metadata and the [`table::Catalog`]
 //!   loaded into each simulated DBMS.
 //! * [`wide`] — the wide table `T_w` with explicit `RowID`s.
@@ -18,7 +20,7 @@ pub mod table;
 pub mod wide;
 pub mod widegen;
 
-pub use row::{ResultSet, Row};
+pub use row::{result_tail, ResultSet, Row, TailError, TailRow};
 pub use shard::{ShardSpec, WideTableShard};
 pub use table::{Catalog, ForeignKey, Table};
 pub use wide::{WideTable, ROW_ID};

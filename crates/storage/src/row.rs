@@ -1,7 +1,12 @@
-//! Rows and result sets.
+//! Rows and result sets, and the one result tail ([`result_tail`]) that
+//! turns a filtered relation into the statement's answer.
 
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::hash::Hasher;
-use tqs_sql::value::{result_value_eq, ColClass, KeyBuf, Value};
+use tqs_sql::ast::{AggFunc, SelectItem, SelectStmt};
+use tqs_sql::eval::{eval_expr, ColumnResolver, EvalError, SliceRow, SubqueryHandler};
+use tqs_sql::value::{result_value_eq, sql_compare, ColClass, KeyBuf, SqlCmp, Value};
 
 /// A row is an ordered list of values, positionally aligned with a column
 /// list owned by the enclosing table / result set.
@@ -238,6 +243,195 @@ impl ResultSet {
     }
 }
 
+/// One row of the relation [`result_tail`] reads: resolved by column
+/// reference, or read by header position (a `*` item).
+pub trait TailRow: ColumnResolver {
+    /// The value at header position `column`.
+    fn at(&self, column: usize) -> &Value;
+}
+
+impl TailRow for SliceRow<'_> {
+    fn at(&self, column: usize) -> &Value {
+        &self.values()[column]
+    }
+}
+
+/// Why [`result_tail`] refused a statement.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TailError {
+    Eval(EvalError),
+    /// A shape the tail does not evaluate.
+    Unsupported(&'static str),
+}
+
+impl From<EvalError> for TailError {
+    fn from(e: EvalError) -> Self {
+        TailError::Eval(e)
+    }
+}
+
+/// The tail of a SELECT: projection, or GROUP BY grouping and aggregates,
+/// then DISTINCT and LIMIT, over `rows` filtered rows under `header` (one
+/// `(binding, column)` pair per column), row `i` read through `row(i)`.
+///
+/// The engines and the ground truth both end a statement here, so the two
+/// cannot drift apart on what a result is — a drift would look exactly like
+/// an engine bug. A grouped statement with no GROUP BY yields one row even
+/// over no input; a grouped `*` is refused once a group exists; a plain
+/// `*` expands to `header`, named `binding.column`.
+pub fn result_tail<R: TailRow>(
+    stmt: &SelectStmt,
+    header: &[(String, String)],
+    rows: usize,
+    row: impl Fn(usize) -> R,
+    sub: &dyn SubqueryHandler,
+) -> Result<ResultSet, TailError> {
+    let mut result = if stmt.is_grouped() {
+        group(stmt, rows, &row, sub)?
+    } else {
+        project(stmt, header, rows, &row, sub)?
+    };
+    if stmt.distinct {
+        result = result.into_distinct();
+    }
+    if let Some(l) = stmt.limit {
+        result.rows.truncate(l as usize);
+    }
+    Ok(result)
+}
+
+/// An item's column name: its alias, else the expression or the function.
+fn item_name(item: &SelectItem) -> String {
+    match item {
+        SelectItem::Wildcard => "*".into(),
+        SelectItem::Expr { expr, alias } => alias.clone().unwrap_or_else(|| format!("{expr:?}")),
+        SelectItem::Aggregate { func, alias, .. } => {
+            alias.clone().unwrap_or_else(|| format!("{func:?}"))
+        }
+    }
+}
+
+fn project<R: TailRow>(
+    stmt: &SelectStmt,
+    header: &[(String, String)],
+    rows: usize,
+    row: impl Fn(usize) -> R,
+    sub: &dyn SubqueryHandler,
+) -> Result<ResultSet, TailError> {
+    let mut columns = Vec::new();
+    for item in &stmt.items {
+        match item {
+            SelectItem::Wildcard => columns.extend(header.iter().map(|(b, c)| format!("{b}.{c}"))),
+            item => columns.push(item_name(item)),
+        }
+    }
+    let mut rs = ResultSet::new(columns);
+    for i in 0..rows {
+        let r = row(i);
+        let mut out = Vec::new();
+        for item in &stmt.items {
+            match item {
+                SelectItem::Wildcard => out.extend((0..header.len()).map(|c| r.at(c).clone())),
+                SelectItem::Expr { expr, .. } => out.push(eval_expr(expr, &r, sub)?),
+                SelectItem::Aggregate { .. } => unreachable!("a statement with aggregates groups"),
+            }
+        }
+        rs.rows.push(Row::new(out));
+    }
+    Ok(rs)
+}
+
+/// Rows grouped by the GROUP BY key (one global group when there is none),
+/// groups in order of first appearance, keyed by the binary [`KeyBuf`]
+/// group encoding; a plain item reads the group's first row.
+fn group<R: TailRow>(
+    stmt: &SelectStmt,
+    rows: usize,
+    row: impl Fn(usize) -> R,
+    sub: &dyn SubqueryHandler,
+) -> Result<ResultSet, TailError> {
+    let mut index: HashMap<KeyBuf, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut key = KeyBuf::new();
+    for i in 0..rows {
+        let r = row(i);
+        key.clear();
+        for g in &stmt.group_by {
+            key.push_group(&eval_expr(g, &r, sub)?);
+        }
+        match index.get(&key) {
+            Some(&g) => groups[g].push(i),
+            None => {
+                index.insert(key.clone(), groups.len());
+                groups.push(vec![i]);
+            }
+        }
+    }
+    if stmt.group_by.is_empty() && groups.is_empty() {
+        groups.push(Vec::new());
+    }
+    let mut rs = ResultSet::new(stmt.items.iter().map(item_name).collect());
+    for members in &groups {
+        let mut out = Vec::new();
+        for item in &stmt.items {
+            match item {
+                SelectItem::Wildcard => {
+                    return Err(TailError::Unsupported("wildcard with GROUP BY"))
+                }
+                SelectItem::Expr { expr, .. } => out.push(match members.first() {
+                    Some(&i) => eval_expr(expr, &row(i), sub)?,
+                    None => Value::Null,
+                }),
+                SelectItem::Aggregate { func, arg, .. } => {
+                    let mut values = Vec::new();
+                    if let Some(e) = arg {
+                        for &i in members {
+                            values.push(eval_expr(e, &row(i), sub)?);
+                        }
+                    }
+                    out.push(aggregate(*func, members.len(), &values));
+                }
+            }
+        }
+        rs.rows.push(Row::new(out));
+    }
+    Ok(rs)
+}
+
+/// `func` over a group of `group_size` rows whose argument values are
+/// `values` (none for `COUNT(*)`): NULLs ignored, SUM and AVG as doubles,
+/// MIN and MAX by [`sql_compare`], NULL over no non-NULL value.
+fn aggregate(func: AggFunc, group_size: usize, values: &[Value]) -> Value {
+    match func {
+        AggFunc::CountStar => Value::Int(group_size as i64),
+        AggFunc::Count => Value::Int(values.iter().filter(|v| !v.is_null()).count() as i64),
+        AggFunc::Sum | AggFunc::Avg => {
+            let nums: Vec<f64> = values.iter().filter_map(|v| v.as_f64_lossy()).collect();
+            let sum: f64 = nums.iter().sum();
+            match (nums.len(), func) {
+                (0, _) => Value::Null,
+                (_, AggFunc::Sum) => Value::Double(sum),
+                (n, _) => Value::Double(sum / n as f64),
+            }
+        }
+        AggFunc::Min | AggFunc::Max => {
+            let wanted = SqlCmp::Ordering(match func {
+                AggFunc::Min => Ordering::Less,
+                _ => Ordering::Greater,
+            });
+            (values.iter().filter(|v| !v.is_null()))
+                .reduce(|best, v| {
+                    if sql_compare(v, best) == wanted {
+                        v
+                    } else {
+                        best
+                    }
+                })
+                .map_or(Value::Null, Value::clone)
+        }
+    }
+}
+
 /// Result-row equality: same width, and cell by cell [`result_value_eq`].
 fn rows_eq(a: &Row, b: &Row) -> bool {
     #[cfg(test)]
@@ -291,6 +485,51 @@ mod tests {
             columns: vec!["c0".into()],
             rows: rows.into_iter().map(Row::new).collect(),
         }
+    }
+
+    #[test]
+    fn the_tail_projects_groups_and_refuses_what_its_docs_say() {
+        use tqs_sql::eval::NoSubqueries;
+        use Value::{Double, Int, Null};
+        let header = ["a", "b"].map(|c| ("t".to_string(), c.to_string()));
+        let rows = [
+            vec![Int(1), Int(10)],
+            vec![Int(2), Null],
+            vec![Int(1), Int(30)],
+        ];
+        let tail = |sql: &str, n: usize| {
+            let stmt = tqs_sql::parser::parse_stmt(sql).unwrap();
+            let row = |i: usize| SliceRow::new(&header, &rows[i]);
+            result_tail(&stmt, &header, n, row, &NoSubqueries)
+                .map(|rs| (rs.columns, rs.rows.into_iter().map(|r| r.values).collect()))
+        };
+        let got: (Vec<String>, Vec<Vec<Value>>) = tail("SELECT * FROM t", 3).unwrap();
+        assert_eq!(got, (vec!["t.a".into(), "t.b".into()], rows.to_vec()));
+        // Groups in order of first appearance; aggregates skip NULLs.
+        let sql = "SELECT t.a, COUNT(*), COUNT(t.b), SUM(t.b), AVG(t.b), MIN(t.b), MAX(t.b) \
+                   FROM t GROUP BY t.a";
+        let (_, got) = tail(sql, 3).unwrap();
+        let one = [
+            Int(1),
+            Int(2),
+            Int(2),
+            Double(40.0),
+            Double(20.0),
+            Int(10),
+            Int(30),
+        ];
+        let two = [Int(2), Int(1), Int(0), Null, Null, Null, Null];
+        assert_eq!(got, [one.to_vec(), two.to_vec()]);
+        // Without GROUP BY, one row even over no input.
+        assert_eq!(tail("SELECT COUNT(*) FROM t", 0).unwrap().1, [[Int(0)]]);
+        // A grouped `*` is refused once a group exists.
+        let star = "SELECT * FROM t GROUP BY t.a";
+        let refused = Err(TailError::Unsupported("wildcard with GROUP BY"));
+        assert_eq!(tail(star, 3).map(|_| ()), refused);
+        assert_eq!(tail(star, 0).unwrap().1, Vec::<Vec<Value>>::new());
+        // DISTINCT, then LIMIT.
+        let got = tail("SELECT DISTINCT t.a FROM t LIMIT 1", 3).unwrap().1;
+        assert_eq!(got, [[Int(1)]]);
     }
 
     #[test]

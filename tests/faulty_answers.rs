@@ -6,7 +6,10 @@
 //! `tests/fixtures/faulty_answers.txt` pins the statements run, the errors,
 //! an FNV-1a of every answer (result rows in order, or the error text) and
 //! an FNV-1a of every statement's `fired` list, plus the fault kinds that
-//! fired at all (which says what the pool covers).
+//! fired at all (which says what the pool covers). One more line,
+//! `cell=ground-truth`, pins what the ground truth answers for the same pool:
+//! an FNV-1a of every outcome (columns, rows in order and the subset flag,
+//! or the error text) and how many statements it does not support.
 //!
 //! The executors' fault paths make values — NULL pads, `''` pads, stale and
 //! blanked rows, duplicated tuples — so a change to how intermediates are
@@ -22,7 +25,7 @@ use tqs_core::dsg::{
 };
 use tqs_core::hintgen::hint_sets_for;
 use tqs_engine::ProfileId;
-use tqs_schema::NoiseConfig;
+use tqs_schema::{GroundTruthEvaluator, GtError, NoiseConfig};
 use tqs_storage::widegen::ShoppingConfig;
 
 /// Statements in the generated pool.
@@ -100,6 +103,36 @@ fn cell(kind: EngineKind, profile: ProfileId, dsg: &DsgDatabase) -> String {
     )
 }
 
+/// The ground truth over the same pool, summarized as its fixture line.
+fn ground_truth(dsg: &DsgDatabase) -> String {
+    let truth = GroundTruthEvaluator::new(&dsg.db);
+    let mut gen = QueryGenerator::new(QueryGenConfig {
+        seed: 0xFA17,
+        ..Default::default()
+    });
+    let (mut unsupported, mut outcomes) = (0usize, Fnv::new());
+    for _ in 0..POOL {
+        let stmt = gen.generate(dsg, None, &UniformScorer);
+        match truth.evaluate(&stmt) {
+            Ok(gt) => {
+                outcomes.line(&format!("{:?}", gt.result.columns));
+                for row in &gt.result.rows {
+                    outcomes.line(&format!("{:?}", row.values));
+                }
+                outcomes.line(&format!("subset={}", gt.subset_mode));
+            }
+            Err(e) => {
+                unsupported += usize::from(matches!(e, GtError::Unsupported(_)));
+                outcomes.line(&format!("error: {e}"));
+            }
+        }
+    }
+    format!(
+        "cell=ground-truth statements={POOL} unsupported={unsupported} outcomes_fnv={:016x}",
+        outcomes.0
+    )
+}
+
 fn pinned() -> Vec<String> {
     let fixture =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/faulty_answers.txt");
@@ -117,6 +150,7 @@ fn every_faulty_cell_answers_what_the_fixture_pins() {
         .into_iter()
         .flat_map(|kind| ProfileId::ALL.map(|profile| (kind, profile)))
         .map(|(kind, profile)| cell(kind, profile, &dsg))
+        .chain([ground_truth(&dsg)])
         .collect();
     assert_eq!(
         got.join("\n"),
