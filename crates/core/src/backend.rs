@@ -183,7 +183,7 @@ pub enum EngineKind {
     /// The columnar batch executor sharing the optimizer.
     Columnar,
     /// The disk-backed executor over the `tqs-pager` page store (buffer
-    /// pool, WAL, B+trees) with the storage-layer fault complement.
+    /// pool, WAL, leaf chains) with the storage-layer fault complement.
     Disk,
 }
 

@@ -11,9 +11,9 @@ use tqs_graph::plangraph::SchemaDesc;
 use tqs_graph::LabeledGraph;
 use tqs_schema::{
     inject_noise, normalize, FdDiscoveryConfig, FdSet, NoiseConfig, NoiseRecord, NormalizedDb,
-    SchemaGraph,
 };
 use tqs_sql::ast::*;
+use tqs_sql::types::ColumnType;
 use tqs_sql::value::Value;
 use tqs_storage::widegen::{
     random_fd_table, shopping_orders, tpch_like, RandomFdConfig, ShoppingConfig, TpchLikeConfig,
@@ -57,12 +57,13 @@ pub struct DsgConfig {
     pub noise: Option<NoiseConfig>,
 }
 
-/// The fully-built DSG database: normalized schema + graph views + sampled
+/// The fully-built DSG database: normalized schema + schema graph + sampled
 /// literal pools for filter generation.
 #[derive(Debug, Clone)]
 pub struct DsgDatabase {
     pub db: NormalizedDb,
-    pub schema_graph: SchemaGraph,
+    /// The schema graph `G_s` (§3.3) the query generator walks and KQE
+    /// extends into the plan-iterative graph.
     pub schema_desc: SchemaDesc,
     pub noise: Vec<NoiseRecord>,
     /// Sample values per (table, column), used to generate selective filters.
@@ -96,37 +97,10 @@ impl DsgDatabase {
             Some(nc) => inject_noise(&mut db, nc),
             None => Vec::new(),
         };
-        let schema_graph = SchemaGraph::build(&db);
-        let schema_desc = SchemaDesc {
-            tables: schema_graph.tables.clone(),
-            columns: schema_graph
-                .columns
-                .iter()
-                .map(|c| {
-                    (
-                        c.table.clone(),
-                        c.column.clone(),
-                        c.ty.graph_label().to_string(),
-                        c.is_key,
-                    )
-                })
-                .collect(),
-            join_edges: schema_graph
-                .join_edges
-                .iter()
-                .map(|e| {
-                    (
-                        e.left_table.clone(),
-                        e.right_table.clone(),
-                        e.column.clone(),
-                    )
-                })
-                .collect(),
-        };
+        let schema_desc = schema_desc(&db);
         let value_pool = build_value_pool(&db);
         DsgDatabase {
             db,
-            schema_graph,
             schema_desc,
             noise,
             value_pool,
@@ -168,6 +142,43 @@ impl DsgDatabase {
             .find(|(t, c, _)| t.eq_ignore_ascii_case(table) && c.eq_ignore_ascii_case(column))
             .map(|(_, _, v)| v.as_slice())
             .unwrap_or(&[])
+    }
+}
+
+/// The schema graph of a normalized database: one table vertex per schema
+/// table, one column vertex per attribute column (RowID excluded) labeled
+/// with its type and key flag, and one join edge per single-column foreign
+/// key.
+fn schema_desc(db: &NormalizedDb) -> SchemaDesc {
+    let columns = db
+        .metas
+        .iter()
+        .flat_map(|m| {
+            m.columns.iter().map(|c| {
+                let ty = db.attr_type(c).unwrap_or(ColumnType::Text);
+                let is_key = m.implicit_pk.contains(c);
+                (
+                    m.name.clone(),
+                    c.clone(),
+                    ty.graph_label().to_string(),
+                    is_key,
+                )
+            })
+        })
+        .collect();
+    let join_edges = db
+        .catalog
+        .foreign_key_edges()
+        .into_iter()
+        .filter_map(|(from, cols, to, _)| {
+            let [col] = <[String; 1]>::try_from(cols).ok()?;
+            Some((from, to, col))
+        })
+        .collect();
+    SchemaDesc {
+        tables: db.table_names(),
+        columns,
+        join_edges,
     }
 }
 
@@ -591,10 +602,80 @@ mod tests {
     fn pipeline_produces_connected_schema_and_noise() {
         let d = dsg();
         assert!(d.db.metas.len() >= 4);
-        assert!(d.schema_graph.is_join_connected());
+        assert!(join_connected(&d.schema_desc));
         assert!(!d.noise.is_empty());
         assert!(!d.value_pool.is_empty());
         assert!(!d.sample_values("T1", "goodsId").is_empty());
+    }
+
+    /// Is every table reachable from the first over join edges? Random
+    /// walks cannot reach a table outside the first one's component.
+    fn join_connected(s: &SchemaDesc) -> bool {
+        let mut seen = vec![false; s.tables.len()];
+        let mut stack = Vec::new();
+        if !s.tables.is_empty() {
+            seen[0] = true;
+            stack.push(0);
+        }
+        while let Some(i) = stack.pop() {
+            for (n, _) in s.neighbors(&s.tables[i]) {
+                let j = s.tables.iter().position(|t| t.eq_ignore_ascii_case(&n));
+                if let Some(j) = j.filter(|&j| !seen[j]) {
+                    seen[j] = true;
+                    stack.push(j);
+                }
+            }
+        }
+        seen.into_iter().all(|v| v)
+    }
+
+    #[test]
+    fn tables_and_edges_follow_fks() {
+        let d = dsg();
+        assert_eq!(d.schema_desc.tables.len(), d.db.metas.len());
+        // the base table is joinable to the goods and user dimensions
+        let base_neighbors = d.schema_desc.neighbors("T1");
+        assert!(base_neighbors.iter().any(|(_, c)| c == "goodsId"));
+        assert!(base_neighbors.iter().any(|(_, c)| c == "userId"));
+        // the goods table is joinable to the goodsName table
+        let goods = &d.db.table_with_pk("goodsId").unwrap().name;
+        assert!(d
+            .schema_desc
+            .neighbors(goods)
+            .iter()
+            .any(|(_, c)| c == "goodsName"));
+    }
+
+    #[test]
+    fn neighbors_are_symmetric() {
+        let s = dsg().schema_desc;
+        for (l, r, c) in &s.join_edges {
+            assert!(s.neighbors(l).iter().any(|n| n == &(r.clone(), c.clone())));
+            assert!(s.neighbors(r).iter().any(|n| n == &(l.clone(), c.clone())));
+        }
+    }
+
+    #[test]
+    fn column_vertices_have_types_and_key_flags() {
+        let d = dsg();
+        let goods = &d.db.table_with_pk("goodsId").unwrap().name;
+        let cols = d.schema_desc.columns_of(goods);
+        let label = |c: &str| d.db.attr_type(c).unwrap().graph_label().to_string();
+        let has = |c: &str, key: bool| {
+            cols.iter()
+                .any(|v| **v == (goods.clone(), c.into(), label(c), key))
+        };
+        assert!(has("goodsId", true));
+        assert!(has("goodsName", false));
+        let attrs: usize = d.db.metas.iter().map(|m| m.columns.len()).sum();
+        assert_eq!(d.schema_desc.columns.len(), attrs, "RowID is no vertex");
+    }
+
+    #[test]
+    fn shopping_schema_graph_is_connected() {
+        assert!(join_connected(&dsg().schema_desc));
+        // an empty graph is trivially connected
+        assert!(join_connected(&SchemaDesc::default()));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`crate::columnar::ColumnarDatabase`] executes batch-at-a-time,
 //! [`DiskDatabase`] keeps every table in a `tqs-pager` [`DiskStore`] — a
 //! buffer pool over fixed-size pages, a write-ahead log with redo recovery,
-//! and one rowid-keyed B+tree per table — and materializes its scans from
-//! disk at statement time. The session front ([`Engine`]), the optimizer, the
+//! and one rowid-ordered leaf chain per table — and materializes its scans
+//! from disk at statement time. The session front ([`Engine`]), the optimizer, the
 //! statement pipeline and the row kernel are shared with the row engine
 //! (`Database::execute_plan` runs the row kernel over the scanned catalog),
 //! so on fault-free builds the two are answer-identical by construction
@@ -324,10 +324,10 @@ impl Engine for DiskDatabase {
     /// Load `catalog` and reset the DML history: afterwards the session and
     /// the store hold `catalog` and nothing else.
     ///
-    /// The full load wipes the page store and writes one B+tree per table,
+    /// The full load wipes the page store and writes one leaf chain per table,
     /// committed every `COMMIT_BATCH_ROWS` rows (a store nothing was ever
     /// written to — a connector's first load — is already wiped). DML never
-    /// writes a base table's B+tree, only `DML_LOG_TABLE`, so reloading
+    /// writes a base table's leaf chain, only `DML_LOG_TABLE`, so reloading
     /// the catalog the store already holds (every table the same `Arc` as
     /// in the last load) skips all that: it empties the log in one commit,
     /// and the base tables keep the pages, scan metadata and first-flush
@@ -423,7 +423,7 @@ impl Engine for DiskDatabase {
 
     fn executor_note(&self) -> Option<String> {
         Some(format!(
-            "-> executor: disk (B+tree page store, {DEFAULT_POOL_FRAMES}-frame buffer pool, WAL)\n"
+            "-> executor: disk (leaf-chain page store, {DEFAULT_POOL_FRAMES}-frame buffer pool, WAL)\n"
         ))
     }
 }
@@ -783,7 +783,7 @@ mod tests {
     }
 
     /// Auto-commits, a COMMIT, a ROLLBACK and a transaction left open. The
-    /// 100-row UPDATE grows the DML log past its root leaf.
+    /// 100-row UPDATE grows the DML log past its first leaf.
     const PROGRAM: [&str; 10] = [
         "INSERT INTO t2 (id, col1) VALUES (26, 'v26'), (27, 'v27')",
         "UPDATE t1 SET col1 = 7 WHERE t1.id > 0",

@@ -359,14 +359,8 @@ impl Database {
     /// The optimizer: choose a physical plan for `stmt` given the session
     /// switches, the statement's hints and the profile defaults.
     pub fn plan(&self, stmt: &SelectStmt) -> Result<PhysicalPlan, EngineError> {
-        let from = &stmt.from;
-        for (i, join) in from.joins.iter().enumerate() {
-            let b = join.table.binding();
-            let mut earlier =
-                std::iter::once(&from.base).chain(from.joins[..i].iter().map(|j| &j.table));
-            if earlier.any(|t| t.binding().eq_ignore_ascii_case(b)) {
-                return Err(EngineError::NotUniqueTable(b.to_string()));
-            }
+        if let Some(b) = stmt.from.repeated_binding() {
+            return Err(EngineError::NotUniqueTable(b.to_string()));
         }
         let mut notes = Vec::new();
         let materialization = self.materialization_enabled(stmt);

@@ -132,7 +132,7 @@ pub enum FaultKind {
     // --- Disk-engine complement (not part of Table 4) ---
     //
     // The third simulated engine scans its tables out of a disk-backed page
-    // store (buffer pool + WAL + B+tree heaps); its latent faults live in
+    // store (buffer pool + WAL + leaf-chain heaps); its latent faults live in
     // that storage machinery — torn writes, lost WAL records, stale buffer
     // frames, split bookkeeping, redo replay — rather than in any join
     // algorithm or batching pipeline, so the three engines' complements are
@@ -146,7 +146,7 @@ pub enum FaultKind {
     /// D3: the buffer pool serves the first-flushed (stale) version of an
     /// evicted-then-reloaded leaf, hiding every row appended to it since.
     DiskStaleFrameRead,
-    /// D4: a B+tree leaf split loses its high key — the last cell of every
+    /// D4: a leaf split loses its high key — the last cell of every
     /// split-origin leaf never makes it to the new sibling.
     DiskSplitHighKeyLoss,
     /// D5: redo recovery replays the last commit record twice, duplicating
@@ -409,7 +409,7 @@ impl FaultKind {
                 "Buffer pool serves the stale first-flushed version of an evicted leaf."
             }
             FaultKind::DiskSplitHighKeyLoss => {
-                "B+tree leaf split loses the high key of every split-origin leaf."
+                "Leaf split loses the high key of every split-origin leaf."
             }
             FaultKind::DiskRecoveryDoubleReplay => {
                 "Redo recovery replays the last commit record twice."

@@ -15,7 +15,7 @@
 //! * [`columnar`] — the second executor: the column-major, batch-at-a-time
 //!   kernel, its own fault complement.
 //! * [`disk`] — the third executor: base relations scanned out of the
-//!   `tqs-pager` page store (buffer pool, WAL, B+trees) with a storage-layer
+//!   `tqs-pager` page store (buffer pool, WAL, leaf chains) with a storage-layer
 //!   fault complement, then the row kernel; durable DML, crash injection.
 //! * [`faults`] — the 20-entry fault catalog modeled on Table 4, plus the
 //!   columnar and disk complements.

@@ -1,16 +1,16 @@
 //! # tqs-pager — the disk-backed page store
 //!
-//! A small but honest storage engine: fixed-size pages, a buffer pool with
-//! pin counts and LRU eviction, a write-ahead log with redo recovery, and
-//! append-only B+trees keyed by rowid holding each table's heap. It backs
+//! A small but honest storage engine: fixed-size pages, a no-steal buffer
+//! pool with LRU eviction, a write-ahead log with redo recovery, and one
+//! append-only, rowid-ordered chain of leaf pages per table heap. It backs
 //! the third simulated engine (`EngineKind::Disk`) so every oracle,
 //! campaign fleet, and reverification pass can hunt storage-layer logic bugs
 //! with the exact same drivers they use against the row and columnar engines.
 //!
 //! Layering, bottom to top:
 //!
-//! * [`page`] — page images and the on-page codecs (leaf / internal /
-//!   directory), all strict: a torn page decodes to an error, not garbage.
+//! * [`page`] — page images and the on-page codecs (leaf / directory), all
+//!   strict: a torn page decodes to an error, not garbage.
 //! * `rowcodec` — `Vec<Value>` ⇄ leaf-cell payload bytes, injective and
 //!   strict, so disk answers can be compared bit-for-bit against row answers.
 //! * [`pool`] — the buffer pool (no-steal: dirty pages never hit the data

@@ -1,14 +1,13 @@
 //! Fixed-size pages and the on-page codecs.
 //!
-//! Every file in a store is an array of `PAGE_SIZE`-byte pages. Three page
+//! Every file in a store is an array of `PAGE_SIZE`-byte pages. Two page
 //! kinds exist:
 //!
-//! * **leaf** — B+tree leaf holding `(rowid, payload)` cells in ascending
-//!   rowid order plus a next-leaf pointer (the scan chain);
-//! * **internal** — B+tree inner node holding `(first_rowid, child)` entries;
+//! * **leaf** — one link of a table's leaf chain: `(rowid, payload)` cells in
+//!   ascending rowid order plus a next-leaf pointer;
 //! * **directory** — page 0, the table directory: one entry per table (name,
-//!   root page, rowid counter, last commit-batch window) plus the allocated
-//!   page count.
+//!   first and last leaf, rowid counter, last commit-batch window) plus the
+//!   allocated page count.
 //!
 //! All integers are little-endian. Codecs are deliberately strict: a page
 //! whose kind byte or offsets are inconsistent decodes to an error, never to
@@ -21,7 +20,6 @@ pub(crate) const PAGE_SIZE: usize = 4096;
 pub(crate) type PageId = u32;
 
 pub(crate) const KIND_LEAF: u8 = 1;
-pub(crate) const KIND_INTERNAL: u8 = 2;
 pub(crate) const KIND_DIRECTORY: u8 = 3;
 
 /// Leaf flag: this leaf overflowed and handed its high end to a new sibling
@@ -29,8 +27,6 @@ pub(crate) const KIND_DIRECTORY: u8 = 3;
 pub(crate) const FLAG_SPLIT_ORIGIN: u8 = 0b0000_0001;
 
 const LEAF_HEADER: usize = 12; // kind, flags, count u16, next u32, free u32
-const INTERNAL_HEADER: usize = 8; // kind, flags, count u16, padding u32
-const INTERNAL_ENTRY: usize = 12; // first_rowid u64 + child u32
 
 /// Cap on cells per leaf (besides the byte-fit check) so realistic table
 /// sizes still exercise splits, multi-leaf scans and buffer-pool traffic.
@@ -196,100 +192,6 @@ impl Leaf {
         }
         Ok(cells)
     }
-
-    /// Binary-search one rowid (cells are ascending).
-    pub fn get(page: &PageBuf, rowid: u64) -> Result<Option<Vec<u8>>, PageCorrupt> {
-        // Cells are variable-size, so the lookup walks; leaves are small
-        // (≤ MAX_LEAF_CELLS) and the walk stops at the first overshoot.
-        for (id, payload) in Self::cells(page)? {
-            if id == rowid {
-                return Ok(Some(payload));
-            }
-            if id > rowid {
-                break;
-            }
-        }
-        Ok(None)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Internal pages
-// ---------------------------------------------------------------------------
-
-/// Typed view over a B+tree internal node: `(first_rowid, child)` entries in
-/// ascending first_rowid order; `child` covers rowids in
-/// `[first_rowid, next_entry.first_rowid)`.
-pub(crate) struct Internal;
-
-impl Internal {
-    pub(crate) fn init(page: &mut PageBuf) {
-        let b = page.as_bytes_mut();
-        b.fill(0);
-        b[0] = KIND_INTERNAL;
-    }
-
-    pub(crate) fn entry_count(page: &PageBuf) -> usize {
-        read_u16(page.as_bytes(), 2) as usize
-    }
-
-    pub(crate) const MAX_ENTRIES: usize = (PAGE_SIZE - INTERNAL_HEADER) / INTERNAL_ENTRY;
-
-    pub fn fits(page: &PageBuf) -> bool {
-        Self::entry_count(page) < Self::MAX_ENTRIES
-    }
-
-    pub(crate) fn push_entry(page: &mut PageBuf, first_rowid: u64, child: PageId) {
-        let count = Self::entry_count(page);
-        let at = INTERNAL_HEADER + count * INTERNAL_ENTRY;
-        let b = page.as_bytes_mut();
-        write_u64(b, at, first_rowid);
-        write_u32(b, at + 8, child);
-        write_u16(b, 2, (count + 1) as u16);
-    }
-
-    pub fn entries(page: &PageBuf) -> Result<Vec<(u64, PageId)>, PageCorrupt> {
-        let b = page.as_bytes();
-        if b[0] != KIND_INTERNAL {
-            return Err(PageCorrupt(format!(
-                "expected internal node, kind byte {}",
-                b[0]
-            )));
-        }
-        let count = Self::entry_count(page);
-        if INTERNAL_HEADER + count * INTERNAL_ENTRY > PAGE_SIZE {
-            return Err(PageCorrupt(format!(
-                "internal entry count {count} overflows"
-            )));
-        }
-        Ok((0..count)
-            .map(|i| {
-                let at = INTERNAL_HEADER + i * INTERNAL_ENTRY;
-                (read_u64(b, at), read_u32(b, at + 8))
-            })
-            .collect())
-    }
-
-    /// The child covering `rowid`: last entry with `first_rowid <= rowid`.
-    pub(crate) fn child_for(page: &PageBuf, rowid: u64) -> Result<Option<PageId>, PageCorrupt> {
-        let entries = Self::entries(page)?;
-        Ok(entries
-            .iter()
-            .take_while(|(first, _)| *first <= rowid)
-            .last()
-            .or(entries.first())
-            .map(|(_, child)| *child))
-    }
-
-    /// The first (leftmost) child — the entry of the scan chain.
-    pub(crate) fn first_child(page: &PageBuf) -> Result<Option<PageId>, PageCorrupt> {
-        Ok(Self::entries(page)?.first().map(|(_, c)| *c))
-    }
-
-    /// The last (rightmost) child — the insert path of an append-only tree.
-    pub(crate) fn last_child(page: &PageBuf) -> Result<Option<PageId>, PageCorrupt> {
-        Ok(Self::entries(page)?.last().map(|(_, c)| *c))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -300,8 +202,11 @@ impl Internal {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableMeta {
     pub name: String,
-    /// Root page of the table's B+tree (a leaf until the first split).
-    pub root: PageId,
+    /// Head of the table's leaf chain: the page the table was created with,
+    /// where every scan starts.
+    pub first_leaf: PageId,
+    /// Tail of the leaf chain, where inserts append.
+    pub last_leaf: PageId,
     /// Next rowid to assign (rowids start at 1 and only grow).
     pub next_rowid: u64,
     /// First rowid of the most recent commit batch (0 = no batch yet) — the
@@ -310,6 +215,10 @@ pub struct TableMeta {
     /// Rows in the most recent commit batch.
     pub last_batch_rows: u32,
 }
+
+/// Bytes of a directory entry after its name: first and last leaf, rowid
+/// counter, last batch start and rows.
+const ENTRY_FIELDS: usize = 4 + 4 + 8 + 8 + 4;
 
 /// Typed view over page 0.
 pub(crate) struct Directory;
@@ -332,17 +241,18 @@ impl Directory {
             let name = t.name.as_bytes();
             assert!(name.len() <= u8::MAX as usize, "table name too long");
             assert!(
-                at + 1 + name.len() + 4 + 8 + 8 + 4 <= PAGE_SIZE,
+                at + 1 + name.len() + ENTRY_FIELDS <= PAGE_SIZE,
                 "table directory overflows page 0"
             );
             b[at] = name.len() as u8;
             b[at + 1..at + 1 + name.len()].copy_from_slice(name);
             at += 1 + name.len();
-            write_u32(b, at, t.root);
-            write_u64(b, at + 4, t.next_rowid);
-            write_u64(b, at + 12, t.last_batch_start);
-            write_u32(b, at + 20, t.last_batch_rows);
-            at += 24;
+            write_u32(b, at, t.first_leaf);
+            write_u32(b, at + 4, t.last_leaf);
+            write_u64(b, at + 8, t.next_rowid);
+            write_u64(b, at + 16, t.last_batch_start);
+            write_u32(b, at + 24, t.last_batch_rows);
+            at += ENTRY_FIELDS;
         }
     }
 
@@ -363,7 +273,7 @@ impl Directory {
                 return Err(PageCorrupt("directory entry overflows".into()));
             }
             let name_len = b[at] as usize;
-            if at + 1 + name_len + 24 > PAGE_SIZE {
+            if at + 1 + name_len + ENTRY_FIELDS > PAGE_SIZE {
                 return Err(PageCorrupt("directory entry overflows".into()));
             }
             let name = std::str::from_utf8(&b[at + 1..at + 1 + name_len])
@@ -372,12 +282,13 @@ impl Directory {
             at += 1 + name_len;
             tables.push(TableMeta {
                 name,
-                root: read_u32(b, at),
-                next_rowid: read_u64(b, at + 4),
-                last_batch_start: read_u64(b, at + 12),
-                last_batch_rows: read_u32(b, at + 20),
+                first_leaf: read_u32(b, at),
+                last_leaf: read_u32(b, at + 4),
+                next_rowid: read_u64(b, at + 8),
+                last_batch_start: read_u64(b, at + 16),
+                last_batch_rows: read_u32(b, at + 24),
             });
-            at += 24;
+            at += ENTRY_FIELDS;
         }
         Ok((page_count, tables))
     }
@@ -400,8 +311,6 @@ mod tests {
         let cells = Leaf::cells(&page).unwrap();
         assert_eq!(cells.len(), 5);
         assert_eq!(cells[2], (3, vec![3u8; 10]));
-        assert_eq!(Leaf::get(&page, 4).unwrap(), Some(vec![4u8; 10]));
-        assert_eq!(Leaf::get(&page, 9).unwrap(), None);
         Leaf::set_next_leaf(&mut page, 7);
         assert_eq!(Leaf::next_leaf(&page), Some(7));
         assert!(!Leaf::split_origin(&page));
@@ -443,35 +352,21 @@ mod tests {
     }
 
     #[test]
-    fn internal_entries_and_child_selection() {
-        let mut page = PageBuf::default();
-        Internal::init(&mut page);
-        Internal::push_entry(&mut page, 1, 10);
-        Internal::push_entry(&mut page, 50, 11);
-        Internal::push_entry(&mut page, 90, 12);
-        assert_eq!(Internal::entry_count(&page), 3);
-        assert_eq!(Internal::child_for(&page, 1).unwrap(), Some(10));
-        assert_eq!(Internal::child_for(&page, 49).unwrap(), Some(10));
-        assert_eq!(Internal::child_for(&page, 50).unwrap(), Some(11));
-        assert_eq!(Internal::child_for(&page, 1000).unwrap(), Some(12));
-        assert_eq!(Internal::first_child(&page).unwrap(), Some(10));
-        assert_eq!(Internal::last_child(&page).unwrap(), Some(12));
-    }
-
-    #[test]
     fn directory_round_trips() {
         let mut page = PageBuf::default();
         let tables = vec![
             TableMeta {
                 name: "T1".into(),
-                root: 3,
+                first_leaf: 3,
+                last_leaf: 11,
                 next_rowid: 151,
                 last_batch_start: 129,
                 last_batch_rows: 22,
             },
             TableMeta {
                 name: "GoodsDim".into(),
-                root: 9,
+                first_leaf: 9,
+                last_leaf: 9,
                 next_rowid: 8,
                 last_batch_start: 1,
                 last_batch_rows: 7,
@@ -481,5 +376,10 @@ mod tests {
         let (pages, back) = Directory::decode(&page).unwrap();
         assert_eq!(pages, 12);
         assert_eq!(back, tables);
+        let chain_ends = |t: &TableMeta| (t.first_leaf, t.last_leaf);
+        assert_eq!(
+            back.iter().map(chain_ends).collect::<Vec<_>>(),
+            [(3, 11), (9, 9)]
+        );
     }
 }

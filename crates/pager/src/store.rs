@@ -1,10 +1,13 @@
-//! The disk store: table heaps as append-only B+trees over a buffer pool,
-//! committed through the WAL, with crash-point injection.
+//! The disk store: table heaps as append-only leaf chains over a buffer
+//! pool, committed through the WAL, with crash-point injection.
 //!
 //! A store is a directory holding two files:
 //!
 //! * `data.tqs` — the page file. Page 0 is the table directory; every other
-//!   page is a B+tree leaf or internal node.
+//!   page is a leaf. Each table is a rowid-ordered chain of leaves linked by
+//!   their next-leaf pointers: inserts append to the last leaf, scans follow
+//!   the chain from the first. Nothing searches by key, so no page indexes
+//!   the leaves.
 //! * `wal.tqs` — the write-ahead log. Emptied by a checkpoint at the end of
 //!   every successful commit and on recovery, so it carries at most the one
 //!   in-flight batch.
@@ -23,9 +26,7 @@
 //! whose commit record was fsynced (3) survive a crash at any later point;
 //! batches that never reached (3) vanish entirely.
 
-use crate::page::{
-    Directory, Internal, Leaf, PageBuf, PageCorrupt, PageId, TableMeta, KIND_INTERNAL, KIND_LEAF,
-};
+use crate::page::{Directory, Leaf, PageBuf, PageCorrupt, PageId, TableMeta, KIND_LEAF};
 use crate::pool::{BufferPool, DataFile, PoolStats};
 use crate::rowcodec::{decode_row, encode_row};
 use crate::wal::{RecoveryStats, Wal};
@@ -276,7 +277,8 @@ impl DiskStore {
         id
     }
 
-    /// Register a table with an empty root leaf. Durable at the next commit.
+    /// Register a table with an empty leaf, the head and tail of its chain.
+    /// Durable at the next commit.
     pub fn create_table(&mut self, name: &str) -> io::Result<()> {
         self.check_poisoned()?;
         if self.tables.iter().any(|t| t.name == name) {
@@ -285,12 +287,13 @@ impl DiskStore {
                 format!("table {name} already exists"),
             ));
         }
-        let root = self.alloc_page();
-        let idx = self.pool.fetch(&mut self.data, root)?;
+        let leaf = self.alloc_page();
+        let idx = self.pool.fetch(&mut self.data, leaf)?;
         Leaf::init(self.pool.page_mut(idx));
         self.tables.push(TableMeta {
             name: name.to_string(),
-            root,
+            first_leaf: leaf,
+            last_leaf: leaf,
             next_rowid: 1,
             last_batch_start: 0,
             last_batch_rows: 0,
@@ -298,8 +301,9 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Insert `rows` as one commit batch: assign rowids, grow the B+tree,
-    /// then run the full commit protocol (including any armed crash).
+    /// Insert `rows` as one commit batch: assign rowids, append them to the
+    /// leaf chain, then run the full commit protocol (including any armed
+    /// crash).
     pub fn insert_batch(&mut self, table: &str, rows: &[Vec<Value>]) -> io::Result<()> {
         self.check_poisoned()?;
         let ti = self.table_index(table)?;
@@ -310,8 +314,7 @@ impl DiskStore {
             self.tables[ti].next_rowid += 1;
             payload.clear();
             encode_row(row, &mut payload);
-            let buf = payload.clone();
-            self.tree_insert(ti, rowid, &buf)?;
+            self.append(ti, rowid, &payload)?;
         }
         if !rows.is_empty() {
             self.tables[ti].last_batch_start = first;
@@ -320,71 +323,35 @@ impl DiskStore {
         self.commit()
     }
 
-    fn tree_insert(&mut self, ti: usize, rowid: u64, payload: &[u8]) -> io::Result<()> {
-        // Descend the right edge, remembering the internal path.
-        let mut path: Vec<PageId> = Vec::new();
-        let mut cur = self.tables[ti].root;
-        loop {
-            let idx = self.pool.fetch(&mut self.data, cur)?;
-            match self.pool.page(idx).kind() {
-                KIND_LEAF => break,
-                KIND_INTERNAL => {
-                    path.push(cur);
-                    cur = Internal::last_child(self.pool.page(idx))
-                        .map_err(corrupt)?
-                        .ok_or_else(|| invalid("internal node with no children"))?;
-                }
-                k => return Err(invalid(format!("unexpected page kind {k} on insert path"))),
-            }
+    fn append(&mut self, ti: usize, rowid: u64, payload: &[u8]) -> io::Result<()> {
+        let tail = self.tables[ti].last_leaf;
+        let idx = self.pool.fetch(&mut self.data, tail)?;
+        let kind = self.pool.page(idx).kind();
+        if kind != KIND_LEAF {
+            return Err(invalid(format!(
+                "unexpected page kind {kind} at a chain's tail"
+            )));
         }
-        let idx = self.pool.fetch(&mut self.data, cur)?;
         if Leaf::fits(self.pool.page(idx), payload.len()) {
             Leaf::push_cell(self.pool.page_mut(idx), rowid, payload);
             return Ok(());
         }
-        // Right-edge split: the full leaf keeps its cells and gains the
-        // split-origin mark; the new row opens a fresh right sibling.
+        // Split: the full leaf keeps its cells and gains the split-origin
+        // mark; the new row opens a fresh right sibling, the new tail.
         let new_leaf = self.alloc_page();
-        let idx = self.pool.fetch(&mut self.data, cur)?;
+        let idx = self.pool.fetch(&mut self.data, tail)?;
         Leaf::mark_split_origin(self.pool.page_mut(idx));
         Leaf::set_next_leaf(self.pool.page_mut(idx), new_leaf);
         let idx = self.pool.fetch(&mut self.data, new_leaf)?;
         Leaf::init(self.pool.page_mut(idx));
         Leaf::push_cell(self.pool.page_mut(idx), rowid, payload);
-        // Thread the new child up the path, splitting full internals.
-        let mut carry = new_leaf;
-        loop {
-            match path.pop() {
-                Some(parent) => {
-                    let idx = self.pool.fetch(&mut self.data, parent)?;
-                    if Internal::fits(self.pool.page(idx)) {
-                        Internal::push_entry(self.pool.page_mut(idx), rowid, carry);
-                        return Ok(());
-                    }
-                    let sibling = self.alloc_page();
-                    let idx = self.pool.fetch(&mut self.data, sibling)?;
-                    Internal::init(self.pool.page_mut(idx));
-                    Internal::push_entry(self.pool.page_mut(idx), rowid, carry);
-                    carry = sibling;
-                }
-                None => {
-                    // The tree grew past its root.
-                    let old_root = self.tables[ti].root;
-                    let new_root = self.alloc_page();
-                    let idx = self.pool.fetch(&mut self.data, new_root)?;
-                    Internal::init(self.pool.page_mut(idx));
-                    Internal::push_entry(self.pool.page_mut(idx), 0, old_root);
-                    Internal::push_entry(self.pool.page_mut(idx), rowid, carry);
-                    self.tables[ti].root = new_root;
-                    return Ok(());
-                }
-            }
-        }
+        self.tables[ti].last_leaf = new_leaf;
+        Ok(())
     }
 
     /// Empty `table` as one commit batch: its first leaf becomes an empty
-    /// root again, rowids restart at 1, and every other page of its tree is
-    /// reclaimed — dropped from the pool, then cut off the data file once
+    /// chain again, rowids restart at 1, and every other leaf of the chain
+    /// is reclaimed — dropped from the pool, then cut off the data file once
     /// the batch has committed. The store keeps no free list, so those pages
     /// must be the most recently allocated ones (nothing else grew since the
     /// table did); otherwise nothing changes and the call fails with
@@ -392,7 +359,13 @@ impl DiskStore {
     pub fn truncate_table(&mut self, table: &str) -> io::Result<()> {
         self.check_poisoned()?;
         let ti = self.table_index(table)?;
-        let (first_leaf, mut others) = self.tree_pages(self.tables[ti].root)?;
+        let first_leaf = self.tables[ti].first_leaf;
+        let mut others = Vec::new();
+        let mut next = self.next_leaf(first_leaf)?;
+        while let Some(id) = next {
+            others.push(id);
+            next = self.next_leaf(id)?;
+        }
         others.sort_unstable();
         let keep = self.page_count.saturating_sub(others.len() as u32);
         if !others.iter().copied().eq(keep..self.page_count) {
@@ -408,7 +381,7 @@ impl DiskStore {
         let idx = self.pool.fetch(&mut self.data, first_leaf)?;
         Leaf::init(self.pool.page_mut(idx));
         let meta = &mut self.tables[ti];
-        meta.root = first_leaf;
+        meta.last_leaf = first_leaf;
         meta.next_rowid = 1;
         meta.last_batch_start = 0;
         meta.last_batch_rows = 0;
@@ -416,33 +389,9 @@ impl DiskStore {
         self.data.truncate_pages(self.page_count)
     }
 
-    /// The pages of the tree rooted at `root`: its leftmost leaf (the page
-    /// the table was created with — splits only ever add right siblings and
-    /// new roots), and all the others.
-    fn tree_pages(&mut self, root: PageId) -> io::Result<(PageId, Vec<PageId>)> {
-        let mut first_leaf = None;
-        let mut others = Vec::new();
-        // Depth-first, leftmost child first, so the first leaf met is the
-        // leftmost one.
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            let idx = self.pool.fetch(&mut self.data, id)?;
-            match self.pool.page(idx).kind() {
-                KIND_LEAF if first_leaf.is_none() => {
-                    first_leaf = Some(id);
-                    continue;
-                }
-                KIND_LEAF => {}
-                KIND_INTERNAL => {
-                    let entries = Internal::entries(self.pool.page(idx)).map_err(corrupt)?;
-                    stack.extend(entries.iter().rev().map(|&(_, child)| child));
-                }
-                k => return Err(invalid(format!("unexpected page kind {k} in a table tree"))),
-            }
-            others.push(id);
-        }
-        let first_leaf = first_leaf.ok_or_else(|| invalid("table tree has no leaf"))?;
-        Ok((first_leaf, others))
+    fn next_leaf(&mut self, id: PageId) -> io::Result<Option<PageId>> {
+        let idx = self.pool.fetch(&mut self.data, id)?;
+        Ok(Leaf::next_leaf(self.pool.page(idx)))
     }
 
     /// Run the commit protocol over every dirty page (see the module docs).
@@ -508,28 +457,14 @@ impl DiskStore {
         )))
     }
 
-    /// Scan `table` leaf-by-leaf in rowid order.
+    /// Scan `table` leaf-by-leaf in rowid order, following the chain from
+    /// its first leaf.
     pub fn scan(&mut self, table: &str) -> io::Result<TableScan> {
         self.check_poisoned()?;
-        let ti = self.table_index(table)?;
-        let meta = self.tables[ti].clone();
-        // Descend to the leftmost leaf…
-        let mut cur = meta.root;
-        loop {
-            let idx = self.pool.fetch(&mut self.data, cur)?;
-            match self.pool.page(idx).kind() {
-                KIND_LEAF => break,
-                KIND_INTERNAL => {
-                    cur = Internal::first_child(self.pool.page(idx))
-                        .map_err(corrupt)?
-                        .ok_or_else(|| invalid("internal node with no children"))?;
-                }
-                k => return Err(invalid(format!("unexpected page kind {k} on scan path"))),
-            }
-        }
-        // …then follow the next-leaf chain.
+        let meta = &self.tables[self.table_index(table)?];
+        let (last_batch_start, last_batch_rows) = (meta.last_batch_start, meta.last_batch_rows);
         let mut leaves = Vec::new();
-        let mut next = Some(cur);
+        let mut next = Some(meta.first_leaf);
         while let Some(id) = next {
             let idx = self.pool.fetch(&mut self.data, id)?;
             let page = self.pool.page(idx);
@@ -549,34 +484,9 @@ impl DiskStore {
         }
         Ok(TableScan {
             leaves,
-            last_batch_start: meta.last_batch_start,
-            last_batch_rows: meta.last_batch_rows,
+            last_batch_start,
+            last_batch_rows,
         })
-    }
-
-    /// Point lookup by rowid, descending the tree (no chain walk).
-    pub fn get(&mut self, table: &str, rowid: u64) -> io::Result<Option<Vec<Value>>> {
-        self.check_poisoned()?;
-        let ti = self.table_index(table)?;
-        let mut cur = self.tables[ti].root;
-        loop {
-            let idx = self.pool.fetch(&mut self.data, cur)?;
-            match self.pool.page(idx).kind() {
-                KIND_LEAF => {
-                    return Leaf::get(self.pool.page(idx), rowid)
-                        .map_err(corrupt)?
-                        .map(|payload| decode_row(&payload).map_err(invalid))
-                        .transpose();
-                }
-                KIND_INTERNAL => {
-                    match Internal::child_for(self.pool.page(idx), rowid).map_err(corrupt)? {
-                        Some(child) => cur = child,
-                        None => return Ok(None),
-                    }
-                }
-                k => return Err(invalid(format!("unexpected page kind {k} on lookup path"))),
-            }
-        }
     }
 }
 
@@ -646,8 +556,6 @@ mod tests {
             assert_eq!(*rowid, i as u64 + 1, "rowids contiguous in order");
             assert_eq!(r, &row(i as u64 + 1));
         }
-        assert_eq!(store.get("T1", 97).unwrap(), Some(row(97)));
-        assert_eq!(store.get("T1", 151).unwrap(), None);
         assert_eq!(store.rows_inserted("T1").unwrap(), 150);
         let evictions = store.pool_stats().evictions;
         assert!(evictions > 0, "a 4-frame pool over 150 rows must evict");
@@ -656,7 +564,28 @@ mod tests {
         let (mut back, stats) = DiskStore::open(&t.0, 4).unwrap();
         assert_eq!(stats.batches_replayed, 0, "clean close leaves no WAL");
         assert_eq!(back.scan("T1").unwrap().into_rows(), got);
-        assert_eq!(back.get("T2", 3).unwrap(), Some(row(3)));
+        assert_eq!(back.scan("T2").unwrap().into_rows()[2], (3, row(3)));
+    }
+
+    #[test]
+    fn a_scan_fetches_one_page_per_leaf_and_a_load_one_per_row() {
+        let t = TempDir::new("traffic");
+        let mut store = DiskStore::create(&t.0, DEFAULT_POOL_FRAMES).unwrap();
+        store.create_table("T").unwrap();
+        let fetches = |s: &DiskStore| s.pool_stats().hits + s.pool_stats().misses;
+        let rows: Vec<Vec<Value>> = (1..=1000).map(row).collect();
+        for chunk in rows.chunks(48) {
+            store.insert_batch("T", chunk).unwrap();
+        }
+        // One fetch per row (its tail leaf) plus, per split, the full leaf
+        // again and its new sibling; one directory fetch per commit (21) and
+        // one when the table was created.
+        let loaded = fetches(&store);
+        assert_eq!(loaded, 1000 + 31 * 2 + 21 + 1);
+        let scan = store.scan("T").unwrap();
+        assert_eq!(scan.leaves.len(), 32);
+        assert_eq!(store.page_count(), 1 + 32, "the directory and the leaves");
+        assert_eq!(fetches(&store) - loaded, scan.leaves.len());
     }
 
     #[test]
@@ -720,7 +649,7 @@ mod tests {
         let base = store.scan("Base").unwrap();
         let empty_log = store.scan("Log").unwrap();
         for _ in 0..3 {
-            // 100 rows split the log's root twice over: leaves and a new root.
+            // 100 rows in 32-cell leaves grow the log's chain by three leaves.
             for chunk in rows.chunks(30) {
                 store.insert_batch("Log", chunk).unwrap();
             }

@@ -33,6 +33,10 @@ use tqs_storage::{result_tail, ResultSet, Row, TailError};
 #[derive(Debug, Clone, PartialEq)]
 pub enum GtError {
     UnknownTable(String),
+    /// The FROM clause repeats a binding (see
+    /// [`tqs_sql::ast::FromClause::repeated_binding`]); engines reject the
+    /// statement the same way.
+    NotUniqueTable(String),
     Unsupported(String),
     Eval(EvalError),
 }
@@ -41,6 +45,7 @@ impl std::fmt::Display for GtError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GtError::UnknownTable(t) => write!(f, "unknown table `{t}`"),
+            GtError::NotUniqueTable(b) => write!(f, "not unique table/alias: `{b}`"),
             GtError::Unsupported(m) => write!(f, "unsupported for ground truth: {m}"),
             GtError::Eval(e) => write!(f, "evaluation error: {e}"),
         }
@@ -113,6 +118,9 @@ impl<'a> GroundTruthEvaluator<'a> {
                 return Err(GtError::Unsupported(format!("self-join on {table}")));
             }
             bindings.push((tref.binding().to_string(), table));
+        }
+        if let Some(b) = stmt.from.repeated_binding() {
+            return Err(GtError::NotUniqueTable(b.to_string()));
         }
 
         // Visible bindings: everything except the right side of semi/anti
@@ -578,6 +586,28 @@ mod tests {
                 .evaluate(&parse_stmt("SELECT T1.orderId FROM T1 LIMIT 3").unwrap()),
             Err(GtError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn a_repeated_binding_is_not_unique() {
+        let d = db();
+        let goods = d.table_with_pk("goodsId").unwrap().name.clone();
+        for (sql, binding) in [
+            (
+                format!("SELECT * FROM T1 AS x INNER JOIN {goods} AS x ON x.RowID = x.RowID"),
+                "x",
+            ),
+            (
+                format!("SELECT * FROM T1 AS g CROSS JOIN {goods} AS G"),
+                "G",
+            ),
+        ] {
+            let err = GroundTruthEvaluator::new(&d)
+                .evaluate(&parse_stmt(&sql).unwrap())
+                .unwrap_err();
+            assert_eq!(err, GtError::NotUniqueTable(binding.into()), "{sql}");
+            assert!(err.to_string().contains("not unique table/alias"));
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //!   join bitmap index with jump intersection.
 //! * [`noise`] — noise injection with wide-table synchronization (§3.2).
 //! * [`groundtruth`] — ground-truth result recovery per Table 2 (§3.4).
-//! * `schemagraph` — the schema graph `G_s` walked by the query generator.
 
 pub mod bitmap;
 pub mod fd;
@@ -18,14 +17,12 @@ pub mod groundtruth;
 pub mod noise;
 pub mod normalize;
 pub(crate) mod rowmap;
-pub(crate) mod schemagraph;
 
 pub use fd::{FdDiscoveryConfig, FdSet};
 pub use groundtruth::{GroundTruth, GroundTruthEvaluator, GtError};
 pub use noise::{inject_noise, NoiseConfig, NoiseRecord};
 pub use normalize::{normalize, NormalizedDb};
 pub use rowmap::RowIdMap;
-pub use schemagraph::{ColumnVertex, JoinEdge, SchemaGraph};
 
 #[cfg(test)]
 mod proptests {

@@ -494,6 +494,20 @@ impl FromClause {
         v.extend(self.joins.iter().map(|j| &j.table));
         v
     }
+
+    /// The first binding (alias, or table name when unaliased) that repeats
+    /// an earlier one, compared case-blind: such a FROM clause is not a
+    /// valid statement, as no reference to that binding is unambiguous.
+    pub fn repeated_binding(&self) -> Option<&str> {
+        let tables = self.tables();
+        tables.iter().enumerate().find_map(|(i, t)| {
+            let b = t.binding();
+            tables[..i]
+                .iter()
+                .any(|e| e.binding().eq_ignore_ascii_case(b))
+                .then_some(b)
+        })
+    }
 }
 
 /// Ordering direction.

@@ -47,7 +47,7 @@ fn columnar_connector_seeded_builds_conform() {
 
 #[test]
 fn disk_connector_pristine_builds_conform() {
-    // The third engine executes over the B+tree page store; fault-free it
+    // The third engine executes over the leaf-chain page store; fault-free it
     // must satisfy the exact contract of the in-memory engines.
     every_profile_conforms(EngineKind::Disk, BuildSpec::Pristine);
 }
@@ -95,7 +95,7 @@ fn every_cell_of_the_connector_matrix_reports_and_restores_the_same_way() {
                     ("TiDB-like [disk]", "5.4.0-sim-disk"),
                     ("X-DB-like [disk]", "beta 8.0.18-sim-disk"),
                 ],
-                Some("-> executor: disk (B+tree page store, 24-frame buffer pool, WAL)\n"),
+                Some("-> executor: disk (leaf-chain page store, 24-frame buffer pool, WAL)\n"),
             ),
         }
     };

@@ -48,7 +48,7 @@ fn connecting_a_disk_engine_commits_nothing_beyond_the_load() {
     let connect_only = fsyncs_of(|| {
         EngineKind::Disk.faulty(ProfileId::MysqlLike);
     });
-    // Every row of one table deleted: the DML log grows past its root leaf.
+    // Every row of one table deleted: the DML log grows past its first leaf.
     let table = &d.db.catalog.table_names()[0];
     assert!(d.db.catalog.table(table).unwrap().rows.len() > tqs_pager::MAX_LEAF_CELLS);
     let delete = parse_dml(&format!("DELETE FROM {table}")).unwrap();

@@ -1,5 +1,5 @@
 //! Cross-engine parity property: on fault-free profiles, the disk engine
-//! (B+tree page store, buffer pool, WAL) and the row engine produce
+//! (leaf-chain page store, buffer pool, WAL) and the row engine produce
 //! identical result bags for generated `SelectStmt`s — the invariant that
 //! lets a pristine build of either engine referee the other in cross-engine
 //! and three-way differential testing.
@@ -39,7 +39,7 @@ proptest! {
 
     /// Row and disk engines agree statement-for-statement (default plan and
     /// every hint-set transformation) on fault-free builds. The disk engine
-    /// round-trips every row through the row codec, the B+tree heap and the
+    /// round-trips every row through the row codec, the leaf-chain heap and the
     /// buffer pool, so this property also certifies the storage stack
     /// itself: any codec/split/eviction defect shows up as a bag mismatch.
     #[test]
