@@ -521,6 +521,109 @@ mod tests {
         assert!(!out.result.same_bag(&clean.result));
     }
 
+    /// The misaligned NULL mask on right and full outer joins: the first
+    /// pad — a left-side pad for RIGHT OUTER, the unmatched left row's
+    /// right-side pad for FULL OUTER — replays the other side's row 0, and
+    /// every later pad stays NULL.
+    #[test]
+    fn null_pad_misalignment_corrupts_right_and_full_outer_pads() {
+        let faulty = || {
+            ColumnarDatabase::new(
+                catalog(),
+                DbmsProfile {
+                    faults: FaultSet::of(&[FaultKind::ColumnarNullPadMisalign]),
+                    ..DbmsProfile::columnar(ProfileId::MysqlLike)
+                },
+            )
+        };
+        let cells = |out: &ExecOutcome| -> Vec<Vec<Value>> {
+            let mut rows: Vec<Vec<Value>> =
+                out.result.rows.iter().map(|r| r.values.clone()).collect();
+            rows.sort_by_key(|r| format!("{r:?}"));
+            rows
+        };
+        let (i, s, null) = (Value::Int, Value::str, Value::Null);
+        // t2.id = 30 matches nothing: its left-side pad replays t1's row 0.
+        let q = "SELECT t1.id, t2.col1 FROM t1 RIGHT OUTER JOIN t2 ON t1.col1 = t2.id";
+        let out = faulty().execute_sql(q).unwrap();
+        assert_eq!(out.fired, vec![FaultKind::ColumnarNullPadMisalign]);
+        let clean = columnar(ProfileId::MysqlLike).execute_sql(q).unwrap();
+        assert_eq!(
+            cells(&clean),
+            vec![
+                vec![i(1), s("a")],
+                vec![i(2), s("b")],
+                vec![null.clone(), s("c")]
+            ]
+        );
+        assert_eq!(
+            cells(&out),
+            vec![vec![i(1), s("a")], vec![i(1), s("c")], vec![i(2), s("b")]]
+        );
+        // t1's NULL row pads first and replays t2's row 0; t2.id = 30 pads
+        // second, with NULLs.
+        let q = "SELECT t1.id, t2.col1 FROM t1 FULL OUTER JOIN t2 ON t1.col1 = t2.id";
+        let out = faulty().execute_sql(q).unwrap();
+        assert_eq!(out.fired, vec![FaultKind::ColumnarNullPadMisalign]);
+        let clean = columnar(ProfileId::MysqlLike).execute_sql(q).unwrap();
+        assert_eq!(
+            cells(&clean),
+            vec![
+                vec![i(1), s("a")],
+                vec![i(2), s("b")],
+                vec![i(3), null.clone()],
+                vec![null.clone(), s("c")]
+            ]
+        );
+        assert_eq!(
+            cells(&out),
+            vec![
+                vec![i(1), s("a")],
+                vec![i(2), s("b")],
+                vec![i(3), s("a")],
+                vec![null, s("c")]
+            ]
+        );
+    }
+
+    /// The batch-tail fault fires only on a partial last batch, and only
+    /// under a plan whose algorithm hashes its keys.
+    #[test]
+    fn batch_tail_drop_stays_silent_on_whole_batches_and_merge_plans() {
+        let q = "SELECT t1.id, t2.col1 FROM t1 LEFT OUTER JOIN t2 ON t1.col1 = t2.id";
+        let stmt = parse_stmt(q).unwrap();
+        let run = |batch_size: usize, hints: Option<HintSet>| {
+            let mut db = ColumnarDatabase::new(
+                catalog(),
+                DbmsProfile {
+                    faults: FaultSet::of(&[FaultKind::ColumnarBatchTailDrop]),
+                    ..DbmsProfile::columnar(ProfileId::MysqlLike)
+                },
+            );
+            db.batch_size = batch_size;
+            match hints {
+                Some(h) => db.execute_with_hints(&stmt, &h).unwrap(),
+                None => db.execute(&stmt).unwrap(),
+            }
+        };
+        let clean = columnar(ProfileId::MysqlLike).execute(&stmt).unwrap();
+        // t1's 3 probe rows are exactly one batch of 3: nothing is cut.
+        let whole = run(3, None);
+        assert!(whole.fired.is_empty(), "{:?}", whole.fired);
+        assert!(whole.result.same_bag(&clean.result));
+        // A batch of 2 leaves a partial tail, but a merge plan never
+        // batches its probe.
+        let merge = HintSet::new("merge").with_hint(tqs_sql::hints::Hint::MergeJoin(vec![]));
+        let merged = run(2, Some(merge));
+        assert_eq!(merged.plan.joins[0].algo, JoinAlgo::SortMergeJoin);
+        assert!(merged.fired.is_empty(), "{:?}", merged.fired);
+        assert!(merged.result.same_bag(&clean.result));
+        // …while the default (hashed) plan with the same batch does cut it.
+        assert!(run(2, None)
+            .fired
+            .contains(&FaultKind::ColumnarBatchTailDrop));
+    }
+
     #[test]
     fn filter_null_as_true_keeps_a_batch_tail_lane() {
         let mut db = ColumnarDatabase::new(
