@@ -1,37 +1,37 @@
 //! The second simulated engine: a columnar, batch-at-a-time executor.
 //!
-//! [`ColumnarDatabase`] runs over the same row-id relations as
-//! [`crate::engine::Database`] ([`crate::exec::Rel`]: ids into the
-//! `Arc`-shared tables, values read in place) and differs in its kernel:
-//! joins and WHERE filtering run in probe batches of `batch_size` rows —
-//! hashed joins encode and probe a whole batch of keys at a time, and simple
-//! `column <op> literal` conjuncts are evaluated as tight per-column loops
-//! over a selection bitmap instead of through the reference evaluator.
+//! [`ColumnarDatabase`] shares everything but its kernel with
+//! [`crate::engine::Database`]: the session front ([`Engine`]), the optimizer
+//! ([`Database::plan`]), the statement pipeline (`Database::execute_plan`)
+//! over row-id relations ([`crate::exec::Rel`]), the one join step
+//! ([`crate::exec::execute_join`]), the subquery machinery and the
+//! projection/aggregation tail. Its kernel ([`Kernel`]) supplies two things:
 //!
-//! Both engines share the session front ([`Engine`]), the optimizer
-//! ([`Database::plan`]), the statement pipeline (`Database::execute_plan`),
-//! the subquery machinery and the projection/aggregation tail; this module
-//! supplies only the kernel the pipeline runs with. So on fault-free builds
-//! they are answer-identical by construction of the shared semantics — a
-//! property the workspace pins with a proptest. What differs is the physical
-//! execution — and therefore the *fault complement*: the columnar build
-//! carries [`FaultKind::COLUMNAR`] (batch-tail loss, NULL-mask misalignment,
-//! dictionary truncation, selection-bitmap corruption), which cannot occur in
-//! the row engine, and none of the Table 4 row faults. That disjointness is
-//! what makes cross-engine differential testing (`DifferentialOracle` in
-//! tqs-core) a meaningful oracle.
+//! * a probe batch of `batch_size` rows for the join step: every equi join
+//!   is the hashed probe whatever the plan's algorithm, and the batch is
+//!   where the batch-tail fault cuts the probe side;
+//! * a vectorized WHERE: `column <op> literal` conjuncts run as tight
+//!   per-column loops over a selection bitmap instead of through the
+//!   reference evaluator, in lanes of `batch_size` rows.
+//!
+//! So on fault-free builds the two engines are answer-identical by
+//! construction of the shared semantics — a property the workspace pins
+//! with a proptest. What differs is the *fault complement*: the columnar
+//! build carries [`FaultKind::COLUMNAR`] (batch-tail loss, NULL-mask
+//! misalignment, dictionary truncation, selection-bitmap corruption) and
+//! none of the Table 4 row faults. The join step holds both complements'
+//! interception points and each build's fault set decides which can fire;
+//! that disjointness is what makes cross-engine differential testing
+//! (`DifferentialOracle` in tqs-core) a meaningful oracle.
 
 use crate::dml::DmlOutcome;
 use crate::engine::{Database, Engine, EngineError, EngineSubqueries, ExecOutcome, Kernel};
-use crate::exec::{
-    build_table, col_index, extract_equi_keys, residual_ok, ColumnSlots, ExecContext, Executor, Rel,
-};
+use crate::exec::{col_index, ColumnSlots, ExecContext, Executor, Rel};
 use crate::faults::{FaultKind, TriggerContext};
-use crate::plan::PhysicalJoin;
 use crate::profiles::DbmsProfile;
-use tqs_sql::ast::{BinOp, DmlStmt, Expr, JoinType, SelectStmt};
-use tqs_sql::eval::eval_predicate;
-use tqs_sql::value::{null_safe_eq, sql_compare, KeyBuf, SqlCmp, Value};
+use tqs_sql::ast::{BinOp, DmlStmt, Expr, SelectStmt};
+use tqs_sql::eval::{compare, eval_predicate};
+use tqs_sql::value::Value;
 use tqs_storage::Catalog;
 
 /// Default number of rows per probe/filter batch.
@@ -94,18 +94,11 @@ impl Engine for ColumnarDatabase {
     }
 }
 
-/// The columnar kernel: [`columnar_join`] probing in batches, and a
+/// The columnar kernel: the shared join step probing in batches, and a
 /// vectorized WHERE.
 impl Kernel for ColumnarDatabase {
-    fn join(
-        &self,
-        left: &Rel,
-        right: &Rel,
-        join: &PhysicalJoin,
-        on: Option<&Expr>,
-        ctx: &mut ExecContext,
-    ) -> Result<Rel, EngineError> {
-        Ok(columnar_join(left, right, join, on, ctx, self.batch_size))
+    fn probe_batch(&self) -> Option<usize> {
+        Some(self.batch_size)
     }
 
     /// Vectorized WHERE: conjuncts of the form `column <op> literal` run as
@@ -131,7 +124,11 @@ impl Kernel for ColumnarDatabase {
             match vectorizable(c, &rel) {
                 Some((ci, op, lit, reversed)) => {
                     for i in 0..n {
-                        let truth = compare_value(rel.value(i, ci), op, lit, reversed);
+                        let v = rel.value(i, ci);
+                        let truth = match reversed {
+                            true => compare(op, lit, v),
+                            false => compare(op, v, lit),
+                        };
                         self.apply_truth(truth, i, &mut sel, null_as_true, ctx);
                     }
                 }
@@ -190,201 +187,6 @@ fn vectorizable<'a>(e: &'a Expr, rel: &Rel) -> Option<(usize, BinOp, &'a Value, 
         }
         _ => None,
     }
-}
-
-/// Three-valued comparison matching the reference evaluator's `tv_compare`.
-fn compare_value(v: &Value, op: BinOp, lit: &Value, reversed: bool) -> Option<bool> {
-    let (l, r) = if reversed { (lit, v) } else { (v, lit) };
-    if op == BinOp::NullSafeEq {
-        return Some(null_safe_eq(l, r));
-    }
-    if l.is_null() || r.is_null() {
-        return None;
-    }
-    match sql_compare(l, r) {
-        SqlCmp::Ordering(o) => Some(match op {
-            BinOp::Eq => o == std::cmp::Ordering::Equal,
-            BinOp::Ne => o != std::cmp::Ordering::Equal,
-            BinOp::Lt => o == std::cmp::Ordering::Less,
-            BinOp::Le => o != std::cmp::Ordering::Greater,
-            BinOp::Gt => o == std::cmp::Ordering::Greater,
-            BinOp::Ge => o != std::cmp::Ordering::Less,
-            _ => unreachable!("non-comparison op in vectorized kernel"),
-        }),
-        SqlCmp::Unknown => None,
-    }
-}
-
-/// Encode the join key of row `i` of `rel`, columns `key_idx`, into `buf`
-/// (cleared first). Returns `false` for a NULL key (never matches).
-/// The dictionary-truncation fault clips long varchar keys to their first 8
-/// bytes — raw, without the canonical case folding, exactly like the old
-/// `"S:{clip}|"` text segment.
-fn encode_key_into(
-    rel: &Rel,
-    key_idx: &[usize],
-    i: usize,
-    truncate: bool,
-    ctx: &mut ExecContext,
-    buf: &mut KeyBuf,
-) -> bool {
-    buf.clear();
-    for &ci in key_idx {
-        let v = rel.value(i, ci);
-        if v.is_null() {
-            return false;
-        }
-        if truncate {
-            if let Some(s) = v.as_str() {
-                if s.len() > 8 {
-                    // Clip at the last char boundary at or before byte 8 —
-                    // the fault corrupts answers, it must not panic on
-                    // multi-byte UTF-8 data.
-                    let mut cut = 8;
-                    while !s.is_char_boundary(cut) {
-                        cut -= 1;
-                    }
-                    ctx.fire(FaultKind::ColumnarDictTruncation);
-                    buf.push_str_raw(&s[..cut]);
-                    continue;
-                }
-            }
-        }
-        buf.push_canonical(v);
-    }
-    true
-}
-
-/// Execute one physical join step: build a hash table over the build
-/// (right) side, then probe the left side one batch at a time. Non-equi
-/// joins degrade to a (correct) batched nested loop. The output carries row
-/// ids, as the row kernel's does.
-pub(crate) fn columnar_join(
-    left: &Rel,
-    right: &Rel,
-    join: &PhysicalJoin,
-    on: Option<&Expr>,
-    ctx: &mut ExecContext,
-    batch_size: usize,
-) -> Rel {
-    let t = ctx.trigger_ctx(join);
-    let keys = extract_equi_keys(&left.cols, &right.cols, on);
-    let slots = ColumnSlots::pair(&keys.residual, &left.cols, &right.cols);
-    let n_left = left.len();
-
-    // Batch-tail loss: hashed probes past the last complete batch are never
-    // flushed, so those left rows vanish from the join entirely.
-    let mut live_until = n_left;
-    if !keys.left_idx.is_empty()
-        && ctx.faults.active(FaultKind::ColumnarBatchTailDrop, &t)
-        && n_left % batch_size != 0
-        && n_left > batch_size
-    {
-        live_until = (n_left / batch_size) * batch_size;
-        ctx.fire(FaultKind::ColumnarBatchTailDrop);
-    }
-
-    // Match computation.
-    let truncate = ctx.faults.active(FaultKind::ColumnarDictTruncation, &t);
-    let mut matches: Vec<Vec<usize>> = vec![Vec::new(); n_left];
-    if keys.left_idx.is_empty() {
-        // No equi key: batched nested loop (correct for cross/theta joins).
-        for (li, row_matches) in matches.iter_mut().enumerate().take(live_until) {
-            for ri in 0..right.len() {
-                if residual_ok(&keys.residual, &slots, left, li, right, ri) {
-                    row_matches.push(ri);
-                }
-            }
-        }
-    } else {
-        let table = build_table(right.len(), |ri, buf| {
-            encode_key_into(right, &keys.right_idx, ri, truncate, ctx, buf)
-        });
-        let mut scratch = KeyBuf::new();
-        let mut start = 0;
-        while start < live_until {
-            let end = (start + batch_size).min(live_until);
-            for (li, row_matches) in matches[start..end].iter_mut().enumerate() {
-                let li = start + li;
-                if !encode_key_into(left, &keys.left_idx, li, truncate, ctx, &mut scratch) {
-                    continue;
-                }
-                if let Some(bucket) = table.get(&scratch) {
-                    row_matches.extend(
-                        bucket
-                            .iter()
-                            .copied()
-                            .filter(|&ri| residual_ok(&keys.residual, &slots, left, li, right, ri)),
-                    );
-                }
-            }
-            start = end;
-        }
-    }
-
-    // Assemble the output: id tuples.
-    let semi_or_anti = matches!(join.join_type, JoinType::Semi | JoinType::Anti);
-    let mut out = Rel::joined(left, (!semi_or_anti).then_some(right));
-    let (null_left, null_right) = (left.null_tuple(), right.null_tuple());
-    let misalign = ctx.faults.active(FaultKind::ColumnarNullPadMisalign, &t);
-    let mut first_pad = true;
-    let mut right_matched = vec![false; right.len()];
-    for (li, ms) in matches.iter().enumerate().take(live_until) {
-        match join.join_type {
-            JoinType::Inner
-            | JoinType::Cross
-            | JoinType::LeftOuter
-            | JoinType::RightOuter
-            | JoinType::FullOuter => {
-                for &ri in ms {
-                    right_matched[ri] = true;
-                    out.push_ids(left.tuple(li));
-                    out.push_ids(right.tuple(ri));
-                }
-                if ms.is_empty()
-                    && matches!(join.join_type, JoinType::LeftOuter | JoinType::FullOuter)
-                {
-                    out.push_ids(left.tuple(li));
-                    // NULL-mask misalignment: the first padded row replays
-                    // build row 0 instead of NULLs.
-                    if misalign && first_pad && !right.is_empty() {
-                        ctx.fire(FaultKind::ColumnarNullPadMisalign);
-                        out.push_ids(right.tuple(0));
-                    } else {
-                        out.push_ids(&null_right);
-                    }
-                    first_pad = false;
-                }
-            }
-            JoinType::Semi => {
-                if !ms.is_empty() {
-                    out.push_ids(left.tuple(li));
-                }
-            }
-            JoinType::Anti => {
-                if ms.is_empty() {
-                    out.push_ids(left.tuple(li));
-                }
-            }
-        }
-    }
-
-    // Right/full outer: pad unmatched right rows on the left side.
-    if matches!(join.join_type, JoinType::RightOuter | JoinType::FullOuter) {
-        for (ri, matched) in right_matched.iter().enumerate() {
-            if !matched {
-                if misalign && first_pad && n_left > 0 {
-                    ctx.fire(FaultKind::ColumnarNullPadMisalign);
-                    out.push_ids(left.tuple(0));
-                } else {
-                    out.push_ids(&null_left);
-                }
-                first_pad = false;
-                out.push_ids(right.tuple(ri));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

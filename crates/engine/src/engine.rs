@@ -702,7 +702,8 @@ impl Database {
             let right = scan(&ast_join.table)?;
             let op_t0 = ctx.op_start();
             let rows_in = (rel.len() + right.len()) as u64;
-            rel = kernel.join(&rel, &right, pj, ast_join.on.as_ref(), &mut ctx)?;
+            let (on, batch) = (ast_join.on.as_ref(), kernel.probe_batch());
+            rel = execute_join(&rel, &right, pj, on, batch, &mut ctx)?;
             if op_t0.is_some() {
                 let rows_out = rel.len() as u64;
                 let ns = ctx.op_end(op_t0, pj.algo.profile_label(), rows_in, rows_out);
@@ -789,15 +790,11 @@ pub(crate) fn find_table<'a>(
 /// One kernel's operators: what [`Database::execute_plan`] runs a statement
 /// with.
 pub(crate) trait Kernel {
-    /// One physical join step.
-    fn join(
-        &self,
-        left: &Rel,
-        right: &Rel,
-        join: &PhysicalJoin,
-        on: Option<&Expr>,
-        ctx: &mut ExecContext,
-    ) -> Result<Rel, EngineError>;
+    /// The probe batch [`execute_join`] runs every join step with; `None`
+    /// probes row by row.
+    fn probe_batch(&self) -> Option<usize> {
+        None
+    }
 
     /// The WHERE predicate as the kernel's faults rewrite it against `rel`,
     /// `None` when it stands as written.
@@ -815,22 +812,12 @@ pub(crate) trait Kernel {
     ) -> Result<Rel, EngineError>;
 }
 
-/// The row kernel: [`execute_join`], and a WHERE evaluated row by row that
-/// keeps ids. The row and the disk executor run it.
+/// The row kernel: [`execute_join`] probing row by row, and a WHERE
+/// evaluated row by row that keeps ids. The row and the disk executor run
+/// it.
 pub(crate) struct RowKernel;
 
 impl Kernel for RowKernel {
-    fn join(
-        &self,
-        left: &Rel,
-        right: &Rel,
-        join: &PhysicalJoin,
-        on: Option<&Expr>,
-        ctx: &mut ExecContext,
-    ) -> Result<Rel, EngineError> {
-        Ok(execute_join(left, right, join, on, ctx)?)
-    }
-
     /// Fault #6: `<=>` comparisons against a literal reuse a constant that
     /// was type-converted against the first row; if that first value was
     /// NULL, the cached constant degrades to NULL.

@@ -19,8 +19,16 @@
 //! resolves its column references to header positions once, and every row
 //! then resolves a reference to a borrow of its value — no per-row name
 //! search, no per-row copy.
+//!
+//! [`execute_join`] is every executor's one join step. It computes each
+//! probed left row's matches — the hashed probe, the merge join or the
+//! compare loop, as the plan's algorithm and the kernel's probe batch pick —
+//! and assembles the output once. The join faults active on a step are
+//! decided once per step ([`FaultFlags`]), never per row; the row, columnar
+//! and disk builds carry disjoint fault complements, so each build fires
+//! only its own interception points.
 
-use crate::faults::{FaultKind, FaultSet, TriggerContext};
+use crate::faults::{FaultFlags, FaultKind, FaultSet, TriggerContext};
 use crate::plan::{JoinAlgo, PhysicalJoin};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -190,13 +198,6 @@ impl Rel {
     /// The ids of a row that is NULL in every part.
     pub(crate) fn null_tuple(&self) -> Vec<u32> {
         vec![NULL_ROW; self.parts.len()]
-    }
-
-    /// Append `ids` to the last row; a row is complete once it holds one id
-    /// per part.
-    #[inline]
-    pub(crate) fn push_ids(&mut self, ids: &[u32]) {
-        self.ids.extend_from_slice(ids);
     }
 
     /// The header of a join of `left` with `right` (with no `right`, of a
@@ -534,10 +535,6 @@ impl ExecContext {
             switched_off: self.switched_off.clone(),
         }
     }
-
-    fn active(&self, kind: FaultKind, t: &TriggerContext) -> bool {
-        self.faults.active(kind, t)
-    }
 }
 
 /// Errors surfaced by the executor.
@@ -613,7 +610,7 @@ pub(crate) fn extract_equi_keys(
 }
 
 /// Correct value-level key equality of left row `l` and right row `r` (used
-/// by the non-hashed algorithms).
+/// by the compare loop).
 fn keys_equal_correct(left: &Rel, l: usize, right: &Rel, r: usize, keys: &EquiKeys) -> bool {
     keys.left_idx
         .iter()
@@ -630,32 +627,33 @@ fn keys_equal_correct(left: &Rel, l: usize, right: &Rel, r: usize, keys: &EquiKe
         })
 }
 
-/// Encode row `row`'s join key for the hash-based algorithms into `buf`
-/// (cleared first), with fault interception. Returns `false` when the key
-/// can never match (the correct treatment of NULL keys, and the
-/// boundary-overflow fault). The fault segments encode bit-for-bit the same
-/// equivalences as the retired `"S:|"` / `"F:0|"` / `"D:{double}|"` text
-/// encoding, so every fault fires and collides on exactly the same rows —
-/// pinned by the property tests below against the legacy reference.
+/// Encode row `row`'s join key into `buf` (cleared first), with the key
+/// faults of `faults` applied; under no fault the encoding is canonical.
+/// Returns `false` when the key can never match (the correct treatment of
+/// NULL keys, and the boundary-overflow fault). The fault segments encode
+/// bit-for-bit the same equivalences as the retired `"S:|"` / `"F:0|"` /
+/// `"D:{double}|"` text encoding, so every fault fires and collides on
+/// exactly the same rows — pinned by the property tests against the legacy
+/// reference.
 fn encode_key_into(
     rel: &Rel,
     row: usize,
     idx: &[usize],
+    faults: FaultFlags,
     ctx: &mut ExecContext,
-    t: &TriggerContext,
     buf: &mut KeyBuf,
 ) -> bool {
     buf.clear();
     for &i in idx {
         let v = rel.value(row, i);
         if v.is_null() {
-            if ctx.active(FaultKind::HashJoinNullMatchesEmpty, t) {
+            if faults.has(FaultKind::HashJoinNullMatchesEmpty) {
                 ctx.fire(FaultKind::HashJoinNullMatchesEmpty);
                 // NULL keys collide with the canonical empty string.
                 buf.push_str_folded("");
                 continue;
             }
-            if ctx.active(FaultKind::SemiJoinFloatPrecision, t) {
+            if faults.has(FaultKind::SemiJoinFloatPrecision) {
                 ctx.fire(FaultKind::SemiJoinFloatPrecision);
                 // NULL keys collide with values whose f32 round-trip is +0.
                 buf.push_f64_bits(KeyBuf::TAG_DOUBLE, 0.0);
@@ -664,22 +662,30 @@ fn encode_key_into(
             return false;
         }
         // Boundary values vanish into an unprobed overflow bucket.
-        if ctx.active(FaultKind::HashJoinMaterializationZeroSplit, t) && is_boundary_like(v) {
+        if faults.has(FaultKind::HashJoinMaterializationZeroSplit) && is_boundary_like(v) {
             ctx.fire(FaultKind::HashJoinMaterializationZeroSplit);
             return false;
         }
-        // Long varchar keys get routed through a lossy double conversion.
-        if ctx.active(FaultKind::HashJoinVarcharViaDouble, t) {
-            if let Some(s) = v.as_str() {
-                if s.len() > 8 {
-                    ctx.fire(FaultKind::HashJoinVarcharViaDouble);
-                    buf.push_f64_bits(KeyBuf::TAG_LOSSY_DOUBLE, v.as_f64_lossy().unwrap_or(0.0));
-                    continue;
-                }
+        if let Some(s) = v.as_str().filter(|s| s.len() > 8) {
+            // Long varchar keys get routed through a lossy double conversion.
+            if faults.has(FaultKind::HashJoinVarcharViaDouble) {
+                ctx.fire(FaultKind::HashJoinVarcharViaDouble);
+                buf.push_f64_bits(KeyBuf::TAG_LOSSY_DOUBLE, v.as_f64_lossy().unwrap_or(0.0));
+                continue;
+            }
+            // The dictionary clips them to their first 8 bytes — raw,
+            // without the canonical case folding — at the last char
+            // boundary at or before byte 8: the fault corrupts answers, it
+            // must not panic on multi-byte UTF-8 data.
+            if faults.has(FaultKind::ColumnarDictTruncation) {
+                let cut = (0..=8).rev().find(|&c| s.is_char_boundary(c)).unwrap_or(0);
+                ctx.fire(FaultKind::ColumnarDictTruncation);
+                buf.push_str_raw(&s[..cut]);
+                continue;
             }
         }
         // Float-precision loss on the semi-join materialization-off path.
-        if ctx.active(FaultKind::SemiJoinFloatPrecision, t) {
+        if faults.has(FaultKind::SemiJoinFloatPrecision) {
             if let Some(f) = v.as_f64_lossy() {
                 if v.as_str().is_none() {
                     let rounded = f as f32 as f64;
@@ -747,35 +753,9 @@ impl ColumnResolver for ScopedPair<'_> {
     }
 }
 
-/// Residual ON predicates evaluated on one candidate pair.
-pub(crate) fn residual_ok(
-    residual: &[Expr],
-    slots: &ColumnSlots,
-    left: &Rel,
-    li: usize,
-    right: &Rel,
-    ri: usize,
-) -> bool {
-    if residual.is_empty() {
-        return true;
-    }
-    let resolver = ScopedPair {
-        slots,
-        left,
-        right,
-        li,
-        ri,
-    };
-    residual.iter().all(|p| {
-        eval_predicate(p, &resolver, &NoSubqueries)
-            .map(|r| r == Some(true))
-            .unwrap_or(false)
-    })
-}
-
 /// The build side of a hashed match: build rows `0..rows`, bucketed by the
 /// key `encode` writes for each; a row it returns `false` for stays out.
-pub(crate) fn build_table(
+fn build_table(
     rows: usize,
     mut encode: impl FnMut(usize, &mut KeyBuf) -> bool,
 ) -> HashMap<KeyBuf, Vec<usize>> {
@@ -794,61 +774,88 @@ pub(crate) fn build_table(
     table
 }
 
-/// Encode row `row`'s key columns `idx` canonically into `buf` (cleared
-/// first); `false` for a NULL key, which never matches.
-fn canonical_key(rel: &Rel, row: usize, idx: &[usize], buf: &mut KeyBuf) -> bool {
-    buf.clear();
-    for &i in idx {
-        let v = rel.value(row, i);
-        if v.is_null() {
-            return false;
-        }
-        buf.push_canonical(v);
-    }
-    true
+/// What every match computation of one join step reads: its two sides,
+/// their equi keys and residual, and the join faults active on the step —
+/// decided once per step, never per row.
+struct JoinInputs<'a> {
+    left: &'a Rel,
+    right: &'a Rel,
+    keys: EquiKeys,
+    slots: ColumnSlots,
+    faults: FaultFlags,
 }
+
+/// For each probed left row, the right rows it matches.
+type Matches = Vec<Vec<usize>>;
 
 /// Execute one physical join step. The output carries row ids: each
 /// emitted row is the left row's ids followed by the right row's (the left
 /// row's alone for semi and anti joins); pads point at a part's NULL row,
 /// and the faults that make up values add rows to the output's parts.
+///
+/// `batch` is the columnar kernel's probe batch (`None` for the row
+/// kernel): with one, every equi join is the hashed probe whatever the
+/// plan's algorithm, and the batch-tail fault cuts the probed prefix. The
+/// plan's algorithm still decides which faults trigger.
 pub fn execute_join(
     left: &Rel,
     right: &Rel,
     join: &PhysicalJoin,
     on: Option<&Expr>,
+    batch: Option<usize>,
     ctx: &mut ExecContext,
 ) -> Result<Rel, ExecError> {
-    let t = ctx.trigger_ctx(join);
+    let faults = ctx.faults.active_flags(&ctx.trigger_ctx(join));
     let keys = extract_equi_keys(&left.cols, &right.cols, on);
     let slots = ColumnSlots::pair(&keys.residual, &left.cols, &right.cols);
+    let step = JoinInputs {
+        left,
+        right,
+        keys,
+        slots,
+        faults,
+    };
+    // The key-encoding faults belong to the algorithms that hash their keys.
+    let key_faults = match join.algo.uses_hashed_keys() {
+        true => faults,
+        false => FaultFlags::NONE,
+    };
 
-    // Compute the match matrix: for each left row, the list of matching right
-    // row indices. Algorithms differ in how matches are found (and therefore
-    // in which faults can perturb them).
-    let (matches, effects) = match join.algo {
-        JoinAlgo::HashJoin
-        | JoinAlgo::IndexJoin
-        | JoinAlgo::BatchedKeyAccess
-        | JoinAlgo::BlockNestedLoopHashed => hashed_matches(left, right, &keys, &slots, ctx, &t),
-        JoinAlgo::SortMergeJoin => merge_matches(left, right, &keys, &slots, ctx, &t),
-        JoinAlgo::NestedLoop | JoinAlgo::BlockNestedLoop => {
-            loop_matches(left, right, &keys, &slots, ctx, &t)
+    // Compute the match lists. Algorithms differ in how matches are found
+    // (and therefore in which faults can perturb them); without an equi key
+    // every one of them runs the (correct) compare loop.
+    let (matches, nulled) = match (batch, join.algo) {
+        _ if step.keys.left_idx.is_empty() => (step.loop_matches(ctx), Vec::new()),
+        (Some(batch), _) => {
+            // Batch-tail loss: hashed probes past the last complete batch
+            // are never flushed, so those left rows vanish from the join.
+            let mut probe_rows = left.len();
+            if faults.has(FaultKind::ColumnarBatchTailDrop)
+                && probe_rows % batch != 0
+                && probe_rows > batch
+            {
+                probe_rows -= probe_rows % batch;
+                ctx.fire(FaultKind::ColumnarBatchTailDrop);
+            }
+            (step.hashed_matches(probe_rows, key_faults, ctx), Vec::new())
         }
+        (None, JoinAlgo::SortMergeJoin) => step.merge_matches(ctx),
+        (None, JoinAlgo::NestedLoop | JoinAlgo::BlockNestedLoop) => {
+            (step.loop_matches(ctx), Vec::new())
+        }
+        (None, _) => (step.hashed_matches(left.len(), key_faults, ctx), Vec::new()),
     };
 
     // Join-buffer tail loss: rows of the buffered (left) side beyond the last
     // complete buffer chunk never get joined.
-    let mut left_live: Vec<bool> = vec![true; left.len()];
+    let mut live = matches.len();
     if let Some(buf) = join.buffer_rows {
-        if ctx.active(FaultKind::JoinBufferLimitDropsTail, &t) && left.len() > buf {
-            let keep = (left.len() / buf) * buf;
-            for live in left_live.iter_mut().skip(keep) {
-                *live = false;
-            }
+        if faults.has(FaultKind::JoinBufferLimitDropsTail) && live > buf {
+            live = (live / buf) * buf;
             ctx.fire(FaultKind::JoinBufferLimitDropsTail);
         }
     }
+    let matches = &matches[..live];
 
     let semi_or_anti = matches!(join.join_type, JoinType::Semi | JoinType::Anti);
     let mut out = Rel::joined(left, (!semi_or_anti).then_some(right));
@@ -858,9 +865,6 @@ pub fn execute_join(
     let mut first_pad_done = false;
     let mut right_matched = vec![false; right.len()];
     for (li, ms) in matches.iter().enumerate() {
-        if !left_live[li] {
-            continue;
-        }
         match join.join_type {
             JoinType::Inner
             | JoinType::Cross
@@ -872,14 +876,14 @@ pub fn execute_join(
                     let n = out.len();
                     // Stale-cache replay: every 50th emitted row repeats the
                     // previous row's right-side values.
-                    let stale = ctx.active(FaultKind::JoinCacheStaleRow, &t) && n % 50 == 49;
+                    let stale = faults.has(FaultKind::JoinCacheStaleRow) && n % 50 == 49;
                     if stale {
                         ctx.fire(FaultKind::JoinCacheStaleRow);
                     }
                     out.ids.extend_from_slice(left.tuple(li));
                     // Merge join returning NULL instead of the value for
                     // duplicate key runs is marked inside merge_matches.
-                    if effects.null_right.get(ri).copied().unwrap_or(false) {
+                    if nulled.get(ri).copied().unwrap_or(false) {
                         out.ids.extend_from_slice(&null_right);
                     } else if stale {
                         let prev = (n - 1) * stride;
@@ -892,11 +896,18 @@ pub fn execute_join(
                     && matches!(join.join_type, JoinType::LeftOuter | JoinType::FullOuter)
                 {
                     // Outer merge join dropping unmatched rows entirely.
-                    if ctx.active(FaultKind::MergeJoinOuterNullLoss, &t) {
+                    if faults.has(FaultKind::MergeJoinOuterNullLoss) {
                         ctx.fire(FaultKind::MergeJoinOuterNullLoss);
                         continue;
                     }
-                    let pad = pad_ids(&mut out, ls..stride, ctx, &t, &mut first_pad_done);
+                    let pad = pad_ids(
+                        &mut out,
+                        ls..stride,
+                        right,
+                        faults,
+                        ctx,
+                        &mut first_pad_done,
+                    );
                     out.ids.extend_from_slice(left.tuple(li));
                     out.ids.extend_from_slice(&pad);
                 }
@@ -904,7 +915,7 @@ pub fn execute_join(
             JoinType::Semi => {
                 if !ms.is_empty() {
                     out.ids.extend_from_slice(left.tuple(li));
-                    if ctx.active(FaultKind::SemiJoinUnknownData, &t) {
+                    if faults.has(FaultKind::SemiJoinUnknownData) {
                         ctx.fire(FaultKind::SemiJoinUnknownData);
                         out.ids.extend_from_slice(left.tuple(li));
                     }
@@ -922,11 +933,11 @@ pub fn execute_join(
     if matches!(join.join_type, JoinType::RightOuter | JoinType::FullOuter) {
         for (ri, matched) in right_matched.iter().enumerate() {
             if !matched {
-                if ctx.active(FaultKind::MergeJoinOuterNullLoss, &t) {
+                if faults.has(FaultKind::MergeJoinOuterNullLoss) {
                     ctx.fire(FaultKind::MergeJoinOuterNullLoss);
                     continue;
                 }
-                let pad = pad_ids(&mut out, 0..ls, ctx, &t, &mut first_pad_done);
+                let pad = pad_ids(&mut out, 0..ls, left, faults, ctx, &mut first_pad_done);
                 out.ids.extend_from_slice(&pad);
                 out.ids.extend_from_slice(right.tuple(ri));
             }
@@ -934,9 +945,8 @@ pub fn execute_join(
     }
 
     // Extra spurious NULL-padded row for the left hash join + subquery case.
-    if ctx.active(FaultKind::LeftHashJoinSubqueryNull, &t) && join.join_type == JoinType::LeftOuter
-    {
-        if let Some(li) = (0..left.len()).find(|&li| left_live[li] && matches[li].is_empty()) {
+    if faults.has(FaultKind::LeftHashJoinSubqueryNull) && join.join_type == JoinType::LeftOuter {
+        if let Some(li) = matches.iter().position(Vec::is_empty) {
             ctx.fire(FaultKind::LeftHashJoinSubqueryNull);
             out.ids.extend_from_slice(left.tuple(li));
             out.ids.extend_from_slice(&null_right);
@@ -945,7 +955,7 @@ pub fn execute_join(
 
     // Blanked varchar values when the hashed join buffer is disallowed: each
     // part of the last row points at a blanked copy of its row.
-    if ctx.active(FaultKind::BnlhDisallowedBlankValues, &t)
+    if faults.has(FaultKind::BnlhDisallowedBlankValues)
         && join.buffer_rows.map(|b| left.len() > b).unwrap_or(false)
         && !out.is_empty()
     {
@@ -974,14 +984,6 @@ pub fn execute_join(
     Ok(out)
 }
 
-/// Bookkeeping returned by algorithm-specific match computation.
-#[derive(Default)]
-struct MatchSideEffects {
-    /// Right rows whose values must be replaced by NULLs in the output
-    /// (merge-join duplicate-run corruption); empty when none are.
-    null_right: Vec<bool>,
-}
-
 /// Is canonical-key equality ([`KeyBuf::push_canonical`] / [`hash_key`]
 /// (tqs_sql::value::hash_key)) guaranteed to agree with [`sql_compare`]
 /// equality on every cross-side pair of these key columns?
@@ -1002,125 +1004,6 @@ fn hash_equivalent_keys(left: &Rel, right: &Rel, keys: &EquiKeys) -> bool {
         .all(|(&li, &ri)| class(left, li).join(class(right, ri)).hash_exact())
 }
 
-/// The nested-loop algorithms with an equi key: identical match decisions to
-/// the O(|L|·|R|) compare loop, computed by hashing canonical keys — valid
-/// only when [`hash_equivalent_keys`] holds. No key-encoding faults apply on
-/// this path (those belong to the hash-join algorithms); the NULL/row-0
-/// confusion fault is reproduced exactly.
-fn loop_matches_hashed(
-    left: &Rel,
-    right: &Rel,
-    keys: &EquiKeys,
-    slots: &ColumnSlots,
-    ctx: &mut ExecContext,
-    t: &TriggerContext,
-) -> (Vec<Vec<usize>>, MatchSideEffects) {
-    let table = build_table(right.len(), |ri, buf| {
-        canonical_key(right, ri, &keys.right_idx, buf)
-    });
-    let mut scratch = KeyBuf::new();
-    let mut out = vec![Vec::new(); left.len()];
-    for (li, matches) in out.iter_mut().enumerate() {
-        if !canonical_key(left, li, &keys.left_idx, &mut scratch) {
-            // NULL keys never match; the simplified-join confusion fault
-            // spuriously matches build row 0, exactly like the compare loop.
-            if !right.is_empty() && ctx.active(FaultKind::LeftToInnerNullZeroConfusion, t) {
-                ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
-                if residual_ok(&keys.residual, slots, left, li, right, 0) {
-                    matches.push(0);
-                }
-            }
-            continue;
-        }
-        if let Some(bucket) = table.get(&scratch) {
-            *matches = bucket
-                .iter()
-                .copied()
-                .filter(|&ri| residual_ok(&keys.residual, slots, left, li, right, ri))
-                .collect();
-        }
-    }
-    (out, MatchSideEffects::default())
-}
-
-fn loop_matches(
-    left: &Rel,
-    right: &Rel,
-    keys: &EquiKeys,
-    slots: &ColumnSlots,
-    ctx: &mut ExecContext,
-    t: &TriggerContext,
-) -> (Vec<Vec<usize>>, MatchSideEffects) {
-    if !keys.left_idx.is_empty() && hash_equivalent_keys(left, right, keys) {
-        return loop_matches_hashed(left, right, keys, slots, ctx, t);
-    }
-    let mut out = vec![Vec::new(); left.len()];
-    for (li, matches) in out.iter_mut().enumerate() {
-        let left_has_null = keys.left_idx.iter().any(|&i| left.value(li, i).is_null());
-        for ri in 0..right.len() {
-            let mut matched =
-                keys.left_idx.is_empty() || keys_equal_correct(left, li, right, ri, keys);
-            // A simplified (outer→inner) join that confuses NULL with the
-            // first build row.
-            if !matched
-                && ctx.active(FaultKind::LeftToInnerNullZeroConfusion, t)
-                && left_has_null
-                && ri == 0
-            {
-                ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
-                matched = true;
-            }
-            if matched && residual_ok(&keys.residual, slots, left, li, right, ri) {
-                matches.push(ri);
-            }
-        }
-    }
-    (out, MatchSideEffects::default())
-}
-
-fn hashed_matches(
-    left: &Rel,
-    right: &Rel,
-    keys: &EquiKeys,
-    slots: &ColumnSlots,
-    ctx: &mut ExecContext,
-    t: &TriggerContext,
-) -> (Vec<Vec<usize>>, MatchSideEffects) {
-    if keys.left_idx.is_empty() {
-        // no equi key — degrade to the loop implementation (correct)
-        return loop_matches(left, right, keys, slots, ctx, t);
-    }
-    let table = build_table(right.len(), |ri, buf| {
-        encode_key_into(right, ri, &keys.right_idx, ctx, t, buf)
-    });
-    let mut scratch = KeyBuf::new();
-    let mut out = vec![Vec::new(); left.len()];
-    for (li, matches) in out.iter_mut().enumerate() {
-        let has_null = keys.left_idx.iter().any(|&i| left.value(li, i).is_null());
-        let mut bucket: &[usize] =
-            match encode_key_into(left, li, &keys.left_idx, ctx, t, &mut scratch) {
-                true => table.get(&scratch).map_or(&[], Vec::as_slice),
-                false => &[],
-            };
-        // The simplified-join confusion fault matches build row 0, as the
-        // loop algorithms do.
-        if bucket.is_empty()
-            && has_null
-            && !right.is_empty()
-            && ctx.active(FaultKind::LeftToInnerNullZeroConfusion, t)
-        {
-            ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
-            bucket = &[0];
-        }
-        // residual predicates still apply
-        matches.extend(
-            (bucket.iter().copied())
-                .filter(|&ri| residual_ok(&keys.residual, slots, left, li, right, ri)),
-        );
-    }
-    (out, MatchSideEffects::default())
-}
-
 /// One duplicate-key run of the merge join.
 struct MergeRun {
     rows: Vec<usize>,
@@ -1131,129 +1014,227 @@ struct MergeRun {
     skipped: bool,
 }
 
-fn merge_matches(
-    left: &Rel,
-    right: &Rel,
-    keys: &EquiKeys,
-    slots: &ColumnSlots,
-    ctx: &mut ExecContext,
-    t: &TriggerContext,
-) -> (Vec<Vec<usize>>, MatchSideEffects) {
-    if keys.left_idx.is_empty() {
-        return loop_matches(left, right, keys, slots, ctx, t);
-    }
-    // Collation-mismatch fault: varchar merge keys produce an empty join.
-    let key_is_string = (0..right.len())
-        .flat_map(|ri| keys.right_idx.iter().map(move |&i| right.value(ri, i)))
-        .any(|v| v.as_str().is_some());
-    if key_is_string && ctx.active(FaultKind::MergeJoinVarcharEmpty, t) {
-        ctx.fire(FaultKind::MergeJoinVarcharEmpty);
-        return (vec![Vec::new(); left.len()], MatchSideEffects::default());
-    }
-    // A straightforward (correct) merge: group right rows by canonical key.
-    // Binary keys index the runs; the probe below hits this same index
-    // directly instead of rebuilding a borrowed shadow map.
-    let mut runs: Vec<MergeRun> = Vec::new();
-    let mut index: HashMap<KeyBuf, usize> = HashMap::new();
-    let mut scratch = KeyBuf::new();
-    for ri in 0..right.len() {
-        if !canonical_key(right, ri, &keys.right_idx, &mut scratch) {
-            continue;
+impl JoinInputs<'_> {
+    /// Residual ON predicates evaluated on one candidate pair.
+    fn residual_ok(&self, li: usize, ri: usize) -> bool {
+        if self.keys.residual.is_empty() {
+            return true;
         }
-        match index.get(&scratch) {
-            Some(&gi) => runs[gi].rows.push(ri),
-            None => {
-                index.insert(scratch.clone(), runs.len());
-                runs.push(MergeRun {
-                    rows: vec![ri],
-                    text: keys
-                        .right_idx
-                        .iter()
-                        .map(|&i| canonical_encoding(right.value(ri, i)) + "|")
-                        .collect(),
-                    skipped: false,
-                });
+        let resolver = ScopedPair {
+            slots: &self.slots,
+            left: self.left,
+            right: self.right,
+            li,
+            ri,
+        };
+        self.keys.residual.iter().all(|p| {
+            eval_predicate(p, &resolver, &NoSubqueries)
+                .map(|r| r == Some(true))
+                .unwrap_or(false)
+        })
+    }
+
+    /// The one hashed probe, serving the hash algorithms, the nested-loop
+    /// fast path and the columnar kernel: bucket the right rows by their
+    /// key as [`encode_key_into`] writes it under `key_faults`, then probe
+    /// left rows `0..probe_rows`. A left key holding a NULL that finds no
+    /// bucket matches build row 0 under the simplified-join NULL/row-0
+    /// confusion fault, as the compare loop does; residual predicates
+    /// filter every candidate.
+    fn hashed_matches(
+        &self,
+        probe_rows: usize,
+        key_faults: FaultFlags,
+        ctx: &mut ExecContext,
+    ) -> Matches {
+        let (left, right, keys) = (self.left, self.right, &self.keys);
+        let table = build_table(right.len(), |ri, buf| {
+            encode_key_into(right, ri, &keys.right_idx, key_faults, ctx, buf)
+        });
+        let confusion =
+            self.faults.has(FaultKind::LeftToInnerNullZeroConfusion) && !right.is_empty();
+        let mut scratch = KeyBuf::new();
+        let mut out = vec![Vec::new(); probe_rows];
+        for (li, matches) in out.iter_mut().enumerate() {
+            let mut bucket: &[usize] =
+                match encode_key_into(left, li, &keys.left_idx, key_faults, ctx, &mut scratch) {
+                    true => table.get(&scratch).map_or(&[], Vec::as_slice),
+                    false => &[],
+                };
+            if bucket.is_empty()
+                && confusion
+                && keys.left_idx.iter().any(|&i| left.value(li, i).is_null())
+            {
+                ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
+                bucket = &[0];
+            }
+            matches.extend((bucket.iter().copied()).filter(|&ri| self.residual_ok(li, ri)));
+        }
+        out
+    }
+
+    /// The nested-loop algorithms: the O(|L|·|R|) compare loop, or — with
+    /// an equi key on which [`hash_equivalent_keys`] holds — the hashed
+    /// probe, which makes identical match decisions. No key-encoding fault
+    /// applies on either path; the NULL/row-0 confusion fault does.
+    fn loop_matches(&self, ctx: &mut ExecContext) -> Matches {
+        let (left, right, keys) = (self.left, self.right, &self.keys);
+        if !keys.left_idx.is_empty() && hash_equivalent_keys(left, right, keys) {
+            return self.hashed_matches(left.len(), FaultFlags::NONE, ctx);
+        }
+        let confusion = self.faults.has(FaultKind::LeftToInnerNullZeroConfusion);
+        let mut out = vec![Vec::new(); left.len()];
+        for (li, matches) in out.iter_mut().enumerate() {
+            let left_has_null = keys.left_idx.iter().any(|&i| left.value(li, i).is_null());
+            for ri in 0..right.len() {
+                let mut matched =
+                    keys.left_idx.is_empty() || keys_equal_correct(left, li, right, ri, keys);
+                // A simplified (outer→inner) join that confuses NULL with the
+                // first build row.
+                if !matched && confusion && left_has_null && ri == 0 {
+                    ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
+                    matched = true;
+                }
+                if matched && self.residual_ok(li, ri) {
+                    matches.push(ri);
+                }
             }
         }
+        out
     }
-    // Merge-order the runs by key text, then apply the run-skipping faults
-    // by sorted position.
-    let mut order: Vec<usize> = (0..runs.len()).collect();
-    order.sort_by(|&a, &b| runs[a].text.cmp(&runs[b].text));
-    let mut skipped_first = false;
-    let mut skipped_last = false;
-    let mut effects = MatchSideEffects::default();
-    let n_runs = runs.len();
-    for (pos, &gi) in order.iter().enumerate() {
-        // "missed -0" ↔ the cursor skips the smallest key run.
-        if pos == 0 && n_runs > 1 && ctx.active(FaultKind::MergeJoinNegativeZeroMiss, t) {
-            runs[gi].skipped = true;
-            skipped_first = true;
-            continue;
+
+    /// The merge join over an equi key, and the right rows whose values it
+    /// returns as NULLs (empty when it returns none).
+    fn merge_matches(&self, ctx: &mut ExecContext) -> (Matches, Vec<bool>) {
+        let (left, right, keys, faults) = (self.left, self.right, &self.keys, self.faults);
+        let mut nulled = Vec::new();
+        // Collation-mismatch fault: varchar merge keys produce an empty join.
+        if faults.has(FaultKind::MergeJoinVarcharEmpty)
+            && (0..right.len())
+                .flat_map(|ri| keys.right_idx.iter().map(move |&i| right.value(ri, i)))
+                .any(|v| v.as_str().is_some())
+        {
+            ctx.fire(FaultKind::MergeJoinVarcharEmpty);
+            return (vec![Vec::new(); left.len()], nulled);
         }
-        // the final duplicate run is dropped
-        if pos + 1 == n_runs && n_runs > 1 && ctx.active(FaultKind::MergeJoinDropsLastRun, t) {
-            runs[gi].skipped = true;
-            skipped_last = true;
-            continue;
-        }
-        // duplicate runs: 2nd and later rows come back as NULLs
-        if runs[gi].rows.len() > 1 && ctx.active(FaultKind::MergeJoinNullInsteadOfValue, t) {
-            ctx.fire(FaultKind::MergeJoinNullInsteadOfValue);
-            effects.null_right.resize(right.len(), false);
-            for &ri in &runs[gi].rows[1..] {
-                effects.null_right[ri] = true;
-            }
-        }
-    }
-    if skipped_first {
-        ctx.fire(FaultKind::MergeJoinNegativeZeroMiss);
-    }
-    if skipped_last {
-        ctx.fire(FaultKind::MergeJoinDropsLastRun);
-    }
-    let mut out = vec![Vec::new(); left.len()];
-    for (li, matches) in out.iter_mut().enumerate() {
-        if !canonical_key(left, li, &keys.left_idx, &mut scratch) {
-            continue;
-        }
-        if let Some(&gi) = index.get(&scratch) {
-            if runs[gi].skipped {
+        // A straightforward (correct) merge: group right rows by canonical key.
+        // Binary keys index the runs; the probe below hits this same index
+        // directly instead of rebuilding a borrowed shadow map.
+        let mut runs: Vec<MergeRun> = Vec::new();
+        let mut index: HashMap<KeyBuf, usize> = HashMap::new();
+        let mut scratch = KeyBuf::new();
+        for ri in 0..right.len() {
+            if !encode_key_into(
+                right,
+                ri,
+                &keys.right_idx,
+                FaultFlags::NONE,
+                ctx,
+                &mut scratch,
+            ) {
                 continue;
             }
-            *matches = runs[gi]
-                .rows
-                .iter()
-                .copied()
-                .filter(|&ri| residual_ok(&keys.residual, slots, left, li, right, ri))
-                .collect();
+            match index.get(&scratch) {
+                Some(&gi) => runs[gi].rows.push(ri),
+                None => {
+                    index.insert(scratch.clone(), runs.len());
+                    runs.push(MergeRun {
+                        rows: vec![ri],
+                        text: keys
+                            .right_idx
+                            .iter()
+                            .map(|&i| canonical_encoding(right.value(ri, i)) + "|")
+                            .collect(),
+                        skipped: false,
+                    });
+                }
+            }
         }
+        // Merge-order the runs by key text, then apply the run-skipping faults
+        // by sorted position.
+        let mut order: Vec<usize> = (0..runs.len()).collect();
+        order.sort_by(|&a, &b| runs[a].text.cmp(&runs[b].text));
+        let mut skipped_first = false;
+        let mut skipped_last = false;
+        let n_runs = runs.len();
+        for (pos, &gi) in order.iter().enumerate() {
+            // "missed -0" ↔ the cursor skips the smallest key run.
+            if pos == 0 && n_runs > 1 && faults.has(FaultKind::MergeJoinNegativeZeroMiss) {
+                runs[gi].skipped = true;
+                skipped_first = true;
+                continue;
+            }
+            // the final duplicate run is dropped
+            if pos + 1 == n_runs && n_runs > 1 && faults.has(FaultKind::MergeJoinDropsLastRun) {
+                runs[gi].skipped = true;
+                skipped_last = true;
+                continue;
+            }
+            // duplicate runs: 2nd and later rows come back as NULLs
+            if runs[gi].rows.len() > 1 && faults.has(FaultKind::MergeJoinNullInsteadOfValue) {
+                ctx.fire(FaultKind::MergeJoinNullInsteadOfValue);
+                nulled.resize(right.len(), false);
+                for &ri in &runs[gi].rows[1..] {
+                    nulled[ri] = true;
+                }
+            }
+        }
+        if skipped_first {
+            ctx.fire(FaultKind::MergeJoinNegativeZeroMiss);
+        }
+        if skipped_last {
+            ctx.fire(FaultKind::MergeJoinDropsLastRun);
+        }
+        let mut out = vec![Vec::new(); left.len()];
+        for (li, matches) in out.iter_mut().enumerate() {
+            if !encode_key_into(
+                left,
+                li,
+                &keys.left_idx,
+                FaultFlags::NONE,
+                ctx,
+                &mut scratch,
+            ) {
+                continue;
+            }
+            if let Some(run) = index.get(&scratch).map(|&gi| &runs[gi]) {
+                if !run.skipped {
+                    matches
+                        .extend((run.rows.iter().copied()).filter(|&ri| self.residual_ok(li, ri)));
+                }
+            }
+        }
+        (out, nulled)
     }
-    (out, effects)
 }
 
 /// The row ids padding `parts` of `out` for the unmatched side of an outer
-/// join: their NULL rows, except that the empty-string-instead-of-NULL
-/// faults make the first pad a row of `''`s.
+/// join — the columns of `padded`: their NULL rows. Only the first pad of a
+/// join can be corrupt: the NULL-mask misalignment replays `padded`'s row 0,
+/// and the empty-string-instead-of-NULL faults make it a row of `''`s.
 fn pad_ids(
     out: &mut Rel,
     parts: Range<usize>,
+    padded: &Rel,
+    faults: FaultFlags,
     ctx: &mut ExecContext,
-    t: &TriggerContext,
     first_pad_done: &mut bool,
 ) -> Vec<u32> {
-    let corrupt = !*first_pad_done
-        && (ctx.active(FaultKind::OuterJoinCacheEmptyPad, t)
-            || ctx.active(FaultKind::BkaDisallowedNullToEmpty, t));
-    *first_pad_done = true;
-    if !corrupt {
+    if std::mem::replace(first_pad_done, true) {
         return vec![NULL_ROW; parts.len()];
     }
-    if ctx.active(FaultKind::OuterJoinCacheEmptyPad, t) {
-        ctx.fire(FaultKind::OuterJoinCacheEmptyPad);
-    } else {
-        ctx.fire(FaultKind::BkaDisallowedNullToEmpty);
+    if faults.has(FaultKind::ColumnarNullPadMisalign) && !padded.is_empty() {
+        ctx.fire(FaultKind::ColumnarNullPadMisalign);
+        return padded.tuple(0).to_vec();
     }
+    let empty_pad = [
+        FaultKind::OuterJoinCacheEmptyPad,
+        FaultKind::BkaDisallowedNullToEmpty,
+    ];
+    let Some(kind) = empty_pad.into_iter().find(|&k| faults.has(k)) else {
+        return vec![NULL_ROW; parts.len()];
+    };
+    ctx.fire(kind);
     parts
         .map(|p| {
             let part = &mut out.parts[p];
@@ -1334,6 +1315,7 @@ mod tests {
             &right_rel(),
             &join(jt, algo),
             Some(&on_clause()),
+            None,
             &mut ctx,
         )
         .unwrap();
@@ -1435,8 +1417,15 @@ mod tests {
             simplified_from_outer: false,
             buffer_rows: Some(64),
         };
-        let out =
-            execute_join(&left_rel(), &right_rel(), &j, Some(&on_clause()), &mut ctx).unwrap();
+        let out = execute_join(
+            &left_rel(),
+            &right_rel(),
+            &j,
+            Some(&on_clause()),
+            None,
+            &mut ctx,
+        )
+        .unwrap();
         assert_eq!(ctx.fired, vec![FaultKind::OuterJoinCacheEmptyPad]);
         // exactly one padded row carries '' instead of NULL
         let empties = out
@@ -1457,8 +1446,15 @@ mod tests {
             simplified_from_outer: false,
             buffer_rows: Some(3),
         };
-        let out =
-            execute_join(&left_rel(), &right_rel(), &j, Some(&on_clause()), &mut ctx).unwrap();
+        let out = execute_join(
+            &left_rel(),
+            &right_rel(),
+            &j,
+            Some(&on_clause()),
+            None,
+            &mut ctx,
+        )
+        .unwrap();
         // left has 4 rows, buffer 3 → the 4th left row is never joined; with
         // clean execution row id=NULL contributes nothing anyway, so compare
         // against a buffer that fits everything.
@@ -1476,8 +1472,15 @@ mod tests {
             simplified_from_outer: true,
             buffer_rows: None,
         };
-        let out =
-            execute_join(&left_rel(), &right_rel(), &j, Some(&on_clause()), &mut ctx).unwrap();
+        let out = execute_join(
+            &left_rel(),
+            &right_rel(),
+            &j,
+            Some(&on_clause()),
+            None,
+            &mut ctx,
+        )
+        .unwrap();
         assert_eq!(ctx.fired, vec![FaultKind::LeftToInnerNullZeroConfusion]);
         assert!(out.len() > 3, "NULL key spuriously matched");
         // without the simplification flag the fault stays silent
@@ -1502,6 +1505,7 @@ mod tests {
             &right,
             &join(JoinType::Inner, JoinAlgo::HashJoin),
             Some(&on_clause()),
+            None,
             &mut ctx,
         )
         .unwrap();
@@ -1516,6 +1520,7 @@ mod tests {
             &left_rel(),
             &right_rel(),
             &join(JoinType::Cross, JoinAlgo::NestedLoop),
+            None,
             None,
             &mut ctx,
         )
@@ -1541,6 +1546,7 @@ mod tests {
             &right,
             &join(JoinType::Inner, JoinAlgo::HashJoin),
             Some(&on),
+            None,
             &mut ctx,
         )
         .unwrap();
@@ -1631,6 +1637,7 @@ mod tests {
             &right_rel(),
             &join(JoinType::Inner, JoinAlgo::HashJoin),
             Some(&on),
+            None,
             &mut ctx,
         )
         .unwrap();

@@ -625,10 +625,35 @@ impl FaultSet {
         self.contains(kind) && kind.triggered(ctx)
     }
 
+    /// Every kind [`FaultSet::active`] holds for in `ctx`, decided at once —
+    /// what an operator reads per row instead of asking per row.
+    pub(crate) fn active_flags(&self, ctx: &TriggerContext) -> FaultFlags {
+        let active = self.enabled.iter().filter(|k| k.triggered(ctx));
+        FaultFlags(active.fold(0, |bits, &k| bits | FaultFlags::bit(k)))
+    }
+
     pub fn kinds(&self) -> Vec<FaultKind> {
         let mut v: Vec<FaultKind> = self.enabled.iter().copied().collect();
         v.sort();
         v
+    }
+}
+
+/// A set of fault kinds as one bit each ([`FaultSet::active_flags`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FaultFlags(u64);
+
+impl FaultFlags {
+    /// No kind at all.
+    pub(crate) const NONE: FaultFlags = FaultFlags(0);
+
+    fn bit(kind: FaultKind) -> u64 {
+        const _: () = assert!((FaultKind::DmlCommitBoundaryTornVisibility as u32) < 64);
+        1 << kind as u32
+    }
+
+    pub(crate) fn has(self, kind: FaultKind) -> bool {
+        self.0 & FaultFlags::bit(kind) != 0
     }
 }
 

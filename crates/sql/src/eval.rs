@@ -449,14 +449,27 @@ fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Value {
     match op {
         BinOp::And => tv_to_value(tv_and(l.truthiness(), r.truthiness())),
         BinOp::Or => tv_to_value(tv_or(l.truthiness(), r.truthiness())),
-        BinOp::NullSafeEq => Value::Bool(null_safe_eq(l, r)),
-        BinOp::Eq => tv_to_value(tv_compare(l, r, |o| o == Ordering::Equal)),
-        BinOp::Ne => tv_to_value(tv_compare(l, r, |o| o != Ordering::Equal)),
-        BinOp::Lt => tv_to_value(tv_compare(l, r, |o| o == Ordering::Less)),
-        BinOp::Le => tv_to_value(tv_compare(l, r, |o| o != Ordering::Greater)),
-        BinOp::Gt => tv_to_value(tv_compare(l, r, |o| o == Ordering::Greater)),
-        BinOp::Ge => tv_to_value(tv_compare(l, r, |o| o != Ordering::Less)),
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(op, l, r),
+        _ => tv_to_value(compare(op, l, r)),
+    }
+}
+
+/// The three-valued truth of comparison `op` (`=`, `<>`, `<`, `<=`, `>`,
+/// `>=` or `<=>`) of `l` with `r`: `None` (UNKNOWN) when [`sql_compare`]
+/// cannot order them, as for every NULL operand outside `<=>`.
+///
+/// # Panics
+/// If `op` is not a comparison.
+pub fn compare(op: BinOp, l: &Value, r: &Value) -> Option<bool> {
+    match op {
+        BinOp::NullSafeEq => Some(null_safe_eq(l, r)),
+        BinOp::Eq => tv_compare(l, r, Ordering::is_eq),
+        BinOp::Ne => tv_compare(l, r, Ordering::is_ne),
+        BinOp::Lt => tv_compare(l, r, Ordering::is_lt),
+        BinOp::Le => tv_compare(l, r, Ordering::is_le),
+        BinOp::Gt => tv_compare(l, r, Ordering::is_gt),
+        BinOp::Ge => tv_compare(l, r, Ordering::is_ge),
+        _ => unreachable!("{op:?} is not a comparison"),
     }
 }
 

@@ -293,7 +293,15 @@ fn engine_pairs(
     let r = rel_with_tags(right, "r", 1000);
     let mut ctx = ExecContext::new(faults);
     ctx.materialization = materialization;
-    let out = execute_join(&l, &r, &join_spec(join_type), Some(&on_clause()), &mut ctx).unwrap();
+    let out = execute_join(
+        &l,
+        &r,
+        &join_spec(join_type),
+        Some(&on_clause()),
+        None,
+        &mut ctx,
+    )
+    .unwrap();
     let mut pairs: Vec<(i64, i64)> = out
         .to_rows()
         .iter()
