@@ -850,8 +850,8 @@ pub fn execute_join(
     // complete buffer chunk never get joined.
     let mut live = matches.len();
     if let Some(buf) = join.buffer_rows {
-        if faults.has(FaultKind::JoinBufferLimitDropsTail) && live > buf {
-            live = (live / buf) * buf;
+        if faults.has(FaultKind::JoinBufferLimitDropsTail) && live > buf && live % buf != 0 {
+            live -= live % buf;
             ctx.fire(FaultKind::JoinBufferLimitDropsTail);
         }
     }
@@ -1460,6 +1460,25 @@ mod tests {
         // against a buffer that fits everything.
         assert_eq!(ctx.fired, vec![FaultKind::JoinBufferLimitDropsTail]);
         assert!(out.len() <= 3);
+    }
+
+    /// A left side of exactly two buffers keeps every row: the fault stays
+    /// silent and the answer is the clean one.
+    #[test]
+    fn join_buffer_tail_drop_is_silent_on_whole_buffers() {
+        let j = PhysicalJoin {
+            buffer_rows: Some(2),
+            ..join(JoinType::Inner, JoinAlgo::BlockNestedLoop)
+        };
+        let run = |faults: FaultSet| {
+            let mut ctx = ExecContext::new(faults);
+            let on = on_clause();
+            let out = execute_join(&left_rel(), &right_rel(), &j, Some(&on), None, &mut ctx);
+            (out.unwrap().to_rows(), ctx.fired)
+        };
+        let (out, fired) = run(FaultSet::of(&[FaultKind::JoinBufferLimitDropsTail]));
+        assert!(fired.is_empty(), "{fired:?}");
+        assert_eq!(out, run(FaultSet::none()).0);
     }
 
     #[test]
