@@ -62,8 +62,9 @@ pub struct DsgConfig {
 #[derive(Debug, Clone)]
 pub struct DsgDatabase {
     pub db: NormalizedDb,
-    /// The schema graph `G_s` (§3.3) the query generator walks and KQE
-    /// extends into the plan-iterative graph.
+    /// The schema graph `G_s` (§3.3) the query generator walks; each
+    /// neighbor under each join type is an edge of the plan-iterative
+    /// graph KQE explores.
     pub schema_desc: SchemaDesc,
     pub noise: Vec<NoiseRecord>,
     /// Sample values per (table, column), used to generate selective filters.

@@ -7,7 +7,7 @@
 
 use crate::dsg::WalkScorer;
 use tqs_graph::embedding::{embed_graph, Embedding};
-use tqs_graph::plangraph::{PlanIterativeGraph, SchemaDesc};
+use tqs_graph::plangraph::SchemaDesc;
 use tqs_graph::{GraphIndex, LabeledGraph};
 
 /// KQE configuration.
@@ -28,19 +28,20 @@ impl Default for KqeConfig {
     }
 }
 
-/// The KQE state: the plan-iterative graph plus the explored-query index.
+/// The KQE state: the explored-query index. The plan-iterative graph it
+/// explores is never built: the DSG random walk enumerates its join edges
+/// on the fly ([`SchemaDesc::neighbors`] × join types).
 #[derive(Debug, Clone)]
 pub struct Kqe {
     pub cfg: KqeConfig,
-    pub plan_graph: PlanIterativeGraph,
     pub index: GraphIndex,
 }
 
 impl Kqe {
-    pub fn new(schema: SchemaDesc, cfg: KqeConfig) -> Self {
+    /// A KQE with nothing explored yet, for a walk over `_schema`.
+    pub fn new(_schema: SchemaDesc, cfg: KqeConfig) -> Self {
         Kqe {
             cfg,
-            plan_graph: PlanIterativeGraph::build(schema),
             index: GraphIndex::new(),
         }
     }
@@ -134,12 +135,5 @@ mod tests {
         );
         let scorer = KqeScorer { kqe: &kqe };
         assert!(scorer.weight(&novel) > scorer.weight(&seen));
-    }
-
-    #[test]
-    fn plan_graph_is_built_from_schema() {
-        let kqe = Kqe::new(schema(), KqeConfig::default());
-        assert_eq!(kqe.plan_graph.table_nodes.len(), 2);
-        assert_eq!(kqe.plan_graph.join_edge_count(), 7);
     }
 }

@@ -1,5 +1,5 @@
-//! Labeled graphs and their canonical form. Query graphs and the
-//! plan-iterative graph are both instances of [`LabeledGraph`].
+//! Labeled graphs and their canonical form. Query graphs are instances of
+//! [`LabeledGraph`].
 
 /// A node with a string label (e.g. `"table"`, `"int"`, `"varchar"`).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,7 +3,8 @@
 //! Graph substrate for KQE (Knowledge-guided Query space Exploration):
 //!
 //! * [`graph`] — labeled graphs, canonical forms and exact isomorphism checks.
-//! * [`plangraph`] — the plan-iterative graph (Figure 6) and query graphs.
+//! * [`plangraph`] — query graphs over the plan-iterative graph's vocabulary
+//!   (Figure 6).
 //! * [`embedding`] — Weisfeiler-Lehman feature-hashing embeddings (the GNN
 //!   substitute, see DESIGN.md).
 //! * [`index`] — the embedding-based graph index `GI` with kNN search and the
@@ -18,8 +19,7 @@ pub use embedding::{embed_graph, Embedding};
 pub use graph::{Edge, LabeledGraph, Node};
 pub use index::GraphIndex;
 pub use plangraph::{
-    graph_fingerprint, plan_fingerprint, query_graph, query_graph_with_subqueries,
-    PlanIterativeGraph, SchemaDesc,
+    graph_fingerprint, plan_fingerprint, query_graph, query_graph_with_subqueries, SchemaDesc,
 };
 
 #[cfg(test)]

@@ -1,19 +1,17 @@
-//! The plan-iterative graph (§4, Figure 6) and query graphs.
+//! The plan-iterative graph's vocabulary (§4, Figure 6) and query graphs.
 //!
-//! The plan-iterative graph extends the schema graph: each pair of joinable
-//! tables is connected by one edge per supported join type; each column is
-//! connected to its table by one edge per relational operator that can be
-//! applied to it (join column, filter, projection, group by, count). Every
-//! generated query maps to a sub-graph of this graph.
+//! Figure 6's plan-iterative graph extends the schema graph: each pair of
+//! joinable tables is connected by one edge per supported join type; each
+//! column is connected to its table by one edge per relational operator
+//! that can be applied to it (join column, filter, projection, group by,
+//! count). No such graph is built: the DSG random walk enumerates its join
+//! edges on the fly ([`SchemaDesc::neighbors`] × join types), and every
+//! generated query maps to a sub-graph of it, its [`query_graph`].
 
 use crate::graph::LabeledGraph;
-use tqs_sql::ast::{JoinType, SelectItem, SelectStmt};
+use tqs_sql::ast::{SelectItem, SelectStmt};
 
-/// Operator labels on table–column edges (Figure 6).
-pub(crate) const COLUMN_OPS: [&str; 5] =
-    ["join column", "filter", "projection", "group by", "count"];
-
-/// A schema description sufficient to build the plan-iterative graph,
+/// A schema description sufficient to walk the plan-iterative graph,
 /// decoupled from the schema crate: tables, their typed columns, and the
 /// joinable (table, table, column) triples.
 #[derive(Debug, Clone, Default)]
@@ -51,67 +49,6 @@ impl SchemaDesc {
             }
         }
         out
-    }
-}
-
-/// The plan-iterative graph `G`.
-#[derive(Debug, Clone)]
-pub struct PlanIterativeGraph {
-    pub schema: SchemaDesc,
-    pub graph: LabeledGraph,
-    /// node index of each table
-    pub table_nodes: Vec<(String, usize)>,
-    /// node index of each (table, column)
-    pub column_nodes: Vec<(String, String, usize)>,
-}
-
-impl PlanIterativeGraph {
-    pub fn build(schema: SchemaDesc) -> PlanIterativeGraph {
-        let mut graph = LabeledGraph::default();
-        let mut table_nodes = Vec::new();
-        let mut column_nodes = Vec::new();
-        for t in &schema.tables {
-            let id = graph.add_node("table");
-            table_nodes.push((t.clone(), id));
-        }
-        let table_id = |name: &str, nodes: &Vec<(String, usize)>| {
-            nodes
-                .iter()
-                .find(|(t, _)| t.eq_ignore_ascii_case(name))
-                .map(|(_, i)| *i)
-        };
-        for (t, c, ty, _key) in &schema.columns {
-            let id = graph.add_node(ty.clone());
-            column_nodes.push((t.clone(), c.clone(), id));
-            if let Some(ti) = table_id(t, &table_nodes) {
-                for op in COLUMN_OPS {
-                    graph.add_edge(ti, id, op);
-                }
-            }
-        }
-        for (l, r, _col) in &schema.join_edges {
-            if let (Some(li), Some(ri)) = (table_id(l, &table_nodes), table_id(r, &table_nodes)) {
-                for jt in JoinType::ALL {
-                    graph.add_edge(li, ri, jt.graph_label());
-                }
-            }
-        }
-        PlanIterativeGraph {
-            schema,
-            graph,
-            table_nodes,
-            column_nodes,
-        }
-    }
-
-    /// Total number of vertices (tables + columns).
-    pub fn vertex_count(&self) -> usize {
-        self.graph.node_count()
-    }
-
-    /// Number of table–table edges (m join types per joinable pair).
-    pub fn join_edge_count(&self) -> usize {
-        self.schema.join_edges.len() * JoinType::ALL.len()
     }
 }
 
@@ -289,17 +226,6 @@ mod tests {
                 ("T3".into(), "T4".into(), "goodsName".into()),
             ],
         }
-    }
-
-    #[test]
-    fn plan_iterative_graph_has_m_edges_per_join_pair() {
-        let g = PlanIterativeGraph::build(schema());
-        assert_eq!(g.table_nodes.len(), 3);
-        assert_eq!(g.column_nodes.len(), 7);
-        assert_eq!(g.vertex_count(), 10);
-        assert_eq!(g.join_edge_count(), 2 * 7);
-        // column edges: 5 operator edges per column
-        assert_eq!(g.graph.edges.len(), 2 * 7 + 7 * 5);
     }
 
     #[test]
