@@ -14,7 +14,7 @@
 //!   one way: [`EngineConnector::open`]`(`[`EngineKind`]`, `[`BuildSpec`]`,
 //!   ProfileId)`, then [`EngineConnector::loaded`] for a catalog. The kind
 //!   picks the executor — row-at-a-time ([`tqs_engine::Database`]),
-//!   batch-at-a-time over column vectors ([`tqs_engine::ColumnarDatabase`]) or
+//!   batch-at-a-time ([`tqs_engine::ColumnarDatabase`]) or
 //!   out of a disk-backed page store ([`tqs_engine::DiskDatabase`]) — and the
 //!   connector holds it behind the one [`tqs_engine::Engine`] front. The three
 //!   executors carry pairwise-disjoint fault complements, which is what makes

@@ -38,8 +38,8 @@ use tqs_storage::Catalog;
 pub(crate) const DEFAULT_BATCH_SIZE: usize = 64;
 
 /// The columnar simulated DBMS: shares the optimizer, catalog, session
-/// switches and subquery machinery with [`Database`], but executes through
-/// the vectorized pipeline in this module.
+/// switches, subquery machinery and join step with [`Database`], and runs
+/// them with the batch kernel in this module.
 #[derive(Debug, Clone)]
 pub struct ColumnarDatabase {
     inner: Database,

@@ -9,11 +9,12 @@
 //!   the one front every executor is driven through ([`Engine`]), the one
 //!   statement pipeline all three run (scan → joins → WHERE → projection),
 //!   and the row kernel it runs with.
-//! * [`exec`] — physical operators with fault interception points, and what
-//!   the row and columnar kernels share (the relation interface, key
-//!   extraction, residual ON predicates, hash-table build, column lookup).
-//! * [`columnar`] — the second executor: the column-major, batch-at-a-time
-//!   kernel, its own fault complement.
+//! * [`exec`] — physical operators with fault interception points: the
+//!   row-id relation every kernel runs over, and the one join step
+//!   ([`exec::execute_join`]) every executor runs.
+//! * [`columnar`] — the second executor: a batch-at-a-time kernel (a probe
+//!   batch for the join step, a vectorized WHERE), its own fault
+//!   complement.
 //! * [`disk`] — the third executor: base relations scanned out of the
 //!   `tqs-pager` page store (buffer pool, WAL, leaf chains) with a storage-layer
 //!   fault complement, then the row kernel; durable DML, crash injection.
