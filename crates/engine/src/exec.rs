@@ -190,19 +190,19 @@ impl Rel {
 
     /// Row `row`'s ids, one per part.
     #[inline]
-    pub(crate) fn tuple(&self, row: usize) -> &[u32] {
+    fn tuple(&self, row: usize) -> &[u32] {
         let stride = self.parts.len();
         &self.ids[row * stride..(row + 1) * stride]
     }
 
     /// The ids of a row that is NULL in every part.
-    pub(crate) fn null_tuple(&self) -> Vec<u32> {
+    fn null_tuple(&self) -> Vec<u32> {
         vec![NULL_ROW; self.parts.len()]
     }
 
     /// The header of a join of `left` with `right` (with no `right`, of a
     /// semi or anti join), and no rows yet.
-    pub(crate) fn joined(left: &Rel, right: Option<&Rel>) -> Rel {
+    fn joined(left: &Rel, right: Option<&Rel>) -> Rel {
         let mut out = Rel {
             cols: left.cols.clone(),
             parts: left.parts.clone(),
@@ -302,7 +302,7 @@ impl ColumnSlots {
     }
 
     /// The references of `exprs` against the candidate pairs of a join.
-    pub(crate) fn pair<'e>(
+    fn pair<'e>(
         exprs: impl IntoIterator<Item = &'e Expr>,
         left: &[(String, String)],
         right: &[(String, String)],
@@ -561,15 +561,15 @@ impl std::error::Error for ExecError {}
 
 /// Equi-key extraction result: column indices on each side plus any residual
 /// predicates that must still be evaluated per candidate pair.
-pub(crate) struct EquiKeys {
-    pub(crate) left_idx: Vec<usize>,
-    pub(crate) right_idx: Vec<usize>,
-    pub(crate) residual: Vec<Expr>,
+struct EquiKeys {
+    left_idx: Vec<usize>,
+    right_idx: Vec<usize>,
+    residual: Vec<Expr>,
 }
 
-/// Split `on` into equi-key column pairs and residual conjuncts. Works on
-/// relation headers, so the row and the columnar kernel share it.
-pub(crate) fn extract_equi_keys(
+/// Split `on` into equi-key column pairs and residual conjuncts, by the
+/// relation headers.
+fn extract_equi_keys(
     left: &[(String, String)],
     right: &[(String, String)],
     on: Option<&Expr>,
@@ -706,7 +706,7 @@ fn encode_key_into(
 /// longer on the per-row path: the merge join renders it once per distinct
 /// key run to order runs exactly as the old string keys sorted, so the
 /// first/last-run faults keep skipping the same runs they always did.
-pub(crate) fn canonical_encoding(v: &Value) -> String {
+fn canonical_encoding(v: &Value) -> String {
     match tqs_sql::value::hash_key(v) {
         tqs_sql::value::HashKey::Null => "N:".to_string(),
         tqs_sql::value::HashKey::Int(i) => format!("I:{i}"),
@@ -843,7 +843,13 @@ pub fn execute_join(
         (None, JoinAlgo::NestedLoop | JoinAlgo::BlockNestedLoop) => {
             (step.loop_matches(ctx), Vec::new())
         }
-        (None, _) => (step.hashed_matches(left.len(), key_faults, ctx), Vec::new()),
+        (
+            None,
+            JoinAlgo::HashJoin
+            | JoinAlgo::IndexJoin
+            | JoinAlgo::BatchedKeyAccess
+            | JoinAlgo::BlockNestedLoopHashed,
+        ) => (step.hashed_matches(left.len(), key_faults, ctx), Vec::new()),
     };
 
     // Join-buffer tail loss: rows of the buffered (left) side beyond the last

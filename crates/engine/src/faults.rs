@@ -648,6 +648,7 @@ impl FaultFlags {
     pub(crate) const NONE: FaultFlags = FaultFlags(0);
 
     fn bit(kind: FaultKind) -> u64 {
+        // The last variant, so every kind has a bit.
         const _: () = assert!((FaultKind::DmlCommitBoundaryTornVisibility as u32) < 64);
         1 << kind as u32
     }
