@@ -4,12 +4,16 @@
 //! [`crate::columnar::ColumnarDatabase`] executes batch-at-a-time,
 //! [`DiskDatabase`] keeps every table in a `tqs-pager` [`DiskStore`] — a
 //! buffer pool over fixed-size pages, a write-ahead log with redo recovery,
-//! and one rowid-ordered leaf chain per table — and materializes its scans
-//! from disk at statement time. The session front ([`Engine`]), the optimizer, the
-//! statement pipeline and the row kernel are shared with the row engine
-//! (`Database::execute_plan` runs the row kernel over the scanned catalog),
-//! so on fault-free builds the two are answer-identical by construction
-//! (scans return rows in rowid order, which is insertion order).
+//! and one rowid-ordered leaf chain per table. A statement's first read of a
+//! table decodes its leaf chain and applies the active storage faults; the
+//! decoded, faulted table is kept and shared by every later statement under
+//! the same active faults, until a load or a recovery replaces the base
+//! tables (see `DiskDatabase::scan_catalog`). The session front
+//! ([`Engine`]), the optimizer, the statement pipeline and the row kernel
+//! are shared with the row engine (`Database::execute_plan` runs the row
+//! kernel over the scanned catalog), so on fault-free builds the two are
+//! answer-identical by construction (scans return rows in rowid order, which
+//! is insertion order).
 //!
 //! What differs is the storage layer — and therefore the *fault complement*:
 //! the disk build carries [`FaultKind::DISK`] (torn page writes, WAL records
@@ -34,11 +38,13 @@
 use crate::dml::{DmlOp, DmlOutcome};
 use crate::engine::{find_table, Database, Engine, EngineError, ExecOutcome, RowKernel};
 use crate::exec::{ExecContext, Executor};
-use crate::faults::{FaultKind, TriggerContext};
+use crate::faults::{FaultFlags, FaultKind, TriggerContext};
 use crate::profiles::DbmsProfile;
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use tqs_pager::{CrashPoint, DiskStore, RecoveryStats, TableScan, DEFAULT_POOL_FRAMES};
 use tqs_sql::ast::{DmlStmt, SelectStmt};
 use tqs_sql::value::Value;
@@ -87,6 +93,21 @@ pub struct DiskDatabase {
     /// every base leaf's first-flush cell count — and a reload of `base`
     /// may rewind the DML log instead of rebuilding the store.
     rewindable: bool,
+    /// Decoded, faulted base-table scans, keyed by lower-case table name and
+    /// the disk faults active on the statement — with the store, all that
+    /// `faulted_rows` reads. Base tables change only by a full load or a
+    /// [`DiskDatabase::recover`], which clear it, and it fills only while
+    /// `rewindable` holds; a rewind and DML commits write only
+    /// `DML_LOG_TABLE`, so they keep it.
+    scans: HashMap<(String, FaultFlags), CachedScan>,
+}
+
+/// One base table as the disk faults of a statement leave it, and the faults
+/// its scan fired on its own, in firing order.
+#[derive(Debug, Clone)]
+struct CachedScan {
+    table: Arc<Table>,
+    fired: Vec<FaultKind>,
 }
 
 impl DiskDatabase {
@@ -103,6 +124,7 @@ impl DiskDatabase {
             pending_crash: None,
             last_recovery: None,
             rewindable: false,
+            scans: HashMap::new(),
         };
         db.load_catalog(catalog)?;
         Ok(db)
@@ -113,14 +135,17 @@ impl DiskDatabase {
         &self.dir
     }
 
-    /// The underlying page store (crash-recovery tests compare its scans
-    /// byte-for-byte across a kill/reopen cycle).
+    /// The underlying page store, read-only.
     pub fn store(&self) -> &DiskStore {
         &self.store
     }
 
-    pub fn store_mut(&mut self) -> &mut DiskStore {
-        &mut self.store
+    /// Read `name`'s leaf chain out of the page store as it stands, with no
+    /// fault applied (crash-recovery tests compare these scans byte-for-byte
+    /// across a kill/reopen cycle). Nothing outside a load writes a base
+    /// table, which is what lets statements share their scans.
+    pub fn scan_table(&mut self, name: &str) -> Result<TableScan, EngineError> {
+        self.store.scan(name).map_err(storage_err)
     }
 
     /// Stats of the WAL replay performed by the most recent
@@ -151,6 +176,9 @@ impl DiskDatabase {
     pub fn recover(&mut self) -> Result<RecoveryStats, EngineError> {
         self.pending_crash = None;
         self.rewindable = false;
+        // The reopened pool has lost the first-flush records the stale-frame
+        // fault reads, so cached scans may no longer be what a scan reads.
+        self.scans.clear();
         let (store, stats) =
             DiskStore::open(&self.dir, DEFAULT_POOL_FRAMES).map_err(storage_err)?;
         self.store = store;
@@ -276,13 +304,20 @@ impl DiskDatabase {
         Ok(())
     }
 
-    /// Scan the tables `stmt` reads out of the store into a fresh catalog,
-    /// applying the active storage faults to each scan. The row kernel's
-    /// relations address these scanned rows in place.
+    /// The tables `stmt` reads, each scanned out of the store with the disk
+    /// faults in `flags` applied, as a catalog that shares them; the faults
+    /// each scan fired fire on `ctx`. The row kernel's relations address
+    /// the scanned rows in place.
+    ///
+    /// A table's first scan under `flags` reads and decodes its leaf chain;
+    /// later statements get the same `Arc` (no page fetch, decode or row
+    /// copy) and replay the faults it fired, until a load or a recovery
+    /// clears the cache. A poisoned store bypasses the cache, so it refuses
+    /// the statement as it did before the first scan.
     fn scan_catalog(
         &mut self,
         stmt: &SelectStmt,
-        trigger: &TriggerContext,
+        flags: FaultFlags,
         ctx: &mut ExecContext,
     ) -> Result<Catalog, EngineError> {
         let read = stmt.tables_read();
@@ -291,21 +326,58 @@ impl DiskDatabase {
             if !read.iter().any(|t| t.eq_ignore_ascii_case(&name)) {
                 continue;
             }
-            let scan = self.store.scan(&name).map_err(storage_err)?;
-            let rows = faulted_rows(scan, trigger, ctx);
-            // Only the schema comes from the in-memory table; its rows are
-            // not copied.
-            let t = find_table(&self.inner.catalog, &name)?;
-            catalog.add_table(Table {
-                name: t.name.clone(),
-                columns: t.columns.clone(),
-                primary_key: t.primary_key.clone(),
-                keys: t.keys.clone(),
-                foreign_keys: t.foreign_keys.clone(),
-                rows: rows.into_iter().map(Row::new).collect(),
-            });
+            let scan = self.cached_scan(&name, flags, ctx)?;
+            for &kind in &scan.fired {
+                ctx.fire(kind);
+            }
+            catalog.add_shared_table(scan.table);
         }
         Ok(catalog)
+    }
+
+    /// `name`'s scan under `flags`: the cached one, or a fresh one that is
+    /// cached while the store holds a completed load.
+    fn cached_scan(
+        &mut self,
+        name: &str,
+        flags: FaultFlags,
+        ctx: &mut ExecContext,
+    ) -> Result<CachedScan, EngineError> {
+        let key = (name.to_lowercase(), flags);
+        if !self.store.is_poisoned() {
+            if let Some(hit) = self.scans.get(&key) {
+                if tqs_telemetry::enabled() {
+                    tqs_telemetry::counter!("engine.disk.scan_cache.hits").incr();
+                }
+                return Ok(hit.clone());
+            }
+        }
+        if tqs_telemetry::enabled() {
+            tqs_telemetry::counter!("engine.disk.scan_cache.misses").incr();
+        }
+        let scan = self.store.scan(name).map_err(storage_err)?;
+        // Record what this table fires on its own: a later statement that
+        // reads only this table must fire all of it, not just what was new
+        // to the statement that filled the entry.
+        let outer = std::mem::take(&mut ctx.fired);
+        let rows = faulted_rows(scan, flags, ctx);
+        let fired = std::mem::replace(&mut ctx.fired, outer);
+        // Only the schema comes from the in-memory table; its rows are not
+        // copied.
+        let t = find_table(&self.inner.catalog, name)?;
+        let table = Arc::new(Table {
+            name: t.name.clone(),
+            columns: t.columns.clone(),
+            primary_key: t.primary_key.clone(),
+            keys: t.keys.clone(),
+            foreign_keys: t.foreign_keys.clone(),
+            rows: rows.into_iter().map(Row::new).collect(),
+        });
+        let scan = CachedScan { table, fired };
+        if self.rewindable {
+            self.scans.insert(key, scan.clone());
+        }
+        Ok(scan)
     }
 }
 
@@ -335,12 +407,14 @@ impl Engine for DiskDatabase {
     /// fresh store, a different catalog, an armed crash point, a poisoned
     /// store, a load that did not finish, and a store reopened by
     /// [`DiskDatabase::recover`] (its new pool has lost the first-flush
-    /// records the stale-frame fault keys on).
+    /// records the stale-frame fault keys on). A rewind keeps the cached
+    /// scans of the base tables; a full load drops them.
     fn load_catalog(&mut self, catalog: Catalog) -> Result<(), EngineError> {
         if self.holds(&catalog) {
             return self.rewind(catalog);
         }
         self.rewindable = false;
+        self.scans.clear();
         if !self.store.is_fresh() {
             self.store = DiskStore::create(&self.dir, DEFAULT_POOL_FRAMES).map_err(storage_err)?;
         }
@@ -362,10 +436,10 @@ impl Engine for DiskDatabase {
         Ok(())
     }
 
-    /// Execute a statement: scan the tables it reads out of the page store
-    /// (applying whatever storage faults the chosen access path exposes),
-    /// then run the shared pipeline with the row kernel over the scanned
-    /// catalog.
+    /// Execute a statement: scan the tables it reads out of the page store,
+    /// or share their cached scans (applying whatever storage faults the
+    /// chosen access path exposes), then run the shared pipeline with the
+    /// row kernel over the scanned catalog.
     fn execute(&mut self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError> {
         let (plan, mut ctx) = self.inner.begin(stmt, Executor::Disk)?;
         let _stmt_span = tqs_telemetry::span("engine", "disk.execute");
@@ -380,11 +454,15 @@ impl Engine for DiskDatabase {
             },
         };
 
-        let mut catalog = self.scan_catalog(stmt, &trigger, &mut ctx)?;
+        // The five disk faults are decided once per statement; the decision
+        // is also the scan cache's key.
+        let flags = ctx.faults.active_flags(&trigger);
+        let mut catalog = self.scan_catalog(stmt, flags, &mut ctx)?;
         // The scan returns base-table content; the session's DML delta —
         // committed ops, then the open transaction's own writes — replays on
-        // top. Ops clamp out-of-range indices, so replay stays well-defined
-        // even over scans a storage fault corrupted.
+        // top, copying a shared scan on its first write. Ops clamp
+        // out-of-range indices, so replay stays well-defined even over scans
+        // a storage fault corrupted.
         for op in self.committed_ops.iter().chain(self.inner.txn_ops()) {
             op.apply(&mut catalog);
         }
@@ -434,7 +512,8 @@ impl Drop for DiskDatabase {
     }
 }
 
-/// Apply the active disk faults to one table scan and flatten it to rows.
+/// Apply the active disk faults (`flags`) to one table scan and flatten it to
+/// rows, firing on `ctx` each fault that changed them.
 ///
 /// Each fault corrupts exactly the structure its description names: the
 /// stale-frame fault rewinds a leaf to its first-flushed cell count, the
@@ -442,20 +521,12 @@ impl Drop for DiskDatabase {
 /// fault halves the tail leaf, the WAL-loss fault erases the last commit
 /// batch's rowid range, and the double-replay fault duplicates that batch's
 /// first row.
-fn faulted_rows(
-    scan: TableScan,
-    trigger: &TriggerContext,
-    ctx: &mut ExecContext,
-) -> Vec<Vec<Value>> {
-    let torn = ctx.faults.active(FaultKind::DiskTornPageWrite, trigger);
-    let wal_lost = ctx
-        .faults
-        .active(FaultKind::DiskWalLostBeforeFsync, trigger);
-    let stale = ctx.faults.active(FaultKind::DiskStaleFrameRead, trigger);
-    let split_loss = ctx.faults.active(FaultKind::DiskSplitHighKeyLoss, trigger);
-    let double = ctx
-        .faults
-        .active(FaultKind::DiskRecoveryDoubleReplay, trigger);
+fn faulted_rows(scan: TableScan, flags: FaultFlags, ctx: &mut ExecContext) -> Vec<Vec<Value>> {
+    let torn = flags.has(FaultKind::DiskTornPageWrite);
+    let wal_lost = flags.has(FaultKind::DiskWalLostBeforeFsync);
+    let stale = flags.has(FaultKind::DiskStaleFrameRead);
+    let split_loss = flags.has(FaultKind::DiskSplitHighKeyLoss);
+    let double = flags.has(FaultKind::DiskRecoveryDoubleReplay);
 
     let last_batch_start = scan.last_batch_start;
     let last_batch_rows = scan.last_batch_rows;
@@ -797,12 +868,14 @@ mod tests {
         "INSERT INTO t2 (id, col1) VALUES (28, 'open')",
     ];
 
-    /// Between them, every disk fault's access path.
-    const PROBES: [&str; 4] = [
+    /// Between them, every disk fault's access path. The t2 self-join reads
+    /// only t2, under the faults the t1+t2 inner join activates.
+    const PROBES: [&str; 5] = [
         "SELECT t1.id, t2.col1 FROM t1 INNER JOIN t2 ON t1.col1 = t2.id",
         "SELECT t1.id FROM t1 WHERE t1.col1 IN (SELECT t2.id FROM t2)",
         "SELECT t1.id FROM t1 LEFT OUTER JOIN t2 ON t1.col1 = t2.id",
         "SELECT t2.id, t2.col1 FROM t2",
+        "SELECT t2.id, b.col1 FROM t2 INNER JOIN t2 AS b ON t2.id = b.id",
     ];
 
     fn run(d: &mut DiskDatabase, program: &[&str]) {
@@ -836,8 +909,8 @@ mod tests {
             assert_holds(&d, &cat, "reloaded");
             for name in cat.table_names() {
                 assert_eq!(
-                    d.store_mut().scan(&name).unwrap(),
-                    fresh.store_mut().scan(&name).unwrap(),
+                    d.scan_table(&name).unwrap(),
+                    fresh.scan_table(&name).unwrap(),
                     "{kind:?}: {name} scans differently"
                 );
             }
@@ -902,15 +975,15 @@ mod tests {
         let profile = faulty(FaultKind::DiskStaleFrameRead);
         let mut fresh = DiskDatabase::new(cat.clone(), profile.clone()).unwrap();
         let fresh_pool = fresh.store().pool_stats();
-        let t1 = fresh.store_mut().scan("t1").unwrap();
+        let t1 = fresh.scan_table("t1").unwrap();
         let mut d = DiskDatabase::new(cat.clone(), profile).unwrap();
         run(&mut d, &PROGRAM);
         d.recover().unwrap();
         // The reopened pool has lost the first-flush records a rewind keeps.
-        assert_ne!(d.store_mut().scan("t1").unwrap(), t1);
+        assert_ne!(d.scan_table("t1").unwrap(), t1);
         d.load_catalog(cat.clone()).unwrap();
         assert_eq!(d.store().pool_stats(), fresh_pool, "the reload rewound");
-        assert_eq!(d.store_mut().scan("t1").unwrap(), t1);
+        assert_eq!(d.scan_table("t1").unwrap(), t1);
         let q = PROBES[0];
         let (a, b) = (d.execute_sql(q).unwrap(), fresh.execute_sql(q).unwrap());
         assert!(a.fired.contains(&FaultKind::DiskStaleFrameRead));
@@ -918,17 +991,114 @@ mod tests {
         assert!(a.result.same_bag(&b.result));
     }
 
+    /// `q`'s answer (rows in order) and `fired` list on `d`.
+    fn answer(d: &mut DiskDatabase, q: &str) -> (String, Vec<FaultKind>) {
+        let out = d.execute_sql(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        (out.result.pretty(), out.fired)
+    }
+
+    /// A warm engine answers and fires exactly what a fresh one does for
+    /// each probe alone. Forward, the t1+t2 probes fill t2's entries before
+    /// the t2-only probes read them, so a table's entry must hold all it
+    /// fired, not only what was new to the statement that filled it. After
+    /// DML the scans stay cached and the delta replays on a copy.
+    #[test]
+    fn warm_scans_answer_and_fire_as_cold_ones() {
+        for kind in FaultKind::DISK {
+            let mut warm = DiskDatabase::new(catalog(), faulty(kind)).unwrap();
+            for q in PROBES.iter().chain(PROBES.iter().rev()) {
+                let mut cold = DiskDatabase::new(catalog(), faulty(kind)).unwrap();
+                assert_eq!(
+                    answer(&mut warm, q),
+                    answer(&mut cold, q),
+                    "{kind:?} on {q}"
+                );
+            }
+            run(&mut warm, &PROGRAM);
+            for q in PROBES.iter().chain(PROBES.iter().rev()) {
+                let mut cold = DiskDatabase::new(catalog(), faulty(kind)).unwrap();
+                run(&mut cold, &PROGRAM);
+                assert_eq!(
+                    answer(&mut warm, q),
+                    answer(&mut cold, q),
+                    "{kind:?} after DML on {q}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_poisoned_store_refuses_a_warm_scan() {
+        for point in CrashPoint::ALL {
+            let mut d = disk(ProfileId::MysqlLike);
+            for q in PROBES {
+                answer(&mut d, q);
+            }
+            run(&mut d, &PROGRAM[2..4]);
+            d.arm_crash(point);
+            d.execute_dml_sql("COMMIT").unwrap_err();
+            for q in PROBES {
+                let err = d.execute_sql(q).unwrap_err();
+                assert!(
+                    matches!(&err, EngineError::Storage(m)
+                        if m == "store is poisoned by an injected crash; reopen it to recover"),
+                    "{point} on {q}: {err}"
+                );
+            }
+        }
+    }
+
+    /// Recovery's fresh pool has lost the first-flush records the
+    /// stale-frame fault reads: a scan cached before it must not answer
+    /// after it.
+    #[test]
+    fn recover_drops_the_cached_scans() {
+        let profile = faulty(FaultKind::DiskStaleFrameRead);
+        let q = PROBES[0];
+        let mut warm = DiskDatabase::new(catalog(), profile.clone()).unwrap();
+        let before = answer(&mut warm, q);
+        assert!(before.1.contains(&FaultKind::DiskStaleFrameRead));
+        warm.recover().unwrap();
+        let mut cold = DiskDatabase::new(catalog(), profile).unwrap();
+        cold.recover().unwrap();
+        let after = answer(&mut warm, q);
+        assert_eq!(after, answer(&mut cold, q));
+        assert_ne!(after, before, "the recovered store scans as the loaded one");
+    }
+
+    /// Once a statement has run, running it again fetches no page.
+    #[test]
+    fn a_repeated_statement_fetches_no_page() {
+        for kind in FaultKind::DISK {
+            let mut d = DiskDatabase::new(catalog(), faulty(kind)).unwrap();
+            for q in PROBES {
+                let first = answer(&mut d, q);
+                let pool = d.store().pool_stats();
+                for _ in 2..=10 {
+                    assert_eq!(answer(&mut d, q), first, "{kind:?} on {q}");
+                }
+                assert_eq!(d.store().pool_stats(), pool, "{kind:?} on {q}");
+            }
+        }
+    }
+
+    /// The full load drops the scans the old catalog cached.
     #[test]
     fn a_catalog_with_the_same_names_but_a_changed_row_loads_in_full() {
         let cat = catalog();
         let mut changed = cat.clone();
         let row = vec![Value::Int(1), Value::str("changed")];
         changed.table_mut("t2").unwrap().rows[0] = Row::new(row.clone());
-        let mut d =
-            DiskDatabase::new(cat, DbmsProfile::disk(ProfileId::MysqlLike).fault_free()).unwrap();
+        let profile = DbmsProfile::disk(ProfileId::MysqlLike).fault_free();
+        let mut d = DiskDatabase::new(cat, profile.clone()).unwrap();
+        let q = PROBES[3];
+        answer(&mut d, q);
         run(&mut d, &PROGRAM[..1]);
         d.load_catalog(changed.clone()).unwrap();
         assert_holds(&d, &changed, "loaded");
-        assert_eq!(d.store_mut().scan("t2").unwrap().into_rows()[0], (1, row));
+        assert_eq!(d.scan_table("t2").unwrap().into_rows()[0], (1, row));
+        // The scan cached before the load is gone with it.
+        let mut fresh = DiskDatabase::new(changed, profile).unwrap();
+        assert_eq!(answer(&mut d, q), answer(&mut fresh, q));
     }
 }

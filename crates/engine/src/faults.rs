@@ -640,7 +640,7 @@ impl FaultSet {
 }
 
 /// A set of fault kinds as one bit each ([`FaultSet::active_flags`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct FaultFlags(u64);
 
 impl FaultFlags {

@@ -174,9 +174,10 @@ impl Catalog {
         self.add_shared_table(Arc::new(table));
     }
 
-    /// Insert an already-shared table without copying its rows (shard views
-    /// and worker replicas hand catalogs around this way).
-    pub(crate) fn add_shared_table(&mut self, table: Arc<Table>) {
+    /// Insert an already-shared table without copying its rows (shard views,
+    /// worker replicas and the disk executor's cached scans hand tables
+    /// around this way).
+    pub fn add_shared_table(&mut self, table: Arc<Table>) {
         let key = table.name.to_lowercase();
         if !self.tables.contains_key(&key) {
             self.order.push(table.name.clone());

@@ -56,8 +56,7 @@ fn scan_all(db: &mut DiskDatabase) -> BTreeMap<String, Vec<(u64, Vec<Value>)>> {
         .into_iter()
         .map(|name| {
             let rows = db
-                .store_mut()
-                .scan(&name)
+                .scan_table(&name)
                 .expect("scan the recovered table")
                 .into_rows();
             (name, rows)
