@@ -586,8 +586,8 @@ impl Oracle for PlanSpaceOracle {
             Err(_) => return OracleVerdict::Skip,
         };
         let info = conn.info();
-        let seeded = match &self.faults {
-            Some(f) => f.clone(),
+        let seeded = match self.faults {
+            Some(f) => f,
             None if info.seeded_faults => FaultSet::of(&FaultKind::OPTIMIZER),
             None => FaultSet::none(),
         };

@@ -17,17 +17,18 @@
 //! So on fault-free builds the two engines are answer-identical by
 //! construction of the shared semantics — a property the workspace pins
 //! with a proptest. What differs is the *fault complement*: the columnar
-//! build carries [`FaultKind::COLUMNAR`] (batch-tail loss, NULL-mask
+//! build carries [`FaultKind::COLUMNAR`](crate::FaultKind::COLUMNAR) (batch-tail loss, NULL-mask
 //! misalignment, dictionary truncation, selection-bitmap corruption) and
 //! none of the Table 4 row faults. The join step holds both complements'
 //! interception points and each build's fault set decides which can fire;
 //! that disjointness is what makes cross-engine differential testing
-//! (`DifferentialOracle` in tqs-core) a meaningful oracle.
+//! (`DifferentialOracle` in tqs-core) a meaningful oracle. Like every
+//! interception point, the filter reads the statement's active set.
 
 use crate::dml::DmlOutcome;
 use crate::engine::{Database, Engine, EngineError, EngineSubqueries, ExecOutcome, Kernel};
 use crate::exec::{col_index, ColumnSlots, ExecContext, Executor, Rel};
-use crate::faults::{FaultKind, TriggerContext};
+use crate::faults::FaultKind::ColumnarFilterNullAsTrue;
 use crate::profiles::DbmsProfile;
 use tqs_sql::ast::{BinOp, DmlStmt, Expr, SelectStmt};
 use tqs_sql::eval::{compare, eval_predicate};
@@ -115,10 +116,10 @@ impl Kernel for ColumnarDatabase {
         let n = rel.len();
         let mut sel = vec![true; n];
         let conjuncts = pred.conjuncts();
-        let filter_trigger = TriggerContext::default();
         let null_as_true = ctx
             .faults
-            .active(FaultKind::ColumnarFilterNullAsTrue, &filter_trigger);
+            .active(&ctx.trigger)
+            .contains(ColumnarFilterNullAsTrue);
         let slots = ColumnSlots::new([pred], &rel.cols);
         for c in conjuncts {
             match vectorizable(c, &rel) {
@@ -159,7 +160,7 @@ impl ColumnarDatabase {
             // The selection-bitmap fault: the last lane of a *full* batch is
             // never cleared, so a NULL predicate there stays selected.
             None if null_as_true && i % self.batch_size == self.batch_size - 1 => {
-                ctx.fire(FaultKind::ColumnarFilterNullAsTrue);
+                ctx.fire(ColumnarFilterNullAsTrue);
             }
             _ => sel[i] = false,
         }
@@ -192,7 +193,7 @@ fn vectorizable<'a>(e: &'a Expr, rel: &Rel) -> Option<(usize, BinOp, &'a Value, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultSet;
+    use crate::faults::{FaultKind, FaultSet};
     use crate::plan::JoinAlgo;
     use crate::profiles::ProfileId;
     use tqs_sql::hints::HintSet;

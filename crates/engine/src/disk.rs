@@ -5,10 +5,11 @@
 //! [`DiskDatabase`] keeps every table in a `tqs-pager` [`DiskStore`] — a
 //! buffer pool over fixed-size pages, a write-ahead log with redo recovery,
 //! and one rowid-ordered leaf chain per table. A statement's first read of a
-//! table decodes its leaf chain and applies the active storage faults; the
-//! decoded, faulted table is kept and shared by every later statement under
-//! the same active faults, until a load or a recovery replaces the base
-//! tables (see `DiskDatabase::scan_catalog`). The session front
+//! table decodes its leaf chain and applies the active storage faults (the
+//! statement's [`FaultSet::active`] set on its first join step's access
+//! path); the decoded, faulted table is kept and shared by every later
+//! statement under the same active faults, until a load or a recovery
+//! replaces the base tables (see `DiskDatabase::scan_catalog`). The session front
 //! ([`Engine`]), the optimizer, the statement pipeline and the row kernel
 //! are shared with the row engine (`Database::execute_plan` runs the row
 //! kernel over the scanned catalog), so on fault-free builds the two are
@@ -38,7 +39,8 @@
 use crate::dml::{DmlOp, DmlOutcome};
 use crate::engine::{find_table, Database, Engine, EngineError, ExecOutcome, RowKernel};
 use crate::exec::{ExecContext, Executor};
-use crate::faults::{FaultFlags, FaultKind, TriggerContext};
+use crate::faults::FaultKind::{self, *};
+use crate::faults::FaultSet;
 use crate::profiles::DbmsProfile;
 use std::collections::HashMap;
 use std::io;
@@ -94,12 +96,12 @@ pub struct DiskDatabase {
     /// may rewind the DML log instead of rebuilding the store.
     rewindable: bool,
     /// Decoded, faulted base-table scans, keyed by lower-case table name and
-    /// the disk faults active on the statement — with the store, all that
+    /// the faults active on the statement's scan — with the store, all that
     /// `faulted_rows` reads. Base tables change only by a full load or a
     /// [`DiskDatabase::recover`], which clear it, and it fills only while
     /// `rewindable` holds; a rewind and DML commits write only
     /// `DML_LOG_TABLE`, so they keep it.
-    scans: HashMap<(String, FaultFlags), CachedScan>,
+    scans: HashMap<(String, FaultSet), CachedScan>,
 }
 
 /// One base table as the disk faults of a statement leave it, and the faults
@@ -305,11 +307,11 @@ impl DiskDatabase {
     }
 
     /// The tables `stmt` reads, each scanned out of the store with the disk
-    /// faults in `flags` applied, as a catalog that shares them; the faults
+    /// faults in `active` applied, as a catalog that shares them; the faults
     /// each scan fired fire on `ctx`. The row kernel's relations address
     /// the scanned rows in place.
     ///
-    /// A table's first scan under `flags` reads and decodes its leaf chain;
+    /// A table's first scan under `active` reads and decodes its leaf chain;
     /// later statements get the same `Arc` (no page fetch, decode or row
     /// copy) and replay the faults it fired, until a load or a recovery
     /// clears the cache. A poisoned store bypasses the cache, so it refuses
@@ -317,7 +319,7 @@ impl DiskDatabase {
     fn scan_catalog(
         &mut self,
         stmt: &SelectStmt,
-        flags: FaultFlags,
+        active: FaultSet,
         ctx: &mut ExecContext,
     ) -> Result<Catalog, EngineError> {
         let read = stmt.tables_read();
@@ -326,7 +328,7 @@ impl DiskDatabase {
             if !read.iter().any(|t| t.eq_ignore_ascii_case(&name)) {
                 continue;
             }
-            let scan = self.cached_scan(&name, flags, ctx)?;
+            let scan = self.cached_scan(&name, active, ctx)?;
             for &kind in &scan.fired {
                 ctx.fire(kind);
             }
@@ -335,15 +337,15 @@ impl DiskDatabase {
         Ok(catalog)
     }
 
-    /// `name`'s scan under `flags`: the cached one, or a fresh one that is
+    /// `name`'s scan under `active`: the cached one, or a fresh one that is
     /// cached while the store holds a completed load.
     fn cached_scan(
         &mut self,
         name: &str,
-        flags: FaultFlags,
+        active: FaultSet,
         ctx: &mut ExecContext,
     ) -> Result<CachedScan, EngineError> {
-        let key = (name.to_lowercase(), flags);
+        let key = (name.to_lowercase(), active);
         if !self.store.is_poisoned() {
             if let Some(hit) = self.scans.get(&key) {
                 if tqs_telemetry::enabled() {
@@ -360,7 +362,7 @@ impl DiskDatabase {
         // reads only this table must fire all of it, not just what was new
         // to the statement that filled the entry.
         let outer = std::mem::take(&mut ctx.fired);
-        let rows = faulted_rows(scan, flags, ctx);
+        let rows = faulted_rows(scan, active, ctx);
         let fired = std::mem::replace(&mut ctx.fired, outer);
         // Only the schema comes from the in-memory table; its rows are not
         // copied.
@@ -443,21 +445,14 @@ impl Engine for DiskDatabase {
     fn execute(&mut self, stmt: &SelectStmt) -> Result<ExecOutcome, EngineError> {
         let (plan, mut ctx) = self.inner.begin(stmt, Executor::Disk)?;
         let _stmt_span = tqs_telemetry::span("engine", "disk.execute");
-        let trigger = match plan.joins.first() {
-            Some(pj) => ctx.trigger_ctx(pj),
-            None => TriggerContext {
-                semi_strategy: ctx.semi_strategy,
-                materialization: ctx.materialization,
-                subquery_present: ctx.subquery_present,
-                switched_off: ctx.switched_off.clone(),
-                ..Default::default()
-            },
+        // The scan's faults are decided once per statement, on the access
+        // path of the plan's first join step (the statement's own context
+        // without one); the decision is also the scan cache's key.
+        let active = match plan.joins.first() {
+            Some(pj) => ctx.faults.active(&ctx.trigger_ctx(pj)),
+            None => ctx.faults.active(&ctx.trigger),
         };
-
-        // The five disk faults are decided once per statement; the decision
-        // is also the scan cache's key.
-        let flags = ctx.faults.active_flags(&trigger);
-        let mut catalog = self.scan_catalog(stmt, flags, &mut ctx)?;
+        let mut catalog = self.scan_catalog(stmt, active, &mut ctx)?;
         // The scan returns base-table content; the session's DML delta —
         // committed ops, then the open transaction's own writes — replays on
         // top, copying a shared scan on its first write. Ops clamp
@@ -512,8 +507,8 @@ impl Drop for DiskDatabase {
     }
 }
 
-/// Apply the active disk faults (`flags`) to one table scan and flatten it to
-/// rows, firing on `ctx` each fault that changed them.
+/// Apply the active disk faults (`active`) to one table scan and flatten it
+/// to rows, firing on `ctx` each fault that changed them.
 ///
 /// Each fault corrupts exactly the structure its description names: the
 /// stale-frame fault rewinds a leaf to its first-flushed cell count, the
@@ -521,12 +516,12 @@ impl Drop for DiskDatabase {
 /// fault halves the tail leaf, the WAL-loss fault erases the last commit
 /// batch's rowid range, and the double-replay fault duplicates that batch's
 /// first row.
-fn faulted_rows(scan: TableScan, flags: FaultFlags, ctx: &mut ExecContext) -> Vec<Vec<Value>> {
-    let torn = flags.has(FaultKind::DiskTornPageWrite);
-    let wal_lost = flags.has(FaultKind::DiskWalLostBeforeFsync);
-    let stale = flags.has(FaultKind::DiskStaleFrameRead);
-    let split_loss = flags.has(FaultKind::DiskSplitHighKeyLoss);
-    let double = flags.has(FaultKind::DiskRecoveryDoubleReplay);
+fn faulted_rows(scan: TableScan, active: FaultSet, ctx: &mut ExecContext) -> Vec<Vec<Value>> {
+    let torn = active.contains(DiskTornPageWrite);
+    let wal_lost = active.contains(DiskWalLostBeforeFsync);
+    let stale = active.contains(DiskStaleFrameRead);
+    let split_loss = active.contains(DiskSplitHighKeyLoss);
+    let double = active.contains(DiskRecoveryDoubleReplay);
 
     let last_batch_start = scan.last_batch_start;
     let last_batch_rows = scan.last_batch_rows;
@@ -538,18 +533,18 @@ fn faulted_rows(scan: TableScan, flags: FaultFlags, ctx: &mut ExecContext) -> Ve
             if let Some(c) = leaf.first_flush_cells {
                 if c < cells.len() {
                     cells.truncate(c);
-                    ctx.fire(FaultKind::DiskStaleFrameRead);
+                    ctx.fire(DiskStaleFrameRead);
                 }
             }
         }
         if split_loss && leaf.split_origin && !cells.is_empty() {
             cells.pop();
-            ctx.fire(FaultKind::DiskSplitHighKeyLoss);
+            ctx.fire(DiskSplitHighKeyLoss);
         }
         if torn && li + 1 == n_leaves && cells.len() >= 2 {
             let keep = cells.len().div_ceil(2);
             cells.truncate(keep);
-            ctx.fire(FaultKind::DiskTornPageWrite);
+            ctx.fire(DiskTornPageWrite);
         }
         rows.extend(cells);
     }
@@ -559,14 +554,14 @@ fn faulted_rows(scan: TableScan, flags: FaultFlags, ctx: &mut ExecContext) -> Ve
         let before = rows.len();
         rows.retain(|(rid, _)| *rid < lo || *rid >= hi);
         if rows.len() != before {
-            ctx.fire(FaultKind::DiskWalLostBeforeFsync);
+            ctx.fire(DiskWalLostBeforeFsync);
         }
     }
     if double && last_batch_rows > 0 {
         if let Some(pos) = rows.iter().position(|(rid, _)| *rid == last_batch_start) {
             let dup = rows[pos].clone();
             rows.insert(pos + 1, dup);
-            ctx.fire(FaultKind::DiskRecoveryDoubleReplay);
+            ctx.fire(DiskRecoveryDoubleReplay);
         }
     }
     rows.into_iter().map(|(_, v)| v).collect()

@@ -14,7 +14,10 @@ use crate::exec::{
     col_index, execute_join, executor_metric, ColumnPruner, ColumnSlots, ExecContext, ExecError,
     Executor, Rel,
 };
-use crate::faults::{FaultKind, FaultSet};
+use crate::faults::FaultKind::{
+    self, AntiJoinMaterializationNullDrop, ConstantCacheNullSafeEq, SemiJoinWrongResults,
+};
+use crate::faults::{FaultSet, TriggerContext};
 use crate::plan::{join_prerequisites, JoinAlgo, PhysicalJoin, PhysicalPlan, SubqueryPlan};
 use crate::profiles::DbmsProfile;
 use std::cell::RefCell;
@@ -348,14 +351,6 @@ impl Database {
         *self.switches.get(&name).unwrap_or(&true)
     }
 
-    pub(crate) fn switched_off_names(&self) -> Vec<&'static str> {
-        SwitchName::ALL
-            .iter()
-            .filter(|n| !self.switch_on(**n))
-            .map(|n| n.name())
-            .collect()
-    }
-
     /// The optimizer: choose a physical plan for `stmt` given the session
     /// switches, the statement's hints and the profile defaults.
     pub fn plan(&self, stmt: &SelectStmt) -> Result<PhysicalPlan, EngineError> {
@@ -599,7 +594,7 @@ impl Database {
         if algo == JoinAlgo::IndexJoin && !right_has_key {
             algo = JoinAlgo::HashJoin;
         }
-        if self.profile.info.name.starts_with("MariaDB") {
+        if self.profile.default_equi_algo == JoinAlgo::BlockNestedLoopHashed {
             algo = if right_has_key
                 && self.switch_on(SwitchName::BatchedKeyAccess)
                 && self.switch_on(SwitchName::JoinCacheBka)
@@ -651,19 +646,26 @@ impl Database {
     }
 
     /// The prologue every executor opens a statement with: the plan, and an
-    /// execution context carrying the session facts the fault triggers read.
+    /// execution context carrying the statement's trigger context — the
+    /// session and plan facts the fault triggers read, built once here.
     pub(crate) fn begin(
         &self,
         stmt: &SelectStmt,
         executor: Executor,
     ) -> Result<(PhysicalPlan, ExecContext), EngineError> {
         let plan = self.plan(stmt)?;
-        let mut ctx = ExecContext::new(self.profile.faults.clone());
+        let mut ctx = ExecContext::new(self.profile.faults);
         ctx.executor = executor;
-        ctx.switched_off = self.switched_off_names();
-        ctx.materialization = self.materialization_enabled(stmt);
-        ctx.subquery_present = stmt.has_subquery();
-        ctx.semi_strategy = self.semi_strategy(stmt);
+        ctx.trigger = TriggerContext {
+            semi_strategy: self.semi_strategy(stmt),
+            materialization: self.materialization_enabled(stmt),
+            subquery_present: stmt.has_subquery(),
+            subquery_plan: Some(plan.subquery_plan),
+            switched_off: (SwitchName::ALL.into_iter())
+                .filter(|&n| !self.switch_on(n))
+                .collect(),
+            ..TriggerContext::default()
+        };
         ctx.check_cancelled()?;
         Ok((plan, ctx))
     }
@@ -719,7 +721,7 @@ impl Database {
             .where_clause
             .as_ref()
             .and_then(|pred| kernel.rewrite_where(pred, &rel, &mut ctx));
-        let sub = EngineSubqueries::new(catalog, &ctx, plan.subquery_plan);
+        let sub = EngineSubqueries::new(catalog, &ctx);
         if let Some(pred) = rewritten.as_ref().or(stmt.where_clause.as_ref()) {
             let op_t0 = ctx.op_start();
             let rows_in = rel.len() as u64;
@@ -822,7 +824,8 @@ impl Kernel for RowKernel {
     /// was type-converted against the first row; if that first value was
     /// NULL, the cached constant degrades to NULL.
     fn rewrite_where(&self, pred: &Expr, rel: &Rel, ctx: &mut ExecContext) -> Option<Expr> {
-        if !ctx.faults.contains(FaultKind::ConstantCacheNullSafeEq) || rel.is_empty() {
+        let active = ctx.faults.active(&ctx.trigger);
+        if !active.contains(ConstantCacheNullSafeEq) || rel.is_empty() {
             return None;
         }
         let mut fired = false;
@@ -836,7 +839,7 @@ impl Kernel for RowKernel {
             }
         });
         if fired {
-            ctx.fire(FaultKind::ConstantCacheNullSafeEq);
+            ctx.fire(ConstantCacheNullSafeEq);
         }
         fired.then_some(rewritten)
     }
@@ -901,14 +904,14 @@ fn rewrite_null_safe_eq(
     }
 }
 
-/// Subquery execution for WHERE-clause IN/EXISTS, honouring the chosen
-/// subquery plan and its faults. Shared with the columnar executor, whose
-/// WHERE phase delegates subquery evaluation here.
+/// Subquery execution for WHERE-clause IN/EXISTS, with the faults the
+/// statement's subquery plan activates. Shared with the columnar executor,
+/// whose WHERE phase delegates subquery evaluation here.
 pub(crate) struct EngineSubqueries<'a> {
     catalog: &'a Catalog,
-    plan: SubqueryPlan,
-    materialization: bool,
-    faults: FaultSet,
+    /// The faults active on the statement ([`FaultSet::active`] of its
+    /// trigger context, which holds the plan's subquery strategy).
+    active: FaultSet,
     fired: RefCell<Vec<FaultKind>>,
     /// One evaluation per distinct (subquery, outer binding, probe) instead
     /// of one per outer row — shared semantics with the ground-truth
@@ -919,12 +922,10 @@ pub(crate) struct EngineSubqueries<'a> {
 
 impl<'a> EngineSubqueries<'a> {
     /// Subqueries of the statement `ctx` belongs to, scanning `catalog`.
-    pub(crate) fn new(catalog: &'a Catalog, ctx: &ExecContext, plan: SubqueryPlan) -> Self {
+    pub(crate) fn new(catalog: &'a Catalog, ctx: &ExecContext) -> Self {
         EngineSubqueries {
             catalog,
-            plan,
-            materialization: ctx.materialization,
-            faults: ctx.faults.clone(),
+            active: ctx.faults.active(&ctx.trigger),
             fired: RefCell::new(Vec::new()),
             memo: SubqueryMemo::new(),
         }
@@ -980,16 +981,13 @@ impl SubquerySource for EngineSubqueries<'_> {
         // materialization, equality conditions in the subquery's WHERE are
         // neither pushed down nor evaluated.
         let mut conjuncts: Vec<&Expr> = stmt.where_clause.iter().collect();
-        let drops_equalities = matches!(
-            self.plan,
-            SubqueryPlan::SemiJoinTransform(SemiJoinStrategy::Materialization)
-        ) && self.faults.contains(FaultKind::SemiJoinWrongResults);
+        let drops_equalities = self.active.contains(SemiJoinWrongResults);
         if let (true, Some(w)) = (drops_equalities, &stmt.where_clause) {
             let mut flat = w.conjuncts();
             let all = flat.len();
             flat.retain(|c| !matches!(c, Expr::Binary { op: BinOp::Eq, .. }));
             if flat.len() < all {
-                self.fire(FaultKind::SemiJoinWrongResults);
+                self.fire(SemiJoinWrongResults);
                 conjuncts = flat;
             }
         }
@@ -1017,17 +1015,9 @@ impl SubquerySource for EngineSubqueries<'_> {
         }
         // Fault #5: the materialized probe set silently drops NULLs, turning
         // NOT IN's UNKNOWN into FALSE.
-        if self.materialization
-            && self
-                .faults
-                .contains(FaultKind::AntiJoinMaterializationNullDrop)
-            && matches!(
-                self.plan,
-                SubqueryPlan::Materialize | SubqueryPlan::SemiJoinTransform(_)
-            )
-            && out.iter().any(|v| v.is_null())
+        if self.active.contains(AntiJoinMaterializationNullDrop) && out.iter().any(|v| v.is_null())
         {
-            self.fire(FaultKind::AntiJoinMaterializationNullDrop);
+            self.fire(AntiJoinMaterializationNullDrop);
             out.retain(|v| !v.is_null());
         }
         Ok(out)
@@ -1108,7 +1098,7 @@ impl ColumnResolver for TableRow<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiles::{DbmsProfile, ProfileId};
+    use crate::profiles::{DbmsProfile, ProfileId, ProfileInfo};
     use tqs_sql::types::{ColumnDef, ColumnType};
     use tqs_storage::Table;
 
@@ -1228,6 +1218,57 @@ mod tests {
         );
     }
 
+    /// The MariaDB-like join-cache planning keys on the profile's default
+    /// algorithm, not on its display name: every shipped build's name says
+    /// MariaDB exactly when that algorithm is BNLH, and a renamed
+    /// MariaDB-like build plans identically under every switch.
+    #[test]
+    fn a_renamed_mariadb_like_profile_plans_identically() {
+        let builds = [DbmsProfile::build, DbmsProfile::columnar, DbmsProfile::disk];
+        for id in ProfileId::ALL {
+            for build in builds {
+                let p = build(id);
+                let bnlh = p.default_equi_algo == JoinAlgo::BlockNestedLoopHashed;
+                assert_eq!(p.info.name.starts_with("MariaDB"), bnlh, "{}", p.info.name);
+            }
+        }
+        let stmt = parse_stmt("SELECT t1.id FROM t1 JOIN t2 ON t1.col1 = t2.id").unwrap();
+        let off = |names: &[SwitchName]| names.iter().map(|&n| SessionSwitch::off(n)).collect();
+        let switch_sets: [Vec<SessionSwitch>; 5] = [
+            vec![],
+            off(&[SwitchName::JoinCacheBka]),
+            off(&[SwitchName::JoinCacheHashed]),
+            off(&[SwitchName::JoinCacheBka, SwitchName::JoinCacheHashed]),
+            off(&[SwitchName::BlockNestedLoop, SwitchName::JoinCacheHashed]),
+        ];
+        for build in builds {
+            let profile = build(ProfileId::MariadbLike);
+            let renamed = DbmsProfile {
+                info: ProfileInfo {
+                    name: "Renamed".into(),
+                    ..profile.info.clone()
+                },
+                ..profile.clone()
+            };
+            let mut shipped = Database::new(catalog(), profile);
+            let mut renamed = Database::new(catalog(), renamed);
+            for switches in &switch_sets {
+                for d in [&mut shipped, &mut renamed] {
+                    d.reset_switches();
+                    for &s in switches {
+                        d.apply_switch(s);
+                    }
+                }
+                assert_eq!(renamed.plan(&stmt), shipped.plan(&stmt), "{switches:?}");
+            }
+        }
+        let default = Database::new(catalog(), DbmsProfile::build(ProfileId::MariadbLike));
+        assert_eq!(
+            default.plan(&stmt).unwrap().joins[0].algo,
+            JoinAlgo::BatchedKeyAccess
+        );
+    }
+
     #[test]
     fn left_outer_join_simplification() {
         let mut d = db(ProfileId::XdbLike);
@@ -1331,6 +1372,80 @@ mod tests {
         assert!(out.result.row_count() > 0);
         let pristine = db(ProfileId::MysqlLike).execute_sql(sql).unwrap();
         assert_eq!(pristine.result.row_count(), 0);
+    }
+
+    /// `SemiJoinWrongResults` and `AntiJoinMaterializationNullDrop` are in
+    /// the statement's active set exactly when its subquery plan and
+    /// materialization let the subquery evaluation fire them — and they
+    /// fire exactly then — on every profile under every hint set TQS
+    /// generates for a statement with a subquery (tqs-core's
+    /// `hint_sets_for`: the default and its four subquery sets).
+    #[test]
+    fn the_subquery_faults_are_active_exactly_when_their_plan_fires_them() {
+        let hint_sets = [
+            HintSet::new("default"),
+            HintSet::new("semijoin-materialization")
+                .with_hint(Hint::SemiJoin(Some(SemiJoinStrategy::Materialization))),
+            HintSet::new("no-semijoin").with_hint(Hint::NoSemiJoin),
+            HintSet::new("subquery-to-derived").with_hint(Hint::SubqueryToDerived),
+            HintSet::new("materialization-off")
+                .with_switch(SessionSwitch::off(SwitchName::Materialization))
+                .with_hint(Hint::Materialization(false)),
+        ];
+        // An equality in the subquery's WHERE for the first fault to drop,
+        // a NULL (t1 row 3) in its values for the second.
+        let stmt = parse_stmt(
+            "SELECT t2.id FROM t2 WHERE t2.id NOT IN \
+             (SELECT t1.col1 FROM t1 WHERE t1.id = t1.id)",
+        )
+        .unwrap();
+        let kinds = [SemiJoinWrongResults, AntiJoinMaterializationNullDrop];
+        let mut seen = HashMap::new();
+        for id in ProfileId::ALL {
+            for hs in &hint_sets {
+                let profile = DbmsProfile {
+                    faults: FaultSet::of(&kinds),
+                    ..DbmsProfile::build(id)
+                };
+                let mut d = Database::new(catalog(), profile);
+                let fired = d.execute_with_hints(&stmt, hs).unwrap().fired;
+                for &s in &hs.switches {
+                    d.apply_switch(s);
+                }
+                let mut hinted = stmt.clone();
+                hinted.hints.extend(hs.hints.iter().cloned());
+                let (plan, ctx) = d.begin(&hinted, Executor::Row).unwrap();
+                let active = ctx.faults.active(&ctx.trigger);
+                let sq = plan.subquery_plan;
+                let fires = [
+                    sq == SubqueryPlan::SemiJoinTransform(SemiJoinStrategy::Materialization),
+                    ctx.trigger.materialization
+                        && matches!(
+                            sq,
+                            SubqueryPlan::Materialize | SubqueryPlan::SemiJoinTransform(_)
+                        ),
+                ];
+                for (kind, fires) in kinds.into_iter().zip(fires) {
+                    let case = format!("{id:?} under {}: {kind:?}", hs.label);
+                    assert_eq!(active.contains(kind), fires, "{case} active");
+                    assert_eq!(fired.contains(&kind), fires, "{case} fired");
+                    seen.entry(kind).or_insert_with(Vec::new).push(fires);
+                }
+                if (id, hs.label.as_str()) == (ProfileId::MysqlLike, "subquery-to-derived") {
+                    // The semi-join strategy is materialization, but the
+                    // plan derives the subquery: nothing drops equalities.
+                    assert_eq!(
+                        ctx.trigger.semi_strategy,
+                        Some(SemiJoinStrategy::Materialization)
+                    );
+                    assert_eq!(sq, SubqueryPlan::SubqueryToDerived);
+                    assert!(!active.contains(SemiJoinWrongResults));
+                }
+            }
+        }
+        for (kind, fires) in seen {
+            assert!(fires.contains(&true) && fires.contains(&false), "{kind:?}");
+        }
     }
 
     #[test]

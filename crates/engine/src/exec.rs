@@ -21,14 +21,18 @@
 //! search, no per-row copy.
 //!
 //! [`execute_join`] is every executor's one join step. It computes each
-//! probed left row's matches — the hashed probe, the merge join or the
-//! compare loop, as the plan's algorithm and the kernel's probe batch pick —
-//! and assembles the output once. The join faults active on a step are
-//! decided once per step ([`FaultFlags`]), never per row; the row, columnar
-//! and disk builds carry disjoint fault complements, so each build fires
-//! only its own interception points.
+//! probed left row's matches — the hashed probe (coarse keys, confirmed pair
+//! by pair, where hashing cannot compare the key values exactly), the merge
+//! join, or the pair loop without an equi key, as the plan's algorithm and
+//! the kernel's probe batch pick — and assembles the output once. The join
+//! faults active on a step are decided once per step, never per row: the
+//! statement's [`TriggerContext`] ([`ExecContext::trigger`]) extended by
+//! the step, through [`FaultSet::active`]. The row, columnar and disk builds
+//! carry disjoint fault complements, so each build fires only its own
+//! interception points.
 
-use crate::faults::{FaultFlags, FaultKind, FaultSet, TriggerContext};
+use crate::faults::FaultKind::{self, *};
+use crate::faults::{FaultSet, TriggerContext};
 use crate::plan::{JoinAlgo, PhysicalJoin};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -36,7 +40,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use tqs_sql::ast::{BinOp, ColumnRef, Expr, JoinType};
 use tqs_sql::eval::{eval_predicate, ColumnResolver, NoSubqueries};
-use tqs_sql::hints::SemiJoinStrategy;
 use tqs_sql::value::{sql_compare, ColClass, KeyBuf, SqlCmp, Value};
 use tqs_storage::{Table, TailRow};
 use tqs_telemetry::QueryProfile;
@@ -443,16 +446,15 @@ macro_rules! executor_metric {
 }
 pub(crate) use executor_metric;
 
-/// Per-statement execution context: the fault set, session facts, and the
-/// provenance of which faults fired.
+/// Per-statement execution context: the fault set, the statement's trigger
+/// context, and the provenance of which faults fired.
 #[derive(Debug)]
 pub struct ExecContext {
     pub faults: FaultSet,
     pub(crate) executor: Executor,
-    pub switched_off: Vec<&'static str>,
-    pub materialization: bool,
-    pub subquery_present: bool,
-    pub semi_strategy: Option<SemiJoinStrategy>,
+    /// The statement's path facts, which every join step extends
+    /// (`ExecContext::trigger_ctx`).
+    pub trigger: TriggerContext,
     pub fired: Vec<FaultKind>,
     /// Operator-level profile of this execution, collected only while
     /// telemetry is enabled (`None` otherwise, so the hot path allocates
@@ -468,10 +470,7 @@ impl ExecContext {
         ExecContext {
             faults,
             executor: Executor::Row,
-            switched_off: Vec::new(),
-            materialization: true,
-            subquery_present: false,
-            semi_strategy: None,
+            trigger: TriggerContext::default(),
             fired: Vec::new(),
             profile: tqs_telemetry::enabled().then(QueryProfile::new),
             cancel: crate::cancel::CancelToken::current(),
@@ -523,16 +522,14 @@ impl ExecContext {
         }
     }
 
+    /// The statement's trigger context, extended by join step `join`.
     pub(crate) fn trigger_ctx(&self, join: &PhysicalJoin) -> TriggerContext {
         TriggerContext {
             algo: Some(join.algo),
             join_type: Some(join.join_type),
-            semi_strategy: self.semi_strategy,
-            materialization: self.materialization,
-            subquery_present: self.subquery_present,
             simplified_from_outer: join.simplified_from_outer,
             uses_join_buffer: join.buffer_rows.is_some(),
-            switched_off: self.switched_off.clone(),
+            ..self.trigger.clone()
         }
     }
 }
@@ -609,8 +606,8 @@ fn extract_equi_keys(
     keys
 }
 
-/// Correct value-level key equality of left row `l` and right row `r` (used
-/// by the compare loop).
+/// Correct value-level key equality of left row `l` and right row `r` (what
+/// confirms the bucket-mates of a coarse key).
 fn keys_equal_correct(left: &Rel, l: usize, right: &Rel, r: usize, keys: &EquiKeys) -> bool {
     keys.left_idx
         .iter()
@@ -635,26 +632,30 @@ fn keys_equal_correct(left: &Rel, l: usize, right: &Rel, r: usize, keys: &EquiKe
 /// `"D:{double}|"` text encoding, so every fault fires and collides on
 /// exactly the same rows — pinned by the property tests against the legacy
 /// reference.
+///
+/// With `classes` (one per key column; no key fault is then active), values
+/// are pushed coarsely instead ([`KeyBuf::push_coarse`]).
 fn encode_key_into(
     rel: &Rel,
     row: usize,
     idx: &[usize],
-    faults: FaultFlags,
+    faults: FaultSet,
+    classes: Option<&[ColClass]>,
     ctx: &mut ExecContext,
     buf: &mut KeyBuf,
 ) -> bool {
     buf.clear();
-    for &i in idx {
+    for (k, &i) in idx.iter().enumerate() {
         let v = rel.value(row, i);
         if v.is_null() {
-            if faults.has(FaultKind::HashJoinNullMatchesEmpty) {
-                ctx.fire(FaultKind::HashJoinNullMatchesEmpty);
+            if faults.contains(HashJoinNullMatchesEmpty) {
+                ctx.fire(HashJoinNullMatchesEmpty);
                 // NULL keys collide with the canonical empty string.
                 buf.push_str_folded("");
                 continue;
             }
-            if faults.has(FaultKind::SemiJoinFloatPrecision) {
-                ctx.fire(FaultKind::SemiJoinFloatPrecision);
+            if faults.contains(SemiJoinFloatPrecision) {
+                ctx.fire(SemiJoinFloatPrecision);
                 // NULL keys collide with values whose f32 round-trip is +0.
                 buf.push_f64_bits(KeyBuf::TAG_DOUBLE, 0.0);
                 continue;
@@ -662,14 +663,14 @@ fn encode_key_into(
             return false;
         }
         // Boundary values vanish into an unprobed overflow bucket.
-        if faults.has(FaultKind::HashJoinMaterializationZeroSplit) && is_boundary_like(v) {
-            ctx.fire(FaultKind::HashJoinMaterializationZeroSplit);
+        if faults.contains(HashJoinMaterializationZeroSplit) && is_boundary_like(v) {
+            ctx.fire(HashJoinMaterializationZeroSplit);
             return false;
         }
         if let Some(s) = v.as_str().filter(|s| s.len() > 8) {
             // Long varchar keys get routed through a lossy double conversion.
-            if faults.has(FaultKind::HashJoinVarcharViaDouble) {
-                ctx.fire(FaultKind::HashJoinVarcharViaDouble);
+            if faults.contains(HashJoinVarcharViaDouble) {
+                ctx.fire(HashJoinVarcharViaDouble);
                 buf.push_f64_bits(KeyBuf::TAG_LOSSY_DOUBLE, v.as_f64_lossy().unwrap_or(0.0));
                 continue;
             }
@@ -677,27 +678,30 @@ fn encode_key_into(
             // without the canonical case folding — at the last char
             // boundary at or before byte 8: the fault corrupts answers, it
             // must not panic on multi-byte UTF-8 data.
-            if faults.has(FaultKind::ColumnarDictTruncation) {
+            if faults.contains(ColumnarDictTruncation) {
                 let cut = (0..=8).rev().find(|&c| s.is_char_boundary(c)).unwrap_or(0);
-                ctx.fire(FaultKind::ColumnarDictTruncation);
+                ctx.fire(ColumnarDictTruncation);
                 buf.push_str_raw(&s[..cut]);
                 continue;
             }
         }
         // Float-precision loss on the semi-join materialization-off path.
-        if faults.has(FaultKind::SemiJoinFloatPrecision) {
+        if faults.contains(SemiJoinFloatPrecision) {
             if let Some(f) = v.as_f64_lossy() {
                 if v.as_str().is_none() {
                     let rounded = f as f32 as f64;
                     if rounded != f {
-                        ctx.fire(FaultKind::SemiJoinFloatPrecision);
+                        ctx.fire(SemiJoinFloatPrecision);
                     }
                     buf.push_f64_bits(KeyBuf::TAG_DOUBLE, rounded);
                     continue;
                 }
             }
         }
-        buf.push_canonical(v);
+        match classes {
+            Some(classes) => buf.push_coarse(v, classes[k]),
+            None => buf.push_canonical(v),
+        }
     }
     true
 }
@@ -782,7 +786,7 @@ struct JoinInputs<'a> {
     right: &'a Rel,
     keys: EquiKeys,
     slots: ColumnSlots,
-    faults: FaultFlags,
+    faults: FaultSet,
 }
 
 /// For each probed left row, the right rows it matches.
@@ -805,7 +809,7 @@ pub fn execute_join(
     batch: Option<usize>,
     ctx: &mut ExecContext,
 ) -> Result<Rel, ExecError> {
-    let faults = ctx.faults.active_flags(&ctx.trigger_ctx(join));
+    let faults = ctx.faults.active(&ctx.trigger_ctx(join));
     let keys = extract_equi_keys(&left.cols, &right.cols, on);
     let slots = ColumnSlots::pair(&keys.residual, &left.cols, &right.cols);
     let step = JoinInputs {
@@ -818,47 +822,45 @@ pub fn execute_join(
     // The key-encoding faults belong to the algorithms that hash their keys.
     let key_faults = match join.algo.uses_hashed_keys() {
         true => faults,
-        false => FaultFlags::NONE,
+        false => FaultSet::none(),
     };
+    let merge_faults = MERGE_RUN.iter().any(|&k| faults.contains(k));
+    let classes = step.coarse_classes(key_faults);
 
     // Compute the match lists. Algorithms differ in how matches are found
     // (and therefore in which faults can perturb them); without an equi key
-    // every one of them runs the (correct) compare loop.
-    let (matches, nulled) = match (batch, join.algo) {
-        _ if step.keys.left_idx.is_empty() => (step.loop_matches(ctx), Vec::new()),
+    // every one of them runs the (correct) pair loop.
+    let mut nulled = Vec::new();
+    let matches = match (batch, join.algo) {
+        _ if step.keys.left_idx.is_empty() => step.loop_matches(),
         (Some(batch), _) => {
             // Batch-tail loss: hashed probes past the last complete batch
             // are never flushed, so those left rows vanish from the join.
             let mut probe_rows = left.len();
-            if faults.has(FaultKind::ColumnarBatchTailDrop)
+            if faults.contains(ColumnarBatchTailDrop)
                 && probe_rows % batch != 0
                 && probe_rows > batch
             {
                 probe_rows -= probe_rows % batch;
-                ctx.fire(FaultKind::ColumnarBatchTailDrop);
+                ctx.fire(ColumnarBatchTailDrop);
             }
-            (step.hashed_matches(probe_rows, key_faults, ctx), Vec::new())
+            step.hashed_matches(probe_rows, key_faults, classes, ctx)
         }
-        (None, JoinAlgo::SortMergeJoin) => step.merge_matches(ctx),
-        (None, JoinAlgo::NestedLoop | JoinAlgo::BlockNestedLoop) => {
-            (step.loop_matches(ctx), Vec::new())
+        // Keys hashing cannot compare take the hashed probe's coarse
+        // buckets, unless a run fault is active on the merge.
+        (None, JoinAlgo::SortMergeJoin) if merge_faults || classes.is_none() => {
+            step.merge_matches(&mut nulled, ctx)
         }
-        (
-            None,
-            JoinAlgo::HashJoin
-            | JoinAlgo::IndexJoin
-            | JoinAlgo::BatchedKeyAccess
-            | JoinAlgo::BlockNestedLoopHashed,
-        ) => (step.hashed_matches(left.len(), key_faults, ctx), Vec::new()),
+        (None, _) => step.hashed_matches(left.len(), key_faults, classes, ctx),
     };
 
     // Join-buffer tail loss: rows of the buffered (left) side beyond the last
     // complete buffer chunk never get joined.
     let mut live = matches.len();
     if let Some(buf) = join.buffer_rows {
-        if faults.has(FaultKind::JoinBufferLimitDropsTail) && live > buf && live % buf != 0 {
+        if faults.contains(JoinBufferLimitDropsTail) && live > buf && live % buf != 0 {
             live -= live % buf;
-            ctx.fire(FaultKind::JoinBufferLimitDropsTail);
+            ctx.fire(JoinBufferLimitDropsTail);
         }
     }
     let matches = &matches[..live];
@@ -882,9 +884,9 @@ pub fn execute_join(
                     let n = out.len();
                     // Stale-cache replay: every 50th emitted row repeats the
                     // previous row's right-side values.
-                    let stale = faults.has(FaultKind::JoinCacheStaleRow) && n % 50 == 49;
+                    let stale = faults.contains(JoinCacheStaleRow) && n % 50 == 49;
                     if stale {
-                        ctx.fire(FaultKind::JoinCacheStaleRow);
+                        ctx.fire(JoinCacheStaleRow);
                     }
                     out.ids.extend_from_slice(left.tuple(li));
                     // Merge join returning NULL instead of the value for
@@ -902,8 +904,8 @@ pub fn execute_join(
                     && matches!(join.join_type, JoinType::LeftOuter | JoinType::FullOuter)
                 {
                     // Outer merge join dropping unmatched rows entirely.
-                    if faults.has(FaultKind::MergeJoinOuterNullLoss) {
-                        ctx.fire(FaultKind::MergeJoinOuterNullLoss);
+                    if faults.contains(MergeJoinOuterNullLoss) {
+                        ctx.fire(MergeJoinOuterNullLoss);
                         continue;
                     }
                     let pad = pad_ids(
@@ -921,8 +923,8 @@ pub fn execute_join(
             JoinType::Semi => {
                 if !ms.is_empty() {
                     out.ids.extend_from_slice(left.tuple(li));
-                    if faults.has(FaultKind::SemiJoinUnknownData) {
-                        ctx.fire(FaultKind::SemiJoinUnknownData);
+                    if faults.contains(SemiJoinUnknownData) {
+                        ctx.fire(SemiJoinUnknownData);
                         out.ids.extend_from_slice(left.tuple(li));
                     }
                 }
@@ -939,8 +941,8 @@ pub fn execute_join(
     if matches!(join.join_type, JoinType::RightOuter | JoinType::FullOuter) {
         for (ri, matched) in right_matched.iter().enumerate() {
             if !matched {
-                if faults.has(FaultKind::MergeJoinOuterNullLoss) {
-                    ctx.fire(FaultKind::MergeJoinOuterNullLoss);
+                if faults.contains(MergeJoinOuterNullLoss) {
+                    ctx.fire(MergeJoinOuterNullLoss);
                     continue;
                 }
                 let pad = pad_ids(&mut out, 0..ls, left, faults, ctx, &mut first_pad_done);
@@ -951,9 +953,9 @@ pub fn execute_join(
     }
 
     // Extra spurious NULL-padded row for the left hash join + subquery case.
-    if faults.has(FaultKind::LeftHashJoinSubqueryNull) && join.join_type == JoinType::LeftOuter {
+    if faults.contains(LeftHashJoinSubqueryNull) && join.join_type == JoinType::LeftOuter {
         if let Some(li) = matches.iter().position(Vec::is_empty) {
-            ctx.fire(FaultKind::LeftHashJoinSubqueryNull);
+            ctx.fire(LeftHashJoinSubqueryNull);
             out.ids.extend_from_slice(left.tuple(li));
             out.ids.extend_from_slice(&null_right);
         }
@@ -961,11 +963,11 @@ pub fn execute_join(
 
     // Blanked varchar values when the hashed join buffer is disallowed: each
     // part of the last row points at a blanked copy of its row.
-    if faults.has(FaultKind::BnlhDisallowedBlankValues)
+    if faults.contains(BnlhDisallowedBlankValues)
         && join.buffer_rows.map(|b| left.len() > b).unwrap_or(false)
         && !out.is_empty()
     {
-        ctx.fire(FaultKind::BnlhDisallowedBlankValues);
+        ctx.fire(BnlhDisallowedBlankValues);
         let last = out.ids.len() - stride;
         for p in 0..stride {
             let id = out.ids[last + p];
@@ -990,25 +992,22 @@ pub fn execute_join(
     Ok(out)
 }
 
-/// Is canonical-key equality ([`KeyBuf::push_canonical`] / [`hash_key`]
-/// (tqs_sql::value::hash_key)) guaranteed to agree with [`sql_compare`]
-/// equality on every cross-side pair of these key columns?
-///
-/// Proven only for the two data shapes [`ColClass::hash_exact`] names,
-/// checked against the actual values of each key column pair: all strings,
-/// or all exact small integers (an all-NULL / empty column matches anything
-/// — NULL keys never match rows anyway). Everything else bails to the
-/// compare loop: a string meeting a number coerces under SQL but not under
-/// the hash key; fractional decimals compare exactly under SQL but hash
-/// through a lossy f64; integers beyond 2⁵³ can equal a double under lossy
-/// comparison while hashing differently.
-fn hash_equivalent_keys(left: &Rel, right: &Rel, keys: &EquiKeys) -> bool {
-    let class = |rel: &Rel, col: usize| ColClass::of_all((0..rel.len()).map(|i| rel.value(i, col)));
-    keys.left_idx
-        .iter()
-        .zip(keys.right_idx.iter())
-        .all(|(&li, &ri)| class(left, li).join(class(right, ri)).hash_exact())
-}
+/// The faults [`encode_key_into`] applies.
+const KEY_ENCODING: [FaultKind; 5] = [
+    HashJoinNullMatchesEmpty,
+    SemiJoinFloatPrecision,
+    HashJoinMaterializationZeroSplit,
+    HashJoinVarcharViaDouble,
+    ColumnarDictTruncation,
+];
+
+/// The faults [`JoinInputs::merge_matches`] applies to its key runs.
+const MERGE_RUN: [FaultKind; 4] = [
+    MergeJoinVarcharEmpty,
+    MergeJoinNegativeZeroMiss,
+    MergeJoinDropsLastRun,
+    MergeJoinNullInsteadOfValue,
+];
 
 /// One duplicate-key run of the merge join.
 struct MergeRun {
@@ -1040,88 +1039,100 @@ impl JoinInputs<'_> {
         })
     }
 
-    /// The one hashed probe, serving the hash algorithms, the nested-loop
-    /// fast path and the columnar kernel: bucket the right rows by their
-    /// key as [`encode_key_into`] writes it under `key_faults`, then probe
-    /// left rows `0..probe_rows`. A left key holding a NULL that finds no
-    /// bucket matches build row 0 under the simplified-join NULL/row-0
-    /// confusion fault, as the compare loop does; residual predicates
-    /// filter every candidate.
+    /// Each key column pair's class ([`ColClass::join`] of every value
+    /// either side's column can hold — its table column and made-up rows, a
+    /// superset of the rows kept, on which both keyings agree where it is
+    /// looser) when some pair is not [`ColClass::hash_exact`], the only
+    /// shapes on which canonical keys agree with [`sql_compare`]: a string
+    /// meeting a number coerces under SQL but not under the hash key,
+    /// fractional decimals hash through a lossy f64, and integers beyond 2⁵³
+    /// can equal a double. `None` too when a key-encoding fault is active.
+    fn coarse_classes(&self, key_faults: FaultSet) -> Option<Vec<ColClass>> {
+        if KEY_ENCODING.iter().any(|&k| key_faults.contains(k)) {
+            return None;
+        }
+        let class = |rel: &Rel, col: usize| {
+            let slot = rel.slots[col];
+            let part = &rel.parts[slot.part];
+            let base = part.table.rows.iter().map(|r| &r.values[slot.column]);
+            ColClass::of_all(base.chain(part.extra.iter().map(|r| &r[slot.local])))
+        };
+        let keys = self.keys.left_idx.iter().zip(&self.keys.right_idx);
+        let classes: Vec<ColClass> = keys
+            .map(|(&li, &ri)| class(self.left, li).join(class(self.right, ri)))
+            .collect();
+        (!classes.iter().all(|c| c.hash_exact())).then_some(classes)
+    }
+
+    /// The one hashed probe, serving every equi join but the merge join
+    /// over exact or faulted keys: bucket the right rows by their key as
+    /// [`encode_key_into`] writes it under `key_faults` (coarsely under
+    /// `classes`, confirming bucket-mates with [`keys_equal_correct`]), then
+    /// probe left rows `0..probe_rows`. A left key holding a NULL matches
+    /// build row 0 under the simplified-join NULL/row-0 confusion fault;
+    /// residual predicates filter every candidate.
     fn hashed_matches(
         &self,
         probe_rows: usize,
-        key_faults: FaultFlags,
+        key_faults: FaultSet,
+        classes: Option<Vec<ColClass>>,
         ctx: &mut ExecContext,
     ) -> Matches {
         let (left, right, keys) = (self.left, self.right, &self.keys);
+        let classes = classes.as_deref();
+        let encode = |rel: &Rel, row, idx: &[usize], ctx: &mut ExecContext, buf: &mut KeyBuf| {
+            encode_key_into(rel, row, idx, key_faults, classes, ctx, buf)
+        };
         let table = build_table(right.len(), |ri, buf| {
-            encode_key_into(right, ri, &keys.right_idx, key_faults, ctx, buf)
+            encode(right, ri, &keys.right_idx, ctx, buf)
         });
-        let confusion =
-            self.faults.has(FaultKind::LeftToInnerNullZeroConfusion) && !right.is_empty();
+        let confusion = self.faults.contains(LeftToInnerNullZeroConfusion) && !right.is_empty();
         let mut scratch = KeyBuf::new();
         let mut out = vec![Vec::new(); probe_rows];
         for (li, matches) in out.iter_mut().enumerate() {
-            let mut bucket: &[usize] =
-                match encode_key_into(left, li, &keys.left_idx, key_faults, ctx, &mut scratch) {
-                    true => table.get(&scratch).map_or(&[], Vec::as_slice),
-                    false => &[],
-                };
+            let mut bucket: &[usize] = match encode(left, li, &keys.left_idx, ctx, &mut scratch) {
+                true => table.get(&scratch).map_or(&[], Vec::as_slice),
+                false => &[],
+            };
+            let mut confirm = classes.is_some();
             if bucket.is_empty()
                 && confusion
                 && keys.left_idx.iter().any(|&i| left.value(li, i).is_null())
             {
-                ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
-                bucket = &[0];
+                ctx.fire(LeftToInnerNullZeroConfusion);
+                (bucket, confirm) = (&[0], false);
             }
-            matches.extend((bucket.iter().copied()).filter(|&ri| self.residual_ok(li, ri)));
+            matches.extend((bucket.iter().copied()).filter(|&ri| {
+                (!confirm || keys_equal_correct(left, li, right, ri, keys))
+                    && self.residual_ok(li, ri)
+            }));
         }
         out
     }
 
-    /// The nested-loop algorithms: the O(|L|·|R|) compare loop, or — with
-    /// an equi key on which [`hash_equivalent_keys`] holds — the hashed
-    /// probe, which makes identical match decisions. No key-encoding fault
-    /// applies on either path; the NULL/row-0 confusion fault does.
-    fn loop_matches(&self, ctx: &mut ExecContext) -> Matches {
-        let (left, right, keys) = (self.left, self.right, &self.keys);
-        if !keys.left_idx.is_empty() && hash_equivalent_keys(left, right, keys) {
-            return self.hashed_matches(left.len(), FaultFlags::NONE, ctx);
-        }
-        let confusion = self.faults.has(FaultKind::LeftToInnerNullZeroConfusion);
-        let mut out = vec![Vec::new(); left.len()];
-        for (li, matches) in out.iter_mut().enumerate() {
-            let left_has_null = keys.left_idx.iter().any(|&i| left.value(li, i).is_null());
-            for ri in 0..right.len() {
-                let mut matched =
-                    keys.left_idx.is_empty() || keys_equal_correct(left, li, right, ri, keys);
-                // A simplified (outer→inner) join that confuses NULL with the
-                // first build row.
-                if !matched && confusion && left_has_null && ri == 0 {
-                    ctx.fire(FaultKind::LeftToInnerNullZeroConfusion);
-                    matched = true;
-                }
-                if matched && self.residual_ok(li, ri) {
-                    matches.push(ri);
-                }
-            }
-        }
-        out
+    /// A join without an equi key: every pair the residual holds for.
+    fn loop_matches(&self) -> Matches {
+        (0..self.left.len())
+            .map(|li| {
+                (0..self.right.len())
+                    .filter(|&ri| self.residual_ok(li, ri))
+                    .collect()
+            })
+            .collect()
     }
 
-    /// The merge join over an equi key, and the right rows whose values it
-    /// returns as NULLs (empty when it returns none).
-    fn merge_matches(&self, ctx: &mut ExecContext) -> (Matches, Vec<bool>) {
+    /// The merge join over an equi key; it marks in `nulled` the right rows
+    /// whose values it returns as NULLs (none: `nulled` stays empty).
+    fn merge_matches(&self, nulled: &mut Vec<bool>, ctx: &mut ExecContext) -> Matches {
         let (left, right, keys, faults) = (self.left, self.right, &self.keys, self.faults);
-        let mut nulled = Vec::new();
         // Collation-mismatch fault: varchar merge keys produce an empty join.
-        if faults.has(FaultKind::MergeJoinVarcharEmpty)
+        if faults.contains(MergeJoinVarcharEmpty)
             && (0..right.len())
                 .flat_map(|ri| keys.right_idx.iter().map(move |&i| right.value(ri, i)))
                 .any(|v| v.as_str().is_some())
         {
-            ctx.fire(FaultKind::MergeJoinVarcharEmpty);
-            return (vec![Vec::new(); left.len()], nulled);
+            ctx.fire(MergeJoinVarcharEmpty);
+            return vec![Vec::new(); left.len()];
         }
         // A straightforward (correct) merge: group right rows by canonical key.
         // Binary keys index the runs; the probe below hits this same index
@@ -1134,7 +1145,8 @@ impl JoinInputs<'_> {
                 right,
                 ri,
                 &keys.right_idx,
-                FaultFlags::NONE,
+                FaultSet::none(),
+                None,
                 ctx,
                 &mut scratch,
             ) {
@@ -1165,20 +1177,20 @@ impl JoinInputs<'_> {
         let n_runs = runs.len();
         for (pos, &gi) in order.iter().enumerate() {
             // "missed -0" ↔ the cursor skips the smallest key run.
-            if pos == 0 && n_runs > 1 && faults.has(FaultKind::MergeJoinNegativeZeroMiss) {
+            if pos == 0 && n_runs > 1 && faults.contains(MergeJoinNegativeZeroMiss) {
                 runs[gi].skipped = true;
                 skipped_first = true;
                 continue;
             }
             // the final duplicate run is dropped
-            if pos + 1 == n_runs && n_runs > 1 && faults.has(FaultKind::MergeJoinDropsLastRun) {
+            if pos + 1 == n_runs && n_runs > 1 && faults.contains(MergeJoinDropsLastRun) {
                 runs[gi].skipped = true;
                 skipped_last = true;
                 continue;
             }
             // duplicate runs: 2nd and later rows come back as NULLs
-            if runs[gi].rows.len() > 1 && faults.has(FaultKind::MergeJoinNullInsteadOfValue) {
-                ctx.fire(FaultKind::MergeJoinNullInsteadOfValue);
+            if runs[gi].rows.len() > 1 && faults.contains(MergeJoinNullInsteadOfValue) {
+                ctx.fire(MergeJoinNullInsteadOfValue);
                 nulled.resize(right.len(), false);
                 for &ri in &runs[gi].rows[1..] {
                     nulled[ri] = true;
@@ -1186,10 +1198,10 @@ impl JoinInputs<'_> {
             }
         }
         if skipped_first {
-            ctx.fire(FaultKind::MergeJoinNegativeZeroMiss);
+            ctx.fire(MergeJoinNegativeZeroMiss);
         }
         if skipped_last {
-            ctx.fire(FaultKind::MergeJoinDropsLastRun);
+            ctx.fire(MergeJoinDropsLastRun);
         }
         let mut out = vec![Vec::new(); left.len()];
         for (li, matches) in out.iter_mut().enumerate() {
@@ -1197,7 +1209,8 @@ impl JoinInputs<'_> {
                 left,
                 li,
                 &keys.left_idx,
-                FaultFlags::NONE,
+                FaultSet::none(),
+                None,
                 ctx,
                 &mut scratch,
             ) {
@@ -1210,7 +1223,7 @@ impl JoinInputs<'_> {
                 }
             }
         }
-        (out, nulled)
+        out
     }
 }
 
@@ -1222,22 +1235,19 @@ fn pad_ids(
     out: &mut Rel,
     parts: Range<usize>,
     padded: &Rel,
-    faults: FaultFlags,
+    faults: FaultSet,
     ctx: &mut ExecContext,
     first_pad_done: &mut bool,
 ) -> Vec<u32> {
     if std::mem::replace(first_pad_done, true) {
         return vec![NULL_ROW; parts.len()];
     }
-    if faults.has(FaultKind::ColumnarNullPadMisalign) && !padded.is_empty() {
-        ctx.fire(FaultKind::ColumnarNullPadMisalign);
+    if faults.contains(ColumnarNullPadMisalign) && !padded.is_empty() {
+        ctx.fire(ColumnarNullPadMisalign);
         return padded.tuple(0).to_vec();
     }
-    let empty_pad = [
-        FaultKind::OuterJoinCacheEmptyPad,
-        FaultKind::BkaDisallowedNullToEmpty,
-    ];
-    let Some(kind) = empty_pad.into_iter().find(|&k| faults.has(k)) else {
+    let empty_pad = [OuterJoinCacheEmptyPad, BkaDisallowedNullToEmpty];
+    let Some(kind) = empty_pad.into_iter().find(|&k| faults.contains(k)) else {
         return vec![NULL_ROW; parts.len()];
     };
     ctx.fire(kind);
@@ -1368,7 +1378,7 @@ mod tests {
     #[test]
     fn hash_join_null_matches_empty_fault_adds_rows() {
         let faults = FaultSet::of(&[FaultKind::HashJoinNullMatchesEmpty]);
-        let (out, ctx) = run(JoinType::Inner, JoinAlgo::HashJoin, faults.clone());
+        let (out, ctx) = run(JoinType::Inner, JoinAlgo::HashJoin, faults);
         // The NULL left key now matches the NULL right key (both encode "").
         assert_eq!(out.len(), 4);
         assert_eq!(ctx.fired, vec![FaultKind::HashJoinNullMatchesEmpty]);
@@ -1524,7 +1534,7 @@ mod tests {
         let right = scan("r", vec![vec![Value::Int(65_535), Value::str("big")]]);
         let mut ctx =
             ExecContext::new(FaultSet::of(&[FaultKind::HashJoinMaterializationZeroSplit]));
-        ctx.materialization = true;
+        ctx.trigger.materialization = true;
         let out = execute_join(
             &left,
             &right,
@@ -1536,6 +1546,52 @@ mod tests {
         .unwrap();
         assert!(out.is_empty());
         assert_eq!(ctx.fired, vec![FaultKind::HashJoinMaterializationZeroSplit]);
+    }
+
+    /// Keys SQL compares equal across types — `1 = '1'`, `1 = '1.0'` —
+    /// join under every algorithm, row by row or in probe batches, as the
+    /// pair-by-pair comparison says; hashing them canonically matched none.
+    #[test]
+    fn mixed_type_keys_join_under_every_algorithm() {
+        let cols = |b: &str| vec![(b.to_string(), "id".into()), (b.to_string(), "name".into())];
+        let left = Rel::from_rows(
+            cols("l"),
+            [Value::Int(1), Value::Int(2), Value::Null]
+                .into_iter()
+                .map(|k| vec![k, Value::str("l")])
+                .collect(),
+        );
+        let right = Rel::from_rows(
+            cols("r"),
+            ["1", "x", "1.0"]
+                .into_iter()
+                .map(|k| vec![Value::str(k), Value::str("r")])
+                .chain([vec![Value::Null, Value::str("r")]])
+                .collect(),
+        );
+        let expected = vec![
+            vec![
+                Value::Int(1),
+                Value::str("l"),
+                Value::str("1"),
+                Value::str("r"),
+            ],
+            vec![
+                Value::Int(1),
+                Value::str("l"),
+                Value::str("1.0"),
+                Value::str("r"),
+            ],
+        ];
+        for algo in JoinAlgo::ALL {
+            for batch in [None, Some(2)] {
+                let mut ctx = ExecContext::new(FaultSet::none());
+                let (j, on) = (join(JoinType::Inner, algo), on_clause());
+                let out = execute_join(&left, &right, &j, Some(&on), batch, &mut ctx).unwrap();
+                assert_eq!(out.to_rows(), expected, "{algo:?}, batch {batch:?}");
+                assert!(ctx.fired.is_empty(), "{algo:?}: {:?}", ctx.fired);
+            }
+        }
     }
 
     #[test]

@@ -9,15 +9,19 @@
 //! exactly the triggering structure of the real bugs, which is why hint-based
 //! plan steering plus ground-truth verification is needed to expose them.
 //!
+//! A fault's path condition lives only in [`FaultKind::triggered`]. An
+//! executor builds one [`TriggerContext`] per statement, extends it per join
+//! step, and each interception point reads the [`FaultSet::active`] subset
+//! of the build's faults for its context.
+//!
 //! The bug *detector* (TQS and the baselines) never sees which faults exist
 //! or fired; it only sees result sets. Fired-fault provenance is recorded so
 //! the benchmark harness can reproduce Table 4's per-type counts, playing the
 //! role of the paper's developer root-cause analysis.
 
-use crate::plan::JoinAlgo;
-use std::collections::HashSet;
+use crate::plan::{JoinAlgo, SubqueryPlan};
 use tqs_sql::ast::JoinType;
-use tqs_sql::hints::SemiJoinStrategy;
+use tqs_sql::hints::{SemiJoinStrategy, SwitchName};
 
 /// Severity labels as used in Table 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,20 +278,10 @@ impl FaultKind {
 
     /// The Table 4 row id (1-based); the columnar complement continues the
     /// numbering at 21, the disk complement at 25, the optimizer complement
-    /// at 30 and the DML complement at 35.
+    /// at 30 and the DML complement at 35 — declaration order, which is also
+    /// the order of [`FaultSet`]'s bits.
     pub fn table4_id(self) -> u32 {
-        if let Some(i) = FaultKind::ALL.iter().position(|f| *f == self) {
-            i as u32 + 1
-        } else if let Some(i) = FaultKind::COLUMNAR.iter().position(|f| *f == self) {
-            i as u32 + 21
-        } else if let Some(i) = FaultKind::DISK.iter().position(|f| *f == self) {
-            i as u32 + 25
-        } else if let Some(i) = FaultKind::OPTIMIZER.iter().position(|f| *f == self) {
-            i as u32 + 30
-        } else {
-            let i = FaultKind::DML.iter().position(|f| *f == self).unwrap();
-            i as u32 + 35
-        }
+        self as u32 + 1
     }
 
     /// The DBMS build this bug type is attributed to.
@@ -458,8 +452,10 @@ impl FaultKind {
     }
 }
 
-/// Execution-path facts a fault trigger can condition on. Filled in by the
-/// executor at each interception point.
+/// Execution-path facts a fault trigger can condition on. `Database::begin`
+/// fills in the statement's once (switches, subquery plan, semi-join
+/// strategy, materialization); each join step extends it with its own
+/// algorithm, join type and buffer (`ExecContext::trigger_ctx`).
 #[derive(Debug, Clone, Default)]
 pub struct TriggerContext {
     pub algo: Option<JoinAlgo>,
@@ -467,26 +463,27 @@ pub struct TriggerContext {
     pub semi_strategy: Option<SemiJoinStrategy>,
     pub materialization: bool,
     pub subquery_present: bool,
+    /// The statement plan's subquery strategy (`None` outside a statement).
+    pub subquery_plan: Option<SubqueryPlan>,
     pub simplified_from_outer: bool,
     pub uses_join_buffer: bool,
-    /// Switch names that the current session turned OFF.
-    pub switched_off: Vec<&'static str>,
-}
-
-impl TriggerContext {
-    pub(crate) fn switched_off(&self, name: &str) -> bool {
-        self.switched_off.contains(&name)
-    }
+    /// The optimizer switches the current session turned OFF.
+    pub switched_off: Vec<SwitchName>,
 }
 
 impl FaultKind {
     /// Is this fault's execution-path trigger satisfied? (The data-dependent
     /// part of the corner case lives in the executor's behaviour itself.)
+    /// The optimizer and DML kinds answer `false`: no engine path fires them,
+    /// and their own code reads the enabled set ([`FaultSet::contains`]).
     pub fn triggered(self, ctx: &TriggerContext) -> bool {
         use FaultKind::*;
         match self {
             SemiJoinWrongResults => {
-                ctx.semi_strategy == Some(SemiJoinStrategy::Materialization) && ctx.subquery_present
+                ctx.subquery_plan
+                    == Some(SubqueryPlan::SemiJoinTransform(
+                        SemiJoinStrategy::Materialization,
+                    ))
             }
             HashJoinMaterializationZeroSplit => {
                 ctx.algo == Some(JoinAlgo::HashJoin) && ctx.materialization
@@ -501,15 +498,21 @@ impl FaultKind {
                     && ctx.subquery_present
             }
             AntiJoinMaterializationNullDrop => {
-                ctx.join_type == Some(JoinType::Anti) && ctx.materialization
+                ctx.materialization
+                    && matches!(
+                        ctx.subquery_plan,
+                        Some(SubqueryPlan::Materialize | SubqueryPlan::SemiJoinTransform(_))
+                    )
             }
             ConstantCacheNullSafeEq => true, // purely data/expression dependent
             HashJoinVarcharViaDouble => ctx.algo == Some(JoinAlgo::HashJoin) && ctx.materialization,
             BkaDisallowedNullToEmpty => {
-                ctx.switched_off("join_cache_bka") && ctx.algo == Some(JoinAlgo::BlockNestedLoop)
+                ctx.switched_off.contains(&SwitchName::JoinCacheBka)
+                    && ctx.algo == Some(JoinAlgo::BlockNestedLoop)
             }
             BnlhDisallowedBlankValues => {
-                ctx.switched_off("join_cache_hashed") && ctx.algo == Some(JoinAlgo::BlockNestedLoop)
+                ctx.switched_off.contains(&SwitchName::JoinCacheHashed)
+                    && ctx.algo == Some(JoinAlgo::BlockNestedLoop)
             }
             OuterJoinCacheEmptyPad => {
                 ctx.uses_join_buffer
@@ -564,16 +567,17 @@ impl FaultKind {
             ),
             DiskRecoveryDoubleReplay => ctx.subquery_present || ctx.simplified_from_outer,
             // Optimizer complement: these faults live in the harness-side
-            // plan enumerator (`tqs-optimizer`), which consults the fault set
-            // directly; they have no engine execution path and never fire
-            // from a TriggerContext.
+            // plan enumerator (`tqs-optimizer`), which reads the enabled set
+            // with `contains`; they have no engine execution path and never
+            // fire from a TriggerContext.
             OptInvertedCostComparison
             | OptDroppedRewritePrecondition
             | OptPushdownPastOuterJoin
             | OptStaleCardinalityAfterPruning
             | OptHintIgnoredUnderMemoCollision => false,
-            // DML complement: fired explicitly by the DML executor while
-            // applying a mutation, not by any SELECT execution path.
+            // DML complement: fired by the DML executor, which reads the
+            // enabled set with `contains` while applying a mutation; no
+            // SELECT execution path fires them.
             DmlStaleIndexAfterUpdate
             | DmlDeleteSkipsNullKey
             | DmlLostUpdateThroughPrunedColumn
@@ -583,11 +587,11 @@ impl FaultKind {
     }
 }
 
-/// The set of faults compiled into one simulated DBMS build.
-#[derive(Debug, Clone, Default)]
-pub struct FaultSet {
-    enabled: HashSet<FaultKind>,
-}
+/// A set of fault kinds, one bit each: the faults compiled into one
+/// simulated DBMS build, or the subset of them a context triggers
+/// ([`FaultSet::active`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct FaultSet(u64);
 
 impl FaultSet {
     pub fn none() -> Self {
@@ -595,57 +599,16 @@ impl FaultSet {
     }
 
     pub fn of(kinds: &[FaultKind]) -> Self {
-        FaultSet {
-            enabled: kinds.iter().copied().collect(),
+        let mut set = FaultSet::none();
+        for &kind in kinds {
+            set.enable(kind);
         }
+        set
     }
 
     pub fn all() -> Self {
         FaultSet::of(&FaultKind::ALL)
     }
-
-    pub fn enable(&mut self, kind: FaultKind) {
-        self.enabled.insert(kind);
-    }
-
-    pub fn contains(&self, kind: FaultKind) -> bool {
-        self.enabled.contains(&kind)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.enabled.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.enabled.len()
-    }
-
-    /// Is `kind` both enabled and triggered in this context?
-    pub fn active(&self, kind: FaultKind, ctx: &TriggerContext) -> bool {
-        self.contains(kind) && kind.triggered(ctx)
-    }
-
-    /// Every kind [`FaultSet::active`] holds for in `ctx`, decided at once —
-    /// what an operator reads per row instead of asking per row.
-    pub(crate) fn active_flags(&self, ctx: &TriggerContext) -> FaultFlags {
-        let active = self.enabled.iter().filter(|k| k.triggered(ctx));
-        FaultFlags(active.fold(0, |bits, &k| bits | FaultFlags::bit(k)))
-    }
-
-    pub fn kinds(&self) -> Vec<FaultKind> {
-        let mut v: Vec<FaultKind> = self.enabled.iter().copied().collect();
-        v.sort();
-        v
-    }
-}
-
-/// A set of fault kinds as one bit each ([`FaultSet::active_flags`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct FaultFlags(u64);
-
-impl FaultFlags {
-    /// No kind at all.
-    pub(crate) const NONE: FaultFlags = FaultFlags(0);
 
     fn bit(kind: FaultKind) -> u64 {
         // The last variant, so every kind has a bit.
@@ -653,14 +616,48 @@ impl FaultFlags {
         1 << kind as u32
     }
 
-    pub(crate) fn has(self, kind: FaultKind) -> bool {
-        self.0 & FaultFlags::bit(kind) != 0
+    pub fn enable(&mut self, kind: FaultKind) {
+        self.0 |= FaultSet::bit(kind);
+    }
+
+    pub fn contains(self, kind: FaultKind) -> bool {
+        self.0 & FaultSet::bit(kind) != 0
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// The enabled kinds whose trigger `ctx` satisfies — what an
+    /// interception point reads, decided once per context.
+    pub fn active(self, ctx: &TriggerContext) -> FaultSet {
+        let active = self.iter().filter(|k| k.triggered(ctx));
+        FaultSet(active.fold(0, |bits, k| bits | FaultSet::bit(k)))
+    }
+
+    /// The enabled kinds, in declaration order.
+    pub fn kinds(self) -> Vec<FaultKind> {
+        self.iter().collect()
+    }
+
+    fn iter(self) -> impl Iterator<Item = FaultKind> {
+        let every = (FaultKind::ALL.iter())
+            .chain(&FaultKind::COLUMNAR)
+            .chain(&FaultKind::DISK)
+            .chain(&FaultKind::OPTIMIZER)
+            .chain(&FaultKind::DML);
+        every.copied().filter(move |&k| self.contains(k))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn catalog_matches_table_4_structure() {
@@ -697,7 +694,7 @@ mod tests {
             ..Default::default()
         };
         assert!(!FaultKind::BnlhDisallowedBlankValues.triggered(&ctx));
-        ctx.switched_off.push("join_cache_hashed");
+        ctx.switched_off.push(SwitchName::JoinCacheHashed);
         assert!(FaultKind::BnlhDisallowedBlankValues.triggered(&ctx));
     }
 
@@ -708,13 +705,73 @@ mod tests {
             algo: Some(JoinAlgo::SortMergeJoin),
             ..Default::default()
         };
-        assert!(fs.active(FaultKind::MergeJoinDropsLastRun, &ctx));
-        assert!(!fs.active(FaultKind::MergeJoinVarcharEmpty, &ctx));
+        assert!(fs.active(&ctx).contains(FaultKind::MergeJoinDropsLastRun));
+        assert!(!fs.active(&ctx).contains(FaultKind::MergeJoinVarcharEmpty));
         assert!(FaultSet::none().is_empty());
         assert_eq!(FaultSet::all().len(), 20);
         let mut fs = FaultSet::none();
         fs.enable(FaultKind::SemiJoinWrongResults);
         assert!(fs.contains(FaultKind::SemiJoinWrongResults));
+    }
+
+    /// Every one of the 39 kinds has its own bit: a set of any of them
+    /// holds exactly those, lists them in declaration order, and its active
+    /// subset never holds a kind it does not.
+    #[test]
+    fn fault_set_round_trips_every_kind() {
+        let every: Vec<FaultKind> = [
+            &FaultKind::ALL[..],
+            &FaultKind::COLUMNAR,
+            &FaultKind::DISK,
+            &FaultKind::OPTIMIZER,
+            &FaultKind::DML,
+        ]
+        .concat();
+        assert_eq!(every.len(), 39);
+        assert!(every.windows(2).all(|w| w[0] < w[1]), "declaration order");
+        let ids: Vec<u32> = every.iter().map(|k| k.table4_id()).collect();
+        assert_eq!(ids, (1..=39).collect::<Vec<u32>>());
+        let all = FaultSet::of(&every);
+        assert_eq!((all.len(), all.kinds()), (39, every.clone()));
+        for (i, &kind) in every.iter().enumerate() {
+            let one = FaultSet::of(&[kind]);
+            assert_eq!((one.len(), one.kinds()), (1, vec![kind]));
+            for &other in &every {
+                assert_eq!(one.contains(other), other == kind, "{kind:?} / {other:?}");
+            }
+            // every other kind, in order
+            let rest: Vec<FaultKind> = (every.iter().enumerate())
+                .filter(|&(j, _)| j != i)
+                .map(|(_, &k)| k)
+                .collect();
+            let set = FaultSet::of(&rest);
+            assert_eq!((set.len(), set.kinds()), (38, rest.clone()));
+            assert!(!set.contains(kind));
+        }
+        let busiest = TriggerContext {
+            algo: Some(JoinAlgo::SortMergeJoin),
+            join_type: Some(JoinType::LeftOuter),
+            semi_strategy: Some(SemiJoinStrategy::FirstMatch),
+            materialization: true,
+            subquery_present: true,
+            subquery_plan: Some(SubqueryPlan::Materialize),
+            simplified_from_outer: true,
+            uses_join_buffer: true,
+            switched_off: SwitchName::ALL.to_vec(),
+        };
+        for ctx in [TriggerContext::default(), busiest] {
+            for set in [all, FaultSet::of(&every[..20]), FaultSet::of(&[every[38]])] {
+                let active = set.active(&ctx);
+                for &kind in &every {
+                    assert_eq!(
+                        active.contains(kind),
+                        set.contains(kind) && kind.triggered(&ctx),
+                        "{kind:?}"
+                    );
+                }
+            }
+        }
+        assert_eq!(FaultSet::none().kinds(), vec![]);
     }
 
     #[test]
@@ -779,9 +836,12 @@ mod tests {
                 semi_strategy: Some(SemiJoinStrategy::Materialization),
                 materialization: true,
                 subquery_present: true,
+                subquery_plan: Some(SubqueryPlan::SemiJoinTransform(
+                    SemiJoinStrategy::Materialization,
+                )),
                 simplified_from_outer: true,
                 uses_join_buffer: true,
-                switched_off: vec!["join_cache_bka", "join_cache_hashed"],
+                switched_off: vec![SwitchName::JoinCacheBka, SwitchName::JoinCacheHashed],
             };
             assert!(!f.triggered(&ctx));
         }
@@ -809,9 +869,12 @@ mod tests {
                 semi_strategy: Some(SemiJoinStrategy::Materialization),
                 materialization: true,
                 subquery_present: true,
+                subquery_plan: Some(SubqueryPlan::SemiJoinTransform(
+                    SemiJoinStrategy::Materialization,
+                )),
                 simplified_from_outer: true,
                 uses_join_buffer: true,
-                switched_off: vec!["join_cache_bka", "join_cache_hashed"],
+                switched_off: vec![SwitchName::JoinCacheBka, SwitchName::JoinCacheHashed],
             };
             assert!(!f.triggered(&ctx));
         }

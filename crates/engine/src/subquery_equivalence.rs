@@ -195,7 +195,7 @@ proptest! {
             FaultSet::of(&[FaultKind::AntiJoinMaterializationNullDrop]),
         ] {
             let mut profile = DbmsProfile::pristine(ProfileId::MysqlLike);
-            profile.faults = faults.clone();
+            profile.faults = faults;
             let mut row = Database::new(cat.clone(), profile.clone());
             let mut columnar = ColumnarDatabase::new(cat.clone(), profile.clone());
             let mut disk = DiskDatabase::new(cat.clone(), profile).unwrap();

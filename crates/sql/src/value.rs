@@ -312,7 +312,7 @@ pub(crate) fn total_f64(a: f64, b: f64) -> Ordering {
 /// a fractional part compares exactly (`Decimal::cmp_exact`) but keys
 /// through the lossy `Decimal::to_f64`, so two different decimals can
 /// share a key. Callers that must agree with `sql_compare` classify their
-/// columns first (the engine's `hash_equivalent_keys` does).
+/// columns first (the engine's join step does, in `coarse_classes`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HashKey {
     Null,
