@@ -6,6 +6,7 @@
 //! target DBMS profile.
 
 use tqs_engine::ProfileId;
+use tqs_optimizer::SUBQUERY_STRATEGIES;
 use tqs_sql::ast::SelectStmt;
 use tqs_sql::hints::{Hint, HintSet, SemiJoinStrategy, SessionSwitch, SwitchName};
 
@@ -36,17 +37,9 @@ pub fn hint_sets_for(profile: ProfileId, stmt: &SelectStmt) -> Vec<HintSet> {
     }
 
     if stmt.has_subquery() {
-        sets.push(
-            HintSet::new("semijoin-materialization")
-                .with_hint(Hint::SemiJoin(Some(SemiJoinStrategy::Materialization))),
-        );
-        sets.push(HintSet::new("no-semijoin").with_hint(Hint::NoSemiJoin));
-        sets.push(HintSet::new("subquery-to-derived").with_hint(Hint::SubqueryToDerived));
-        sets.push(
-            HintSet::new("materialization-off")
-                .with_switch(SessionSwitch::off(SwitchName::Materialization))
-                .with_hint(Hint::Materialization(false)),
-        );
+        for (label, _, steer) in SUBQUERY_STRATEGIES {
+            sets.push(steer(HintSet::new(label)));
+        }
     }
 
     match profile {

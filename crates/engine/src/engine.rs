@@ -1514,8 +1514,9 @@ mod tests {
     }
 
     /// Under the NULL/row-0 confusion fault a NULL probe key matches build
-    /// row 0 on every algorithm: the hash join's answer is the same on
-    /// every run and equals the nested loop's.
+    /// row 0 on every algorithm but the merge join: the hash join's answer
+    /// is the same on every run and equals the nested loop's. The merge join
+    /// has no interception point for it, so the fault is not armed there.
     #[test]
     fn null_zero_confusion_matches_build_row_zero_on_a_hash_join() {
         let mut cat = Catalog::new();
@@ -1549,6 +1550,17 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(d.execute_sql(sql).unwrap().result.rows, hashed.result.rows);
         }
+        let merge_sql = sql.replace("SELECT", "SELECT /*+ MERGE_JOIN(b) */");
+        let (plan, ctx) = d
+            .begin(&parse_stmt(&merge_sql).unwrap(), Executor::Row)
+            .unwrap();
+        assert_eq!(plan.joins[0].algo, JoinAlgo::SortMergeJoin);
+        assert!(plan.joins[0].simplified_from_outer);
+        let step = ctx.faults.active(&ctx.trigger_ctx(&plan.joins[0]));
+        assert!(!step.contains(FaultKind::LeftToInnerNullZeroConfusion));
+        let merged = d.execute_sql(&merge_sql).unwrap();
+        assert!(merged.fired.is_empty());
+        assert_eq!(merged.result.row_count(), 2);
         d.apply_switch(SessionSwitch::off(SwitchName::BlockNestedLoop));
         let nl_sql = sql.replace("SELECT", "SELECT /*+ NL_JOIN(b) */");
         let nested = d.execute_sql(&nl_sql).unwrap();

@@ -536,7 +536,10 @@ impl FaultKind {
             | MergeJoinVarcharEmpty
             | MergeJoinNullInsteadOfValue
             | MergeJoinDropsLastRun => ctx.algo == Some(JoinAlgo::SortMergeJoin),
-            LeftToInnerNullZeroConfusion => ctx.simplified_from_outer,
+            // The merge join has no interception point for it.
+            LeftToInnerNullZeroConfusion => {
+                ctx.simplified_from_outer && ctx.algo != Some(JoinAlgo::SortMergeJoin)
+            }
             HashJoinNullMatchesEmpty => ctx.algo == Some(JoinAlgo::HashJoin),
             SemiJoinFloatPrecision => {
                 matches!(ctx.join_type, Some(JoinType::Semi)) && !ctx.materialization

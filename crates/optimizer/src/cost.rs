@@ -2,14 +2,18 @@
 //!
 //! Deliberately textbook-simple — catalog row counts, independence-assumption
 //! selectivities — because the point is not estimation quality but a *total,
-//! deterministic order* on plans that the DP enumerator can optimize and the
+//! deterministic order* on plans that the enumerator can pick from and the
 //! `PlanSpaceOracle` can sanity-check. Two requirements shape it:
 //!
-//! 1. **Subset-closed cardinalities.** `card(S)` of a joined relation set is
-//!    a pure function of the set (row-count product × one selectivity factor
-//!    per predicate edge inside the set), never of the join order that built
-//!    it. That is exactly the property Held–Karp subset DP needs for optimal
-//!    substructure.
+//! 1. **One cost function.** [`CostModel::order_cost`] costs whole left-deep
+//!    orders, and it is the only cost: it ranks the space and it picks the
+//!    order. Each join step multiplies in the next relation's rows and one
+//!    selectivity factor per predicate edge it closes, then floors the
+//!    intermediate cardinality at one row. The floor makes a joined set's
+//!    cardinality depend on the order that built it, so no per-subset
+//!    cardinality gives a subset DP optimal substructure; the pick is taken
+//!    over whole orders instead, and on a pristine build it is the space's
+//!    cheapest plan.
 //! 2. **Two row-count tables.** The *stale* table holds raw catalog row
 //!    counts; the *fresh* table discounts them by the single-binding
 //!    predicates the rewrite phase collected (halving per conjunct, floored
@@ -126,9 +130,8 @@ impl CostModel {
     /// Selectivity contribution of joining `next` to the already-joined
     /// position set: one factor per predicate edge between `next` and the
     /// set. Equality edges use 1/max(|R|, |S|) (textbook key-join estimate);
-    /// comparison edges use a flat [`NONEQUI_SEL`]. Because every edge
-    /// contributes exactly once — when its *second* endpoint joins — the
-    /// resulting `card` is a pure function of the joined set.
+    /// comparison edges use a flat [`NONEQUI_SEL`]. Every edge contributes
+    /// exactly once — when its *second* endpoint joins.
     fn step_selectivity(&self, next: usize, joined: &[usize], counts: RowCounts) -> f64 {
         let mut sel = 1.0;
         for &(a, b) in &self.equi {
@@ -170,20 +173,6 @@ impl CostModel {
             joined.push(pos);
         }
         total
-    }
-
-    /// The cardinality of a joined subset (base + the given join indices) —
-    /// order-independent by construction; used by the DP enumerator.
-    pub(crate) fn subset_card(&self, joins: &[usize], counts: RowCounts) -> f64 {
-        let mut joined = vec![0usize];
-        let mut card = self.rows(0, counts);
-        for &j in joins {
-            let pos = j + 1;
-            card *= self.rows(pos, counts) * self.step_selectivity(pos, &joined, counts);
-            card = card.max(1.0);
-            joined.push(pos);
-        }
-        card
     }
 }
 
@@ -233,19 +222,6 @@ mod tests {
         assert_eq!(cm.rows(0, RowCounts::Stale), 64.0);
         assert_eq!(cm.rows(0, RowCounts::Fresh), 16.0); // two conjuncts → ×0.25
         assert_eq!(cm.rows(1, RowCounts::Fresh), 8.0); // one conjunct → ×0.5
-    }
-
-    #[test]
-    fn subset_cardinality_is_order_independent() {
-        let cm = model(
-            "SELECT t1.k FROM t1 JOIN t2 ON t1.k = t2.k JOIN t3 ON t2.k = t3.k AND t1.v < t3.v",
-        );
-        let a = cm.subset_card(&[0, 1], RowCounts::Fresh);
-        let b = cm.subset_card(&[1, 0], RowCounts::Fresh);
-        assert!(
-            (a - b).abs() < 1e-9,
-            "card must not depend on order: {a} vs {b}"
-        );
     }
 
     #[test]

@@ -12,13 +12,16 @@
 //!    own binding and already-joined ones), capped at `MAX_ORDERS`. A
 //!    statement whose identity order fails the check, or with more than 32
 //!    joins, is kept un-reordered with no order hint.
-//! 2. **Cost-based pick.** Up to `DP_MAX_JOINS` joins, a Held–Karp subset
-//!    DP finds the cheapest valid order over the *entire* order space (the
-//!    subset-closed cardinalities of `crate::cost` give it optimal
-//!    substructure); above the threshold it falls back to the cheapest of the
-//!    DFS-enumerated orders. Two seeded faults live here:
-//!    [`FaultKind::OptInvertedCostComparison`] flips every comparison (the DP
-//!    returns the *worst* order), and
+//! 2. **Cost-based pick.** The pick is the cheapest of the enumerated valid
+//!    orders under [`CostModel::order_cost`] — the first strictly cheaper
+//!    one in DFS order, so the identity order wins ties. The cost model
+//!    floors every intermediate cardinality at one row, which makes a joined
+//!    set's cardinality depend on the order that built it; the pick is
+//!    therefore taken over whole orders, with the same function that costs
+//!    the rest of the space, and on a pristine build it is the space's
+//!    cheapest plan by construction. Two seeded faults live here:
+//!    [`FaultKind::OptInvertedCostComparison`] flips the comparison (the
+//!    pick is the *worst* order), and
 //!    [`FaultKind::OptStaleCardinalityAfterPruning`] ranks with raw catalog
 //!    row counts while reporting predicate-pruned costs.
 //! 3. **Selection + memo.** Candidates (orders × per-join algorithm
@@ -44,9 +47,6 @@ use crate::cost::{CostModel, RowCounts};
 use crate::rewrite::rewrite;
 use crate::statement_seed;
 
-/// Relation-count threshold for exact Held–Karp join ordering; above it the
-/// enumerator falls back to the cheapest DFS-enumerated order.
-pub(crate) const DP_MAX_JOINS: usize = 7;
 /// Cap on DFS-enumerated valid join orders per statement.
 pub(crate) const MAX_ORDERS: usize = 64;
 /// Plans kept by cost rank (beyond the cost-model pick itself).
@@ -110,23 +110,32 @@ impl PlanAlgo {
     }
 }
 
-/// Subquery-strategy plan variants (hint-level decorrelation).
-const SUBQ_ALL: [&str; 2] = ["semijoin-materialization", "no-semijoin"];
-const SUBQ_UNCORRELATED: [&str; 2] = ["subquery-to-derived", "materialization-off"];
+/// How a subquery strategy steers a hint set.
+type Steer = fn(HintSet) -> HintSet;
 
-fn subq_hints(label: &str, hs: HintSet) -> HintSet {
-    match label {
-        "semijoin-materialization" => {
-            hs.with_hint(Hint::SemiJoin(Some(SemiJoinStrategy::Materialization)))
-        }
-        "no-semijoin" => hs.with_hint(Hint::NoSemiJoin),
-        "subquery-to-derived" => hs.with_hint(Hint::SubqueryToDerived),
-        "materialization-off" => hs
-            .with_switch(SessionSwitch::off(SwitchName::Materialization))
-            .with_hint(Hint::Materialization(false)),
-        _ => hs,
-    }
-}
+/// The subquery-strategy hint sets, in the order plans and transformed
+/// queries list them: `(label, uncorrelated only, steer)`. `steer` adds the
+/// strategy's switch, then its hint. The enumerator adds a row as a plan
+/// variant of a statement with a subquery — an "uncorrelated only" row
+/// (hint-level decorrelation) only when a subquery is uncorrelated — and
+/// `tqs-core`'s `hint_sets_for` adds every row as a hint set of its own.
+pub const SUBQUERY_STRATEGIES: [(&str, bool, Steer); 4] = [
+    ("semijoin-materialization", false, |hs| {
+        hs.with_hint(Hint::SemiJoin(Some(SemiJoinStrategy::Materialization)))
+    }),
+    ("no-semijoin", false, |hs| hs.with_hint(Hint::NoSemiJoin)),
+    ("subquery-to-derived", true, |hs| {
+        hs.with_hint(Hint::SubqueryToDerived)
+    }),
+    ("materialization-off", true, |hs| {
+        hs.with_switch(SessionSwitch::off(SwitchName::Materialization))
+            .with_hint(Hint::Materialization(false))
+    }),
+];
+
+/// A subquery-strategy plan variant: a row of [`SUBQUERY_STRATEGIES`]
+/// without its applicability flag.
+type SubqueryVariant = (&'static str, Steer);
 
 /// One member of a statement's plan space: the hint set that pins a join
 /// order, a per-join algorithm assignment and an optional subquery strategy
@@ -216,36 +225,15 @@ impl PlanSpace {
             orders.push((0..n).collect());
         }
 
-        // Which ordering path serves this statement: exact DP below the join
-        // budget, heuristic DFS above it, identity when reordering is off
-        // the table.
-        if tqs_telemetry::enabled() {
-            let path = if !hinted_order || n < 2 {
-                "optimizer.enumerate.identity_order"
-            } else if n <= DP_MAX_JOINS {
-                "optimizer.enumerate.dp_orders"
-            } else {
-                "optimizer.enumerate.dfs_orders"
-            };
-            tqs_telemetry::metrics::counter(path).incr();
-        }
-
         let cm = CostModel::new(&rewritten, catalog);
         let pick = |active: &FaultSet| -> Vec<usize> {
-            if !hinted_order || n < 2 {
-                return (0..n).collect();
-            }
             let counts = if active.contains(FaultKind::OptStaleCardinalityAfterPruning) {
                 RowCounts::Stale
             } else {
                 RowCounts::Fresh
             };
             let invert = active.contains(FaultKind::OptInvertedCostComparison);
-            if n <= DP_MAX_JOINS {
-                dp_best_order(&cm, reqs.as_deref().unwrap(), n, counts, invert)
-            } else {
-                dfs_best_order(&cm, &orders, counts, invert)
-            }
+            cheapest_order(&cm, &orders, counts, invert)
         };
         let pristine_pick = pick(&FaultSet::none());
         let best_order = pick(faults);
@@ -285,7 +273,7 @@ impl PlanSpace {
                 ));
             }
         }
-        for v in &subq_variants {
+        for &v in &subq_variants {
             candidates.push(Candidate::new(
                 &cm,
                 &bindings,
@@ -362,7 +350,7 @@ impl PlanSpace {
 struct Candidate {
     order: Vec<usize>,
     algos: Vec<PlanAlgo>,
-    subquery: Option<&'static str>,
+    subquery: Option<SubqueryVariant>,
     cost: f64,
     fingerprint: u64,
 }
@@ -373,7 +361,7 @@ impl Candidate {
         bindings: &[String],
         order: Vec<usize>,
         algos: Vec<PlanAlgo>,
-        subquery: Option<&'static str>,
+        subquery: Option<SubqueryVariant>,
     ) -> Candidate {
         let cost = cm.order_cost(&order, RowCounts::Fresh)
             * algos.iter().map(|a| a.factor()).product::<f64>();
@@ -389,7 +377,7 @@ impl Candidate {
             key.push(',');
         }
         key.push('|');
-        key.push_str(subquery.unwrap_or("-"));
+        key.push_str(subquery.map_or("-", |(label, _)| label));
         Candidate {
             order,
             algos,
@@ -419,8 +407,8 @@ impl Candidate {
                 hs = hs.with_hint(algo.hint(tables).expect("forced algo has a hint"));
             }
         }
-        if let Some(v) = self.subquery {
-            hs = subq_hints(v, hs);
+        if let Some((_, steer)) = self.subquery {
+            hs = steer(hs);
         }
         EnumeratedPlan {
             cost: self.cost,
@@ -470,59 +458,11 @@ fn dfs_orders(
     }
 }
 
-/// Held–Karp subset DP over all valid left-deep orders. `invert` flips every
-/// comparison (the inverted-cost-comparison fault: the DP faithfully returns
-/// the *worst* order).
-fn dp_best_order(
-    cm: &CostModel,
-    reqs: &[u32],
-    n: usize,
-    counts: RowCounts,
-    invert: bool,
-) -> Vec<usize> {
-    let full = (1u32 << n) - 1;
-    let better = |a: f64, b: f64| if invert { a > b } else { a < b };
-    // best[mask] = (cost of the best order of `mask`, last join placed)
-    let mut best: Vec<Option<(f64, usize)>> = vec![None; 1 << n];
-    for mask in 1..=full {
-        let members: Vec<usize> = (0..n).filter(|j| mask & (1 << j) != 0).collect();
-        let card = cm.subset_card(&members, counts);
-        for &j in &members {
-            let prev = mask & !(1 << j);
-            if reqs[j] & !prev != 0 {
-                continue; // j's ON needs a join not yet placed
-            }
-            let prev_cost = if prev == 0 {
-                0.0
-            } else {
-                match best[prev as usize] {
-                    Some((c, _)) => c,
-                    None => continue,
-                }
-            };
-            let cost = prev_cost + card;
-            if best[mask as usize].map_or(true, |(c, _)| better(cost, c)) {
-                best[mask as usize] = Some((cost, j));
-            }
-        }
-    }
-    let mut order = Vec::with_capacity(n);
-    let mut mask = full;
-    while mask != 0 {
-        let Some((_, j)) = best[mask as usize] else {
-            // No valid order reaches this subset (cannot happen when the
-            // caller verified identity is valid); fall back to identity.
-            return (0..n).collect();
-        };
-        order.push(j);
-        mask &= !(1 << j);
-    }
-    order.reverse();
-    order
-}
-
-/// Fallback above [`DP_MAX_JOINS`]: the best of the DFS-enumerated orders.
-fn dfs_best_order(
+/// The cheapest of the enumerated `orders` under `counts`: the first strictly
+/// cheaper one in DFS order, so the identity order (first when valid) wins
+/// ties. `invert` flips the comparison (the inverted-cost-comparison fault:
+/// the pick is the *worst* order).
+fn cheapest_order(
     cm: &CostModel,
     orders: &[Vec<usize>],
     counts: RowCounts,
@@ -564,15 +504,14 @@ fn algo_assignments(n: usize) -> Vec<Vec<PlanAlgo>> {
     out
 }
 
-/// The subquery-strategy variant labels applicable to this statement.
-fn subquery_variants(stmt: &SelectStmt, catalog: &Catalog) -> Vec<&'static str> {
+/// The subquery-strategy variants applicable to this statement.
+fn subquery_variants(stmt: &SelectStmt, catalog: &Catalog) -> Vec<SubqueryVariant> {
     if !stmt.has_subquery() {
         return Vec::new();
     }
-    let mut variants: Vec<&'static str> = SUBQ_ALL.to_vec();
     let mut subqueries = Vec::new();
     if let Some(w) = &stmt.where_clause {
-        collect_subqueries(w, &mut subqueries);
+        w.collect_subqueries(&mut subqueries);
     }
     let uncorrelated = subqueries.iter().any(|sq| {
         let own = |col: &str| {
@@ -584,42 +523,11 @@ fn subquery_variants(stmt: &SelectStmt, catalog: &Catalog) -> Vec<&'static str> 
         sq.outer_column_refs(&own)
             .is_some_and(|outer| outer.is_empty())
     });
-    if uncorrelated {
-        variants.extend(SUBQ_UNCORRELATED);
-    }
-    variants
-}
-
-fn collect_subqueries<'a>(e: &'a tqs_sql::ast::Expr, out: &mut Vec<&'a SelectStmt>) {
-    use tqs_sql::ast::Expr;
-    match e {
-        Expr::InSubquery { expr, subquery, .. } => {
-            collect_subqueries(expr, out);
-            out.push(subquery);
-        }
-        Expr::Exists { subquery, .. } => out.push(subquery),
-        Expr::Binary { left, right, .. } => {
-            collect_subqueries(left, out);
-            collect_subqueries(right, out);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            collect_subqueries(expr, out);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_subqueries(expr, out);
-            collect_subqueries(low, out);
-            collect_subqueries(high, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_subqueries(expr, out);
-            for item in list {
-                collect_subqueries(item, out);
-            }
-        }
-        Expr::Column(_) | Expr::Literal(_) => {}
-    }
+    SUBQUERY_STRATEGIES
+        .iter()
+        .filter(|(_, uncorrelated_only, _)| uncorrelated || !uncorrelated_only)
+        .map(|&(label, _, steer)| (label, steer))
+        .collect()
 }
 
 fn xorshift(mut s: u64) -> u64 {
@@ -695,21 +603,25 @@ mod tests {
         assert!(s.rewrite_fired.is_empty() && s.cost_fired.is_empty());
     }
 
+    /// Six pruning conjuncts floor t1 at one row, so the one-row floor on
+    /// intermediate cardinalities makes a joined set's cardinality depend on
+    /// the order that built it; a per-subset cost would pick an order that
+    /// costs 5 here, while the space's cheapest costs 4.
+    const FLOORED4: &str = "SELECT t1.k FROM t1 JOIN t2 ON t2.k = t1.k \
+                            JOIN t3 ON t3.v < t1.v JOIN t4 ON t4.v < t1.v \
+                            WHERE t1.v > 0 AND t1.v > 1 AND t1.v > 2 AND t1.v > 3 \
+                            AND t1.v > 4 AND t1.v > 5 AND t3.v > 0 AND t4.v > 0";
+
     #[test]
     fn the_pick_is_the_cheapest_plan_on_pristine_builds() {
-        for sql in [CHAIN4, STAR3] {
+        for sql in [CHAIN4, STAR3, FLOORED4] {
             let s = space(sql, &FaultSet::none());
-            assert!(
-                s.best().cost <= s.min_cost() + 1e-9,
-                "pick {} > min {} for {sql}",
-                s.best().cost,
-                s.min_cost()
-            );
+            assert_eq!(s.best().cost, s.min_cost(), "pick vs min for {sql}");
         }
     }
 
     #[test]
-    fn dp_puts_the_small_relation_first_in_a_star_join() {
+    fn the_pick_puts_the_small_relation_first_in_a_star_join() {
         let s = space(
             "SELECT t1.k FROM t1 JOIN t2 ON t1.k = t2.k JOIN t4 ON t1.k = t4.k",
             &FaultSet::none(),

@@ -19,8 +19,11 @@
 //!    plan variants (semi-join transform, derived-table rewrite).
 //! 3. **Cost model + join enumeration** (`cost`, [`enumerate`]) —
 //!    cardinality estimation from catalog row counts and predicate
-//!    selectivities, Held–Karp subset DP over valid left-deep join orders
-//!    (DFS/greedy fallback above `enumerate::DP_MAX_JOINS` relations).
+//!    selectivities; the pick is the cheapest of the DFS-enumerated valid
+//!    left-deep join orders. One function costs whole orders: the one-row
+//!    floor on intermediate cardinalities makes a joined set's cardinality
+//!    depend on join order, so the pick is taken over whole orders, not by a
+//!    subset DP, and it is the space's cheapest plan on a pristine build.
 //! 4. **Hint-forced physical selection** — each enumerated plan is pinned
 //!    with `JOIN_ORDER` plus a join-algorithm hint, replicating the engine's
 //!    own hint-validity rules, so the plan is deterministically executable on
@@ -43,7 +46,7 @@ mod cost;
 pub mod enumerate;
 mod rewrite;
 
-pub use enumerate::{EnumeratedPlan, PlanSpace};
+pub use enumerate::{EnumeratedPlan, PlanSpace, SUBQUERY_STRATEGIES};
 
 use tqs_sql::ast::SelectStmt;
 

@@ -280,7 +280,7 @@ impl Expr {
     }
 
     /// The subqueries this expression holds, not those nested inside them.
-    fn collect_subqueries<'a>(&'a self, out: &mut Vec<&'a SelectStmt>) {
+    pub fn collect_subqueries<'a>(&'a self, out: &mut Vec<&'a SelectStmt>) {
         match self {
             Expr::InSubquery { expr, subquery, .. } => {
                 expr.collect_subqueries(out);
