@@ -34,13 +34,12 @@
 use crate::faults::FaultKind::{self, *};
 use crate::faults::{FaultSet, TriggerContext};
 use crate::plan::{JoinAlgo, PhysicalJoin};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 use tqs_sql::ast::{BinOp, ColumnRef, Expr, JoinType};
 use tqs_sql::eval::{eval_predicate, ColumnResolver, NoSubqueries};
-use tqs_sql::value::{sql_compare, ColClass, KeyBuf, SqlCmp, Value};
+use tqs_sql::value::{sql_compare, ColClass, KeyBuf, KeyMap, SqlCmp, Value};
 use tqs_storage::{Table, TailRow};
 use tqs_telemetry::QueryProfile;
 
@@ -198,9 +197,9 @@ impl Rel {
         &self.ids[row * stride..(row + 1) * stride]
     }
 
-    /// The ids of a row that is NULL in every part.
-    fn null_tuple(&self) -> Vec<u32> {
-        vec![NULL_ROW; self.parts.len()]
+    /// Append the ids of `n` parts' NULL rows to the row being written.
+    fn push_null_ids(&mut self, n: usize) {
+        self.ids.resize(self.ids.len() + n, NULL_ROW);
     }
 
     /// The header of a join of `left` with `right` (with no `right`, of a
@@ -762,8 +761,8 @@ impl ColumnResolver for ScopedPair<'_> {
 fn build_table(
     rows: usize,
     mut encode: impl FnMut(usize, &mut KeyBuf) -> bool,
-) -> HashMap<KeyBuf, Vec<usize>> {
-    let mut table: HashMap<KeyBuf, Vec<usize>> = HashMap::new();
+) -> KeyMap<Vec<usize>> {
+    let mut table: KeyMap<Vec<usize>> = KeyMap::with_capacity_and_hasher(rows, Default::default());
     let mut scratch = KeyBuf::new();
     for ri in 0..rows {
         if encode(ri, &mut scratch) {
@@ -789,8 +788,53 @@ struct JoinInputs<'a> {
     faults: FaultSet,
 }
 
-/// For each probed left row, the right rows it matches.
-type Matches = Vec<Vec<usize>>;
+/// For each probed left row, the right rows it matches, in one flat list:
+/// left row `li`'s are `rows[starts[li]..starts[li + 1]]`.
+struct Matches {
+    starts: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl Matches {
+    /// No left row yet, room for `left` of them.
+    fn with_capacity(left: usize) -> Matches {
+        let mut starts = Vec::with_capacity(left + 1);
+        starts.push(0);
+        Matches {
+            starts,
+            rows: Vec::new(),
+        }
+    }
+
+    /// `left` left rows that match nothing.
+    fn unmatched(left: usize) -> Matches {
+        Matches {
+            starts: vec![0; left + 1],
+            rows: Vec::new(),
+        }
+    }
+
+    /// Append the next left row, matching `rows`.
+    fn push_row(&mut self, rows: impl IntoIterator<Item = usize>) {
+        self.rows.extend(rows);
+        self.starts.push(self.rows.len());
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Keep the first `left` left rows.
+    fn truncate(&mut self, left: usize) {
+        self.starts.truncate(left + 1);
+        self.rows.truncate(self.starts[left]);
+    }
+
+    /// Each left row's matches, in order.
+    fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        self.starts.windows(2).map(|w| &self.rows[w[0]..w[1]])
+    }
+}
 
 /// Execute one physical join step. The output carries row ids: each
 /// emitted row is the left row's ids followed by the right row's (the left
@@ -831,7 +875,7 @@ pub fn execute_join(
     // (and therefore in which faults can perturb them); without an equi key
     // every one of them runs the (correct) pair loop.
     let mut nulled = Vec::new();
-    let matches = match (batch, join.algo) {
+    let mut matches = match (batch, join.algo) {
         _ if step.keys.left_idx.is_empty() => step.loop_matches(),
         (Some(batch), _) => {
             // Batch-tail loss: hashed probes past the last complete batch
@@ -856,20 +900,18 @@ pub fn execute_join(
 
     // Join-buffer tail loss: rows of the buffered (left) side beyond the last
     // complete buffer chunk never get joined.
-    let mut live = matches.len();
+    let live = matches.len();
     if let Some(buf) = join.buffer_rows {
         if faults.contains(JoinBufferLimitDropsTail) && live > buf && live % buf != 0 {
-            live -= live % buf;
+            matches.truncate(live - live % buf);
             ctx.fire(JoinBufferLimitDropsTail);
         }
     }
-    let matches = &matches[..live];
 
     let semi_or_anti = matches!(join.join_type, JoinType::Semi | JoinType::Anti);
     let mut out = Rel::joined(left, (!semi_or_anti).then_some(right));
     let ls = left.parts.len();
     let stride = out.parts.len();
-    let null_right = right.null_tuple();
     let mut first_pad_done = false;
     let mut right_matched = vec![false; right.len()];
     for (li, ms) in matches.iter().enumerate() {
@@ -892,7 +934,7 @@ pub fn execute_join(
                     // Merge join returning NULL instead of the value for
                     // duplicate key runs is marked inside merge_matches.
                     if nulled.get(ri).copied().unwrap_or(false) {
-                        out.ids.extend_from_slice(&null_right);
+                        out.push_null_ids(stride - ls);
                     } else if stale {
                         let prev = (n - 1) * stride;
                         out.ids.extend_from_within(prev + ls..prev + stride);
@@ -908,7 +950,8 @@ pub fn execute_join(
                         ctx.fire(MergeJoinOuterNullLoss);
                         continue;
                     }
-                    let pad = pad_ids(
+                    out.ids.extend_from_slice(left.tuple(li));
+                    push_pad(
                         &mut out,
                         ls..stride,
                         right,
@@ -916,8 +959,6 @@ pub fn execute_join(
                         ctx,
                         &mut first_pad_done,
                     );
-                    out.ids.extend_from_slice(left.tuple(li));
-                    out.ids.extend_from_slice(&pad);
                 }
             }
             JoinType::Semi => {
@@ -945,8 +986,7 @@ pub fn execute_join(
                     ctx.fire(MergeJoinOuterNullLoss);
                     continue;
                 }
-                let pad = pad_ids(&mut out, 0..ls, left, faults, ctx, &mut first_pad_done);
-                out.ids.extend_from_slice(&pad);
+                push_pad(&mut out, 0..ls, left, faults, ctx, &mut first_pad_done);
                 out.ids.extend_from_slice(right.tuple(ri));
             }
         }
@@ -954,10 +994,10 @@ pub fn execute_join(
 
     // Extra spurious NULL-padded row for the left hash join + subquery case.
     if faults.contains(LeftHashJoinSubqueryNull) && join.join_type == JoinType::LeftOuter {
-        if let Some(li) = matches.iter().position(Vec::is_empty) {
+        if let Some(li) = matches.iter().position(<[usize]>::is_empty) {
             ctx.fire(LeftHashJoinSubqueryNull);
             out.ids.extend_from_slice(left.tuple(li));
-            out.ids.extend_from_slice(&null_right);
+            out.push_null_ids(stride - ls);
         }
     }
 
@@ -1088,8 +1128,8 @@ impl JoinInputs<'_> {
         });
         let confusion = self.faults.contains(LeftToInnerNullZeroConfusion) && !right.is_empty();
         let mut scratch = KeyBuf::new();
-        let mut out = vec![Vec::new(); probe_rows];
-        for (li, matches) in out.iter_mut().enumerate() {
+        let mut out = Matches::with_capacity(probe_rows);
+        for li in 0..probe_rows {
             let mut bucket: &[usize] = match encode(left, li, &keys.left_idx, ctx, &mut scratch) {
                 true => table.get(&scratch).map_or(&[], Vec::as_slice),
                 false => &[],
@@ -1102,7 +1142,7 @@ impl JoinInputs<'_> {
                 ctx.fire(LeftToInnerNullZeroConfusion);
                 (bucket, confirm) = (&[0], false);
             }
-            matches.extend((bucket.iter().copied()).filter(|&ri| {
+            out.push_row((bucket.iter().copied()).filter(|&ri| {
                 (!confirm || keys_equal_correct(left, li, right, ri, keys))
                     && self.residual_ok(li, ri)
             }));
@@ -1112,13 +1152,11 @@ impl JoinInputs<'_> {
 
     /// A join without an equi key: every pair the residual holds for.
     fn loop_matches(&self) -> Matches {
-        (0..self.left.len())
-            .map(|li| {
-                (0..self.right.len())
-                    .filter(|&ri| self.residual_ok(li, ri))
-                    .collect()
-            })
-            .collect()
+        let mut out = Matches::with_capacity(self.left.len());
+        for li in 0..self.left.len() {
+            out.push_row((0..self.right.len()).filter(|&ri| self.residual_ok(li, ri)));
+        }
+        out
     }
 
     /// The merge join over an equi key; it marks in `nulled` the right rows
@@ -1132,13 +1170,13 @@ impl JoinInputs<'_> {
                 .any(|v| v.as_str().is_some())
         {
             ctx.fire(MergeJoinVarcharEmpty);
-            return vec![Vec::new(); left.len()];
+            return Matches::unmatched(left.len());
         }
         // A straightforward (correct) merge: group right rows by canonical key.
         // Binary keys index the runs; the probe below hits this same index
         // directly instead of rebuilding a borrowed shadow map.
         let mut runs: Vec<MergeRun> = Vec::new();
-        let mut index: HashMap<KeyBuf, usize> = HashMap::new();
+        let mut index: KeyMap<usize> = KeyMap::default();
         let mut scratch = KeyBuf::new();
         for ri in 0..right.len() {
             if !encode_key_into(
@@ -1203,9 +1241,9 @@ impl JoinInputs<'_> {
         if skipped_last {
             ctx.fire(MergeJoinDropsLastRun);
         }
-        let mut out = vec![Vec::new(); left.len()];
-        for (li, matches) in out.iter_mut().enumerate() {
-            if !encode_key_into(
+        let mut out = Matches::with_capacity(left.len());
+        for li in 0..left.len() {
+            let encoded = encode_key_into(
                 left,
                 li,
                 &keys.left_idx,
@@ -1213,51 +1251,53 @@ impl JoinInputs<'_> {
                 None,
                 ctx,
                 &mut scratch,
-            ) {
-                continue;
-            }
-            if let Some(run) = index.get(&scratch).map(|&gi| &runs[gi]) {
-                if !run.skipped {
-                    matches
-                        .extend((run.rows.iter().copied()).filter(|&ri| self.residual_ok(li, ri)));
-                }
-            }
+            );
+            let run = match encoded {
+                true => index.get(&scratch).map(|&gi| &runs[gi]),
+                false => None,
+            };
+            let rows = match run {
+                Some(run) if !run.skipped => &run.rows[..],
+                _ => &[],
+            };
+            out.push_row((rows.iter().copied()).filter(|&ri| self.residual_ok(li, ri)));
         }
         out
     }
 }
 
-/// The row ids padding `parts` of `out` for the unmatched side of an outer
-/// join — the columns of `padded`: their NULL rows. Only the first pad of a
-/// join can be corrupt: the NULL-mask misalignment replays `padded`'s row 0,
-/// and the empty-string-instead-of-NULL faults make it a row of `''`s.
-fn pad_ids(
+/// Append to the row being written in `out` the ids padding `parts` for the
+/// unmatched side of an outer join — the columns of `padded`: their NULL
+/// rows. Only the first pad of a join can be corrupt: the NULL-mask
+/// misalignment replays `padded`'s row 0, and the empty-string-instead-of-NULL
+/// faults make it a row of `''`s.
+fn push_pad(
     out: &mut Rel,
     parts: Range<usize>,
     padded: &Rel,
     faults: FaultSet,
     ctx: &mut ExecContext,
     first_pad_done: &mut bool,
-) -> Vec<u32> {
-    if std::mem::replace(first_pad_done, true) {
-        return vec![NULL_ROW; parts.len()];
+) {
+    if !std::mem::replace(first_pad_done, true) {
+        if faults.contains(ColumnarNullPadMisalign) && !padded.is_empty() {
+            ctx.fire(ColumnarNullPadMisalign);
+            out.ids.extend_from_slice(padded.tuple(0));
+            return;
+        }
+        let empty_pad = [OuterJoinCacheEmptyPad, BkaDisallowedNullToEmpty];
+        if let Some(kind) = empty_pad.into_iter().find(|&k| faults.contains(k)) {
+            ctx.fire(kind);
+            for p in parts {
+                let part = &mut out.parts[p];
+                let blank = vec![Value::Varchar(String::new()); part.keep.len()];
+                let id = part.push_extra(blank);
+                out.ids.push(id);
+            }
+            return;
+        }
     }
-    if faults.contains(ColumnarNullPadMisalign) && !padded.is_empty() {
-        ctx.fire(ColumnarNullPadMisalign);
-        return padded.tuple(0).to_vec();
-    }
-    let empty_pad = [OuterJoinCacheEmptyPad, BkaDisallowedNullToEmpty];
-    let Some(kind) = empty_pad.into_iter().find(|&k| faults.contains(k)) else {
-        return vec![NULL_ROW; parts.len()];
-    };
-    ctx.fire(kind);
-    parts
-        .map(|p| {
-            let part = &mut out.parts[p];
-            let blank = vec![Value::Varchar(String::new()); part.keep.len()];
-            part.push_extra(blank)
-        })
-        .collect()
+    out.push_null_ids(parts.len());
 }
 
 #[cfg(test)]
@@ -1476,6 +1516,58 @@ mod tests {
         // against a buffer that fits everything.
         assert_eq!(ctx.fired, vec![FaultKind::JoinBufferLimitDropsTail]);
         assert!(out.len() <= 3);
+    }
+
+    /// The left hash join beside a subquery appends its first unmatched left
+    /// row once more, NULL-padded; under the join-buffer tail loss that row
+    /// is searched only among the left rows the buffer kept.
+    #[test]
+    fn left_hash_join_subquery_null_pads_the_first_unmatched_live_row() {
+        let run = |left: &Rel, buffer_rows, faults: &[FaultKind]| {
+            let mut ctx = ExecContext::new(FaultSet::of(faults));
+            ctx.trigger.subquery_present = true;
+            let j = PhysicalJoin {
+                buffer_rows,
+                ..join(JoinType::LeftOuter, JoinAlgo::HashJoin)
+            };
+            let out = execute_join(left, &right_rel(), &j, Some(&on_clause()), None, &mut ctx);
+            (out.unwrap().to_rows(), ctx.fired)
+        };
+        let padded =
+            |id: i64, name: &str| vec![Value::Int(id), Value::str(name), Value::Null, Value::Null];
+
+        // Left ids 1, 2, 3, NULL: 2 and NULL find no match; 2 comes first.
+        let (clean, _) = run(&left_rel(), None, &[]);
+        let (out, fired) = run(&left_rel(), None, &[FaultKind::LeftHashJoinSubqueryNull]);
+        assert_eq!(fired, vec![FaultKind::LeftHashJoinSubqueryNull]);
+        assert_eq!(out.len(), clean.len() + 1);
+        assert_eq!(out[..clean.len()], clean[..]);
+        assert_eq!(out.last(), Some(&padded(2, "b")));
+
+        // Left ids 1, 3, 1, 2 in buffers of 3: the tail row 2 — the only
+        // unmatched one — is dropped, so the pad finds no row to repeat.
+        let left = scan(
+            "l",
+            vec![
+                vec![Value::Int(1), Value::str("a")],
+                vec![Value::Int(3), Value::str("c")],
+                vec![Value::Int(1), Value::str("d")],
+                vec![Value::Int(2), Value::str("b")],
+            ],
+        );
+        let both = [
+            FaultKind::LeftHashJoinSubqueryNull,
+            FaultKind::JoinBufferLimitDropsTail,
+        ];
+        let (out, fired) = run(&left, Some(3), &both);
+        assert_eq!(fired, vec![FaultKind::JoinBufferLimitDropsTail]);
+        assert_eq!(out.len(), 5);
+        assert!(out.iter().all(|r| !r[2].is_null()), "{out:?}");
+        // Without the tail loss the same left side pads row 2.
+        let (out, fired) = run(&left, Some(3), &both[..1]);
+        assert_eq!(fired, vec![FaultKind::LeftHashJoinSubqueryNull]);
+        assert_eq!(out.len(), 7);
+        assert_eq!(out.last(), Some(&padded(2, "b")));
     }
 
     /// A left side of exactly two buffers keeps every row: the fault stays

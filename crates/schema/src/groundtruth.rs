@@ -16,7 +16,6 @@
 //! there, where a drift would only produce false bug reports.
 
 use crate::normalize::NormalizedDb;
-use std::collections::HashSet;
 use tqs_sql::ast::{JoinType, SelectItem, SelectStmt};
 #[cfg(test)]
 use tqs_sql::eval::in_membership;
@@ -24,7 +23,7 @@ use tqs_sql::eval::{
     eval_expr, eval_predicate, ChainedResolver, ColumnResolver, EvalError, SliceRow,
     SubqueryHandler, SubqueryMemo, SubquerySource,
 };
-use tqs_sql::value::{KeyBuf, Value};
+use tqs_sql::value::{KeyBuf, KeySet, Value};
 use tqs_storage::{result_tail, ResultSet, Row, TailError};
 
 /// Errors raised while recovering ground truth. `Unsupported` marks query
@@ -215,7 +214,7 @@ impl<'a> GroundTruthEvaluator<'a> {
             memo: Default::default(),
         };
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut seen: HashSet<KeyBuf> = HashSet::new();
+        let mut seen = KeySet::default();
         let mut identity = KeyBuf::new();
         for wide_row in acc.ones() {
             identity.clear();
@@ -343,7 +342,7 @@ impl SubquerySource for GtSubqueries<'_> {
             .collect();
         let columns = wide_columns(self.db, &table.columns);
         let mut out = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = KeySet::default();
         let (mut row, mut fingerprint) = (Vec::new(), KeyBuf::new());
         for wide_row in bm.ones() {
             row.clear();

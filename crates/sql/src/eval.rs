@@ -18,7 +18,7 @@
 //! [`ChainedResolver`] stacks a subquery's row over its outer row.
 
 use crate::ast::{BinOp, ColumnRef, Expr, SelectStmt, UnOp};
-use crate::value::{null_safe_eq, sql_compare, KeyBuf, SqlCmp, Value};
+use crate::value::{null_safe_eq, sql_compare, KeyBuf, KeyMap, SqlCmp, Value};
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Ordering;
@@ -192,7 +192,7 @@ struct Node {
     list: OnceCell<Vec<Value>>,
     /// Verdict per encoded (outer binding, probe); `EXISTS` has no probe
     /// and stores `Some(bool)`.
-    verdicts: RefCell<HashMap<KeyBuf, Option<bool>>>,
+    verdicts: RefCell<KeyMap<Option<bool>>>,
 }
 
 impl SubqueryMemo {

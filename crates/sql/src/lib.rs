@@ -78,6 +78,48 @@ mod proptests {
         ]
     }
 
+    /// The char-wise case fold every string key and comparison used before
+    /// the ASCII fast path, kept as the reference: trailing spaces trimmed,
+    /// each char through `char::to_lowercase`.
+    fn reference_fold(s: &str) -> String {
+        s.trim_end_matches(' ')
+            .chars()
+            .flat_map(char::to_lowercase)
+            .collect()
+    }
+
+    /// Strings that are all ASCII, or that mix ASCII with letters whose
+    /// fold is not an ASCII byte map: the Kelvin sign folds to ASCII `k`,
+    /// `İ` to two chars, `ẞ` to `ß`, and `Σ` to `σ` wherever it stands.
+    fn arb_collated() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "[a-dA-DkKsSzZ ]{0,6}",
+            "[kKsSzZ \u{212A}\u{130}\u{1E9E}\u{3A3}\u{3C2}\u{3C3}]{0,6}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one case fold agrees with the char-wise reference: the
+        /// collation order in both directions, the string hash key and the
+        /// folded key bytes.
+        #[test]
+        fn case_fold_matches_the_char_wise_reference(a in arb_collated(), b in arb_collated()) {
+            use crate::value::{collate_cmp, HashKey, KeyBuf};
+            let (fa, fb) = (reference_fold(&a), reference_fold(&b));
+            prop_assert_eq!(collate_cmp(&a, &b), fa.chars().cmp(fb.chars()), "{:?} vs {:?}", a, b);
+            prop_assert_eq!(collate_cmp(&b, &a), fb.chars().cmp(fa.chars()), "{:?} vs {:?}", b, a);
+            prop_assert_eq!(hash_key(&Value::str(a.as_str())), HashKey::Str(fa.clone()));
+            let mut key = KeyBuf::new();
+            key.push_str_folded(&a);
+            let mut want = vec![KeyBuf::TAG_STR];
+            want.extend_from_slice(&(fa.len() as u32).to_le_bytes());
+            want.extend_from_slice(fa.as_bytes());
+            prop_assert_eq!(key.as_bytes(), &want[..], "{:?}", a);
+        }
+    }
+
     proptest! {
         /// Equal values (per sql_compare) must produce equal hash keys —
         /// the invariant every hash join and GROUP BY relies on. Cross-family

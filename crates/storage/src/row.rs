@@ -2,11 +2,12 @@
 //! turns a filtered relation into the statement's answer.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::hash::Hasher;
 use tqs_sql::ast::{AggFunc, SelectItem, SelectStmt};
 use tqs_sql::eval::{eval_expr, ColumnResolver, EvalError, SliceRow, SubqueryHandler};
-use tqs_sql::value::{result_value_eq, sql_compare, ColClass, KeyBuf, SqlCmp, Value};
+use tqs_sql::value::{
+    result_value_eq, sql_compare, ColClass, KeyBuf, KeyHasher, KeyMap, KeySet, SqlCmp, Value,
+};
 
 /// A row is an ordered list of values, positionally aligned with a column
 /// list owned by the enclosing table / result set.
@@ -170,7 +171,7 @@ impl ResultSet {
     /// drift apart (a drift would be indistinguishable from an engine bug).
     /// Keys go through the reusable binary [`KeyBuf`] group encoding.
     pub fn into_distinct(self) -> ResultSet {
-        let mut seen: std::collections::HashSet<KeyBuf> = std::collections::HashSet::new();
+        let mut seen = KeySet::default();
         let mut out = ResultSet::new(self.columns.clone());
         let mut fp = KeyBuf::new();
         for row in self.rows {
@@ -350,7 +351,7 @@ fn group<R: TailRow>(
     row: impl Fn(usize) -> R,
     sub: &dyn SubqueryHandler,
 ) -> Result<ResultSet, TailError> {
-    let mut index: HashMap<KeyBuf, usize> = HashMap::new();
+    let mut index: KeyMap<usize> = KeyMap::default();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut key = KeyBuf::new();
     for i in 0..rows {
@@ -464,7 +465,7 @@ fn row_digest(row: &Row, classes: &[ColClass], key: &mut KeyBuf) -> u64 {
     for (v, class) in row.values.iter().zip(classes) {
         key.push_coarse(v, *class);
     }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = KeyHasher::default();
     h.write_usize(row.len());
     h.write(key.as_bytes());
     h.finish()
