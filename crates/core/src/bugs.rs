@@ -63,7 +63,7 @@ pub struct BugReport {
     /// [`keyed_on_graph`](Self::keyed_on_graph) by whoever holds the query
     /// graph (the session loop, the campaign cell loop). `None` when no
     /// fingerprint was computed — de-duplication then falls back to the
-    /// coarse [`signature`](Self::signature).
+    /// hint label ([`cause_key`](Self::cause_key)).
     ///
     /// Key-relevant fields (`dbms`, `fired`, `hint_label`, this one) feed the
     /// memoized dedup keys; code that mutates them after a key was read must
@@ -71,7 +71,7 @@ pub struct BugReport {
     /// [`with_fingerprint`](Self::with_fingerprint), which does).
     pub fingerprint: Option<u64>,
     /// Lazily memoized dedup keys — campaign-wide triage calls
-    /// [`signature`](Self::signature)/[`class_key`](Self::class_key) once per
+    /// [`cause_key`](Self::cause_key)/[`class_key`](Self::class_key) once per
     /// *sighting*, and at fleet throughput re-`format!`ing them per
     /// divergence dominated triage allocation.
     pub keys: KeyCache,
@@ -82,7 +82,6 @@ pub struct BugReport {
 /// mutate a report's key-relevant fields in place.
 #[derive(Debug, Clone, Default)]
 pub struct KeyCache {
-    signature: std::sync::OnceLock<String>,
     cause: std::sync::OnceLock<String>,
     class: std::sync::OnceLock<String>,
 }
@@ -117,22 +116,13 @@ impl BugReport {
         faults.join(",")
     }
 
-    /// Signature used for de-duplication: bugs with the same root cause and
-    /// the same join-structure shape are counted once per "bug", many such
-    /// bugs map to one "bug type". Computed once per report.
-    pub fn signature(&self) -> &str {
-        self.keys
-            .signature
-            .get_or_init(|| format!("{}|{}|{}", self.dbms, self.fault_labels(), self.hint_label))
-    }
-
     /// The bug-*class* key a fleet deduplicates on: the build name plus the
     /// build-independent [`cause_key`](Self::cause_key) — structurally, so
     /// the two can never drift apart. Two hint sets tripping the same fault
     /// on isomorphic queries are one class, while the same fault on a
     /// structurally different plan stays a separate class. Without a
-    /// stamped fingerprint this degenerates to the coarse
-    /// [`signature`](Self::signature). Computed once per report.
+    /// stamped fingerprint it is the coarse `dbms|faults|hint_label`.
+    /// Computed once per report.
     pub fn class_key(&self) -> &str {
         self.keys
             .class
@@ -181,10 +171,9 @@ impl BugLog {
         BugLog::default()
     }
 
-    /// Add a report unless its bug class is already logged. Classes are the
-    /// plan-fingerprint [`BugReport::class_key`] when a fingerprint was
-    /// stamped, and the coarse [`BugReport::signature`] otherwise. Returns
-    /// true when the report was new.
+    /// Add a report unless its bug class ([`BugReport::class_key`]) is
+    /// already logged: keyed on the plan fingerprint when one was stamped,
+    /// on the hint label otherwise. Returns true when the report was new.
     pub fn push(&mut self, report: BugReport) -> bool {
         if self.seen_signatures.contains(report.class_key()) {
             return false;
@@ -400,9 +389,12 @@ mod tests {
             report(vec![FaultKind::MergeJoinDropsLastRun], "merge-join").with_fingerprint(0xB2)
         ));
         assert_eq!(log.bug_count(), 2);
-        // Without a fingerprint the old signature keeps deduplicating.
+        // Without a fingerprint the hint label keys the class.
         let coarse = report(vec![FaultKind::MergeJoinDropsLastRun], "merge-join");
-        assert_eq!(coarse.class_key(), coarse.signature());
+        assert_eq!(
+            coarse.class_key(),
+            "MySQL-like|MergeJoinDropsLastRun|merge-join"
+        );
         assert!(log.push(coarse));
     }
 

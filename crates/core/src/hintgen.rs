@@ -82,7 +82,6 @@ pub fn hint_sets_for(profile: ProfileId, stmt: &SelectStmt) -> Vec<HintSet> {
             );
         }
         ProfileId::XdbLike => {
-            sets.push(HintSet::new("simplify-outer").with_hint(Hint::SimplifyOuterJoin));
             sets.push(
                 HintSet::new("materialization-off")
                     .with_switch(SessionSwitch::off(SwitchName::Materialization)),

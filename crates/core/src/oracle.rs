@@ -511,8 +511,9 @@ impl Oracle for NorecOracle {
 ///   violations).
 /// * **Cost sanity** — the cost-model pick (`plans[0]`) must not cost more
 ///   than any other enumerated plan. On a pristine optimizer this is
-///   guaranteed (the DP minimizes over the entire order space and algorithm
-///   factors are ≥ 1); the inverted-comparison and stale-cardinality faults
+///   guaranteed (the pick is the cheapest enumerated order under the cost
+///   function that ranks the whole space, and algorithm factors are ≥ 1);
+///   the inverted-comparison and stale-cardinality faults
 ///   make it observable without a single wrong row.
 /// * **Baseline anchor** — the *original* statement runs once, unhinted,
 ///   under the label `plan-baseline`. Every report carries that label and

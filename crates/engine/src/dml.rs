@@ -240,39 +240,16 @@ impl DmlOp {
     }
 }
 
-/// Column names (lowercased, deduped) an expression reads. Subquery interiors
-/// are ignored — DML predicates reject subqueries at evaluation time anyway.
-fn referenced_columns(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Column(c) => {
-            let lc = c.column.to_lowercase();
-            if !out.contains(&lc) {
-                out.push(lc);
-            }
-        }
-        Expr::Literal(_) | Expr::Exists { .. } => {}
-        Expr::Binary { left, right, .. } => {
-            referenced_columns(left, out);
-            referenced_columns(right, out);
-        }
-        Expr::Unary { expr, .. }
-        | Expr::IsNull { expr, .. }
-        | Expr::Cast { expr, .. }
-        | Expr::InSubquery { expr, .. } => referenced_columns(expr, out),
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            referenced_columns(expr, out);
-            referenced_columns(low, out);
-            referenced_columns(high, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            referenced_columns(expr, out);
-            for item in list {
-                referenced_columns(item, out);
-            }
-        }
-    }
+/// Column names (lower-cased, each once) a WHERE clause reads outside its
+/// subqueries — DML predicates reject subqueries at evaluation time anyway.
+fn where_columns(where_clause: Option<&Expr>) -> Vec<String> {
+    let mut cols: Vec<String> = (where_clause.into_iter())
+        .flat_map(Expr::column_refs)
+        .map(|c| c.column.to_lowercase())
+        .collect();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
 }
 
 /// Row indices matching `where_clause` (all rows when absent), evaluated
@@ -382,10 +359,7 @@ fn apply_update(
         })?;
         set_cols.push((ci, table.columns[ci].name.clone(), &a.value));
     }
-    let mut where_cols = Vec::new();
-    if let Some(w) = &stmt.where_clause {
-        referenced_columns(w, &mut where_cols);
-    }
+    let where_cols = where_columns(stmt.where_clause.as_ref());
     let keyed_set: Vec<usize> = set_cols
         .iter()
         .filter(|(_, name, _)| table.has_key_on(name))
@@ -468,11 +442,7 @@ fn apply_delete(
         .ok_or_else(|| unknown_table(&stmt.table))?;
     let tname = table.name.clone();
     let matched = matching_rows(table, stmt.where_clause.as_ref())?;
-    let mut where_cols = Vec::new();
-    if let Some(w) = &stmt.where_clause {
-        referenced_columns(w, &mut where_cols);
-    }
-    let where_indices: Vec<usize> = where_cols
+    let where_indices: Vec<usize> = where_columns(stmt.where_clause.as_ref())
         .iter()
         .filter_map(|c| table.column_index(c))
         .collect();

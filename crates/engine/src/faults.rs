@@ -145,7 +145,7 @@ pub enum FaultKind {
     /// cells, silently dropping the rows in its second half.
     DiskTornPageWrite,
     /// D2: the WAL record of the last commit batch is lost before `fsync`,
-    /// so the whole batch vanishes despite the commit having returned.
+    /// so the whole batch vanishes although the commit returned.
     DiskWalLostBeforeFsync,
     /// D3: the buffer pool serves the first-flushed (stale) version of an
     /// evicted-then-reloaded leaf, hiding every row appended to it since.
@@ -165,8 +165,8 @@ pub enum FaultKind {
     // space. They are exposed by the `PlanSpaceOracle` (result divergence,
     // cost-sanity and hint-conformance checks over the enumerated plans), so
     // the fourth complement stays pairwise disjoint from all three engines'.
-    /// O1: the DP join enumerator's cost comparison is inverted, so the
-    /// "best" plan it reports is the most expensive enumerated order.
+    /// O1: the comparison that picks the cheapest enumerated join order is
+    /// inverted, so the "best" plan reported is the most expensive order.
     OptInvertedCostComparison,
     /// O2: predicate pushdown drops its join-type precondition and pushes
     /// WHERE conjuncts into the ON clause of non-inner joins, turning

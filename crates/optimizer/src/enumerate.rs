@@ -506,12 +506,12 @@ fn algo_assignments(n: usize) -> Vec<Vec<PlanAlgo>> {
 
 /// The subquery-strategy variants applicable to this statement.
 fn subquery_variants(stmt: &SelectStmt, catalog: &Catalog) -> Vec<SubqueryVariant> {
-    if !stmt.has_subquery() {
-        return Vec::new();
-    }
     let mut subqueries = Vec::new();
-    if let Some(w) = &stmt.where_clause {
-        w.collect_subqueries(&mut subqueries);
+    for e in stmt.exprs() {
+        e.collect_subqueries(&mut subqueries);
+    }
+    if subqueries.is_empty() {
+        return Vec::new();
     }
     let uncorrelated = subqueries.iter().any(|sq| {
         let own = |col: &str| {

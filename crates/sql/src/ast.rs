@@ -3,9 +3,10 @@
 //!
 //! The dialect covers the paper's query space: multi-table equi-joins of the
 //! seven join types, WHERE filters, IN / NOT IN / EXISTS subqueries, GROUP BY
-//! with aggregates, DISTINCT, ORDER BY and LIMIT, plus optimizer hints (both
+//! with aggregates, DISTINCT and LIMIT, plus optimizer hints (both
 //! `/*+ ... */` hint comments and `SET optimizer_switch` style session
-//! switches).
+//! switches). Nothing is parsed that no executor and no ground truth
+//! evaluates: there is no HAVING and no ORDER BY.
 
 use crate::types::ColumnType;
 use crate::value::Value;
@@ -128,7 +129,8 @@ pub enum Expr {
         subquery: Box<SelectStmt>,
         negated: bool,
     },
-    /// Explicit CAST, used by some generated predicates.
+    /// Explicit CAST. The generator emits none; only parsed text (the
+    /// paper's listings, hand-written statements) carries one.
     Cast {
         expr: Box<Expr>,
         ty: ColumnType,
@@ -206,6 +208,45 @@ impl Expr {
         }
     }
 
+    /// Calls `f` on each of this expression's direct children, in
+    /// evaluation order: `Binary` left then right, `Between` expr / low /
+    /// high, `InList` expr then the list. A subquery is not a child
+    /// ([`subquery`](Self::subquery)); an `InSubquery`'s only child is its
+    /// expr. The one place that knows which variant holds which
+    /// expressions; every walk below is built on it.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Column(_) | Expr::Literal(_) | Expr::Exists { .. } => {}
+            Expr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Cast { expr, .. }
+            | Expr::InSubquery { expr, .. } => f(expr),
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+        }
+    }
+
+    /// The statement of an `InSubquery` or `Exists` node.
+    pub fn subquery(&self) -> Option<&SelectStmt> {
+        match self {
+            Expr::InSubquery { subquery, .. } | Expr::Exists { subquery, .. } => Some(subquery),
+            _ => None,
+        }
+    }
+
     /// All column references appearing in this expression (not descending
     /// into subqueries — those have their own scopes).
     pub fn column_refs(&self) -> Vec<&ColumnRef> {
@@ -215,32 +256,10 @@ impl Expr {
     }
 
     fn collect_column_refs<'a>(&'a self, out: &mut Vec<&'a ColumnRef>) {
-        match self {
-            Expr::Column(c) => out.push(c),
-            Expr::Literal(_) => {}
-            Expr::Binary { left, right, .. } => {
-                left.collect_column_refs(out);
-                right.collect_column_refs(out);
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                expr.collect_column_refs(out)
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.collect_column_refs(out);
-                low.collect_column_refs(out);
-                high.collect_column_refs(out);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.collect_column_refs(out);
-                for e in list {
-                    e.collect_column_refs(out);
-                }
-            }
-            Expr::InSubquery { expr, .. } => expr.collect_column_refs(out),
-            Expr::Exists { .. } => {}
+        if let Expr::Column(c) = self {
+            out.push(c);
         }
+        self.for_each_child(|child| child.collect_column_refs(out));
     }
 
     /// Like [`column_refs`](Self::column_refs), but also descends into
@@ -248,97 +267,30 @@ impl Expr {
     /// from inside, which the shallow walk cannot see. Used by column
     /// pruning, which must treat *every* reachable reference as live.
     pub fn collect_column_refs_deep<'a>(&'a self, out: &mut Vec<&'a ColumnRef>) {
-        match self {
-            Expr::InSubquery { expr, subquery, .. } => {
-                expr.collect_column_refs_deep(out);
-                subquery.collect_column_refs_deep(out);
-            }
-            Expr::Exists { subquery, .. } => subquery.collect_column_refs_deep(out),
-            Expr::Column(c) => out.push(c),
-            Expr::Literal(_) => {}
-            Expr::Binary { left, right, .. } => {
-                left.collect_column_refs_deep(out);
-                right.collect_column_refs_deep(out);
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                expr.collect_column_refs_deep(out)
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.collect_column_refs_deep(out);
-                low.collect_column_refs_deep(out);
-                high.collect_column_refs_deep(out);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.collect_column_refs_deep(out);
-                for e in list {
-                    e.collect_column_refs_deep(out);
-                }
-            }
+        if let Expr::Column(c) = self {
+            out.push(c);
+        }
+        self.for_each_child(|child| child.collect_column_refs_deep(out));
+        if let Some(subquery) = self.subquery() {
+            subquery.collect_column_refs_deep(out);
         }
     }
 
     /// The subqueries this expression holds, not those nested inside them.
     pub fn collect_subqueries<'a>(&'a self, out: &mut Vec<&'a SelectStmt>) {
-        match self {
-            Expr::InSubquery { expr, subquery, .. } => {
-                expr.collect_subqueries(out);
-                out.push(subquery);
-            }
-            Expr::Exists { subquery, .. } => out.push(subquery),
-            Expr::Column(_) | Expr::Literal(_) => {}
-            Expr::Binary { left, right, .. } => {
-                left.collect_subqueries(out);
-                right.collect_subqueries(out);
-            }
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                expr.collect_subqueries(out)
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.collect_subqueries(out);
-                low.collect_subqueries(out);
-                high.collect_subqueries(out);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.collect_subqueries(out);
-                for e in list {
-                    e.collect_subqueries(out);
-                }
-            }
-        }
+        self.for_each_child(|child| child.collect_subqueries(out));
+        out.extend(self.subquery());
     }
 
     /// Does this expression (transitively) contain a subquery?
     pub fn has_subquery(&self) -> bool {
-        let mut found = Vec::new();
-        self.collect_subqueries(&mut found);
-        !found.is_empty()
-    }
-
-    /// Number of AST nodes; used by the test-case reducer.
-    pub fn size(&self) -> usize {
-        match self {
-            Expr::Column(_) | Expr::Literal(_) => 1,
-            Expr::Binary { left, right, .. } => 1 + left.size() + right.size(),
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                1 + expr.size()
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => 1 + expr.size() + low.size() + high.size(),
-            Expr::InList { expr, list, .. } => {
-                1 + expr.size() + list.iter().map(Expr::size).sum::<usize>()
-            }
-            Expr::InSubquery { expr, subquery, .. } => 1 + expr.size() + subquery.size(),
-            Expr::Exists { subquery, .. } => 1 + subquery.size(),
-        }
+        let mut found = self.subquery().is_some();
+        self.for_each_child(|child| found = found || child.has_subquery());
+        found
     }
 }
 
-/// Aggregate functions supported in the SELECT list / HAVING.
+/// Aggregate functions supported in the SELECT list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     CountStar,
@@ -510,13 +462,6 @@ impl FromClause {
     }
 }
 
-/// Ordering direction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OrderBy {
-    pub expr: Expr,
-    pub asc: bool,
-}
-
 /// A full SELECT statement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectStmt {
@@ -525,8 +470,6 @@ pub struct SelectStmt {
     pub from: FromClause,
     pub where_clause: Option<Expr>,
     pub group_by: Vec<Expr>,
-    pub having: Option<Expr>,
-    pub order_by: Vec<OrderBy>,
     pub limit: Option<u64>,
     /// Optimizer hints rendered as a `/*+ ... */` comment after SELECT.
     pub hints: Vec<crate::hints::Hint>,
@@ -540,8 +483,6 @@ impl SelectStmt {
             from,
             where_clause: None,
             group_by: Vec::new(),
-            having: None,
-            order_by: Vec::new(),
             limit: None,
             hints: Vec::new(),
         }
@@ -561,23 +502,15 @@ impl SelectStmt {
         self.has_aggregates() || !self.group_by.is_empty()
     }
 
-    /// Total AST size, used by the reducer and by search metrics.
-    pub fn size(&self) -> usize {
-        let mut n = 1 + self.items.len() + self.table_count();
-        if let Some(w) = &self.where_clause {
-            n += w.size();
-        }
-        for j in &self.from.joins {
-            if let Some(on) = &j.on {
-                n += on.size();
-            }
-        }
-        n += self.group_by.iter().map(Expr::size).sum::<usize>();
-        if let Some(h) = &self.having {
-            n += h.size();
-        }
-        n += self.order_by.iter().map(|o| o.expr.size()).sum::<usize>();
-        n
+    /// The statement's expressions, in this fixed order: select items
+    /// (an aggregate's argument included), ON conditions in FROM order,
+    /// WHERE, GROUP BY. Subqueries are not entered. Every walk over a whole
+    /// statement starts here, so none of them can miss a clause.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        (self.items.iter().filter_map(SelectItem::expr))
+            .chain(self.from.joins.iter().filter_map(|j| j.on.as_ref()))
+            .chain(&self.where_clause)
+            .chain(&self.group_by)
     }
 
     /// Join types used, in FROM order.
@@ -630,37 +563,12 @@ impl SelectStmt {
         Some(outer)
     }
 
-    /// Every column reference reachable from this statement — select items,
-    /// join conditions, WHERE/GROUP BY/HAVING/ORDER BY, and (recursively)
-    /// subqueries. The executor's column pruning keeps exactly these.
+    /// Every column reference reachable from this statement — its
+    /// [`exprs`](Self::exprs) and, recursively, subqueries. The executor's
+    /// column pruning keeps exactly these.
     pub fn collect_column_refs_deep<'a>(&'a self, out: &mut Vec<&'a ColumnRef>) {
-        for item in &self.items {
-            match item {
-                SelectItem::Wildcard => {}
-                SelectItem::Expr { expr, .. } => expr.collect_column_refs_deep(out),
-                SelectItem::Aggregate { arg, .. } => {
-                    if let Some(e) = arg {
-                        e.collect_column_refs_deep(out);
-                    }
-                }
-            }
-        }
-        for j in &self.from.joins {
-            if let Some(on) = &j.on {
-                on.collect_column_refs_deep(out);
-            }
-        }
-        if let Some(w) = &self.where_clause {
-            w.collect_column_refs_deep(out);
-        }
-        for g in &self.group_by {
-            g.collect_column_refs_deep(out);
-        }
-        if let Some(h) = &self.having {
-            h.collect_column_refs_deep(out);
-        }
-        for o in &self.order_by {
-            o.expr.collect_column_refs_deep(out);
+        for e in self.exprs() {
+            e.collect_column_refs_deep(out);
         }
     }
 
@@ -671,35 +579,16 @@ impl SelectStmt {
         let mut stmts = vec![self];
         while let Some(stmt) = stmts.pop() {
             tables.extend(stmt.from.tables().into_iter().map(|t| t.table.as_str()));
-            let exprs = (stmt.items.iter().filter_map(SelectItem::expr))
-                .chain(stmt.from.joins.iter().filter_map(|j| j.on.as_ref()))
-                .chain(&stmt.where_clause)
-                .chain(&stmt.group_by)
-                .chain(&stmt.having)
-                .chain(stmt.order_by.iter().map(|o| &o.expr));
-            for e in exprs {
+            for e in stmt.exprs() {
                 e.collect_subqueries(&mut stmts);
             }
         }
         tables
     }
 
-    /// Does this query contain any subquery (IN/EXISTS) anywhere?
+    /// Does this query contain any subquery (IN/EXISTS) in any clause?
     pub fn has_subquery(&self) -> bool {
-        self.where_clause
-            .as_ref()
-            .map(Expr::has_subquery)
-            .unwrap_or(false)
-            || self
-                .from
-                .joins
-                .iter()
-                .any(|j| j.on.as_ref().map(Expr::has_subquery).unwrap_or(false))
-            || self
-                .having
-                .as_ref()
-                .map(Expr::has_subquery)
-                .unwrap_or(false)
+        self.exprs().any(Expr::has_subquery)
     }
 }
 
@@ -823,7 +712,7 @@ mod tests {
             Expr::lit(Value::Int(3)),
         ])
         .unwrap();
-        assert_eq!(c.size(), 5);
+        assert_eq!(c.conjuncts().len(), 3);
     }
 
     #[test]
@@ -921,15 +810,75 @@ mod tests {
         );
     }
 
+    /// `table.column` of each reference, in walk order.
+    fn names(refs: &[&ColumnRef]) -> Vec<String> {
+        refs.iter()
+            .map(|c| format!("{}.{}", c.table.as_deref().unwrap_or(""), c.column))
+            .collect()
+    }
+
+    /// Every walk keeps one order, which plan-graph fingerprints (and with
+    /// them class keys) and `outer_column_refs` depend on: the clauses as
+    /// [`SelectStmt::exprs`] lists them, `Binary` left before right,
+    /// `Between` expr / low / high, `InList` expr before the list, and an
+    /// `InSubquery`'s expr before its subquery.
+    #[test]
+    fn walks_keep_one_order_over_every_expr_variant() {
+        let stmt = crate::parser::parse_stmt(
+            "SELECT t1.a, SUM(t1.b + 1) AS s \
+             FROM t1 LEFT OUTER JOIN t2 ON t1.c = t2.c AND t2.d IS NOT NULL \
+             WHERE NOT t1.e BETWEEN t2.f AND -t1.g \
+             OR CAST(t1.h AS bigint(64)) IN (t2.i, 1, t1.j) \
+             OR (t1.k IN (SELECT t3.x FROM t3 WHERE t3.y = t1.l)) IN \
+                (SELECT t4.z FROM t4 WHERE EXISTS (SELECT t5.w FROM t5 WHERE t5.w = t4.z)) \
+             OR NOT EXISTS (SELECT t6.v FROM t6 WHERE t6.v = t1.m) \
+             GROUP BY t1.a, t2.n",
+        )
+        .unwrap();
+        let w = stmt.where_clause.as_ref().unwrap();
+        assert_eq!(
+            names(&w.column_refs()),
+            ["t1.e", "t2.f", "t1.g", "t1.h", "t2.i", "t1.j", "t1.k"]
+        );
+        let mut deep = Vec::new();
+        stmt.collect_column_refs_deep(&mut deep);
+        assert_eq!(
+            names(&deep),
+            [
+                "t1.a", "t1.b", "t1.c", "t2.c", "t2.d", "t1.e", "t2.f", "t1.g", "t1.h", "t2.i",
+                "t1.j", "t1.k", "t3.x", "t3.y", "t1.l", "t4.z", "t5.w", "t5.w", "t4.z", "t6.v",
+                "t6.v", "t1.m", "t1.a", "t2.n"
+            ]
+        );
+        let mut subqueries = Vec::new();
+        w.collect_subqueries(&mut subqueries);
+        let bases: Vec<&str> = subqueries
+            .iter()
+            .map(|s| s.from.base.table.as_str())
+            .collect();
+        assert_eq!(bases, ["t3", "t4", "t6"]);
+        assert_eq!(stmt.tables_read(), ["t1", "t2", "t6", "t4", "t5", "t3"]);
+    }
+
+    #[test]
+    fn a_subquery_in_any_clause_is_found() {
+        let select_item = "SELECT t1.a IN (SELECT t2.a FROM t2) AS x FROM t1";
+        let on = "SELECT t1.a FROM t1 JOIN t2 ON t1.a IN (SELECT t3.a FROM t3)";
+        let group_by = "SELECT t1.a FROM t1 GROUP BY EXISTS (SELECT t2.a FROM t2)";
+        for sql in [select_item, on, group_by] {
+            assert!(
+                crate::parser::parse_stmt(sql).unwrap().has_subquery(),
+                "{sql}"
+            );
+        }
+        let aggregate = "SELECT COUNT(t1.a IN (SELECT t2.a FROM t2)) AS n FROM t1";
+        assert!(crate::parser::parse_stmt(aggregate).unwrap().has_subquery());
+        assert!(!sample_query().has_subquery());
+    }
+
     #[test]
     fn join_type_metadata() {
         assert_eq!(JoinType::ALL.len(), 7);
         assert_eq!(JoinType::Semi.graph_label(), "semi join");
-    }
-
-    #[test]
-    fn stmt_size_counts_nested_nodes() {
-        let q = sample_query();
-        assert!(q.size() > 10);
     }
 }

@@ -32,9 +32,6 @@ pub enum Hint {
     SubqueryToDerived,
     /// Force / forbid subquery materialization.
     Materialization(bool),
-    /// Ask the optimizer to merge a left outer join into an inner join when
-    /// a null-rejecting predicate allows it.
-    SimplifyOuterJoin,
 }
 
 /// Semi-join execution strategies (mirrors MySQL's set).
@@ -76,7 +73,6 @@ impl fmt::Display for Hint {
             Hint::SubqueryToDerived => write!(f, "SUBQUERY_TO_DERIVED()"),
             Hint::Materialization(true) => write!(f, "MATERIALIZATION()"),
             Hint::Materialization(false) => write!(f, "NO_MATERIALIZATION()"),
-            Hint::SimplifyOuterJoin => write!(f, "SIMPLIFY_OUTER_JOIN()"),
         }
     }
 }

@@ -25,7 +25,7 @@ pub mod value;
 
 pub use ast::{
     AggFunc, Assignment, BinOp, ColumnRef, DeleteStmt, DmlStmt, Expr, FromClause, InsertStmt, Join,
-    JoinType, OrderBy, SelectItem, SelectStmt, TableRef, UnOp, UpdateStmt,
+    JoinType, SelectItem, SelectStmt, TableRef, UnOp, UpdateStmt,
 };
 pub use hints::{Hint, HintSet, SemiJoinStrategy, SessionSwitch, SwitchName};
 pub use types::{ColumnDef, ColumnType};

@@ -3,8 +3,11 @@
 //! Transformed queries are shipped around as SQL text (bug reports, the
 //! reducer, the engine's text entry point), so the parser must round-trip
 //! everything the renderer can produce: SELECT with hint comments, the seven
-//! join types, IN / NOT IN / EXISTS subqueries, GROUP BY / HAVING / ORDER BY /
-//! LIMIT, CAST, BETWEEN and the literal forms of every [`Value`] variant.
+//! join types, IN / NOT IN / EXISTS subqueries, GROUP BY / LIMIT, CAST,
+//! BETWEEN and the literal forms of every [`Value`] variant. HAVING and ORDER
+//! BY stay reserved words but are refused with a [`ParseError`]: no executor
+//! and no ground truth evaluates them, so a statement carrying one could only
+//! be checked with the clause silently dropped on both sides.
 //! Text from outside (a damaged corpus line) can be anything, so expressions
 //! nested past a fixed depth are a [`ParseError`], not a stack overflow.
 
@@ -472,26 +475,9 @@ impl Parser {
                 group_by.push(self.parse_or()?);
             }
         }
-        let having = if self.eat_keyword("HAVING") {
-            Some(self.parse_or()?)
-        } else {
-            None
-        };
-        let mut order_by = Vec::new();
-        if self.eat_keyword("ORDER") {
-            self.expect_keyword("BY")?;
-            loop {
-                let expr = self.parse_or()?;
-                let asc = if self.eat_keyword("DESC") {
-                    false
-                } else {
-                    let _ = self.eat_keyword("ASC");
-                    true
-                };
-                order_by.push(OrderBy { expr, asc });
-                if !self.eat_symbol(",") {
-                    break;
-                }
+        for (keyword, clause) in [("HAVING", "HAVING"), ("ORDER", "ORDER BY")] {
+            if self.at_keyword(keyword) {
+                return self.err(format!("{clause} is not supported: nothing evaluates it"));
             }
         }
         let limit = if self.eat_keyword("LIMIT") {
@@ -511,8 +497,6 @@ impl Parser {
             from: FromClause { base, joins },
             where_clause,
             group_by,
-            having,
-            order_by,
             limit,
             hints,
         })
@@ -1006,7 +990,6 @@ pub(crate) fn parse_hints(body: &str) -> Result<Vec<Hint>, String> {
             "SUBQUERY_TO_DERIVED" => Hint::SubqueryToDerived,
             "MATERIALIZATION" => Hint::Materialization(true),
             "NO_MATERIALIZATION" => Hint::Materialization(false),
-            "SIMPLIFY_OUTER_JOIN" => Hint::SimplifyOuterJoin,
             other => return Err(format!("unknown hint `{other}`")),
         };
         hints.push(hint);
@@ -1101,7 +1084,10 @@ mod tests {
             },
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(parse_expr("x IS NOT NULL").unwrap().size(), 2);
+        assert!(matches!(
+            parse_expr("x IS NOT NULL").unwrap(),
+            Expr::IsNull { negated: true, .. }
+        ));
         let e = parse_expr("name = 'it''s'").unwrap();
         assert!(render_expr(&e).contains("'it''s'"));
     }
@@ -1149,17 +1135,39 @@ mod tests {
     }
 
     #[test]
-    fn parses_group_by_having_order_limit() {
+    fn parses_group_by_and_limit() {
         let sql = "SELECT COUNT(*) AS cnt FROM t1 JOIN t2 ON t1.a = t2.a \
-                   GROUP BY t1.a HAVING COUNT(*) > 1 ORDER BY t1.a DESC LIMIT 5";
-        // HAVING with aggregates isn't expressible in our Expr, so HAVING here
-        // uses a plain comparison; rewrite to a supported form:
-        let sql = sql.replace("HAVING COUNT(*) > 1 ", "");
-        let stmt = parse_stmt(&sql).unwrap();
+                   GROUP BY t1.a LIMIT 5";
+        let stmt = parse_stmt(sql).unwrap();
         assert_eq!(stmt.group_by.len(), 1);
         assert_eq!(stmt.limit, Some(5));
-        assert!(!stmt.order_by[0].asc);
         assert!(stmt.items[0].is_aggregate());
+    }
+
+    /// No executor and no ground truth evaluates HAVING or ORDER BY, so a
+    /// statement carrying either is refused instead of checked without it.
+    #[test]
+    fn clauses_nothing_evaluates_are_rejected_by_name() {
+        for (sql, clause) in [
+            (
+                "SELECT t1.a FROM t1 GROUP BY t1.a HAVING t1.a > 1",
+                "HAVING",
+            ),
+            // Both stay reserved words, so neither is taken for an alias.
+            ("SELECT t1.a FROM t1 HAVING t1.a > 1", "HAVING"),
+            ("SELECT t1.a FROM t1 ORDER BY t1.a DESC", "ORDER BY"),
+            (
+                "SELECT t1.a FROM t1 WHERE t1.a = 1 ORDER BY t1.a LIMIT 5",
+                "ORDER BY",
+            ),
+            (
+                "SELECT t1.a FROM t1 WHERE t1.a IN (SELECT t2.a FROM t2 ORDER BY t2.a)",
+                "ORDER BY",
+            ),
+        ] {
+            let err = parse_stmt(sql).unwrap_err();
+            assert!(err.message.contains(clause), "{sql}: {err}");
+        }
     }
 
     #[test]

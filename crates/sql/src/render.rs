@@ -49,25 +49,6 @@ fn render_stmt_into(stmt: &SelectStmt, out: &mut String) {
         let g: Vec<String> = stmt.group_by.iter().map(render_expr).collect();
         out.push_str(&g.join(", "));
     }
-    if let Some(h) = &stmt.having {
-        out.push_str(" HAVING ");
-        out.push_str(&render_expr(h));
-    }
-    if !stmt.order_by.is_empty() {
-        out.push_str(" ORDER BY ");
-        let o: Vec<String> = stmt
-            .order_by
-            .iter()
-            .map(|ob| {
-                format!(
-                    "{}{}",
-                    render_expr(&ob.expr),
-                    if ob.asc { "" } else { " DESC" }
-                )
-            })
-            .collect();
-        out.push_str(&o.join(", "));
-    }
     if let Some(l) = stmt.limit {
         out.push_str(&format!(" LIMIT {l}"));
     }
@@ -349,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn renders_group_by_order_by_limit() {
+    fn renders_group_by_and_limit() {
         let mut q = shopping_query();
         q.items = vec![SelectItem::Aggregate {
             func: AggFunc::CountStar,
@@ -357,15 +338,10 @@ mod tests {
             alias: Some("cnt".into()),
         }];
         q.group_by = vec![Expr::col("T4", "price")];
-        q.order_by = vec![OrderBy {
-            expr: Expr::col("T4", "price"),
-            asc: false,
-        }];
         q.limit = Some(10);
         let sql = render_stmt(&q);
         assert!(sql.contains("COUNT(*) AS cnt"));
         assert!(sql.contains("GROUP BY T4.price"));
-        assert!(sql.contains("ORDER BY T4.price DESC"));
         assert!(sql.ends_with("LIMIT 10"));
     }
 
