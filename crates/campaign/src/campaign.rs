@@ -1194,14 +1194,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_kind_labels_round_trip() {
-        for e in EngineKind::ALL {
-            assert_eq!(EngineKind::from_label(e.label()), Ok(e));
-        }
-        assert!(EngineKind::from_label("paper-tape").is_err());
-    }
-
-    #[test]
     fn fresh_campaign_runs_and_journals_every_cell() {
         let dir = test_dir("fresh");
         let mut campaign = Campaign::new(small_cfg(dir.clone())).unwrap();

@@ -94,13 +94,6 @@ impl ReverifyStatus {
             ReverifyStatus::StillFailing => "still-failing",
         }
     }
-
-    pub(crate) fn from_label(label: &str) -> Result<ReverifyStatus, String> {
-        Self::ALL
-            .into_iter()
-            .find(|s| s.label() == label)
-            .ok_or_else(|| format!("unknown reverify status `{label}`"))
-    }
 }
 
 /// One (class, build) verdict of a re-verification run.
@@ -139,37 +132,6 @@ impl ClassVerdict {
             members.push(("detail".to_string(), Json::str(&self.detail)));
         }
         Json::Obj(members)
-    }
-
-    pub(crate) fn from_json(j: &Json) -> Result<ClassVerdict, String> {
-        let str_field = |k: &str| -> Result<String, String> {
-            j.get(k)
-                .and_then(Json::as_str)
-                .map(String::from)
-                .ok_or_else(|| format!("verdict missing `{k}`"))
-        };
-        let bool_field = |k: &str| -> Result<bool, String> {
-            j.get(k)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("verdict missing `{k}`"))
-        };
-        Ok(ClassVerdict {
-            class_key: str_field("class")?,
-            cell_id: j
-                .get("cell")
-                .and_then(Json::as_usize)
-                .ok_or("verdict missing `cell`")?,
-            profile: str_field("profile")?,
-            build: BuildSpec::from_label(&str_field("build")?)?,
-            status: ReverifyStatus::from_label(&str_field("status")?)?,
-            replay_reproduced: bool_field("replay")?,
-            live_failing: bool_field("live")?,
-            detail: j
-                .get("detail")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-        })
     }
 }
 
@@ -230,6 +192,7 @@ impl ReverifyReport {
             .collect()
     }
 
+    /// The report as JSON. It is output only: nothing reads a report back.
     pub fn to_json(&self) -> Json {
         let mut members = vec![("classes".to_string(), Json::count(self.classes().len()))];
         for status in ReverifyStatus::ALL {
@@ -243,17 +206,6 @@ impl ReverifyReport {
             Json::Arr(self.verdicts.iter().map(ClassVerdict::to_json).collect()),
         ));
         Json::Obj(members)
-    }
-
-    pub fn from_json(j: &Json) -> Result<ReverifyReport, String> {
-        let verdicts = j
-            .get("verdicts")
-            .and_then(Json::as_arr)
-            .ok_or("report missing `verdicts`")?
-            .iter()
-            .map(ClassVerdict::from_json)
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ReverifyReport { verdicts })
     }
 }
 
@@ -582,18 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_round_trip_through_json() {
-        for status in ReverifyStatus::ALL {
-            for build in BuildSpec::ALL {
-                let v = sample_verdict(status, build);
-                let back = ClassVerdict::from_json(&Json::parse(&v.to_json().to_string()).unwrap())
-                    .unwrap();
-                assert_eq!(back, v);
-            }
-        }
-    }
-
-    #[test]
     fn report_aggregates_by_severity_and_gc_spares_the_unverified() {
         let mut report = ReverifyReport::default();
         report
@@ -615,10 +555,19 @@ mod tests {
             1
         );
         assert_eq!(report.surviving_classes(false).len(), 1);
-        // Round trip the whole report.
-        let back = ReverifyReport::from_json(&Json::parse(&report.to_json().to_string()).unwrap())
-            .unwrap();
-        assert_eq!(back, report);
+        // The JSON report is output only: pin the counts it carries.
+        let json = report.to_json();
+        let count = |k: &str| json.get(k).and_then(Json::as_usize);
+        assert_eq!(
+            (count("classes"), count("fixed"), count("still_failing")),
+            (Some(1), Some(1), Some(1))
+        );
+        assert_eq!(
+            json.get("verdicts")
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
+            Some(2)
+        );
     }
 
     #[test]
@@ -626,12 +575,6 @@ mod tests {
         assert!(ReverifyStatus::StillFailing > ReverifyStatus::Flaky);
         assert!(ReverifyStatus::Flaky > ReverifyStatus::Fixed);
         assert!(ReverifyStatus::Fixed > ReverifyStatus::Stale);
-        for s in ReverifyStatus::ALL {
-            assert_eq!(ReverifyStatus::from_label(s.label()), Ok(s));
-        }
-        for b in BuildSpec::ALL {
-            assert_eq!(BuildSpec::from_label(b.label()), Ok(b));
-        }
     }
 
     #[test]

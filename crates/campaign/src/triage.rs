@@ -5,8 +5,7 @@
 //! reports; almost all of them are re-sightings of a known bug through a
 //! different hint set or literal. [`BugTriage`] collapses them using
 //! [`BugReport::class_key`] — root-cause faults plus the canonical
-//! plan-graph fingerprint — keeping one representative report per class and
-//! counting the duplicates (the campaign's dedup ratio).
+//! plan-graph fingerprint — keeping one representative report per class.
 
 use std::collections::{BTreeSet, HashMap};
 use tqs_core::bugs::BugReport;
@@ -16,16 +15,11 @@ use tqs_core::bugs::BugReport;
 pub struct TriageClass {
     /// The dedup key ([`BugReport::class_key`]).
     pub key: String,
-    /// Canonical plan-graph fingerprint, when stamped.
-    pub fingerprint: Option<u64>,
     /// The first report that established the class. Its `minimized_sql` is
     /// filled in once the per-class minimizer has run.
     pub representative: BugReport,
     /// Id of the campaign cell that discovered the class.
     pub cell_id: usize,
-    /// Admissions collapsed into this class, including the representative.
-    /// A campaign admits a class once per cell that found it.
-    pub sightings: usize,
 }
 
 /// The campaign-wide dedup state.
@@ -47,25 +41,18 @@ impl BugTriage {
     pub fn admit(&mut self, report: BugReport, cell_id: usize) -> Option<usize> {
         // Duplicate sightings (the overwhelming majority at fleet
         // throughput) borrow the report's memoized key — no allocation.
-        match self.by_key.get(report.class_key()) {
-            Some(&idx) => {
-                self.classes[idx].sightings += 1;
-                None
-            }
-            None => {
-                let idx = self.classes.len();
-                let key = report.class_key().to_string();
-                self.by_key.insert(key.clone(), idx);
-                self.classes.push(TriageClass {
-                    key,
-                    fingerprint: report.fingerprint,
-                    representative: report,
-                    cell_id,
-                    sightings: 1,
-                });
-                Some(idx)
-            }
+        if self.by_key.contains_key(report.class_key()) {
+            return None;
         }
+        let idx = self.classes.len();
+        let key = report.class_key().to_string();
+        self.by_key.insert(key.clone(), idx);
+        self.classes.push(TriageClass {
+            key,
+            representative: report,
+            cell_id,
+        });
+        Some(idx)
     }
 
     /// Record the minimized reproducer on a class admitted earlier.
@@ -136,8 +123,6 @@ mod tests {
             Some(1)
         );
         assert_eq!(t.class_count(), 2);
-        assert_eq!(t.classes().iter().map(|c| c.sightings).sum::<usize>(), 3);
-        assert_eq!(t.classes()[0].sightings, 2);
         assert_eq!(t.classes()[0].cell_id, 0);
         assert_eq!(t.class_keys().len(), 2);
     }

@@ -198,13 +198,6 @@ impl EngineKind {
         }
     }
 
-    pub fn from_label(label: &str) -> Result<EngineKind, String> {
-        Self::ALL
-            .into_iter()
-            .find(|e| e.label() == label)
-            .ok_or_else(|| format!("unknown engine kind `{label}`"))
-    }
-
     /// The seeded-fault build of this engine, catalog not yet loaded (so a
     /// recording wrapper can journal the load).
     pub fn faulty(self, profile: ProfileId) -> EngineConnector {
@@ -236,13 +229,6 @@ impl BuildSpec {
             BuildSpec::Faulty => "faulty",
             BuildSpec::Pristine => "pristine",
         }
-    }
-
-    pub fn from_label(label: &str) -> Result<BuildSpec, String> {
-        Self::ALL
-            .into_iter()
-            .find(|b| b.label() == label)
-            .ok_or_else(|| format!("unknown build spec `{label}`"))
     }
 }
 

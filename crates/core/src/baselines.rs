@@ -112,7 +112,6 @@ pub fn run_oracle_on(
             seed: cfg.seed,
             // baselines do not bias towards joins as aggressively
             subquery_probability: 0.15,
-            ..Default::default()
         })),
     };
     Driver {

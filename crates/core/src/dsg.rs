@@ -227,26 +227,27 @@ impl WalkScorer for UniformScorer {
     }
 }
 
+/// Maximum number of joined tables (`l`, the maximum walk length).
+const MAX_TABLES: usize = 4;
+/// Probability that a statement gets a WHERE filter on a visible column.
+const FILTER_PROBABILITY: f64 = 0.6;
+/// Probability that a statement is rewritten into `GROUP BY col, COUNT(*)`.
+const AGGREGATE_PROBABILITY: f64 = 0.15;
+/// Probability that a statement is `SELECT DISTINCT`.
+const DISTINCT_PROBABILITY: f64 = 0.2;
+
 /// Query generation parameters.
 #[derive(Debug, Clone)]
 pub struct QueryGenConfig {
-    /// Maximum number of joined tables (`l`, the maximum walk length).
-    pub max_tables: usize,
-    pub filter_probability: f64,
+    /// Probability of an `IN` / `NOT IN` subquery filter.
     pub subquery_probability: f64,
-    pub aggregate_probability: f64,
-    pub distinct_probability: f64,
     pub seed: u64,
 }
 
 impl Default for QueryGenConfig {
     fn default() -> Self {
         QueryGenConfig {
-            max_tables: 4,
-            filter_probability: 0.6,
             subquery_probability: 0.25,
-            aggregate_probability: 0.15,
-            distinct_probability: 0.2,
             seed: 23,
         }
     }
@@ -282,7 +283,7 @@ impl QueryGenerator {
             Some(s) => s.to_string(),
             None => tables[self.rng.gen_range(0..tables.len())].clone(),
         };
-        let target_tables = self.rng.gen_range(1..=self.cfg.max_tables.max(1));
+        let target_tables = self.rng.gen_range(1..=MAX_TABLES);
 
         // Walk: collect (table, join_type, via_table, via_column).
         let mut included: Vec<String> = vec![start.clone()];
@@ -360,7 +361,7 @@ impl QueryGenerator {
         }
 
         let mut stmt = SelectStmt::new(from);
-        stmt.distinct = self.rng.gen_bool(self.cfg.distinct_probability);
+        stmt.distinct = self.rng.gen_bool(DISTINCT_PROBABILITY);
 
         // Projections: 1-3 columns from visible tables.
         let n_proj = self.rng.gen_range(1..=3usize);
@@ -386,7 +387,7 @@ impl QueryGenerator {
             .joins
             .iter()
             .any(|j| j.join_type == JoinType::Cross);
-        if self.rng.gen_bool(self.cfg.aggregate_probability) && !stmt.distinct && !has_cross {
+        if self.rng.gen_bool(AGGREGATE_PROBABILITY) && !stmt.distinct && !has_cross {
             if let Some((t, c)) = self.random_column(dsg, &visible) {
                 stmt.items = vec![
                     SelectItem::column(&t, &c),
@@ -402,7 +403,7 @@ impl QueryGenerator {
 
         // Filters.
         let mut predicates: Vec<Expr> = Vec::new();
-        if self.rng.gen_bool(self.cfg.filter_probability) {
+        if self.rng.gen_bool(FILTER_PROBABILITY) {
             if let Some(p) = self.random_filter(dsg, &visible) {
                 predicates.push(p);
             }
@@ -682,10 +683,7 @@ mod tests {
     #[test]
     fn generator_produces_valid_multi_table_queries() {
         let d = dsg();
-        let mut gen = QueryGenerator::new(QueryGenConfig {
-            max_tables: 4,
-            ..Default::default()
-        });
+        let mut gen = QueryGenerator::new(QueryGenConfig::default());
         let mut multi = 0;
         for _ in 0..50 {
             let q = gen.generate(&d, None, &UniformScorer);

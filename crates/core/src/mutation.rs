@@ -376,11 +376,6 @@ impl MutationGroundTruth {
 pub struct DmlGenConfig {
     /// Mutation statements per program (transaction control rides on top).
     pub statements: usize,
-    /// Probability that the next mutation opens a BEGIN … COMMIT/ROLLBACK
-    /// block of 2–4 statements instead of auto-committing.
-    pub txn_probability: f64,
-    /// Probability that a transaction block ends in ROLLBACK.
-    pub rollback_probability: f64,
     pub seed: u64,
 }
 
@@ -388,12 +383,16 @@ impl Default for DmlGenConfig {
     fn default() -> Self {
         DmlGenConfig {
             statements: 8,
-            txn_probability: 0.4,
-            rollback_probability: 0.35,
             seed: 31,
         }
     }
 }
+
+/// Probability that the next mutation opens a BEGIN … COMMIT/ROLLBACK block
+/// of 2–4 statements instead of auto-committing.
+const TXN_PROBABILITY: f64 = 0.4;
+/// Probability that a transaction block ends in ROLLBACK.
+const ROLLBACK_PROBABILITY: f64 = 0.35;
 
 /// Seeded generator of mutation programs over a DSG database. Literals come
 /// from the DSG value pools, so generated statements are admissible and
@@ -419,14 +418,14 @@ impl DmlGenerator {
         let mut out = Vec::new();
         let mut mutations = 0usize;
         while mutations < self.cfg.statements {
-            if self.rng.gen_bool(self.cfg.txn_probability) {
+            if self.rng.gen_bool(TXN_PROBABILITY) {
                 out.push(DmlStmt::Begin);
                 let n = self.rng.gen_range(2..=4usize);
                 for _ in 0..n {
                     out.push(self.mutation(dsg));
                     mutations += 1;
                 }
-                out.push(if self.rng.gen_bool(self.cfg.rollback_probability) {
+                out.push(if self.rng.gen_bool(ROLLBACK_PROBABILITY) {
                     DmlStmt::Rollback
                 } else {
                     DmlStmt::Commit
@@ -825,7 +824,6 @@ mod tests {
         let mut gen = DmlGenerator::new(DmlGenConfig {
             statements: 12,
             seed: 7,
-            ..Default::default()
         });
         for _ in 0..10 {
             let program = gen.generate_program(&dsg);

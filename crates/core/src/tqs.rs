@@ -33,7 +33,6 @@ pub struct TqsConfig {
     /// store the result on the logged report.
     pub minimize: bool,
     pub query_gen: QueryGenConfig,
-    pub kqe: KqeConfig,
     /// How many generated queries correspond to one "hour" when reporting
     /// timelines (the paper's x-axis is wall-clock hours; ours is a query
     /// budget). 0 counts as 1.
@@ -48,7 +47,6 @@ impl Default for TqsConfig {
             use_ground_truth: true,
             minimize: false,
             query_gen: QueryGenConfig::default(),
-            kqe: KqeConfig::default(),
             queries_per_hour: 25,
         }
     }
@@ -336,7 +334,7 @@ impl TqsSessionBuilder {
             None if self.cfg.use_ground_truth => Box::new(TqsOracle::shared(Arc::clone(&dsg))),
             None => Box::new(PlanDiffOracle::shared(Arc::clone(&dsg))),
         };
-        let kqe = Kqe::new(dsg.schema_desc.clone(), self.cfg.kqe.clone());
+        let kqe = Kqe::new(dsg.schema_desc.clone(), KqeConfig::default());
         let generator = QueryGenerator::new(self.cfg.query_gen.clone());
         let source = if self.cfg.use_kqe {
             StatementSource::KqeWalk(generator)
@@ -646,7 +644,6 @@ mod tests {
                 query_gen: QueryGenConfig {
                     seed,
                     subquery_probability: 0.15,
-                    ..Default::default()
                 },
                 ..Default::default()
             })

@@ -297,6 +297,59 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A full leaf: `MAX_LEAF_CELLS` cells of 20-byte payloads.
+    fn full_leaf() -> PageBuf {
+        let mut page = PageBuf::default();
+        Leaf::init(&mut page);
+        for rowid in 1..=MAX_LEAF_CELLS as u64 {
+            Leaf::push_cell(&mut page, rowid, &[rowid as u8; 20]);
+        }
+        Leaf::set_next_leaf(&mut page, 9);
+        page
+    }
+
+    fn sample_directory() -> PageBuf {
+        let table = |name: &str, leaf: PageId| TableMeta {
+            name: name.into(),
+            first_leaf: leaf,
+            last_leaf: leaf + 1,
+            next_rowid: 40,
+            last_batch_start: 8,
+            last_batch_rows: 32,
+        };
+        let mut page = PageBuf::default();
+        Directory::encode(&mut page, 6, &[table("T1", 1), table("GoodsDim", 3)]);
+        page
+    }
+
+    proptest! {
+        #[test]
+        fn page_decoders_refuse_arbitrary_bytes_without_panicking(
+            bytes in proptest::collection::vec(any::<u8>(), PAGE_SIZE),
+            kind in prop_oneof![Just(KIND_LEAF), Just(KIND_DIRECTORY)],
+        ) {
+            let mut page = PageBuf::default();
+            page.as_bytes_mut().copy_from_slice(&bytes);
+            // Past the kind check, into the offsets and counts.
+            page.as_bytes_mut()[0] = kind;
+            let _ = Leaf::cells(&page);
+            let _ = Directory::decode(&page);
+        }
+
+        #[test]
+        fn page_decoders_survive_any_single_byte_mutation(at in 0usize..1024, to in any::<u8>()) {
+            // The leaf's header and 32 cells of 32 bytes span its first 1036
+            // bytes; the directory's header and two entries its first 76.
+            let mut leaf = full_leaf();
+            leaf.as_bytes_mut()[at] = to;
+            let _ = Leaf::cells(&leaf);
+            let mut directory = sample_directory();
+            directory.as_bytes_mut()[at % 76] = to;
+            let _ = Directory::decode(&directory);
+        }
+    }
 
     #[test]
     fn leaf_cells_round_trip_in_order() {

@@ -44,6 +44,11 @@ impl DataFile {
         self.file.write_all(&page.as_bytes()[..PAGE_SIZE / 2])
     }
 
+    /// Whole pages the file holds.
+    pub(crate) fn pages(&self) -> io::Result<u64> {
+        Ok(self.file.metadata()?.len() / PAGE_SIZE as u64)
+    }
+
     /// Cut the file back to its first `pages` pages (the store reclaimed
     /// the rest).
     pub(crate) fn truncate_pages(&mut self, pages: u32) -> io::Result<()> {

@@ -152,6 +152,7 @@ pub(crate) fn decode_row(bytes: &[u8]) -> Result<Vec<Value>, RowCodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_row() -> Vec<Value> {
         vec![
@@ -194,6 +195,24 @@ mod tests {
         // ...and trailing garbage is too.
         bytes.push(0);
         assert!(decode_row(&bytes).is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn decode_row_refuses_arbitrary_bytes_without_panicking(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let _ = decode_row(&bytes);
+        }
+
+        #[test]
+        fn decode_row_survives_any_single_byte_mutation(at in any::<usize>(), to in any::<u8>()) {
+            let mut bytes = Vec::new();
+            encode_row(&sample_row(), &mut bytes);
+            let at = at % bytes.len();
+            bytes[at] = to;
+            let _ = decode_row(&bytes);
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::page::{Directory, Leaf, PageBuf, PageCorrupt, PageId, TableMeta, KIND
 use crate::pool::{BufferPool, DataFile, PoolStats};
 use crate::rowcodec::{decode_row, encode_row};
 use crate::wal::{RecoveryStats, Wal};
+use std::collections::HashSet;
 use std::fs::OpenOptions;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -135,6 +136,23 @@ fn corrupt(e: PageCorrupt) -> io::Error {
     invalid(e)
 }
 
+/// The pool's image of dirty page `id`. The pool never evicts a dirty frame,
+/// so a miss is a broken pool, reported instead of panicking.
+fn framed(pool: &BufferPool, id: PageId) -> io::Result<&PageBuf> {
+    pool.image_of(id)
+        .ok_or_else(|| io::Error::other(format!("dirty page {id} is not framed")))
+}
+
+/// Record that a leaf-chain walk reached page `id`. A next pointer that leads
+/// back into the chain is corrupt: following it would never end.
+fn visit(visited: &mut HashSet<PageId>, id: PageId) -> io::Result<()> {
+    if visited.insert(id) {
+        Ok(())
+    } else {
+        Err(invalid(format!("leaf chain revisits page {id}")))
+    }
+}
+
 /// A disk-backed store rooted at one directory.
 #[derive(Debug)]
 pub struct DiskStore {
@@ -196,6 +214,14 @@ impl DiskStore {
         let mut page0 = PageBuf::default();
         data.read_page(0, &mut page0)?;
         let (page_count, tables) = Directory::decode(&page0).map_err(corrupt)?;
+        // Every allocated page reached the file at its batch's commit, so a
+        // larger count is corrupt; the next allocation would seek past it.
+        let on_disk = data.pages()?;
+        if page_count == 0 || u64::from(page_count) > on_disk {
+            return Err(invalid(format!(
+                "directory counts {page_count} pages, the data file holds {on_disk}"
+            )));
+        }
         Ok((
             DiskStore {
                 dir: dir.to_path_buf(),
@@ -249,7 +275,10 @@ impl DiskStore {
     /// Rows ever assigned to `table` by this store lineage (committed plus
     /// in-flight): rowids are contiguous from 1.
     pub fn rows_inserted(&self, table: &str) -> io::Result<u64> {
-        Ok(self.tables[self.table_index(table)?].next_rowid - 1)
+        self.tables[self.table_index(table)?]
+            .next_rowid
+            .checked_sub(1)
+            .ok_or_else(|| invalid(format!("table {table} has rowid counter 0")))
     }
 
     fn check_poisoned(&self) -> io::Result<()> {
@@ -360,9 +389,11 @@ impl DiskStore {
         self.check_poisoned()?;
         let ti = self.table_index(table)?;
         let first_leaf = self.tables[ti].first_leaf;
+        let mut visited = HashSet::from([first_leaf]);
         let mut others = Vec::new();
         let mut next = self.next_leaf(first_leaf)?;
         while let Some(id) = next {
+            visit(&mut visited, id)?;
             others.push(id);
             next = self.next_leaf(id)?;
         }
@@ -410,10 +441,10 @@ impl DiskStore {
         }
         let wal_len = self.wal.len()?;
         {
-            let images: Vec<(PageId, &PageBuf)> = dirty
+            let images = dirty
                 .iter()
-                .map(|&id| (id, self.pool.image_of(id).expect("dirty page is framed")))
-                .collect();
+                .map(|&id| Ok((id, framed(&self.pool, id)?)))
+                .collect::<io::Result<Vec<(PageId, &PageBuf)>>>()?;
             self.wal.append_batch(&images, self.batch_seq)?;
         }
         if crash == Some(CrashPoint::WalAppended) {
@@ -429,10 +460,10 @@ impl DiskStore {
             // Every page but the last lands whole; the last is torn in half.
             if let Some((&last, rest)) = dirty.split_last() {
                 for &id in rest {
-                    let page = self.pool.image_of(id).expect("framed").clone();
+                    let page = framed(&self.pool, id)?.clone();
                     self.data.write_page(id, &page)?;
                 }
-                let page = self.pool.image_of(last).expect("framed").clone();
+                let page = framed(&self.pool, last)?.clone();
                 self.data.write_torn(last, &page)?;
             }
             self.data.sync()?;
@@ -464,8 +495,10 @@ impl DiskStore {
         let meta = &self.tables[self.table_index(table)?];
         let (last_batch_start, last_batch_rows) = (meta.last_batch_start, meta.last_batch_rows);
         let mut leaves = Vec::new();
+        let mut visited = HashSet::new();
         let mut next = Some(meta.first_leaf);
         while let Some(id) = next {
+            visit(&mut visited, id)?;
             let idx = self.pool.fetch(&mut self.data, id)?;
             let page = self.pool.page(idx);
             let cells = Leaf::cells(page).map_err(corrupt)?;
@@ -493,6 +526,8 @@ impl DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_SIZE;
+    use proptest::prelude::*;
 
     struct TempDir(PathBuf);
 
@@ -697,6 +732,153 @@ mod tests {
             let (mut back, _) = DiskStore::open(&t.0, 8).unwrap();
             let expect = if point.batch_is_committed() { 0 } else { 50 };
             assert_eq!(all_rowids(&mut back, "T").len(), expect, "{point}");
+        }
+    }
+
+    #[test]
+    fn a_leaf_chain_that_loops_back_is_refused() {
+        let t = TempDir::new("cycle");
+        let mut store = DiskStore::create(&t.0, 8).unwrap();
+        store.create_table("T").unwrap();
+        let rows: Vec<Vec<Value>> = (1..=100).map(row).collect();
+        store.insert_batch("T", &rows).unwrap();
+        let leaves: Vec<PageId> = store
+            .scan("T")
+            .unwrap()
+            .leaves
+            .iter()
+            .map(|l| l.page)
+            .collect();
+        assert!(leaves.len() > 2);
+        drop(store);
+        // Point the last leaf's next pointer back at the first leaf.
+        let path = t.0.join("data.tqs");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = leaves[leaves.len() - 1] as usize * PAGE_SIZE;
+        let mut last = PageBuf::default();
+        last.as_bytes_mut()
+            .copy_from_slice(&bytes[at..at + PAGE_SIZE]);
+        Leaf::set_next_leaf(&mut last, leaves[0]);
+        bytes[at..at + PAGE_SIZE].copy_from_slice(last.as_bytes());
+        std::fs::write(&path, bytes).unwrap();
+
+        let (mut back, _) = DiskStore::open(&t.0, 8).unwrap();
+        let err = back.scan("T").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let err = back.truncate_table("T").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// A store at `dir` holding table `T` (two pages), whose directory page
+    /// `edit` then rewrites in `data.tqs`.
+    fn store_with_directory(dir: &Path, edit: impl FnOnce(&mut u32, &mut [TableMeta])) {
+        let mut store = DiskStore::create(dir, 8).unwrap();
+        store.create_table("T").unwrap();
+        store.commit().unwrap();
+        drop(store);
+        let path = dir.join("data.tqs");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mut page0 = PageBuf::default();
+        page0.as_bytes_mut().copy_from_slice(&bytes[..PAGE_SIZE]);
+        let (mut pages, mut tables) = Directory::decode(&page0).unwrap();
+        edit(&mut pages, &mut tables);
+        Directory::encode(&mut page0, pages, &tables);
+        bytes[..PAGE_SIZE].copy_from_slice(page0.as_bytes());
+        std::fs::write(&path, bytes).unwrap();
+    }
+
+    #[test]
+    fn a_zero_rowid_counter_is_refused() {
+        let t = TempDir::new("rowid-zero");
+        // No store lineage assigns a rowid counter of 0.
+        store_with_directory(&t.0, |_, tables| tables[0].next_rowid = 0);
+        let (back, _) = DiskStore::open(&t.0, 8).unwrap();
+        let err = back.rows_inserted("T").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn a_page_count_past_the_data_file_is_refused() {
+        for count in [0, 3, 1 << 24] {
+            let t = TempDir::new(&format!("page-count-{count}"));
+            store_with_directory(&t.0, |pages, _| *pages = count);
+            let err = DiskStore::open(&t.0, 8).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{count}: {err}");
+        }
+    }
+
+    /// The files of a store with two tables, one of them spread over several
+    /// leaves, and a committed batch still in the WAL (a crash right after
+    /// the commit point): `(data.tqs, wal.tqs)`, built once per process.
+    fn store_images() -> (Vec<u8>, Vec<u8>) {
+        static IMAGES: std::sync::OnceLock<(Vec<u8>, Vec<u8>)> = std::sync::OnceLock::new();
+        IMAGES.get_or_init(build_store_images).clone()
+    }
+
+    fn build_store_images() -> (Vec<u8>, Vec<u8>) {
+        let t = TempDir::new("images");
+        let mut store = DiskStore::create(&t.0, 8).unwrap();
+        store.create_table("A").unwrap();
+        store.create_table("B").unwrap();
+        let rows: Vec<Vec<Value>> = (1..=70).map(row).collect();
+        store.insert_batch("A", &rows[..60]).unwrap();
+        store.insert_batch("B", &rows[..5]).unwrap();
+        store.set_crash_point(Some(CrashPoint::WalSynced));
+        assert!(store.insert_batch("A", &rows[60..]).is_err());
+        drop(store);
+        let read = |name: &str| std::fs::read(t.0.join(name)).unwrap();
+        (read("data.tqs"), read("wal.tqs"))
+    }
+
+    /// Write `data` and `wal` as a store at `dir`, open it and scan every
+    /// table. Whatever the files hold, this must return, not panic or hang.
+    fn open_and_scan(dir: &Path, data: &[u8], wal: &[u8]) {
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(dir.join("data.tqs"), data).unwrap();
+        std::fs::write(dir.join("wal.tqs"), wal).unwrap();
+        if let Ok((mut store, _)) = DiskStore::open(dir, 4) {
+            let names: Vec<String> = store.tables().iter().map(|t| t.name.clone()).collect();
+            for name in names {
+                let _ = store.rows_inserted(&name);
+                let _ = store.scan(&name);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn a_store_with_one_corrupt_byte_opens_or_fails_cleanly(
+            in_wal in any::<bool>(),
+            unit in 0usize..8,
+            offset in 0usize..768,
+            to in any::<u8>(),
+        ) {
+            let (mut data, mut wal) = store_images();
+            // Hit page and record headers and the cells behind them: byte
+            // `offset` of data page `unit`, or of WAL record `unit` (a page
+            // record is 1 + 4 + PAGE_SIZE bytes; the last one is the commit).
+            let (file, stride) = if in_wal {
+                (&mut wal, 1 + 4 + PAGE_SIZE)
+            } else {
+                (&mut data, PAGE_SIZE)
+            };
+            let at = (unit * stride + offset).min(file.len() - 1);
+            file[at] = to;
+            let t = TempDir::new("mutated");
+            open_and_scan(&t.0, &data, &wal);
+        }
+
+        #[test]
+        fn a_store_of_arbitrary_bytes_opens_or_fails_cleanly(
+            in_wal in any::<bool>(),
+            bytes in proptest::collection::vec(any::<u8>(), 0..2 * PAGE_SIZE),
+        ) {
+            let (mut data, mut wal) = store_images();
+            *(if in_wal { &mut wal } else { &mut data }) = bytes;
+            let t = TempDir::new("arbitrary");
+            open_and_scan(&t.0, &data, &wal);
         }
     }
 

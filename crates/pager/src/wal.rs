@@ -13,10 +13,12 @@
 //! from the start, stages page images, and applies them to the data file only
 //! when their commit record is reached; a torn tail (truncated record or an
 //! unknown kind byte) ends the scan — everything before the last complete
-//! commit record is redone, everything after is discarded.
+//! commit record is redone, everything after is discarded. A complete batch
+//! whose page ids do not fit the directory image it carries is corrupt, not
+//! torn: recovery refuses it with `InvalidData` before writing any page.
 
 use crate::envfault::{EnvFaultOp, EnvFaultPolicy};
-use crate::page::{PageBuf, PageId, PAGE_SIZE};
+use crate::page::{Directory, PageBuf, PageId, PAGE_SIZE};
 use crate::pool::DataFile;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -147,6 +149,7 @@ impl Wal {
                     at += 1 + 4 + PAGE_SIZE;
                 }
                 REC_COMMIT if at + 1 + 8 <= bytes.len() => {
+                    check_batch(&staged)?;
                     for (id, page) in staged.drain(..) {
                         data.write_page(id, &page)?;
                         stats.pages_applied += 1;
@@ -172,10 +175,29 @@ impl Wal {
     }
 }
 
+/// Refuse a committed batch whose page ids do not fit the directory it
+/// carries. `DiskStore::commit` puts the directory (page 0) in every batch
+/// and writes only pages below its page count, so any other batch is a
+/// corrupt record; redoing it could seek as far as 16 TiB into the data file.
+fn check_batch(staged: &[(PageId, PageBuf)]) -> io::Result<()> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let (_, directory) = staged
+        .iter()
+        .find(|(id, _)| *id == 0)
+        .ok_or_else(|| invalid("WAL batch carries no directory page".into()))?;
+    let (page_count, _) = Directory::decode(directory).map_err(|e| invalid(e.to_string()))?;
+    match staged.iter().find(|(id, _)| *id >= page_count) {
+        Some((id, _)) => Err(invalid(format!(
+            "WAL batch writes page {id} of a {page_count}-page store"
+        ))),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::Leaf;
+    use crate::page::{Directory, Leaf};
 
     struct TempWal {
         wal_path: std::path::PathBuf,
@@ -224,31 +246,43 @@ mod tests {
         p
     }
 
+    /// The directory image a store of `page_count` pages commits as page 0.
+    fn directory(page_count: u32) -> PageBuf {
+        let mut p = PageBuf::default();
+        Directory::encode(&mut p, page_count, &[]);
+        p
+    }
+
+    const PAGE_RECORD: u64 = 1 + 4 + PAGE_SIZE as u64;
+
     #[test]
     fn committed_batches_replay_and_uncommitted_tail_is_dropped() {
         let t = TempWal::new("replay");
         let mut wal = Wal::open(&t.wal_path).unwrap();
+        let dir = directory(3);
         let p1 = leaf_with(&[1, 2]);
         let p2 = leaf_with(&[3]);
-        wal.append_batch(&[(0, &p1), (1, &p2)], 1).unwrap();
+        wal.append_batch(&[(0, &dir), (1, &p1), (2, &p2)], 1)
+            .unwrap();
         let p1b = leaf_with(&[1, 2, 5]);
-        wal.append_batch(&[(0, &p1b)], 2).unwrap();
+        wal.append_batch(&[(0, &dir), (1, &p1b)], 2).unwrap();
         // a third batch whose commit record never made it
         let len = wal.len().unwrap();
-        wal.append_batch(&[(1, &leaf_with(&[3, 9]))], 3).unwrap();
-        wal.truncate_to(len + 1 + 4 + PAGE_SIZE as u64).unwrap();
+        wal.append_batch(&[(0, &dir), (2, &leaf_with(&[3, 9]))], 3)
+            .unwrap();
+        wal.truncate_to(len + 2 * PAGE_RECORD).unwrap();
 
         let mut data = t.data();
         let stats = wal.replay(&mut data).unwrap();
         assert_eq!(stats.batches_replayed, 2);
-        assert_eq!(stats.pages_applied, 3);
-        assert_eq!(stats.uncommitted_pages_dropped, 1);
-        assert!(!stats.torn_tail, "complete page record, missing commit");
+        assert_eq!(stats.pages_applied, 5);
+        assert_eq!(stats.uncommitted_pages_dropped, 2);
+        assert!(!stats.torn_tail, "complete page records, missing commit");
 
         let mut back = PageBuf::default();
-        data.read_page(0, &mut back).unwrap();
-        assert_eq!(Leaf::cells(&back).unwrap().len(), 3, "second image wins");
         data.read_page(1, &mut back).unwrap();
+        assert_eq!(Leaf::cells(&back).unwrap().len(), 3, "second image wins");
+        data.read_page(2, &mut back).unwrap();
         assert_eq!(Leaf::cells(&back).unwrap().len(), 1, "uncommitted dropped");
     }
 
@@ -256,9 +290,11 @@ mod tests {
     fn a_tail_torn_mid_record_stops_the_scan() {
         let t = TempWal::new("torn");
         let mut wal = Wal::open(&t.wal_path).unwrap();
-        wal.append_batch(&[(0, &leaf_with(&[1]))], 1).unwrap();
+        wal.append_batch(&[(0, &directory(2)), (1, &leaf_with(&[1]))], 1)
+            .unwrap();
         let committed = wal.len().unwrap();
-        wal.append_batch(&[(1, &leaf_with(&[2]))], 2).unwrap();
+        wal.append_batch(&[(0, &directory(3)), (2, &leaf_with(&[2]))], 2)
+            .unwrap();
         wal.truncate_to(committed + 3).unwrap(); // mid page record
 
         let mut data = t.data();
@@ -267,8 +303,28 @@ mod tests {
         assert!(stats.torn_tail);
 
         let mut back = PageBuf::default();
-        data.read_page(0, &mut back).unwrap();
+        data.read_page(1, &mut back).unwrap();
         assert_eq!(Leaf::cells(&back).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_committed_batch_past_its_directory_is_refused_unapplied() {
+        let t = TempWal::new("page-id");
+        let mut wal = Wal::open(&t.wal_path).unwrap();
+        let leaf = leaf_with(&[1]);
+        // A flipped byte in a page id: page 5 of a three-page store.
+        wal.append_batch(&[(0, &directory(3)), (1, &leaf), (5, &leaf)], 1)
+            .unwrap();
+        let mut data = t.data();
+        let err = wal.replay(&mut data).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // A batch whose directory image was lost is refused as well.
+        wal.reset().unwrap();
+        wal.append_batch(&[(1, &leaf)], 1).unwrap();
+        let err = wal.replay(&mut data).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let written = std::fs::metadata(&t.data_path).unwrap().len();
+        assert_eq!(written, 0, "no page of a refused batch is written");
     }
 
     #[test]
@@ -280,7 +336,7 @@ mod tests {
         let mut seq = 0u64;
         while committed < 5 {
             seq += 1;
-            let page = leaf_with(&[seq]);
+            let page = directory(seq as u32);
             match wal.append_batch(&[(0, &page)], seq) {
                 Ok(()) => match wal.sync() {
                     Ok(()) => committed += 1,
@@ -315,7 +371,7 @@ mod tests {
     fn reset_empties_the_log() {
         let t = TempWal::new("reset");
         let mut wal = Wal::open(&t.wal_path).unwrap();
-        wal.append_batch(&[(0, &leaf_with(&[1]))], 1).unwrap();
+        wal.append_batch(&[(0, &directory(1))], 1).unwrap();
         assert!(wal.len().unwrap() > 0);
         wal.reset().unwrap();
         assert_eq!(wal.len().unwrap(), 0);

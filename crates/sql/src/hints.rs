@@ -85,12 +85,8 @@ pub enum SwitchName {
     JoinCacheHashed,
     /// `join_cache_bka` — allow batched key access joins.
     JoinCacheBka,
-    /// `join_cache_incremental` — incremental join buffers.
-    JoinCacheIncremental,
     /// `outer_join_with_cache` — join buffer for outer joins.
     OuterJoinWithCache,
-    /// `semijoin_with_cache` — join buffer for semi joins.
-    SemijoinWithCache,
     /// `materialization` — subquery materialization.
     Materialization,
     /// `block_nested_loop` — block nested loop join.
@@ -102,12 +98,10 @@ pub enum SwitchName {
 }
 
 impl SwitchName {
-    pub const ALL: [SwitchName; 9] = [
+    pub const ALL: [SwitchName; 7] = [
         SwitchName::JoinCacheHashed,
         SwitchName::JoinCacheBka,
-        SwitchName::JoinCacheIncremental,
         SwitchName::OuterJoinWithCache,
-        SwitchName::SemijoinWithCache,
         SwitchName::Materialization,
         SwitchName::BlockNestedLoop,
         SwitchName::BatchedKeyAccess,
@@ -118,18 +112,12 @@ impl SwitchName {
         match self {
             SwitchName::JoinCacheHashed => "join_cache_hashed",
             SwitchName::JoinCacheBka => "join_cache_bka",
-            SwitchName::JoinCacheIncremental => "join_cache_incremental",
             SwitchName::OuterJoinWithCache => "outer_join_with_cache",
-            SwitchName::SemijoinWithCache => "semijoin_with_cache",
             SwitchName::Materialization => "materialization",
             SwitchName::BlockNestedLoop => "block_nested_loop",
             SwitchName::BatchedKeyAccess => "batched_key_access",
             SwitchName::HashJoin => "hash_join",
         }
-    }
-
-    pub fn from_name(s: &str) -> Option<SwitchName> {
-        SwitchName::ALL.iter().copied().find(|n| n.name() == s)
     }
 }
 
@@ -231,14 +219,6 @@ mod tests {
             SessionSwitch::off(SwitchName::Materialization).to_string(),
             "SET optimizer_switch='materialization=off';"
         );
-    }
-
-    #[test]
-    fn switch_names_round_trip() {
-        for s in SwitchName::ALL {
-            assert_eq!(SwitchName::from_name(s.name()), Some(s));
-        }
-        assert_eq!(SwitchName::from_name("nonsense"), None);
     }
 
     #[test]

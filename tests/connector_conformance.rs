@@ -119,10 +119,8 @@ fn every_cell_of_the_connector_matrix_reports_and_restores_the_same_way() {
         });
 
     for kind in EngineKind::ALL {
-        assert_eq!(EngineKind::from_label(kind.label()), Ok(kind));
         let (info, executor_note) = expected(kind);
         for build in BuildSpec::ALL {
-            assert_eq!(BuildSpec::from_label(build.label()), Ok(build));
             for (profile, (name, version)) in ProfileId::ALL.into_iter().zip(info) {
                 let cell = format!("{} / {} / {profile:?}", kind.label(), build.label());
                 let mut conn = EngineConnector::open(kind, build, profile).loaded(&dsg);
