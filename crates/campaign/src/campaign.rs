@@ -27,17 +27,14 @@
 use crate::checkpoint::{CellRecord, Checkpoint, CheckpointHeader, RunRecord};
 use crate::corpus::{Corpus, CorpusEntry, StoredStatement};
 use crate::scheduler::drain_in_order;
-use crate::stats::{CampaignStats, LiveStats, RunTotals};
-use crate::status::StatusBoard;
+use crate::stats::{CampaignStats, RunTotals};
 use crate::supervisor::{retry_append, Quarantine, QuarantineEntry, SupervisorConfig};
 use crate::triage::BugTriage;
-use crate::Unpoisoned;
 use std::collections::{BTreeSet, HashSet};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex;
 use std::time::Instant;
 use tqs_core::backend::{DbmsConnector, EngineKind, RecordingConnector};
 use tqs_core::bugs::{minimize_with_oracle, BugReport, KeyCache, OracleKind};
@@ -48,7 +45,7 @@ use tqs_core::oracle::{DifferentialOracle, Oracle, OracleVerdict, PlanSpaceOracl
 use tqs_engine::cancel::CancelToken;
 use tqs_engine::ProfileId;
 use tqs_graph::plangraph::{graph_fingerprint, query_graph_with_subqueries};
-use tqs_graph::{GraphIndex, LabeledGraph};
+use tqs_graph::LabeledGraph;
 use tqs_sql::ast::{DmlStmt, SelectStmt};
 use tqs_sql::render::render_stmt;
 use tqs_telemetry::Json;
@@ -346,8 +343,6 @@ pub struct Campaign {
     /// from the journal's run records; [`Campaign::run`] folds each of its
     /// own runs in so rates stay cumulative within a process too.
     prior: RunTotals,
-    /// Live progress published for status readers (the HTTP endpoint).
-    status: Arc<StatusBoard>,
     /// The journaled poison list (cells that exhausted their retry budget).
     quarantine_journal: Quarantine,
     /// Quarantined cells, loaded from the journal on resume and extended as
@@ -366,7 +361,6 @@ pub struct Campaign {
 #[derive(Clone)]
 pub struct CampaignStopHandle {
     flag: Arc<AtomicBool>,
-    board: Arc<StatusBoard>,
 }
 
 impl CampaignStopHandle {
@@ -375,7 +369,6 @@ impl CampaignStopHandle {
     pub fn request_stop(&self) {
         tqs_telemetry::counter!("campaign.supervisor.stop_requests").incr();
         self.flag.store(true, Ordering::Relaxed);
-        self.board.request_stop();
     }
 
     pub fn is_stop_requested(&self) -> bool {
@@ -410,7 +403,6 @@ impl Campaign {
             checkpoint,
             torn_tails_repaired: 0,
             prior: RunTotals::default(),
-            status: Arc::new(StatusBoard::new()),
             quarantine_journal: Quarantine::in_dir(&cfg.dir),
             quarantine: Vec::new(),
             stop: Arc::new(AtomicBool::new(false)),
@@ -502,7 +494,6 @@ impl Campaign {
             checkpoint,
             torn_tails_repaired,
             prior,
-            status: Arc::new(StatusBoard::new()),
             quarantine_journal,
             quarantine,
             stop: Arc::new(AtomicBool::new(false)),
@@ -532,14 +523,6 @@ impl Campaign {
     /// runs this process already finished).
     pub fn prior_totals(&self) -> RunTotals {
         self.prior
-    }
-
-    /// The live-progress board. Hand this (it is `Arc`-shared) to a
-    /// [`CampaignStatusServer`](crate::status::CampaignStatusServer) — or
-    /// any other monitor thread — before calling [`run`](Self::run); it
-    /// publishes snapshots for the whole run and the final stats afterward.
-    pub fn status_board(&self) -> Arc<StatusBoard> {
-        Arc::clone(&self.status)
     }
 
     /// The shard databases the fleet hunts (index = `CampaignCell::shard`).
@@ -587,11 +570,10 @@ impl Campaign {
     /// A handle for requesting a graceful stop of a `run` in progress (from
     /// another thread — `run` borrows the campaign mutably). Workers finish
     /// their in-flight cell, the run record is journaled, and `run` returns
-    /// `Ok`; `/status` reports `stopping` then `stopped`.
+    /// `Ok`.
     pub fn stop_handle(&self) -> CampaignStopHandle {
         CampaignStopHandle {
             flag: Arc::clone(&self.stop),
-            board: Arc::clone(&self.status),
         }
     }
 
@@ -602,107 +584,125 @@ impl Campaign {
 
     /// Drain the pending cells — the `max_cells_per_run` lowest-id ones when
     /// bounded — with the worker fleet, retiring each in cell order on this
-    /// thread. Returns this run's statistics.
+    /// thread. Returns this run's statistics, added up as the cells retire.
     pub fn run(&mut self) -> io::Result<CampaignStats> {
         let _run_span = tqs_telemetry::span("campaign", "run");
+        let started = Instant::now();
         let mut pending = self.pending_cells();
         pending.truncate(self.cfg.max_cells_per_run.unwrap_or(usize::MAX));
-        let live = Arc::new(LiveStats::start_with_prior(self.prior));
-        self.status.begin_run(
-            Arc::clone(&live),
-            self.cells.len(),
-            self.done.len(),
-            self.triage.class_count(),
-            self.torn_tails_repaired,
-        );
         let fleet = Fleet {
             cfg: &self.cfg,
             shards: &self.shards,
-            diversity: Mutex::new(GraphIndex::new()),
-            live: &live,
         };
+        let mut stats = CampaignStats {
+            prior: self.prior,
+            cells_total: self.cells.len(),
+            torn_tails_repaired: self.torn_tails_repaired,
+            ..CampaignStats::default()
+        };
+        let mut graphs = HashSet::new();
         let sup = &self.cfg.supervisor;
         // The one writer: cells retire in id order, so the lowest cell that
         // found a class owns it. Appends retry under the supervisor's budget.
         let retire = |cell: &CampaignCell, outcome: CellOutcome| -> io::Result<()> {
+            outcome.counts.add_to(&mut stats, &mut graphs);
             let mut new_classes = 0;
             for entry in outcome.found {
                 if self.triage.admit(entry.report.clone(), cell.id).is_some() {
                     retry_append(sup, |env| self.corpus.append_with(&entry, env))?;
                     new_classes += 1;
-                    live.add_new_class();
                 }
             }
+            stats.new_classes += new_classes;
             match outcome.end {
                 Ok(mut record) => {
                     record.new_classes = new_classes;
                     retry_append(sup, |env| self.checkpoint.append_cell_with(&record, env))?;
                     self.done.insert(cell.id);
-                    live.cell_drained();
+                    stats.cells_drained += 1;
                 }
                 Err(entry) => {
                     retry_append(sup, |env| self.quarantine_journal.append(&entry, env))?;
                     self.quarantine.push(entry);
-                    live.add_quarantined();
+                    stats.quarantined += 1;
                     tqs_telemetry::counter!("campaign.supervisor.quarantined").incr();
                 }
             }
             Ok(())
         };
-        if let Err(e) = drain_in_order(
+        drain_in_order(
             self.cfg.workers,
             &pending,
             &self.stop,
             |cell| fleet.supervise_cell(cell),
             retire,
-        ) {
-            self.status.abort();
-            return Err(e);
-        }
-        let diversity = fleet.diversity.into_inner_unpoisoned();
-        live.set_diversity(diversity.isomorphic_set_count());
-        let stats = live.snapshot(
-            self.cells.len(),
-            self.done.len(),
-            self.triage.class_count(),
-            self.torn_tails_repaired,
-        );
+        )?;
+        stats.elapsed = started.elapsed();
+        stats.cells_done = self.done.len();
+        stats.bug_classes = self.triage.class_count();
+        stats.diversity = graphs.len();
         // Journal this run's totals and fold them into `prior` so both a
         // resumed process and a later `run()` in this one keep reporting
         // cumulative rates.
-        let totals = live.run_totals();
         let run_record = RunRecord {
-            elapsed_ms: totals.elapsed.as_millis() as u64,
-            queries: totals.queries,
-            statements: totals.statements,
-            plans: totals.plans,
+            elapsed_ms: stats.elapsed.as_millis() as u64,
+            queries: stats.queries,
+            statements: stats.statements,
+            plans: stats.plans,
         };
         retry_append(sup, |env| self.checkpoint.append_run_with(&run_record, env))?;
         self.prior = RunTotals {
-            elapsed: self.prior.elapsed + totals.elapsed,
-            queries: self.prior.queries + totals.queries,
-            statements: self.prior.statements + totals.statements,
-            plans: self.prior.plans + totals.plans,
+            elapsed: self.prior.elapsed + stats.elapsed,
+            queries: self.prior.queries + stats.queries,
+            statements: self.prior.statements + stats.statements,
+            plans: self.prior.plans + stats.plans,
         };
-        self.status.finish(stats.clone());
         Ok(stats)
     }
 }
 
-/// What the fleet's workers share: configuration and shards, read-only, the
-/// reporting-only diversity index and the live counters. They write no
-/// triage and no journal; [`Campaign::run`] retires what they return.
+/// What the fleet's workers share: configuration and shards, read-only.
+/// They write no triage, no journal and no counter; each returns its cell's
+/// [`CellOutcome`] and [`Campaign::run`] retires it.
 struct Fleet<'a> {
     cfg: &'a CampaignConfig,
     shards: &'a [Arc<DsgDatabase>],
-    diversity: Mutex<GraphIndex>,
-    live: &'a LiveStats,
+}
+
+/// What one cell did, over every supervised attempt: added into the run's
+/// [`CampaignStats`] when the cell retires.
+#[derive(Default)]
+struct CellCounts {
+    queries: usize,
+    statements: usize,
+    plans: usize,
+    raw_reports: usize,
+    panics_caught: usize,
+    retries: usize,
+    deadline_cells: usize,
+    /// The canonical forms (`LabeledGraph::canonical_form(3)`) of the
+    /// cell's query graphs; the run's diversity is the size of their union.
+    graphs: HashSet<String>,
+}
+
+impl CellCounts {
+    fn add_to(self, stats: &mut CampaignStats, graphs: &mut HashSet<String>) {
+        stats.queries += self.queries;
+        stats.statements += self.statements;
+        stats.plans += self.plans;
+        stats.raw_reports += self.raw_reports;
+        stats.panics_caught += self.panics_caught;
+        stats.retries += self.retries;
+        stats.deadline_cells += self.deadline_cells;
+        graphs.extend(self.graphs);
+    }
 }
 
 /// A supervised cell's result, retired on the run thread in cell order.
 struct CellOutcome {
     /// One corpus entry per class found, in order, over all attempts.
     found: Vec<CorpusEntry>,
+    counts: CellCounts,
     /// Drained: the checkpoint record. Given up on: the quarantine entry.
     end: Result<CellRecord, QuarantineEntry>,
 }
@@ -716,11 +716,12 @@ impl Fleet<'_> {
     fn supervise_cell(&self, cell: &CampaignCell) -> CellOutcome {
         let sup = &self.cfg.supervisor;
         let mut found = Vec::new();
+        let mut counts = CellCounts::default();
         let mut attempt = 0u32;
         let end = loop {
             attempt += 1;
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.run_cell(cell, attempt, &mut found)
+                self.run_cell(cell, attempt, &mut found, &mut counts)
             }));
             let reason = match outcome {
                 Ok(Ok(record)) => break Ok(record),
@@ -729,14 +730,14 @@ impl Fleet<'_> {
                     e.to_string()
                 }
                 Err(payload) => {
-                    self.live.add_panic_caught();
+                    counts.panics_caught += 1;
                     tqs_telemetry::counter!("campaign.supervisor.panics_caught").incr();
                     let text = panic_payload_text(payload.as_ref());
                     // The panic is itself a finding, a class like any other;
                     // a persistent panicker's repeats are duplicate sightings.
                     let entry = harness_panic_entry(cell, &text);
                     if !found.iter().any(|e| e.class_key == entry.class_key) {
-                        self.live.add_raw_reports(1);
+                        counts.raw_reports += 1;
                         found.push(entry);
                     }
                     text
@@ -749,11 +750,11 @@ impl Fleet<'_> {
                     reason,
                 });
             }
-            self.live.add_retry();
+            counts.retries += 1;
             tqs_telemetry::counter!("campaign.supervisor.retries").incr();
             std::thread::sleep(sup.backoff(attempt));
         };
-        CellOutcome { found, end }
+        CellOutcome { found, counts, end }
     }
 
     /// Drain one cell with the [`CellWorkload`] its `workload` axis names.
@@ -762,21 +763,20 @@ impl Fleet<'_> {
         cell: &CampaignCell,
         attempt: u32,
         found: &mut Vec<CorpusEntry>,
+        counts: &mut CellCounts,
     ) -> io::Result<CellRecord> {
         let shard = &self.shards[cell.shard];
         let seed = self.cfg.seed ^ ((cell.id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         match cell.workload {
-            Workload::Select => self.drain_cell(cell, attempt, found, || SelectHunt {
+            Workload::Select => self.drain_cell(cell, attempt, found, counts, || SelectHunt {
                 oracle: cell.build_oracle(shard),
                 kqe: Kqe::new(shard.schema_desc.clone(), KqeConfig::default()),
                 generator: QueryGenerator::new(QueryGenConfig {
                     seed,
                     ..Default::default()
                 }),
-                diversity: &self.diversity,
-                live: self.live,
             }),
-            Workload::Dml => self.drain_cell(cell, attempt, found, || DmlHunt {
+            Workload::Dml => self.drain_cell(cell, attempt, found, counts, || DmlHunt {
                 oracle: DmlOracle::new(&shard.db.catalog),
                 generator: DmlGenerator::new(DmlGenConfig {
                     seed,
@@ -788,21 +788,22 @@ impl Fleet<'_> {
 
     /// The cell loop: a deterministic stream of `queries_per_cell` units of
     /// the cell's workload, each new class pushed to `found` minimized and
-    /// with its witness trace, then the checkpoint record. `attempt` is the
-    /// supervisor's 1-based attempt counter — everything the cell does is
-    /// attempt-independent except the chaos panic decision, so a retry
-    /// re-sights what `found` holds and reduces nothing twice. The workload
-    /// is built by `make_hunt` once the cell's clock and span are running, so
-    /// they cover the oracle's set-up (reference replicas load whole catalogs).
+    /// with its witness trace and what it did added to `counts`, then the
+    /// checkpoint record. `attempt` is the supervisor's 1-based attempt
+    /// counter — everything the cell does is attempt-independent except the
+    /// chaos panic decision, so a retry re-sights what `found` holds and
+    /// reduces nothing twice. The workload is built by `make_hunt` once the
+    /// cell's clock and span are running, so they cover the oracle's set-up
+    /// (reference replicas load whole catalogs).
     fn drain_cell<W: CellWorkload>(
         &self,
         cell: &CampaignCell,
         attempt: u32,
         found: &mut Vec<CorpusEntry>,
+        counts: &mut CellCounts,
         make_hunt: impl FnOnce() -> W,
     ) -> io::Result<CellRecord> {
         let started = Instant::now();
-        let live = self.live;
         let mut cell_span = tqs_telemetry::span_with("campaign", || format!("cell-{}", cell.id));
         cell_span.arg("shard", Json::count(cell.shard));
         cell_span.arg("oracle", Json::str(cell.oracle.label()));
@@ -829,9 +830,12 @@ impl Fleet<'_> {
                 break;
             }
             let unit = hunt.generate(shard);
+            if let Some(qg) = hunt.query_graph(&unit) {
+                counts.graphs.insert(qg.canonical_form(3));
+            }
             hunt.begin_unit();
             // Drain (and count) the previous unit's engine events.
-            live.add_statements(count_statements(&conn.take_trace()));
+            counts.statements += count_statements(&conn.take_trace());
             // Statement budget: the engines poll the installed token at
             // operator boundaries; a cancelled statement errors out and the
             // oracle skips it — a timeout can never be misread as a bug.
@@ -849,19 +853,19 @@ impl Fleet<'_> {
                 OracleVerdict::Pass => {
                     tqs_telemetry::counter!("campaign.oracle.pass").incr();
                     queries += 1;
-                    live.add_queries(1);
+                    counts.queries += 1;
                     continue;
                 }
                 OracleVerdict::Bugs(reports) => {
                     tqs_telemetry::counter!("campaign.oracle.bugs").incr();
                     queries += 1;
-                    live.add_queries(1);
+                    counts.queries += 1;
                     reports
                 }
             };
             raw_reports += reports.len();
-            live.add_raw_reports(reports.len());
-            let graph_fp = hunt.graph_fingerprint(&unit);
+            counts.raw_reports += reports.len();
+            let graph_fp = hunt.query_graph(&unit).map(graph_fingerprint);
             // Materialized lazily: almost every report is a duplicate
             // sighting at fleet throughput, and copying full recorded result
             // sets for those would dominate the hot path. Must be captured
@@ -896,11 +900,11 @@ impl Fleet<'_> {
             }
         }
 
-        live.add_statements(count_statements(&conn.take_trace()));
-        live.add_plans(hunt.plans_enumerated());
+        counts.statements += count_statements(&conn.take_trace());
+        counts.plans += hunt.plans_enumerated();
 
         if timed_out {
-            live.add_deadline_cell();
+            counts.deadline_cells += 1;
             tqs_telemetry::counter!("campaign.supervisor.deadline_cells").incr();
         }
         // Chaos hook: fires after the hunting loop, so a panicking attempt
@@ -970,9 +974,9 @@ trait CellWorkload {
     /// Called before a unit is judged ([`Oracle::begin_unit`]).
     fn begin_unit(&mut self) {}
     fn judge(&mut self, unit: &Self::Unit, conn: &mut dyn DbmsConnector) -> OracleVerdict;
-    /// The query-graph fingerprint `unit`'s reports are keyed on
-    /// ([`BugReport::keyed_on_graph`]).
-    fn graph_fingerprint(&self, _unit: &Self::Unit) -> Option<u64> {
+    /// The query graph of `unit`: counted in the run's diversity, and its
+    /// fingerprint keys the unit's reports ([`BugReport::keyed_on_graph`]).
+    fn query_graph<'u>(&self, _unit: &'u Self::Unit) -> Option<&'u LabeledGraph> {
         None
     }
     /// A minimized reproducer of the failing `unit`.
@@ -985,19 +989,16 @@ trait CellWorkload {
 }
 
 /// Generated join queries through the cell's oracle.
-struct SelectHunt<'a> {
+struct SelectHunt {
     oracle: Box<dyn Oracle>,
     /// Per-cell KQE state: the adaptive walk stays deterministic for the
     /// cell regardless of what the rest of the fleet is doing — the
     /// property the resume guarantee rests on.
     kqe: Kqe,
     generator: QueryGenerator,
-    /// The fleet-wide diversity index (reporting only).
-    diversity: &'a Mutex<GraphIndex>,
-    live: &'a LiveStats,
 }
 
-impl CellWorkload for SelectHunt<'_> {
+impl CellWorkload for SelectHunt {
     /// A join query and its query graph.
     type Unit = (SelectStmt, LabeledGraph);
     const CANCELLABLE: bool = true;
@@ -1006,10 +1007,7 @@ impl CellWorkload for SelectHunt<'_> {
         let scorer = KqeScorer { kqe: &self.kqe };
         let stmt = self.generator.generate(shard, None, &scorer);
         let qg = query_graph_with_subqueries(&stmt, &shard.schema_desc);
-        let embedding = self.kqe.record(&qg);
-        let mut idx = self.diversity.lock_unpoisoned();
-        idx.insert(&qg, embedding);
-        self.live.set_diversity(idx.isomorphic_set_count());
+        self.kqe.record(&qg);
         (stmt, qg)
     }
 
@@ -1021,8 +1019,8 @@ impl CellWorkload for SelectHunt<'_> {
         self.oracle.check(stmt, conn)
     }
 
-    fn graph_fingerprint(&self, (_, qg): &Self::Unit) -> Option<u64> {
-        Some(graph_fingerprint(qg))
+    fn query_graph<'u>(&self, (_, qg): &'u Self::Unit) -> Option<&'u LabeledGraph> {
+        Some(qg)
     }
 
     fn minimize(&mut self, (stmt, _): &Self::Unit, conn: &mut dyn DbmsConnector) -> Option<String> {
@@ -1285,6 +1283,52 @@ mod tests {
         assert_eq!(prior.plans, first.plans);
         assert!(prior.elapsed <= first.elapsed + Duration::from_millis(1));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cell_counts_add_into_the_run_stats() {
+        let cell = |queries, raw_reports, graphs: &[&str]| CellCounts {
+            queries,
+            statements: 3 * queries,
+            plans: 2,
+            raw_reports,
+            graphs: graphs.iter().map(|g| g.to_string()).collect(),
+            ..Default::default()
+        };
+        let mut stats = CampaignStats::default();
+        let mut graphs = HashSet::new();
+        cell(10, 4, &["a", "b"]).add_to(&mut stats, &mut graphs);
+        cell(5, 2, &["b", "c"]).add_to(&mut stats, &mut graphs);
+        assert_eq!(
+            (
+                stats.queries,
+                stats.statements,
+                stats.plans,
+                stats.raw_reports
+            ),
+            (15, 45, 4, 6)
+        );
+        // Diversity counts a query structure once however many cells met it.
+        assert_eq!(graphs.len(), 3);
+    }
+
+    #[test]
+    fn supervision_counts_add_into_the_run_stats() {
+        let mut stats = CampaignStats::default();
+        let mut graphs = HashSet::new();
+        for (panics_caught, retries, deadline_cells) in [(2, 2, 0), (0, 1, 1)] {
+            CellCounts {
+                panics_caught,
+                retries,
+                deadline_cells,
+                ..Default::default()
+            }
+            .add_to(&mut stats, &mut graphs);
+        }
+        assert_eq!(
+            (stats.panics_caught, stats.retries, stats.deadline_cells),
+            (2, 3, 1)
+        );
     }
 
     #[test]

@@ -185,8 +185,8 @@ impl CellRecord {
 }
 
 /// One finished run, as journaled: the wall-clock and throughput totals of
-/// a `Campaign::run` that reached its end. Resume sums these so cumulative
-/// rates (`queries_per_sec`, `plans_per_sec`) carry across kill/resume.
+/// a `Campaign::run` that reached its end. Resume sums these so the
+/// cumulative rate (`queries_per_sec`) carries across kill/resume.
 /// Journals written before run records existed simply have none — their
 /// campaigns resume with zero prior totals, exactly as before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

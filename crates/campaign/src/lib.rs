@@ -11,7 +11,9 @@
 //!   [`Campaign::new`] / [`Campaign::resume`] / [`Campaign::run`].
 //! * `scheduler` — the fleet both campaigns run on: workers take items in
 //!   order from one shared cursor, and results retire in item order on the
-//!   calling thread.
+//!   calling thread. Workers share only the configuration, the shard
+//!   databases and the stop flag: each returns its cell's classes and
+//!   counts, and nothing they write is shared.
 //! * [`triage`] — plan-fingerprint deduplication of raw divergences into bug
 //!   classes, one minimized representative per class.
 //! * [`corpus`] — the append-only JSONL bug corpus with replayable witness
@@ -26,9 +28,8 @@
 //! * `journal` — the one append-only JSONL format under the checkpoint,
 //!   corpus and quarantine files: atomic-or-absent appends, the fsync
 //!   commit point, and the torn-tail rule on load and repair.
-//! * [`stats`] — live fleet counters and their [`CampaignStats`] snapshot.
-//! * [`status`] — the live progress board and the `curl`-able HTTP/JSONL
-//!   status endpoint ([`CampaignStatusServer`]).
+//! * [`stats`] — what a run did ([`CampaignStats`], added up cell by cell
+//!   as cells retire) and what a re-verification found.
 //!
 //! Every artifact above is written and read as `tqs_telemetry::Json`.
 //!
@@ -91,7 +92,6 @@ mod journal;
 pub mod reverify;
 mod scheduler;
 pub mod stats;
-pub mod status;
 pub mod supervisor;
 pub mod triage;
 
@@ -103,55 +103,9 @@ pub use corpus::{CompactionStats, Corpus, CorpusEntry, StoredStatement};
 pub use reverify::{
     ClassVerdict, ReverifyCampaign, ReverifyConfig, ReverifyReport, ReverifyStatus,
 };
-pub use stats::{CampaignStats, LiveStats, ReverifyStats, RunTotals};
-pub use status::{CampaignStatusServer, StatusBoard};
+pub use stats::{CampaignStats, ReverifyStats, RunTotals};
 pub use supervisor::{Quarantine, QuarantineEntry, SupervisorConfig};
 /// The grid's engine axis and the re-verification build axis are the two
 /// arguments of [`tqs_core::backend::EngineConnector::open`]; they live there.
 pub use tqs_core::backend::{BuildSpec, EngineKind};
 pub use triage::{BugTriage, TriageClass};
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// The crate's one locking policy: poisoning is ignored. The supervisor
-/// catches a cell's panic and retries or quarantines that cell; if the panic
-/// struck while a lock was held, honouring the poison would make every later
-/// `lock()` panic too, and every remaining cell would end in quarantine.
-pub(crate) trait Unpoisoned<T> {
-    /// `lock()`, taking the guard even after a holder panicked.
-    fn lock_unpoisoned(&self) -> MutexGuard<'_, T>;
-    /// `into_inner()`, taking the value even after a holder panicked.
-    fn into_inner_unpoisoned(self) -> T;
-}
-
-impl<T> Unpoisoned<T> for Mutex<T> {
-    fn lock_unpoisoned(&self) -> MutexGuard<'_, T> {
-        self.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn into_inner_unpoisoned(self) -> T {
-        self.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unpoisoned_access_survives_a_holder_that_panicked() {
-        let m = std::sync::Arc::new(Mutex::new(vec![1, 2, 3]));
-        let holder = std::sync::Arc::clone(&m);
-        let died = std::thread::spawn(move || {
-            let mut held = holder.lock_unpoisoned();
-            held.push(4);
-            panic!("worker dies holding the lock");
-        })
-        .join();
-        assert!(died.is_err());
-        assert!(m.is_poisoned());
-        assert_eq!(*m.lock_unpoisoned(), [1, 2, 3, 4]);
-        let m = std::sync::Arc::into_inner(m).unwrap();
-        assert_eq!(m.into_inner_unpoisoned(), [1, 2, 3, 4]);
-    }
-}

@@ -31,8 +31,7 @@
 //!   the SQL does not parse, the rebuilt shard schema lost a referenced
 //!   table, or the trace no longer serves the witness statement.
 //!
-//! Verdicts aggregate into a machine-readable [`ReverifyReport`] (hand-rolled
-//! [`tqs_telemetry::Json`], like every campaign artifact), which also drives corpus
+//! Verdicts aggregate into a [`ReverifyReport`], which also drives corpus
 //! compaction: [`ReverifyReport::retain_class`] keeps classes that still fail
 //! (or are flaky — contested evidence is not discharged) and garbage-collects
 //! `Fixed`/`Stale` classes unless the caller opts into keeping them
@@ -61,7 +60,6 @@ use tqs_core::oracle::OracleVerdict;
 use tqs_sql::ast::{DmlStmt, SelectStmt};
 use tqs_sql::parser::{parse_program, parse_stmt};
 use tqs_sql::render::render_dml;
-use tqs_telemetry::Json;
 
 /// Verdict for one (class, build) pair. Declared in ascending severity so
 /// `ReverifyReport::class_status` can aggregate across builds with `max`.
@@ -79,13 +77,6 @@ pub enum ReverifyStatus {
 }
 
 impl ReverifyStatus {
-    pub(crate) const ALL: [ReverifyStatus; 4] = [
-        ReverifyStatus::Stale,
-        ReverifyStatus::Fixed,
-        ReverifyStatus::Flaky,
-        ReverifyStatus::StillFailing,
-    ];
-
     pub fn label(self) -> &'static str {
         match self {
             ReverifyStatus::Stale => "stale",
@@ -117,25 +108,7 @@ pub struct ClassVerdict {
     pub detail: String,
 }
 
-impl ClassVerdict {
-    pub(crate) fn to_json(&self) -> Json {
-        let mut members = vec![
-            ("class".to_string(), Json::str(&self.class_key)),
-            ("cell".to_string(), Json::count(self.cell_id)),
-            ("profile".to_string(), Json::str(&self.profile)),
-            ("build".to_string(), Json::str(self.build.label())),
-            ("status".to_string(), Json::str(self.status.label())),
-            ("replay".to_string(), Json::Bool(self.replay_reproduced)),
-            ("live".to_string(), Json::Bool(self.live_failing)),
-        ];
-        if !self.detail.is_empty() {
-            members.push(("detail".to_string(), Json::str(&self.detail)));
-        }
-        Json::Obj(members)
-    }
-}
-
-/// The machine-readable outcome of one re-verification run: every (class,
+/// The outcome of one re-verification run: every (class,
 /// build) verdict, in deterministic (corpus, build) order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReverifyReport {
@@ -190,22 +163,6 @@ impl ReverifyReport {
             .into_iter()
             .filter(|k| self.retain_class(k, keep_fixed))
             .collect()
-    }
-
-    /// The report as JSON. It is output only: nothing reads a report back.
-    pub fn to_json(&self) -> Json {
-        let mut members = vec![("classes".to_string(), Json::count(self.classes().len()))];
-        for status in ReverifyStatus::ALL {
-            members.push((
-                status.label().replace('-', "_"),
-                Json::count(self.count(status)),
-            ));
-        }
-        members.push((
-            "verdicts".to_string(),
-            Json::Arr(self.verdicts.iter().map(ClassVerdict::to_json).collect()),
-        ));
-        Json::Obj(members)
     }
 }
 
@@ -555,18 +512,15 @@ mod tests {
             1
         );
         assert_eq!(report.surviving_classes(false).len(), 1);
-        // The JSON report is output only: pin the counts it carries.
-        let json = report.to_json();
-        let count = |k: &str| json.get(k).and_then(Json::as_usize);
+        assert_eq!(report.count(ReverifyStatus::StillFailing), 1);
+        assert_eq!(report.count(ReverifyStatus::Flaky), 0);
         assert_eq!(
-            (count("classes"), count("fixed"), count("still_failing")),
-            (Some(1), Some(1), Some(1))
+            report.count_on(BuildSpec::Pristine, ReverifyStatus::Fixed),
+            1
         );
         assert_eq!(
-            json.get("verdicts")
-                .and_then(Json::as_arr)
-                .map(<[Json]>::len),
-            Some(2)
+            report.count_on(BuildSpec::Pristine, ReverifyStatus::StillFailing),
+            0
         );
     }
 

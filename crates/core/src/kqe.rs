@@ -6,7 +6,7 @@
 //! (Equation 3), so structurally novel extensions are preferred.
 
 use crate::dsg::WalkScorer;
-use tqs_graph::embedding::{embed_graph, Embedding};
+use tqs_graph::embedding::embed_graph;
 use tqs_graph::plangraph::SchemaDesc;
 use tqs_graph::{GraphIndex, LabeledGraph};
 
@@ -57,13 +57,10 @@ impl Kqe {
         1.0 / (self.coverage(g) as f64 + 1.0)
     }
 
-    /// Record an explored query graph in `GI` (Algorithm 1, line 9). Hands
-    /// back the graph's embedding so a caller feeding a second index (the
-    /// campaign's fleet-wide diversity index) need not embed it again.
-    pub fn record(&mut self, g: &LabeledGraph) -> Embedding {
+    /// Record an explored query graph in `GI` (Algorithm 1, line 9).
+    pub fn record(&mut self, g: &LabeledGraph) {
         let e = embed_graph(g, self.cfg.wl_rounds);
-        self.index.insert(g, e.clone());
-        e
+        self.index.insert(g, e);
     }
 
     /// Number of distinct isomorphic sets explored so far — the diversity

@@ -61,7 +61,7 @@ impl LabeledGraph {
     /// isomorphic graphs always share a canonical form; collisions between
     /// non-isomorphic graphs are possible in principle but do not occur for
     /// the small, richly-labeled query graphs TQS generates.
-    pub(crate) fn canonical_form(&self, rounds: usize) -> String {
+    pub fn canonical_form(&self, rounds: usize) -> String {
         let mut labels: Vec<String> = self.nodes.iter().map(|n| n.label.clone()).collect();
         for _ in 0..rounds {
             let mut next = Vec::with_capacity(labels.len());

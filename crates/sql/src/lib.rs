@@ -63,8 +63,8 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use crate::parser::{parse_expr, parse_stmt};
-    use crate::render::{render_expr, render_stmt};
+    use crate::parser::{parse_dml, parse_expr, parse_stmt};
+    use crate::render::{render_dml, render_expr, render_stmt};
     use crate::value::{hash_key, sql_compare, SqlCmp, Value};
     use proptest::prelude::*;
 
@@ -96,6 +96,101 @@ mod proptests {
             "[a-dA-DkKsSzZ ]{0,6}",
             "[kKsSzZ \u{212A}\u{130}\u{1E9E}\u{3A3}\u{3C2}\u{3C3}]{0,6}",
         ]
+    }
+
+    /// One character: mostly the ASCII the dialect is written in, else
+    /// multi-byte text, control characters and Unicode white space.
+    fn arb_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            "[ -~]{1}",
+            "[\u{0}\t\n\u{7F}\u{85}\u{A0}\u{2003}é€ß日\u{1F600}\u{FEFF}]{1}",
+        ]
+        .prop_map(|s: String| s.chars().next().unwrap_or(' '))
+    }
+
+    /// Arbitrary text: SQL-shaped characters, or any scalar value at all.
+    fn arb_text() -> impl Strategy<Value = String> {
+        prop_oneof![
+            proptest::collection::vec(arb_char(), 0..40)
+                .prop_map(|cs: Vec<char>| cs.into_iter().collect::<String>()),
+            proptest::collection::vec(any::<u32>(), 0..20).prop_map(|us: Vec<u32>| {
+                us.into_iter()
+                    .filter_map(|u| char::from_u32(u % 0x11_0000))
+                    .collect::<String>()
+            }),
+        ]
+    }
+
+    /// Statements as the renderers write them: hints, subqueries, DML and
+    /// transaction control.
+    fn rendered_statements() -> Vec<String> {
+        let selects = [
+            "SELECT /*+ MERGE_JOIN(t1, t2) NO_SEMIJOIN() */ t1.a FROM t1 \
+             LEFT OUTER JOIN t2 ON t1.a = t2.a WHERE t2.b IS NOT NULL",
+            "SELECT t0.c0 FROM t0 WHERE t0.c0 IN (SELECT t0.c0 FROM t0 WHERE \
+             (t0.c0 NOT IN (SELECT t0.c0 FROM t0 WHERE t0.c0)) = t0.c0)",
+            "SELECT DISTINCT t1.a, COUNT(*) FROM t1 CROSS JOIN t2 WHERE \
+             CAST(t1.b AS decimal(10,2)) BETWEEN -1.5 AND 2e3 GROUP BY t1.a LIMIT 3",
+            "SELECT * FROM t1 WHERE NOT EXISTS (SELECT * FROM t2 WHERE t2.a <=> t1.a)",
+        ];
+        let dml = [
+            "INSERT INTO t1 (a, b, c) VALUES (1, 'x; y', NULL), (2, 'it''s', 3.5)",
+            "UPDATE t1 SET a = 2, b = 'z' WHERE t1.a = 1 AND (b IS NOT NULL)",
+            "DELETE FROM t1 WHERE a IN (1, 2, 3)",
+            "BEGIN",
+            "COMMIT",
+            "ROLLBACK",
+        ];
+        selects
+            .iter()
+            .map(|s| render_stmt(&parse_stmt(s).unwrap()))
+            .chain(dml.iter().map(|s| render_dml(&parse_dml(s).unwrap())))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Text that no renderer wrote — arbitrary strings, and rendered
+        /// statements with one character deleted, inserted or replaced —
+        /// makes the parsers fail with a `ParseError` or succeed, never panic.
+        #[test]
+        fn the_parsers_never_panic_on_arbitrary_or_edited_text(
+            text in arb_text(),
+            edit in (0usize..1000, 0usize..1000, 0u8..3, arb_char()),
+        ) {
+            let (pick, at, edit, ch) = edit;
+            let rendered = rendered_statements();
+            let stmt = &rendered[pick % rendered.len()];
+            let mut chars: Vec<char> = stmt.chars().collect();
+            let at = at % (chars.len() + 1);
+            match edit {
+                0 if at < chars.len() => {
+                    chars.remove(at);
+                }
+                1 if at < chars.len() => chars[at] = ch,
+                _ => chars.insert(at, ch),
+            }
+            let edited: String = chars.into_iter().collect();
+            for input in [&text, &edited] {
+                let parsed = std::panic::catch_unwind(|| {
+                    let _ = parse_stmt(input);
+                    let _ = parse_dml(input);
+                });
+                prop_assert!(parsed.is_ok(), "a parser panicked on {:?}", input);
+            }
+        }
+
+        /// Non-ASCII string literals survive render → parse → render.
+        #[test]
+        fn non_ascii_literals_round_trip(text in "[a-z '€éß日本\u{A0}\u{85}\u{1F600}]{0,10}") {
+            let e = crate::ast::Expr::eq(
+                crate::ast::Expr::col("t1", "a"),
+                crate::ast::Expr::lit(Value::Varchar(text)),
+            );
+            let rendered = render_expr(&e);
+            prop_assert_eq!(render_expr(&parse_expr(&rendered).unwrap()), rendered);
+        }
     }
 
     proptest! {

@@ -9,7 +9,9 @@
 //! and no ground truth evaluates them, so a statement carrying one could only
 //! be checked with the clause silently dropped on both sides.
 //! Text from outside (a damaged corpus line) can be anything, so expressions
-//! nested past a fixed depth are a [`ParseError`], not a stack overflow.
+//! nested past a fixed depth are a [`ParseError`], not a stack overflow, and
+//! the lexer reads by `char`: string literals keep any UTF-8 text, and a
+//! character that starts no token is a [`ParseError`].
 
 use crate::ast::*;
 use crate::hints::{Hint, SemiJoinStrategy};
@@ -58,11 +60,10 @@ impl<'a> Lexer<'a> {
             self.skip_ws();
             let start = self.pos;
             let b = self.src.as_bytes();
-            if self.pos >= b.len() {
+            let Some(c) = self.src[self.pos..].chars().next() else {
                 out.push((Tok::Eof, start));
                 return Ok(out);
-            }
-            let c = b[self.pos] as char;
+            };
             let tok = if c == '/' && self.src[self.pos..].starts_with("/*+") {
                 let end = self.src[self.pos..]
                     .find("*/")
@@ -78,15 +79,14 @@ impl<'a> Lexer<'a> {
                 self.pos += 1;
                 let mut s = String::new();
                 loop {
-                    if self.pos >= b.len() {
+                    let Some(ch) = self.src[self.pos..].chars().next() else {
                         return Err(ParseError {
                             message: "unterminated string literal".into(),
                             offset: start,
                         });
-                    }
-                    let ch = b[self.pos] as char;
+                    };
                     if ch == '\'' {
-                        if self.pos + 1 < b.len() && b[self.pos + 1] as char == '\'' {
+                        if b.get(self.pos + 1) == Some(&b'\'') {
                             s.push('\'');
                             self.pos += 2;
                         } else {
@@ -95,7 +95,7 @@ impl<'a> Lexer<'a> {
                         }
                     } else {
                         s.push(ch);
-                        self.pos += 1;
+                        self.pos += ch.len_utf8();
                     }
                 }
                 Tok::Str(s)
@@ -130,7 +130,7 @@ impl<'a> Lexer<'a> {
                 let s = self.src[self.pos..end].to_string();
                 self.pos = end;
                 Tok::Ident(s)
-            } else {
+            } else if c.is_ascii_punctuation() {
                 // multi-char operators first
                 let rest = &self.src[self.pos..];
                 let sym = ["<=>", "<>", "<=", ">=", "!="]
@@ -140,6 +140,11 @@ impl<'a> Lexer<'a> {
                     .unwrap_or_else(|| c.to_string());
                 self.pos += sym.len();
                 Tok::Symbol(sym)
+            } else {
+                return Err(ParseError {
+                    message: format!("unexpected character {c:?}"),
+                    offset: start,
+                });
             };
             out.push((tok, start));
         }
@@ -171,10 +176,8 @@ impl<'a> Lexer<'a> {
     }
 
     fn skip_ws(&mut self) {
-        let b = self.src.as_bytes();
-        while self.pos < b.len() && (b[self.pos] as char).is_whitespace() {
-            self.pos += 1;
-        }
+        let rest = &self.src[self.pos..];
+        self.pos += rest.len() - rest.trim_start().len();
     }
 }
 
@@ -1069,6 +1072,28 @@ mod tests {
         let rendered = render_stmt(&stmt);
         let reparsed = parse_stmt(&rendered).unwrap();
         assert_eq!(render_stmt(&reparsed), rendered);
+    }
+
+    #[test]
+    fn a_character_that_starts_no_token_is_a_parse_error() {
+        for err in [
+            parse_stmt("SELECT € FROM t").unwrap_err(),
+            parse_dml("SELECT € FROM t").unwrap_err(),
+        ] {
+            assert_eq!(err.offset, 7, "{err}");
+            assert!(err.message.contains('€'), "{err}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_string_literals_keep_their_text() {
+        let stmt = parse_stmt("SELECT * FROM t WHERE a = 'é'").unwrap();
+        assert_eq!(render_stmt(&stmt), "SELECT * FROM t WHERE a = 'é'");
+        let stmt = parse_dml("UPDATE t SET b = 'Grüße, €5' WHERE a = '日本'").unwrap();
+        assert_eq!(
+            crate::render::render_dml(&stmt),
+            "UPDATE t SET b = 'Grüße, €5' WHERE a = '日本'"
+        );
     }
 
     #[test]
